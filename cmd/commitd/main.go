@@ -4,7 +4,7 @@
 // outcomes.
 //
 //	commitd -addr 127.0.0.1:8080 -n 5
-//	commitd -addr 127.0.0.1:8080 -n 3 -shards 4 -cross-wal cross.wal
+//	commitd -addr 127.0.0.1:8080 -n 3 -shards 4 -cross-wal state/cross
 //
 //	POST /commit        {"id":"t1","votes":[true,true,false,true,true]}
 //	                    sharded: {"id":"t1","keys":["user:7","user:9"]}
@@ -26,9 +26,11 @@
 // With -shards N > 1 the daemon hosts N independent commit groups behind
 // one consistent-hash router; transactions whose key sets span several
 // groups run as a cross-shard commit-of-commits (internal/shard), and
-// -cross-wal persists the coordinator's two-layer protocol state so a
-// restarted daemon settles in-doubt cross-shard transactions before
-// serving.
+// -cross-wal names the directory that persists the coordinator's
+// two-layer protocol state so a restarted daemon settles in-doubt
+// cross-shard transactions before serving. Each journal flag belongs to
+// one mode (-wal-dir to -shards 1, -cross-wal to -shards N > 1); the
+// other combination is refused at start-up, because it would log nothing.
 //
 // The cluster backend is either the in-process channel hub (default) or
 // real TCP nodes on loopback (-backend tcp, single-shard only) — same
@@ -97,9 +99,9 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		timeout   = fs.Duration("timeout", 10*time.Second, "default per-request deadline")
 		backend   = fs.String("backend", "channel", "cluster transport: channel or tcp")
 		shards    = fs.Int("shards", 1, "independent commit groups behind the consistent-hash router")
-		crossWAL  = fs.String("cross-wal", "", "cross-shard coordinator WAL path (sharded mode; replayed on start); a directory path selects the segmented backend")
+		crossWAL  = fs.String("cross-wal", "", "cross-shard coordinator WAL directory (sharded mode only; replayed on start, cross outcomes wait for group-commit fsync)")
 		batchAg   = fs.Bool("batch-agreement", false, "decide each dispatch batch with one vector-outcome agreement instance")
-		walDir    = fs.String("wal-dir", "", "segmented decision-journal directory (single-shard mode; replayed on start, client acks wait for group-commit fsync)")
+		walDir    = fs.String("wal-dir", "", "decision-journal directory (single-shard mode only; replayed on start, client acks wait for group-commit fsync)")
 		walSeg    = fs.Int("wal-segment-bytes", 1<<20, "WAL segment rotation threshold in bytes")
 		walGroup  = fs.Duration("wal-group-commit", 0, "max extra latency the WAL writer waits to coalesce decision fsyncs (0: flush whatever has queued)")
 		snapEvery = fs.Int("snapshot-every", 4096, "WAL records between state snapshots (0: never snapshot; replay covers the whole log)")
@@ -123,6 +125,14 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	}
 	if *shards < 1 {
 		return fmt.Errorf("-shards must be >= 1, got %d", *shards)
+	}
+	// Each mode reads one journal flag; accepting the other would run a
+	// daemon whose operator believes its acks are durable.
+	if *shards > 1 && *walDir != "" {
+		return fmt.Errorf("-wal-dir journals single-shard decisions and is not used with -shards %d; use -cross-wal", *shards)
+	}
+	if *shards == 1 && *crossWAL != "" {
+		return errors.New("-cross-wal journals cross-shard outcomes and is not used with -shards 1; use -wal-dir")
 	}
 
 	logger, err := olog.New(os.Stderr, *logFormat, *logLevel)
@@ -228,38 +238,27 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 			}
 		}
 	} else {
-		var log *shard.CrossLog
-		var logClose func() error
+		scfg := shard.Config{Shards: *shards, Group: cfg}
+		var crossLog *shard.CrossSegLog
 		var replayed []shard.CrossRecord
-		switch {
-		case *crossWAL != "" && wal.SegmentedPath(*crossWAL):
-			sl, recs, err := shard.OpenCrossSegmented(*crossWAL, wal.SegmentedOptions{
+		if *crossWAL != "" {
+			var err error
+			crossLog, replayed, err = shard.OpenCrossSegmented(*crossWAL, wal.SegmentedOptions{
 				SegmentBytes:  *walSeg,
 				GroupCommit:   *walGroup,
 				SnapshotEvery: *snapEvery,
 				Registry:      reg,
 			})
 			if err != nil {
-				return fmt.Errorf("opening segmented cross WAL: %w", err)
+				return fmt.Errorf("opening cross WAL: %w", err)
 			}
-			replayed = recs
-			log = sl.CrossLog
-			logClose = sl.Close
-		case *crossWAL != "":
-			recs, err := shard.ReplayCrossFile(*crossWAL)
-			if err != nil {
-				return fmt.Errorf("replaying cross WAL: %w", err)
-			}
-			replayed = recs
-			fl, err := shard.OpenCrossFile(*crossWAL)
-			if err != nil {
-				return err
-			}
-			log = fl.CrossLog
-			logClose = fl.Close
+			scfg.Log = crossLog.CrossLog
 		}
-		coord, err := shard.New(shard.Config{Shards: *shards, Group: cfg, Log: log})
+		coord, err := shard.New(scfg)
 		if err != nil {
+			if crossLog != nil {
+				crossLog.Close() //nolint:errcheck // already failing
+			}
 			return err
 		}
 		if len(replayed) > 0 {
@@ -268,6 +267,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 			cancel()
 			if err != nil {
 				coord.Close(context.Background()) //nolint:errcheck // already failing
+				crossLog.Close()                  //nolint:errcheck // already failing
 				return fmt.Errorf("recovering in-doubt cross-shard transactions: %w", err)
 			}
 			fmt.Fprintf(out, "commitd: cross WAL replayed (%d records, %d in-doubt settled)\n", len(replayed), settled)
@@ -276,8 +276,8 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		src, tracer, spans = coord, coord.Tracer(), coord.Spans()
 		closeFn = func(ctx context.Context) error {
 			err := coord.Close(ctx)
-			if logClose != nil {
-				if cerr := logClose(); cerr != nil && err == nil {
+			if crossLog != nil {
+				if cerr := crossLog.Close(); cerr != nil && err == nil {
 					err = cerr
 				}
 			}

@@ -5,12 +5,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/service"
+	"repro/internal/shard"
+	"repro/internal/wal"
 )
 
 // startDaemon runs the daemon in-process on an ephemeral port and returns
@@ -133,7 +137,7 @@ func TestDaemonBadFlags(t *testing.T) {
 
 func TestDaemonSharded(t *testing.T) {
 	dir := t.TempDir()
-	walPath := dir + "/cross.wal"
+	walPath := dir + "/cross"
 	base, stop := startDaemon(t, "-shards", "3", "-tick", "500us", "-cross-wal", walPath)
 
 	resp, err := http.Get(base + "/healthz")
@@ -177,10 +181,35 @@ func TestDaemonSharded(t *testing.T) {
 
 	stop()
 
-	// The WAL survived the daemon: a second daemon replays it cleanly
-	// (everything is decided, so recovery settles nothing but must not
-	// fail) and keeps serving.
+	// A coordinator that died after logging a begin: the next daemon must
+	// find it in the directory and settle it before serving.
+	log, recs, err := shard.OpenCrossSegmented(walPath, wal.SegmentedOptions{})
+	if err != nil || len(recs) != 0 {
+		t.Fatalf("reopening the daemon's cross WAL: %d in-doubt records, err %v", len(recs), err)
+	}
+	if err := log.Append(shard.CrossRecord{Type: shard.RecBegin, Txn: "lost-1", Shards: []int{0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The WAL survived the daemon: a second daemon replays it, settles the
+	// in-doubt transaction (an unprepared participant aborts) and keeps
+	// serving.
 	base2, stop2 := startDaemon(t, "-shards", "3", "-tick", "500us", "-cross-wal", walPath)
+	resp, err = http.Get(base2 + "/status/lost-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st shard.TxnStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if st.State != service.StateAbort {
+		t.Fatalf("recovered in-doubt transaction: %+v, want ABORT", st)
+	}
 	if out := commitOne(t, base2, "sd2", nil); !out.State.Terminal() {
 		t.Fatalf("post-restart commit = %+v", out)
 	}
@@ -188,11 +217,38 @@ func TestDaemonSharded(t *testing.T) {
 }
 
 func TestDaemonShardedBadFlags(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-shards", "0"}, &out, nil); err == nil {
-		t.Fatal("zero shards accepted")
+	dir := t.TempDir()
+	oldJournal := filepath.Join(dir, "cross.wal")
+	if err := os.WriteFile(oldJournal, []byte("single-file journal"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if err := run([]string{"-shards", "2", "-backend", "tcp"}, &out, nil); err == nil {
-		t.Fatal("tcp backend with multiple shards accepted")
+	unused := filepath.Join(dir, "unused")
+	for _, c := range []struct {
+		name string
+		args []string
+		want string // substring of the start-up error
+	}{
+		{"zero shards", []string{"-shards", "0"}, "-shards"},
+		{"tcp backend with multiple shards", []string{"-shards", "2", "-backend", "tcp"}, "-backend tcp"},
+		// A journal flag the mode never reads must not parse silently: the
+		// operator would believe acks are durable while nothing is logged.
+		{"decision journal on a sharded daemon", []string{"-shards", "4", "-wal-dir", unused}, "-wal-dir"},
+		{"cross WAL on a single-shard daemon", []string{"-shards", "1", "-cross-wal", unused}, "-cross-wal"},
+		// A journal in the retired single-file format is refused by name,
+		// never shadowed by an empty log.
+		{"single-file cross WAL", []string{"-shards", "3", "-cross-wal", oldJournal}, "single-file journals are no longer read: " + oldJournal},
+		{"single-file decision journal", []string{"-wal-dir", oldJournal}, "single-file journals are no longer read: " + oldJournal},
+	} {
+		var out bytes.Buffer
+		err := run(append([]string{"-addr", "127.0.0.1:0"}, c.args...), &out, nil)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one naming %q", c.name, err, c.want)
+		}
+	}
+	if _, err := os.Stat(unused); !os.IsNotExist(err) {
+		t.Errorf("a rejected journal flag still created %s (stat err %v)", unused, err)
+	}
+	if got, _ := os.ReadFile(oldJournal); string(got) != "single-file journal" {
+		t.Errorf("refused journal was modified: %q", got)
 	}
 }

@@ -34,7 +34,7 @@ func main() {
 	victim := tcommit.ProcID(4)
 	cfg := tcommit.Config{N: n, K: 25, Seed: uint64(time.Now().UnixNano())}
 	journal := func(p tcommit.ProcID) string {
-		return filepath.Join(dir, fmt.Sprintf("proc%d.wal", p))
+		return filepath.Join(dir, fmt.Sprintf("proc%d.journal", p))
 	}
 
 	// Phase 1: five journaled nodes; survivors keep serving the outcome

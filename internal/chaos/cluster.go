@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -155,7 +154,9 @@ func RunCluster(p *Plan, o RunOptions) (*Report, *ClusterRunData, error) {
 	o.defaults(p)
 	n := p.Cfg.N
 
-	bufs := make([]bytes.Buffer, n)
+	// Each node goroutine appends to its own journal; the harness reads one
+	// only after that node's goroutine has stopped.
+	journals := make([]wal.Records, n)
 	machines := make([]types.Machine, n)
 	for i := 0; i < n; i++ {
 		vote := types.V0
@@ -169,7 +170,7 @@ func RunCluster(p *Plan, o RunOptions) (*Report, *ClusterRunData, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("chaos: build machine %d: %w", i, err)
 		}
-		machines[i] = &recovery.Responder{Inner: wal.NewLoggedCommit(cm, wal.New(&bufs[i]))}
+		machines[i] = &recovery.Responder{Inner: wal.NewLoggedCommit(cm, &journals[i])}
 	}
 
 	h := &clusterHarness{
@@ -247,8 +248,7 @@ func RunCluster(p *Plan, o RunOptions) (*Report, *ClusterRunData, error) {
 				h.setRecovered(ev.Node, 0, false)
 				return
 			}
-			recs, _ := wal.Replay(bytes.NewReader(bufs[ev.Node].Bytes()))
-			st := wal.Reconstruct(recs)
+			st := wal.Reconstruct(journals[ev.Node])
 			cl.Restart(pid)
 			if st.Decided {
 				h.setRecovered(ev.Node, st.Decision, true)
@@ -342,11 +342,7 @@ func RunCluster(p *Plan, o RunOptions) (*Report, *ClusterRunData, error) {
 		Vacuous:     vacuous,
 	}
 	for i := 0; i < n; i++ {
-		recs, err := wal.Replay(bytes.NewReader(bufs[i].Bytes()))
-		if err != nil {
-			return nil, nil, fmt.Errorf("chaos: node %d wal corrupt: %w", i, err)
-		}
-		st := wal.Reconstruct(recs)
+		st := wal.Reconstruct(journals[i])
 		data.WALDecided[i], data.WALValue[i] = st.Decided, st.Decision
 	}
 	return AuditCluster(p, data), data, runErr

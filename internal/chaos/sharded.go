@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -79,11 +78,11 @@ func RunShardedService(p *Plan, o RunOptions) (*Report, *ShardedRunData, error) 
 	o.defaults(p)
 	n := p.Cfg.N
 
-	var walBuf bytes.Buffer // CrossLog serializes appends; buffer writes cannot fail
+	var crossLog shard.MemCrossLog
 	injectors := make([]*Injector, p.Cfg.Shards)
 	coord, err := shard.New(shard.Config{
 		Shards: p.Cfg.Shards,
-		Log:    shard.NewCrossLog(&walBuf),
+		Log:    &crossLog,
 		Group: service.Config{
 			N:              n,
 			T:              p.Cfg.T,
@@ -196,7 +195,7 @@ func RunShardedService(p *Plan, o RunOptions) (*Report, *ShardedRunData, error) 
 		}
 	}
 	metrics := coord.Metrics()
-	records, _ := shard.ReplayCross(bytes.NewReader(walBuf.Bytes())) //nolint:errcheck // in-memory log cannot tear
+	records := crossLog.Records()
 
 	data := &ShardedRunData{
 		Results:      results,

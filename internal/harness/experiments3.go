@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/adversary"
@@ -73,7 +72,7 @@ func E13Recovery(opt Options) (*Report, error) {
 // recoveryRound runs one crash-and-recover cycle. Returns (survivors all
 // decided, every victim recovered, count of mismatched recoveries).
 func recoveryRound(n, crashes int, seed uint64) (bool, bool, int, error) {
-	logs := make([]*bytes.Buffer, n)
+	logs := make([]wal.Records, n)
 	machines := make([]types.Machine, n)
 	inner := make([]*core.Commit, n)
 	for i := 0; i < n; i++ {
@@ -85,8 +84,7 @@ func recoveryRound(n, crashes int, seed uint64) (bool, bool, int, error) {
 			return false, false, 0, err
 		}
 		inner[i] = m
-		logs[i] = &bytes.Buffer{}
-		machines[i] = wal.NewLoggedCommit(m, wal.New(logs[i]))
+		machines[i] = wal.NewLoggedCommit(m, &logs[i])
 	}
 	st := rng.NewStream(seed ^ 0xE13)
 	var plan []adversary.CrashPlan
@@ -121,12 +119,8 @@ func recoveryRound(n, crashes int, seed uint64) (bool, bool, int, error) {
 			recMachines[i] = &recovery.Responder{Inner: inner[i]}
 			continue
 		}
-		records, err := wal.Replay(bytes.NewReader(logs[i].Bytes()))
-		if err != nil {
-			return true, false, 0, err
-		}
 		client, err := recovery.NewClient(recovery.ClientConfig{
-			ID: p, N: n, Resume: wal.Reconstruct(records),
+			ID: p, N: n, Resume: wal.Reconstruct(logs[i]),
 		})
 		if err != nil {
 			return true, false, 0, err

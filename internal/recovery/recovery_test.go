@@ -1,7 +1,6 @@
 package recovery_test
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/adversary"
@@ -189,7 +188,7 @@ func TestEndToEndCrashRecover(t *testing.T) {
 	victim := types.ProcID(4)
 
 	// Phase 1: run with the victim journaled and crashed mid-protocol.
-	logs := make(map[types.ProcID]*walBuffer)
+	logs := make([]wal.Records, n)
 	machines := make([]types.Machine, n)
 	for i := 0; i < n; i++ {
 		m, err := core.New(core.Config{
@@ -198,9 +197,7 @@ func TestEndToEndCrashRecover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wb := &walBuffer{}
-		logs[types.ProcID(i)] = wb
-		machines[i] = wal.NewLoggedCommit(m, wal.New(wb))
+		machines[i] = wal.NewLoggedCommit(m, &logs[i])
 	}
 	adv := &adversary.Crash{
 		Inner: &adversary.RoundRobin{},
@@ -218,11 +215,7 @@ func TestEndToEndCrashRecover(t *testing.T) {
 	clusterValue := res.Values[0]
 
 	// Phase 2: the victim restarts. Replay its journal.
-	records, err := wal.Replay(logs[victim].reader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	state := wal.Reconstruct(records)
+	state := wal.Reconstruct(logs[victim])
 	if state.Decided {
 		t.Skip("victim decided before crashing; nothing to recover")
 	}
@@ -264,15 +257,3 @@ func TestEndToEndCrashRecover(t *testing.T) {
 		t.Fatalf("victim recovered %v, cluster decided %v", res2.Values[victim], clusterValue)
 	}
 }
-
-// walBuffer is an in-memory append sink that can be re-read.
-type walBuffer struct {
-	data []byte
-}
-
-func (b *walBuffer) Write(p []byte) (int, error) {
-	b.data = append(b.data, p...)
-	return len(p), nil
-}
-
-func (b *walBuffer) reader() *bytes.Reader { return bytes.NewReader(b.data) }

@@ -48,7 +48,7 @@ type Config struct {
 	Vnodes int
 	// Log, when non-nil, persists the cross-shard transitions so a
 	// crashed coordinator can recover in-doubt transactions (Recover).
-	Log *CrossLog
+	Log CrossAppender
 	// Retention caps how many finished cross-shard transactions keep
 	// status entries (default 65536, FIFO eviction).
 	Retention int
@@ -165,7 +165,7 @@ type Coordinator struct {
 	cfg    Config
 	router *Router
 	groups []*service.Service
-	log    *CrossLog
+	log    CrossAppender
 
 	lat *stats.Recorder
 	met coordMetrics
@@ -211,10 +211,14 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
+	log := cfg.Log
+	if log == nil {
+		log = discardLog{}
+	}
 	c := &Coordinator{
 		cfg:    cfg,
 		router: router,
-		log:    cfg.Log,
+		log:    log,
 		lat:    stats.NewRecorder(cfg.LatencyWindow),
 		cross:  make(map[string]*crossEntry),
 	}
@@ -785,14 +789,12 @@ func (c *Coordinator) Recover(ctx context.Context, records []CrossRecord) (int, 
 		if len(st.Shards) == 0 {
 			continue // torn log lost the begin record; nothing to ask
 		}
-		outcome, err := c.Resolve(ctx, st)
-		if err != nil {
+		if _, err := c.Resolve(ctx, st); err != nil {
 			return settled, err
 		}
 		c.adoptOutcome(id, st)
 		c.met.recovered.Inc()
 		settled++
-		_ = outcome
 	}
 	return settled, nil
 }

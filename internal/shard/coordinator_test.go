@@ -1,7 +1,6 @@
 package shard_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -87,9 +86,9 @@ func TestSingleShardFastPath(t *testing.T) {
 }
 
 func TestCrossShardCommit(t *testing.T) {
-	var buf bytes.Buffer
+	var log shard.MemCrossLog
 	c := newCoordinator(t, shard.Config{
-		Shards: 3, Group: service.Config{Seed: 2}, Log: shard.NewCrossLog(&buf),
+		Shards: 3, Group: service.Config{Seed: 2}, Log: &log,
 	})
 	keys := crossKeys(t, c, 0, 2)
 	res, err := c.Submit(context.Background(), shard.Request{ID: "pay-1", Keys: keys})
@@ -122,11 +121,7 @@ func TestCrossShardCommit(t *testing.T) {
 	}
 
 	// The WAL tells the whole story: begin, both verdicts, the outcome.
-	recs, err := shard.ReplayCross(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	states := shard.ReconstructCross(recs)
+	states := shard.ReconstructCross(log.Records())
 	cs := states["pay-1"]
 	if cs == nil || cs.InDoubt() || cs.Outcome != types.DecisionCommit {
 		t.Fatalf("reconstructed state = %+v", cs)
@@ -189,15 +184,11 @@ func TestSubmitValidation(t *testing.T) {
 // reached any shard — recovers by proposing abort everywhere: the
 // Gray & Lamport rule that an unprepared participant aborts.
 func TestRecoverUnpreparedAborts(t *testing.T) {
-	var buf bytes.Buffer
-	log := shard.NewCrossLog(&buf)
+	log := &shard.MemCrossLog{}
 	if err := log.Append(shard.CrossRecord{Type: shard.RecBegin, Txn: "lost-1", Shards: []int{0, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := shard.ReplayCross(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := log.Records()
 
 	c := newCoordinator(t, shard.Config{
 		Shards: 2, Group: service.Config{Seed: 5}, Log: log,
@@ -216,11 +207,7 @@ func TestRecoverUnpreparedAborts(t *testing.T) {
 		t.Fatalf("recovered status = %+v ok=%v", st, ok)
 	}
 	// The recovery wrote the outcome; a second replay agrees.
-	recs2, err := shard.ReplayCross(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := shard.ReconstructCross(recs2)["lost-1"]
+	cs := shard.ReconstructCross(log.Records())["lost-1"]
 	if cs == nil || cs.InDoubt() || cs.Outcome != types.DecisionAbort {
 		t.Fatalf("reconstructed = %+v", cs)
 	}
@@ -233,10 +220,8 @@ func TestRecoverUnpreparedAborts(t *testing.T) {
 // true outcome from the shards' absorbing decisions — it must agree
 // with what the first run observed.
 func TestRecoverAgreesWithDecidedChildren(t *testing.T) {
-	var buf bytes.Buffer
-	log := shard.NewCrossLog(&buf)
 	c := newCoordinator(t, shard.Config{
-		Shards: 2, Group: service.Config{Seed: 6}, Log: log,
+		Shards: 2, Group: service.Config{Seed: 6}, Log: &shard.MemCrossLog{},
 	})
 	keys := crossKeys(t, c, 0, 1)
 	res, err := c.Submit(context.Background(), shard.Request{ID: "done-1", Keys: keys})

@@ -3,11 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 	"sort"
 	"sync"
 
@@ -15,9 +11,9 @@ import (
 	"repro/internal/wal"
 )
 
-// The cross-shard coordinator's write-ahead log mirrors internal/wal's
-// framing — [u32 payloadLen][u32 crc32(payload)][payload], append-only,
-// torn-tail-tolerant — but logs the commit-of-commits transitions:
+// The cross-shard coordinator's write-ahead log is a record codec over
+// wal.SegmentedLog — which frames, checksums, group-commits and replays
+// the records — logging the commit-of-commits transitions:
 //
 //	RecBegin    txn + participating shard set (logged before any child
 //	            submission, so a crashed coordinator knows which shards
@@ -71,9 +67,9 @@ type CrossRecord struct {
 }
 
 // ErrCorruptCross is returned when a cross-log record fails validation.
-var ErrCorruptCross = errors.New("shard: corrupt cross-log record")
-
-const crossHeaderSize = 8
+// It wraps wal.ErrCorrupt, so one errors.Is covers a bad checksum and a
+// bad record alike.
+var ErrCorruptCross = fmt.Errorf("shard: corrupt cross-log record: %w", wal.ErrCorrupt)
 
 // encodeCrossPayload serializes one record's payload (the bytes under
 // the frame).
@@ -103,20 +99,11 @@ func encodeCrossPayload(r CrossRecord) ([]byte, error) {
 	return payload, nil
 }
 
-// encodeCross serializes one framed record.
-func encodeCross(r CrossRecord) ([]byte, error) {
-	payload, err := encodeCrossPayload(r)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, crossHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[crossHeaderSize:], payload)
-	return buf, nil
-}
-
-// decodeCrossPayload parses a checksum-verified payload.
+// decodeCrossPayload parses a checksum-verified payload. A checksum only
+// proves the bytes are the ones written, so the type and decision are
+// checked too: an unknown type, a verdict or outcome that is neither
+// COMMIT nor ABORT, or a begin carrying a decision would otherwise fold
+// into a phantom in-doubt transaction for Recover to chase.
 func decodeCrossPayload(payload []byte) (CrossRecord, error) {
 	if len(payload) < 8 {
 		return CrossRecord{}, ErrCorruptCross
@@ -125,6 +112,18 @@ func decodeCrossPayload(payload []byte) (CrossRecord, error) {
 		Type:     CrossRecordType(payload[0]),
 		Decision: types.Decision(payload[1]),
 		Shard:    int(binary.LittleEndian.Uint16(payload[2:4])),
+	}
+	switch r.Type {
+	case RecBegin:
+		if r.Decision != types.DecisionNone {
+			return CrossRecord{}, fmt.Errorf("%w: begin carries decision %d", ErrCorruptCross, r.Decision)
+		}
+	case RecVerdict, RecOutcome:
+		if r.Decision != types.DecisionAbort && r.Decision != types.DecisionCommit {
+			return CrossRecord{}, fmt.Errorf("%w: impossible %s decision %d", ErrCorruptCross, r.Type, r.Decision)
+		}
+	default:
+		return CrossRecord{}, fmt.Errorf("%w: unknown record type %d", ErrCorruptCross, payload[0])
 	}
 	nShards := int(binary.LittleEndian.Uint16(payload[4:6]))
 	off := 6
@@ -147,132 +146,60 @@ func decodeCrossPayload(payload []byte) (CrossRecord, error) {
 	return r, nil
 }
 
-// CrossLog is an append-only cross-shard coordinator log over either a
-// plain writer (optionally fsynced per outcome) or a segmented
-// group-committed log. Appends are serialized; a CrossLog is safe for
-// concurrent use. A nil *CrossLog is a valid "disabled" log: Append is
-// a no-op.
+// CrossAppender journals cross-shard records for a Coordinator: a
+// *CrossLog over a segmented directory, or the in-memory *MemCrossLog.
+type CrossAppender interface {
+	Append(CrossRecord) error
+}
+
+// discardLog is the Coordinator's log when Config.Log is nil.
+type discardLog struct{}
+
+func (discardLog) Append(CrossRecord) error { return nil }
+
+// CrossLog is the coordinator's handle on a segmented cross log (see
+// OpenCrossSegmented, which owns it). Safe for concurrent use.
 type CrossLog struct {
-	mu sync.Mutex
-	w  io.Writer
-	// sync, if non-nil, runs after outcome records (fsync).
-	sync func() error
-	// seg, if non-nil, is the segmented backend; w and sync are unused.
 	seg *wal.SegmentedLog
 }
 
-// NewCrossLog creates a log over w.
-func NewCrossLog(w io.Writer) *CrossLog { return &CrossLog{w: w} }
-
-// Append writes one record, syncing after outcomes when supported. On
-// the segmented backend an outcome append blocks until its covering
-// group-commit fsync succeeds (concurrent outcomes share one flush);
-// non-outcome records ride along asynchronously.
+// Append journals one record. An outcome append blocks until its
+// covering group-commit fsync succeeds (concurrent outcomes share one
+// flush); begin and verdict records ride along asynchronously.
 func (l *CrossLog) Append(r CrossRecord) error {
-	if l == nil {
-		return nil
-	}
-	if l.seg != nil {
-		payload, err := encodeCrossPayload(r)
-		if err != nil {
-			return err
-		}
-		if r.Type == RecOutcome {
-			return l.seg.AppendSync(payload)
-		}
-		return l.seg.Append(payload, nil)
-	}
-	buf, err := encodeCross(r)
+	payload, err := encodeCrossPayload(r)
 	if err != nil {
 		return err
 	}
+	if r.Type == RecOutcome {
+		return l.seg.AppendSync(payload)
+	}
+	return l.seg.Append(payload, nil)
+}
+
+// MemCrossLog is the in-memory cross log: a CrossAppender that keeps the
+// records themselves, for the chaos harness and tests, where the log only
+// has to outlive a simulated coordinator crash inside one process. Fold
+// it with ReconstructCross or hand Records to Recover. Safe for
+// concurrent use.
+type MemCrossLog struct {
+	mu   sync.Mutex
+	recs []CrossRecord
+}
+
+// Append implements CrossAppender.
+func (l *MemCrossLog) Append(r CrossRecord) error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, err := l.w.Write(buf); err != nil {
-		return fmt.Errorf("shard: cross-log append: %w", err)
-	}
-	if r.Type == RecOutcome && l.sync != nil {
-		if err := l.sync(); err != nil {
-			return fmt.Errorf("shard: cross-log sync: %w", err)
-		}
-	}
+	l.recs = append(l.recs, r)
+	l.mu.Unlock()
 	return nil
 }
 
-// CrossFileLog is a CrossLog backed by an O_APPEND file.
-type CrossFileLog struct {
-	*CrossLog
-	f *os.File
-}
-
-// OpenCrossFile opens (creating if needed) an append-only file log.
-func OpenCrossFile(path string) (*CrossFileLog, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("shard: open cross log %s: %w", path, err)
-	}
-	l := NewCrossLog(f)
-	l.sync = f.Sync
-	return &CrossFileLog{CrossLog: l, f: f}, nil
-}
-
-// Close syncs and closes the file.
-func (l *CrossFileLog) Close() error {
-	if err := l.f.Sync(); err != nil {
-		l.f.Close() //nolint:errcheck
-		return err
-	}
-	return l.f.Close()
-}
-
-// ReplayCross reads records until EOF. A cleanly truncated tail (torn
-// final record — the crash-during-append case) ends replay without
-// error; a checksum mismatch returns ErrCorruptCross with the records
-// read so far.
-func ReplayCross(r io.Reader) ([]CrossRecord, error) {
-	var out []CrossRecord
-	header := make([]byte, crossHeaderSize)
-	for {
-		if _, err := io.ReadFull(r, header); err != nil {
-			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-				return out, nil // torn header: stop
-			}
-			return out, err
-		}
-		payloadLen := binary.LittleEndian.Uint32(header[0:4])
-		wantCRC := binary.LittleEndian.Uint32(header[4:8])
-		if payloadLen > 1<<20 {
-			return out, fmt.Errorf("%w: implausible payload length %d", ErrCorruptCross, payloadLen)
-		}
-		payload := make([]byte, payloadLen)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-				return out, nil // torn payload: stop
-			}
-			return out, err
-		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			return out, ErrCorruptCross
-		}
-		rec, err := decodeCrossPayload(payload)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
-}
-
-// ReplayCrossFile replays a file log (missing file yields empty state).
-func ReplayCrossFile(path string) ([]CrossRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	defer f.Close() //nolint:errcheck // read-only
-	return ReplayCross(f)
+// Records returns a copy of everything appended so far, in order.
+func (l *MemCrossLog) Records() []CrossRecord {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]CrossRecord(nil), l.recs...)
 }
 
 // CrossState is one cross-shard transaction reconstructed from the log.
@@ -290,29 +217,33 @@ type CrossState struct {
 // the state a coordinator crash leaves behind.
 func (s *CrossState) InDoubt() bool { return !s.Decided }
 
+// applyCross folds one record into the per-transaction states — the one
+// place that says what a cross-log record means, for replayed segments
+// and in-memory logs alike. Records for transactions without a RecBegin
+// still accumulate.
+func applyCross(states map[string]*CrossState, r CrossRecord) *CrossState {
+	st, ok := states[r.Txn]
+	if !ok {
+		st = &CrossState{Txn: r.Txn, Verdicts: make(map[int]types.Decision)}
+		states[r.Txn] = st
+	}
+	switch r.Type {
+	case RecBegin:
+		st.Shards = append([]int(nil), r.Shards...)
+	case RecVerdict:
+		st.Verdicts[r.Shard] = r.Decision
+	case RecOutcome:
+		st.Decided, st.Outcome = true, r.Decision
+	}
+	return st
+}
+
 // ReconstructCross folds records into per-transaction states, in log
-// order. Records for transactions without a RecBegin still accumulate
-// (a torn log may lose the begin but keep later records).
+// order.
 func ReconstructCross(records []CrossRecord) map[string]*CrossState {
 	out := make(map[string]*CrossState)
-	get := func(txn string) *CrossState {
-		st, ok := out[txn]
-		if !ok {
-			st = &CrossState{Txn: txn, Verdicts: make(map[int]types.Decision)}
-			out[txn] = st
-		}
-		return st
-	}
 	for _, r := range records {
-		st := get(r.Txn)
-		switch r.Type {
-		case RecBegin:
-			st.Shards = append([]int(nil), r.Shards...)
-		case RecVerdict:
-			st.Verdicts[r.Shard] = r.Decision
-		case RecOutcome:
-			st.Decided, st.Outcome = true, r.Decision
-		}
+		applyCross(out, r)
 	}
 	return out
 }
@@ -323,8 +254,8 @@ func ReconstructCross(records []CrossRecord) map[string]*CrossState {
 // from the state — which is what keeps snapshots, and therefore the
 // compacted log, bounded by in-flight work instead of all history.
 //
-// Snapshot payload: a cross-log byte stream (the same framed records)
-// that re-creates every open transaction — Begin then Verdicts, per
+// Snapshot payload: a run of wal.Frame-framed record payloads that
+// re-creates every open transaction — Begin then Verdicts, per
 // transaction in sorted id order so identical states encode identically.
 type crossCodec struct {
 	open map[string]*CrossState
@@ -335,20 +266,8 @@ func (c *crossCodec) Apply(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if r.Type == RecOutcome {
+	if applyCross(c.open, r).Decided {
 		delete(c.open, r.Txn)
-		return nil
-	}
-	st, ok := c.open[r.Txn]
-	if !ok {
-		st = &CrossState{Txn: r.Txn, Verdicts: make(map[int]types.Decision)}
-		c.open[r.Txn] = st
-	}
-	switch r.Type {
-	case RecBegin:
-		st.Shards = append([]int(nil), r.Shards...)
-	case RecVerdict:
-		st.Verdicts[r.Shard] = r.Decision
 	}
 	return nil
 }
@@ -356,51 +275,28 @@ func (c *crossCodec) Apply(payload []byte) error {
 func (c *crossCodec) EncodeSnapshot() []byte {
 	var buf bytes.Buffer
 	for _, r := range c.records() {
-		b, err := encodeCross(r)
+		p, err := encodeCrossPayload(r)
 		if err != nil {
 			continue // unencodable states cannot have been appended
 		}
-		buf.Write(b)
+		buf.Write(wal.Frame(p))
 	}
 	return buf.Bytes()
 }
 
 func (c *crossCodec) RestoreSnapshot(data []byte) error {
-	records, err := ReplayCross(bytes.NewReader(data))
+	restored := crossCodec{open: make(map[string]*CrossState)}
+	n, err := wal.ScanFrames(bytes.NewReader(data), restored.Apply)
 	if err != nil {
 		return err
 	}
-	if rem := len(data) - crossStreamLen(records); rem != 0 {
+	// The scanner stops quietly at a torn tail; a snapshot is
+	// all-or-nothing, so anything short of the whole payload is corrupt.
+	if rem := int64(len(data)) - n; rem != 0 {
 		return fmt.Errorf("%w: %d trailing snapshot bytes", ErrCorruptCross, rem)
 	}
-	open := make(map[string]*CrossState)
-	c2 := &crossCodec{open: open}
-	for _, r := range records {
-		p, err := encodeCrossPayload(r)
-		if err != nil {
-			return err
-		}
-		if err := c2.Apply(p); err != nil {
-			return err
-		}
-	}
-	c.open = open
+	c.open = restored.open
 	return nil
-}
-
-// crossStreamLen is the encoded byte length of a record stream — used to
-// reject snapshots whose tail failed to parse (ReplayCross tolerates
-// torn tails, but a snapshot is all-or-nothing).
-func crossStreamLen(records []CrossRecord) int {
-	n := 0
-	for _, r := range records {
-		p, err := encodeCrossPayload(r)
-		if err != nil {
-			continue
-		}
-		n += crossHeaderSize + len(p)
-	}
-	return n
 }
 
 // records synthesizes the record stream re-creating the open set.
@@ -426,23 +322,27 @@ func (c *crossCodec) records() []CrossRecord {
 	return out
 }
 
-// CrossSegLog is a CrossLog over a segmented directory.
+// CrossSegLog owns a segmented cross log: the embedded *CrossLog is what
+// a Coordinator appends through (Config.Log); Stats and Close stay with
+// whoever opened it.
 type CrossSegLog struct {
 	*CrossLog
-	seg *wal.SegmentedLog
 }
 
-// OpenCrossSegmented opens (creating if needed) a segmented cross log in
-// dir, replaying snapshot + suffix. The returned records re-create the
-// recovered state — exactly the still-in-doubt transactions (decided
-// ones are retired during replay) — in a form Coordinator.Recover
-// accepts. opts.FS is derived from dir; opts.Name defaults to "cross".
+// OpenCrossSegmented opens (creating if needed) the segmented cross log
+// in opts.FS, or, when that is nil, in the directory dir, replaying
+// snapshot + suffix. The returned records re-create the recovered state
+// — exactly the still-in-doubt transactions (decided ones are retired
+// during replay) — in a form Coordinator.Recover accepts. opts.Name
+// defaults to "cross".
 func OpenCrossSegmented(dir string, opts wal.SegmentedOptions) (*CrossSegLog, []CrossRecord, error) {
-	fs, err := wal.NewDirFS(dir)
-	if err != nil {
-		return nil, nil, err
+	if opts.FS == nil {
+		fs, err := wal.NewDirFS(dir)
+		if err != nil {
+			return nil, nil, err
+		}
+		opts.FS = fs
 	}
-	opts.FS = fs
 	if opts.Name == "" {
 		opts.Name = "cross"
 	}
@@ -453,7 +353,7 @@ func OpenCrossSegmented(dir string, opts wal.SegmentedOptions) (*CrossSegLog, []
 	}
 	// codec is stable here: the writer only touches it once appends flow.
 	records := codec.records()
-	return &CrossSegLog{CrossLog: &CrossLog{seg: seg}, seg: seg}, records, nil
+	return &CrossSegLog{CrossLog: &CrossLog{seg: seg}}, records, nil
 }
 
 // Stats exposes the underlying segmented log's counters.

@@ -1,7 +1,6 @@
 package wal_test
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -10,44 +9,6 @@ import (
 	"repro/internal/types"
 	"repro/internal/wal"
 )
-
-// BenchmarkAppend measures journaling throughput to an in-memory sink.
-func BenchmarkAppend(b *testing.B) {
-	var buf bytes.Buffer
-	log := wal.New(&buf)
-	rec := wal.Record{Type: wal.RecordCoins, Coins: make([]types.Value, 32)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := log.Append(rec); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(buf.Len() / max(b.N, 1)))
-}
-
-// BenchmarkReplay measures log recovery speed.
-func BenchmarkReplay(b *testing.B) {
-	var buf bytes.Buffer
-	log := wal.New(&buf)
-	for i := 0; i < 1000; i++ {
-		rec := wal.Record{Type: wal.RecordVote, Value: types.Value(i % 2)}
-		if i%10 == 0 {
-			rec = wal.Record{Type: wal.RecordCoins, Coins: make([]types.Value, 16)}
-		}
-		if err := log.Append(rec); err != nil {
-			b.Fatal(err)
-		}
-	}
-	raw := buf.Bytes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		records, err := wal.Replay(bytes.NewReader(raw))
-		if err != nil || len(records) != 1000 {
-			b.Fatalf("replay: %d records, %v", len(records), err)
-		}
-	}
-	b.SetBytes(int64(len(raw)))
-}
 
 func max(a, b int) int {
 	if a > b {

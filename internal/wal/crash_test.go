@@ -18,8 +18,12 @@ import (
 // assumptions about the un-fsynced suffix: fully lost, fully present,
 // and torn mid-write.
 //
-// The invariant, at every boundary and under every assumption, is the
-// group-commit durability contract:
+// The sweep is parametrised by workload (crashWorkload), one per record
+// codec over the segmented log: the decision journal here, the
+// cross-shard log in crash_cross_test.go.
+//
+// The decision journal's invariant, at every boundary and under every
+// assumption, is the group-commit durability contract:
 //
 //	acked    ⊆ recovered  (modulo explicit retirement): no decision whose
 //	                      AppendSync returned nil may be missing or changed
@@ -34,10 +38,54 @@ func crashOpts(fs wal.FS) wal.SegmentedOptions {
 	return wal.SegmentedOptions{FS: fs, SegmentBytes: 128, SnapshotEvery: 8}
 }
 
-// crashWorkload drives a journal until the injected fault kills it (or
+// crashRun is one incarnation of a journal under the sweep: the workload
+// has already been driven until the injected fault stopped it (or to
+// completion).
+type crashRun struct {
+	// close shuts the journal down cleanly (the fault-free counting run).
+	close func() error
+	// kill is the simulated kill -9: nothing more reaches the disk.
+	kill func()
+	// check recovers the journal from a crash copy of the disk and
+	// asserts the workload's durability invariant and its liveness.
+	check func(t *testing.T, tag string, disk *wal.MemFS)
+}
+
+// crashWorkload opens a journal on fs (with crashOpts, so the geometry
+// matches recovery's) and drives it. A run whose open already hit the
+// fault has nothing to close or kill, and checks with nothing acked.
+type crashWorkload func(t *testing.T, fs wal.FS) crashRun
+
+// openFailed is the crashRun of an incarnation whose open hit the fault.
+func openFailed(err error, check func(t *testing.T, tag string, disk *wal.MemFS)) crashRun {
+	return crashRun{close: func() error { return err }, kill: func() {}, check: check}
+}
+
+// decisionWorkload is the decision journal's crashWorkload.
+func decisionWorkload(txns int, withRetire bool) crashWorkload {
+	return func(t *testing.T, fs wal.FS) crashRun {
+		dl, err := wal.OpenDecisionLog(crashOpts(fs))
+		if err != nil {
+			none := map[string]types.Decision{}
+			return openFailed(err, func(t *testing.T, tag string, disk *wal.MemFS) {
+				checkRecovery(t, tag, disk, none, none, nil)
+			})
+		}
+		acked, appended, retired := driveDecisions(dl, txns, withRetire)
+		return crashRun{
+			close: dl.Close,
+			kill:  dl.Kill,
+			check: func(t *testing.T, tag string, disk *wal.MemFS) {
+				checkRecovery(t, tag, disk, acked, appended, retired)
+			},
+		}
+	}
+}
+
+// driveDecisions drives a journal until the injected fault kills it (or
 // to completion), returning what was acked (AppendSync returned nil),
 // what was ever appended, and which ids had retirement requested.
-func crashWorkload(dl *wal.DecisionLog, txns int, withRetire bool) (acked, appended map[string]types.Decision, retired map[string]bool) {
+func driveDecisions(dl *wal.DecisionLog, txns int, withRetire bool) (acked, appended map[string]types.Decision, retired map[string]bool) {
 	acked = make(map[string]types.Decision)
 	appended = make(map[string]types.Decision)
 	retired = make(map[string]bool)
@@ -111,23 +159,12 @@ func checkRecovery(t *testing.T, tag string, disk *wal.MemFS, acked, appended ma
 // sweepCrashPoints runs the workload fault-free to count its mutating
 // operations, then replays it with a kill injected at every boundary,
 // recovering each crash under all three torn-tail assumptions.
-func sweepCrashPoints(t *testing.T, txns int, withRetire bool) {
-	// Fault-free run: establishes the operation count to sweep.
-	base := wal.NewMemFS()
-	counter := wal.NewFaultFS(base, 0)
-	dl, err := wal.OpenDecisionLog(crashOpts(counter))
-	if err != nil {
-		t.Fatalf("fault-free open: %v", err)
+func sweepCrashPoints(t *testing.T, workload crashWorkload, minOps int) {
+	total := opCount(t, workload)
+	if total < minOps {
+		t.Fatalf("implausible op count %d, want at least %d", total, minOps)
 	}
-	crashWorkload(dl, txns, withRetire)
-	if err := dl.Close(); err != nil {
-		t.Fatalf("fault-free close: %v", err)
-	}
-	total := counter.Ops()
-	if total < txns*2 {
-		t.Fatalf("implausible op count %d for %d txns", total, txns)
-	}
-	t.Logf("sweeping %d crash points (%d txns, retire=%v)", total, txns, withRetire)
+	t.Logf("sweeping %d crash points", total)
 
 	keeps := []struct {
 		name string
@@ -140,50 +177,52 @@ func sweepCrashPoints(t *testing.T, txns int, withRetire bool) {
 
 	for failAt := 1; failAt <= total; failAt++ {
 		disk := wal.NewMemFS()
-		ffs := wal.NewFaultFS(disk, failAt)
-		dl, err := wal.OpenDecisionLog(crashOpts(ffs))
-		var acked, appended map[string]types.Decision
-		var retired map[string]bool
-		if err == nil {
-			acked, appended, retired = crashWorkload(dl, txns, withRetire)
-			dl.Kill() // the simulated kill -9: nothing more reaches disk
-		}
-		if appended == nil {
-			appended = map[string]types.Decision{}
-		}
+		run := workload(t, wal.NewFaultFS(disk, failAt))
+		run.kill()
 		for _, k := range keeps {
 			tag := fmt.Sprintf("failAt=%d/%s", failAt, k.name)
-			checkRecovery(t, tag, disk.CrashCopy(k.keep), acked, appended, retired)
+			run.check(t, tag, disk.CrashCopy(k.keep))
 		}
 	}
 }
 
-// TestCrashPointSweep is the deterministic sweep: a pure AppendSync
-// workload (every append is its own single-record group) makes the
-// operation sequence identical run to run, so failAt k kills the same
-// boundary every time.
+// opCount is the fault-free operation count of one run of the workload —
+// what the sweep sweeps.
+func opCount(t *testing.T, workload crashWorkload) int {
+	t.Helper()
+	c := wal.NewFaultFS(wal.NewMemFS(), 0)
+	if err := workload(t, c).close(); err != nil {
+		t.Fatalf("fault-free run: %v", err)
+	}
+	return c.Ops()
+}
+
+// TestCrashPointSweep sweeps both record codecs over the segmented log.
+//
+// decision is the deterministic sweep: a pure AppendSync workload (every
+// append is its own single-record group) makes the operation sequence
+// identical run to run, so failAt k kills the same boundary every time.
+//
+// cross is the cross-shard log's begin → verdicts → outcome workload
+// (crash_cross_test.go). Its begin and verdict appends are asynchronous,
+// so op counts can vary slightly between runs, as they do with
+// retirement below.
 func TestCrashPointSweep(t *testing.T) {
 	txns := 40
 	if testing.Short() {
 		txns = 12
 	}
-	// Determinism check: two fault-free runs execute the same op count.
-	ops := func() int {
-		c := wal.NewFaultFS(wal.NewMemFS(), 0)
-		dl, err := wal.OpenDecisionLog(crashOpts(c))
-		if err != nil {
-			t.Fatalf("open: %v", err)
+	t.Run("decision", func(t *testing.T) {
+		workload := decisionWorkload(txns, false)
+		// Determinism check: two fault-free runs execute the same op count.
+		if a, b := opCount(t, workload), opCount(t, workload); a != b {
+			t.Fatalf("workload not deterministic: %d vs %d ops", a, b)
 		}
-		crashWorkload(dl, txns, false)
-		if err := dl.Close(); err != nil {
-			t.Fatalf("close: %v", err)
-		}
-		return c.Ops()
-	}
-	if a, b := ops(), ops(); a != b {
-		t.Fatalf("workload not deterministic: %d vs %d ops", a, b)
-	}
-	sweepCrashPoints(t, txns, false)
+		sweepCrashPoints(t, workload, txns*2)
+	})
+	t.Run("cross", func(t *testing.T) {
+		sweepCrashPoints(t, crossWorkload(t, txns), txns*2)
+	})
 }
 
 // TestCrashPointSweepWithRetirement mixes asynchronous retire records
@@ -196,5 +235,5 @@ func TestCrashPointSweepWithRetirement(t *testing.T) {
 	if testing.Short() {
 		txns = 12
 	}
-	sweepCrashPoints(t, txns, true)
+	sweepCrashPoints(t, decisionWorkload(txns, true), txns*2)
 }

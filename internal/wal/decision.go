@@ -188,9 +188,6 @@ func (d *DecisionLog) Stats() SegStats { return d.seg.Stats() }
 // ReplayStats reports what recovery replayed at open.
 func (d *DecisionLog) ReplayStats() ReplayStats { return d.seg.ReplayStats() }
 
-// Durable reports the synced frontier (for crash simulation in tests).
-func (d *DecisionLog) Durable() (uint64, int64) { return d.seg.Durable() }
-
 // FsyncLatency snapshots the cumulative fsync-duration histogram
 // (seconds); nil without a Registry.
 func (d *DecisionLog) FsyncLatency() []obs.Bucket { return d.seg.FsyncLatency() }

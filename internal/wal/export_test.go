@@ -1,6 +1,8 @@
 package wal
 
-// Frame exposes the record framing to package-external tests, so fuzzers
-// and crash tests can build adversarial segment and snapshot files that
-// pass the frame check and exercise the decoders behind it.
-var Frame = frame
+// The protocol record codec, for package-external tests that check it
+// record by record (a NodeLog only shows the folded State).
+var (
+	EncodePayload = encodePayload
+	DecodePayload = decodePayload
+)

@@ -48,8 +48,14 @@ type File interface {
 // DirFS is the production FS: files inside one OS directory.
 type DirFS string
 
-// NewDirFS creates (if needed) and returns the directory-backed FS.
+// NewDirFS creates (if needed) and returns the directory-backed FS. A
+// path naming a regular file is refused by name: it is most likely a
+// journal in the retired single-file format, and starting an empty log
+// beside it would silently forget what it holds.
 func NewDirFS(dir string) (DirFS, error) {
+	if fi, err := os.Stat(dir); err == nil && !fi.IsDir() {
+		return "", fmt.Errorf("wal: single-file journals are no longer read: %s (journal paths name a directory)", dir)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("wal: mkdir %s: %w", dir, err)
 	}
@@ -312,10 +318,9 @@ var ErrInjected = errors.New("wal: injected fault")
 type FaultFS struct {
 	inner FS
 
-	mu       sync.Mutex
-	ops      int
-	failAt   int // kill every mutating op once ops >= failAt; 0 = never
-	injected bool
+	mu     sync.Mutex
+	ops    int
+	failAt int // kill every mutating op once ops >= failAt; 0 = never
 }
 
 // NewFaultFS wraps inner with fault injection. failAfter <= 0 never
@@ -331,20 +336,12 @@ func (f *FaultFS) Ops() int {
 	return f.ops
 }
 
-// Injected reports whether the crash point has been reached.
-func (f *FaultFS) Injected() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.injected
-}
-
 // step counts one mutating op; past the boundary it reports the kill.
 func (f *FaultFS) step() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.ops++
 	if f.failAt > 0 && f.ops >= f.failAt {
-		f.injected = true
 		return ErrInjected
 	}
 	return nil

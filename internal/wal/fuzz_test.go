@@ -2,32 +2,30 @@ package wal_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/types"
 	"repro/internal/wal"
 )
 
-// FuzzReplay throws arbitrary bytes at the log decoder: it must never
-// panic and must either return records or a clean error; whatever records
-// it does return must reconstruct without panicking.
+// FuzzReplay throws arbitrary bytes at the frame scanner and the protocol
+// record codec, as the one segment of a node journal: opening must never
+// panic and must either replay a state or return a clean error.
 func FuzzReplay(f *testing.F) {
 	// Seed with a valid log, a truncated log, and garbage.
-	var buf bytes.Buffer
-	log := wal.New(&buf)
-	_ = log.Append(wal.Record{Type: wal.RecordVote, Value: 1})
-	_ = log.Append(wal.Record{Type: wal.RecordCoins, Coins: []types.Value{1, 0, 1}})
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:buf.Len()-3])
+	vote, _ := wal.EncodePayload(wal.Record{Type: wal.RecordVote, Value: 1})
+	coins, _ := wal.EncodePayload(wal.Record{Type: wal.RecordCoins, Coins: []types.Value{1, 0, 1}})
+	valid := append(wal.Frame(vote), wal.Frame(coins)...)
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3])
 	f.Add([]byte{0xde, 0xad, 0xbe, 0xef})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		records, err := wal.Replay(bytes.NewReader(data))
-		if err != nil && records == nil && len(data) > 0 {
-			// Fine: corrupt input with no salvageable prefix.
+		st, had, err := replaySegment(t, data)
+		if err == nil && !had && (st.HasVote || st.Decided) {
+			t.Fatalf("state %+v replayed from no records", st)
 		}
-		state := wal.Reconstruct(records)
-		_ = state
 	})
 }
 
@@ -101,17 +99,23 @@ func FuzzAppendReplayRoundTrip(f *testing.F) {
 				rec.Coins[len(rec.Coins)-1] = 1
 			}
 		}
-		var buf bytes.Buffer
-		if err := wal.New(&buf).Append(rec); err != nil {
-			t.Fatalf("append: %v", err)
+		payload, err := wal.EncodePayload(rec)
+		if err != nil {
+			t.Fatalf("encode: %v", err)
 		}
-		buf.Write(garbage)
-		records, _ := wal.Replay(&buf)
+		var records []wal.Record
+		//nolint:errcheck // the garbage may be corrupt; the record before it must still come back
+		wal.ScanFrames(bytes.NewReader(append(wal.Frame(payload), garbage...)), func(p []byte) error {
+			r, err := wal.DecodePayload(p)
+			if err == nil {
+				records = append(records, r)
+			}
+			return err
+		})
 		if len(records) < 1 {
 			t.Fatal("own record lost")
 		}
-		got := records[0]
-		if got.Type != rec.Type || got.Value != rec.Value || len(got.Coins) != len(rec.Coins) {
+		if got := records[0]; !reflect.DeepEqual(got, rec) {
 			t.Fatalf("round trip mismatch: %+v vs %+v", got, rec)
 		}
 	})

@@ -25,8 +25,8 @@ type LoggedCommit struct {
 
 var _ types.Machine = (*LoggedCommit)(nil)
 
-// RecordAppender journals protocol records: the single-file *Log, or a
-// *NodeLog fronting a segmented directory.
+// RecordAppender journals protocol records: a *NodeLog over a segmented
+// directory, or the in-memory *Records.
 type RecordAppender interface {
 	Append(Record) error
 }

@@ -2,18 +2,12 @@ package wal
 
 import (
 	"encoding/binary"
-	"os"
-	"strings"
 
 	"repro/internal/types"
 )
 
-// This file adapts the segmented log to the node protocol journal: the
-// same Record stream the single-file Log carries, but stored in
-// segments with snapshot-bounded replay. A NodeSpec.JournalPath naming
-// a directory (or ending in a path separator) selects it; a plain file
-// path keeps the original single-file log, so existing deployments
-// replay unchanged.
+// This file is the node protocol journal: the Record codec over the
+// segmented log. A NodeSpec.JournalPath names its directory.
 
 // protocolCodec folds protocol Records into a State — the SnapshotCodec
 // for node journals. Its snapshot payload is:
@@ -30,16 +24,7 @@ func (c *protocolCodec) Apply(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	switch r.Type {
-	case RecordVote:
-		c.st.HasVote, c.st.Vote = true, r.Value
-	case RecordCoins:
-		c.st.Coins = r.Coins
-	case RecordInput:
-		c.st.HasInput, c.st.Input = true, r.Value
-	case RecordDecision:
-		c.st.Decided, c.st.Decision = true, r.Value
-	}
+	c.st.Apply(r)
 	return nil
 }
 
@@ -98,48 +83,25 @@ func (c *protocolCodec) RestoreSnapshot(data []byte) error {
 	return nil
 }
 
-// SegmentedPath reports whether a journal path selects the segmented
-// backend: it names an existing directory, or ends in a path separator
-// (an explicit request to create one). A plain file path — existing or
-// not — selects the single-file log.
-func SegmentedPath(path string) bool {
-	if strings.HasSuffix(path, string(os.PathSeparator)) || strings.HasSuffix(path, "/") {
-		return true
-	}
-	fi, err := os.Stat(path)
-	return err == nil && fi.IsDir()
-}
-
-// NodeLog is a node's protocol journal over either backend: a
-// single append-only file (the original format) or a segmented
-// directory. It implements RecordAppender for LoggedCommit.
+// NodeLog is a node's protocol journal. It implements RecordAppender for
+// LoggedCommit.
 type NodeLog struct {
-	file *FileLog
-	seg  *SegmentedLog
+	seg *SegmentedLog
 }
 
-// OpenNodeLog opens and replays the journal at path, choosing the
-// backend by SegmentedPath. It returns the open log, the reconstructed
-// protocol state, and whether the journal held any prior participation
-// (records or a snapshot). opts.FS is ignored (derived from path);
-// zero-value opts is fine for node journals.
+// OpenNodeLog opens and replays the journal in opts.FS, or, when that is
+// nil, in the directory at path (created if absent). It returns the open
+// log, the reconstructed protocol state, and whether the journal held
+// any prior participation (records or a snapshot). Zero-value opts is
+// fine for node journals.
 func OpenNodeLog(path string, opts SegmentedOptions) (*NodeLog, State, bool, error) {
-	if !SegmentedPath(path) {
-		records, err := ReplayFile(path)
+	if opts.FS == nil {
+		fs, err := NewDirFS(path)
 		if err != nil {
 			return nil, State{}, false, err
 		}
-		fl, err := OpenFile(path)
-		if err != nil {
-			return nil, State{}, false, err
-		}
-		return &NodeLog{file: fl}, Reconstruct(records), len(records) > 0, nil
+		opts.FS = fs
 	}
-	fs, err := NewDirFS(path)
-	if err != nil {
-		return nil, State{}, false, err
-	}
-	opts.FS = fs
 	if opts.Name == "" {
 		opts.Name = "node"
 	}
@@ -155,41 +117,27 @@ func OpenNodeLog(path string, opts SegmentedOptions) (*NodeLog, State, bool, err
 	return &NodeLog{seg: seg}, st, replay.Records > 0 || replay.SnapshotSeq > 0, nil
 }
 
-// Append journals one record. Decision records are durable on return:
-// the single-file log fsyncs through its coalescing sync hook, the
-// segmented log through AppendSync (one group-commit flush covers every
-// concurrent decision).
+// Append journals one record. A decision record is durable on return
+// (one group-commit flush covers every concurrent decision); the others
+// ride along asynchronously.
 func (n *NodeLog) Append(r Record) error {
-	if n.seg != nil {
-		payload, err := encodePayload(r)
-		if err != nil {
-			return err
-		}
-		if r.Type == RecordDecision {
-			return n.seg.AppendSync(payload)
-		}
-		return n.seg.Append(payload, nil)
+	payload, err := encodePayload(r)
+	if err != nil {
+		return err
 	}
-	return n.file.Append(r)
+	if r.Type == RecordDecision {
+		return n.seg.AppendSync(payload)
+	}
+	return n.seg.Append(payload, nil)
 }
 
-// Stats reports the segmented backend's counters (ok=false for the
-// single-file backend).
-func (n *NodeLog) Stats() (SegStats, bool) {
-	if n.seg == nil {
-		return SegStats{}, false
-	}
-	return n.seg.Stats(), true
-}
+// Stats reports the segmented log's counters.
+func (n *NodeLog) Stats() SegStats { return n.seg.Stats() }
 
 // Close seals and closes the journal. Safe on a nil receiver.
 func (n *NodeLog) Close() error {
-	switch {
-	case n == nil:
+	if n == nil {
 		return nil
-	case n.seg != nil:
-		return n.seg.Close()
-	default:
-		return n.file.Close()
 	}
+	return n.seg.Close()
 }

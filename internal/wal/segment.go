@@ -23,8 +23,8 @@ import (
 // On-disk layout (all little endian, one directory):
 //
 //	wal-<seq>.seg    segment: a run of [u32 len][u32 crc32(payload)][payload]
-//	                 frames — the same torn-tail-tolerant framing the
-//	                 single-file Log uses
+//	                 frames; a truncated last frame is a torn tail, a
+//	                 checksum or length violation is corruption
 //	snap-<seq>.snap  snapshot: ONE frame holding the owner-encoded state
 //	                 covering every record in segments with seq' < seq;
 //	                 written to snap-<seq>.tmp, fsynced, then renamed, so
@@ -58,8 +58,12 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 	return seq, true
 }
 
-// frame wraps payload in the [u32 len][u32 crc][payload] record framing.
-func frame(payload []byte) []byte {
+const headerSize = 8
+
+// Frame wraps payload in the [u32 len][u32 crc][payload] record framing —
+// the only framing in the repository. It is exported for codecs whose
+// snapshot payload is itself a run of frames (the cross-shard log).
+func Frame(payload []byte) []byte {
 	buf := make([]byte, headerSize+len(payload))
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
@@ -67,11 +71,13 @@ func frame(payload []byte) []byte {
 	return buf
 }
 
-// scanFrames reads framed payloads from r, calling fn for each. It
+// ScanFrames reads framed payloads from r, calling fn for each. It
 // returns the byte length of the valid prefix: a torn tail (truncated
 // header or payload — the crash-during-append case) stops the scan
-// cleanly, while a checksum or length violation returns ErrCorrupt.
-func scanFrames(r io.Reader, fn func(payload []byte) error) (int64, error) {
+// cleanly, while a checksum or length violation returns ErrCorrupt. A
+// caller that needs all-or-nothing (a snapshot) compares the returned
+// length with its input's.
+func ScanFrames(r io.Reader, fn func(payload []byte) error) (int64, error) {
 	var off int64
 	header := make([]byte, headerSize)
 	for {
@@ -226,11 +232,6 @@ type SegmentedLog struct {
 	sinceSnap  int
 	snapSeq    uint64
 
-	// durableSeq/durableOff: the frontier covered by the last successful
-	// fsync, exposed for crash simulation in tests (Durable).
-	durableSeq atomic.Uint64
-	durableOff atomic.Int64
-
 	appends   atomic.Uint64
 	fsyncs    atomic.Uint64
 	groups    atomic.Uint64
@@ -354,7 +355,7 @@ func OpenSegmented(codec SnapshotCodec, opts SegmentedOptions) (*SegmentedLog, e
 		if err != nil {
 			return nil, fmt.Errorf("wal: open segment %d: %w", seq, err)
 		}
-		valid, err := scanFrames(f, func(payload []byte) error {
+		valid, err := ScanFrames(f, func(payload []byte) error {
 			records++
 			return codec.Apply(payload)
 		})
@@ -407,8 +408,6 @@ func OpenSegmented(codec SnapshotCodec, opts SegmentedOptions) (*SegmentedLog, e
 	if err != nil {
 		return nil, fmt.Errorf("wal: open active segment: %w", err)
 	}
-	s.durableSeq.Store(s.activeSeq)
-	s.durableOff.Store(s.activeSize)
 
 	s.replay = ReplayStats{Records: records, SnapshotSeq: s.snapSeq, Duration: time.Since(start)}
 	s.met = newSegMetrics(opts.Registry, opts.Name, s.replay)
@@ -463,13 +462,6 @@ func (s *SegmentedLog) Stats() SegStats {
 		Snapshots:         s.snapsDone.Load(),
 		Replay:            s.replay,
 	}
-}
-
-// Durable reports the frontier covered by the last successful fsync:
-// the active segment's seq and the synced byte offset within it. Soak
-// tests truncate past this point to simulate lost page cache.
-func (s *SegmentedLog) Durable() (seq uint64, off int64) {
-	return s.durableSeq.Load(), s.durableOff.Load()
 }
 
 // Err returns the sticky poison error, if the log has failed.
@@ -633,8 +625,6 @@ func (s *SegmentedLog) commit(batch []segAppend) {
 			s.met.fsyncLat.Observe(time.Since(fsyncStart).Seconds())
 			s.fsyncs.Add(1)
 			s.met.fsyncs.Inc()
-			s.durableSeq.Store(s.activeSeq)
-			s.durableOff.Store(s.activeSize)
 		} else {
 			err = fmt.Errorf("wal: group fsync: %w", err)
 		}
@@ -663,7 +653,7 @@ func (s *SegmentedLog) commit(batch []segAppend) {
 // writeRecord frames and writes one record, rotating the active segment
 // first when it would overflow.
 func (s *SegmentedLog) writeRecord(payload []byte) error {
-	buf := frame(payload)
+	buf := Frame(payload)
 	if s.activeSize > 0 && s.activeSize+int64(len(buf)) > int64(s.opts.SegmentBytes) {
 		if err := s.rotate(); err != nil {
 			return err
@@ -685,8 +675,6 @@ func (s *SegmentedLog) rotate() error {
 	}
 	s.fsyncs.Add(1)
 	s.met.fsyncs.Inc()
-	s.durableSeq.Store(s.activeSeq)
-	s.durableOff.Store(s.activeSize)
 	if err := s.active.Close(); err != nil {
 		return err
 	}
@@ -697,8 +685,6 @@ func (s *SegmentedLog) rotate() error {
 	s.activeSeq++
 	s.activeSize = 0
 	s.active = next
-	s.durableSeq.Store(s.activeSeq)
-	s.durableOff.Store(0)
 	s.segsMade.Add(1)
 	s.met.segsMade.Inc()
 	return nil
@@ -726,7 +712,7 @@ func (s *SegmentedLog) maybeSnapshot() {
 		if err != nil {
 			return false
 		}
-		if _, err := f.Write(frame(payload)); err != nil {
+		if _, err := f.Write(Frame(payload)); err != nil {
 			f.Close() //nolint:errcheck
 			return false
 		}
@@ -781,8 +767,6 @@ func (s *SegmentedLog) seal() {
 	} else {
 		s.fsyncs.Add(1)
 		s.met.fsyncs.Inc()
-		s.durableSeq.Store(s.activeSeq)
-		s.durableOff.Store(s.activeSize)
 	}
 	if err := s.active.Close(); err != nil {
 		s.poison(err)

@@ -8,26 +8,23 @@
 // agreement input, and the decision — in an append-only, checksummed,
 // torn-tail-tolerant log.
 //
-// Record layout (little endian):
-//
-//	[u32 payloadLen][u32 crc32(payload)][payload]
-//
-// payload:
+// There is one log: SegmentedLog (segment.go) is the only code that
+// frames, checksums, fsyncs or replays a record; its file comment gives
+// the on-disk layout. The journals built on it — NodeLog (protocol.go),
+// DecisionLog (decision.go) and the cross-shard log in internal/shard —
+// are record codecs: they encode a payload, hand it to the log, and fold
+// replayed payloads back into state. This file holds the protocol
+// journal's record type, its payload
 //
 //	[u8 type][u8 value][u16 coinCount][coinCount bytes of coin bits]
 //
-// Replay stops cleanly at a truncated tail (the crash-during-append
-// case) and rejects corrupted records (checksum mismatch).
+// and the fold from records to State.
 package wal
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"sync"
 
 	"repro/internal/types"
 )
@@ -71,10 +68,9 @@ type Record struct {
 	Coins []types.Value
 }
 
-// ErrCorrupt is returned when a record fails its checksum.
+// ErrCorrupt is returned when a record fails its checksum or does not
+// decode.
 var ErrCorrupt = errors.New("wal: corrupt record")
-
-const headerSize = 8
 
 // encodePayload serializes a record's payload (the bytes under the
 // frame — the segmented log frames them itself).
@@ -90,15 +86,6 @@ func encodePayload(r Record) ([]byte, error) {
 		payload[4+i] = byte(c)
 	}
 	return payload, nil
-}
-
-// encode serializes a framed record.
-func encode(r Record) ([]byte, error) {
-	payload, err := encodePayload(r)
-	if err != nil {
-		return nil, err
-	}
-	return frame(payload), nil
 }
 
 // decodePayload parses a checksum-verified payload.
@@ -120,177 +107,16 @@ func decodePayload(payload []byte) (Record, error) {
 	return r, nil
 }
 
-// Log is an append-only record log over any writer. Appends are
-// serialized; a Log is safe for concurrent use.
-//
-// Decision appends are durable: when a sync hook is configured (file
-// logs), Append does not return until an fsync covering the record has
-// succeeded. Concurrent decision appends coalesce onto one fsync — a
-// single leader flushes while followers wait, and the flush covers every
-// record written before it started — so the disk sees one write barrier
-// per GROUP of decisions, not one per decision. A failed fsync leaves the
-// on-disk suffix unknown, so it propagates to every waiter whose record
-// it covered and poisons the log: all later appends fail fast with the
-// same error.
-type Log struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	w    io.Writer
-	// sync, if non-nil, is invoked to make appended records durable
-	// (fsync). Decision appends block until covered by a successful call.
-	sync func() error
+// Records is the in-memory journal: a RecordAppender that keeps the
+// records themselves, for the simulator and the chaos harness, where the
+// journal only has to outlive a simulated crash inside one process. Fold
+// it with Reconstruct. Not safe for concurrent use.
+type Records []Record
 
-	writeSeq uint64 // records written so far
-	syncSeq  uint64 // highest writeSeq covered by a successful sync
-	syncing  bool   // a leader is currently inside l.sync
-	err      error  // sticky poison after a failed write or sync
-}
-
-// New creates a log over w.
-func New(w io.Writer) *Log {
-	l := &Log{w: w}
-	l.cond = sync.NewCond(&l.mu)
-	return l
-}
-
-// NewWithSync creates a log over w whose decision appends block until
-// covered by a successful call of sync (the coalesced-fsync path file
-// logs use; tests inject failing or blocking hooks here).
-func NewWithSync(w io.Writer, sync func() error) *Log {
-	l := New(w)
-	l.sync = sync
-	return l
-}
-
-// Append writes one record, syncing after decisions when supported.
-func (l *Log) Append(r Record) error {
-	buf, err := encode(r)
-	if err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return l.err
-	}
-	if _, err := l.w.Write(buf); err != nil {
-		l.err = fmt.Errorf("wal: append: %w", err)
-		return l.err
-	}
-	l.writeSeq++
-	if r.Type != RecordDecision || l.sync == nil {
-		return nil
-	}
-	return l.syncToLocked(l.writeSeq)
-}
-
-// syncToLocked blocks until a successful fsync covers seq or the log is
-// poisoned. At most one fsync runs at a time: the first arrival becomes
-// the leader and flushes OUTSIDE the lock, so followers keep appending
-// and pile onto the next flush — that is the group commit. The flush
-// covers every record written before it starts; its error, if any, is
-// returned to every waiter it covered (and everyone after — a failed
-// fsync means the durable suffix is unknown, so the log poisons itself).
-func (l *Log) syncToLocked(seq uint64) error {
-	for {
-		if l.err != nil {
-			return l.err
-		}
-		if l.syncSeq >= seq {
-			return nil
-		}
-		if l.syncing {
-			l.cond.Wait()
-			continue
-		}
-		l.syncing = true
-		covered := l.writeSeq
-		l.mu.Unlock()
-		err := l.sync()
-		l.mu.Lock()
-		l.syncing = false
-		if err != nil {
-			l.err = fmt.Errorf("wal: sync: %w", err)
-		} else if covered > l.syncSeq {
-			l.syncSeq = covered
-		}
-		l.cond.Broadcast()
-	}
-}
-
-// FileLog is a Log backed by an O_APPEND file.
-type FileLog struct {
-	*Log
-	f *os.File
-}
-
-// OpenFile opens (creating if needed) an append-only file log.
-func OpenFile(path string) (*FileLog, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: open %s: %w", path, err)
-	}
-	l := New(f)
-	l.sync = f.Sync
-	return &FileLog{Log: l, f: f}, nil
-}
-
-// Close syncs and closes the file.
-func (l *FileLog) Close() error {
-	if err := l.f.Sync(); err != nil {
-		l.f.Close() //nolint:errcheck
-		return err
-	}
-	return l.f.Close()
-}
-
-// Replay reads records until EOF. A cleanly truncated tail (torn final
-// record) ends replay without error; a checksum mismatch returns
-// ErrCorrupt with the records read so far.
-func Replay(r io.Reader) ([]Record, error) {
-	var out []Record
-	header := make([]byte, headerSize)
-	for {
-		if _, err := io.ReadFull(r, header); err != nil {
-			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-				return out, nil // torn header: stop
-			}
-			return out, err
-		}
-		payloadLen := binary.LittleEndian.Uint32(header[0:4])
-		wantCRC := binary.LittleEndian.Uint32(header[4:8])
-		if payloadLen > 1<<20 {
-			return out, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, payloadLen)
-		}
-		payload := make([]byte, payloadLen)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-				return out, nil // torn payload: stop
-			}
-			return out, err
-		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			return out, ErrCorrupt
-		}
-		rec, err := decodePayload(payload)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
-}
-
-// ReplayFile replays a file log (a missing file yields an empty state).
-func ReplayFile(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	defer f.Close() //nolint:errcheck // read-only
-	return Replay(f)
+// Append implements RecordAppender.
+func (rs *Records) Append(r Record) error {
+	*rs = append(*rs, r)
+	return nil
 }
 
 // State is the protocol state reconstructed from a log.
@@ -304,20 +130,27 @@ type State struct {
 	Decision types.Value
 }
 
+// Apply folds one record into the state — the one place that says what
+// a protocol record means, for replayed segments and in-memory journals
+// alike.
+func (s *State) Apply(r Record) {
+	switch r.Type {
+	case RecordVote:
+		s.HasVote, s.Vote = true, r.Value
+	case RecordCoins:
+		s.Coins = r.Coins
+	case RecordInput:
+		s.HasInput, s.Input = true, r.Value
+	case RecordDecision:
+		s.Decided, s.Decision = true, r.Value
+	}
+}
+
 // Reconstruct folds records into the latest state.
 func Reconstruct(records []Record) State {
 	var s State
 	for _, r := range records {
-		switch r.Type {
-		case RecordVote:
-			s.HasVote, s.Vote = true, r.Value
-		case RecordCoins:
-			s.Coins = r.Coins
-		case RecordInput:
-			s.HasInput, s.Input = true, r.Value
-		case RecordDecision:
-			s.Decided, s.Decision = true, r.Value
-		}
+		s.Apply(r)
 	}
 	return s
 }

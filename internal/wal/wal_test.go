@@ -1,9 +1,12 @@
 package wal_test
 
 import (
-	"bytes"
 	"errors"
+	"io"
+	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -15,9 +18,68 @@ import (
 	"repro/internal/wal"
 )
 
+// firstSeg is the file a fresh segmented log appends to.
+const firstSeg = "wal-00000001.seg"
+
+// nodeSegment journals records through a NodeLog over a fresh MemFS and
+// returns the bytes of its one segment — a valid log to truncate or
+// corrupt.
+func nodeSegment(t *testing.T, records ...wal.Record) []byte {
+	t.Helper()
+	fs := wal.NewMemFS()
+	nl, _, _, err := wal.OpenNodeLog("", wal.SegmentedOptions{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range records {
+		if err := nl.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := nl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Open(firstSeg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close() //nolint:errcheck // read-only
+	raw, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// memWith is a MemFS holding the given files, synced.
+func memWith(t testing.TB, files map[string][]byte) *wal.MemFS {
+	t.Helper()
+	fs := wal.NewMemFS()
+	for name, data := range files {
+		f, err := fs.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Write(data) //nolint:errcheck // MemFS writes cannot fail
+		f.Sync()      //nolint:errcheck
+		f.Close()     //nolint:errcheck
+	}
+	return fs
+}
+
+// replaySegment opens a node journal whose one segment holds seg — the
+// way every on-disk byte reaches a decoder: through the segmented open
+// and its one frame scanner.
+func replaySegment(t testing.TB, seg []byte) (wal.State, bool, error) {
+	t.Helper()
+	nl, st, had, err := wal.OpenNodeLog("", wal.SegmentedOptions{FS: memWith(t, map[string][]byte{firstSeg: seg})})
+	if err != nil {
+		return st, had, err
+	}
+	return st, had, nl.Close()
+}
+
 func TestRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	log := wal.New(&buf)
 	records := []wal.Record{
 		{Type: wal.RecordVote, Value: types.V1},
 		{Type: wal.RecordCoins, Coins: []types.Value{1, 0, 1, 1, 0}},
@@ -25,110 +87,119 @@ func TestRoundTrip(t *testing.T) {
 		{Type: wal.RecordVote, Value: types.V0},
 		{Type: wal.RecordDecision, Value: types.V0},
 	}
-	for _, r := range records {
-		if err := log.Append(r); err != nil {
+	for i, r := range records {
+		payload, err := wal.EncodePayload(r)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	got, err := wal.Replay(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(records) {
-		t.Fatalf("replayed %d records, want %d", len(got), len(records))
-	}
-	for i := range records {
-		if got[i].Type != records[i].Type || got[i].Value != records[i].Value {
-			t.Errorf("record %d = %+v, want %+v", i, got[i], records[i])
+		got, err := wal.DecodePayload(payload)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(got[i].Coins) != len(records[i].Coins) {
-			t.Errorf("record %d coins = %v", i, got[i].Coins)
+		if !reflect.DeepEqual(got, r) {
+			t.Errorf("record %d = %+v, want %+v", i, got, r)
 		}
+	}
+	// And through the log: the replayed state is the fold of the records.
+	st, had, err := replaySegment(t, nodeSegment(t, records...))
+	if err != nil || !had {
+		t.Fatalf("replay: had=%v err=%v", had, err)
+	}
+	if want := wal.Reconstruct(records); !reflect.DeepEqual(st, want) {
+		t.Errorf("replayed state %+v, want %+v", st, want)
 	}
 }
 
 func TestTornTailIsTolerated(t *testing.T) {
-	var buf bytes.Buffer
-	log := wal.New(&buf)
-	if err := log.Append(wal.Record{Type: wal.RecordVote, Value: types.V1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Append(wal.Record{Type: wal.RecordDecision, Value: types.V1}); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := nodeSegment(t,
+		wal.Record{Type: wal.RecordVote, Value: types.V1},
+		wal.Record{Type: wal.RecordDecision, Value: types.V1})
 	// Chop bytes off the end: replay must never error, and must return
 	// the first record intact once the second is incomplete.
 	for cut := 1; cut < 12; cut++ {
-		got, err := wal.Replay(bytes.NewReader(full[:len(full)-cut]))
+		st, had, err := replaySegment(t, full[:len(full)-cut])
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
-		if len(got) != 1 {
-			t.Fatalf("cut=%d: %d records, want 1", cut, len(got))
+		if !had || !st.HasVote || st.Vote != types.V1 || st.Decided {
+			t.Fatalf("cut=%d: state %+v (had=%v), want the vote alone", cut, st, had)
 		}
 	}
 }
 
 func TestCorruptionDetected(t *testing.T) {
-	var buf bytes.Buffer
-	log := wal.New(&buf)
-	if err := log.Append(wal.Record{Type: wal.RecordDecision, Value: types.V1}); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := nodeSegment(t, wal.Record{Type: wal.RecordDecision, Value: types.V1})
 	raw[len(raw)-1] ^= 0xFF // flip a payload bit
-	_, err := wal.Replay(bytes.NewReader(raw))
-	if !errors.Is(err, wal.ErrCorrupt) {
+	if _, _, err := replaySegment(t, raw); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }
 
 func TestImplausibleLengthRejected(t *testing.T) {
 	raw := []byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0, 1, 2, 3}
-	_, err := wal.Replay(bytes.NewReader(raw))
-	if !errors.Is(err, wal.ErrCorrupt) {
+	if _, _, err := replaySegment(t, raw); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }
 
-func TestFileLogLifecycle(t *testing.T) {
+// TestNodeLogLifecycle: a fresh journal reports no participation, records
+// accumulate across reopen, and a caller-supplied FS is the one used.
+func TestNodeLogLifecycle(t *testing.T) {
+	fs := wal.NewMemFS()
+	open := func() (*wal.NodeLog, wal.State, bool) {
+		t.Helper()
+		nl, st, had, err := wal.OpenNodeLog("", wal.SegmentedOptions{FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nl, st, had
+	}
+	nl, st, had := open()
+	if had || st.HasVote || st.Decided {
+		t.Fatalf("fresh journal: had=%v state=%+v", had, st)
+	}
+	if err := nl.Append(wal.Record{Type: wal.RecordVote, Value: types.V1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := nl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if names, _ := fs.List(); len(names) == 0 {
+		t.Fatal("journal did not land in the supplied FS")
+	}
+
+	nl, st, had = open()
+	if !had || !st.HasVote || st.Decided {
+		t.Fatalf("after one record: had=%v state=%+v", had, st)
+	}
+	if err := nl.Append(wal.Record{Type: wal.RecordDecision, Value: types.V1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := nl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	nl, st, had = open()
+	defer nl.Close() //nolint:errcheck
+	if !had || !st.HasVote || !st.Decided || st.Decision != types.V1 {
+		t.Fatalf("after reopen-append: had=%v state=%+v", had, st)
+	}
+}
+
+// TestSingleFileJournalRefused: a journal path naming a regular file — a
+// journal in the retired single-file format — must fail by name, never
+// start an empty log.
+func TestSingleFileJournalRefused(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "proc3.wal")
-	fl, err := wal.OpenFile(path)
-	if err != nil {
+	if err := os.WriteFile(path, []byte("old journal"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := fl.Append(wal.Record{Type: wal.RecordVote, Value: types.V1}); err != nil {
-		t.Fatal(err)
+	_, _, _, err := wal.OpenNodeLog(path, wal.SegmentedOptions{})
+	if err == nil || !strings.Contains(err.Error(), "single-file journals are no longer read: "+path) {
+		t.Fatalf("err = %v, want the single-file refusal naming %s", err, path)
 	}
-	if err := fl.Append(wal.Record{Type: wal.RecordDecision, Value: types.V1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Append-reopen: records accumulate.
-	fl2, err := wal.OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fl2.Append(wal.Record{Type: wal.RecordVote, Value: types.V0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fl2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := wal.ReplayFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("replayed %d records, want 3", len(got))
-	}
-	// Missing file: empty state, no error.
-	none, err := wal.ReplayFile(filepath.Join(t.TempDir(), "absent.wal"))
-	if err != nil || none != nil {
-		t.Fatalf("missing file: %v %v", none, err)
+	if got, _ := os.ReadFile(path); string(got) != "old journal" {
+		t.Fatalf("refused journal was modified: %q", got)
 	}
 }
 
@@ -182,23 +253,12 @@ func TestQuickRoundTrip(t *testing.T) {
 				r.Coins = append(r.Coins, types.V0)
 			}
 		}
-		var buf bytes.Buffer
-		if err := wal.New(&buf).Append(r); err != nil {
+		payload, err := wal.EncodePayload(r)
+		if err != nil {
 			return false
 		}
-		got, err := wal.Replay(&buf)
-		if err != nil || len(got) != 1 {
-			return false
-		}
-		if got[0].Type != r.Type || got[0].Value != r.Value || len(got[0].Coins) != len(r.Coins) {
-			return false
-		}
-		for i := range r.Coins {
-			if got[0].Coins[i] != r.Coins[i] {
-				return false
-			}
-		}
-		return true
+		got, err := wal.DecodePayload(payload)
+		return err == nil && reflect.DeepEqual(got, r)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -209,7 +269,7 @@ func TestQuickRoundTrip(t *testing.T) {
 // journaled and confirms the logs reconstruct to the protocol outcome.
 func TestLoggedCommitJournal(t *testing.T) {
 	n := 5
-	bufs := make([]*bytes.Buffer, n)
+	journals := make([]wal.Records, n)
 	machines := make([]types.Machine, n)
 	logged := make([]*wal.LoggedCommit, n)
 	for i := 0; i < n; i++ {
@@ -219,8 +279,7 @@ func TestLoggedCommitJournal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bufs[i] = &bytes.Buffer{}
-		logged[i] = wal.NewLoggedCommit(m, wal.New(bufs[i]))
+		logged[i] = wal.NewLoggedCommit(m, &journals[i])
 		machines[i] = logged[i]
 	}
 	res, err := sim.Run(sim.Config{
@@ -237,11 +296,7 @@ func TestLoggedCommitJournal(t *testing.T) {
 		if logged[p].Err() != nil {
 			t.Fatalf("proc %d journal error: %v", p, logged[p].Err())
 		}
-		records, err := wal.Replay(bytes.NewReader(bufs[p].Bytes()))
-		if err != nil {
-			t.Fatalf("proc %d replay: %v", p, err)
-		}
-		s := wal.Reconstruct(records)
+		s := wal.Reconstruct(journals[p])
 		if !s.Decided || s.Decision != res.Values[p] {
 			t.Errorf("proc %d reconstructed %+v, run decided %v", p, s, res.Values[p])
 		}
@@ -262,21 +317,17 @@ func TestLoggedCommitJournal(t *testing.T) {
 // promised nothing).
 func TestLoggedCommitJournalsDemotion(t *testing.T) {
 	n := 3
-	var buf bytes.Buffer
+	var records wal.Records
 	m, err := core.New(core.Config{ID: 1, N: n, T: 1, K: 2, Vote: types.V1, Gadget: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lm := wal.NewLoggedCommit(m, wal.New(&buf))
+	lm := wal.NewLoggedCommit(m, &records)
 	st := rng.NewStream(1)
 	// Wake with a bare GO, then starve through the 2K timeout.
 	lm.Step([]types.Message{{From: 0, To: 1, Payload: core.GoMsg{Coins: []types.Value{0, 1, 0}}}}, st)
 	for i := 0; i < 6; i++ {
 		lm.Step(nil, st)
-	}
-	records, err := wal.Replay(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
 	}
 	votes := 0
 	for _, r := range records {

@@ -34,12 +34,13 @@ type NodeSpec struct {
 	// ServeOutcomeTicks keeps a decided node alive that many further
 	// ticks to answer outcome queries from recovering peers (default 64).
 	ServeOutcomeTicks int
-	// JournalPath, if set, write-ahead-logs the node's protocol
-	// transitions. On restart with the same path, StartNode detects the
-	// prior participation: a journaled decision is returned immediately,
-	// and an unfinished journal switches the node into recovery mode (it
-	// polls peers for the outcome instead of re-joining the protocol —
-	// the paper's "opportunity to recover").
+	// JournalPath, if set, names the directory (created if absent) that
+	// write-ahead-logs the node's protocol transitions; a path naming a
+	// regular file is refused. On restart with the same path, StartNode
+	// detects the prior participation: a journaled decision is returned
+	// immediately, and an unfinished journal switches the node into
+	// recovery mode (it polls peers for the outcome instead of re-joining
+	// the protocol — the paper's "opportunity to recover").
 	JournalPath string
 }
 
@@ -52,9 +53,6 @@ type Node struct {
 	// (Kill races Run's teardown when a test crashes a running node).
 	jlMu sync.Mutex
 	jl   *wal.NodeLog
-	// journalPath lets a recovery-mode node append the adopted decision,
-	// so the next restart short-circuits without any network.
-	journalPath string
 	// recovered short-circuits Run when the journal already held a
 	// decision.
 	recovered *Decision
@@ -79,10 +77,7 @@ func StartNode(cfg Config, spec NodeSpec) (*Node, error) {
 		spec.ServeOutcomeTicks = 64
 	}
 
-	// Journal replay decides the node's mode. OpenNodeLog picks the
-	// backend from the path: a directory (or trailing separator) is a
-	// segmented log with snapshot-bounded replay, a plain file keeps the
-	// original single-file format.
+	// Journal replay decides the node's mode.
 	var state wal.State
 	var nlog *wal.NodeLog
 	hasJournal := false
@@ -129,17 +124,11 @@ func StartNode(cfg Config, spec NodeSpec) (*Node, error) {
 		machine = m
 	}
 
-	n := &Node{mode: mode, journalPath: spec.JournalPath}
-	switch {
-	case nlog != nil && mode == "protocol":
-		n.jl = nlog
+	// A recovery-mode node keeps its journal open too: Run appends the
+	// adopted decision to it.
+	n := &Node{mode: mode, jl: nlog}
+	if nlog != nil && mode == "protocol" {
 		machine = wal.NewLoggedCommit(machine.(*core.Commit), nlog)
-	case nlog != nil:
-		// Recovery mode appends nothing until the outcome is adopted at
-		// the end of Run; appendDecision reopens the journal then.
-		if err := nlog.Close(); err != nil {
-			return nil, err
-		}
 	}
 	// Every running node answers outcome queries once decided, then
 	// lingers briefly so restarting peers can catch it.
@@ -214,6 +203,14 @@ func (n *Node) Run(ctx context.Context) (Decision, error) {
 	if err == nil {
 		err = closeErr
 	}
+	v, decided := n.m.Decision()
+	// A recovery-mode node journals the adopted decision so the next
+	// restart short-circuits offline.
+	if decided && n.mode == "recovery" {
+		if jErr := n.journalDecision(v); jErr != nil && err == nil {
+			err = jErr
+		}
+	}
 	if jErr := n.closeJournal(); jErr != nil && err == nil {
 		err = jErr
 	}
@@ -222,31 +219,23 @@ func (n *Node) Run(ctx context.Context) (Decision, error) {
 			err = wErr
 		}
 	}
-	if v, ok := n.m.Decision(); ok {
-		// A recovery-mode node journals the adopted decision so the next
-		// restart short-circuits offline.
-		if n.mode == "recovery" && n.journalPath != "" {
-			if jErr := appendDecision(n.journalPath, v); jErr != nil && err == nil {
-				err = jErr
-			}
-		}
+	if decided {
 		return types.DecisionOf(v), err
 	}
 	return None, err
 }
 
-// appendDecision appends a decision record to an existing journal
-// (either backend, chosen by the path as in OpenNodeLog).
-func appendDecision(path string, v types.Value) error {
-	nl, _, _, err := wal.OpenNodeLog(path, wal.SegmentedOptions{})
-	if err != nil {
-		return err
+// journalDecision appends a decision record to the open journal, if the
+// node has one (Kill may already have closed it: a crashed node journals
+// nothing more).
+func (n *Node) journalDecision(v types.Value) error {
+	n.jlMu.Lock()
+	jl := n.jl
+	n.jlMu.Unlock()
+	if jl == nil {
+		return nil
 	}
-	if err := nl.Append(wal.Record{Type: wal.RecordDecision, Value: v}); err != nil {
-		nl.Close() //nolint:errcheck
-		return err
-	}
-	return nl.Close()
+	return jl.Append(wal.Record{Type: wal.RecordDecision, Value: v})
 }
 
 func (n *Node) closeJournal() error {

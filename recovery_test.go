@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,7 +20,7 @@ func TestJournaledNodeLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	n := 3
 	cfg := tcommit.Config{N: n, K: 10, Seed: 77}
-	journal := func(p int) string { return filepath.Join(dir, fmt.Sprintf("p%d.wal", p)) }
+	journal := func(p int) string { return filepath.Join(dir, fmt.Sprintf("p%d.journal", p)) }
 
 	nodes := make([]*tcommit.Node, n)
 	peers := make(map[tcommit.ProcID]string, n)
@@ -94,7 +95,7 @@ func TestRecoveryModeOverTCP(t *testing.T) {
 	n := 5
 	victim := tcommit.ProcID(4)
 	cfg := tcommit.Config{N: n, K: 20, Seed: 99}
-	journal := func(p tcommit.ProcID) string { return filepath.Join(dir, fmt.Sprintf("p%d.wal", p)) }
+	journal := func(p tcommit.ProcID) string { return filepath.Join(dir, fmt.Sprintf("p%d.journal", p)) }
 
 	nodes := make([]*tcommit.Node, n)
 	peers := make(map[tcommit.ProcID]string, n)
@@ -121,12 +122,13 @@ func TestRecoveryModeOverTCP(t *testing.T) {
 			_, _ = node.Run(context.Background()) // survivors are wound down by Kill below
 		}(i, node)
 	}
-	// Kill the victim only once its journal exists (it must have taken at
-	// least one step, or the restart has nothing to resume from).
+	// Kill the victim only once its journal holds a record (it must have
+	// taken at least one step, or the restart has nothing to resume from).
+	firstSegment := filepath.Join(journal(victim), "wal-00000001.seg")
 	go func() {
 		deadline := time.Now().Add(5 * time.Second)
 		for time.Now().Before(deadline) {
-			if fi, err := os.Stat(journal(victim)); err == nil && fi.Size() > 0 {
+			if fi, err := os.Stat(firstSegment); err == nil && fi.Size() > 0 {
 				break
 			}
 			time.Sleep(time.Millisecond)
@@ -203,4 +205,18 @@ func TestRecoveryModeOverTCP(t *testing.T) {
 		nodes[i].Kill()
 	}
 	wg.Wait()
+}
+
+// TestSingleFileJournalRefused: a JournalPath naming a regular file — a
+// journal in the retired single-file format — fails StartNode by name
+// instead of starting the node over an empty journal.
+func TestSingleFileJournalRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "p0.wal")
+	if err := os.WriteFile(path, []byte("single-file journal"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := tcommit.StartNode(tcommit.Config{N: 3}, tcommit.NodeSpec{ID: 0, JournalPath: path})
+	if err == nil || !strings.Contains(err.Error(), "single-file journals are no longer read: "+path) {
+		t.Fatalf("err = %v, want the single-file refusal naming %s", err, path)
+	}
 }
