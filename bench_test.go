@@ -359,17 +359,15 @@ func BenchmarkE12RoundDefinition(b *testing.B) {
 // the client-facing service over a live in-process cluster: each
 // iteration submits one transaction through the full admission → batch →
 // dispatch → decide → notify path, with heavily parallel clients keeping
-// the batcher busy. The service runs in batched vector-outcome mode —
-// each dispatch batch is decided by ONE agreement instance, so the
-// decision rate is (batch occupancy) × (instance rate) instead of one
-// instance per transaction. Reports end-to-end txns/sec.
+// the batcher busy. Each dispatch batch is decided by ONE agreement
+// instance, so the decision rate is (batch occupancy) × (instance rate).
+// Reports end-to-end txns/sec.
 func BenchmarkE14ServiceThroughput(b *testing.B) {
 	for _, n := range []int{3, 5} {
 		b.Run(benchName("n", n), func(b *testing.B) {
 			svc, err := tcommit.Serve(tcommit.ServiceConfig{
 				N: n, K: 3, Seed: 0xE14,
 				TickEvery:      200 * time.Microsecond,
-				BatchAgreement: true,
 				BatchMax:       128,
 				MaxInFlight:    4096,
 				QueueDepth:     8192,

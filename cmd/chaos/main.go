@@ -54,7 +54,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		horizon  = fs.Int("horizon", 0, "fault window in ticks (default 32)")
 		tick     = fs.Duration("tick", time.Millisecond, "protocol tick length")
 		budget   = fs.Int("budget", 0, "run budget in ticks (default 8*horizon+512)")
-		batch    = fs.Bool("batch", false, "batched vector-outcome agreement (-mode service only)")
 		planOnly = fs.Bool("plan", false, "print the canonical plan and exit")
 		traceOut = fs.String("trace-out", "", "write the run's protocol trace JSON to this file")
 		spansOut = fs.String("spans-out", "", "write the run's causal span graph JSON to this file")
@@ -94,7 +93,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	spans := span.NewCollector(1 << 16)
 	opts := chaos.RunOptions{
 		TickEvery: *tick, BudgetTicks: *budget, Tracer: tracer, Spans: spans,
-		BatchAgreement: *batch,
 	}
 	if *watched {
 		opts.Watch = &watch.Config{}

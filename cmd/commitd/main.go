@@ -11,9 +11,11 @@
 //	GET  /status/{txn}  state of a known transaction
 //	GET  /metrics       counters + latency percentiles (JSON)
 //	GET  /metrics.prom  every layer's metrics, Prometheus text format
-//	GET  /debug/trace   recent protocol events (?txn=<id>&n=<count>)
-//	GET  /debug/spans   causal span graph (?txn=<id> filters; sharded
-//	                    deployments include the txn's per-shard children)
+//	GET  /debug/trace   recent protocol events (?txn=<id>&n=<count>; a
+//	                    txn's view includes the batch that decided it)
+//	GET  /debug/spans   causal span graph (?txn=<id> filters to the txn
+//	                    and its batch; sharded deployments include the
+//	                    txn's per-shard children)
 //	GET  /debug/health  watchdog anomaly report (stalls, crashes, SLO burn)
 //	GET  /debug/flight  on-demand flight-recorder dump (render with
 //	                    `tracedump flight`)
@@ -95,12 +97,12 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		seed      = fs.Uint64("seed", 0, "randomness seed (0: derived from time)")
 		queue     = fs.Int("queue", 1024, "admission queue depth (per shard)")
 		inflight  = fs.Int("inflight", 128, "max concurrent commit instances (per shard)")
-		batch     = fs.Int("batch", 64, "max submissions coalesced per dispatch")
+		batch     = fs.Int("batch", 64, "max submissions coalesced per dispatch (clamped to -inflight)")
 		timeout   = fs.Duration("timeout", 10*time.Second, "default per-request deadline")
 		backend   = fs.String("backend", "channel", "cluster transport: channel or tcp")
 		shards    = fs.Int("shards", 1, "independent commit groups behind the consistent-hash router")
 		crossWAL  = fs.String("cross-wal", "", "cross-shard coordinator WAL directory (sharded mode only; replayed on start, cross outcomes wait for group-commit fsync)")
-		batchAg   = fs.Bool("batch-agreement", false, "decide each dispatch batch with one vector-outcome agreement instance")
+		_         = fs.Bool("batch-agreement", false, "ignored: every dispatch batch is decided by one vector-outcome agreement instance (accepted because bench/ passes it)")
 		walDir    = fs.String("wal-dir", "", "decision-journal directory (single-shard mode only; replayed on start, client acks wait for group-commit fsync)")
 		walSeg    = fs.Int("wal-segment-bytes", 1<<20, "WAL segment rotation threshold in bytes")
 		walGroup  = fs.Duration("wal-group-commit", 0, "max extra latency the WAL writer waits to coalesce decision fsyncs (0: flush whatever has queued)")
@@ -153,7 +155,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		QueueDepth:     *queue,
 		MaxInFlight:    *inflight,
 		BatchMax:       *batch,
-		BatchAgreement: *batchAg,
 		DefaultTimeout: *timeout,
 		Registry:       reg,
 		SpanTxnCap:     *spanTxns,

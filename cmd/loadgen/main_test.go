@@ -260,16 +260,15 @@ func TestLoadgenWatchdogReport(t *testing.T) {
 	}
 }
 
-// TestLoadgenBatchedOccupancy: against a batched-agreement daemon the
-// summary carries the run's batch occupancy histogram and a daemon-side
-// decision rate, in both the JSON and the table output.
+// TestLoadgenBatchedOccupancy: the summary carries the run's batch
+// occupancy histogram and a daemon-side decision rate, in both the JSON
+// and the table output.
 func TestLoadgenBatchedOccupancy(t *testing.T) {
 	s, addr := newTarget(t, service.Config{
 		N: 3, K: 3, Seed: 31,
-		TickEvery:      500 * time.Microsecond,
-		BatchAgreement: true,
-		BatchMax:       16,
-		MaxInFlight:    256,
+		TickEvery:   500 * time.Microsecond,
+		BatchMax:    16,
+		MaxInFlight: 256,
 	})
 	var out bytes.Buffer
 	err := drive(genConfig{

@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -74,32 +75,87 @@ func TestClusterSweepVotePatterns(t *testing.T) {
 	}
 }
 
+// runServiceOne executes one service plan and fails the test with the
+// replay command on any audit violation.
+func runServiceOne(t *testing.T, cfg PlanConfig) {
+	t.Helper()
+	p, err := NewPlan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, data, err := RunService(p, RunOptions{TickEvery: sweepTick})
+	if err != nil {
+		t.Fatalf("FAILING SEED %d: run error: %v", cfg.Seed, err)
+	}
+	if !rep.Pass() {
+		t.Fatalf("FAILING SEED %d (replay: go run ./cmd/chaos -seed %d -shape %s -n %d -mode service)\n%s",
+			cfg.Seed, cfg.Seed, cfg.Shape, cfg.N, rep.Log())
+	}
+	if data.Metrics.SafetyViolations != 0 {
+		t.Fatalf("FAILING SEED %d: %d safety violations", cfg.Seed, data.Metrics.SafetyViolations)
+	}
+}
+
 // TestServiceSweep runs the plan's transaction workload through the full
 // commit service (admission queue, dispatcher, HTTP-facing state) under
-// fault injection.
+// fault injection. Two seed families: the general shapes, and the two
+// hostile shapes batching touches most — crash-restart (the batch
+// coordinator can die mid-flood) and partition (the vote exchange can
+// stall behind a window).
 func TestServiceSweep(t *testing.T) {
-	shapes := []Shape{ShapeClean, ShapeLossy, ShapeChurn, ShapeCrash}
-	seeds := 2
-	if testing.Short() {
-		shapes, seeds = []Shape{ShapeLossy}, 1
+	families := []struct {
+		shapes     []Shape
+		mul, add   uint64
+		shortShape Shape
+	}{
+		{[]Shape{ShapeClean, ShapeLossy, ShapeChurn, ShapeCrash}, 7919, 17, ShapeLossy},
+		{[]Shape{ShapeCrashRestart, ShapePartition}, 6151, 29, ShapePartition},
 	}
-	for _, shape := range shapes {
-		for s := 0; s < seeds; s++ {
-			cfg := PlanConfig{Seed: uint64(s)*7919 + 17, N: 5, Shape: shape}
-			t.Run(fmt.Sprintf("%s/seed%d", shape, cfg.Seed), func(t *testing.T) {
-				p, err := NewPlan(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rep, _, err := RunService(p, RunOptions{TickEvery: sweepTick})
-				if err != nil {
-					t.Fatalf("FAILING SEED %d: run error: %v", cfg.Seed, err)
-				}
-				if !rep.Pass() {
-					t.Fatalf("FAILING SEED %d (replay: go run ./cmd/chaos -seed %d -shape %s -n 5 -mode service)\n%s",
-						cfg.Seed, cfg.Seed, shape, rep.Log())
-				}
-			})
+	for _, f := range families {
+		shapes, seeds := f.shapes, 2
+		if testing.Short() {
+			shapes, seeds = []Shape{f.shortShape}, 1
+		}
+		for _, shape := range shapes {
+			for s := 0; s < seeds; s++ {
+				cfg := PlanConfig{Seed: uint64(s)*f.mul + f.add, N: 5, Shape: shape}
+				t.Run(fmt.Sprintf("%s/seed%d", shape, cfg.Seed), func(t *testing.T) {
+					runServiceOne(t, cfg)
+				})
+			}
+		}
+	}
+}
+
+// TestServiceAuditLogWorkerCounts: the service's passing audit log is
+// byte-identical across runs at different GOMAXPROCS — scheduling
+// (goroutine interleavings, shard stepping overlap) must never leak into
+// the audited story.
+func TestServiceAuditLogWorkerCounts(t *testing.T) {
+	cfg := PlanConfig{Seed: 0xbadc0de, N: 5, Shape: ShapeCrashRestart}
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	workers := []int{1, 2, prev}
+	logs := make([]string, len(workers))
+	for i, w := range workers {
+		runtime.GOMAXPROCS(w)
+		p, err := NewPlan(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, _, err := RunService(p, RunOptions{TickEvery: sweepTick})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if !rep.Pass() {
+			t.Fatalf("workers=%d: audit failed:\n%s", w, rep.Log())
+		}
+		logs[i] = rep.Log()
+	}
+	for i := 1; i < len(logs); i++ {
+		if logs[i] != logs[0] {
+			t.Fatalf("audit logs differ between GOMAXPROCS=%d and %d:\n--- a\n%s\n--- b\n%s",
+				workers[0], workers[i], logs[0], logs[i])
 		}
 	}
 }
@@ -155,18 +211,7 @@ func TestChaosNightly(t *testing.T) {
 		for s := 0; s < 4; s++ {
 			cfg := PlanConfig{Seed: uint64(s)*104_729 + uint64(len(shape)), N: 5, Shape: shape}
 			t.Run(fmt.Sprintf("service/%s/seed%d", shape, cfg.Seed), func(t *testing.T) {
-				p, err := NewPlan(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rep, _, err := RunService(p, RunOptions{TickEvery: sweepTick})
-				if err != nil {
-					t.Fatalf("FAILING SEED %d: run error: %v", cfg.Seed, err)
-				}
-				if !rep.Pass() {
-					t.Fatalf("FAILING SEED %d (replay: go run ./cmd/chaos -seed %d -shape %s -n 5 -mode service)\n%s",
-						cfg.Seed, cfg.Seed, shape, rep.Log())
-				}
+				runServiceOne(t, cfg)
 			})
 		}
 	}

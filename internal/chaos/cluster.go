@@ -40,11 +40,6 @@ type RunOptions struct {
 	// protocol instances, not managers). Nil disables span collection —
 	// audit reproducibility never depends on it.
 	Spans *span.Collector
-	// BatchAgreement runs the service harness in batched vector-outcome
-	// mode: submissions coalesce into one agreement instance per batch.
-	// Cluster mode ignores it. The audits are mode-blind — per-txn
-	// agreement, abort validity, and commit validity hold either way.
-	BatchAgreement bool
 	// Watch attaches a live watchdog to service-mode runs (RunService,
 	// RunShardedService): it is ticked while the workload executes plus
 	// once synchronously after the last crash timer settles, and the

@@ -33,7 +33,6 @@ func RunService(p *Plan, o RunOptions) (*Report, *ServiceRunData, error) {
 		Seed:           p.Cfg.Seed ^ 0x6c62272e07bb0142,
 		TickEvery:      o.TickEvery,
 		DefaultTimeout: time.Duration(o.BudgetTicks) * o.TickEvery,
-		BatchAgreement: o.BatchAgreement,
 		Hub:            transport.HubOptions{Inject: inj.Decide},
 		Registry:       o.Registry,
 		Tracer:         o.Tracer,

@@ -106,9 +106,9 @@ func TestBatchMixedVotes(t *testing.T) {
 	}
 }
 
-// TestBatchAgreementUnderCrash: with a minority crash mid-run, every
+// TestBatchCommitUnderCrash: with a minority crash mid-run, every
 // surviving processor decides every element, and they all agree.
-func TestBatchAgreementUnderCrash(t *testing.T) {
+func TestBatchCommitUnderCrash(t *testing.T) {
 	const n, b = 5, 16
 	votes := batchVotes(n, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1)
 	for p := range votes {

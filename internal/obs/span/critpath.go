@@ -8,8 +8,10 @@ import (
 
 // Step is one span on a critical path with its latency contribution: the
 // time by which this step advanced the chain's completion over its
-// predecessor (the first step contributes its own duration).
-// Contributions telescope, so they sum exactly to Path.Total.
+// predecessor (the first step contributes from its own start).
+// Contributions telescope, so they sum exactly to Path.Total. A step
+// that handed off before it finished — a round still running when the
+// message that mattered left it — contributes only up to the handoff.
 type Step struct {
 	Span    Span  `json:"span"`
 	Contrib int64 `json:"contrib"`
@@ -33,89 +35,132 @@ type Path struct {
 
 // CriticalPath computes the critical path ending at the span with the
 // given id: walk the happens-before edges backward, at each span
-// following the predecessor that finished last (ties to the lower id).
-// That predecessor is the one the span actually waited for, so the walk
-// recovers the chain that set the completion time. Only predecessors
-// with strictly smaller (End, ID) are followed, which guarantees
-// termination on any edge set.
+// following the predecessor that handed off to it last (ties to the
+// lower id). That predecessor is the one the span actually waited for,
+// so the walk recovers the chain that set the completion time. Four
+// rules, each pinned by a case of TestCriticalPathRules:
+//
+//   - A predecessor hands off when it ends — except to a link, which
+//     leaves its sender's span at the send instant. (A live round
+//     outlasts the messages it sends.)
+//   - Only predecessors that handed off by the time the chain needed
+//     them are followed, none twice at the same instant; so the chain
+//     may pass through one long round several times, each time at an
+//     earlier handoff, and still terminates on any edge set.
+//   - The chain ends at a span with nothing left to follow. A link
+//     cannot end it: a message was sent by something. A link whose
+//     sender was never recorded, or leads only back into the chain (a
+//     zero-length send to self), is backed out of and the next-latest
+//     predecessor followed.
 func (g *Graph) CriticalPath(targetID int) (*Path, error) {
 	idx := g.index()
 	target := idx[targetID]
 	if target == nil {
 		return nil, fmt.Errorf("span: no span with id %d", targetID)
 	}
-	preds := make(map[int][]int)
+	preds := make(map[int][]int, len(g.Edges))
 	for _, e := range g.Edges {
 		preds[e.To] = append(preds[e.To], e.From)
 	}
 
-	chain := []*Span{target}
-	cur := target
-	for {
-		var best *Span
-		for _, pid := range preds[cur.ID] {
+	// A hop is one chain element: the span and when it handed off to its
+	// successor (the target hands off at its end).
+	type hop struct {
+		s  *Span
+		at int64
+	}
+	chain := []hop{{target, target.End}} // target-to-root
+	seen := map[hop]bool{chain[0]: true}
+
+	// walk extends chain backward from its last hop and reports whether
+	// it reached a root.
+	var walk func() bool
+	walk = func() bool {
+		cur := chain[len(chain)-1]
+		var cands []hop
+		for _, pid := range preds[cur.s.ID] {
 			p := idx[pid]
 			if p == nil {
 				continue
 			}
-			// Strict causal decrease: predecessor must have finished
-			// before (End, ID)-lexicographically — rules out cycles.
-			if p.End > cur.End || (p.End == cur.End && p.ID >= cur.ID) {
-				continue
+			h := hop{p, p.End}
+			if cur.s.Kind == KindLink && h.at > cur.s.Start {
+				h.at = cur.s.Start
 			}
-			if best == nil || p.End > best.End || (p.End == best.End && p.ID < best.ID) {
-				best = p
+			if h.at <= cur.at && !seen[h] {
+				cands = append(cands, h)
 			}
 		}
-		if best == nil {
-			break
+		if len(cands) == 0 {
+			return cur.s.Kind != KindLink
 		}
-		chain = append(chain, best)
-		cur = best
+		sort.Slice(cands, func(i, j int) bool {
+			if cands[i].at != cands[j].at {
+				return cands[i].at > cands[j].at
+			}
+			return cands[i].s.ID < cands[j].s.ID
+		})
+		for _, c := range cands {
+			seen[c] = true
+			chain = append(chain, c)
+			if walk() {
+				return true
+			}
+			chain = chain[:len(chain)-1]
+		}
+		return false
 	}
-	// Walked target-to-root; present root-to-target.
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
+	walk() // on failure the chain is back to the target alone
 
+	root := chain[len(chain)-1].s
 	p := &Path{
 		Unit:   g.Unit,
 		Txn:    target.Txn,
 		Target: target.ID,
-		Start:  chain[0].Start,
+		Start:  root.Start,
 		End:    target.End,
 		ByKind: make(map[Kind]int64),
 	}
 	p.Total = p.End - p.Start
-	prevEnd := chain[0].Start
-	for _, s := range chain {
-		contrib := s.End - prevEnd
-		prevEnd = s.End
-		p.Steps = append(p.Steps, Step{Span: *s, Contrib: contrib})
-		p.ByKind[s.Kind] += contrib
+	prev := root.Start
+	for i := len(chain) - 1; i >= 0; i-- {
+		h := chain[i]
+		p.Steps = append(p.Steps, Step{Span: *h.s, Contrib: h.at - prev})
+		p.ByKind[h.s.Kind] += h.at - prev
+		prev = h.at
 	}
 	return p, nil
 }
 
-// CriticalPathTxn computes the critical path of one transaction: the
-// target is the transaction's last-finishing span (ties to the lowest
-// id) — for a service-traced transaction, the notify stage that
-// delivered the client's answer.
+// CriticalPathTxn computes the critical path of one transaction within
+// its own subgraph (ByTxn). The target is the last-finishing of the
+// transaction's service-track spans (ties to the lowest id) — the notify
+// stage that delivered the client's answer, so Total is the client's
+// latency whatever the other processors did afterwards — or, for a
+// transaction without service spans, its last-finishing span.
+// Restricting the walk to the subgraph keeps it off the stage spans of
+// the other members of its batch, so the path starts at this
+// transaction's own admission.
 func (g *Graph) CriticalPathTxn(txn string) (*Path, error) {
-	var target *Span
-	for i := range g.Spans {
-		s := &g.Spans[i]
-		if s.Txn != txn {
-			continue
+	sub := g.ByTxn(txn)
+	// better: a service-track span beats any other, then the later end,
+	// then the lower id.
+	better := func(s, t *Span) bool {
+		if so, to := s.Track == ServiceTrack, t.Track == ServiceTrack; so != to {
+			return so
 		}
-		if target == nil || s.End > target.End || (s.End == target.End && s.ID < target.ID) {
+		return s.End > t.End || (s.End == t.End && s.ID < t.ID)
+	}
+	var target *Span
+	for i := range sub.Spans {
+		if s := &sub.Spans[i]; s.Txn == txn && (target == nil || better(s, target)) {
 			target = s
 		}
 	}
 	if target == nil {
 		return nil, fmt.Errorf("span: no spans for transaction %q", txn)
 	}
-	return g.CriticalPath(target.ID)
+	return sub.CriticalPath(target.ID)
 }
 
 // renderKinds is the fixed display order of kind attributions.

@@ -1,6 +1,7 @@
 package span
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -143,5 +144,216 @@ func TestRenderDeterministic(t *testing.T) {
 		if !strings.Contains(a, want) {
 			t.Errorf("render missing %q:\n%s", want, a)
 		}
+	}
+}
+
+// batchGraph is the shape the live vector path records: two member
+// transactions of one agreement batch. Rounds and links carry the
+// batch's key; each member has its own service stages and, per
+// processor, a decided marker naming the batch. As in live runs, one
+// round outlasts several exchanges (a link leaves mid-round), proc 0
+// sends to itself in zero time, and proc 1's still-open round was never
+// recorded, so the link it sent has no recorded cause.
+func batchGraph() *Graph {
+	const b = "batch:b1"
+	stage := func(id int, txn, name string, start, end int64, detail string) Span {
+		return Span{ID: id, Txn: txn, Track: ServiceTrack, Name: name, Kind: KindStage,
+			Start: start, End: end, From: -1, To: -1, Detail: detail}
+	}
+	link := func(id int, start, end int64, from, to int) Span {
+		return Span{ID: id, Txn: b, Track: NetTrack, Name: "txnb:x", Kind: KindLink,
+			Start: start, End: end, From: from, To: to}
+	}
+	spans := []Span{
+		stage(1, "m1", StageAdmit, 0, 2, ""),
+		stage(2, "m2", StageAdmit, 1, 2, ""),
+		stage(3, "m1", StageBatch, 2, 3, ""),
+		stage(4, "m2", StageBatch, 2, 3, ""),
+		stage(5, "m1", StageDispatch, 3, 5, "coordinator=0 batch=b1"),
+		stage(6, "m2", StageDispatch, 3, 5, "coordinator=0 batch=b1"),
+		link(7, 8, 8, 0, 0),    // GO to self, zero-length
+		link(8, 8, 10, 0, 2),   // GO to proc 2
+		link(9, 14, 16, 2, 0),  // vote back, sent mid-round
+		link(10, 15, 17, 1, 0), // from proc 1, whose round never closed
+		{ID: 11, Txn: b, Track: "proc 2", Name: "round 1", Kind: KindRound, Start: 11, End: 19, From: -1, To: -1},
+		{ID: 12, Txn: b, Track: "proc 0", Name: "round 1", Kind: KindRound, Start: 6, End: 20, From: -1, To: -1},
+		{ID: 13, Txn: "m1", Track: "proc 0", Name: "decided", Kind: KindStage, Start: 21, End: 21, From: -1, To: -1, Detail: "decision=COMMIT batch=b1"},
+		{ID: 14, Txn: "m2", Track: "proc 0", Name: "decided", Kind: KindStage, Start: 21, End: 21, From: -1, To: -1, Detail: "decision=ABORT batch=b1"},
+		stage(15, "m1", StageDecided, 5, 22, "state=COMMIT"),
+		stage(16, "m2", StageDecided, 5, 23, "state=ABORT"),
+		stage(17, "m1", StageNotify, 22, 24, ""),
+		stage(18, "m2", StageNotify, 23, 26, ""),
+		// A slow processor decides after the clients were answered.
+		{ID: 19, Txn: "m1", Track: "proc 2", Name: "decided", Kind: KindStage, Start: 30, End: 30, From: -1, To: -1, Detail: "decision=COMMIT batch=b1"},
+	}
+	return &Graph{Unit: "us", Spans: spans, Edges: InferEdges(spans)}
+}
+
+// TestMemberCriticalPathFollowsBatch: a member's critical path descends
+// from its own notify stage through its batch's rounds and links to its
+// own admission, never through a sibling's stages, and sums exactly to
+// the member's end-to-end latency.
+func TestMemberCriticalPathFollowsBatch(t *testing.T) {
+	g := batchGraph()
+	for _, tc := range []struct {
+		txn        string
+		start, end int64
+		golden     string
+	}{
+		{"m1", 0, 24, `critical path: target=#17 txn=m1 total=24 us over 11 steps
+  +2        stage service    admit (0..2)
+  +1        stage service    batch (2..3)
+  +2        stage service    dispatch (3..5) [coordinator=0 batch=b1]
+  +3        round proc 0     round 1 (6..20)
+  +2        link  net        txnb:x (8..10) 0->2
+  +4        round proc 2     round 1 (11..19)
+  +2        link  net        txnb:x (14..16) 2->0
+  +4        round proc 0     round 1 (6..20)
+  +1        stage proc 0     decided (21..21) [decision=COMMIT batch=b1]
+  +1        stage service    decided (5..22) [state=COMMIT]
+  +2        stage service    notify (22..24)
+by kind: stage=9 round=11 link=4
+`},
+		{"m2", 1, 26, ""},
+	} {
+		p, err := g.CriticalPathTxn(tc.txn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum int64
+		for _, st := range p.Steps {
+			sum += st.Contrib
+			if st.Contrib < 0 {
+				t.Errorf("%s: negative contribution %+v", tc.txn, st)
+			}
+			if st.Span.Txn != tc.txn && st.Span.Txn != "batch:b1" {
+				t.Errorf("%s: path crosses into %s", tc.txn, st.Span.Txn)
+			}
+		}
+		if p.Start != tc.start || p.End != tc.end || sum != tc.end-tc.start || p.Total != sum {
+			t.Errorf("%s: path %d..%d total %d sum %d, want %d..%d:\n%s",
+				tc.txn, p.Start, p.End, p.Total, sum, tc.start, tc.end, p.Render())
+		}
+		if p.ByKind[KindRound] <= 0 || p.ByKind[KindLink] <= 0 {
+			t.Errorf("%s: no round or link attribution: %v", tc.txn, p.ByKind)
+		}
+		if tc.golden != "" && p.Render() != tc.golden {
+			t.Errorf("%s: render\n%s\nwant\n%s", tc.txn, p.Render(), tc.golden)
+		}
+	}
+}
+
+// TestFilterFollowsBatch: a per-transaction view keeps the member's own
+// spans and its batch's, and nothing of its siblings.
+func TestFilterFollowsBatch(t *testing.T) {
+	sub := batchGraph().ByTxn("m2")
+	kinds := map[Kind]int{}
+	for _, s := range sub.Spans {
+		if s.Txn != "m2" && s.Txn != "batch:b1" {
+			t.Fatalf("view of m2 holds %+v", s)
+		}
+		kinds[s.Kind]++
+	}
+	if kinds[KindRound] != 2 || kinds[KindLink] != 4 {
+		t.Fatalf("view of m2 lacks its batch's rounds and links: %v", kinds)
+	}
+	idx := sub.index()
+	for _, e := range sub.Edges {
+		if idx[e.From] == nil || idx[e.To] == nil {
+			t.Fatalf("edge %+v leaves the view", e)
+		}
+	}
+	if n := len(batchGraph().ByTxn("nobody").Spans); n != 0 {
+		t.Fatalf("unknown txn matched %d spans", n)
+	}
+}
+
+// TestCriticalPathRules pins each rule of the backward walk with the
+// smallest graph that needs it (edges are given, not inferred, so a case
+// exercises the walk alone). Every case fails if its rule is removed.
+func TestCriticalPathRules(t *testing.T) {
+	round := func(id, proc int, start, end int64) Span {
+		return Span{ID: id, Track: ProcTrack(proc), Name: fmt.Sprintf("r%d", id), Kind: KindRound,
+			Start: start, End: end, From: -1, To: -1}
+	}
+	link := func(id int, start, end int64, from, to int) Span {
+		return Span{ID: id, Track: NetTrack, Name: fmt.Sprintf("l%d", id), Kind: KindLink,
+			Start: start, End: end, From: from, To: to}
+	}
+	dispatch := Span{ID: 1, Track: ServiceTrack, Name: StageDispatch, Kind: KindStage, Start: 0, End: 5, From: -1, To: -1}
+	for _, tc := range []struct {
+		name   string
+		spans  []Span
+		edges  []Edge
+		target int
+		want   string // "name+contrib ..." root to target
+	}{
+		{
+			// The sender's round is still open when its message is
+			// delivered: it hands off at the send instant, not its end.
+			name:   "a link leaves its sender mid-span",
+			spans:  []Span{round(1, 0, 0, 10), link(2, 4, 6, 0, 1), round(3, 1, 5, 8)},
+			edges:  []Edge{{1, 2}, {2, 3}},
+			target: 3,
+			want:   "r1+4 l2+2 r3+2",
+		},
+		{
+			// One long round sends, then waits for the answer: the chain
+			// passes through it twice, the second time at the earlier
+			// handoff.
+			name:   "a round is revisited at an earlier handoff",
+			spans:  []Span{round(1, 0, 0, 20), link(2, 2, 4, 0, 1), round(3, 1, 3, 9), link(4, 6, 8, 1, 0)},
+			edges:  []Edge{{1, 2}, {2, 3}, {3, 4}, {4, 1}},
+			target: 1,
+			want:   "r1+2 l2+2 r3+2 l4+2 r1+12",
+		},
+		{
+			// Reached at its send instant (2), the round must not follow
+			// a message delivered to it later (12).
+			name:   "a predecessor that handed off too late is not followed",
+			spans:  []Span{round(1, 0, 0, 20), link(2, 2, 4, 0, 1), round(3, 1, 3, 9), round(4, 2, 1, 11), link(5, 10, 12, 2, 0)},
+			edges:  []Edge{{1, 2}, {2, 3}, {4, 5}, {5, 1}},
+			target: 3,
+			want:   "r1+2 l2+2 r3+5",
+		},
+		{
+			// The latest arrival came from a processor whose round was
+			// never recorded; the path must not start at that message.
+			name:   "a link without a recorded sender is backed out of",
+			spans:  []Span{dispatch, round(2, 0, 5, 20), link(3, 15, 17, 1, 0)},
+			edges:  []Edge{{1, 2}, {3, 2}},
+			target: 2,
+			want:   "dispatch+5 r2+15",
+		},
+		{
+			// The round is reached at instant 8, where it also sent
+			// itself a zero-length message: that link leads only back to
+			// the same hop.
+			name:   "a zero-length send to self is backed out of",
+			spans:  []Span{dispatch, round(2, 0, 5, 20), link(3, 8, 8, 0, 0), link(4, 8, 10, 0, 2), round(5, 2, 9, 14)},
+			edges:  []Edge{{1, 2}, {2, 3}, {3, 2}, {2, 4}, {4, 5}},
+			target: 5,
+			want:   "dispatch+5 r2+3 l4+2 r5+4",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := &Graph{Unit: "us", Spans: tc.spans, Edges: tc.edges}
+			p, err := g.CriticalPath(tc.target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			var sum int64
+			for _, st := range p.Steps {
+				got = append(got, fmt.Sprintf("%s+%d", st.Span.Name, st.Contrib))
+				sum += st.Contrib
+			}
+			if s := strings.Join(got, " "); s != tc.want {
+				t.Errorf("path %q, want %q", s, tc.want)
+			}
+			if sum != p.Total || p.Total != p.End-p.Start {
+				t.Errorf("contributions sum to %d, total %d, span %d..%d", sum, p.Total, p.Start, p.End)
+			}
+		})
 	}
 }

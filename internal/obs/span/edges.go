@@ -3,6 +3,8 @@ package span
 import (
 	"sort"
 	"strings"
+
+	"repro/internal/obs"
 )
 
 // InferEdges reconstructs the happens-before edges of a span set. The
@@ -22,12 +24,20 @@ import (
 //     walk from the client-visible decision descends into the protocol
 //     DAG instead of skipping it.
 //
+// A transaction's protocol spans are its own plus those of the agreement
+// batch its spans name (obs.BatchDetail): rounds and links are recorded
+// once per batch, under the batch's key. Rule 1 therefore also chains
+// each of a member's processor-track spans (its decided marker) after
+// the batch span that precedes it on that track, and rule 3 hands off
+// into and out of the batch's tracks.
+//
 // Every rule sorts its inputs, so the edge set is a deterministic
 // function of the span set. Returned edges are deduplicated and sorted
 // by (From, To).
 func InferEdges(spans []Span) []Edge {
 	type groupKey struct{ txn, track string }
 	groups := make(map[groupKey][]*Span)
+	batchOf := make(map[string]string) // member txn -> its batch's key
 	var links []*Span
 	for i := range spans {
 		s := &spans[i]
@@ -37,17 +47,32 @@ func InferEdges(spans []Span) []Edge {
 		}
 		k := groupKey{s.Txn, s.Track}
 		groups[k] = append(groups[k], s)
+		if s.Txn != "" && batchOf[s.Txn] == "" {
+			if b := obs.BatchKeyOf(s.Detail); b != "" {
+				batchOf[s.Txn] = b
+			}
+		}
+	}
+	// before is the program order within a track.
+	before := func(a, b *Span) bool {
+		if a.Start != b.Start {
+			return a.Start < b.Start
+		}
+		if a.End != b.End {
+			return a.End < b.End
+		}
+		return a.ID < b.ID
 	}
 	for _, g := range groups {
-		sort.Slice(g, func(i, j int) bool {
-			if g[i].Start != g[j].Start {
-				return g[i].Start < g[j].Start
-			}
-			if g[i].End != g[j].End {
-				return g[i].End < g[j].End
-			}
-			return g[i].ID < g[j].ID
-		})
+		sort.Slice(g, func(i, j int) bool { return before(g[i], g[j]) })
+	}
+	// procTracks lists, per transaction or batch key, the processor
+	// tracks it has spans on (in no order: the edge set is sorted below).
+	procTracks := make(map[string][]string)
+	for k := range groups {
+		if strings.HasPrefix(k.track, "proc ") {
+			procTracks[k.txn] = append(procTracks[k.txn], k.track)
+		}
 	}
 	sort.Slice(links, func(i, j int) bool { return links[i].ID < links[j].ID })
 
@@ -64,10 +89,22 @@ func InferEdges(spans []Span) []Edge {
 		}
 	}
 
-	// Rule 1: program order within each (txn, track).
-	for _, g := range groups {
+	// Rule 1: program order within each (txn, track), and of a member's
+	// processor-track spans after its batch's on the same track.
+	for k, g := range groups {
 		for i := 1; i < len(g); i++ {
 			add(g[i-1].ID, g[i].ID)
+		}
+		b := batchOf[k.txn]
+		if b == "" {
+			continue
+		}
+		bg := groups[groupKey{b, k.track}]
+		for _, s := range g {
+			n := sort.Search(len(bg), func(i int) bool { return !before(bg[i], s) })
+			if n > 0 {
+				add(bg[n-1].ID, s.ID)
+			}
 		}
 	}
 
@@ -129,24 +166,28 @@ func InferEdges(spans []Span) []Edge {
 		if dispatch == nil && decided == nil {
 			continue
 		}
-		// Deterministic iteration over this txn's processor tracks.
-		var procTracks []string
-		for pk := range groups {
-			if pk.txn == k.txn && strings.HasPrefix(pk.track, "proc ") {
-				procTracks = append(procTracks, pk.track)
-			}
+		// The transaction's protocol spans on a track are its batch's and
+		// then its own (rule 1 put its own after the batch's). A track both
+		// are on is visited twice; add drops the repeated edges.
+		batch := batchOf[k.txn]
+		tracks := procTracks[k.txn]
+		if batch != "" {
+			tracks = append(append([]string(nil), tracks...), procTracks[batch]...)
 		}
-		sort.Strings(procTracks)
-		for _, pt := range procTracks {
-			pg := groups[groupKey{k.txn, pt}]
-			if len(pg) == 0 {
-				continue
+		for _, pt := range tracks {
+			own := groups[groupKey{k.txn, pt}]
+			first, last := own, own
+			if bg := groups[groupKey{batch, pt}]; batch != "" && len(bg) > 0 {
+				first = bg
+				if len(last) == 0 {
+					last = bg
+				}
 			}
 			if dispatch != nil {
-				add(dispatch.ID, pg[0].ID)
+				add(dispatch.ID, first[0].ID)
 			}
 			if decided != nil {
-				add(pg[len(pg)-1].ID, decided.ID)
+				add(last[len(last)-1].ID, decided.ID)
 			}
 		}
 	}

@@ -32,6 +32,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Kind classifies a span for attribution.
@@ -107,13 +109,30 @@ type Graph struct {
 	Edges   []Edge `json:"edges"`
 }
 
-// ByTxn returns the subgraph of one transaction (plus untagged link
-// spans are excluded: a txn filter keeps only spans stamped with it).
+// ByTxn returns the subgraph of one transaction: the spans stamped with
+// it plus those of the agreement batch they name (see Filter).
 func (g *Graph) ByTxn(txn string) *Graph {
+	return g.Filter(func(t string) bool { return t == txn })
+}
+
+// Filter returns the subgraph of the transactions match accepts: their
+// own spans, and the spans of every agreement batch those name in their
+// Detail (obs.BatchDetail) — a member's rounds and links are recorded
+// under its batch's key, so a per-transaction view follows it there.
+// Edges are kept when both ends are.
+func (g *Graph) Filter(match func(txn string) bool) *Graph {
+	batches := make(map[string]bool)
+	for i := range g.Spans {
+		if s := &g.Spans[i]; match(s.Txn) {
+			if k := obs.BatchKeyOf(s.Detail); k != "" {
+				batches[k] = true
+			}
+		}
+	}
 	out := &Graph{Unit: g.Unit, Dropped: g.Dropped}
 	keep := make(map[int]bool)
 	for _, s := range g.Spans {
-		if s.Txn == txn {
+		if match(s.Txn) || batches[s.Txn] {
 			out.Spans = append(out.Spans, s)
 			keep[s.ID] = true
 		}

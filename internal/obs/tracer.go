@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"strings"
 	"sync"
 )
 
@@ -43,6 +44,30 @@ type Event struct {
 	Tick int `json:"tick"`
 	// Detail carries event-specific context ("stage=2", "decision=COMMIT").
 	Detail string `json:"detail,omitempty"`
+}
+
+// An agreement batch's own records (GO, votes, stages, rounds, links) are
+// keyed by the batch, and each member transaction's records name the
+// batch in their Detail. These three functions are that convention, so a
+// per-transaction view can follow a member to the batch that decided it.
+
+// BatchKey is the Txn key of a batch's own events and spans.
+func BatchKey(batch string) string { return "batch:" + batch }
+
+// BatchDetail is the Detail token naming a member's batch. It goes last
+// in a Detail: the batch id runs to the end of the string.
+func BatchDetail(batch string) string { return "batch=" + batch }
+
+// BatchKeyOf returns the BatchKey of the batch a member's Detail names,
+// or "" if it names none.
+func BatchKeyOf(detail string) string {
+	if rest, ok := strings.CutPrefix(detail, "batch="); ok {
+		return BatchKey(rest)
+	}
+	if _, rest, ok := strings.Cut(detail, " batch="); ok {
+		return BatchKey(rest)
+	}
+	return ""
 }
 
 // Tracer records events into a bounded ring: constant memory under
@@ -137,15 +162,25 @@ func (t *Tracer) Recent(n int) []Event {
 }
 
 // ByTxn returns up to n of the most recent events for one transaction,
-// oldest first. n <= 0 means all retained matches.
+// oldest first: its own plus those of the batch its events name (the GO,
+// vote and stage milestones that decided it). n <= 0 means all retained
+// matches.
 func (t *Tracer) ByTxn(txn string, n int) []Event {
 	if t == nil {
 		return nil
 	}
 	all := t.snapshot()
+	batch := ""
+	for i := range all {
+		if all[i].Txn == txn {
+			if batch = BatchKeyOf(all[i].Detail); batch != "" {
+				break
+			}
+		}
+	}
 	var evs []Event
 	for _, e := range all {
-		if e.Txn == txn {
+		if e.Txn == txn || (batch != "" && e.Txn == batch) {
 			evs = append(evs, e)
 		}
 	}

@@ -57,6 +57,39 @@ func TestTracerByTxn(t *testing.T) {
 	}
 }
 
+// TestTracerByTxnFollowsBatch: a member's events name its batch, and the
+// per-transaction view includes that batch's milestones — in sequence
+// order, without its siblings or other batches.
+func TestTracerByTxnFollowsBatch(t *testing.T) {
+	tr := NewTracer(32)
+	tr.Record(Event{Txn: BatchKey("s2-batch-7"), Type: EventGoSent, Tick: 1})
+	tr.Record(Event{Txn: BatchKey("s1-batch-7"), Type: EventGoSent, Tick: 1})
+	tr.Record(Event{Txn: BatchKey("s2-batch-7"), Type: EventVoteCast, Tick: 2})
+	tr.Record(Event{Txn: "a", Type: EventDecided, Tick: 5, Detail: "decision=COMMIT " + BatchDetail("s2-batch-7")})
+	tr.Record(Event{Txn: "b", Type: EventDecided, Tick: 5, Detail: "decision=ABORT " + BatchDetail("s2-batch-7")})
+	tr.Record(Event{Txn: "a", Type: EventRetired, Tick: 9})
+	var got []uint64
+	for _, e := range tr.ByTxn("a", 0) {
+		got = append(got, e.Seq)
+	}
+	if want := []uint64{1, 3, 4, 6}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("ByTxn(a) seqs = %v, want %v", got, want)
+	}
+
+	for detail, want := range map[string]string{
+		"decision=COMMIT batch=b 1":  "batch:b 1", // the id runs to the end
+		"batch=solo":                 "batch:solo",
+		"coordinator=0 batch=s0-b-3": "batch:s0-b-3",
+		"decision=COMMIT":            "",
+		"minibatch=3":                "",
+		"":                           "",
+	} {
+		if got := BatchKeyOf(detail); got != want {
+			t.Errorf("BatchKeyOf(%q) = %q, want %q", detail, got, want)
+		}
+	}
+}
+
 func TestTracerConcurrentRecord(t *testing.T) {
 	tr := NewTracer(64)
 	const workers, per = 16, 500

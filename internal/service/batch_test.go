@@ -7,16 +7,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs/span"
 	"repro/internal/service"
 	"repro/internal/types"
 )
 
-// TestBatchAgreementEndToEnd: in batched mode, concurrent submissions
-// coalesce into vector-outcome instances and every client still gets its
-// own correct answer — including the one abort voter.
-func TestBatchAgreementEndToEnd(t *testing.T) {
+// TestBatchedEndToEnd: concurrent submissions coalesce into
+// vector-outcome instances and every client still gets its own correct
+// answer — including the one abort voter.
+func TestBatchedEndToEnd(t *testing.T) {
 	s := newService(t, service.Config{
-		N: 3, Seed: 11, BatchAgreement: true, BatchMax: 32, MaxInFlight: 256,
+		N: 3, Seed: 11, BatchMax: 32, MaxInFlight: 256,
 	})
 	const clients = 40
 	var wg sync.WaitGroup
@@ -65,10 +66,10 @@ func TestBatchAgreementEndToEnd(t *testing.T) {
 	})
 }
 
-// TestBatchAgreementSingleton: a lone submission forms a batch of one
-// and behaves exactly like the unbatched path.
-func TestBatchAgreementSingleton(t *testing.T) {
-	s := newService(t, service.Config{N: 3, Seed: 12, BatchAgreement: true})
+// TestBatchedSingleton: a lone submission forms a batch of one — the
+// paper's Protocol 2 for a single transaction.
+func TestBatchedSingleton(t *testing.T) {
+	s := newService(t, service.Config{N: 3, Seed: 12})
 	res, err := s.Submit(context.Background(), service.Request{ID: "solo"})
 	if err != nil {
 		t.Fatal(err)
@@ -82,13 +83,40 @@ func TestBatchAgreementSingleton(t *testing.T) {
 	}
 }
 
-// TestBatchAgreementUnderCrash: batches dispatched before a minority
+// TestMoreSubmitsThanSlots: with fewer in-flight slots than queued
+// submissions (and than the default BatchMax) the dispatcher still makes
+// progress — a batch never needs more slots than exist.
+func TestMoreSubmitsThanSlots(t *testing.T) {
+	s := newService(t, service.Config{N: 3, Seed: 15, MaxInFlight: 2, DefaultTimeout: 5 * time.Second})
+	const clients = 16
+	var wg sync.WaitGroup
+	results := make([]service.Result, clients)
+	for i := 0; i < clients; i++ {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], _ = s.Submit(context.Background(), service.Request{ID: fmt.Sprintf("slot-%02d", i)})
+		}()
+	}
+	wg.Wait()
+	for i, r := range results {
+		if r.State != service.StateCommit {
+			t.Fatalf("client %d resolved %+v, want COMMIT", i, r)
+		}
+	}
+	if m := s.Metrics(); m.MaxBatch > 2 {
+		t.Fatalf("a batch of %d outgrew MaxInFlight=2", m.MaxBatch)
+	}
+}
+
+// TestBatchedUnderCrash: batches dispatched before a minority
 // crash commit; batches racing or following the crash still resolve
 // (abort is the correct on-time answer when a voter is dead — the vote
 // exchange times out) and no node ever disagrees with another.
-func TestBatchAgreementUnderCrash(t *testing.T) {
+func TestBatchedUnderCrash(t *testing.T) {
 	s := newService(t, service.Config{
-		N: 5, Seed: 13, BatchAgreement: true, BatchMax: 16, MaxInFlight: 128,
+		N: 5, Seed: 13, BatchMax: 16, MaxInFlight: 128,
 		DefaultTimeout: 5 * time.Second,
 	})
 	submitWave := func(prefix string, k int) {
@@ -119,5 +147,55 @@ func TestBatchAgreementUnderCrash(t *testing.T) {
 	}
 	if got := m.Committed + m.Aborted + m.TimedOut; got != 24 {
 		t.Fatalf("resolved %d of 24: %+v", got, m)
+	}
+}
+
+// TestMemberCriticalPathLive: on a live batched run, every member's
+// critical path runs from its own admission to its own notify stage
+// through the rounds and links of the batch that decided it, and its
+// contributions sum exactly to that end-to-end latency.
+func TestMemberCriticalPathLive(t *testing.T) {
+	s := newService(t, service.Config{N: 3, Seed: 14, BatchMax: 8, MaxInFlight: 64})
+	const clients = 24
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Submit(context.Background(), service.Request{ID: fmt.Sprintf("cp-%02d", i)}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	g := s.Spans().Graph()
+	for i := 0; i < clients; i++ {
+		id := fmt.Sprintf("cp-%02d", i)
+		p, err := g.CriticalPathTxn(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, last := p.Steps[0].Span, p.Steps[len(p.Steps)-1].Span
+		if first.Txn != id || first.Name != span.StageAdmit || last.Txn != id || last.Name != span.StageNotify {
+			t.Fatalf("%s: path does not run from its admit to its notify:\n%s", id, p.Render())
+		}
+		var sum int64
+		links := 0
+		for _, st := range p.Steps {
+			sum += st.Contrib
+			if st.Contrib < 0 {
+				t.Fatalf("%s: negative contribution:\n%s", id, p.Render())
+			}
+			if st.Span.Kind == span.KindLink {
+				links++
+			}
+		}
+		if e2e := last.End - first.Start; sum != e2e || p.Total != e2e {
+			t.Fatalf("%s: contributions sum to %d, total %d, end-to-end %d:\n%s", id, sum, p.Total, e2e, p.Render())
+		}
+		if p.ByKind[span.KindRound] <= 0 || links == 0 {
+			t.Fatalf("%s: no round time or no link step on the path:\n%s", id, p.Render())
+		}
 	}
 }

@@ -182,19 +182,40 @@ func TestHTTPMetricsPromAndTrace(t *testing.T) {
 		}
 	}
 
-	// Filtered trace: only pm2's events, within the requested cap.
-	resp, err = http.Get(ts.URL + "/debug/trace?txn=pm2&n=10")
+	// Filtered trace: pm2's events plus those of the one batch that
+	// decided it (its GO, votes and stages), and nobody else's.
+	resp, err = http.Get(ts.URL + "/debug/trace?txn=pm2&n=0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	exp = decode[obs.TraceExport](t, resp)
-	if len(exp.Events) == 0 || len(exp.Events) > 10 {
-		t.Fatalf("filtered trace has %d events", len(exp.Events))
-	}
+	batch := ""
+	seen = map[obs.EventType]bool{}
 	for _, e := range exp.Events {
-		if e.Txn != "pm2" {
+		seen[e.Type] = true
+		switch {
+		case e.Txn == "pm2":
+			if k := obs.BatchKeyOf(e.Detail); k != "" {
+				batch = k
+			}
+		case strings.HasPrefix(e.Txn, "batch:") && (batch == "" || e.Txn == batch):
+			batch = e.Txn
+		default:
 			t.Fatalf("filter leaked event %+v", e)
 		}
+	}
+	for _, want := range []obs.EventType{obs.EventGoSent, obs.EventVoteCast, obs.EventDecided} {
+		if !seen[want] {
+			t.Errorf("filtered trace missing %s event", want)
+		}
+	}
+	// The cap still applies to the filtered view.
+	resp, err = http.Get(ts.URL + "/debug/trace?txn=pm2&n=10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exp = decode[obs.TraceExport](t, resp); len(exp.Events) == 0 || len(exp.Events) > 10 {
+		t.Fatalf("capped filtered trace has %d events", len(exp.Events))
 	}
 
 	// Bad n is a 400, not a panic.
@@ -332,7 +353,8 @@ func TestHTTPReadyzAndSpans(t *testing.T) {
 		t.Error("span graph has no causal edges")
 	}
 
-	// Filtered: only sp2's spans.
+	// Filtered: sp2's spans plus its batch's rounds and links, and
+	// nobody else's.
 	resp, err = http.Get(ts.URL + "/debug/spans?txn=sp2")
 	if err != nil {
 		t.Fatal(err)
@@ -342,16 +364,30 @@ func TestHTTPReadyzAndSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fg.Spans) == 0 {
-		t.Fatal("filter dropped everything")
-	}
+	batch := ""
+	kinds = map[span.Kind]bool{}
 	for _, sp := range fg.Spans {
-		if sp.Txn != "sp2" && sp.Txn != "" {
+		kinds[sp.Kind] = true
+		switch {
+		case sp.Txn == "sp2":
+			if k := obs.BatchKeyOf(sp.Detail); k != "" {
+				batch = k
+			}
+		case strings.HasPrefix(sp.Txn, "batch:") && (batch == "" || sp.Txn == batch):
+			batch = sp.Txn
+		default:
 			t.Fatalf("filter leaked span %+v", sp)
 		}
 	}
+	for _, k := range []span.Kind{span.KindStage, span.KindRound, span.KindLink} {
+		if !kinds[k] {
+			t.Errorf("filtered span graph missing kind %q", k)
+		}
+	}
 
-	// The critical path of a decided transaction telescopes exactly.
+	// The critical path of a decided transaction descends into its
+	// batch's rounds and links and telescopes exactly to the
+	// transaction's own end-to-end latency (admission to notify).
 	p, err := g.CriticalPathTxn("sp1")
 	if err != nil {
 		t.Fatal(err)
@@ -362,6 +398,13 @@ func TestHTTPReadyzAndSpans(t *testing.T) {
 	}
 	if sum != p.Total {
 		t.Fatalf("critical path sum %d != total %d", sum, p.Total)
+	}
+	if p.ByKind[span.KindRound] <= 0 || p.ByKind[span.KindLink] < 0 {
+		t.Fatalf("critical path attributes no round time: %+v\n%s", p.ByKind, p.Render())
+	}
+	first, last := p.Steps[0].Span, p.Steps[len(p.Steps)-1].Span
+	if first.Txn != "sp1" || first.Name != span.StageAdmit || last.Txn != "sp1" || last.Name != span.StageNotify {
+		t.Fatalf("critical path does not run admit..notify of sp1:\n%s", p.Render())
 	}
 
 	// Per-stage latency summaries surface in the metrics snapshot.

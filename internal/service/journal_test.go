@@ -1,0 +1,181 @@
+package service_test
+
+import (
+	"context"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"repro/internal/service"
+	"repro/internal/wal"
+)
+
+// stallFS holds every fsync of the files it opens until the test
+// releases it: the window in which a decision has been reached but the
+// disk does not hold it yet.
+type stallFS struct {
+	wal.FS
+	entered chan struct{} // one token per Sync that began waiting
+	release chan struct{} // closed to let every Sync proceed
+}
+
+type stallFile struct {
+	wal.File
+	fs *stallFS
+}
+
+func (s *stallFS) OpenAppend(name string) (wal.File, error) {
+	f, err := s.FS.OpenAppend(name)
+	return &stallFile{f, s}, err
+}
+
+func (s *stallFS) Create(name string) (wal.File, error) {
+	f, err := s.FS.Create(name)
+	return &stallFile{f, s}, err
+}
+
+func (f *stallFile) Sync() error {
+	select {
+	case f.fs.entered <- struct{}{}:
+	default:
+	}
+	<-f.fs.release
+	return f.File.Sync()
+}
+
+// TestStatusWaitsForJournal: GET /status never reports COMMIT/ABORT
+// before the journal's covering fsync has resolved — so a restart can
+// never forget a decision a status poller already saw — and agrees with
+// the POST's answer afterwards. A failed flush fails the ack but keeps
+// the protocol's decision; a decision adopted after a client TIMEOUT is
+// journaled before the status flips, like any other.
+func TestStatusWaitsForJournal(t *testing.T) {
+	// FaultFS counts mutating operations; opening the journal costs a
+	// fixed number, after which the first append is one write and one
+	// fsync. Failing from that fsync on is the "flush fails" case.
+	probe := wal.NewFaultFS(wal.NewMemFS(), 0)
+	pj, err := wal.OpenDecisionLog(wal.SegmentedOptions{FS: probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opsAtOpen := probe.Ops()
+	if err := pj.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name       string
+		votes      []bool
+		timeout    time.Duration // per-request deadline (0: service default)
+		failSync   bool
+		stalled    service.State // status while the fsync is held
+		wantResult service.State // the POST's answer
+		wantStatus service.State // status once the fsync resolved
+	}{
+		{name: "commit", stalled: service.StateRunning,
+			wantResult: service.StateCommit, wantStatus: service.StateCommit},
+		{name: "abort", votes: []bool{true, false, true}, stalled: service.StateRunning,
+			wantResult: service.StateAbort, wantStatus: service.StateAbort},
+		{name: "flush fails", failSync: true, stalled: service.StateRunning,
+			wantResult: service.StateFailed, wantStatus: service.StateCommit},
+		{name: "late decision after timeout", timeout: time.Millisecond, stalled: service.StateTimeout,
+			wantResult: service.StateTimeout, wantStatus: service.StateCommit},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			failAfter := 0
+			if tc.failSync {
+				failAfter = opsAtOpen + 2
+			}
+			fs := &stallFS{
+				FS:      wal.NewFaultFS(wal.NewMemFS(), failAfter),
+				entered: make(chan struct{}, 1),
+				release: make(chan struct{}),
+			}
+			journal, err := wal.OpenDecisionLog(wal.SegmentedOptions{FS: fs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A 5 ms tick keeps the decision well behind the 1 ms
+			// deadline of the late-decision case.
+			s, err := service.New(service.Config{
+				N: 3, K: 3, Seed: 41, TickEvery: 5 * time.Millisecond, Journal: journal,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(service.NewHTTPHandler(s))
+			defer ts.Close()
+			status := func() service.TxnStatus {
+				t.Helper()
+				resp, err := http.Get(ts.URL + "/status/j1")
+				if err != nil {
+					t.Fatal(err)
+				}
+				return decode[service.TxnStatus](t, resp)
+			}
+
+			type answer struct {
+				res service.Result
+				err error
+			}
+			done := make(chan answer, 1)
+			go func() {
+				res, err := s.Submit(context.Background(), service.Request{
+					ID: "j1", Votes: tc.votes, Timeout: tc.timeout,
+				})
+				done <- answer{res, err}
+			}()
+
+			// The decision is reached and appended; its fsync is held.
+			select {
+			case <-fs.entered:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the decision never reached the journal")
+			}
+			if tc.timeout == 0 {
+				select {
+				case a := <-done:
+					t.Fatalf("POST acked %+v before the fsync resolved", a.res)
+				default:
+				}
+			}
+			for i := 0; i < 3; i++ {
+				if st := status(); st.State != tc.stalled || st.Decision != "" {
+					t.Fatalf("status while the fsync is held = %s %q, want %s and no decision",
+						st.State, st.Decision, tc.stalled)
+				}
+				time.Sleep(time.Millisecond)
+			}
+
+			close(fs.release)
+			a := <-done
+			if a.err != nil {
+				t.Fatal(a.err)
+			}
+			if a.res.State != tc.wantResult {
+				t.Fatalf("POST answered %s, want %s", a.res.State, tc.wantResult)
+			}
+			// The POST path publishes before it acks; the late path has no
+			// ack to wait on, so poll.
+			deadline := time.Now().Add(10 * time.Second)
+			st := status()
+			for st.State != tc.wantStatus && tc.timeout != 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+				st = status()
+			}
+			if st.State != tc.wantStatus || st.Decision != string(tc.wantStatus) {
+				t.Fatalf("status after the fsync resolved = %s %q, want %s", st.State, st.Decision, tc.wantStatus)
+			}
+
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := s.Close(ctx); err != nil {
+				t.Errorf("close: %v", err)
+			}
+			if err := journal.Close(); (err != nil) != tc.failSync {
+				t.Errorf("journal close: %v", err)
+			}
+		})
+	}
+}

@@ -60,33 +60,17 @@ func liveInstances(s *Service, p types.ProcID) int {
 	return total
 }
 
-func TestCrashRescuesOrphanedSingle(t *testing.T) {
-	s := frozenService(t, Config{N: 3, Seed: 17})
-	coord := submitFrozen(t, s, "orphan-single")
+func TestCrashRescuesOrphanedBatch(t *testing.T) {
+	s := frozenService(t, Config{N: 3, Seed: 19, BatchMax: 8})
+	coord := submitFrozen(t, s, "orphan-batch-member")
 	if got := liveInstances(s, coord); got != 0 {
 		t.Fatalf("pre-crash: %d instances off the coordinator (GO cannot have flooded)", got)
 	}
 	if err := s.Crash(coord); err != nil {
 		t.Fatal(err)
 	}
-	// Crash rescues synchronously: a live manager must now hold the
-	// instance and the status must name a live coordinator.
-	if got := liveInstances(s, coord); got != 1 {
-		t.Fatalf("post-crash: %d live instances, want 1 (rescue did not re-begin)", got)
-	}
-	st, ok := s.Status("orphan-single")
-	if !ok || st.Coordinator == coord {
-		t.Fatalf("status still names crashed coordinator %d (ok=%v)", coord, ok)
-	}
-}
-
-func TestCrashRescuesOrphanedBatch(t *testing.T) {
-	s := frozenService(t, Config{N: 3, Seed: 19, BatchAgreement: true, BatchMax: 8})
-	coord := submitFrozen(t, s, "orphan-batch-member")
-	if err := s.Crash(coord); err != nil {
-		t.Fatal(err)
-	}
-	// The whole batch re-begins as ONE batched instance on a live node.
+	// Crash rescues synchronously: the whole batch re-begins as ONE
+	// batched instance on a live node.
 	if got := liveInstances(s, coord); got != 1 {
 		t.Fatalf("post-crash: %d live instances, want 1 batch (rescue did not re-begin)", got)
 	}

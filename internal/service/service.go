@@ -11,11 +11,12 @@
 //     an explicit TIMEOUT result, never a hang. (TIMEOUT means unknown —
 //     the cluster may still commit the transaction; Status keeps
 //     answering afterward.)
-//   - Batching: queued submissions are coalesced into concurrent commit
-//     instances, spread across per-transaction coordinators round-robin,
-//     so many protocol instances interleave on the same processors — the
-//     paper's distributed-database setting under real goroutine
-//     concurrency.
+//   - Batching: each dispatcher wake coalesces the queued submissions
+//     into ONE batched Protocol 2 instance deciding their outcome vector
+//     (a lone submission is a batch of width 1), on a coordinator picked
+//     round-robin, so many protocol instances interleave on the same
+//     processors — the paper's distributed-database setting under real
+//     goroutine concurrency.
 //   - Lifecycle: Close drains gracefully — queued work still dispatches,
 //     in-flight transactions finish or time out, then the cluster stops.
 //   - Instrumentation: counters plus a bounded latency recorder
@@ -57,7 +58,7 @@ type pending struct {
 	// pending is published, so the mu handoff makes it visible.
 	admitU int64
 	// dequeueU is set by the dispatcher goroutine when the submission
-	// leaves the queue and read only on that goroutine (dispatchOne).
+	// leaves the queue and read only on that goroutine (dispatchBatch).
 	dequeueU int64
 	// dispatched, coordinator, dispatchU, and batch are written under
 	// Service.mu.
@@ -65,7 +66,7 @@ type pending struct {
 	coordinator types.ProcID
 	dispatchU   int64
 	// batch names the agreement batch the submission dispatched in
-	// (batched mode only; empty for per-transaction instances).
+	// (empty until then).
 	batch string
 }
 
@@ -88,7 +89,7 @@ type svcMetrics struct {
 	stage          *obs.HistogramVec // seconds per pipeline stage, labels: shard, stage
 	occupancy      *obs.Histogram    // members per dispatched agreement batch
 	batchesDecided *obs.Counter      // batches whose every member resolved
-	rescues        *obs.Counter      // orphaned singles/batches re-dispatched after a coordinator crash
+	rescues        *obs.Counter      // orphaned batches re-dispatched after a coordinator crash
 }
 
 // OccupancyBuckets are the upper bounds for the batch-occupancy
@@ -116,12 +117,12 @@ func newSvcMetrics(reg *obs.Registry, shard string) svcMetrics {
 			"Per-stage latency of the submission pipeline (admit, batch, dispatch, decided, notify).",
 			obs.DefBuckets, "shard", "stage"),
 		occupancy: reg.HistogramVec("service_batch_occupancy",
-			"Members per dispatched agreement batch (batched agreement mode).",
+			"Members per dispatched agreement batch.",
 			OccupancyBuckets, "shard").With(shard),
 		batchesDecided: reg.CounterVec("service_batches_decided_total",
 			"Agreement batches whose every member reached a terminal state.", "shard").With(shard),
 		rescues: reg.CounterVec("service_rescues_total",
-			"Orphaned transactions or batches re-dispatched to a live coordinator after a coordinator fail-stop.", "shard").With(shard),
+			"Orphaned batches re-dispatched to a live coordinator after a coordinator fail-stop.", "shard").With(shard),
 	}
 }
 
@@ -164,28 +165,31 @@ type Service struct {
 	stopped   bool
 	nextID    uint64
 	nextBatch uint64
-	// batchLeft tracks, per dispatched agreement batch, how many members
-	// have not yet reached a terminal state.
-	batchLeft map[string]int
-	// batchMembers retains each dispatched batch's ordered member list,
-	// and batchUndecided how many members still lack a protocol decision
-	// (distinct from batchLeft: a deadline makes a member terminal
-	// without deciding it). Both exist for rescueOrphans — a batch whose
-	// coordinator fail-stops pre-GO must be re-dispatchable verbatim, same
-	// batch id and same vector order, so a partially propagated original
-	// merges instead of forking. Entries are dropped once every member
-	// holds a decision.
-	batchMembers   map[string][]txn.ID
-	batchUndecided map[string]int
-	rr             int
-	crashed        []bool
-	maxBatch       int
-	pendings       map[txn.ID]*pending
-	statuses       map[string]*status
+	// batches holds each dispatched agreement batch until every member is
+	// both terminal and decided.
+	batches  map[string]*batchState
+	rr       int
+	crashed  []bool
+	maxBatch int
+	pendings map[txn.ID]*pending
+	statuses map[string]*status
 	// finished is the FIFO of terminal status ids for bounded retention.
 	finished     []string
 	finishedHead int
 	votesByTxn   map[txn.ID][]bool
+}
+
+// batchState is the service's book on one dispatched agreement batch.
+type batchState struct {
+	// members is the batch's vector order: rescueOrphans re-dispatches a
+	// batch whose coordinator fail-stopped pre-GO verbatim, same batch id
+	// and same order, so a partially propagated original merges instead
+	// of forking.
+	members []txn.ID
+	// unresolved counts members not yet terminal, undecided those without
+	// a protocol decision; a deadline makes a member terminal without
+	// deciding it.
+	unresolved, undecided int
 }
 
 // status is the internal mutable record behind TxnStatus.
@@ -194,11 +198,8 @@ type status struct {
 	// first is the first decision any node reported; later conflicting
 	// reports count as safety violations.
 	first types.Decision
-	// dispatched marks that a coordinator actually began this
-	// transaction; Coordinator is meaningful only then.
-	dispatched bool
-	// batch is the agreement batch this transaction dispatched in
-	// (batched mode), "" for a single instance.
+	// batch is the agreement batch this transaction dispatched in ("" until
+	// then); Coordinator is meaningful only once it is set.
 	batch string
 }
 
@@ -220,9 +221,7 @@ func New(cfg Config) (*Service, error) {
 		met:            newSvcMetrics(cfg.Registry, cfg.shardLabel()),
 		crashCtr:       runtime.CrashCounter(cfg.Registry),
 		crashed:        make([]bool, cfg.N),
-		batchLeft:      make(map[string]int),
-		batchMembers:   make(map[string][]txn.ID),
-		batchUndecided: make(map[string]int),
+		batches:        make(map[string]*batchState),
 		pendings:       make(map[txn.ID]*pending),
 		statuses:       make(map[string]*status),
 		votesByTxn:     make(map[txn.ID][]bool),
@@ -247,7 +246,7 @@ func New(cfg Config) (*Service, error) {
 				TxnStatus: TxnStatus{ID: id, State: stateOf(d), Decision: d.String()},
 				first:     d,
 			}
-			s.retainLocked(id)
+			s.retire(s.retainLocked(id))
 		}
 	}
 	shardLabel := cfg.shardLabel()
@@ -446,7 +445,8 @@ func (s *Service) Submit(ctx context.Context, req Request) (Result, error) {
 }
 
 // dispatch is the admission-queue consumer: it coalesces queued
-// submissions into batches and begins each on the next live coordinator.
+// submissions into batches and begins each as one agreement instance on
+// the next live coordinator.
 func (s *Service) dispatch() {
 	defer close(s.dispatcherDone)
 	for first := range s.queue {
@@ -471,21 +471,15 @@ func (s *Service) dispatch() {
 			s.maxBatch = len(batch)
 		}
 		s.mu.Unlock()
-		if s.cfg.BatchAgreement {
-			s.dispatchBatch(batch)
-			continue
-		}
-		for _, p := range batch {
-			s.dispatchOne(p)
-		}
+		s.dispatchBatch(batch)
 	}
 }
 
 // dispatchBatch begins ONE batched agreement instance for a coalesced
 // batch: the members' votes are packed into one vote vector and the
-// whole vector is decided by a single Protocol 2 run. Each member still
-// holds its own in-flight slot, so MaxInFlight keeps bounding
-// transactions (not instances) and admission behavior is unchanged.
+// whole vector is decided by a single Protocol 2 run. Each member holds
+// its own in-flight slot, so MaxInFlight bounds transactions, not
+// instances.
 func (s *Service) dispatchBatch(batch []*pending) {
 	entryU := s.cfg.Spans.Now()
 	for _, p := range batch {
@@ -521,7 +515,13 @@ func (s *Service) dispatchBatch(batch []*pending) {
 		return
 	}
 	s.nextBatch++
-	bid := txn.BatchID(fmt.Sprintf("batch-%d", s.nextBatch))
+	// Batch ids key the shared tracer and span collector, so groups
+	// hosted in one daemon qualify theirs with their shard label.
+	name := "batch-" + strconv.FormatUint(s.nextBatch, 10)
+	if s.cfg.Shard != "" {
+		name = "s" + s.cfg.Shard + "-" + name
+	}
+	bid := txn.BatchID(name)
 	coord := s.nextCoordinatorLocked()
 	dispatchU := s.cfg.Spans.Now()
 	ids := make([]txn.ID, len(live))
@@ -536,13 +536,10 @@ func (s *Service) dispatchBatch(batch []*pending) {
 		if st := s.statuses[string(p.id)]; st != nil {
 			st.State = StateRunning
 			st.Coordinator = coord
-			st.dispatched = true
 			st.batch = string(bid)
 		}
 	}
-	s.batchLeft[string(bid)] = len(live)
-	s.batchMembers[string(bid)] = ids
-	s.batchUndecided[string(bid)] = len(live)
+	s.batches[string(bid)] = &batchState{members: ids, unresolved: len(live), undecided: len(live)}
 	s.mu.Unlock()
 	// Members that resolved while queued (deadline hit) never dispatch;
 	// their slots go straight back.
@@ -550,7 +547,7 @@ func (s *Service) dispatchBatch(batch []*pending) {
 		<-s.slots
 	}
 	s.met.occupancy.Observe(float64(len(live)))
-	detail := "coordinator=" + strconv.Itoa(int(coord)) + " batch=" + string(bid)
+	detail := "coordinator=" + strconv.Itoa(int(coord)) + " " + obs.BatchDetail(string(bid))
 	for _, p := range live {
 		s.recordStage(p.id, span.StageDispatch, entryU, dispatchU, detail)
 	}
@@ -558,44 +555,6 @@ func (s *Service) dispatchBatch(batch []*pending) {
 		for _, p := range live {
 			s.resolve(p, StateFailed, types.DecisionNone)
 		}
-	}
-}
-
-// dispatchOne acquires an in-flight slot and begins the instance.
-func (s *Service) dispatchOne(p *pending) {
-	entryU := s.cfg.Spans.Now()
-	s.recordStage(p.id, span.StageAdmit, p.admitU, p.dequeueU, "")
-	s.recordStage(p.id, span.StageBatch, p.dequeueU, entryU, "")
-	select {
-	case s.slots <- struct{}{}:
-	case <-s.abort:
-		s.resolve(p, StateTimeout, types.DecisionNone)
-		return
-	}
-
-	s.mu.Lock()
-	if _, live := s.pendings[p.id]; !live {
-		// Timed out (or hard-aborted) while queued; the slot was never
-		// really used.
-		s.mu.Unlock()
-		<-s.slots
-		return
-	}
-	coord := s.nextCoordinatorLocked()
-	p.dispatched = true
-	p.coordinator = coord
-	p.dispatchU = s.cfg.Spans.Now()
-	if st := s.statuses[string(p.id)]; st != nil {
-		st.State = StateRunning
-		st.Coordinator = coord
-		st.dispatched = true
-	}
-	s.mu.Unlock()
-	s.recordStage(p.id, span.StageDispatch, entryU, p.dispatchU,
-		"coordinator="+strconv.Itoa(int(coord)))
-
-	if err := s.managers[coord].Begin(p.id, p.votes[coord]); err != nil {
-		s.resolve(p, StateFailed, types.DecisionNone)
 	}
 }
 
@@ -649,27 +608,63 @@ func (s *Service) onOutcome(p types.ProcID, o txn.Outcome) {
 		return
 	}
 	st.first = o.Decision
-	if st.batch != "" {
-		if left, ok := s.batchUndecided[st.batch]; ok {
-			if left <= 1 {
-				delete(s.batchUndecided, st.batch)
-				delete(s.batchMembers, st.batch)
-			} else {
-				s.batchUndecided[st.batch] = left - 1
-			}
-		}
+	if b := s.batches[st.batch]; b != nil {
+		b.undecided--
+		s.dropBatchLocked(st.batch, b)
 	}
 	pd := s.pendings[o.Txn]
-	if pd == nil && st.State == StateTimeout {
+	late := pd == nil && st.State == StateTimeout
+	s.mu.Unlock()
+	switch {
+	case pd != nil:
+		s.resolve(pd, stateOf(o.Decision), o.Decision)
+	case late:
 		// The submission already resolved as TIMEOUT (unknown) but the
 		// cluster has now decided; decisions are absorbing, so the status
-		// table adopts it — recovery clients poll exactly for this.
-		st.State = stateOf(o.Decision)
-		st.Decision = o.Decision.String()
+		// table adopts it — recovery clients poll exactly for this — once
+		// the journal holds it, like any acked decision.
+		s.durably(string(o.Txn), o.Decision, func(error) {
+			s.mu.Lock()
+			s.publishLocked(string(o.Txn), stateOf(o.Decision), o.Decision)
+			s.mu.Unlock()
+		})
 	}
-	s.mu.Unlock()
-	if pd != nil {
-		s.resolve(pd, stateOf(o.Decision), o.Decision)
+}
+
+// dropBatchLocked forgets a batch with nothing left to resolve, decide
+// or rescue. Caller holds mu.
+func (s *Service) dropBatchLocked(bid string, b *batchState) {
+	if b.unresolved == 0 && b.undecided == 0 {
+		delete(s.batches, bid)
+	}
+}
+
+// durably runs then once the journal, if one is configured, has resolved
+// the fsync covering id's decision: with nil when the decision is
+// durable, with the error when the flush failed or the journal refused
+// the append. then runs on the journal writer's goroutine and must not
+// call back into the journal.
+func (s *Service) durably(id string, d types.Decision, then func(error)) {
+	if s.cfg.Journal == nil {
+		then(nil)
+		return
+	}
+	if err := s.cfg.Journal.Append(id, d, then); err != nil {
+		then(err)
+	}
+}
+
+// publishLocked makes a transaction's terminal state and decision
+// visible to Status. For a COMMIT/ABORT under a journal the caller is
+// durably's callback, so Status never reports a decision the disk may
+// not hold; a failed flush still publishes, keeping the protocol's
+// decision. Caller holds mu.
+func (s *Service) publishLocked(id string, state State, d types.Decision) {
+	if st := s.statuses[id]; st != nil {
+		st.State = state
+		if d != types.DecisionNone {
+			st.Decision = d.String()
+		}
 	}
 }
 
@@ -684,29 +679,26 @@ func (s *Service) resolve(p *pending, state State, d types.Decision) {
 	}
 	delete(s.pendings, p.id)
 	latency := time.Since(p.submitted)
+	decision := state == StateCommit || state == StateAbort
+	var evicted []string
 	if st := s.statuses[string(p.id)]; st != nil {
-		st.State = state
 		st.Latency = latency
-		if d != types.DecisionNone {
-			st.Decision = d.String()
+		if !decision {
+			s.publishLocked(string(p.id), state, d)
 		}
-		s.retainLocked(string(p.id))
+		evicted = s.retainLocked(string(p.id))
 	}
 	dispatched := p.dispatched
 	coord := p.coordinator
 	dispatchU := p.dispatchU
 	batchDone := false
-	if p.batch != "" {
-		if left, ok := s.batchLeft[p.batch]; ok {
-			if left <= 1 {
-				delete(s.batchLeft, p.batch)
-				batchDone = true
-			} else {
-				s.batchLeft[p.batch] = left - 1
-			}
-		}
+	if b := s.batches[p.batch]; b != nil {
+		b.unresolved--
+		batchDone = b.unresolved == 0
+		s.dropBatchLocked(p.batch, b)
 	}
 	s.mu.Unlock()
+	s.retire(evicted)
 	if batchDone {
 		s.met.batchesDecided.Inc()
 	}
@@ -734,7 +726,7 @@ func (s *Service) resolve(p *pending, state State, d types.Decision) {
 	if p.timer != nil {
 		p.timer.Stop()
 	}
-	if state == StateCommit || state == StateAbort {
+	if decision {
 		s.lat.Add(float64(latency) / float64(time.Millisecond))
 		s.met.latency.Observe(latency.Seconds())
 	}
@@ -749,6 +741,13 @@ func (s *Service) resolve(p *pending, state State, d types.Decision) {
 		Latency:     latency,
 	}
 	deliver := func(jerr error) {
+		if decision {
+			// Status stays RUNNING until here: it reports COMMIT/ABORT
+			// only once the journal's covering fsync has resolved.
+			s.mu.Lock()
+			s.publishLocked(string(p.id), state, d)
+			s.mu.Unlock()
+		}
 		if jerr != nil {
 			// The decision was reached but its durability could not be
 			// confirmed (a failed group flush poisons the journal); the
@@ -767,22 +766,21 @@ func (s *Service) resolve(p *pending, state State, d types.Decision) {
 			"state", string(res.State), "latency_ms", res.Latency.Milliseconds())
 		s.outstanding.Done()
 	}
-	if s.cfg.Journal != nil && (state == StateCommit || state == StateAbort) {
+	if decision {
 		// Durable ack: the journal's group-commit writer fires deliver
 		// (on its goroutine) once an fsync covers this decision, so
 		// concurrent decisions amortize one flush and no client is ever
 		// acked a decision the disk does not hold.
-		if err := s.cfg.Journal.Append(string(p.id), d, deliver); err != nil {
-			deliver(err)
-		}
+		s.durably(string(p.id), d, deliver)
 		return
 	}
 	deliver(nil)
 }
 
-// retainLocked enforces bounded retention of finished statuses. Caller
-// holds mu.
-func (s *Service) retainLocked(id string) {
+// retainLocked enforces bounded retention of finished statuses and,
+// under a journal, returns the ids it evicted, for retire. Caller holds
+// mu.
+func (s *Service) retainLocked(id string) (evicted []string) {
 	s.finished = append(s.finished, id)
 	for len(s.finished)-s.finishedHead > s.cfg.StatusRetention {
 		old := s.finished[s.finishedHead]
@@ -791,15 +789,24 @@ func (s *Service) retainLocked(id string) {
 		delete(s.statuses, old)
 		delete(s.votesByTxn, txn.ID(old))
 		if s.cfg.Journal != nil {
-			// The status is gone, so the journal no longer needs to
-			// recover it: retire the tombstone. This is what shrinks
-			// future snapshots and lets compaction reclaim segments.
-			s.cfg.Journal.Retire(old) //nolint:errcheck // best-effort; a poisoned journal already fails acks
+			evicted = append(evicted, old)
 		}
 	}
 	if s.finishedHead > 0 && s.finishedHead*2 > len(s.finished) {
 		s.finished = append(s.finished[:0:0], s.finished[s.finishedHead:]...)
 		s.finishedHead = 0
+	}
+	return evicted
+}
+
+// retire tells the journal that evicted statuses no longer need to be
+// recoverable: their tombstones go, which is what shrinks future
+// snapshots and lets compaction reclaim segments. Called without mu — a
+// full journal queue blocks, and the journal's writer takes mu to
+// publish decisions.
+func (s *Service) retire(evicted []string) {
+	for _, id := range evicted {
+		s.cfg.Journal.Retire(id) //nolint:errcheck // best-effort; a poisoned journal already fails acks
 	}
 }
 
@@ -845,109 +852,77 @@ func (s *Service) Crash(p types.ProcID) error {
 	return nil
 }
 
-// rescueOrphans re-dispatches undecided work stranded by a coordinator
-// fail-stop. A transaction whose coordinator crashes in the window
-// between Begin and the first GO flood is known only to the dead node:
-// no other processor ever hears of it, no decision can ever arrive, and
-// a recovery client polling Status for the absorbing outcome waits
-// forever. Re-beginning it on a live coordinator closes the window.
+// rescueOrphans re-dispatches undecided batches stranded by a
+// coordinator fail-stop. A batch whose coordinator crashes in the window
+// between BeginBatch and the first GO flood is known only to the dead
+// node: no other processor ever hears of it, no decision can ever
+// arrive, and a recovery client polling Status for the absorbing outcome
+// waits forever. Re-beginning it on a live coordinator closes the
+// window.
 //
 // This is safe under fail-stop faults because instances are keyed by
-// transaction (and batch) id: if the GO did leave the dead node before
-// the crash, the re-begin merges with the instances it seeded — live
-// joiners deliver into their existing instance, and a coordinator that
-// already knows the id rejects the duplicate Begin, which is exactly the
-// non-orphan case and is ignored. Batches are re-dispatched verbatim
-// (same batch id, same vector order) so a partially propagated original
-// merges instead of forking a second agreement for the same members.
+// batch id: if the GO did leave the dead node before the crash, the
+// re-begin merges with the instances it seeded — live joiners deliver
+// into their existing instance, and a coordinator that already knows the
+// id rejects the duplicate BeginBatch, which is exactly the non-orphan
+// case and is ignored. Batches are re-dispatched verbatim (same batch
+// id, same vector order) so a partially propagated original merges
+// instead of forking a second agreement for the same members.
 func (s *Service) rescueOrphans(p types.ProcID) {
-	type singleRescue struct {
-		id    txn.ID
-		coord types.ProcID
-		vote  bool
-	}
-	type batchRescue struct {
+	type rescue struct {
 		bid   txn.BatchID
 		coord types.ProcID
 		ids   []txn.ID
 		votes []bool
 	}
-	var singles []singleRescue
-	var brescues []batchRescue
+	var rescues []rescue
 
 	s.mu.Lock()
-	ids := make([]string, 0, len(s.statuses))
-	for id := range s.statuses {
-		ids = append(ids, id)
+	bids := make([]string, 0, len(s.batches))
+	for bid, b := range s.batches {
+		if b.undecided > 0 {
+			bids = append(bids, bid)
+		}
 	}
-	sort.Strings(ids) // deterministic rescue order
-	seenBatch := make(map[string]bool)
-	for _, id := range ids {
-		st := s.statuses[id]
-		if !st.dispatched || st.Coordinator != p || st.first != types.DecisionNone {
-			continue
+	sort.Strings(bids) // deterministic rescue order
+	for _, bid := range bids {
+		members := s.batches[bid].members
+		stranded, known := false, true
+		for _, m := range members {
+			st := s.statuses[string(m)]
+			if st != nil && st.Coordinator == p && st.first == types.DecisionNone &&
+				(st.State == StateRunning || st.State == StateTimeout) {
+				stranded = true
+			}
+			if _, ok := s.votesByTxn[m]; !ok {
+				known = false // retention evicted a member's votes
+			}
 		}
-		if st.State != StateRunning && st.State != StateTimeout {
-			continue
-		}
-		if st.batch != "" {
-			if seenBatch[st.batch] {
-				continue
-			}
-			seenBatch[st.batch] = true
-			members := s.batchMembers[st.batch]
-			if members == nil {
-				continue // batch decided concurrently; nothing stranded
-			}
-			coord := s.nextCoordinatorLocked()
-			votes := make([]bool, len(members))
-			known := true
-			for i, m := range members {
-				v, ok := s.votesByTxn[m]
-				if !ok {
-					known = false // retention evicted a member's votes
-					break
-				}
-				votes[i] = v[coord]
-			}
-			if !known {
-				continue
-			}
-			for _, m := range members {
-				if mst := s.statuses[string(m)]; mst != nil {
-					mst.Coordinator = coord
-				}
-			}
-			brescues = append(brescues, batchRescue{
-				bid: txn.BatchID(st.batch), coord: coord, ids: members, votes: votes,
-			})
-			continue
-		}
-		v, ok := s.votesByTxn[txn.ID(id)]
-		if !ok {
+		if !stranded || !known {
 			continue
 		}
 		coord := s.nextCoordinatorLocked()
-		st.Coordinator = coord
-		singles = append(singles, singleRescue{id: txn.ID(id), coord: coord, vote: v[coord]})
+		votes := make([]bool, len(members))
+		for i, m := range members {
+			votes[i] = s.votesByTxn[m][coord]
+			if st := s.statuses[string(m)]; st != nil {
+				st.Coordinator = coord
+			}
+		}
+		rescues = append(rescues, rescue{
+			bid: txn.BatchID(bid), coord: coord, ids: members, votes: votes,
+		})
 	}
 	s.mu.Unlock()
 
-	// Managers are called without s.mu held: Begin takes shard locks and
-	// the vote callback for joins takes s.mu.
-	for _, r := range singles {
-		s.met.rescues.Inc()
-		s.cfg.Logger.Info("rescued orphaned transaction",
-			olog.Txn(string(r.id)), olog.Shard(s.cfg.shardLabel()),
-			olog.Node(int(r.coord)), "crashed", int(p))
-		s.managers[r.coord].Begin(r.id, r.vote) //nolint:errcheck // already-known: the GO propagated
-	}
-	for _, b := range brescues {
+	// Managers are called without s.mu held: BeginBatch takes shard locks
+	// and the vote callback for joins takes s.mu.
+	for _, r := range rescues {
 		s.met.rescues.Inc()
 		s.cfg.Logger.Info("rescued orphaned batch",
-			olog.Shard(s.cfg.shardLabel()), olog.Node(int(b.coord)),
-			"batch", string(b.bid), "members", len(b.ids), "crashed", int(p))
-		s.managers[b.coord].BeginBatch(b.bid, b.ids, b.votes) //nolint:errcheck // already-known: the GO propagated
+			olog.Shard(s.cfg.shardLabel()), olog.Node(int(r.coord)),
+			"batch", string(r.bid), "members", len(r.ids), "crashed", int(p))
+		s.managers[r.coord].BeginBatch(r.bid, r.ids, r.votes) //nolint:errcheck // already-known: the GO propagated
 	}
 }
 

@@ -42,16 +42,16 @@ type Config struct {
 	// 128). Admitted submissions beyond it wait in the queue.
 	MaxInFlight int
 	// BatchMax bounds how many queued submissions one dispatcher wake
-	// coalesces into concurrent instances (default 64). In batched
-	// agreement mode it is also the widest outcome vector one instance
-	// decides.
+	// coalesces (default 64): the widest outcome vector one batched
+	// Protocol 2 instance decides — one coin flood, one vote exchange,
+	// one agreement run per batch. A lone submission is a batch of one.
+	// Clamped to MaxInFlight: every member holds a slot before its batch
+	// begins, so a wider batch could never collect them all.
 	BatchMax int
-	// BatchAgreement switches the dispatcher to batched vector-outcome
-	// agreement: each dispatcher wake begins ONE batched Protocol 2
-	// instance deciding the outcome vector for every coalesced
-	// submission — one coin flood, one vote exchange, one agreement run
-	// per batch — instead of one instance per transaction. Per-request
-	// results, statuses, and cross-node decision checking are unchanged.
+	// BatchAgreement is ignored (deprecated): every dispatch is a batch,
+	// so there is no per-transaction mode left to switch away from. The
+	// field remains only because bench/ sets it; delete it when bench/
+	// next changes.
 	BatchAgreement bool
 	// InboxShards splits each transaction manager's state across that
 	// many independently locked inbox shards (default 8). The count is
@@ -162,6 +162,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 64
+	}
+	if c.BatchMax > c.MaxInFlight {
+		c.BatchMax = c.MaxInFlight
 	}
 	if c.InboxShards <= 0 {
 		c.InboxShards = 8

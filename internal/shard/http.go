@@ -152,23 +152,11 @@ func NewHTTPHandler(c *Coordinator) http.Handler {
 
 // byTxnFamily filters a span graph to one transaction and its children
 // (the "#s<k>" per-shard transactions a cross-shard submission spawns),
-// so one query shows the whole two-layer causal picture.
+// each with the agreement batch that decided it, so one query shows the
+// whole two-layer causal picture.
 func byTxnFamily(g *span.Graph, txn string) *span.Graph {
-	out := &span.Graph{Unit: g.Unit, Dropped: g.Dropped}
-	keep := make(map[int]bool)
 	prefix := txn + childSep
-	for _, s := range g.Spans {
-		if s.Txn == txn || strings.HasPrefix(s.Txn, prefix) {
-			out.Spans = append(out.Spans, s)
-			keep[s.ID] = true
-		}
-	}
-	for _, e := range g.Edges {
-		if keep[e.From] && keep[e.To] {
-			out.Edges = append(out.Edges, e)
-		}
-	}
-	return out
+	return g.Filter(func(t string) bool { return t == txn || strings.HasPrefix(t, prefix) })
 }
 
 // writeSubmitError maps Submit's typed errors to HTTP statuses,

@@ -134,6 +134,20 @@ func TestShardedHTTPSurface(t *testing.T) {
 	if !txns["web-x"] || !txns[shard.ChildID("web-x", 0)] || !txns[shard.ChildID("web-x", 1)] {
 		t.Fatalf("span family incomplete: %v", txns)
 	}
+	// Each child's agreement batch comes along, under its own group's
+	// shard-qualified key: two groups never share a batch key.
+	batches := 0
+	for id := range txns {
+		switch {
+		case strings.HasPrefix(id, "batch:s0-batch-"), strings.HasPrefix(id, "batch:s1-batch-"):
+			batches++
+		case strings.HasPrefix(id, "batch:"):
+			t.Fatalf("batch key %q lacks its group's shard label", id)
+		}
+	}
+	if batches != 2 {
+		t.Fatalf("span family carries %d batches, want one per child: %v", batches, txns)
+	}
 
 	// Per-shard crash endpoint; out-of-range shard rejected.
 	resp = postJSON(t, ts.URL+"/crash/1/2", nil)

@@ -12,8 +12,7 @@ import (
 
 // BatchID names a batched agreement instance. Batches get their own id
 // space: hashing by batch id (not member id) keeps every message for one
-// batch on one shard, so a batch instance — like a single instance — has
-// exactly one owning lock.
+// batch on one shard, so an instance has exactly one owning lock.
 type BatchID string
 
 // BatchEnvelope wraps a batched Protocol 2 payload with its batch id and
@@ -37,7 +36,7 @@ func (e BatchEnvelope) Kind() string {
 
 // TxnID exposes a stable trace key for link-span attribution; batch
 // frames are attributed to the batch, not a member.
-func (e BatchEnvelope) TxnID() string { return "batch:" + string(e.Batch) }
+func (e BatchEnvelope) TxnID() string { return obs.BatchKey(string(e.Batch)) }
 
 // SizeBits implements types.Sized: inner payload, a 64-bit batch id
 // hash, and a 64-bit id hash per member.
@@ -45,46 +44,40 @@ func (e BatchEnvelope) SizeBits() int {
 	return types.SizeOf(e.Inner) + 64 + 64*len(e.Txns)
 }
 
-// binstance tracks one batched commit machine plus the same lifecycle
-// and trace edge-detection state instance keeps, and the per-element
-// reporting bitmap that fans batch decisions back out to transactions.
+// binstance tracks one batched commit machine plus the lifecycle
+// metadata the retirement policy needs, the tracer's edge-detection
+// state (each protocol milestone is recorded once per instance), and the
+// per-element reporting bitmap that fans batch decisions back out to
+// transactions.
 type binstance struct {
 	c    *core.BatchCommit
 	txns []ID
 	idx  map[ID]int
 	key  string // trace/span key: "batch:<id>"
 
-	born     int
-	haltedAt int
+	born     int // manager clock at spawn
+	haltedAt int // manager clock when first seen halted; -1 while running
 
-	goRecv    bool
-	goSent    bool
-	voteSent  bool
-	lastStage int
+	goRecv    bool // explicit GO received (traced)
+	goSent    bool // GO broadcast/relayed (traced)
+	voteSent  bool // vote vector broadcast (traced)
+	lastStage int  // last Protocol 1 stage seen (stage transitions traced)
 
-	round           int
-	roundStartClock int
-	lastRecvClock   int
-	roundStartU     int64
-	spanDone        bool
+	round           int   // current asynchronous round (1-based, span-tracked)
+	roundStartClock int   // manager clock when the current round began
+	lastRecvClock   int   // manager clock of the last frame receipt
+	roundStartU     int64 // collector clock when the current round began
+	spanDone        bool  // every member decided; stop round tracking
 
 	// reportedElems[i] marks member i's outcome as already fanned out.
 	reportedElems []bool
 	doneCounted   bool // txn_batches_decided_total incremented
 }
 
-func (b *binstance) indexOf(txn ID) int {
-	i, ok := b.idx[txn]
-	if !ok {
-		return -1
-	}
-	return i
-}
-
 // BeginBatch starts one batched agreement instance deciding all of txns
 // at once, with this node as coordinator. votes[i] is this node's vote
-// for txns[i]. The ids must be fresh: not in flight and not retired,
-// individually or in another batch.
+// for txns[i]. The ids must be fresh: not in flight and not retired
+// in another batch.
 func (m *Manager) BeginBatch(batch BatchID, txns []ID, votes []bool) error {
 	if len(txns) == 0 {
 		return fmt.Errorf("txn: batch %q has no members", batch)
@@ -128,7 +121,7 @@ func (m *Manager) spawnBatchLocked(sh *mshard, batch BatchID, txns []ID, votes [
 		idx[id] = i
 	}
 	bi := &binstance{
-		c: c, txns: members, idx: idx, key: "batch:" + string(batch),
+		c: c, txns: members, idx: idx, key: obs.BatchKey(string(batch)),
 		born: tick, haltedAt: -1,
 		round: 1, roundStartClock: tick, roundStartU: m.cfg.Spans.Now(),
 		reportedElems: make([]bool, len(members)),
@@ -160,9 +153,9 @@ func (m *Manager) joinBatchLocked(sh *mshard, env BatchEnvelope, coordinator typ
 	return m.spawnBatchLocked(sh, env.Batch, env.Txns, votes, coordinator, tick)
 }
 
-// traceBatchOutputsLocked mirrors traceOutputsLocked for a batch: the GO
-// flood and the vote-vector broadcast, each traced once under the batch
-// key.
+// traceBatchOutputsLocked records protocol milestones visible in an
+// instance's outgoing burst: the GO broadcast/relay and the vote-vector
+// broadcast, each once per instance under the batch key.
 func (m *Manager) traceBatchOutputsLocked(bi *binstance, sub []types.Message, tick int) {
 	if bi.goSent && bi.voteSent {
 		return
@@ -187,8 +180,12 @@ func (m *Manager) traceBatchOutputsLocked(bi *binstance, sub []types.Message, ti
 	}
 }
 
-// spanBatchRoundLocked is spanRoundLocked for a batch: one round span
-// per asynchronous round, attributed to the batch key.
+// spanBatchRoundLocked closes the instance's current asynchronous round
+// span when the paper's §2.2 rule fires in manager-clock terms — the
+// round ends K ticks after the later of its start and the last frame
+// receipt — then opens the next round. force closes the in-progress
+// round regardless (used when a member decides, so the member's decided
+// marker has a finished round to follow). Caller holds the shard lock.
 func (m *Manager) spanBatchRoundLocked(bi *binstance, tick int, force bool) {
 	if m.cfg.Spans == nil || bi.spanDone {
 		return
@@ -250,6 +247,7 @@ func (m *Manager) stepBatchesLocked(sh *mshard, tick int, rnd types.Rand, out []
 			out = append(out, sub...)
 		}
 
+		roundClosed := false
 		for i, txn := range bi.txns {
 			if bi.reportedElems[i] {
 				continue
@@ -261,16 +259,23 @@ func (m *Manager) stepBatchesLocked(sh *mshard, tick int, rnd types.Rand, out []
 			bi.reportedElems[i] = true
 			m.met.decided.With(m.node, d.String()).Inc()
 			m.met.rounds.Observe(float64(tick - bi.born))
-			if m.cfg.Tracer != nil {
-				m.trace(string(txn), obs.EventDecided, tick, "decision="+d.String())
-			}
-			if m.cfg.Spans != nil {
-				now := m.cfg.Spans.Now()
-				m.cfg.Spans.Add(span.Span{
-					Txn: string(txn), Track: span.ProcTrack(int(m.cfg.ID)),
-					Name: "decided", Kind: span.KindStage, Start: now, End: now,
-					From: -1, To: -1, Detail: "decision=" + d.String() + " batch=" + string(b),
-				})
+			if m.cfg.Tracer != nil || m.cfg.Spans != nil {
+				// The member's records name its batch so a per-transaction
+				// view can follow it to the rounds and links that decided it.
+				detail := "decision=" + d.String() + " " + obs.BatchDetail(string(b))
+				m.trace(string(txn), obs.EventDecided, tick, detail)
+				if m.cfg.Spans != nil {
+					if !roundClosed {
+						m.spanBatchRoundLocked(bi, tick, true)
+						roundClosed = true
+					}
+					now := m.cfg.Spans.Now()
+					m.cfg.Spans.Add(span.Span{
+						Txn: string(txn), Track: span.ProcTrack(int(m.cfg.ID)),
+						Name: "decided", Kind: span.KindStage, Start: now, End: now,
+						From: -1, To: -1, Detail: detail,
+					})
+				}
 			}
 			o := Outcome{Txn: txn, Decision: d}
 			sh.pending = append(sh.pending, o)
@@ -278,11 +283,8 @@ func (m *Manager) stepBatchesLocked(sh *mshard, tick int, rnd types.Rand, out []
 		}
 		if !bi.doneCounted && bi.c.DecidedCount() == bi.c.Width() {
 			bi.doneCounted = true
+			bi.spanDone = true
 			m.met.batches.Inc()
-			if m.cfg.Spans != nil && !bi.spanDone {
-				m.spanBatchRoundLocked(bi, tick, true)
-				bi.spanDone = true
-			}
 		}
 		m.spanBatchRoundLocked(bi, tick, false)
 		if m.cfg.MaxAge > 0 && tick-bi.born >= m.cfg.MaxAge && !bi.c.Halted() {

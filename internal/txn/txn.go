@@ -5,34 +5,33 @@
 //
 // Each node runs one Manager, itself a types.Machine, so the same
 // simulator and live runtimes drive it. The Manager demultiplexes
-// envelope-wrapped protocol messages to per-transaction Protocol 2
-// machines, creating participant instances on demand (the first envelope
-// for an unknown transaction reaches the node's VoteFunc to obtain its
-// vote) and advancing every active instance one step per Manager step.
-// Any node may coordinate a transaction (the paper fixes processor 0
-// without loss of generality; core.Config.Coordinator generalizes it).
+// envelope-wrapped protocol messages to batched Protocol 2 machines
+// (core.BatchCommit), creating participant instances on demand (the
+// first frame of an unknown batch reaches the node's VoteFunc once per
+// member to obtain its vote vector) and advancing every active instance
+// one step per Manager step. Any node may coordinate (the paper fixes
+// processor 0 without loss of generality; core.BatchConfig.Coordinator
+// generalizes it).
 //
-// Two scaling mechanisms serve the hot path:
+// There is one instance kind. BeginBatch starts one instance deciding
+// the outcome vector for many transactions at once — one coin flood, one
+// vote exchange, one agreement run per batch — and Begin is its width-1
+// case: the paper's Protocol 2 for a single transaction. Per-transaction
+// observability (Outcomes, Watch, DecisionOf, OnOutcome) is element-wise;
+// elements report individually as they decide.
 //
-//   - Batched agreement (BeginBatch): one batched Protocol 2 instance
-//     (core.BatchCommit) decides the outcome vector for many
-//     transactions at once — one coin flood, one vote exchange, one
-//     agreement run per batch. Per-transaction observability (Outcome,
-//     Watch, DecisionOf, OnOutcome) is unchanged; elements report
-//     individually as they decide.
-//   - Sharded inboxes (Config.InboxShards): the manager's state is split
-//     into S shards, each with its own mutex and its own scratch
-//     buffers, with ids assigned by the repository hash
-//     (internal/hash64). The stepping goroutine still visits shards in
-//     index order (determinism), but client-side calls — Begin, Watch,
-//     DecisionOf, metrics gauges — contend only on the shard their id
-//     hashes to instead of one global lock. No code path ever holds two
-//     shard locks at once.
+// The manager's state is split into Config.InboxShards shards, each with
+// its own mutex and its own scratch buffers, with batches placed by the
+// repository hash of their id (internal/hash64). The stepping goroutine
+// visits shards in index order (determinism), but client-side calls —
+// BeginBatch, Watch, DecisionOf, metrics gauges — contend only on the
+// shard their id hashes to instead of one global lock. No code path ever
+// holds two shard locks at once.
 //
 // Long-lived deployments (internal/service) configure RetireAfter so a
 // decided instance is eventually removed from the step loop, leaving only
-// a tombstone with its decision; per-step cost then tracks the number of
-// *active* transactions, not every transaction the node has ever seen.
+// a tombstone with its decisions; per-step cost then tracks the number of
+// *active* batches, not every transaction the node has ever seen.
 // Completion is observable without polling via OnOutcome (a callback
 // invoked from the stepping goroutine) or Watch (a per-transaction
 // channel).
@@ -55,7 +54,9 @@ import (
 // ID names a transaction.
 type ID string
 
-// Envelope wraps a Protocol 2 payload with its transaction id.
+// Envelope wraps a payload with a transaction id. The manager neither
+// emits nor consumes it (every protocol frame is a BatchEnvelope); it
+// survives, with its wire tag, as the hop payload bench/ names.
 type Envelope struct {
 	Txn   ID
 	Inner types.Payload
@@ -103,25 +104,24 @@ type Config struct {
 	// the manager).
 	OnOutcome func(Outcome)
 	// RetireAfter, when positive, removes an instance that many ticks
-	// after it halts, keeping only a decision tombstone: later envelopes
-	// for the transaction are dropped instead of respawning a fresh
-	// instance (which could disagree with the recorded decision), and
-	// DecisionOf keeps answering from the tombstone. Zero keeps every
-	// instance forever (the pre-service behavior, right for bounded
-	// batches).
+	// after it halts, keeping only decision tombstones: later frames for
+	// the batch are dropped instead of respawning a fresh instance (which
+	// could disagree with the recorded decisions), and DecisionOf keeps
+	// answering from the tombstones. Zero keeps every instance forever
+	// (right for bounded runs).
 	RetireAfter int
 	// MaxAge, when positive, abandons an instance that has run that many
 	// ticks without halting — the availability valve for instances that
-	// can never finish (e.g. a transaction joined from a coordinator that
-	// then crashed along with too many peers). An abandoned undecided
-	// instance leaves a DecisionNone tombstone. Zero never abandons.
+	// can never finish (e.g. a batch joined from a coordinator that then
+	// crashed along with too many peers). An abandoned instance leaves a
+	// DecisionNone tombstone for each undecided member. Zero never
+	// abandons.
 	MaxAge int
 	// InboxShards splits the manager's state across that many
-	// independently locked shards (ids placed by the internal/hash64
-	// hash). Default 1 — the single-lock behavior, byte-identical to the
-	// pre-sharding manager. The service sets it per core to kill
-	// cross-core contention between the stepping goroutine and client
-	// queries under load.
+	// independently locked shards (batch ids placed by the
+	// internal/hash64 hash). Default 1, the single-lock behavior. The
+	// service sets a fixed count to kill cross-core contention between
+	// the stepping goroutine and client queries under load.
 	InboxShards int
 	// Registry, if non-nil, receives the manager's metrics: instances
 	// started/decided/retired/abandoned, batches decided, and a
@@ -130,14 +130,17 @@ type Config struct {
 	// Shard, when set, qualifies the node metric label ("<shard>/<id>")
 	// so several groups sharing one registry keep distinct series.
 	Shard string
-	// Tracer, if non-nil, records per-transaction protocol events (GO
-	// sent/received, vote cast, Protocol 1 stage transitions, decision).
+	// Tracer, if non-nil, records protocol events: GO sent/received, vote
+	// cast and Protocol 1 stage transitions under the batch's key
+	// ("batch:<id>"), and one decided/retired/abandoned event per member
+	// under the member's id, its Detail naming the batch.
 	Tracer *obs.Tracer
-	// Spans, if non-nil, receives per-transaction causal spans: one span
-	// per asynchronous round of each instance (closed by the live
-	// approximation of the paper's §2.2 rule — a round ends K ticks
-	// after the later of its start and the last message receipt) and a
-	// zero-length "decided" marker at the decision tick.
+	// Spans, if non-nil, receives causal spans: one span per
+	// asynchronous round of each instance under the batch's key (closed
+	// by the live approximation of the paper's §2.2 rule — a round ends
+	// K ticks after the later of its start and the last message receipt)
+	// and, per member, a zero-length "decided" marker at its decision
+	// tick whose Detail names the batch.
 	Spans *span.Collector
 }
 
@@ -170,63 +173,38 @@ func newMMetrics(reg *obs.Registry, node string) mmetrics {
 	}
 }
 
-// instance tracks one commit machine plus the lifecycle metadata the
-// retirement policy needs and the tracer's edge-detection state (each
-// protocol milestone is recorded once per instance).
-type instance struct {
-	c        *core.Commit
-	born     int // manager clock at spawn
-	haltedAt int // manager clock when first seen halted; -1 while running
-
-	goRecv    bool // explicit GO received (traced)
-	goSent    bool // GO broadcast/relayed (traced)
-	voteSent  bool // vote broadcast (traced)
-	lastStage int  // last Protocol 1 stage seen (stage transitions traced)
-
-	round           int   // current asynchronous round (1-based, span-tracked)
-	roundStartClock int   // manager clock when the current round began
-	lastRecvClock   int   // manager clock of the last envelope receipt
-	roundStartU     int64 // collector clock when the current round began
-	spanDone        bool  // decision span emitted; stop round tracking
-}
-
 // mshard is one independently locked slice of a Manager's state. The
-// stepping goroutine is the only writer of the scratch fields (byTxn,
-// byBatch, recv); mu guards everything else against concurrent client
-// calls (Begin, Watch, DecisionOf, gauges).
+// stepping goroutine is the only writer of the scratch fields (byBatch,
+// recv); mu guards everything else against concurrent client calls
+// (BeginBatch, Watch, DecisionOf, gauges).
 type mshard struct {
-	mu        sync.Mutex
-	instances map[ID]*instance
-	// order keeps deterministic iteration for simulation replay.
-	order    []ID
-	batches  map[BatchID]*binstance
-	border   []BatchID
-	pending  []Outcome
-	reported map[ID]bool
-	// retired maps finished-and-removed transactions to their decision
-	// (DecisionNone for abandoned undecided instances). Batch members
-	// are tombstoned on the batch's shard.
+	mu      sync.Mutex
+	batches map[BatchID]*binstance
+	// border keeps deterministic iteration for simulation replay.
+	border  []BatchID
+	pending []Outcome
+	// retired maps members of finished-and-removed batches to their
+	// decision (DecisionNone for members abandoned undecided), on the
+	// batch's shard.
 	retired map[ID]types.Decision
 	// retiredBatches drops stragglers for finished batches.
 	retiredBatches map[BatchID]bool
-	watchers       map[ID][]chan Outcome
+	// watchers holds Watch channels on the watched id's own shard, which
+	// can differ from its batch's.
+	watchers map[ID][]chan Outcome
 
 	// Scratch owned by the stepping goroutine; never touched by client
 	// calls, so it carries no lock.
 	recv    []types.Message
-	byTxn   map[ID][]types.Message
 	byBatch map[BatchID][]types.Message
 }
 
 func newMshard() *mshard {
 	return &mshard{
-		instances:      make(map[ID]*instance),
 		batches:        make(map[BatchID]*binstance),
-		reported:       make(map[ID]bool),
 		retired:        make(map[ID]types.Decision),
 		retiredBatches: make(map[BatchID]bool),
 		watchers:       make(map[ID][]chan Outcome),
-		byTxn:          make(map[ID][]types.Message),
 		byBatch:        make(map[BatchID][]types.Message),
 	}
 }
@@ -240,7 +218,7 @@ type Manager struct {
 	clock   atomic.Int64
 	spawned atomic.Int64
 	shards  []*mshard
-	// members maps a batch member's id to its batch so per-transaction
+	// members maps a transaction's id to its batch so per-transaction
 	// queries (Watch, DecisionOf) can find the shard holding the batch.
 	// Entries live as long as the batch's tombstone (forever, like
 	// retired) — id-keyed lookups must keep answering after retirement.
@@ -309,45 +287,11 @@ func (m *Manager) shardFor(id string) *mshard {
 // clockNow reads the manager clock without any shard lock.
 func (m *Manager) clockNow() int { return int(m.clock.Load()) }
 
-// Begin starts a transaction with this node as coordinator. Call before
-// (or while) the manager is being stepped. vote is this node's own vote.
+// Begin starts a transaction with this node as coordinator: a batch of
+// width 1 named after the transaction. Call before (or while) the
+// manager is being stepped. vote is this node's own vote.
 func (m *Manager) Begin(txn ID, vote bool) error {
-	sh := m.shardFor(string(txn))
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, exists := sh.instances[txn]; exists {
-		return fmt.Errorf("txn: transaction %q already known", txn)
-	}
-	if _, done := sh.retired[txn]; done {
-		return fmt.Errorf("txn: transaction %q already finished", txn)
-	}
-	return m.spawnLocked(sh, txn, m.cfg.ID, vote)
-}
-
-// spawnLocked creates the commit instance for txn with the given
-// coordinator. Caller holds sh.mu.
-func (m *Manager) spawnLocked(sh *mshard, txn ID, coordinator types.ProcID, vote bool) error {
-	v := types.V0
-	if vote {
-		v = types.V1
-	}
-	inst, err := core.New(core.Config{
-		ID: m.cfg.ID, N: m.cfg.N, T: m.cfg.T, K: m.cfg.K,
-		Vote: v, CoinFactor: m.cfg.CoinFactor, Gadget: true,
-		Coordinator: coordinator,
-	})
-	if err != nil {
-		return err
-	}
-	now := m.clockNow()
-	sh.instances[txn] = &instance{
-		c: inst, born: now, haltedAt: -1,
-		round: 1, roundStartClock: now, roundStartU: m.cfg.Spans.Now(),
-	}
-	sh.order = append(sh.order, txn)
-	m.spawned.Add(1)
-	m.met.started.Inc()
-	return nil
+	return m.BeginBatch(BatchID(txn), []ID{txn}, []bool{vote})
 }
 
 // trace records one event for a trace key at the given tick; nil
@@ -356,75 +300,6 @@ func (m *Manager) trace(key string, t obs.EventType, tick int, detail string) {
 	m.cfg.Tracer.Record(obs.Event{
 		Node: int(m.cfg.ID), Txn: key, Type: t, Tick: tick, Detail: detail,
 	})
-}
-
-// traceReceivedLocked records the first explicit GO receipt for txn.
-func (m *Manager) traceReceivedLocked(sh *mshard, txn ID, from types.ProcID, payload types.Payload, tick int) {
-	inst := sh.instances[txn]
-	if inst == nil || inst.goRecv {
-		return
-	}
-	if inner, _ := core.Unwrap(payload); inner != nil {
-		if _, isGo := inner.(core.GoMsg); isGo {
-			inst.goRecv = true
-			m.trace(string(txn), obs.EventGoRecv, tick, "from="+strconv.Itoa(int(from)))
-		}
-	}
-}
-
-// traceOutputsLocked records protocol milestones visible in an instance's
-// outgoing burst: the GO broadcast/relay and the vote broadcast, each
-// once per instance.
-func (m *Manager) traceOutputsLocked(txn ID, inst *instance, out []types.Message, tick int) {
-	if inst.goSent && inst.voteSent {
-		return
-	}
-	for i := range out {
-		inner, _ := core.Unwrap(out[i].Payload)
-		switch p := inner.(type) {
-		case core.GoMsg:
-			if !inst.goSent {
-				inst.goSent = true
-				m.trace(string(txn), obs.EventGoSent, tick, fmt.Sprintf("coins=%d fanout=%d", len(p.Coins), m.cfg.N))
-			}
-		case core.VoteMsg:
-			if !inst.voteSent {
-				inst.voteSent = true
-				m.trace(string(txn), obs.EventVoteCast, tick, "vote="+p.Val.String())
-			}
-		}
-		if inst.goSent && inst.voteSent {
-			return
-		}
-	}
-}
-
-// spanRoundLocked closes the instance's current asynchronous round span
-// when the paper's §2.2 rule fires in manager-clock terms — the round
-// ends K ticks after the later of its start and the last envelope
-// receipt — then opens the next round. force closes the in-progress
-// round regardless (used at decision time). Caller holds the shard lock.
-func (m *Manager) spanRoundLocked(txn ID, inst *instance, tick int, force bool) {
-	if m.cfg.Spans == nil || inst.spanDone {
-		return
-	}
-	deadline := inst.roundStartClock
-	if inst.lastRecvClock > deadline {
-		deadline = inst.lastRecvClock
-	}
-	if !force && tick < deadline+m.cfg.K {
-		return
-	}
-	now := m.cfg.Spans.Now()
-	m.cfg.Spans.Add(span.Span{
-		Txn: string(txn), Track: span.ProcTrack(int(m.cfg.ID)),
-		Name: "round " + strconv.Itoa(inst.round), Kind: span.KindRound,
-		Start: inst.roundStartU, End: now, From: -1, To: -1,
-		Detail: fmt.Sprintf("ticks %d..%d", inst.roundStartClock, tick),
-	})
-	inst.round++
-	inst.roundStartClock = tick
-	inst.roundStartU = now
 }
 
 // ID implements types.Machine.
@@ -440,21 +315,15 @@ func (m *Manager) Clock() int { return m.clockNow() }
 func (m *Manager) Decision() (types.Value, bool) { return 0, false }
 
 // Halted implements types.Machine: a manager halts only when it has seen
-// at least one transaction and every still-held instance (and batch) has
-// halted (retired instances count as finished). Persistent service nodes
-// ignore this and keep stepping for new work.
+// at least one batch and every still-held instance has halted (retired
+// instances count as finished). Persistent service nodes ignore this and
+// keep stepping for new work.
 func (m *Manager) Halted() bool {
 	if m.spawned.Load() == 0 {
 		return false
 	}
 	for _, sh := range m.shards {
 		sh.mu.Lock()
-		for _, txn := range sh.order {
-			if !sh.instances[txn].c.Halted() {
-				sh.mu.Unlock()
-				return false
-			}
-		}
 		for _, b := range sh.border {
 			if !sh.batches[b].c.Halted() {
 				sh.mu.Unlock()
@@ -478,47 +347,6 @@ func (m *Manager) Outcomes() []Outcome {
 	return out
 }
 
-// lookupLocked answers a decision query against one shard's state for an
-// id homed there (single instance or tombstone). Caller holds sh.mu.
-func (sh *mshard) lookupLocked(txn ID) (types.Decision, bool, bool) {
-	if inst, ok := sh.instances[txn]; ok {
-		d, decided := inst.c.Outcome()
-		return d, decided, true
-	}
-	if d, ok := sh.retired[txn]; ok {
-		return d, d != types.DecisionNone, true
-	}
-	return types.DecisionNone, false, false
-}
-
-// decisionOf is DecisionOf without the exported contract comment: it
-// checks the id's own shard, then its batch (if any). Locks are taken
-// one at a time, never nested.
-func (m *Manager) decisionOf(txn ID) (types.Decision, bool) {
-	sh := m.shardFor(string(txn))
-	sh.mu.Lock()
-	d, decided, known := sh.lookupLocked(txn)
-	sh.mu.Unlock()
-	if known {
-		return d, decided
-	}
-	if b, ok := m.members.Load(txn); ok {
-		bid := b.(BatchID)
-		bsh := m.shardFor(string(bid))
-		bsh.mu.Lock()
-		defer bsh.mu.Unlock()
-		if bi, ok := bsh.batches[bid]; ok {
-			if i := bi.indexOf(txn); i >= 0 {
-				return bi.c.OutcomeAt(i)
-			}
-		}
-		if d, ok := bsh.retired[txn]; ok && d != types.DecisionNone {
-			return d, true
-		}
-	}
-	return types.DecisionNone, false
-}
-
 // Watch returns a channel that receives this node's outcome for txn
 // exactly once, then is never used again. If the transaction has already
 // decided (or retired with a decision), the outcome is delivered
@@ -526,7 +354,7 @@ func (m *Manager) decisionOf(txn ID) (types.Decision, bool) {
 // channel that never fires.
 func (m *Manager) Watch(txn ID) <-chan Outcome {
 	ch := make(chan Outcome, 1)
-	if d, ok := m.decisionOf(txn); ok {
+	if d, ok := m.DecisionOf(txn); ok {
 		ch <- Outcome{Txn: txn, Decision: d}
 		return ch
 	}
@@ -535,11 +363,11 @@ func (m *Manager) Watch(txn ID) <-chan Outcome {
 	sh.watchers[txn] = append(sh.watchers[txn], ch)
 	sh.mu.Unlock()
 	// The decision may have landed between the check and the
-	// registration (it is recorded under a different shard's lock for
-	// batch members). Re-check; if it has, claim the channel back and
-	// deliver here — the firing pass and this path both remove the
-	// channel under sh.mu, so exactly one of them sends.
-	if d, ok := m.decisionOf(txn); ok {
+	// registration (it is recorded under the batch's shard's lock).
+	// Re-check; if it has, claim the channel back and deliver here — the
+	// firing pass and this path both remove the channel under sh.mu, so
+	// exactly one of them sends.
+	if d, ok := m.DecisionOf(txn); ok {
 		sh.mu.Lock()
 		ws := sh.watchers[txn]
 		for i, w := range ws {
@@ -555,31 +383,44 @@ func (m *Manager) Watch(txn ID) <-chan Outcome {
 	return ch
 }
 
-// DecisionOf reports a transaction's decision at this node.
+// DecisionOf reports a transaction's decision at this node: from its
+// batch's live instance, else from the tombstone the retired batch left
+// on its shard.
 func (m *Manager) DecisionOf(txn ID) (types.Decision, bool) {
-	return m.decisionOf(txn)
+	b, ok := m.members.Load(txn)
+	if !ok {
+		return types.DecisionNone, false
+	}
+	bid := b.(BatchID)
+	sh := m.shardFor(string(bid))
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if bi, ok := sh.batches[bid]; ok {
+		return bi.c.OutcomeAt(bi.idx[txn])
+	}
+	d := sh.retired[txn]
+	return d, d != types.DecisionNone
 }
 
 // Active reports how many instances the manager is still holding
-// (decided instances awaiting retirement included); a batch counts as
-// one instance.
+// (decided instances awaiting retirement included); a batch is one
+// instance whatever its width.
 func (m *Manager) Active() int {
 	total := 0
 	for _, sh := range m.shards {
 		sh.mu.Lock()
-		total += len(sh.order) + len(sh.border)
+		total += len(sh.border)
 		sh.mu.Unlock()
 	}
 	return total
 }
 
-// Transactions lists the transactions this node currently holds, sorted;
-// batch members are included. Retired transactions no longer appear.
+// Transactions lists the transactions this node currently holds, sorted.
+// Retired transactions no longer appear.
 func (m *Manager) Transactions() []ID {
 	var out []ID
 	for _, sh := range m.shards {
 		sh.mu.Lock()
-		out = append(out, sh.order...)
 		for _, b := range sh.border {
 			out = append(out, sh.batches[b].txns...)
 		}
@@ -590,22 +431,17 @@ func (m *Manager) Transactions() []ID {
 }
 
 // Step implements types.Machine: demultiplex by shard, spawn
-// participants for new transactions and batches, advance every instance
-// one tick, wrap outputs, retire finished instances, and notify
-// completion observers. Shards are visited in index order under their
-// own locks; watcher firing and OnOutcome callbacks run after every
-// lock is released.
+// participants for new batches, advance every instance one tick, wrap
+// outputs, retire finished instances, and notify completion observers.
+// Shards are visited in index order under their own locks; watcher
+// firing and OnOutcome callbacks run after every lock is released.
 func (m *Manager) Step(received []types.Message, rnd types.Rand) []types.Message {
 	tick := int(m.clock.Add(1))
 
-	// Route received envelopes to their shard's scratch inbox. Only the
-	// stepping goroutine touches recv, so no locks yet.
+	// Route received frames to their batch's shard's scratch inbox. Only
+	// the stepping goroutine touches recv, so no locks yet.
 	for i := range received {
-		switch env := received[i].Payload.(type) {
-		case Envelope:
-			sh := m.shardFor(string(env.Txn))
-			sh.recv = append(sh.recv, received[i])
-		case BatchEnvelope:
+		if env, ok := received[i].Payload.(BatchEnvelope); ok {
 			sh := m.shardFor(string(env.Batch))
 			sh.recv = append(sh.recv, received[i])
 		}
@@ -621,10 +457,9 @@ func (m *Manager) Step(received []types.Message, rnd types.Rand) []types.Message
 	m.out = out
 	m.decidedNow = decidedNow
 
-	// Fire watchers and the outcome callback with no locks held. Batch
-	// members' watchers live on the member's own shard, which can differ
-	// from the batch's, so this pass re-locks per outcome.
-	cb := m.cfg.OnOutcome
+	// Fire watchers and the outcome callback with no locks held. A
+	// member's watchers live on its own shard, which can differ from its
+	// batch's, so this pass re-locks per outcome.
 	for _, o := range decidedNow {
 		sh := m.shardFor(string(o.Txn))
 		sh.mu.Lock()
@@ -635,7 +470,7 @@ func (m *Manager) Step(received []types.Message, rnd types.Rand) []types.Message
 			ch <- o // buffered (cap 1), at most one send ever
 		}
 	}
-	if cb != nil {
+	if cb := m.cfg.OnOutcome; cb != nil {
 		for _, o := range decidedNow {
 			cb(o)
 		}
@@ -644,172 +479,55 @@ func (m *Manager) Step(received []types.Message, rnd types.Rand) []types.Message
 }
 
 // stepShardLocked advances one shard one tick: demux its inbox, spawn
-// joins, step singles then batches, retire, and collect outputs and
-// newly decided outcomes. Caller holds sh.mu.
+// joins, step every batch, retire, and collect outputs and newly decided
+// outcomes. Caller holds sh.mu.
 func (m *Manager) stepShardLocked(sh *mshard, tick int, rnd types.Rand, out []types.Message, decidedNow []Outcome) ([]types.Message, []Outcome) {
 	// Demultiplex this shard's inbox into per-instance slices.
 	for i := range sh.recv {
-		switch env := sh.recv[i].Payload.(type) {
-		case Envelope:
-			if _, done := sh.retired[env.Txn]; done {
-				// Straggler for a finished transaction: the tombstone
-				// answers queries; respawning could contradict the
-				// recorded decision.
-				continue
-			}
-			if _, known := sh.instances[env.Txn]; !known {
-				// First contact with this transaction: join as a
-				// participant. Only the coordinator's GO names it, but any
-				// protocol message carries the piggybacked GO, so the vote
-				// is computable now.
-				vote := true
-				if m.cfg.Vote != nil {
-					vote = m.cfg.Vote(env.Txn)
-				}
-				// The coordinator is unknown at join time and irrelevant
-				// for a participant: the instance never enters the
-				// coordinator branch unless Coordinator == own id, so
-				// point it at the sender's id when it differs from ours,
-				// else the next processor.
-				coord := sh.recv[i].From
-				if coord == m.cfg.ID {
-					coord = types.ProcID((int(m.cfg.ID) + 1) % m.cfg.N)
-				}
-				if err := m.spawnLocked(sh, env.Txn, coord, vote); err != nil {
-					continue
-				}
-			}
-			if m.cfg.Tracer != nil {
-				m.traceReceivedLocked(sh, env.Txn, sh.recv[i].From, env.Inner, tick)
-			}
-			if inst := sh.instances[env.Txn]; inst != nil {
-				inst.lastRecvClock = tick
-			}
-			inner := sh.recv[i]
-			inner.Payload = env.Inner
-			sh.byTxn[env.Txn] = append(sh.byTxn[env.Txn], inner)
-		case BatchEnvelope:
-			if sh.retiredBatches[env.Batch] {
-				continue
-			}
-			if _, known := sh.batches[env.Batch]; !known {
-				coord := sh.recv[i].From
-				if coord == m.cfg.ID {
-					coord = types.ProcID((int(m.cfg.ID) + 1) % m.cfg.N)
-				}
-				if err := m.joinBatchLocked(sh, env, coord, tick); err != nil {
-					continue
-				}
-			}
-			bi := sh.batches[env.Batch]
-			if bi != nil {
-				bi.lastRecvClock = tick
-				if m.cfg.Tracer != nil && !bi.goRecv {
-					if inner, _ := core.Unwrap(env.Inner); inner != nil {
-						if _, isGo := inner.(core.GoMsg); isGo {
-							bi.goRecv = true
-							m.trace(bi.key, obs.EventGoRecv, tick, "from="+strconv.Itoa(int(sh.recv[i].From)))
-						}
-					}
-				}
-			}
-			inner := sh.recv[i]
-			inner.Payload = env.Inner
-			sh.byBatch[env.Batch] = append(sh.byBatch[env.Batch], inner)
+		env := sh.recv[i].Payload.(BatchEnvelope)
+		if sh.retiredBatches[env.Batch] {
+			// Straggler for a finished batch: the tombstones answer
+			// queries; respawning could contradict a recorded decision.
+			continue
 		}
+		bi := sh.batches[env.Batch]
+		if bi == nil {
+			// First contact with this batch: join as a participant. Only
+			// the coordinator's GO starts it, but every frame carries the
+			// member list and the piggybacked GO, so the vote vector is
+			// computable now. The coordinator is unknown at join time and
+			// irrelevant for a participant: the instance never enters the
+			// coordinator branch unless Coordinator == own id, so point
+			// it at the sender's id when it differs from ours, else the
+			// next processor.
+			coord := sh.recv[i].From
+			if coord == m.cfg.ID {
+				coord = types.ProcID((int(m.cfg.ID) + 1) % m.cfg.N)
+			}
+			if err := m.joinBatchLocked(sh, env, coord, tick); err != nil {
+				continue
+			}
+			bi = sh.batches[env.Batch]
+		}
+		bi.lastRecvClock = tick
+		if m.cfg.Tracer != nil && !bi.goRecv {
+			if inner, _ := core.Unwrap(env.Inner); inner != nil {
+				if _, isGo := inner.(core.GoMsg); isGo {
+					bi.goRecv = true
+					m.trace(bi.key, obs.EventGoRecv, tick, "from="+strconv.Itoa(int(sh.recv[i].From)))
+				}
+			}
+		}
+		inner := sh.recv[i]
+		inner.Payload = env.Inner
+		sh.byBatch[env.Batch] = append(sh.byBatch[env.Batch], inner)
 	}
 	sh.recv = sh.recv[:0]
 
-	var retire []ID
-	var retireBatches []BatchID
-	for _, txn := range sh.order {
-		inst := sh.instances[txn]
-		if inst.c.Halted() {
-			if inst.haltedAt < 0 {
-				inst.haltedAt = tick
-			}
-			if m.cfg.RetireAfter > 0 && tick-inst.haltedAt >= m.cfg.RetireAfter {
-				retire = append(retire, txn)
-			}
-			continue
-		}
-		sub := inst.c.Step(sh.byTxn[txn], rnd)
-		if m.cfg.Tracer != nil {
-			m.traceOutputsLocked(txn, inst, sub, tick)
-			if ag := inst.c.Agreement(); ag != nil {
-				if st := ag.Stage(); st != inst.lastStage {
-					inst.lastStage = st
-					m.trace(string(txn), obs.EventStage, tick, "stage="+strconv.Itoa(st))
-				}
-			}
-		}
-		for j := range sub {
-			sub[j].Payload = Envelope{Txn: txn, Inner: sub[j].Payload}
-		}
-		out = append(out, sub...)
-		if d, ok := inst.c.Outcome(); ok && !sh.reported[txn] {
-			sh.reported[txn] = true
-			m.met.decided.With(m.node, d.String()).Inc()
-			m.met.rounds.Observe(float64(tick - inst.born))
-			if m.cfg.Tracer != nil {
-				m.trace(string(txn), obs.EventDecided, tick, "decision="+d.String())
-			}
-			if m.cfg.Spans != nil && !inst.spanDone {
-				m.spanRoundLocked(txn, inst, tick, true)
-				now := m.cfg.Spans.Now()
-				m.cfg.Spans.Add(span.Span{
-					Txn: string(txn), Track: span.ProcTrack(int(m.cfg.ID)),
-					Name: "decided", Kind: span.KindStage, Start: now, End: now,
-					From: -1, To: -1, Detail: "decision=" + d.String(),
-				})
-				inst.spanDone = true
-			}
-			o := Outcome{Txn: txn, Decision: d}
-			sh.pending = append(sh.pending, o)
-			decidedNow = append(decidedNow, o)
-		}
-		m.spanRoundLocked(txn, inst, tick, false)
-		if m.cfg.MaxAge > 0 && tick-inst.born >= m.cfg.MaxAge && !inst.c.Halted() {
-			if _, decided := inst.c.Outcome(); !decided {
-				retire = append(retire, txn)
-			}
-		}
-	}
-	out, decidedNow, retireBatches = m.stepBatchesLocked(sh, tick, rnd, out, decidedNow)
-
-	for _, txn := range retire {
-		d, decided := sh.instances[txn].c.Outcome()
-		if decided {
-			m.met.retired.Inc()
-			if m.cfg.Tracer != nil {
-				m.trace(string(txn), obs.EventRetired, tick, "")
-			}
-		} else {
-			m.met.abandoned.Inc()
-			if m.cfg.Tracer != nil {
-				m.trace(string(txn), obs.EventAbandoned, tick, "")
-			}
-		}
-		sh.retired[txn] = d
-		delete(sh.instances, txn)
-		delete(sh.reported, txn)
-		delete(sh.byTxn, txn)
-	}
-	if len(retire) > 0 {
-		kept := sh.order[:0]
-		for _, txn := range sh.order {
-			if _, ok := sh.instances[txn]; ok {
-				kept = append(kept, txn)
-			}
-		}
-		sh.order = kept
-	}
-	m.retireBatchesLocked(sh, tick, retireBatches)
+	out, decidedNow, retire := m.stepBatchesLocked(sh, tick, rnd, out, decidedNow)
+	m.retireBatchesLocked(sh, tick, retire)
 
 	// Consume per-instance inboxes (slices are reused next step).
-	for txn := range sh.byTxn {
-		sh.byTxn[txn] = sh.byTxn[txn][:0]
-	}
 	for b := range sh.byBatch {
 		sh.byBatch[b] = sh.byBatch[b][:0]
 	}

@@ -204,7 +204,12 @@ func TestManagerIgnoresForeignPayloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := rng.NewStream(1)
-	out := mgr.Step([]types.Message{{From: 1, To: 0, Payload: fakeInner{}}}, st)
+	// A bare Envelope is foreign too: every protocol frame is a
+	// BatchEnvelope.
+	out := mgr.Step([]types.Message{
+		{From: 1, To: 0, Payload: fakeInner{}},
+		{From: 1, To: 0, Payload: txn.Envelope{Txn: "t1", Inner: fakeInner{}}},
+	}, st)
 	if len(out) != 0 {
 		t.Fatalf("manager reacted to a foreign payload: %v", out)
 	}
@@ -374,12 +379,13 @@ func TestRetirementTombstones(t *testing.T) {
 			t.Fatalf("node %d tombstone decision = %v %v", p, d, ok)
 		}
 	}
-	// A straggler envelope must not respawn the retired transaction.
+	// A straggler frame must not respawn the retired transaction (Begin
+	// names its width-1 batch after the transaction).
 	out := managers[1].Step([]types.Message{{
-		From: 0, To: 1, Payload: txn.Envelope{Txn: "r", Inner: fakeInner{}},
+		From: 0, To: 1, Payload: txn.BatchEnvelope{Batch: "r", Txns: []txn.ID{"r"}, Inner: fakeInner{}},
 	}}, st)
 	if len(out) != 0 || managers[1].Active() != 0 {
-		t.Fatal("straggler envelope revived a retired transaction")
+		t.Fatal("straggler frame revived a retired transaction")
 	}
 	// Restarting a finished transaction is refused.
 	if err := managers[0].Begin("r", true); err == nil {
