@@ -12,26 +12,16 @@
 package tcommit_test
 
 import (
-	"context"
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	tcommit "repro"
 	"repro/internal/adversary"
 	"repro/internal/harness"
 	"repro/internal/lowerbound"
 	"repro/internal/rng"
 	"repro/internal/rounds"
-	"repro/internal/service"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/twopc"
-	"repro/internal/txn"
 	"repro/internal/types"
 )
 
@@ -352,242 +342,6 @@ func BenchmarkE12RoundDefinition(b *testing.B) {
 		if an.EndClock[0][7] != 8*4 {
 			b.Fatalf("round boundary wrong: %d", an.EndClock[0][7])
 		}
-	}
-}
-
-// BenchmarkE14ServiceThroughput measures sustained commit throughput of
-// the client-facing service over a live in-process cluster: each
-// iteration submits one transaction through the full admission → batch →
-// dispatch → decide → notify path, with heavily parallel clients keeping
-// the batcher busy. Each dispatch batch is decided by ONE agreement
-// instance, so the decision rate is (batch occupancy) × (instance rate).
-// Reports end-to-end txns/sec.
-func BenchmarkE14ServiceThroughput(b *testing.B) {
-	for _, n := range []int{3, 5} {
-		b.Run(benchName("n", n), func(b *testing.B) {
-			svc, err := tcommit.Serve(tcommit.ServiceConfig{
-				N: n, K: 3, Seed: 0xE14,
-				TickEvery:      200 * time.Microsecond,
-				BatchMax:       128,
-				MaxInFlight:    4096,
-				QueueDepth:     8192,
-				DefaultTimeout: time.Minute,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				defer cancel()
-				if err := svc.Close(ctx); err != nil {
-					b.Error(err)
-				}
-			}()
-			// Far more clients than GOMAXPROCS: batch occupancy — not
-			// client count — is what the batched mode converts into
-			// throughput, so the offered load must keep BatchMax-sized
-			// batches available at every dispatch. The pool is spawned
-			// and parked on a gate before the timer starts; the timed
-			// window holds only submissions, so small b.N measures one
-			// full batch, not goroutine startup.
-			const clients = 256
-			var remaining atomic.Int64
-			remaining.Store(int64(b.N))
-			gate := make(chan struct{})
-			var wg sync.WaitGroup
-			var benchErr atomic.Value
-			for w := 0; w < clients; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					<-gate
-					for remaining.Add(-1) >= 0 {
-						res, err := svc.Submit(context.Background(), tcommit.CommitRequest{})
-						if err != nil {
-							benchErr.CompareAndSwap(nil, err)
-							return
-						}
-						if res.State != service.StateCommit {
-							benchErr.CompareAndSwap(nil, fmt.Errorf("resolved %+v", res))
-							return
-						}
-					}
-				}()
-			}
-			b.ResetTimer()
-			start := time.Now()
-			close(gate)
-			wg.Wait()
-			b.StopTimer()
-			if err, ok := benchErr.Load().(error); ok {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "txns/sec")
-		})
-	}
-}
-
-// BenchmarkE15BatchedManagerDecide measures the manager-level batched
-// agreement path with no wall-clock pacing: one iteration spawns a
-// 64-transaction batch across three sharded managers and steps the
-// simulator until every member is decided on every node. CPU-bound and
-// deterministic, this is the stable regression gate for the batch
-// machinery — E14 exercises the same path end-to-end but is
-// tick-latency-bound, so its numbers move with the host's timer
-// resolution rather than with code changes.
-func BenchmarkE15BatchedManagerDecide(b *testing.B) {
-	const n, width = 3, 64
-	ids := make([]txn.ID, width)
-	abortVoted := make(map[txn.ID]bool, width)
-	own := make([]bool, width)
-	for i := range ids {
-		ids[i] = txn.ID(benchName("btx", i))
-		abortVoted[ids[i]] = i%8 == 7 // node 1 dissents on every 8th member
-		own[i] = true
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		managers := make([]*txn.Manager, n)
-		machines := make([]types.Machine, n)
-		for p := 0; p < n; p++ {
-			p := p
-			mgr, err := txn.NewManager(txn.Config{
-				ID: types.ProcID(p), N: n, K: 3, InboxShards: 8,
-				Vote: func(id txn.ID) bool { return p != 1 || !abortVoted[id] },
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			managers[p] = mgr
-			machines[p] = mgr
-		}
-		if err := managers[0].BeginBatch("bench-batch", ids, own); err != nil {
-			b.Fatal(err)
-		}
-		// One fixed seed for every iteration: the coin-flip schedule is
-		// identical run to run, so ns/op moves only when the code does —
-		// exactly what a CI regression gate needs. (Per-iteration seeds
-		// would fold the heavy tail of randomized agreement into the
-		// mean and flake the gate.)
-		_, err := sim.Run(sim.Config{
-			K: 3, Machines: machines, Adversary: &adversary.RoundRobin{},
-			Seeds:    rng.NewCollection(0xE15, n),
-			MaxSteps: 100_000,
-			StopWhen: func(*sim.Result) bool {
-				for _, mgr := range managers {
-					for _, id := range ids {
-						if _, ok := mgr.DecisionOf(id); !ok {
-							return false
-						}
-					}
-				}
-				return true
-			},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, mgr := range managers {
-			if d, ok := mgr.DecisionOf(ids[7]); !ok || d != types.DecisionAbort {
-				b.Fatalf("node %d: abort-voted member decided (%v,%v)", mgr.ID(), d, ok)
-			}
-		}
-	}
-	b.ReportMetric(width, "txns/batch")
-}
-
-// BenchmarkShardedServiceThroughput measures the sharded coordinator's
-// sustained decision rate: independent commit groups behind the
-// consistent-hash router, driven by GOMAXPROCS-parallel clients. The
-// shards=4/cross=0 case is the scale-out claim — four groups must beat
-// one group by well over 2× because the groups pipeline independently —
-// while cross=20 prices the two-layer commit-of-commits (every fifth
-// transaction spans two groups). Reports end-to-end txns/sec.
-func BenchmarkShardedServiceThroughput(b *testing.B) {
-	cases := []struct {
-		shards   int
-		crossPct int
-	}{
-		{1, 0},
-		{4, 0},
-		{4, 20},
-	}
-	for _, tc := range cases {
-		tc := tc
-		b.Run(benchName("shards", tc.shards)+"/"+benchName("cross", tc.crossPct), func(b *testing.B) {
-			// Each group's admission cap is the scarce resource: with far
-			// more clients than one group can hold in flight, aggregate
-			// throughput is (groups × MaxInFlight) / decision latency, so
-			// shard count — not client count — sets the ceiling. The cap
-			// is deliberately small relative to what one core can decide,
-			// keeping every configuration tick-latency-bound rather than
-			// CPU-bound (so the comparison measures capacity, not
-			// scheduler contention — and stays meaningful on 1-core CI).
-			coord, err := shard.New(shard.Config{
-				Shards: tc.shards,
-				Group: service.Config{
-					N: 3, K: 3, Seed: 0x54a4d,
-					TickEvery:      500 * time.Microsecond,
-					MaxInFlight:    4,
-					QueueDepth:     4096,
-					DefaultTimeout: time.Minute,
-				},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				defer cancel()
-				if err := coord.Close(ctx); err != nil {
-					b.Error(err)
-				}
-			}()
-			// One deterministic key per shard for the cross-shard pairs;
-			// keyless submissions route by their auto-generated id, which
-			// spreads uniformly on its own.
-			shardKey := make([]string, tc.shards)
-			for s := range shardKey {
-				for j := 0; ; j++ {
-					k := "bench-" + itoa(s) + "-" + itoa(j)
-					if coord.Router().Route(k) == s {
-						shardKey[s] = k
-						break
-					}
-				}
-			}
-			var seq atomic.Uint64
-			if par := 128 / runtime.GOMAXPROCS(0); par > 1 {
-				b.SetParallelism(par) // ~128 clients regardless of core count
-			}
-			start := time.Now()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					var req shard.Request
-					if tc.crossPct > 0 {
-						i := seq.Add(1)
-						if i%100 < uint64(tc.crossPct) {
-							a := int(i) % tc.shards
-							req.Keys = []string{shardKey[a], shardKey[(a+1)%tc.shards]}
-						}
-					}
-					res, err := coord.Submit(context.Background(), req)
-					if err != nil {
-						b.Fatal(err)
-					}
-					// Under admission pressure a late-dispatched instance may
-					// abort (the protocol's on-time requirement) — still a
-					// decision. Only indecision fails the benchmark.
-					if res.State != service.StateCommit && res.State != service.StateAbort {
-						b.Fatalf("resolved %+v", res)
-					}
-				}
-			})
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "txns/sec")
-		})
 	}
 }
 

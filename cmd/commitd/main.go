@@ -385,7 +385,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 // loopbackTCP boots n peered TCP nodes on ephemeral loopback ports — the
 // real-sockets cluster backend — instrumented against reg.
 func loopbackTCP(n int, reg *obs.Registry) ([]transport.Transport, error) {
-	transport.RegisterWirePayloads()
 	nodes := make([]*transport.TCPNode, n)
 	peers := make(map[types.ProcID]string, n)
 	for p := 0; p < n; p++ {

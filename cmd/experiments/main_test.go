@@ -21,29 +21,14 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-func TestRunProtocolSweep(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "arena.md")
-	if err := run([]string{"-protocol", "2pc", "-runs", "2", "-o", path}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := string(data)
-	for _, want := range []string{"# Arena sweep — 2pc", "run proto=2pc", "summary "} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("arena markdown missing %q:\n%s", want, out)
-		}
-	}
-}
-
+// The one-protocol arena sweep is `cmd/arena -protocols <name>`; the old
+// -protocol spelling must fail, not fall through to running E1..E12.
 func TestRunProtocolRejectsUnknownAndConflicts(t *testing.T) {
-	if err := run([]string{"-protocol", "1pc"}); err == nil {
-		t.Error("unknown protocol accepted")
+	if err := run([]string{"-protocol", "2pc"}); err == nil {
+		t.Error("retired -protocol flag accepted")
 	}
 	if err := run([]string{"-protocol", "2pc", "-id", "E1"}); err == nil {
-		t.Error("-protocol with -id accepted")
+		t.Error("retired -protocol flag accepted beside -id")
 	}
 }
 

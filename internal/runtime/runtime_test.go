@@ -138,7 +138,6 @@ func TestClusterSlowNetworkStaysSafe(t *testing.T) {
 }
 
 func TestClusterOverTCP(t *testing.T) {
-	transport.RegisterWirePayloads()
 	n := 3
 	machines := commitMachines(t, n, 8, votesOf(n, types.V1))
 	nodesT := make([]*transport.TCPNode, n)

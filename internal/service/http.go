@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -117,7 +118,53 @@ type HealthJSON struct {
 	Shards int    `json:"shards,omitempty"`
 }
 
-// NewHTTPHandler exposes a service over HTTP/JSON (stdlib only):
+// Timeout is the request's deadline override as a duration.
+func (b CommitRequestJSON) Timeout() time.Duration {
+	return time.Duration(b.TimeoutMs) * time.Millisecond
+}
+
+// Backend is the deployment behind the HTTP surface: one commit group
+// (*Service) or several behind a cross-shard coordinator (internal/shard).
+// The handler is written against this alone and never asks which it has.
+type Backend interface {
+	// Commit submits one decoded request and blocks to its terminal
+	// answer. shards is the participating shard set, nil when unsharded.
+	Commit(ctx context.Context, body CommitRequestJSON) (res Result, shards []int, err error)
+	// StatusJSON is the GET /status body for a known transaction.
+	StatusJSON(id string) (any, bool)
+	// MetricsJSON is the GET /metrics body.
+	MetricsJSON() any
+	Registry() *obs.Registry
+	Tracer() *obs.Tracer
+	Spans() *span.Collector
+	// SpanFamily reports whether span key belongs to txn's ?txn= view.
+	SpanFamily(txn, key string) bool
+	// N is the group size; Shards the group count, 0 when unsharded.
+	N() int
+	Shards() int
+	Ready() bool
+	Draining() bool
+	// Crash fail-stops processor node (in every group, when sharded).
+	Crash(node types.ProcID) error
+}
+
+// unsharded adapts one *Service to Backend.
+type unsharded struct{ *Service }
+
+func (u unsharded) Commit(ctx context.Context, body CommitRequestJSON) (Result, []int, error) {
+	res, err := u.Submit(ctx, Request{ID: body.ID, Votes: body.Votes, Timeout: body.Timeout()})
+	return res, nil, err
+}
+func (u unsharded) StatusJSON(id string) (any, bool) { return u.Status(id) }
+func (u unsharded) MetricsJSON() any                 { return u.Metrics() }
+func (u unsharded) SpanFamily(txn, key string) bool  { return key == txn }
+func (u unsharded) Shards() int                      { return 0 }
+
+// NewHTTPHandler exposes one commit group over HTTP/JSON (see NewHandler).
+func NewHTTPHandler(s *Service) http.Handler { return NewHandler(unsharded{s}) }
+
+// NewHandler exposes a deployment over HTTP/JSON (stdlib only). The mux is
+// returned so a backend can add routes of its own.
 //
 //	POST /commit        submit a transaction, blocks to its terminal state
 //	GET  /status/{txn}  query a known transaction
@@ -125,10 +172,13 @@ type HealthJSON struct {
 //	GET  /metrics.prom  full shared registry, Prometheus text format
 //	GET  /debug/trace   recent protocol events (?txn=<id>&n=<count>)
 //	GET  /debug/spans   causal span graph (?txn=<id> filters)
-//	GET  /healthz       liveness + cluster size
+//	GET  /healthz       liveness + cluster size (+ shard count)
 //	GET  /readyz        readiness: 503 while starting or draining
 //	POST /crash/{node}  fault injection: fail-stop one processor
-func NewHTTPHandler(s *Service) http.Handler {
+func NewHandler(b Backend) *http.ServeMux {
+	health := func(status string) HealthJSON {
+		return HealthJSON{Status: status, N: b.N(), Shards: b.Shards()}
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /commit", func(w http.ResponseWriter, r *http.Request) {
 		body, err := DecodeCommitRequest(http.MaxBytesReader(w, r.Body, MaxCommitBodyBytes))
@@ -142,11 +192,7 @@ func NewHTTPHandler(s *Service) http.Handler {
 			writeJSON(w, http.StatusBadRequest, ErrorJSON{Error: err.Error()})
 			return
 		}
-		res, err := s.Submit(r.Context(), Request{
-			ID:      body.ID,
-			Votes:   body.Votes,
-			Timeout: time.Duration(body.TimeoutMs) * time.Millisecond,
-		})
+		res, shards, err := b.Commit(r.Context(), body)
 		if err != nil {
 			writeSubmitError(w, err)
 			return
@@ -155,6 +201,7 @@ func NewHTTPHandler(s *Service) http.Handler {
 			ID:          res.ID,
 			State:       res.State,
 			Coordinator: int(res.Coordinator),
+			Shards:      shards,
 			LatencyMs:   float64(res.Latency) / float64(time.Millisecond),
 		}
 		if res.Decision != types.DecisionNone {
@@ -163,7 +210,7 @@ func NewHTTPHandler(s *Service) http.Handler {
 		writeJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("GET /status/{txn}", func(w http.ResponseWriter, r *http.Request) {
-		st, ok := s.Status(r.PathValue("txn"))
+		st, ok := b.StatusJSON(r.PathValue("txn"))
 		if !ok {
 			writeJSON(w, http.StatusNotFound, ErrorJSON{Error: "unknown transaction"})
 			return
@@ -171,11 +218,11 @@ func NewHTTPHandler(s *Service) http.Handler {
 		writeJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Metrics())
+		writeJSON(w, http.StatusOK, b.MetricsJSON())
 	})
 	mux.HandleFunc("GET /metrics.prom", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", obs.ContentType)
-		s.Registry().WritePrometheus(w) //nolint:errcheck // client gone is fine
+		b.Registry().WritePrometheus(w) //nolint:errcheck // client gone is fine
 	})
 	mux.HandleFunc("GET /debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		n := 256
@@ -188,46 +235,59 @@ func NewHTTPHandler(s *Service) http.Handler {
 			n = v
 		}
 		w.Header().Set("Content-Type", "application/json")
-		s.Tracer().WriteJSON(w, r.URL.Query().Get("txn"), n) //nolint:errcheck // client gone is fine
+		b.Tracer().WriteJSON(w, r.URL.Query().Get("txn"), n) //nolint:errcheck // client gone is fine
 	})
 	mux.HandleFunc("GET /debug/spans", func(w http.ResponseWriter, r *http.Request) {
-		g := s.Spans().Graph()
+		g := b.Spans().Graph()
 		if id := r.URL.Query().Get("txn"); id != "" {
-			g = g.ByTxn(id)
+			g = g.Filter(func(key string) bool { return b.SpanFamily(id, key) })
 		}
 		w.Header().Set("Content-Type", "application/json")
 		span.WriteJSON(w, g) //nolint:errcheck // client gone is fine
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		status := "ok"
-		if s.Draining() {
+		if b.Draining() {
 			status = "draining"
 		}
-		writeJSON(w, http.StatusOK, HealthJSON{Status: status, N: s.N()})
+		writeJSON(w, http.StatusOK, health(status))
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		switch {
-		case s.Ready():
-			writeJSON(w, http.StatusOK, HealthJSON{Status: "ok", N: s.N()})
-		case s.Draining():
-			writeJSON(w, http.StatusServiceUnavailable, HealthJSON{Status: "draining", N: s.N()})
+		case b.Ready():
+			writeJSON(w, http.StatusOK, health("ok"))
+		case b.Draining():
+			writeJSON(w, http.StatusServiceUnavailable, health("draining"))
 		default:
-			writeJSON(w, http.StatusServiceUnavailable, HealthJSON{Status: "starting", N: s.N()})
+			writeJSON(w, http.StatusServiceUnavailable, health("starting"))
 		}
 	})
-	mux.HandleFunc("POST /crash/{node}", func(w http.ResponseWriter, r *http.Request) {
-		node, err := strconv.Atoi(r.PathValue("node"))
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, ErrorJSON{Error: "bad node id"})
-			return
+	mux.HandleFunc("POST /crash/{node}", CrashHandler(func(ids []int) error {
+		return b.Crash(types.ProcID(ids[0]))
+	}, "node"))
+	return mux
+}
+
+// CrashHandler serves one fault-injection route: each named path value
+// is parsed as an integer and the list handed to crash. 204 on success,
+// 400 when a value is not a number or crash refuses it.
+func CrashHandler(crash func(ids []int) error, names ...string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ids := make([]int, len(names))
+		for i, name := range names {
+			v, err := strconv.Atoi(r.PathValue(name))
+			if err != nil {
+				writeJSON(w, http.StatusBadRequest, ErrorJSON{Error: "bad " + name + " id"})
+				return
+			}
+			ids[i] = v
 		}
-		if err := s.Crash(types.ProcID(node)); err != nil {
+		if err := crash(ids); err != nil {
 			writeJSON(w, http.StatusBadRequest, ErrorJSON{Error: err.Error()})
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
-	})
-	return mux
+	}
 }
 
 // writeSubmitError maps Submit's typed errors to HTTP statuses: overload

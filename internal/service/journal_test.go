@@ -2,8 +2,10 @@ package service_test
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -177,5 +179,117 @@ func TestStatusWaitsForJournal(t *testing.T) {
 				t.Errorf("journal close: %v", err)
 			}
 		})
+	}
+}
+
+// TestStatusEvictionRetiresFromJournal: with StatusRetention 4 every
+// finished transaction but the newest four is evicted from the status
+// table and retired from the journal, so a reopened journal recovers
+// exactly the four that were still answerable. The journal's queue holds
+// two records, so Retire blocks behind decisions all the time: it has to
+// run outside Service.mu, which the journal's writer takes to publish a
+// decision — under mu the first full queue would wedge the service.
+func TestStatusEvictionRetiresFromJournal(t *testing.T) {
+	const retention, concurrent, total = 4, 48, 64
+	fs := wal.NewMemFS()
+	journal, err := wal.OpenDecisionLog(wal.SegmentedOptions{FS: fs, QueueDepth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := service.New(service.Config{
+		N: 3, K: 3, Seed: 43, TickEvery: time.Millisecond,
+		StatusRetention: retention, Journal: journal,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(service.NewHTTPHandler(s))
+	defer ts.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	ids := make([]string, total)
+	states := make([]service.State, total)
+	submit := func(i int) {
+		ids[i] = fmt.Sprintf("ev-%02d", i)
+		req, want := service.Request{ID: ids[i]}, service.StateCommit
+		if i%3 == 0 {
+			req.Votes, want = []bool{true, false, true}, service.StateAbort
+		}
+		res, err := s.Submit(ctx, req)
+		if err != nil {
+			t.Errorf("%s: %v (a wedged journal queue shows up here as a context error)", ids[i], err)
+			return
+		}
+		if res.State != want {
+			t.Errorf("%s answered %s, want %s", ids[i], res.State, want)
+		}
+		states[i] = res.State
+	}
+	// Eight callers at a time share batches and group commits; the tail
+	// runs one by one so the four survivors are known by name.
+	submitted := make(chan struct{})
+	go func() {
+		defer close(submitted)
+		var wg sync.WaitGroup
+		for c := 0; c < 8; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := c; i < concurrent; i += 8 {
+					submit(i)
+				}
+			}(c)
+		}
+		wg.Wait()
+		for i := concurrent; i < total; i++ {
+			submit(i)
+		}
+	}()
+	select {
+	case <-submitted:
+	case <-ctx.Done():
+		t.Fatal("service wedged: a Retire blocked on the full journal queue while holding a lock its writer needs")
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	for i, id := range ids {
+		resp, err := http.Get(ts.URL + "/status/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i < total-retention {
+			resp.Body.Close() //nolint:errcheck
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("evicted %s: /status = %d, want 404", id, resp.StatusCode)
+			}
+			continue
+		}
+		if st := decode[service.TxnStatus](t, resp); st.State != states[i] || st.Decision != string(states[i]) {
+			t.Errorf("surviving %s: /status = %s %q, want %s", id, st.State, st.Decision, states[i])
+		}
+	}
+
+	if err := s.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := wal.OpenDecisionLog(wal.SegmentedOptions{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close() //nolint:errcheck
+	got := reopened.Recovered()
+	for i := total - retention; i < total; i++ {
+		if d, ok := got[ids[i]]; !ok || d.String() != string(states[i]) {
+			t.Errorf("surviving %s: reopened journal holds %v,%v, want %s", ids[i], d, ok, states[i])
+		}
+	}
+	if len(got) != retention {
+		t.Errorf("reopened journal recovered %d decisions, want only the %d un-retired ones: %v", len(got), retention, got)
 	}
 }

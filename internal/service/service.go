@@ -216,7 +216,7 @@ func New(cfg Config) (*Service, error) {
 		slots:          make(chan struct{}, cfg.MaxInFlight),
 		abort:          make(chan struct{}),
 		dispatcherDone: make(chan struct{}),
-		lat:            stats.NewRecorder(cfg.LatencyWindow),
+		lat:            stats.NewRecorder(LatencyWindow),
 		stageLat:       make(map[string]*stats.Recorder, len(stageNames)),
 		met:            newSvcMetrics(cfg.Registry, cfg.shardLabel()),
 		crashCtr:       runtime.CrashCounter(cfg.Registry),
@@ -227,7 +227,7 @@ func New(cfg Config) (*Service, error) {
 		votesByTxn:     make(map[txn.ID][]bool),
 	}
 	for _, st := range stageNames {
-		s.stageLat[st] = stats.NewRecorder(cfg.LatencyWindow)
+		s.stageLat[st] = stats.NewRecorder(LatencyWindow)
 	}
 	if cfg.Journal != nil {
 		// Seed the status table with the journal's recovered decisions:
@@ -246,7 +246,7 @@ func New(cfg Config) (*Service, error) {
 				TxnStatus: TxnStatus{ID: id, State: stateOf(d), Decision: d.String()},
 				first:     d,
 			}
-			s.retire(s.retainLocked(id))
+			s.retain(id)
 		}
 	}
 	shardLabel := cfg.shardLabel()
@@ -680,13 +680,11 @@ func (s *Service) resolve(p *pending, state State, d types.Decision) {
 	delete(s.pendings, p.id)
 	latency := time.Since(p.submitted)
 	decision := state == StateCommit || state == StateAbort
-	var evicted []string
 	if st := s.statuses[string(p.id)]; st != nil {
 		st.Latency = latency
 		if !decision {
 			s.publishLocked(string(p.id), state, d)
 		}
-		evicted = s.retainLocked(string(p.id))
 	}
 	dispatched := p.dispatched
 	coord := p.coordinator
@@ -698,7 +696,6 @@ func (s *Service) resolve(p *pending, state State, d types.Decision) {
 		s.dropBatchLocked(p.batch, b)
 	}
 	s.mu.Unlock()
-	s.retire(evicted)
 	if batchDone {
 		s.met.batchesDecided.Inc()
 	}
@@ -766,21 +763,38 @@ func (s *Service) resolve(p *pending, state State, d types.Decision) {
 			"state", string(res.State), "latency_ms", res.Latency.Milliseconds())
 		s.outstanding.Done()
 	}
+	// deliver releases Close; hold it back until retain below has queued
+	// its retirements, or they would race the caller closing the journal.
+	s.outstanding.Add(1)
+	defer s.outstanding.Done()
 	if decision {
 		// Durable ack: the journal's group-commit writer fires deliver
 		// (on its goroutine) once an fsync covers this decision, so
 		// concurrent decisions amortize one flush and no client is ever
 		// acked a decision the disk does not hold.
 		s.durably(string(p.id), d, deliver)
-		return
+	} else {
+		deliver(nil)
 	}
-	deliver(nil)
+	s.retain(string(p.id))
 }
 
-// retainLocked enforces bounded retention of finished statuses and,
-// under a journal, returns the ids it evicted, for retire. Caller holds
-// mu.
-func (s *Service) retainLocked(id string) (evicted []string) {
+// retain enters a finished transaction into the bounded status table
+// and tells the journal that the statuses this evicts no longer need to
+// be recoverable: their tombstones go, which is what shrinks future
+// snapshots and lets compaction reclaim segments. resolve calls it only
+// after queueing the transaction's own decision, so no concurrent
+// eviction can journal a Retire ahead of the decision it retires (which
+// would leave that tombstone in the journal for good). Retire runs
+// without mu — a full journal queue blocks, and the journal's writer
+// takes mu to publish decisions.
+func (s *Service) retain(id string) {
+	s.mu.Lock()
+	if s.statuses[id] == nil {
+		s.mu.Unlock()
+		return
+	}
+	var evicted []string
 	s.finished = append(s.finished, id)
 	for len(s.finished)-s.finishedHead > s.cfg.StatusRetention {
 		old := s.finished[s.finishedHead]
@@ -788,25 +802,17 @@ func (s *Service) retainLocked(id string) (evicted []string) {
 		s.finishedHead++
 		delete(s.statuses, old)
 		delete(s.votesByTxn, txn.ID(old))
-		if s.cfg.Journal != nil {
-			evicted = append(evicted, old)
-		}
+		evicted = append(evicted, old)
 	}
 	if s.finishedHead > 0 && s.finishedHead*2 > len(s.finished) {
 		s.finished = append(s.finished[:0:0], s.finished[s.finishedHead:]...)
 		s.finishedHead = 0
 	}
-	return evicted
-}
-
-// retire tells the journal that evicted statuses no longer need to be
-// recoverable: their tombstones go, which is what shrinks future
-// snapshots and lets compaction reclaim segments. Called without mu — a
-// full journal queue blocks, and the journal's writer takes mu to
-// publish decisions.
-func (s *Service) retire(evicted []string) {
-	for _, id := range evicted {
-		s.cfg.Journal.Retire(id) //nolint:errcheck // best-effort; a poisoned journal already fails acks
+	s.mu.Unlock()
+	if s.cfg.Journal != nil {
+		for _, old := range evicted {
+			s.cfg.Journal.Retire(old) //nolint:errcheck // best-effort; a poisoned journal already fails acks
+		}
 	}
 }
 

@@ -203,7 +203,12 @@ func TestGracefulDrain(t *testing.T) {
 			results <- res
 		}()
 	}
-	time.Sleep(2 * time.Millisecond) // most submissions queued, few running
+	// Every submission admitted, most still queued or running. (A fixed
+	// sleep here lost the race on a loaded box: late goroutines met
+	// ErrDraining.)
+	waitMetric(t, s, "every submission admitted", func(m service.Metrics) bool {
+		return m.Submitted == load
+	})
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	if err := s.Close(ctx); err != nil {

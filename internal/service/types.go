@@ -13,6 +13,10 @@ import (
 	"repro/internal/wal"
 )
 
+// LatencyWindow is the sample capacity of every latency recorder (end to
+// end, per stage, cross-shard): the most recent decided transactions.
+const LatencyWindow = 1 << 16
+
 // Config parameterizes a commit service.
 type Config struct {
 	// N is the number of processors in the fronted cluster (required).
@@ -76,9 +80,6 @@ type Config struct {
 	// StatusRetention caps how many finished transactions keep status
 	// entries for GET /status queries (default 65536, FIFO eviction).
 	StatusRetention int
-	// LatencyWindow is the latency recorder's sample capacity (default
-	// 65536 most recent decided transactions).
-	LatencyWindow int
 	// Transports, when non-nil, supplies one external transport per
 	// processor (e.g. TCP nodes already listening and peered) instead of
 	// the default in-process channel hub. len(Transports) must equal N.
@@ -104,19 +105,14 @@ type Config struct {
 	// (runtime, transport, txn, service) emits into. Nil creates a fresh
 	// one, exposed via Service.Registry.
 	Registry *obs.Registry
-	// Tracer records per-transaction protocol events. Nil creates one
-	// with TraceCapacity, exposed via Service.Tracer.
+	// Tracer records per-transaction protocol events. Nil creates one of
+	// obs.DefaultTraceCapacity, exposed via Service.Tracer.
 	Tracer *obs.Tracer
-	// TraceCapacity sizes the default tracer's ring buffer (default
-	// 4096 most recent events). Ignored when Tracer is set.
-	TraceCapacity int
 	// Spans collects per-transaction causal spans across every layer
-	// (service stages, manager rounds, hub links). Nil creates one with
-	// SpanCapacity, exposed via Service.Spans and GET /debug/spans.
+	// (service stages, manager rounds, hub links). Nil creates one of
+	// span.DefaultCollectorCapacity, exposed via Service.Spans and GET
+	// /debug/spans.
 	Spans *span.Collector
-	// SpanCapacity sizes the default span collector's ring buffer
-	// (default 16384 most recent spans). Ignored when Spans is set.
-	SpanCapacity int
 	// SpanTxnCap, when > 0, bounds how many *completed* transactions'
 	// spans the collector retains (FIFO eviction of whole transactions):
 	// long soaks can run with spans enabled without completed graphs
@@ -187,9 +183,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.StatusRetention <= 0 {
 		c.StatusRetention = 1 << 16
 	}
-	if c.LatencyWindow <= 0 {
-		c.LatencyWindow = 1 << 16
-	}
 	if c.Transports != nil && len(c.Transports) != c.N {
 		return c, fmt.Errorf("service: %d transports for %d processors", len(c.Transports), c.N)
 	}
@@ -197,10 +190,10 @@ func (c Config) withDefaults() (Config, error) {
 		c.Registry = obs.NewRegistry()
 	}
 	if c.Tracer == nil {
-		c.Tracer = obs.NewTracer(c.TraceCapacity)
+		c.Tracer = obs.NewTracer(obs.DefaultTraceCapacity)
 	}
 	if c.Spans == nil {
-		c.Spans = span.NewCollector(c.SpanCapacity)
+		c.Spans = span.NewCollector(span.DefaultCollectorCapacity)
 	}
 	if c.SpanTxnCap > 0 {
 		c.Spans.SetTxnCap(c.SpanTxnCap)

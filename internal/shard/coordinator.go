@@ -52,9 +52,6 @@ type Config struct {
 	// Retention caps how many finished cross-shard transactions keep
 	// status entries (default 65536, FIFO eviction).
 	Retention int
-	// LatencyWindow sizes the cross-shard latency recorder (default
-	// 65536 most recent decided cross-shard transactions).
-	LatencyWindow int
 }
 
 // MaxKeys caps the key set of one submission, matching the HTTP decode
@@ -192,17 +189,14 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Retention <= 0 {
 		cfg.Retention = 1 << 16
 	}
-	if cfg.LatencyWindow <= 0 {
-		cfg.LatencyWindow = 1 << 16
-	}
 	if cfg.Group.Registry == nil {
 		cfg.Group.Registry = obs.NewRegistry()
 	}
 	if cfg.Group.Tracer == nil {
-		cfg.Group.Tracer = obs.NewTracer(cfg.Group.TraceCapacity)
+		cfg.Group.Tracer = obs.NewTracer(obs.DefaultTraceCapacity)
 	}
 	if cfg.Group.Spans == nil {
-		cfg.Group.Spans = span.NewCollector(cfg.Group.SpanCapacity)
+		cfg.Group.Spans = span.NewCollector(span.DefaultCollectorCapacity)
 	}
 	if cfg.Group.Transports != nil && cfg.Shards != 1 {
 		return nil, errors.New("shard: external transports require wiring per group; use Shards=1 or the channel backend")
@@ -219,7 +213,7 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:    cfg,
 		router: router,
 		log:    log,
-		lat:    stats.NewRecorder(cfg.LatencyWindow),
+		lat:    stats.NewRecorder(service.LatencyWindow),
 		cross:  make(map[string]*crossEntry),
 	}
 	reg := cfg.Group.Registry

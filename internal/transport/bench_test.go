@@ -24,9 +24,8 @@ func BenchmarkHubSendRecv(b *testing.B) {
 }
 
 // BenchmarkTCPSendRecv measures the TCP transport round path over
-// loopback with gob framing (one persistent connection).
+// loopback with binary framing (one persistent connection).
 func BenchmarkTCPSendRecv(b *testing.B) {
-	transport.RegisterWirePayloads()
 	n0, err := transport.ListenTCP(0, "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)

@@ -2,9 +2,8 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -16,17 +15,15 @@ import (
 	"repro/internal/types"
 )
 
-// frame is the gob representation of one message, used for the fallback
-// 'G' frames carrying payloads outside the binary codec.
-type frame struct {
-	Msg types.Message
-}
+// errUnencodable reports a payload with no tag in the binary codec. The
+// message is dropped; nothing was written, so the connection stays up.
+var errUnencodable = errors.New("transport: payload has no wire encoding")
 
 // TCPNode is a Transport backed by stdlib TCP with length-prefixed binary
-// framing (see wire.go) and a per-frame gob fallback. Every node listens
-// on one address and lazily dials its peers. Connection failures and
-// encode errors drop the message (crash semantics: an unreachable peer is
-// indistinguishable from a crashed one, which is exactly the model).
+// framing (see wire.go). Every node listens on one address and lazily
+// dials its peers. Connection failures and encode errors drop the message
+// (crash semantics: an unreachable peer is indistinguishable from a
+// crashed one, which is exactly the model).
 type TCPNode struct {
 	id types.ProcID
 	ln net.Listener
@@ -53,7 +50,6 @@ type outConn struct {
 	mu      sync.Mutex
 	w       *bufio.Writer
 	scratch []byte // frame assembly buffer, reused across sends
-	gobBuf  bytes.Buffer
 	waiters atomic.Int32
 }
 
@@ -61,44 +57,31 @@ func newOutConn(c net.Conn) *outConn {
 	return &outConn{c: c, w: bufio.NewWriterSize(c, 1<<15)}
 }
 
-// send frames, writes, and (when last in line) flushes one message.
+// send frames, writes, and (when last in line) flushes one message. An
+// unencodable message writes nothing but still takes its turn flushing:
+// earlier senders may have left their frames in the buffer for it.
 func (oc *outConn) send(msg types.Message) error {
 	oc.waiters.Add(1)
 	oc.mu.Lock()
+	defer oc.mu.Unlock()
 	err := oc.writeLocked(msg)
-	if oc.waiters.Add(-1) == 0 && err == nil {
-		err = oc.w.Flush()
+	if oc.waiters.Add(-1) == 0 && (err == nil || err == errUnencodable) {
+		if ferr := oc.w.Flush(); ferr != nil {
+			return ferr
+		}
 	}
-	oc.mu.Unlock()
 	return err
 }
 
 func (oc *outConn) writeLocked(msg types.Message) error {
-	// Reserve the 4-byte length and format byte, then try the binary body.
-	buf := append(oc.scratch[:0], 0, 0, 0, 0, fmtBinary)
-	if out, ok := appendMessage(buf, msg); ok {
-		binary.BigEndian.PutUint32(out[:4], uint32(len(out)-4))
-		oc.scratch = out
-		_, err := oc.w.Write(out)
-		return err
+	// Reserve the 4-byte length and format byte, then append the body.
+	out, ok := appendMessage(append(oc.scratch[:0], 0, 0, 0, 0, fmtBinary), msg)
+	oc.scratch = out[:0]
+	if !ok {
+		return errUnencodable
 	}
-	oc.scratch = buf[:0]
-	// Fallback: a self-contained gob frame. A fresh encoder re-sends type
-	// descriptors every time, which is fine for the rare exotic payload.
-	oc.gobBuf.Reset()
-	if err := gob.NewEncoder(&oc.gobBuf).Encode(frame{Msg: msg}); err != nil {
-		return err
-	}
-	if 1+oc.gobBuf.Len() > maxFrameBytes {
-		return fmt.Errorf("transport: frame too large (%d bytes)", oc.gobBuf.Len())
-	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(1+oc.gobBuf.Len()))
-	hdr[4] = fmtGob
-	if _, err := oc.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := oc.w.Write(oc.gobBuf.Bytes())
+	binary.BigEndian.PutUint32(out[:4], uint32(len(out)-4))
+	_, err := oc.w.Write(out)
 	return err
 }
 
@@ -106,8 +89,7 @@ var _ Transport = (*TCPNode)(nil)
 
 // ListenTCP starts a node listening on addr ("127.0.0.1:0" for an
 // ephemeral port). Call Addr to learn the bound address and SetPeers to
-// install the peer directory before sending. RegisterWirePayloads must
-// have been called once per process.
+// install the peer directory before sending.
 func ListenTCP(id types.ProcID, addr string) (*TCPNode, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -197,21 +179,11 @@ func (n *TCPNode) readLoop(c net.Conn) {
 		if _, err := io.ReadFull(br, body); err != nil {
 			return
 		}
-		var msg types.Message
-		switch body[0] {
-		case fmtBinary:
-			m, err := decodeMessage(body[1:])
-			if err != nil {
-				return
-			}
-			msg = m
-		case fmtGob:
-			var f frame
-			if err := gob.NewDecoder(bytes.NewReader(body[1:])).Decode(&f); err != nil {
-				return
-			}
-			msg = f.Msg
-		default:
+		if body[0] != fmtBinary {
+			return // foreign frame format: corrupt stream
+		}
+		msg, err := decodeMessage(body[1:])
+		if err != nil {
 			return
 		}
 		n.mu.Lock()
@@ -287,6 +259,10 @@ func (n *TCPNode) Send(msg types.Message) error {
 		n.mu.Unlock()
 	}
 	if err := oc.send(msg); err != nil {
+		m.dropped.Inc()
+		if err == errUnencodable {
+			return nil // the connection is healthy; only this message is lost
+		}
 		// Broken pipe: forget the connection; the next send re-dials.
 		n.mu.Lock()
 		if n.conns[msg.To] == oc {
@@ -294,7 +270,6 @@ func (n *TCPNode) Send(msg types.Message) error {
 		}
 		n.mu.Unlock()
 		oc.c.Close() //nolint:errcheck
-		m.dropped.Inc()
 		return nil
 	}
 	m.observeDelay(n.id, msg.To, time.Since(start).Seconds())

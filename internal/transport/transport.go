@@ -1,7 +1,6 @@
 // Package transport provides message transports for the live (goroutine)
 // runtime: an in-memory hub with latency, loss, and crash injection, and a
-// TCP transport over stdlib net with length-prefixed binary framing (gob
-// fallback for payloads outside the binary codec).
+// TCP transport over stdlib net with length-prefixed binary framing.
 //
 // Transports are intentionally weaker than the simulator's adversary: they
 // model the paper's network (messages usually arrive promptly, sometimes

@@ -110,7 +110,6 @@ func TestHubCloseRejectsSends(t *testing.T) {
 }
 
 func TestTCPRoundTrip(t *testing.T) {
-	transport.RegisterWirePayloads()
 	n0, err := transport.ListenTCP(0, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +157,6 @@ func TestTCPRoundTrip(t *testing.T) {
 }
 
 func TestTCPLoopback(t *testing.T) {
-	transport.RegisterWirePayloads()
 	n0, err := transport.ListenTCP(0, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +171,6 @@ func TestTCPLoopback(t *testing.T) {
 }
 
 func TestTCPUnknownAndDeadPeerDropsSilently(t *testing.T) {
-	transport.RegisterWirePayloads()
 	n0, err := transport.ListenTCP(0, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +188,6 @@ func TestTCPUnknownAndDeadPeerDropsSilently(t *testing.T) {
 }
 
 func TestTCPCloseIsIdempotentAndRejectsSends(t *testing.T) {
-	transport.RegisterWirePayloads()
 	n0, err := transport.ListenTCP(0, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +318,6 @@ func TestWithFaultsWrapper(t *testing.T) {
 }
 
 func TestWithFaultsOverTCP(t *testing.T) {
-	transport.RegisterWirePayloads()
 	recvNode, err := transport.ListenTCP(1, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -3,17 +3,16 @@ package transport
 // Binary wire codec for the TCP transport's hot path.
 //
 // Frames are length-prefixed: a 4-byte big-endian length followed by one
-// format byte and the body. Format 'B' is the hand-rolled binary encoding
-// below, covering every payload type registered in this repository; format
-// 'G' is a self-contained gob stream (fresh encoder per frame), kept as a
-// fallback so exotic payloads registered only with gob keep working.
+// format byte and the body. The only format is 'B', the hand-rolled binary
+// encoding below, covering every payload type shipped in this repository.
+// A payload without a tag is dropped by the sender; a frame with any other
+// format byte is a corrupt stream and tears the connection down.
 //
 // The binary encoding is deliberately simple: zigzag varints for ints, one
 // byte per Value, a one-byte type tag per payload. Piggyback and Envelope
-// encode their inner payload recursively. Compared with streaming gob it
-// avoids per-message reflection and allocation on the send path (the
-// encoder appends into a per-connection scratch buffer) and shrinks the
-// bench message from ~120 to ~30 bytes on the wire.
+// encode their inner payload recursively. The encoder appends into a
+// per-connection scratch buffer, so the send path neither reflects nor
+// allocates per message.
 
 import (
 	"encoding/binary"
@@ -29,11 +28,13 @@ import (
 	"repro/internal/types"
 )
 
-// Frame format bytes.
-const (
-	fmtBinary = 'B'
-	fmtGob    = 'G'
-)
+// fmtBinary is the frame format byte.
+const fmtBinary = 'B'
+
+// RegisterWirePayloads does nothing: payloads are encoded by tag (see
+// appendPayload), not by registration. It is kept only because the frozen
+// bench/ program calls it; delete it when bench/ next changes.
+func RegisterWirePayloads() {}
 
 // maxFrameBytes bounds a single frame; larger length prefixes indicate a
 // corrupt or hostile stream and tear the connection down.
@@ -109,7 +110,7 @@ func appendBools(dst []byte, bs []bool) []byte {
 
 // appendMessage appends the binary body of msg (format fmtBinary, without
 // the frame header). ok is false when the payload — or a nested inner
-// payload — has no binary encoding; the caller must then fall back to gob
+// payload — has no binary encoding; the caller must then drop the message
 // and discard anything appended here.
 func appendMessage(dst []byte, msg types.Message) (_ []byte, ok bool) {
 	dst = appendInt(dst, int64(msg.From))

@@ -6,13 +6,19 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
+	"net"
+	"os"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/agreement"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/paxoscommit"
 	"repro/internal/recovery"
 	"repro/internal/threepc"
@@ -75,14 +81,34 @@ func wirePayloads() []types.Payload {
 	}
 }
 
-// gobRoundTrip pushes a message through gob exactly as a 'G' frame would.
+// gobFrame is the shape gob carries in the oracle round trip.
+type gobFrame struct {
+	Msg types.Message
+}
+
+var registerGobOnce sync.Once
+
+// registerGobPayloads registers every payload type with encoding/gob, the
+// differential oracle the binary codec is checked against. No non-test
+// code imports gob.
+func registerGobPayloads() {
+	registerGobOnce.Do(func() {
+		for _, p := range wirePayloads() {
+			if p != nil {
+				gob.Register(p)
+			}
+		}
+	})
+}
+
+// gobRoundTrip pushes a message through gob, the reference codec.
 func gobRoundTrip(t *testing.T, msg types.Message) types.Message {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(frame{Msg: msg}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(gobFrame{Msg: msg}); err != nil {
 		t.Fatalf("gob encode: %v", err)
 	}
-	var f frame
+	var f gobFrame
 	if err := gob.NewDecoder(&buf).Decode(&f); err != nil {
 		t.Fatalf("gob decode: %v", err)
 	}
@@ -90,10 +116,10 @@ func gobRoundTrip(t *testing.T, msg types.Message) types.Message {
 }
 
 // TestBinaryCodecMatchesGob round-trips every payload type through both
-// codecs and requires identical results: the binary codec is a drop-in
-// replacement for gob on the registered types.
+// codecs and requires identical results: the binary codec reproduces
+// exactly what reflection-based gob would on every shipped type.
 func TestBinaryCodecMatchesGob(t *testing.T) {
-	RegisterWirePayloads()
+	registerGobPayloads()
 	for i, p := range wirePayloads() {
 		msg := types.Message{
 			From: 3, To: 1, Payload: p,
@@ -131,63 +157,126 @@ func TestBinaryCodecNegativeInts(t *testing.T) {
 	}
 }
 
-// unregisteredPayload has no binary tag: it must force the gob fallback.
+// unregisteredPayload has no binary tag: the sender must drop it.
 type unregisteredPayload struct{ X int }
 
 func (unregisteredPayload) Kind() string { return "test.unregistered" }
 
-func TestUnregisteredPayloadFallsBackToGob(t *testing.T) {
-	msg := types.Message{To: 1, Payload: unregisteredPayload{X: 9}}
-	if _, ok := appendMessage(nil, msg); ok {
-		t.Fatal("unregistered payload unexpectedly binary-encodable")
+// tcpPair boots two TCP nodes with 0 knowing 1's address.
+func tcpPair(t *testing.T) (n0, n1 *TCPNode) {
+	t.Helper()
+	var err error
+	if n0, err = ListenTCP(0, "127.0.0.1:0"); err != nil {
+		t.Fatal(err)
 	}
-	// Nested inside a registered wrapper it must still refuse, so the
-	// whole frame falls back rather than shipping a half-binary body.
-	wrapped := types.Message{To: 1, Payload: core.Piggyback{Inner: unregisteredPayload{X: 9}}}
-	if _, ok := appendMessage(nil, wrapped); ok {
-		t.Fatal("nested unregistered payload unexpectedly binary-encodable")
+	t.Cleanup(func() { n0.Close() }) //nolint:errcheck
+	if n1, err = ListenTCP(1, "127.0.0.1:0"); err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { n1.Close() }) //nolint:errcheck
+	n0.SetPeers(map[types.ProcID]string{1: n1.Addr()})
+	return n0, n1
 }
 
-// TestTCPGobFallbackRoundTrip ships a payload outside the binary codec
-// through a real TCP pair: it must ride a 'G' frame and arrive intact.
-func TestTCPGobFallbackRoundTrip(t *testing.T) {
-	RegisterWirePayloads()
-	gob.Register(unregisteredPayload{})
-	n0, err := ListenTCP(0, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// TestUnencodablePayloadIsDropped: a payload without a binary tag — bare
+// or nested in a registered wrapper — is dropped and counted by Send, and
+// the connection it would have used keeps carrying registered messages.
+func TestUnencodablePayloadIsDropped(t *testing.T) {
+	bare := types.Message{To: 1, Payload: unregisteredPayload{X: 9}, Seq: 2}
+	nested := types.Message{To: 1, Payload: core.Piggyback{Inner: unregisteredPayload{X: 9}}, Seq: 3}
+	for _, msg := range []types.Message{bare, nested} {
+		if _, ok := appendMessage(nil, msg); ok {
+			t.Fatalf("%T unexpectedly binary-encodable", msg.Payload)
+		}
 	}
-	defer n0.Close() //nolint:errcheck
-	n1, err := ListenTCP(1, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n1.Close() //nolint:errcheck
-	n0.SetPeers(map[types.ProcID]string{1: n1.Addr()})
 
-	// Interleave binary and fallback frames on one connection to check
-	// the two formats coexist on a single stream.
+	n0, n1 := tcpPair(t)
+	reg := obs.NewRegistry()
+	n0.Instrument(reg)
+	dropped := reg.CounterVec("transport_messages_dropped_total", "", "transport").With("tcp")
+
 	sent := []types.Message{
-		{To: 1, Payload: unregisteredPayload{X: 9}, Seq: 1},
-		{To: 1, Payload: core.VoteMsg{Val: types.V1}, Seq: 2},
-		{To: 1, Payload: unregisteredPayload{X: -3}, Seq: 3},
+		{To: 1, Payload: core.VoteMsg{Val: types.V1}, Seq: 1},
+		bare,
+		nested,
+		{To: 1, Payload: core.VoteMsg{Val: types.V0}, Seq: 4},
 	}
+	var conn *outConn
 	for _, msg := range sent {
 		if err := n0.Send(msg); err != nil {
 			t.Fatal(err)
 		}
+		n0.mu.Lock()
+		oc := n0.conns[1]
+		n0.mu.Unlock()
+		if oc == nil || (conn != nil && oc != conn) {
+			t.Fatalf("after seq %d: connection to peer 1 was closed or re-dialled", msg.Seq)
+		}
+		conn = oc
 	}
-	for _, want := range sent {
+	if got := dropped.Value(); got != 2 {
+		t.Errorf("dropped = %d, want 2", got)
+	}
+	for _, seq := range []int{1, 4} {
 		select {
 		case got := <-n1.Recv():
-			want.From = 0
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("got %#v want %#v", got, want)
+			if got.Seq != seq {
+				t.Fatalf("got seq %d, want %d", got.Seq, seq)
 			}
 		case <-time.After(2 * time.Second):
-			t.Fatalf("message %d never arrived", want.Seq)
+			t.Fatalf("message %d never arrived", seq)
 		}
+	}
+	select {
+	case got := <-n1.Recv():
+		t.Fatalf("unexpected delivery: %#v", got)
+	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// TestForeignFrameFormatRejected: an inbound frame whose format byte is
+// not 'B' — including a well-formed 'G' gob frame from an old peer — is a
+// corrupt stream: the connection is torn down and nothing is delivered,
+// not even a valid 'B' frame queued behind it.
+func TestForeignFrameFormatRejected(t *testing.T) {
+	registerGobPayloads()
+	msg := types.Message{From: 0, To: 1, Payload: core.VoteMsg{Val: types.V1}, Seq: 7}
+	var gobBody bytes.Buffer
+	if err := gob.NewEncoder(&gobBody).Encode(gobFrame{Msg: msg}); err != nil {
+		t.Fatal(err)
+	}
+	binBody, ok := appendMessage(nil, msg)
+	if !ok {
+		t.Fatal("encode failed")
+	}
+	frame := func(format byte, body []byte) []byte {
+		out := binary.BigEndian.AppendUint32(nil, uint32(1+len(body)))
+		return append(append(out, format), body...)
+	}
+	for name, foreign := range map[string][]byte{
+		"gob":     frame('G', gobBody.Bytes()),
+		"unknown": frame('X', binBody),
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, n1 := tcpPair(t)
+			c, err := net.Dial("tcp", n1.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close() //nolint:errcheck
+			if _, err := c.Write(append(foreign, frame(fmtBinary, binBody)...)); err != nil {
+				t.Fatal(err)
+			}
+			c.SetReadDeadline(time.Now().Add(2 * time.Second)) //nolint:errcheck
+			if _, err := c.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("peer kept the connection open after a foreign frame (read err %v)", err)
+			}
+			select {
+			case got := <-n1.Recv():
+				t.Fatalf("delivered %#v from a corrupt stream", got)
+			case <-time.After(50 * time.Millisecond):
+			}
+		})
 	}
 }
 

@@ -277,9 +277,7 @@ func (m *Manager) stepBatchesLocked(sh *mshard, tick int, rnd types.Rand, out []
 					})
 				}
 			}
-			o := Outcome{Txn: txn, Decision: d}
-			sh.pending = append(sh.pending, o)
-			decidedNow = append(decidedNow, o)
+			decidedNow = append(decidedNow, Outcome{Txn: txn, Decision: d})
 		}
 		if !bi.doneCounted && bi.c.DecidedCount() == bi.c.Width() {
 			bi.doneCounted = true
@@ -295,8 +293,8 @@ func (m *Manager) stepBatchesLocked(sh *mshard, tick int, rnd types.Rand, out []
 }
 
 // retireBatchesLocked removes finished (or abandoned) batches, leaving a
-// per-member decision tombstone on the batch's shard — DecisionOf and
-// Watch keep answering through the members index. Caller holds sh.mu.
+// per-member decision tombstone on the batch's shard — DecisionOf keeps
+// answering through the members index. Caller holds sh.mu.
 func (m *Manager) retireBatchesLocked(sh *mshard, tick int, ids []BatchID) {
 	if len(ids) == 0 {
 		return

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/adversary"
+	"repro/internal/hash64"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/txn"
@@ -118,41 +119,98 @@ func TestBatchManagerFanout(t *testing.T) {
 	}
 }
 
-// TestBatchManagerWatchAndOutcomes: Watch fires for batch members, and
-// Outcomes drains one entry per member.
-func TestBatchManagerWatchAndOutcomes(t *testing.T) {
-	const n, b = 3, 8
+// TestBatchManagerOnOutcomeOncePerMember: OnOutcome, the one push hook,
+// fires exactly once per member on every node — the coordinator, the
+// joiners, and a node partitioned away until the others have decided,
+// which joins late from whatever frame reaches it first — including for
+// members whose own id hashes to a different shard than their batch's. It
+// runs with no manager lock held: the callback reads DecisionOf (the
+// deciding batch's shard lock) and the coordinator's first callback begins
+// a follow-up batch on that same shard, either of which would deadlock the
+// stepping goroutine otherwise.
+func TestBatchManagerOnOutcomeOncePerMember(t *testing.T) {
+	const n, b, shards = 3, 8, 4
+	const batch, late = txn.BatchID("batch-W"), 2
 	ids := batchIDs(b)
-	votes := map[txn.ID][]bool{}
+	shardOf := func(id string) uint64 { return hash64.String(id) % shards }
+	offShard := 0
 	for _, id := range ids {
-		votes[id] = []bool{true, true, true}
+		if shardOf(string(id)) != shardOf(string(batch)) {
+			offShard++
+		}
 	}
-	managers, machines := buildShardedManagers(t, n, 4, votes)
+	if offShard == 0 {
+		t.Fatal("every member hashes to its batch's shard; pick other ids")
+	}
+	// A follow-up transaction whose width-1 batch lands on batch-W's shard.
+	var follow txn.ID
+	for i := 0; follow == ""; i++ {
+		if id := fmt.Sprintf("follow-%d", i); shardOf(id) == shardOf(string(batch)) {
+			follow = txn.ID(id)
+		}
+	}
+
+	// The simulator steps one manager at a time, so the callbacks need no
+	// lock of their own. firings[p][id] lists the global sequence numbers
+	// at which node p's callback fired for id.
+	firings := make([]map[txn.ID][]int, n)
+	seq := 0
+	managers := make([]*txn.Manager, n)
+	machines := make([]types.Machine, n)
+	for p := 0; p < n; p++ {
+		p := p
+		firings[p] = make(map[txn.ID][]int)
+		mgr, err := txn.NewManager(txn.Config{
+			ID: types.ProcID(p), N: n, K: 3, InboxShards: shards,
+			OnOutcome: func(o txn.Outcome) {
+				if d, ok := managers[p].DecisionOf(o.Txn); !ok || d != o.Decision {
+					t.Errorf("node %d: callback %v for %s but DecisionOf = %v,%v", p, o.Decision, o.Txn, d, ok)
+				}
+				seq++
+				firings[p][o.Txn] = append(firings[p][o.Txn], seq)
+				if p == 0 && len(firings[0]) == 1 && len(firings[0][o.Txn]) == 1 {
+					if err := managers[0].Begin(follow, true); err != nil {
+						t.Errorf("Begin from inside OnOutcome: %v", err)
+					}
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		managers[p] = mgr
+		machines[p] = mgr
+	}
 	own := make([]bool, b)
 	for i := range own {
 		own[i] = true
 	}
-	watch := managers[1].Watch(ids[3])
-	if err := managers[0].BeginBatch("batch-W", ids, own); err != nil {
+	if err := managers[0].BeginBatch(batch, ids, own); err != nil {
 		t.Fatal(err)
 	}
-	runBatched(t, managers, machines, ids, &adversary.RoundRobin{}, 7)
-	select {
-	case o := <-watch:
-		if o.Txn != ids[3] || o.Decision != types.DecisionCommit {
-			t.Fatalf("watch fired with %+v", o)
+	// Node 2 hears nothing for the first 400 events, by which time nodes 0
+	// and 1 (a majority) have decided without it. (Were a callback entered
+	// with a shard lock held, this run would never return: the test dies on
+	// its -timeout with the stepping goroutine parked on that lock.)
+	adv := &adversary.Partition{Inner: &adversary.RoundRobin{}, GroupOf: []int{0, 0, 1}, HealEvent: 400}
+	all := append(append([]txn.ID{}, ids...), follow)
+	if res := runBatched(t, managers, machines, all, adv, 7); res.Exhausted {
+		t.Fatal("not every member decided on every node")
+	}
+	for p := range managers {
+		for _, id := range all {
+			if got := len(firings[p][id]); got != 1 {
+				t.Fatalf("node %d: OnOutcome fired %d times for %s, want 1", p, got, id)
+			}
 		}
-	default:
-		t.Fatal("watch channel never fired for a batch member")
+		if len(firings[p]) != len(all) {
+			t.Errorf("node %d: OnOutcome fired for %d ids, want %d", p, len(firings[p]), len(all))
+		}
 	}
-	outs := managers[0].Outcomes()
-	if len(outs) != b {
-		t.Fatalf("coordinator drained %d outcomes, want %d", len(outs), b)
-	}
-	// Watching an already-decided member delivers immediately.
-	late := <-managers[2].Watch(ids[0])
-	if late.Decision != types.DecisionCommit {
-		t.Fatalf("late watch got %v", late.Decision)
+	for _, id := range ids {
+		if at := firings[late][id][0]; at < firings[0][id][0] || at < firings[1][id][0] {
+			t.Errorf("%s: node %d fired before the majority; it was meant to join late", id, late)
+		}
 	}
 }
 

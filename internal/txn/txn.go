@@ -17,14 +17,14 @@
 // the outcome vector for many transactions at once — one coin flood, one
 // vote exchange, one agreement run per batch — and Begin is its width-1
 // case: the paper's Protocol 2 for a single transaction. Per-transaction
-// observability (Outcomes, Watch, DecisionOf, OnOutcome) is element-wise;
-// elements report individually as they decide.
+// observability (OnOutcome push, DecisionOf pull) is element-wise; elements
+// report individually as they decide.
 //
 // The manager's state is split into Config.InboxShards shards, each with
 // its own mutex and its own scratch buffers, with batches placed by the
 // repository hash of their id (internal/hash64). The stepping goroutine
 // visits shards in index order (determinism), but client-side calls —
-// BeginBatch, Watch, DecisionOf, metrics gauges — contend only on the
+// BeginBatch, DecisionOf, metrics gauges — contend only on the
 // shard their id hashes to instead of one global lock. No code path ever
 // holds two shard locks at once.
 //
@@ -33,8 +33,7 @@
 // a tombstone with its decisions; per-step cost then tracks the number of
 // *active* batches, not every transaction the node has ever seen.
 // Completion is observable without polling via OnOutcome (a callback
-// invoked from the stepping goroutine) or Watch (a per-transaction
-// channel).
+// invoked from the stepping goroutine).
 package txn
 
 import (
@@ -176,22 +175,18 @@ func newMMetrics(reg *obs.Registry, node string) mmetrics {
 // mshard is one independently locked slice of a Manager's state. The
 // stepping goroutine is the only writer of the scratch fields (byBatch,
 // recv); mu guards everything else against concurrent client calls
-// (BeginBatch, Watch, DecisionOf, gauges).
+// (BeginBatch, DecisionOf, gauges).
 type mshard struct {
 	mu      sync.Mutex
 	batches map[BatchID]*binstance
 	// border keeps deterministic iteration for simulation replay.
-	border  []BatchID
-	pending []Outcome
+	border []BatchID
 	// retired maps members of finished-and-removed batches to their
 	// decision (DecisionNone for members abandoned undecided), on the
 	// batch's shard.
 	retired map[ID]types.Decision
 	// retiredBatches drops stragglers for finished batches.
 	retiredBatches map[BatchID]bool
-	// watchers holds Watch channels on the watched id's own shard, which
-	// can differ from its batch's.
-	watchers map[ID][]chan Outcome
 
 	// Scratch owned by the stepping goroutine; never touched by client
 	// calls, so it carries no lock.
@@ -204,7 +199,6 @@ func newMshard() *mshard {
 		batches:        make(map[BatchID]*binstance),
 		retired:        make(map[ID]types.Decision),
 		retiredBatches: make(map[BatchID]bool),
-		watchers:       make(map[ID][]chan Outcome),
 		byBatch:        make(map[BatchID][]types.Message),
 	}
 }
@@ -219,7 +213,7 @@ type Manager struct {
 	spawned atomic.Int64
 	shards  []*mshard
 	// members maps a transaction's id to its batch so per-transaction
-	// queries (Watch, DecisionOf) can find the shard holding the batch.
+	// queries (DecisionOf) can find the shard holding the batch.
 	// Entries live as long as the batch's tombstone (forever, like
 	// retired) — id-keyed lookups must keep answering after retirement.
 	members sync.Map // ID -> BatchID
@@ -309,7 +303,7 @@ func (m *Manager) ID() types.ProcID { return m.cfg.ID }
 func (m *Manager) Clock() int { return m.clockNow() }
 
 // Decision implements types.Machine. A manager reports no aggregate
-// decision; per-transaction outcomes come from Outcomes. (It reports
+// decision; per-transaction outcomes come from DecisionOf. (It reports
 // decided only so engines with decision-based stop conditions are not
 // used with managers by accident — use custom StopWhen predicates.)
 func (m *Manager) Decision() (types.Value, bool) { return 0, false }
@@ -333,54 +327,6 @@ func (m *Manager) Halted() bool {
 		sh.mu.Unlock()
 	}
 	return true
-}
-
-// Outcomes drains the transactions decided since the last call.
-func (m *Manager) Outcomes() []Outcome {
-	var out []Outcome
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		out = append(out, sh.pending...)
-		sh.pending = nil
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// Watch returns a channel that receives this node's outcome for txn
-// exactly once, then is never used again. If the transaction has already
-// decided (or retired with a decision), the outcome is delivered
-// immediately. Watching a transaction the node never hears of yields a
-// channel that never fires.
-func (m *Manager) Watch(txn ID) <-chan Outcome {
-	ch := make(chan Outcome, 1)
-	if d, ok := m.DecisionOf(txn); ok {
-		ch <- Outcome{Txn: txn, Decision: d}
-		return ch
-	}
-	sh := m.shardFor(string(txn))
-	sh.mu.Lock()
-	sh.watchers[txn] = append(sh.watchers[txn], ch)
-	sh.mu.Unlock()
-	// The decision may have landed between the check and the
-	// registration (it is recorded under the batch's shard's lock).
-	// Re-check; if it has, claim the channel back and deliver here — the
-	// firing pass and this path both remove the channel under sh.mu, so
-	// exactly one of them sends.
-	if d, ok := m.DecisionOf(txn); ok {
-		sh.mu.Lock()
-		ws := sh.watchers[txn]
-		for i, w := range ws {
-			if w == ch {
-				sh.watchers[txn] = append(ws[:i], ws[i+1:]...)
-				sh.mu.Unlock()
-				ch <- Outcome{Txn: txn, Decision: d}
-				return ch
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return ch
 }
 
 // DecisionOf reports a transaction's decision at this node: from its
@@ -432,9 +378,9 @@ func (m *Manager) Transactions() []ID {
 
 // Step implements types.Machine: demultiplex by shard, spawn
 // participants for new batches, advance every instance one tick, wrap
-// outputs, retire finished instances, and notify completion observers.
-// Shards are visited in index order under their own locks; watcher
-// firing and OnOutcome callbacks run after every lock is released.
+// outputs, retire finished instances, and report newly decided members.
+// Shards are visited in index order under their own locks; OnOutcome
+// callbacks run after every lock is released.
 func (m *Manager) Step(received []types.Message, rnd types.Rand) []types.Message {
 	tick := int(m.clock.Add(1))
 
@@ -457,19 +403,7 @@ func (m *Manager) Step(received []types.Message, rnd types.Rand) []types.Message
 	m.out = out
 	m.decidedNow = decidedNow
 
-	// Fire watchers and the outcome callback with no locks held. A
-	// member's watchers live on its own shard, which can differ from its
-	// batch's, so this pass re-locks per outcome.
-	for _, o := range decidedNow {
-		sh := m.shardFor(string(o.Txn))
-		sh.mu.Lock()
-		ws := sh.watchers[o.Txn]
-		delete(sh.watchers, o.Txn)
-		sh.mu.Unlock()
-		for _, ch := range ws {
-			ch <- o // buffered (cap 1), at most one send ever
-		}
-	}
+	// No lock is held here: the callback may call back into the manager.
 	if cb := m.cfg.OnOutcome; cb != nil {
 		for _, o := range decidedNow {
 			cb(o)

@@ -218,29 +218,48 @@ func TestManagerIgnoresForeignPayloads(t *testing.T) {
 	}
 }
 
-// TestWatchAndCallbackConcurrentCoordinators drives a live goroutine
-// cluster of managers while several goroutines concurrently begin
-// transactions on different coordinators and wait for completion through
-// both notification APIs (Watch channels and the OnOutcome callback) —
-// the polling-free path the service subsystem relies on.
-func TestWatchAndCallbackConcurrentCoordinators(t *testing.T) {
+// TestOnOutcomeConcurrentCoordinators drives a live goroutine cluster of
+// managers while several goroutines concurrently begin transactions on
+// different coordinators and wait for completion through the OnOutcome
+// callback — the polling-free path the service subsystem relies on. The
+// callback reads DecisionOf, which takes the deciding batch's shard lock:
+// it would deadlock the stepping goroutine if Step still held it.
+func TestOnOutcomeConcurrentCoordinators(t *testing.T) {
 	n := 5
+	ids := []txn.ID{"tx-0", "tx-1", "tx-2", "tx-3", "tx-4", "tx-5", "tx-6", "tx-7"}
+	// ids[i] is coordinated by node i%n; done[id] receives that node's own
+	// outcome for id.
+	coordOf := make(map[txn.ID]int, len(ids))
+	done := make(map[txn.ID]chan types.Decision, len(ids))
+	for i, id := range ids {
+		coordOf[id] = i % n
+		done[id] = make(chan types.Decision, 1)
+	}
 	var cbMu sync.Mutex
-	cbSeen := make(map[txn.ID]map[types.ProcID]types.Decision)
+	cbSeen := make(map[txn.ID]map[types.ProcID][]types.Decision)
 	managers := make([]*txn.Manager, n)
 	machines := make([]types.Machine, n)
 	for p := 0; p < n; p++ {
 		p := p
 		mgr, err := txn.NewManager(txn.Config{
-			ID: types.ProcID(p), N: n, K: 3,
+			ID: types.ProcID(p), N: n, K: 3, InboxShards: 4,
 			Vote: func(id txn.ID) bool { return id != "tx-3" },
 			OnOutcome: func(o txn.Outcome) {
-				cbMu.Lock()
-				defer cbMu.Unlock()
-				if cbSeen[o.Txn] == nil {
-					cbSeen[o.Txn] = make(map[types.ProcID]types.Decision)
+				if d, ok := managers[p].DecisionOf(o.Txn); !ok || d != o.Decision {
+					t.Errorf("node %d: callback %v for %s but DecisionOf = %v,%v", p, o.Decision, o.Txn, d, ok)
 				}
-				cbSeen[o.Txn][types.ProcID(p)] = o.Decision
+				cbMu.Lock()
+				if cbSeen[o.Txn] == nil {
+					cbSeen[o.Txn] = make(map[types.ProcID][]types.Decision)
+				}
+				cbSeen[o.Txn][types.ProcID(p)] = append(cbSeen[o.Txn][types.ProcID(p)], o.Decision)
+				cbMu.Unlock()
+				if coordOf[o.Txn] == p {
+					select {
+					case done[o.Txn] <- o.Decision:
+					default: // a second firing is reported from cbSeen below
+					}
+				}
 			},
 		})
 		if err != nil {
@@ -261,25 +280,22 @@ func TestWatchAndCallbackConcurrentCoordinators(t *testing.T) {
 		runDone <- err
 	}()
 
-	ids := []txn.ID{"tx-0", "tx-1", "tx-2", "tx-3", "tx-4", "tx-5", "tx-6", "tx-7"}
 	got := make([]types.Decision, len(ids))
 	var wg sync.WaitGroup
 	for i, id := range ids {
 		i, id := i, id
-		coord := managers[i%n]
+		coord := managers[coordOf[id]]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := coord.Watch(id)
 			if err := coord.Begin(id, id != "tx-3"); err != nil {
 				t.Error(err)
 				return
 			}
 			select {
-			case o := <-w:
-				got[i] = o.Decision
+			case got[i] = <-done[id]:
 			case <-time.After(20 * time.Second):
-				t.Errorf("watch for %s never fired", id)
+				t.Errorf("callback for %s never fired at its coordinator", id)
 			}
 		}()
 	}
@@ -287,6 +303,8 @@ func TestWatchAndCallbackConcurrentCoordinators(t *testing.T) {
 	if err := <-runDone; err != nil {
 		t.Fatal(err)
 	}
+	cbMu.Lock()
+	defer cbMu.Unlock()
 	for i, id := range ids {
 		want := types.DecisionCommit
 		if id == "tx-3" {
@@ -295,38 +313,16 @@ func TestWatchAndCallbackConcurrentCoordinators(t *testing.T) {
 		if got[i] != want {
 			t.Errorf("%s decided %v, want %v", id, got[i], want)
 		}
-		// The callback fired on every node, and all agree.
-		cbMu.Lock()
+		// The callback fired exactly once on every node, and all agree.
 		per := cbSeen[id]
 		if len(per) != n {
 			t.Errorf("%s: callback on %d/%d nodes", id, len(per), n)
 		}
-		for p, d := range per {
-			if d != got[i] {
-				t.Errorf("%s: node %d callback %v disagrees with watch %v", id, p, d, got[i])
+		for p, ds := range per {
+			if len(ds) != 1 || ds[0] != got[i] {
+				t.Errorf("%s: node %d callbacks %v, want exactly one %v", id, p, ds, got[i])
 			}
 		}
-		cbMu.Unlock()
-	}
-}
-
-// TestWatchAfterDecision delivers immediately for already-finished
-// transactions.
-func TestWatchAfterDecision(t *testing.T) {
-	n := 3
-	votes := map[txn.ID][]bool{"w": {true, true, true}}
-	managers, machines := buildManagers(t, n, votes)
-	if err := managers[0].Begin("w", true); err != nil {
-		t.Fatal(err)
-	}
-	runManagers(t, managers, machines, []txn.ID{"w"}, &adversary.RoundRobin{}, 9)
-	select {
-	case o := <-managers[0].Watch("w"):
-		if o.Decision != types.DecisionCommit {
-			t.Fatalf("decision = %v", o.Decision)
-		}
-	default:
-		t.Fatal("watch on a decided transaction did not fire immediately")
 	}
 }
 
@@ -395,9 +391,12 @@ func TestRetirementTombstones(t *testing.T) {
 
 // TestMaxAgeAbandonsBlockedInstance: an instance that can never decide
 // (no quorum reachable) is dropped after MaxAge ticks with a DecisionNone
-// tombstone, so a service node does not accrete blocked instances.
+// tombstone, so a service node does not accrete blocked instances. An
+// abandoned member never reaches OnOutcome: no decision was made.
 func TestMaxAgeAbandonsBlockedInstance(t *testing.T) {
-	mgr, err := txn.NewManager(txn.Config{ID: 0, N: 3, K: 2, MaxAge: 20})
+	mgr, err := txn.NewManager(txn.Config{ID: 0, N: 3, K: 2, MaxAge: 20,
+		OnOutcome: func(o txn.Outcome) { t.Errorf("OnOutcome fired for abandoned %s: %v", o.Txn, o.Decision) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,22 +415,5 @@ func TestMaxAgeAbandonsBlockedInstance(t *testing.T) {
 	}
 	if err := mgr.Begin("stuck", true); err == nil {
 		t.Fatal("abandoned id accepted again")
-	}
-}
-
-func TestOutcomesDrain(t *testing.T) {
-	n := 3
-	votes := map[txn.ID][]bool{"solo": {true, true, true}}
-	managers, machines := buildManagers(t, n, votes)
-	if err := managers[0].Begin("solo", true); err != nil {
-		t.Fatal(err)
-	}
-	runManagers(t, managers, machines, []txn.ID{"solo"}, &adversary.RoundRobin{}, 3)
-	got := managers[0].Outcomes()
-	if len(got) != 1 || got[0].Txn != "solo" || got[0].Decision != types.DecisionCommit {
-		t.Fatalf("outcomes = %v", got)
-	}
-	if len(managers[0].Outcomes()) != 0 {
-		t.Fatal("outcomes not drained")
 	}
 }

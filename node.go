@@ -134,7 +134,6 @@ func StartNode(cfg Config, spec NodeSpec) (*Node, error) {
 	// lingers briefly so restarting peers can catch it.
 	machine = &recovery.Responder{Inner: machine, Linger: spec.ServeOutcomeTicks}
 
-	transport.RegisterWirePayloads()
 	tn, err := transport.ListenTCP(spec.ID, spec.Listen)
 	if err != nil {
 		n.closeJournal()
