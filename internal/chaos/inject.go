@@ -9,9 +9,8 @@ import (
 	"repro/internal/types"
 )
 
-// Injector turns a Plan into a live message interceptor. Install Decide
-// as transport.HubOptions.Inject on the channel path, or wrap a TCP node
-// with transport.WithFaults(node, inj.Decide).
+// Injector turns a Plan into a live message interceptor: install Decide
+// as transport.HubOptions.Inject.
 //
 // The injector maps wall time onto plan ticks (tick = elapsed/tickEvery,
 // clock armed by Arm or the first Decide) for the schedule-shaped faults

@@ -72,13 +72,6 @@ func newNodeMetrics(reg *obs.Registry, p types.ProcID) nodeMetrics {
 	}
 }
 
-// CrashCounter returns the fail-stop crash counter family in reg, shared
-// by Cluster.Crash and the service layer's external-transport backend.
-func CrashCounter(reg *obs.Registry) *obs.CounterVec {
-	return reg.CounterVec("runtime_node_crashes_total",
-		"Fail-stop crashes injected, by node.", "node")
-}
-
 // Node runs one machine.
 type Node struct {
 	cfg  NodeConfig
@@ -250,10 +243,14 @@ func (r *ClusterResult) Unanimous() (types.Decision, bool) {
 	return types.DecisionOf(v), true
 }
 
-// Cluster runs a set of machines over an in-memory hub.
+// Cluster runs a set of machines, one node each, over a transport set:
+// the endpoints of an in-memory hub it owns, or transports the caller
+// supplied (TCP nodes already listening and peered, say).
 type Cluster struct {
-	hub     *transport.Hub
+	hub     *transport.Hub // nil over supplied transports
+	trs     []transport.Transport
 	nodes   []*Node
+	crashed []atomic.Bool
 	crashes *obs.CounterVec
 	tracer  *obs.Tracer
 
@@ -264,12 +261,14 @@ type Cluster struct {
 	closed  atomic.Bool
 }
 
-// ClusterOptions configures NewLocalCluster.
+// ClusterOptions configures NewCluster.
 type ClusterOptions struct {
 	TickEvery time.Duration
 	MaxTicks  int
 	Seed      uint64
-	Hub       transport.HubOptions
+	// Hub configures the hub a cluster builds for itself; it is not
+	// consulted over supplied transports.
+	Hub transport.HubOptions
 	// OnDecision, if non-nil, is invoked once per node as it decides
 	// (from that node's goroutine; synchronize externally).
 	OnDecision func(p types.ProcID, v types.Value)
@@ -285,22 +284,41 @@ type ClusterOptions struct {
 
 // NewLocalCluster wires one node per machine through a fresh hub.
 func NewLocalCluster(machines []types.Machine, opts ClusterOptions) (*Cluster, error) {
+	return NewCluster(machines, nil, opts)
+}
+
+// NewCluster wires one node per machine over trs, machine p on trs[p].
+// Nil trs builds a fresh hub from opts.Hub and uses its endpoints. Either
+// way the cluster owns the transports from here on: Crash closes one,
+// Wait the rest.
+func NewCluster(machines []types.Machine, trs []transport.Transport, opts ClusterOptions) (*Cluster, error) {
 	if len(machines) == 0 {
 		return nil, errors.New("runtime: no machines")
 	}
-	if opts.Hub.Registry == nil {
-		opts.Hub.Registry = opts.Registry
+	c := &Cluster{
+		trs:     trs,
+		crashed: make([]atomic.Bool, len(machines)),
+		crashes: opts.Registry.CounterVec("runtime_node_crashes_total",
+			"Fail-stop crashes injected, by node.", "node"),
+		tracer: opts.Tracer,
 	}
-	hub := transport.NewHub(len(machines), opts.Hub)
+	if trs == nil {
+		if opts.Hub.Registry == nil {
+			opts.Hub.Registry = opts.Registry
+		}
+		c.hub = transport.NewHub(len(machines), opts.Hub)
+		c.trs = make([]transport.Transport, len(machines))
+		for i := range c.trs {
+			c.trs[i] = c.hub.Endpoint(types.ProcID(i))
+		}
+	} else if len(trs) != len(machines) {
+		return nil, fmt.Errorf("runtime: %d transports for %d machines", len(trs), len(machines))
+	}
 	seeds := rng.NewCollection(opts.Seed, len(machines))
-	c := &Cluster{hub: hub, tracer: opts.Tracer}
-	if opts.Registry != nil {
-		c.crashes = CrashCounter(opts.Registry)
-	}
 	for i, m := range machines {
 		node, err := NewNode(NodeConfig{
 			Machine:    m,
-			Transport:  hub.Endpoint(types.ProcID(i)),
+			Transport:  c.trs[i],
 			Rand:       seeds.Stream(types.ProcID(i)),
 			TickEvery:  opts.TickEvery,
 			MaxTicks:   opts.MaxTicks,
@@ -316,7 +334,8 @@ func NewLocalCluster(machines []types.Machine, opts ClusterOptions) (*Cluster, e
 	return c, nil
 }
 
-// Hub exposes the cluster's hub for fault injection.
+// Hub exposes the cluster's own hub for fault injection; nil over
+// supplied transports.
 func (c *Cluster) Hub() *transport.Hub { return c.hub }
 
 // Node returns node p.
@@ -339,17 +358,23 @@ func (c *Cluster) Stop() {
 	}
 }
 
-// Wait joins every node goroutine, closes the hub, and returns the first
-// node error. In-flight delayed messages settle before the hub closes, so
-// a Stop/Wait pair is a clean drain. Pending CrashAfter timers are
-// disarmed first: a crash scheduled for after the cluster's lifetime must
-// not fire into a closed hub.
+// Wait joins every node goroutine, closes the transports, and returns the
+// first error. A deliberately crashed node dies mid-send and its
+// transport is closed twice; those errors are the fault model at work,
+// not a shutdown failure, and are ignored. The cluster's own hub closes
+// as a whole, after in-flight delayed messages settle, so a Stop/Wait
+// pair is a clean drain. Pending CrashAfter timers are disarmed first: a
+// crash scheduled for after the cluster's lifetime must not fire into a
+// closed hub.
 func (c *Cluster) Wait() error {
 	var firstErr error
-	for _, n := range c.nodes {
-		if err := n.Wait(); err != nil && firstErr == nil {
+	keep := func(p int, err error) {
+		if err != nil && firstErr == nil && !c.crashed[p].Load() {
 			firstErr = err
 		}
+	}
+	for p, n := range c.nodes {
+		keep(p, n.Wait())
 	}
 	c.closed.Store(true)
 	c.timerMu.Lock()
@@ -358,8 +383,14 @@ func (c *Cluster) Wait() error {
 	}
 	c.timers = nil
 	c.timerMu.Unlock()
-	if err := c.hub.Close(); err != nil && firstErr == nil {
-		firstErr = err
+	if c.hub != nil {
+		if err := c.hub.Close(); err != nil && firstErr == nil {
+			firstErr = err
+		}
+		return firstErr
+	}
+	for p, tr := range c.trs {
+		keep(p, tr.Close())
 	}
 	return firstErr
 }
@@ -388,15 +419,16 @@ func (c *Cluster) Run(ctx context.Context) (*ClusterResult, error) {
 	return c.Result(), err
 }
 
-// Crash immediately crashes node p: the goroutine stops stepping and the
-// hub drops its traffic — the fail-stop fault model, injectable live.
-// Crashing after Wait has closed the cluster is a no-op (matching
-// Hub.Crash's own atomic closed check).
+// Crash immediately crashes node p: the goroutine stops stepping and its
+// transport closes, which on the cluster's own hub drops the node's
+// traffic in both directions — the fail-stop fault model, injectable
+// live. Crashing after Wait has closed the cluster is a no-op.
 func (c *Cluster) Crash(p types.ProcID) {
-	if c.closed.Load() || c.hub.Closed() {
+	if c.closed.Load() {
 		return
 	}
-	c.hub.Crash(p)
+	c.crashed[p].Store(true)
+	c.trs[p].Close() //nolint:errcheck // best-effort fail-stop
 	c.nodes[p].Stop()
 	c.crashes.With(strconv.Itoa(int(p))).Inc()
 	c.tracer.Record(obs.Event{Node: int(p), Type: obs.EventCrash})
@@ -405,9 +437,10 @@ func (c *Cluster) Crash(p types.ProcID) {
 // Restart reconnects a previously crashed node p's traffic at the hub and
 // records the recovery event. The stopped node goroutine is NOT revived —
 // the caller runs a replacement machine (typically a recovery client) on
-// Endpoint(p); see internal/chaos. No-op after the cluster closed.
+// Endpoint(p); see internal/chaos. No-op after the cluster closed, and
+// over supplied transports, which Crash closed for good.
 func (c *Cluster) Restart(p types.ProcID) {
-	if c.closed.Load() || c.hub.Closed() {
+	if c.closed.Load() || c.hub == nil {
 		return
 	}
 	c.hub.Restart(p)

@@ -353,9 +353,10 @@ func TestCrashAfterClusterClose(t *testing.T) {
 	// Scheduling after close is likewise inert.
 	c.CrashAfter(0, time.Nanosecond)
 	time.Sleep(50 * time.Millisecond) // let any stray timer fire
-	crashes := runtime.CrashCounter(reg).With("1").Value() +
-		runtime.CrashCounter(reg).With("0").Value()
-	if crashes != 0 {
+	crashCount := func(node string) uint64 {
+		return reg.CounterVec("runtime_node_crashes_total", "", "node").With(node).Value()
+	}
+	if crashes := crashCount("1") + crashCount("0"); crashes != 0 {
 		t.Errorf("crash fired after cluster close (count=%d)", crashes)
 	}
 	for _, e := range tr.Recent(0) {
@@ -365,7 +366,38 @@ func TestCrashAfterClusterClose(t *testing.T) {
 	}
 	// And a direct Crash after close is a guarded no-op too.
 	c.Crash(0)
-	if got := runtime.CrashCounter(reg).With("0").Value(); got != 0 {
+	if got := crashCount("0"); got != 0 {
 		t.Errorf("direct crash after close counted (%d)", got)
+	}
+}
+
+// TestRestartOverSuppliedTransportsIsNoop: a cluster over transports it
+// was handed has no hub to reconnect a crashed node at; Restart must
+// leave it crashed, not dereference the missing hub.
+func TestRestartOverSuppliedTransportsIsNoop(t *testing.T) {
+	n := 3
+	hub := transport.NewHub(n, transport.HubOptions{})
+	trs := make([]transport.Transport, n)
+	for p := range trs {
+		trs[p] = hub.Endpoint(types.ProcID(p))
+	}
+	tr := obs.NewTracer(64)
+	c, err := runtime.NewCluster(commitMachines(t, n, 6, votesOf(n, types.V1)), trs, runtime.ClusterOptions{
+		TickEvery: time.Millisecond, Seed: 12, Persistent: true, Tracer: tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start(context.Background())
+	c.Crash(2)
+	c.Restart(2)
+	c.Stop()
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range tr.Recent(0) {
+		if e.Type == obs.EventRecover {
+			t.Fatalf("Restart recorded a recovery it cannot perform: %+v", e)
+		}
 	}
 }

@@ -12,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/transport"
+	"repro/internal/txn"
 	"repro/internal/types"
 )
 
@@ -61,7 +63,11 @@ func liveInstances(s *Service, p types.ProcID) int {
 }
 
 func TestCrashRescuesOrphanedBatch(t *testing.T) {
-	s := frozenService(t, Config{N: 3, Seed: 19, BatchMax: 8})
+	onBothTransportSets(t, 3, testCrashRescuesOrphanedBatch)
+}
+
+func testCrashRescuesOrphanedBatch(t *testing.T, trs []transport.Transport) {
+	s := frozenService(t, Config{N: 3, Seed: 19, BatchMax: 8, Transports: trs})
 	coord := submitFrozen(t, s, "orphan-batch-member")
 	if got := liveInstances(s, coord); got != 0 {
 		t.Fatalf("pre-crash: %d instances off the coordinator (GO cannot have flooded)", got)
@@ -96,5 +102,22 @@ func TestCrashRescueSkipsDecided(t *testing.T) {
 	}
 	if got := liveInstances(s, coord); got != 0 {
 		t.Fatalf("post-crash: %d live instances, want 0 (decided txn was rescued)", got)
+	}
+}
+
+// TestOutcomeForUntrackedIDIsDropped: a manager whose tombstone for an old
+// batch was evicted can respawn it from a straggler frame and report its
+// members again, possibly with another decision (DESIGN §10). The status
+// is long evicted by then, so the report must change nothing.
+func TestOutcomeForUntrackedIDIsDropped(t *testing.T) {
+	s := frozenService(t, Config{N: 3, Seed: 29})
+	before := s.Metrics()
+	s.onOutcome(1, txn.Outcome{Txn: "evicted-long-ago", Decision: types.DecisionCommit})
+	s.onOutcome(2, txn.Outcome{Txn: "evicted-long-ago", Decision: types.DecisionAbort})
+	if _, ok := s.Status("evicted-long-ago"); ok {
+		t.Fatal("an untracked id gained a status")
+	}
+	if after := s.Metrics(); after.SafetyViolations != 0 || after.Committed != before.Committed || after.Aborted != before.Aborted {
+		t.Fatalf("untracked outcome moved the metrics: %+v", after)
 	}
 }

@@ -39,10 +39,8 @@ import (
 	"repro/internal/obs/olog"
 	"repro/internal/obs/span"
 	"repro/internal/obs/watch"
-	"repro/internal/rng"
 	"repro/internal/runtime"
 	"repro/internal/stats"
-	"repro/internal/transport"
 	"repro/internal/txn"
 	"repro/internal/types"
 )
@@ -145,9 +143,7 @@ var stageNames = []string{
 type Service struct {
 	cfg      Config
 	managers []*txn.Manager
-	cluster  *runtime.Cluster // channel backend (nil when external)
-	nodes    []*runtime.Node  // external-transport backend
-	exts     []transport.Transport
+	cluster  *runtime.Cluster
 
 	queue          chan *pending
 	slots          chan struct{}
@@ -158,7 +154,6 @@ type Service struct {
 	lat      *stats.Recorder
 	stageLat map[string]*stats.Recorder
 	met      svcMetrics
-	crashCtr *obs.CounterVec
 	ready    atomic.Bool
 
 	mu        sync.Mutex
@@ -176,7 +171,6 @@ type Service struct {
 	// finished is the FIFO of terminal status ids for bounded retention.
 	finished     []string
 	finishedHead int
-	votesByTxn   map[txn.ID][]bool
 }
 
 // batchState is the service's book on one dispatched agreement batch.
@@ -201,6 +195,9 @@ type status struct {
 	// batch is the agreement batch this transaction dispatched in ("" until
 	// then); Coordinator is meaningful only once it is set.
 	batch string
+	// votes is the submission's vote vector, one per processor (nil for a
+	// status recovered from the journal: it never dispatches again).
+	votes []bool
 }
 
 // New builds and starts a commit service: the cluster nodes begin
@@ -219,12 +216,10 @@ func New(cfg Config) (*Service, error) {
 		lat:            stats.NewRecorder(LatencyWindow),
 		stageLat:       make(map[string]*stats.Recorder, len(stageNames)),
 		met:            newSvcMetrics(cfg.Registry, cfg.shardLabel()),
-		crashCtr:       runtime.CrashCounter(cfg.Registry),
 		crashed:        make([]bool, cfg.N),
 		batches:        make(map[string]*batchState),
 		pendings:       make(map[txn.ID]*pending),
 		statuses:       make(map[string]*status),
-		votesByTxn:     make(map[txn.ID][]bool),
 	}
 	for _, st := range stageNames {
 		s.stageLat[st] = stats.NewRecorder(LatencyWindow)
@@ -273,12 +268,10 @@ func New(cfg Config) (*Service, error) {
 		mgr, err := txn.NewManager(txn.Config{
 			ID: proc, N: cfg.N, T: cfg.T, K: cfg.K,
 			Shard:       cfg.Shard,
-			CoinFactor:  cfg.CoinFactor,
 			Vote:        func(id txn.ID) bool { return s.voteFor(proc, id) },
 			OnOutcome:   func(o txn.Outcome) { s.onOutcome(proc, o) },
 			RetireAfter: cfg.RetireAfterTicks,
 			MaxAge:      cfg.MaxAgeTicks,
-			InboxShards: cfg.InboxShards,
 			Registry:    cfg.Registry,
 			Tracer:      cfg.Tracer,
 			Spans:       cfg.Spans,
@@ -290,45 +283,21 @@ func New(cfg Config) (*Service, error) {
 		machines[p] = mgr
 	}
 
-	if cfg.Transports == nil {
-		// The hub's link spans land in the same collector as the
-		// service's stages and the managers' rounds — one causal graph.
-		cfg.Hub.Spans = cfg.Spans
-		cluster, err := runtime.NewLocalCluster(machines, runtime.ClusterOptions{
-			TickEvery:  cfg.TickEvery,
-			Seed:       cfg.Seed,
-			Hub:        cfg.Hub,
-			Persistent: true,
-			Registry:   cfg.Registry,
-			Tracer:     cfg.Tracer,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.cluster = cluster
-		cluster.Start(context.Background())
-	} else {
-		s.exts = cfg.Transports
-		seeds := rng.NewCollection(cfg.Seed, cfg.N)
-		s.nodes = make([]*runtime.Node, cfg.N)
-		for p := 0; p < cfg.N; p++ {
-			node, err := runtime.NewNode(runtime.NodeConfig{
-				Machine:    machines[p],
-				Transport:  cfg.Transports[p],
-				Rand:       seeds.Stream(types.ProcID(p)),
-				TickEvery:  cfg.TickEvery,
-				Persistent: true,
-				Registry:   cfg.Registry,
-			})
-			if err != nil {
-				return nil, err
-			}
-			s.nodes[p] = node
-		}
-		for _, n := range s.nodes {
-			n.Start(context.Background())
-		}
+	// The hub's link spans land in the same collector as the service's
+	// stages and the managers' rounds — one causal graph.
+	cfg.Hub.Spans = cfg.Spans
+	s.cluster, err = runtime.NewCluster(machines, cfg.Transports, runtime.ClusterOptions{
+		TickEvery:  cfg.TickEvery,
+		Seed:       cfg.Seed,
+		Hub:        cfg.Hub,
+		Persistent: true,
+		Registry:   cfg.Registry,
+		Tracer:     cfg.Tracer,
+	})
+	if err != nil {
+		return nil, err
 	}
+	s.cluster.Start(context.Background())
 
 	go s.dispatch()
 	s.ready.Store(true)
@@ -364,8 +333,8 @@ func (s *Service) Draining() bool {
 func (s *Service) voteFor(p types.ProcID, id txn.ID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if votes, ok := s.votesByTxn[id]; ok {
-		return votes[p]
+	if st := s.statuses[string(id)]; st != nil && st.votes != nil {
+		return st.votes[p]
 	}
 	return true
 }
@@ -426,10 +395,10 @@ func (s *Service) Submit(ctx context.Context, req Request) (Result, error) {
 	}
 	s.met.submitted.Inc()
 	s.pendings[p.id] = p
-	s.votesByTxn[p.id] = votes
-	s.statuses[id] = &status{TxnStatus: TxnStatus{
-		ID: id, State: StateQueued, Submitted: p.submitted,
-	}}
+	s.statuses[id] = &status{
+		TxnStatus: TxnStatus{ID: id, State: StateQueued, Submitted: p.submitted},
+		votes:     votes,
+	}
 	s.outstanding.Add(1)
 	p.timer = time.AfterFunc(timeout, func() {
 		s.resolve(p, StateTimeout, types.DecisionNone)
@@ -801,7 +770,6 @@ func (s *Service) retain(id string) {
 		s.finished[s.finishedHead] = ""
 		s.finishedHead++
 		delete(s.statuses, old)
-		delete(s.votesByTxn, txn.ID(old))
 		evicted = append(evicted, old)
 	}
 	if s.finishedHead > 0 && s.finishedHead*2 > len(s.finished) {
@@ -827,9 +795,8 @@ func (s *Service) Status(id string) (TxnStatus, bool) {
 	return st.TxnStatus, true
 }
 
-// Crash fail-stops processor p: its node stops stepping and (on the
-// channel backend) the hub drops its traffic. The dispatcher stops
-// assigning it as coordinator. Within the tolerance T the cluster keeps
+// Crash fail-stops processor p: its node stops stepping and its
+// transport closes. The dispatcher stops assigning it as coordinator. Within the tolerance T the cluster keeps
 // deciding; beyond it, requests time out rather than hang.
 func (s *Service) Crash(p types.ProcID) error {
 	if int(p) < 0 || int(p) >= s.cfg.N {
@@ -842,16 +809,7 @@ func (s *Service) Crash(p types.ProcID) error {
 	if already {
 		return nil
 	}
-	if s.cluster != nil {
-		s.cluster.Crash(p) // counts and traces the crash itself
-	} else {
-		s.nodes[p].Stop()
-		s.exts[p].Close() //nolint:errcheck // best-effort fail-stop
-		s.crashCtr.With(strconv.Itoa(int(p))).Inc()
-		s.cfg.Tracer.Record(obs.Event{
-			Node: int(p), Type: obs.EventCrash, Tick: s.managers[p].Clock(),
-		})
-	}
+	s.cluster.Crash(p) // counts and traces the crash itself
 	s.cfg.Logger.Warn("processor fail-stopped",
 		olog.Shard(s.cfg.shardLabel()), olog.Node(int(p)))
 	s.rescueOrphans(p)
@@ -893,27 +851,28 @@ func (s *Service) rescueOrphans(p types.ProcID) {
 	sort.Strings(bids) // deterministic rescue order
 	for _, bid := range bids {
 		members := s.batches[bid].members
-		stranded, known := false, true
+		stranded := false
+		sts := make([]*status, 0, len(members))
 		for _, m := range members {
 			st := s.statuses[string(m)]
-			if st != nil && st.Coordinator == p && st.first == types.DecisionNone &&
+			if st == nil {
+				break // evicted by retention, votes and all
+			}
+			sts = append(sts, st)
+			if st.Coordinator == p && st.first == types.DecisionNone &&
 				(st.State == StateRunning || st.State == StateTimeout) {
 				stranded = true
 			}
-			if _, ok := s.votesByTxn[m]; !ok {
-				known = false // retention evicted a member's votes
-			}
 		}
-		if !stranded || !known {
+		// A batch missing a member's votes cannot re-begin verbatim.
+		if !stranded || len(sts) < len(members) {
 			continue
 		}
 		coord := s.nextCoordinatorLocked()
 		votes := make([]bool, len(members))
-		for i, m := range members {
-			votes[i] = s.votesByTxn[m][coord]
-			if st := s.statuses[string(m)]; st != nil {
-				st.Coordinator = coord
-			}
+		for i, st := range sts {
+			votes[i] = st.votes[coord]
+			st.Coordinator = coord
 		}
 		rescues = append(rescues, rescue{
 			bid: txn.BatchID(bid), coord: coord, ids: members, votes: votes,
@@ -921,8 +880,8 @@ func (s *Service) rescueOrphans(p types.ProcID) {
 	}
 	s.mu.Unlock()
 
-	// Managers are called without s.mu held: BeginBatch takes shard locks
-	// and the vote callback for joins takes s.mu.
+	// Managers are called without s.mu held: the order is manager lock,
+	// then s.mu (a join's vote callback), never the reverse.
 	for _, r := range rescues {
 		s.met.rescues.Inc()
 		s.cfg.Logger.Info("rescued orphaned batch",
@@ -1099,35 +1058,8 @@ func (s *Service) Close(ctx context.Context) error {
 		<-drained
 	}
 
-	if s.cluster != nil {
-		s.cluster.Stop()
-		return s.cluster.Wait()
-	}
-	s.mu.Lock()
-	crashed := make(map[int]bool, len(s.crashed))
-	for p, c := range s.crashed {
-		if c {
-			crashed[p] = true
-		}
-	}
-	s.mu.Unlock()
-	var firstErr error
-	for _, n := range s.nodes {
-		n.Stop()
-	}
-	// Deliberately crashed processors die mid-send; their transport
-	// errors are the fault model at work, not a shutdown failure.
-	for p, n := range s.nodes {
-		if err := n.Wait(); err != nil && firstErr == nil && !crashed[p] {
-			firstErr = err
-		}
-	}
-	for p, tr := range s.exts {
-		if err := tr.Close(); err != nil && firstErr == nil && !crashed[p] {
-			firstErr = err
-		}
-	}
-	return firstErr
+	s.cluster.Stop()
+	return s.cluster.Wait()
 }
 
 // hardAbort resolves every unresolved submission as TIMEOUT (used when a

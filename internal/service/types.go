@@ -9,6 +9,7 @@ import (
 	"repro/internal/obs/olog"
 	"repro/internal/obs/span"
 	"repro/internal/transport"
+	"repro/internal/txn"
 	"repro/internal/types"
 	"repro/internal/wal"
 )
@@ -30,8 +31,6 @@ type Config struct {
 	T int
 	// K is the protocol timing constant in ticks (default 4).
 	K int
-	// CoinFactor is forwarded to every commit instance.
-	CoinFactor int
 	// Seed makes the cluster's randomness reproducible (0 is a valid
 	// fixed seed; vary it across deployments).
 	Seed uint64
@@ -57,11 +56,6 @@ type Config struct {
 	// field remains only because bench/ sets it; delete it when bench/
 	// next changes.
 	BatchAgreement bool
-	// InboxShards splits each transaction manager's state across that
-	// many independently locked inbox shards (default 8). The count is
-	// fixed rather than runtime.NumCPU-derived so schedules and audit
-	// logs are machine-independent; 1 restores the single-lock manager.
-	InboxShards int
 	// DefaultTimeout is the per-request deadline when the request does
 	// not set one (default 10s). A request that misses its deadline
 	// resolves as TIMEOUT; it never hangs.
@@ -78,14 +72,17 @@ type Config struct {
 	// accrete blocked instances past the request deadline.
 	MaxAgeTicks int
 	// StatusRetention caps how many finished transactions keep status
-	// entries for GET /status queries (default 65536, FIFO eviction).
+	// entries for GET /status queries (FIFO eviction). Default and upper
+	// limit are txn.TombstoneCap, 65536: the managers forget a transaction
+	// after that many later ones, and a status must not outlive them.
 	StatusRetention int
-	// Transports, when non-nil, supplies one external transport per
-	// processor (e.g. TCP nodes already listening and peered) instead of
-	// the default in-process channel hub. len(Transports) must equal N.
+	// Transports, when non-nil, supplies one transport per processor
+	// (e.g. TCP nodes already listening and peered) for the cluster to run
+	// over and own, instead of the endpoints of a hub it builds itself.
+	// len(Transports) must equal N.
 	Transports []transport.Transport
-	// Hub configures fault injection (delay, loss) on the in-process
-	// channel backend. Ignored when Transports is set.
+	// Hub configures fault injection (delay, loss) on the hub the cluster
+	// builds when Transports is nil.
 	Hub transport.HubOptions
 	// Journal, when non-nil, is the segmented decision journal. Every
 	// COMMIT/ABORT result is appended and the client ack is withheld
@@ -162,9 +159,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.BatchMax > c.MaxInFlight {
 		c.BatchMax = c.MaxInFlight
 	}
-	if c.InboxShards <= 0 {
-		c.InboxShards = 8
-	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 10 * time.Second
 	}
@@ -181,7 +175,12 @@ func (c Config) withDefaults() (Config, error) {
 		}
 	}
 	if c.StatusRetention <= 0 {
-		c.StatusRetention = 1 << 16
+		c.StatusRetention = txn.TombstoneCap
+	}
+	// A status that outlived its members' tombstones could meet the report
+	// of a respawned batch (DESIGN §10 "Bounded tombstones").
+	if c.StatusRetention > txn.TombstoneCap {
+		return c, fmt.Errorf("service: StatusRetention %d exceeds the managers' tombstone horizon %d", c.StatusRetention, txn.TombstoneCap)
 	}
 	if c.Transports != nil && len(c.Transports) != c.N {
 		return c, fmt.Errorf("service: %d transports for %d processors", len(c.Transports), c.N)

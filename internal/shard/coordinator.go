@@ -44,15 +44,14 @@ type Config struct {
 	// (Shard and Seed already set) just before that group starts — the
 	// hook for per-shard hub options such as fault injection.
 	ConfigureGroup func(shard int, cfg *service.Config)
-	// Vnodes overrides the router's virtual-node count (tests shrink it).
-	Vnodes int
 	// Log, when non-nil, persists the cross-shard transitions so a
 	// crashed coordinator can recover in-doubt transactions (Recover).
 	Log CrossAppender
-	// Retention caps how many finished cross-shard transactions keep
-	// status entries (default 65536, FIFO eviction).
-	Retention int
 }
+
+// crossRetention caps how many finished cross-shard transactions keep
+// status entries (FIFO eviction), the groups' default status horizon.
+const crossRetention = 1 << 16
 
 // MaxKeys caps the key set of one submission, matching the HTTP decode
 // bound; a transaction touching more keys than this is malformed.
@@ -183,12 +182,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
-	if cfg.Vnodes <= 0 {
-		cfg.Vnodes = DefaultVnodes
-	}
-	if cfg.Retention <= 0 {
-		cfg.Retention = 1 << 16
-	}
 	if cfg.Group.Registry == nil {
 		cfg.Group.Registry = obs.NewRegistry()
 	}
@@ -201,7 +194,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Group.Transports != nil && cfg.Shards != 1 {
 		return nil, errors.New("shard: external transports require wiring per group; use Shards=1 or the channel backend")
 	}
-	router, err := NewRouterVnodes(cfg.Shards, cfg.Vnodes)
+	router, err := NewRouter(cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -523,7 +516,7 @@ func (c *Coordinator) finishCross(entry *crossEntry, state service.State, d type
 // Caller holds mu.
 func (c *Coordinator) retainLocked(id string) {
 	c.finished = append(c.finished, id)
-	for len(c.finished)-c.finishedHead > c.cfg.Retention {
+	for len(c.finished)-c.finishedHead > crossRetention {
 		old := c.finished[c.finishedHead]
 		c.finished[c.finishedHead] = ""
 		c.finishedHead++

@@ -30,34 +30,25 @@ type ringPoint struct {
 }
 
 // Router maps transaction ids and keys onto shards by consistent
-// hashing. The mapping depends only on the shard count and the vnode
-// count — not on any listing order and not on process identity — so
-// every router with the same parameters agrees, across processes and
-// across restarts. Routers are immutable after construction and safe
+// hashing. The mapping depends only on the shard count — not on any
+// listing order and not on process identity — so every router over the
+// same count agrees, across processes and across restarts. Routers are immutable after construction and safe
 // for concurrent use.
 type Router struct {
 	shards int
-	vnodes int
 	ring   []ringPoint
 }
 
 // NewRouter builds a router over the given number of shards with
 // DefaultVnodes virtual nodes per shard.
-func NewRouter(shards int) (*Router, error) { return NewRouterVnodes(shards, DefaultVnodes) }
-
-// NewRouterVnodes builds a router with an explicit vnode count (tests
-// shrink it to probe balance bounds).
-func NewRouterVnodes(shards, vnodes int) (*Router, error) {
+func NewRouter(shards int) (*Router, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("shard: shard count must be >= 1, got %d", shards)
 	}
-	if vnodes < 1 {
-		return nil, fmt.Errorf("shard: vnodes must be >= 1, got %d", vnodes)
-	}
-	r := &Router{shards: shards, vnodes: vnodes, ring: make([]ringPoint, 0, shards*vnodes)}
+	r := &Router{shards: shards, ring: make([]ringPoint, 0, shards*DefaultVnodes)}
 	for s := 0; s < shards; s++ {
 		base := "shard-" + strconv.Itoa(s) + "-vnode-"
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < DefaultVnodes; v++ {
 			r.ring = append(r.ring, ringPoint{hash: ringHash(base + strconv.Itoa(v)), shard: s})
 		}
 	}

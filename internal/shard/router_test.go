@@ -136,7 +136,4 @@ func TestRouterRejectsBadConfig(t *testing.T) {
 	if _, err := NewRouter(0); err == nil {
 		t.Error("NewRouter(0) succeeded")
 	}
-	if _, err := NewRouterVnodes(2, 0); err == nil {
-		t.Error("NewRouterVnodes(2, 0) succeeded")
-	}
 }

@@ -128,10 +128,6 @@ func (h *Hub) Restart(p types.ProcID) {
 	h.crashed[p].Store(false)
 }
 
-// Closed reports whether the hub has begun closing. Timer-driven fault
-// injection uses it to avoid touching a hub being torn down.
-func (h *Hub) Closed() bool { return h.closing.Load() }
-
 // Close shuts the hub down, closing all inbound channels after in-flight
 // delayed messages settle.
 func (h *Hub) Close() error {

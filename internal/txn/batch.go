@@ -11,8 +11,7 @@ import (
 )
 
 // BatchID names a batched agreement instance. Batches get their own id
-// space: hashing by batch id (not member id) keeps every message for one
-// batch on one shard, so an instance has exactly one owning lock.
+// space, apart from their members'.
 type BatchID string
 
 // BatchEnvelope wraps a batched Protocol 2 payload with its batch id and
@@ -91,21 +90,20 @@ func (m *Manager) BeginBatch(batch BatchID, txns []ID, votes []bool) error {
 			vals[i] = types.V1
 		}
 	}
-	sh := m.shardFor(string(batch))
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, exists := sh.batches[batch]; exists {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, exists := m.batches[batch]; exists {
 		return fmt.Errorf("txn: batch %q already known", batch)
 	}
-	if sh.retiredBatches[batch] {
+	if _, done := m.retiredBatches[batch]; done {
 		return fmt.Errorf("txn: batch %q already finished", batch)
 	}
-	return m.spawnBatchLocked(sh, batch, txns, vals, m.cfg.ID, m.clockNow())
+	return m.spawnBatchLocked(batch, txns, vals, m.cfg.ID, m.Clock())
 }
 
 // spawnBatchLocked creates the batched commit instance and registers its
-// members for id-keyed lookups. Caller holds the batch shard's lock.
-func (m *Manager) spawnBatchLocked(sh *mshard, batch BatchID, txns []ID, votes []types.Value, coordinator types.ProcID, tick int) error {
+// members for id-keyed lookups. Caller holds mu.
+func (m *Manager) spawnBatchLocked(batch BatchID, txns []ID, votes []types.Value, coordinator types.ProcID, tick int) error {
 	c, err := core.NewBatch(core.BatchConfig{
 		ID: m.cfg.ID, N: m.cfg.N, T: m.cfg.T, K: m.cfg.K,
 		Votes: votes, CoinFactor: m.cfg.CoinFactor, Gadget: true,
@@ -126,20 +124,20 @@ func (m *Manager) spawnBatchLocked(sh *mshard, batch BatchID, txns []ID, votes [
 		round: 1, roundStartClock: tick, roundStartU: m.cfg.Spans.Now(),
 		reportedElems: make([]bool, len(members)),
 	}
-	sh.batches[batch] = bi
-	sh.border = append(sh.border, batch)
+	m.batches[batch] = bi
+	m.border = append(m.border, batch)
 	for _, id := range members {
-		m.members.Store(id, batch)
+		m.members[id] = batch
 	}
-	m.spawned.Add(1)
+	m.spawned++
 	m.met.started.Add(uint64(len(members)))
 	return nil
 }
 
 // joinBatchLocked spawns the participant side of a batch first heard of
 // from the wire, computing this node's vote vector from cfg.Vote. Caller
-// holds the batch shard's lock.
-func (m *Manager) joinBatchLocked(sh *mshard, env BatchEnvelope, coordinator types.ProcID, tick int) error {
+// holds mu.
+func (m *Manager) joinBatchLocked(env BatchEnvelope, coordinator types.ProcID, tick int) error {
 	if len(env.Txns) == 0 {
 		return fmt.Errorf("txn: batch %q frame carries no members", env.Batch)
 	}
@@ -150,7 +148,7 @@ func (m *Manager) joinBatchLocked(sh *mshard, env BatchEnvelope, coordinator typ
 			votes[i] = types.V0
 		}
 	}
-	return m.spawnBatchLocked(sh, env.Batch, env.Txns, votes, coordinator, tick)
+	return m.spawnBatchLocked(env.Batch, env.Txns, votes, coordinator, tick)
 }
 
 // traceBatchOutputsLocked records protocol milestones visible in an
@@ -185,7 +183,7 @@ func (m *Manager) traceBatchOutputsLocked(bi *binstance, sub []types.Message, ti
 // round ends K ticks after the later of its start and the last frame
 // receipt — then opens the next round. force closes the in-progress
 // round regardless (used when a member decides, so the member's decided
-// marker has a finished round to follow). Caller holds the shard lock.
+// marker has a finished round to follow). Caller holds mu.
 func (m *Manager) spanBatchRoundLocked(bi *binstance, tick int, force bool) {
 	if m.cfg.Spans == nil || bi.spanDone {
 		return
@@ -209,17 +207,17 @@ func (m *Manager) spanBatchRoundLocked(bi *binstance, tick int, force bool) {
 	bi.roundStartU = now
 }
 
-// stepBatchesLocked advances every batch on the shard one tick,
+// stepBatchesLocked advances every batch one tick in creation order,
 // pipelined: batch i+1's machine takes its round-r step in the same
 // manager tick batch i takes round r+1's, so consecutive batches overlap
 // instead of queueing behind one another. Outputs are wrapped in
 // BatchEnvelope frames; member outcomes fan out individually the tick
 // their element decides. Returns the batches due for retirement. Caller
-// holds sh.mu.
-func (m *Manager) stepBatchesLocked(sh *mshard, tick int, rnd types.Rand, out []types.Message, decidedNow []Outcome) ([]types.Message, []Outcome, []BatchID) {
+// holds mu.
+func (m *Manager) stepBatchesLocked(tick int, rnd types.Rand, out []types.Message, decidedNow []Outcome) ([]types.Message, []Outcome, []BatchID) {
 	var retire []BatchID
-	for _, b := range sh.border {
-		bi := sh.batches[b]
+	for _, b := range m.border {
+		bi := m.batches[b]
 		if bi.c.Halted() {
 			if bi.haltedAt < 0 {
 				bi.haltedAt = tick
@@ -231,7 +229,7 @@ func (m *Manager) stepBatchesLocked(sh *mshard, tick int, rnd types.Rand, out []
 				retire = append(retire, b)
 			}
 		} else {
-			sub := bi.c.Step(sh.byBatch[b], rnd)
+			sub := bi.c.Step(m.byBatch[b], rnd)
 			if m.cfg.Tracer != nil {
 				m.traceBatchOutputsLocked(bi, sub, tick)
 				if ag := bi.c.Agreement(); ag != nil {
@@ -293,14 +291,15 @@ func (m *Manager) stepBatchesLocked(sh *mshard, tick int, rnd types.Rand, out []
 }
 
 // retireBatchesLocked removes finished (or abandoned) batches, leaving a
-// per-member decision tombstone on the batch's shard — DecisionOf keeps
-// answering through the members index. Caller holds sh.mu.
-func (m *Manager) retireBatchesLocked(sh *mshard, tick int, ids []BatchID) {
+// per-member decision tombstone — DecisionOf keeps answering through the
+// members index — and evicts the oldest batches' tombstones past
+// TombstoneCap members. Caller holds mu.
+func (m *Manager) retireBatchesLocked(tick int, ids []BatchID) {
 	if len(ids) == 0 {
 		return
 	}
 	for _, b := range ids {
-		bi := sh.batches[b]
+		bi := m.batches[b]
 		if bi == nil {
 			continue
 		}
@@ -318,17 +317,33 @@ func (m *Manager) retireBatchesLocked(sh *mshard, tick int, ids []BatchID) {
 					m.trace(string(txn), obs.EventAbandoned, tick, "")
 				}
 			}
-			sh.retired[txn] = d
+			m.retired[txn] = d
 		}
-		sh.retiredBatches[b] = true
-		delete(sh.batches, b)
-		delete(sh.byBatch, b)
+		m.retiredBatches[b] = bi.txns
+		m.retiredOrder = append(m.retiredOrder, b)
+		m.retiredMembers += len(bi.txns)
+		delete(m.batches, b)
+		delete(m.byBatch, b)
 	}
-	kept := sh.border[:0]
-	for _, b := range sh.border {
-		if _, ok := sh.batches[b]; ok {
+	kept := m.border[:0]
+	for _, b := range m.border {
+		if _, ok := m.batches[b]; ok {
 			kept = append(kept, b)
 		}
 	}
-	sh.border = kept
+	m.border = kept
+
+	for m.retiredMembers > TombstoneCap {
+		old := m.retiredOrder[0]
+		m.retiredOrder = m.retiredOrder[1:] // append reallocates past the popped prefix
+		m.retiredMembers -= len(m.retiredBatches[old])
+		for _, txn := range m.retiredBatches[old] {
+			// A member a later batch reused keeps that batch's entries.
+			if m.members[txn] == old {
+				delete(m.members, txn)
+				delete(m.retired, txn)
+			}
+		}
+		delete(m.retiredBatches, old)
+	}
 }

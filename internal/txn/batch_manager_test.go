@@ -5,36 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/adversary"
-	"repro/internal/hash64"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/txn"
 	"repro/internal/types"
 )
-
-// buildShardedManagers wires n managers with per-node, per-transaction
-// votes and the given inbox shard count.
-func buildShardedManagers(t *testing.T, n, shards int, votes map[txn.ID][]bool) ([]*txn.Manager, []types.Machine) {
-	t.Helper()
-	managers := make([]*txn.Manager, n)
-	machines := make([]types.Machine, n)
-	for p := 0; p < n; p++ {
-		p := p
-		mgr, err := txn.NewManager(txn.Config{
-			ID: types.ProcID(p), N: n, K: 3, InboxShards: shards,
-			Vote: func(id txn.ID) bool {
-				vs, ok := votes[id]
-				return ok && vs[p]
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		managers[p] = mgr
-		machines[p] = mgr
-	}
-	return managers, machines
-}
 
 // runBatched drives the cluster until every listed transaction decided on
 // every surviving manager.
@@ -75,8 +50,7 @@ func batchIDs(b int) []txn.ID {
 
 // TestBatchManagerFanout: one BeginBatch decides every member on every
 // node, with per-element outcomes matching the votes (all-commit members
-// commit, any-abort members abort) — across several shard counts, which
-// must not change any decision.
+// commit, any-abort members abort).
 func TestBatchManagerFanout(t *testing.T) {
 	const n, b = 5, 24
 	ids := batchIDs(b)
@@ -91,29 +65,27 @@ func TestBatchManagerFanout(t *testing.T) {
 		}
 		votes[id] = vs
 	}
-	for _, shards := range []int{1, 4} {
-		managers, machines := buildShardedManagers(t, n, shards, votes)
-		ownVotes := make([]bool, b)
-		for i, id := range ids {
-			ownVotes[i] = votes[id][0]
+	managers, machines := buildManagers(t, n, votes)
+	ownVotes := make([]bool, b)
+	for i, id := range ids {
+		ownVotes[i] = votes[id][0]
+	}
+	if err := managers[0].BeginBatch("batch-A", ids, ownVotes); err != nil {
+		t.Fatalf("BeginBatch: %v", err)
+	}
+	runBatched(t, managers, machines, ids, &adversary.RoundRobin{}, 42)
+	for i, id := range ids {
+		want := types.DecisionCommit
+		if i%5 == 3 {
+			want = types.DecisionAbort
 		}
-		if err := managers[0].BeginBatch("batch-A", ids, ownVotes); err != nil {
-			t.Fatalf("shards=%d: BeginBatch: %v", shards, err)
-		}
-		runBatched(t, managers, machines, ids, &adversary.RoundRobin{}, 42)
-		for i, id := range ids {
-			want := types.DecisionCommit
-			if i%5 == 3 {
-				want = types.DecisionAbort
+		for p, mgr := range managers {
+			got, ok := mgr.DecisionOf(id)
+			if !ok {
+				t.Fatalf("node %d txn %s undecided", p, id)
 			}
-			for p, mgr := range managers {
-				got, ok := mgr.DecisionOf(id)
-				if !ok {
-					t.Fatalf("shards=%d: node %d txn %s undecided", shards, p, id)
-				}
-				if got != want {
-					t.Fatalf("shards=%d: node %d txn %s decided %v, want %v", shards, p, id, got, want)
-				}
+			if got != want {
+				t.Fatalf("node %d txn %s decided %v, want %v", p, id, got, want)
 			}
 		}
 	}
@@ -122,33 +94,15 @@ func TestBatchManagerFanout(t *testing.T) {
 // TestBatchManagerOnOutcomeOncePerMember: OnOutcome, the one push hook,
 // fires exactly once per member on every node — the coordinator, the
 // joiners, and a node partitioned away until the others have decided,
-// which joins late from whatever frame reaches it first — including for
-// members whose own id hashes to a different shard than their batch's. It
-// runs with no manager lock held: the callback reads DecisionOf (the
-// deciding batch's shard lock) and the coordinator's first callback begins
-// a follow-up batch on that same shard, either of which would deadlock the
-// stepping goroutine otherwise.
+// which joins late from whatever frame reaches it first. It runs with the
+// manager lock released: the callback reads DecisionOf and the
+// coordinator's first callback begins a follow-up batch, either of which
+// would deadlock the stepping goroutine otherwise.
 func TestBatchManagerOnOutcomeOncePerMember(t *testing.T) {
-	const n, b, shards = 3, 8, 4
+	const n, b = 3, 8
 	const batch, late = txn.BatchID("batch-W"), 2
+	const follow = txn.ID("follow-0")
 	ids := batchIDs(b)
-	shardOf := func(id string) uint64 { return hash64.String(id) % shards }
-	offShard := 0
-	for _, id := range ids {
-		if shardOf(string(id)) != shardOf(string(batch)) {
-			offShard++
-		}
-	}
-	if offShard == 0 {
-		t.Fatal("every member hashes to its batch's shard; pick other ids")
-	}
-	// A follow-up transaction whose width-1 batch lands on batch-W's shard.
-	var follow txn.ID
-	for i := 0; follow == ""; i++ {
-		if id := fmt.Sprintf("follow-%d", i); shardOf(id) == shardOf(string(batch)) {
-			follow = txn.ID(id)
-		}
-	}
 
 	// The simulator steps one manager at a time, so the callbacks need no
 	// lock of their own. firings[p][id] lists the global sequence numbers
@@ -161,7 +115,7 @@ func TestBatchManagerOnOutcomeOncePerMember(t *testing.T) {
 		p := p
 		firings[p] = make(map[txn.ID][]int)
 		mgr, err := txn.NewManager(txn.Config{
-			ID: types.ProcID(p), N: n, K: 3, InboxShards: shards,
+			ID: types.ProcID(p), N: n, K: 3,
 			OnOutcome: func(o txn.Outcome) {
 				if d, ok := managers[p].DecisionOf(o.Txn); !ok || d != o.Decision {
 					t.Errorf("node %d: callback %v for %s but DecisionOf = %v,%v", p, o.Decision, o.Txn, d, ok)
@@ -190,8 +144,8 @@ func TestBatchManagerOnOutcomeOncePerMember(t *testing.T) {
 	}
 	// Node 2 hears nothing for the first 400 events, by which time nodes 0
 	// and 1 (a majority) have decided without it. (Were a callback entered
-	// with a shard lock held, this run would never return: the test dies on
-	// its -timeout with the stepping goroutine parked on that lock.)
+	// with the manager lock held, this run would never return: the test dies
+	// on its -timeout with the stepping goroutine parked on that lock.)
 	adv := &adversary.Partition{Inner: &adversary.RoundRobin{}, GroupOf: []int{0, 0, 1}, HealEvent: 400}
 	all := append(append([]txn.ID{}, ids...), follow)
 	if res := runBatched(t, managers, machines, all, adv, 7); res.Exhausted {
@@ -227,7 +181,7 @@ func TestBatchManagerCrashAgreement(t *testing.T) {
 		}
 		votes[id] = vs
 	}
-	managers, machines := buildShardedManagers(t, n, 2, votes)
+	managers, machines := buildManagers(t, n, votes)
 	own := make([]bool, b)
 	for i, id := range ids {
 		own[i] = votes[id][0]
@@ -274,7 +228,7 @@ func TestBatchManagerRetirement(t *testing.T) {
 	machines := make([]types.Machine, n)
 	for p := 0; p < n; p++ {
 		mgr, err := txn.NewManager(txn.Config{
-			ID: types.ProcID(p), N: n, K: 3, RetireAfter: 8, InboxShards: 4,
+			ID: types.ProcID(p), N: n, K: 3, RetireAfter: 8,
 			Vote: func(txn.ID) bool { return true },
 		})
 		if err != nil {

@@ -20,31 +20,27 @@
 // observability (OnOutcome push, DecisionOf pull) is element-wise; elements
 // report individually as they decide.
 //
-// The manager's state is split into Config.InboxShards shards, each with
-// its own mutex and its own scratch buffers, with batches placed by the
-// repository hash of their id (internal/hash64). The stepping goroutine
-// visits shards in index order (determinism), but client-side calls —
-// BeginBatch, DecisionOf, metrics gauges — contend only on the
-// shard their id hashes to instead of one global lock. No code path ever
-// holds two shard locks at once.
+// One mutex guards the manager's state. The stepping goroutine holds it
+// for the body of Step; the only other callers a serving manager has are
+// BeginBatch (once per batch), Active (once per scrape) and DecisionOf,
+// which take it briefly. OnOutcome callbacks run with it released.
 //
 // Long-lived deployments (internal/service) configure RetireAfter so a
 // decided instance is eventually removed from the step loop, leaving only
 // a tombstone with its decisions; per-step cost then tracks the number of
-// *active* batches, not every transaction the node has ever seen.
+// *active* batches, not every transaction the node has ever seen, and the
+// tombstones themselves are a FIFO bounded at TombstoneCap transactions.
 // Completion is observable without polling via OnOutcome (a callback
 // invoked from the stepping goroutine).
 package txn
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/hash64"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/types"
@@ -99,8 +95,8 @@ type Config struct {
 	CoinFactor int
 	// OnOutcome, if non-nil, is invoked once per transaction as it
 	// decides at this node, from the goroutine driving Step and after the
-	// manager's locks are released (so the callback may call back into
-	// the manager).
+	// manager's lock is released (so the callback may call back into the
+	// manager).
 	OnOutcome func(Outcome)
 	// RetireAfter, when positive, removes an instance that many ticks
 	// after it halts, keeping only decision tombstones: later frames for
@@ -116,11 +112,8 @@ type Config struct {
 	// DecisionNone tombstone for each undecided member. Zero never
 	// abandons.
 	MaxAge int
-	// InboxShards splits the manager's state across that many
-	// independently locked shards (batch ids placed by the
-	// internal/hash64 hash). Default 1, the single-lock behavior. The
-	// service sets a fixed count to kill cross-core contention between
-	// the stepping goroutine and client queries under load.
+	// InboxShards is ignored: the manager has one lock. The field remains
+	// only because bench/ sets it; delete it when bench/ next changes.
 	InboxShards int
 	// Registry, if non-nil, receives the manager's metrics: instances
 	// started/decided/retired/abandoned, batches decided, and a
@@ -172,36 +165,12 @@ func newMMetrics(reg *obs.Registry, node string) mmetrics {
 	}
 }
 
-// mshard is one independently locked slice of a Manager's state. The
-// stepping goroutine is the only writer of the scratch fields (byBatch,
-// recv); mu guards everything else against concurrent client calls
-// (BeginBatch, DecisionOf, gauges).
-type mshard struct {
-	mu      sync.Mutex
-	batches map[BatchID]*binstance
-	// border keeps deterministic iteration for simulation replay.
-	border []BatchID
-	// retired maps members of finished-and-removed batches to their
-	// decision (DecisionNone for members abandoned undecided), on the
-	// batch's shard.
-	retired map[ID]types.Decision
-	// retiredBatches drops stragglers for finished batches.
-	retiredBatches map[BatchID]bool
-
-	// Scratch owned by the stepping goroutine; never touched by client
-	// calls, so it carries no lock.
-	recv    []types.Message
-	byBatch map[BatchID][]types.Message
-}
-
-func newMshard() *mshard {
-	return &mshard{
-		batches:        make(map[BatchID]*binstance),
-		retired:        make(map[ID]types.Decision),
-		retiredBatches: make(map[BatchID]bool),
-		byBatch:        make(map[BatchID][]types.Message),
-	}
-}
+// TombstoneCap bounds how many retired transactions a manager remembers.
+// Past it the oldest batch's tombstones are evicted; DESIGN §10 argues why
+// no answer changes as long as nothing above the manager remembers a
+// transaction longer, which is why internal/service takes its status
+// horizon from this constant and refuses a larger one.
+const TombstoneCap = 1 << 16
 
 // Manager runs all of one node's commit instances.
 type Manager struct {
@@ -209,16 +178,33 @@ type Manager struct {
 	met  mmetrics
 	node string // cached label value
 
-	clock   atomic.Int64
-	spawned atomic.Int64
-	shards  []*mshard
-	// members maps a transaction's id to its batch so per-transaction
-	// queries (DecisionOf) can find the shard holding the batch.
-	// Entries live as long as the batch's tombstone (forever, like
-	// retired) — id-keyed lookups must keep answering after retirement.
-	members sync.Map // ID -> BatchID
+	clock atomic.Int64
 
-	// Step scratch, owned by the stepping goroutine.
+	// mu guards the fields below: the stepping goroutine holds it for the
+	// body of Step, client calls (BeginBatch, DecisionOf, Active) briefly.
+	// cfg.Vote runs under it, OnOutcome never does.
+	mu      sync.Mutex
+	spawned int
+	batches map[BatchID]*binstance
+	// border is creation order: deterministic iteration for simulation
+	// replay, and the order batches retire in.
+	border []BatchID
+	// members maps a transaction's id to its batch for as long as the
+	// batch or its tombstone lives.
+	members map[ID]BatchID
+	// retired maps members of finished-and-removed batches to their
+	// decision (DecisionNone for members abandoned undecided).
+	retired map[ID]types.Decision
+	// retiredBatches drops stragglers for finished batches; the value is
+	// the batch's members, which its eviction forgets with it.
+	retiredBatches map[BatchID][]ID
+	// retiredOrder is the FIFO of tombstoned batches; it holds at most
+	// TombstoneCap members, counted in retiredMembers.
+	retiredOrder   []BatchID
+	retiredMembers int
+
+	// Step scratch, reused across steps.
+	byBatch    map[BatchID][]types.Message
 	out        []types.Message
 	decidedNow []Outcome
 }
@@ -248,38 +234,21 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.RetireAfter < 0 || cfg.MaxAge < 0 {
 		return nil, fmt.Errorf("txn: RetireAfter/MaxAge must be >= 0")
 	}
-	if cfg.InboxShards < 0 {
-		return nil, fmt.Errorf("txn: InboxShards must be >= 0")
-	}
-	if cfg.InboxShards == 0 {
-		cfg.InboxShards = 1
-	}
 	node := strconv.Itoa(int(cfg.ID))
 	if cfg.Shard != "" {
 		node = cfg.Shard + "/" + node
 	}
-	m := &Manager{
-		cfg:    cfg,
-		met:    newMMetrics(cfg.Registry, node),
-		node:   node,
-		shards: make([]*mshard, cfg.InboxShards),
-	}
-	for i := range m.shards {
-		m.shards[i] = newMshard()
-	}
-	return m, nil
+	return &Manager{
+		cfg:            cfg,
+		met:            newMMetrics(cfg.Registry, node),
+		node:           node,
+		batches:        make(map[BatchID]*binstance),
+		members:        make(map[ID]BatchID),
+		retired:        make(map[ID]types.Decision),
+		retiredBatches: make(map[BatchID][]ID),
+		byBatch:        make(map[BatchID][]types.Message),
+	}, nil
 }
-
-// shardFor returns the shard an id string hashes to.
-func (m *Manager) shardFor(id string) *mshard {
-	if len(m.shards) == 1 {
-		return m.shards[0]
-	}
-	return m.shards[hash64.String(id)%uint64(len(m.shards))]
-}
-
-// clockNow reads the manager clock without any shard lock.
-func (m *Manager) clockNow() int { return int(m.clock.Load()) }
 
 // Begin starts a transaction with this node as coordinator: a batch of
 // width 1 named after the transaction. Call before (or while) the
@@ -299,8 +268,8 @@ func (m *Manager) trace(key string, t obs.EventType, tick int, detail string) {
 // ID implements types.Machine.
 func (m *Manager) ID() types.ProcID { return m.cfg.ID }
 
-// Clock implements types.Machine.
-func (m *Manager) Clock() int { return m.clockNow() }
+// Clock implements types.Machine; it needs no lock.
+func (m *Manager) Clock() int { return int(m.clock.Load()) }
 
 // Decision implements types.Machine. A manager reports no aggregate
 // decision; per-transaction outcomes come from DecisionOf. (It reports
@@ -313,38 +282,32 @@ func (m *Manager) Decision() (types.Value, bool) { return 0, false }
 // instances count as finished). Persistent service nodes ignore this and
 // keep stepping for new work.
 func (m *Manager) Halted() bool {
-	if m.spawned.Load() == 0 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.spawned == 0 {
 		return false
 	}
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		for _, b := range sh.border {
-			if !sh.batches[b].c.Halted() {
-				sh.mu.Unlock()
-				return false
-			}
+	for _, b := range m.border {
+		if !m.batches[b].c.Halted() {
+			return false
 		}
-		sh.mu.Unlock()
 	}
 	return true
 }
 
 // DecisionOf reports a transaction's decision at this node: from its
-// batch's live instance, else from the tombstone the retired batch left
-// on its shard.
+// batch's live instance, else from the tombstone the retired batch left.
 func (m *Manager) DecisionOf(txn ID) (types.Decision, bool) {
-	b, ok := m.members.Load(txn)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	b, ok := m.members[txn]
 	if !ok {
 		return types.DecisionNone, false
 	}
-	bid := b.(BatchID)
-	sh := m.shardFor(string(bid))
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if bi, ok := sh.batches[bid]; ok {
+	if bi, ok := m.batches[b]; ok {
 		return bi.c.OutcomeAt(bi.idx[txn])
 	}
-	d := sh.retired[txn]
+	d := m.retired[txn]
 	return d, d != types.DecisionNone
 }
 
@@ -352,56 +315,28 @@ func (m *Manager) DecisionOf(txn ID) (types.Decision, bool) {
 // (decided instances awaiting retirement included); a batch is one
 // instance whatever its width.
 func (m *Manager) Active() int {
-	total := 0
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		total += len(sh.border)
-		sh.mu.Unlock()
-	}
-	return total
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.border)
 }
 
-// Transactions lists the transactions this node currently holds, sorted.
-// Retired transactions no longer appear.
-func (m *Manager) Transactions() []ID {
-	var out []ID
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		for _, b := range sh.border {
-			out = append(out, sh.batches[b].txns...)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Step implements types.Machine: demultiplex by shard, spawn
-// participants for new batches, advance every instance one tick, wrap
+// Step implements types.Machine: demultiplex, spawn participants for new
+// batches, advance every instance one tick in creation order, wrap
 // outputs, retire finished instances, and report newly decided members.
-// Shards are visited in index order under their own locks; OnOutcome
-// callbacks run after every lock is released.
+// OnOutcome callbacks run after the lock is released.
 func (m *Manager) Step(received []types.Message, rnd types.Rand) []types.Message {
 	tick := int(m.clock.Add(1))
 
-	// Route received frames to their batch's shard's scratch inbox. Only
-	// the stepping goroutine touches recv, so no locks yet.
-	for i := range received {
-		if env, ok := received[i].Payload.(BatchEnvelope); ok {
-			sh := m.shardFor(string(env.Batch))
-			sh.recv = append(sh.recv, received[i])
-		}
+	m.mu.Lock()
+	m.demuxLocked(received, tick)
+	out, decidedNow, retire := m.stepBatchesLocked(tick, rnd, m.out[:0], m.decidedNow[:0])
+	m.retireBatchesLocked(tick, retire)
+	// Consume per-instance inboxes (slices are reused next step).
+	for b := range m.byBatch {
+		m.byBatch[b] = m.byBatch[b][:0]
 	}
-
-	out := m.out[:0]
-	decidedNow := m.decidedNow[:0]
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		out, decidedNow = m.stepShardLocked(sh, tick, rnd, out, decidedNow)
-		sh.mu.Unlock()
-	}
-	m.out = out
-	m.decidedNow = decidedNow
+	m.out, m.decidedNow = out, decidedNow
+	m.mu.Unlock()
 
 	// No lock is held here: the callback may call back into the manager.
 	if cb := m.cfg.OnOutcome; cb != nil {
@@ -412,19 +347,20 @@ func (m *Manager) Step(received []types.Message, rnd types.Rand) []types.Message
 	return out
 }
 
-// stepShardLocked advances one shard one tick: demux its inbox, spawn
-// joins, step every batch, retire, and collect outputs and newly decided
-// outcomes. Caller holds sh.mu.
-func (m *Manager) stepShardLocked(sh *mshard, tick int, rnd types.Rand, out []types.Message, decidedNow []Outcome) ([]types.Message, []Outcome) {
-	// Demultiplex this shard's inbox into per-instance slices.
-	for i := range sh.recv {
-		env := sh.recv[i].Payload.(BatchEnvelope)
-		if sh.retiredBatches[env.Batch] {
+// demuxLocked sorts the received batch frames into per-instance inboxes,
+// joining batches first heard of from the wire. Caller holds mu.
+func (m *Manager) demuxLocked(received []types.Message, tick int) {
+	for i := range received {
+		env, ok := received[i].Payload.(BatchEnvelope)
+		if !ok {
+			continue
+		}
+		if _, done := m.retiredBatches[env.Batch]; done {
 			// Straggler for a finished batch: the tombstones answer
 			// queries; respawning could contradict a recorded decision.
 			continue
 		}
-		bi := sh.batches[env.Batch]
+		bi := m.batches[env.Batch]
 		if bi == nil {
 			// First contact with this batch: join as a participant. Only
 			// the coordinator's GO starts it, but every frame carries the
@@ -434,36 +370,26 @@ func (m *Manager) stepShardLocked(sh *mshard, tick int, rnd types.Rand, out []ty
 			// coordinator branch unless Coordinator == own id, so point
 			// it at the sender's id when it differs from ours, else the
 			// next processor.
-			coord := sh.recv[i].From
+			coord := received[i].From
 			if coord == m.cfg.ID {
 				coord = types.ProcID((int(m.cfg.ID) + 1) % m.cfg.N)
 			}
-			if err := m.joinBatchLocked(sh, env, coord, tick); err != nil {
+			if err := m.joinBatchLocked(env, coord, tick); err != nil {
 				continue
 			}
-			bi = sh.batches[env.Batch]
+			bi = m.batches[env.Batch]
 		}
 		bi.lastRecvClock = tick
 		if m.cfg.Tracer != nil && !bi.goRecv {
 			if inner, _ := core.Unwrap(env.Inner); inner != nil {
 				if _, isGo := inner.(core.GoMsg); isGo {
 					bi.goRecv = true
-					m.trace(bi.key, obs.EventGoRecv, tick, "from="+strconv.Itoa(int(sh.recv[i].From)))
+					m.trace(bi.key, obs.EventGoRecv, tick, "from="+strconv.Itoa(int(received[i].From)))
 				}
 			}
 		}
-		inner := sh.recv[i]
+		inner := received[i]
 		inner.Payload = env.Inner
-		sh.byBatch[env.Batch] = append(sh.byBatch[env.Batch], inner)
+		m.byBatch[env.Batch] = append(m.byBatch[env.Batch], inner)
 	}
-	sh.recv = sh.recv[:0]
-
-	out, decidedNow, retire := m.stepBatchesLocked(sh, tick, rnd, out, decidedNow)
-	m.retireBatchesLocked(sh, tick, retire)
-
-	// Consume per-instance inboxes (slices are reused next step).
-	for b := range sh.byBatch {
-		sh.byBatch[b] = sh.byBatch[b][:0]
-	}
-	return out, decidedNow
 }

@@ -175,8 +175,8 @@ func TestManagerValidation(t *testing.T) {
 	if _, ok := mgr.DecisionOf("unknown"); ok {
 		t.Error("unknown transaction has a decision")
 	}
-	if got := mgr.Transactions(); len(got) != 1 || got[0] != "x" {
-		t.Errorf("transactions = %v", got)
+	if got := mgr.Active(); got != 1 {
+		t.Errorf("active instances = %d, want x's", got)
 	}
 }
 
@@ -213,7 +213,7 @@ func TestManagerIgnoresForeignPayloads(t *testing.T) {
 	if len(out) != 0 {
 		t.Fatalf("manager reacted to a foreign payload: %v", out)
 	}
-	if len(mgr.Transactions()) != 0 {
+	if mgr.Active() != 0 {
 		t.Fatal("foreign payload spawned a transaction")
 	}
 }
@@ -222,8 +222,8 @@ func TestManagerIgnoresForeignPayloads(t *testing.T) {
 // managers while several goroutines concurrently begin transactions on
 // different coordinators and wait for completion through the OnOutcome
 // callback — the polling-free path the service subsystem relies on. The
-// callback reads DecisionOf, which takes the deciding batch's shard lock:
-// it would deadlock the stepping goroutine if Step still held it.
+// callback reads DecisionOf, which takes the manager lock: it would
+// deadlock the stepping goroutine if Step still held it.
 func TestOnOutcomeConcurrentCoordinators(t *testing.T) {
 	n := 5
 	ids := []txn.ID{"tx-0", "tx-1", "tx-2", "tx-3", "tx-4", "tx-5", "tx-6", "tx-7"}
@@ -242,7 +242,7 @@ func TestOnOutcomeConcurrentCoordinators(t *testing.T) {
 	for p := 0; p < n; p++ {
 		p := p
 		mgr, err := txn.NewManager(txn.Config{
-			ID: types.ProcID(p), N: n, K: 3, InboxShards: 4,
+			ID: types.ProcID(p), N: n, K: 3,
 			Vote: func(id txn.ID) bool { return id != "tx-3" },
 			OnOutcome: func(o txn.Outcome) {
 				if d, ok := managers[p].DecisionOf(o.Txn); !ok || d != o.Decision {
