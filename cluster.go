@@ -23,7 +23,23 @@ type ClusterOption func(*clusterSettings)
 type clusterSettings struct {
 	tickEvery time.Duration
 	maxTicks  int
-	hub       transport.HubOptions
+	delay     func(from, to ProcID) time.Duration
+	loss      func(from, to ProcID) bool
+}
+
+// hubOptions folds the loss and delay callbacks into the hub's one
+// injector: loss is asked first, and a dropped message is never delayed.
+func (s *clusterSettings) hubOptions() transport.HubOptions {
+	return transport.HubOptions{Inject: func(m types.Message) transport.Fault {
+		var f transport.Fault
+		if s.loss != nil {
+			f.Drop = s.loss(m.From, m.To)
+		}
+		if s.delay != nil && !f.Drop {
+			f.Delay = s.delay(m.From, m.To)
+		}
+		return f
+	}}
 }
 
 // WithTick sets the step period (default 2ms). The protocol's timing
@@ -40,16 +56,12 @@ func WithMaxTicks(ticks int) ClusterOption {
 
 // WithNetworkDelay injects per-message latency.
 func WithNetworkDelay(f func(from, to ProcID) time.Duration) ClusterOption {
-	return func(s *clusterSettings) {
-		s.hub.Delay = func(m types.Message) time.Duration { return f(m.From, m.To) }
-	}
+	return func(s *clusterSettings) { s.delay = f }
 }
 
 // WithNetworkLoss injects per-message loss.
 func WithNetworkLoss(f func(from, to ProcID) bool) ClusterOption {
-	return func(s *clusterSettings) {
-		s.hub.Drop = func(m types.Message) bool { return f(m.From, m.To) }
-	}
+	return func(s *clusterSettings) { s.loss = f }
 }
 
 // NewCluster builds a live in-memory cluster with the given votes.
@@ -66,22 +78,15 @@ func NewCluster(cfg Config, votes []bool, opts ...ClusterOption) (*Cluster, erro
 	for _, o := range opts {
 		o(&settings)
 	}
-	machines := make([]types.Machine, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		m, err := core.New(core.Config{
-			ID: ProcID(i), N: cfg.N, T: cfg.T, K: cfg.K,
-			Vote: vals[i], CoinFactor: cfg.CoinFactor, Gadget: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		machines[i] = m
+	set, err := core.NewSet(cfg.machineTemplate(), vals)
+	if err != nil {
+		return nil, err
 	}
-	inner, err := runtime.NewLocalCluster(machines, runtime.ClusterOptions{
+	inner, err := runtime.NewLocalCluster(types.Machines(set), runtime.ClusterOptions{
 		TickEvery: settings.tickEvery,
 		MaxTicks:  settings.maxTicks,
 		Seed:      cfg.Seed,
-		Hub:       settings.hub,
+		Hub:       settings.hubOptions(),
 	})
 	if err != nil {
 		return nil, err

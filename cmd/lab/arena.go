@@ -1,14 +1,3 @@
-// Command arena races the four commit protocols — 2PC, 3PC, Paxos
-// Commit, and the paper's Protocol 2 — under identical seeded chaos
-// plans and adversaries, audits every run, and prints the per-protocol
-// comparison table (EXPERIMENTS.md "Protocol arena" chapter).
-//
-// The exit status is the audit verdict: nonzero if any protocol answered
-// wrongly anywhere, or a nonblocking protocol (Paxos Commit, Protocol 2)
-// failed to terminate on a t-admissible plan. 2PC/3PC blocking is
-// reported but allowed — that is their documented failure mode.
-//
-//	go run ./cmd/arena -seeds 12 -shapes crash,lossy -advs rr,pareto
 package main
 
 import (
@@ -22,15 +11,19 @@ import (
 	"repro/internal/protocol"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "arena:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("arena", flag.ContinueOnError)
+// runArena races the four commit protocols — 2PC, 3PC, Paxos Commit, and
+// the paper's Protocol 2 — under identical seeded chaos plans and
+// adversaries, audits every run, and prints the per-protocol comparison
+// table (EXPERIMENTS.md "Protocol arena" chapter).
+//
+// The exit status is the audit verdict: nonzero if any protocol answered
+// wrongly anywhere, or a nonblocking protocol (Paxos Commit, Protocol 2)
+// failed to terminate on a t-admissible plan. 2PC/3PC blocking is
+// reported but allowed — that is their documented failure mode.
+//
+//	lab arena -seeds 12 -shapes crash,lossy -advs rr,pareto
+func runArena(args []string, w, stderr io.Writer) error {
+	fs := flag.NewFlagSet("lab arena", flag.ContinueOnError)
 	var (
 		n        = fs.Int("n", 5, "processors per run")
 		k        = fs.Int("k", 12, "timing constant K")
@@ -43,7 +36,7 @@ func run(args []string, w io.Writer) error {
 		workers  = fs.Int("workers", 1, "parallel workers; results are identical at any setting")
 		out      = fs.String("o", "", "write the table and audit log to this file")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args, stderr); err != nil {
 		return err
 	}
 
@@ -85,6 +78,9 @@ func run(args []string, w io.Writer) error {
 			p, err := protocol.ByName(strings.TrimSpace(name))
 			if err != nil {
 				return err
+			}
+			if !p.SolvesCommit() {
+				return fmt.Errorf("%s does not solve transaction commit; the arena races 2pc,3pc,paxos,protocol2", p.Name())
 			}
 			opts.Protocols = append(opts.Protocols, p)
 		}

@@ -7,13 +7,12 @@ import (
 	"testing"
 )
 
-func TestRunSmoke(t *testing.T) {
+func TestArenaSmoke(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "arena.txt")
 	var buf strings.Builder
-	err := run([]string{
+	err := lab(&buf, "arena",
 		"-seeds", "2", "-shapes", "crash", "-advs", "pareto",
-		"-protocols", "2pc,3pc,paxos,protocol2", "-workers", "2", "-o", out,
-	}, &buf)
+		"-protocols", "2pc,3pc,paxos,protocol2", "-workers", "2", "-o", out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,13 +31,13 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
-func TestRunDeterministicOutput(t *testing.T) {
-	args := []string{"-seeds", "2", "-shapes", "lossy", "-advs", "exp"}
+func TestArenaDeterministicOutput(t *testing.T) {
+	args := []string{"arena", "-seeds", "2", "-shapes", "lossy", "-advs", "exp"}
 	var a, b strings.Builder
-	if err := run(args, &a); err != nil {
+	if err := lab(&a, args...); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append(args, "-workers", "4"), &b); err != nil {
+	if err := lab(&b, append(args, "-workers", "4")...); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
@@ -46,16 +45,19 @@ func TestRunDeterministicOutput(t *testing.T) {
 	}
 }
 
-func TestRunRejectsBadFlags(t *testing.T) {
+func TestArenaRejectsBadFlags(t *testing.T) {
 	cases := [][]string{
 		{"-shapes", "volcanic"},
 		{"-shapes", "crash-restart"},
 		{"-advs", "clairvoyant"},
 		{"-protocols", "1pc"},
+		{"-protocols", "2pc-block"},   // retired into 2pc
+		{"-protocols", "2pc-timeout"}, // in the table, but answers wrongly by design
+		{"-protocols", "p1"},          // agreement, not commit
 	}
 	for _, args := range cases {
 		var buf strings.Builder
-		if err := run(args, &buf); err == nil {
+		if err := lab(&buf, append([]string{"arena"}, args...)...); err == nil {
 			t.Errorf("expected error for %v", args)
 		}
 	}

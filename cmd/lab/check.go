@@ -1,41 +1,33 @@
-// Command modelcheck systematically checks the commit protocol's safety
-// over whole execution families (internal/explore):
-//
-//	modelcheck -mode sweep -n 5 -max-crashed 2 -horizon 4
-//	    exhaustively enumerates crash schedules (victim sets × crash
-//	    clocks) and audits every run against the §2.4 conditions.
-//
-//	modelcheck -mode bfs -n 2 -depth 12
-//	    bounded breadth-first search over canonical scheduler choices,
-//	    memoized by configuration fingerprint, auditing every reachable
-//	    configuration.
-//
-//	modelcheck -mode valency -n 2 -depth 14
-//	    classifies reachable configurations by valency (which decision
-//	    values remain reachable), machine-checking the Lemma 15 structure:
-//	    all-commit initial configurations are bivalent; an abort vote
-//	    makes the system {0}-valent.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"time"
 
 	"repro/internal/explore"
-	"repro/internal/types"
 )
 
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "modelcheck:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string) error {
-	fs := flag.NewFlagSet("modelcheck", flag.ContinueOnError)
+// runCheck systematically checks the commit protocol's safety over whole
+// execution families (internal/explore):
+//
+//	lab check -mode sweep -n 5 -max-crashed 2 -horizon 4
+//	    exhaustively enumerates crash schedules (victim sets × crash
+//	    clocks) and audits every run against the §2.4 conditions.
+//
+//	lab check -mode bfs -n 2 -depth 12
+//	    bounded breadth-first search over canonical scheduler choices,
+//	    memoized by configuration fingerprint, auditing every reachable
+//	    configuration.
+//
+//	lab check -mode valency -n 2 -depth 14
+//	    classifies reachable configurations by valency (which decision
+//	    values remain reachable), machine-checking the Lemma 15 structure:
+//	    all-commit initial configurations are bivalent; an abort vote
+//	    makes the system {0}-valent.
+func runCheck(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("lab check", flag.ContinueOnError)
 	var (
 		mode       = fs.String("mode", "sweep", "sweep | bfs | valency")
 		n          = fs.Int("n", 3, "number of processors")
@@ -48,24 +40,12 @@ func run(args []string) error {
 		maxStates  = fs.Int("max-states", 20000, "bfs/valency: state cap")
 		workers    = fs.Int("workers", 0, "bfs: goroutines per level (0 = GOMAXPROCS, <0 = serial); result is identical at any setting")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args, stderr); err != nil {
 		return err
 	}
-	votes := make([]types.Value, *n)
-	for i := range votes {
-		votes[i] = types.V1
-	}
-	if *votesStr != "" {
-		if len(*votesStr) != *n {
-			return fmt.Errorf("votes %q has %d entries for n=%d", *votesStr, len(*votesStr), *n)
-		}
-		for i, c := range *votesStr {
-			if c == '0' {
-				votes[i] = types.V0
-			} else if c != '1' {
-				return fmt.Errorf("votes must be 0/1")
-			}
-		}
+	votes, err := parseVotes(*votesStr, *n)
+	if err != nil {
+		return err
 	}
 	faults := (*n - 1) / 2
 	factory := explore.CommitFactory(*n, faults, *k, votes)
@@ -84,14 +64,14 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("crash sweep: %d schedules in %v\n", res.Runs, time.Since(start).Round(time.Millisecond))
-		fmt.Printf("  decided: %d  blocked: %d\n", res.Decided, res.Blocked)
-		fmt.Printf("  conflicts: %d  validity violations: %d\n", res.Conflicts, res.Violations)
+		fmt.Fprintf(stdout, "crash sweep: %d schedules in %v\n", res.Runs, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "  decided: %d  blocked: %d\n", res.Decided, res.Blocked)
+		fmt.Fprintf(stdout, "  conflicts: %d  validity violations: %d\n", res.Conflicts, res.Violations)
 		if res.FirstViolation != "" {
-			fmt.Printf("  FIRST VIOLATION: %s\n", res.FirstViolation)
+			fmt.Fprintf(stdout, "  FIRST VIOLATION: %s\n", res.FirstViolation)
 			return fmt.Errorf("safety violated")
 		}
-		fmt.Println("  every schedule within bounds is safe")
+		fmt.Fprintln(stdout, "  every schedule within bounds is safe")
 	case "bfs":
 		res, err := explore.Explore(explore.ExploreConfig{
 			Factory: factory, N: *n, K: *k, Seed: *seed, Votes: votes,
@@ -100,13 +80,13 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("bfs: %d configurations (%d with decisions) in %v, truncated=%v\n",
+		fmt.Fprintf(stdout, "bfs: %d configurations (%d with decisions) in %v, truncated=%v\n",
 			res.StatesVisited, res.DecidedStates, time.Since(start).Round(time.Millisecond), res.Truncated)
 		if res.Violation != "" {
-			fmt.Printf("  VIOLATION: %s\n  path: %v\n", res.Violation, res.ViolationPath)
+			fmt.Fprintf(stdout, "  VIOLATION: %s\n  path: %v\n", res.Violation, res.ViolationPath)
 			return fmt.Errorf("safety violated")
 		}
-		fmt.Println("  every reachable configuration within bounds is safe")
+		fmt.Fprintln(stdout, "  every reachable configuration within bounds is safe")
 	case "valency":
 		res, err := explore.Valency(explore.ExploreConfig{
 			Factory: factory, N: *n, K: *k, Seed: *seed, Votes: votes,
@@ -115,14 +95,14 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("valency: %d configurations in %v, truncated=%v\n",
+		fmt.Fprintf(stdout, "valency: %d configurations in %v, truncated=%v\n",
 			res.StatesVisited, time.Since(start).Round(time.Millisecond), res.Truncated)
-		fmt.Printf("  commit reachable: %v  abort reachable: %v\n", res.Reachable1, res.Reachable0)
-		fmt.Printf("  bivalent configurations: %d  univalent: %d\n", res.BivalentStates, res.UnivalentStates)
+		fmt.Fprintf(stdout, "  commit reachable: %v  abort reachable: %v\n", res.Reachable1, res.Reachable0)
+		fmt.Fprintf(stdout, "  bivalent configurations: %d  univalent: %d\n", res.BivalentStates, res.UnivalentStates)
 		if res.Bivalent() {
-			fmt.Println("  initial configuration is BIVALENT (the Lemma 15 structure)")
+			fmt.Fprintln(stdout, "  initial configuration is BIVALENT (the Lemma 15 structure)")
 		} else {
-			fmt.Println("  initial configuration is univalent within bounds")
+			fmt.Fprintln(stdout, "  initial configuration is univalent within bounds")
 		}
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)

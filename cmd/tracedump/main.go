@@ -1,7 +1,7 @@
 // Command tracedump renders a recorded trace (JSON) as a human-readable
 // timeline. It understands two formats:
 //
-//   - simulator traces written by `commitsim -tracefile`, rendered with
+//   - simulator traces written by `lab sim -tracefile`, rendered with
 //     message statistics, lateness, and per-processor asynchronous round
 //     boundaries;
 //
@@ -34,7 +34,7 @@
 //     subcommands also accept a flight dump directly, reading the
 //     embedded span graph.
 //
-//     commitsim -n 5 -tracefile run.json
+//     lab sim -n 5 -tracefile run.json
 //     tracedump run.json
 //     tracedump -rounds -late run.json
 //     tracedump critpath run.json

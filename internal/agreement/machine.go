@@ -127,6 +127,19 @@ func New(cfg Config) (*Machine, error) {
 	}, nil
 }
 
+// NewSet builds the machine set of one agreement instance: processor i
+// gets tmpl with ID i and Initial initial[i]. Every machine reads the
+// template's one coin source.
+func NewSet(tmpl Config, initial []types.Value) ([]*Machine, error) {
+	if len(initial) != tmpl.N {
+		return nil, fmt.Errorf("agreement: %d initial values for N=%d", len(initial), tmpl.N)
+	}
+	return types.NewSet(tmpl.N, func(id types.ProcID) (*Machine, error) {
+		tmpl.ID, tmpl.Initial = id, initial[id]
+		return New(tmpl)
+	})
+}
+
 // ID implements types.Machine.
 func (m *Machine) ID() types.ProcID { return m.cfg.ID }
 

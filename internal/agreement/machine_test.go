@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/agreement"
-	"repro/internal/core"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -369,23 +368,5 @@ func TestQuickAgreementInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestProtocol1Constructors exercises the core package's convenience
-// constructors for Protocol 1 and plain Ben-Or.
-func TestProtocol1Constructors(t *testing.T) {
-	p1, err := core.NewProtocol1(core.Protocol1Config{
-		ID: 0, N: 3, T: 1, Initial: types.V1, Coins: vals(1, 0, 1), Gadget: true,
-	})
-	if err != nil || p1 == nil {
-		t.Fatalf("NewProtocol1: %v", err)
-	}
-	bo, err := core.NewBenOr(0, 3, 1, types.V0, true)
-	if err != nil || bo == nil {
-		t.Fatalf("NewBenOr: %v", err)
-	}
-	if _, err := core.NewProtocol1(core.Protocol1Config{ID: 0, N: 2, T: 1, Initial: types.V1}); err == nil {
-		t.Error("NewProtocol1 accepted n <= 2t")
 	}
 }

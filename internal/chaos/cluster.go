@@ -152,19 +152,12 @@ func RunCluster(p *Plan, o RunOptions) (*Report, *ClusterRunData, error) {
 	// Each node goroutine appends to its own journal; the harness reads one
 	// only after that node's goroutine has stopped.
 	journals := make([]wal.Records, n)
+	set, err := core.NewSet(core.Config{N: n, T: p.Cfg.T, K: o.K, Gadget: true}, types.Values(p.Votes))
+	if err != nil {
+		return nil, nil, fmt.Errorf("chaos: build machines: %w", err)
+	}
 	machines := make([]types.Machine, n)
-	for i := 0; i < n; i++ {
-		vote := types.V0
-		if p.Votes[i] {
-			vote = types.V1
-		}
-		cm, err := core.New(core.Config{
-			ID: types.ProcID(i), N: n, T: p.Cfg.T, K: o.K,
-			Vote: vote, Gadget: true,
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("chaos: build machine %d: %w", i, err)
-		}
+	for i, cm := range set {
 		machines[i] = &recovery.Responder{Inner: wal.NewLoggedCommit(cm, &journals[i])}
 	}
 

@@ -126,6 +126,28 @@ func New(cfg Config) (*Commit, error) {
 	}, nil
 }
 
+// NewSet builds the machine set of one Protocol 2 instance: processor i
+// gets tmpl with ID i and Vote votes[i]. The set is typed so callers can
+// inspect stages afterwards; types.Machines widens it for a scheduler.
+func NewSet(tmpl Config, votes []types.Value) ([]*Commit, error) {
+	if len(votes) != tmpl.N {
+		return nil, fmt.Errorf("core: %d votes for N=%d", len(votes), tmpl.N)
+	}
+	return types.NewSet(tmpl.N, func(id types.ProcID) (*Commit, error) {
+		tmpl.ID, tmpl.Vote = id, votes[id]
+		return New(tmpl)
+	})
+}
+
+// Factory returns the factory of fresh NewSet(tmpl, votes) machine sets
+// the explorer and the lower-bound replays start every run from.
+func Factory(tmpl Config, votes []types.Value) types.Factory {
+	return func() ([]types.Machine, error) {
+		set, err := NewSet(tmpl, votes)
+		return types.Machines(set), err
+	}
+}
+
 // ID implements types.Machine.
 func (c *Commit) ID() types.ProcID { return c.cfg.ID }
 

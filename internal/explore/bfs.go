@@ -51,7 +51,7 @@ func (m DeliveryMode) String() string {
 
 // ExploreConfig parameterizes a bounded breadth-first exploration.
 type ExploreConfig struct {
-	Factory Factory
+	Factory types.Factory
 	N       int
 	K       int
 	Seed    uint64

@@ -26,30 +26,14 @@ import (
 	"repro/internal/types"
 )
 
-// Factory builds a fresh machine set in its initial configuration.
-type Factory func() ([]types.Machine, error)
-
 // CommitFactory is the standard factory for Protocol 2 machines.
-func CommitFactory(n, t, k int, votes []types.Value) Factory {
-	return func() ([]types.Machine, error) {
-		out := make([]types.Machine, n)
-		for i := 0; i < n; i++ {
-			m, err := core.New(core.Config{
-				ID: types.ProcID(i), N: n, T: t, K: k,
-				Vote: votes[i], Gadget: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			out[i] = m
-		}
-		return out, nil
-	}
+func CommitFactory(n, t, k int, votes []types.Value) types.Factory {
+	return core.Factory(core.Config{N: n, T: t, K: k, Gadget: true}, votes)
 }
 
 // CrashSweepConfig parameterizes an exhaustive crash-schedule sweep.
 type CrashSweepConfig struct {
-	Factory Factory
+	Factory types.Factory
 	N       int
 	K       int
 	Seed    uint64

@@ -3,11 +3,8 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/adversary"
 	"repro/internal/parallel"
 	"repro/internal/protocol"
-	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/types"
 )
 
@@ -66,23 +63,12 @@ func twoPCBlockingWitness() (bool, error) {
 		n = 5
 		k = 2
 	)
-	p := protocol.TwoPC{}
-	votes := make([]types.Value, n)
-	for i := range votes {
-		votes[i] = types.V1
-	}
-	machines, err := p.New(protocol.Instance{N: n, T: (n - 1) / 2, K: k, Votes: votes})
+	p, err := protocol.ByName("2pc")
 	if err != nil {
 		return false, err
 	}
-	adv := &adversary.Crash{
-		Inner: &adversary.RoundRobin{},
-		Plan:  []adversary.CrashPlan{{Proc: 0, AtClock: 1}},
-	}
-	res, err := sim.Run(sim.Config{
-		K: k, Machines: machines, Adversary: adv,
-		Seeds: rng.NewCollection(1, n), MaxSteps: 4000,
-	})
+	res, machines, err := p.Run(protocol.Instance{N: n, T: (n - 1) / 2, K: k, Votes: AllVotes(n, types.V1), Seed: 1},
+		coordinatorCrash(), 4000)
 	if err != nil {
 		return false, err
 	}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/adversary"
 	"repro/internal/core"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/twopc"
 	"repro/internal/types"
 )
 
@@ -26,63 +26,31 @@ func E7BaselineComparison(opt Options) (*Report, error) {
 	tbl := stats.NewTable("protocol", "scenario", "inconsistent", "blocked", "consistent")
 	pass := true
 
-	latePlan := func() *adversary.TargetedLate {
+	late := func() sim.Adversary {
 		return &adversary.TargetedLate{
 			Inner: &adversary.RoundRobin{},
 			Plan:  []adversary.LatePlan{{From: 0, To: 2, SkipFirst: 1, HoldUntilClock: 300}},
 		}
 	}
-
-	type scenario struct {
-		proto, name string
-		run         func(seed uint64) (*sim.Result, error)
-	}
-	scenarios := []scenario{
-		{"2pc-timeout", "late outcome msg", func(seed uint64) (*sim.Result, error) {
-			ms, err := baselineMachines2PC(n, k, AllVotes(n, types.V1), twopc.PolicyTimeoutAbort)
-			if err != nil {
-				return nil, err
-			}
-			return sim.Run(sim.Config{K: k, Machines: ms, Adversary: latePlan(),
-				Seeds: rng.NewCollection(seed, n), MaxSteps: 20_000})
-		}},
-		{"2pc-blocking", "coordinator crash", func(seed uint64) (*sim.Result, error) {
-			ms, err := baselineMachines2PC(n, k, AllVotes(n, types.V1), twopc.PolicyBlock)
-			if err != nil {
-				return nil, err
-			}
-			adv := &adversary.Crash{Inner: &adversary.RoundRobin{},
-				Plan: []adversary.CrashPlan{{Proc: 0, AtClock: 1}}}
-			return sim.Run(sim.Config{K: k, Machines: ms, Adversary: adv,
-				Seeds: rng.NewCollection(seed, n), MaxSteps: 5_000})
-		}},
-		{"3pc", "late precommit msg", func(seed uint64) (*sim.Result, error) {
-			ms, err := baselineMachines3PC(n, k, AllVotes(n, types.V1))
-			if err != nil {
-				return nil, err
-			}
-			return sim.Run(sim.Config{K: k, Machines: ms, Adversary: latePlan(),
-				Seeds: rng.NewCollection(seed, n), MaxSteps: 20_000})
-		}},
-		{"protocol2", "late outcome msg", func(seed uint64) (*sim.Result, error) {
-			res, _, err := RunCommit(CommitRun{N: n, K: k, Seed: seed,
-				Adversary: latePlan(), MaxSteps: 60_000})
-			return res, err
-		}},
-		{"protocol2", "coordinator crash", func(seed uint64) (*sim.Result, error) {
-			adv := &adversary.Crash{Inner: &adversary.RoundRobin{},
-				Plan: []adversary.CrashPlan{{Proc: 0, AtClock: 1}}}
-			res, _, err := RunCommit(CommitRun{N: n, K: k, Seed: seed,
-				Adversary: adv, MaxSteps: 60_000})
-			return res, err
-		}},
+	// proto is the table's label; name resolves through the one name table
+	// (the table's "2pc-blocking" is what every command line calls 2pc).
+	scenarios := []struct {
+		proto, name, scenario string
+		adv                   func() sim.Adversary
+		maxSteps              int
+	}{
+		{"2pc-timeout", "2pc-timeout", "late outcome msg", late, 20_000},
+		{"2pc-blocking", "2pc", "coordinator crash", coordinatorCrash, 5_000},
+		{"3pc", "3pc", "late precommit msg", late, 20_000},
+		{"protocol2", "protocol2", "late outcome msg", late, 60_000},
+		{"protocol2", "protocol2", "coordinator crash", coordinatorCrash, 60_000},
 	}
 
 	for _, sc := range scenarios {
 		sc := sc
 		// 0 = consistent, 1 = blocked, 2 = inconsistent.
 		verdicts, err := sweep(opt, runs, func(r int) (int, error) {
-			res, err := sc.run(opt.Seed + uint64(r)*53)
+			res, err := runNamed(sc.name, n, k, nil, opt.Seed+uint64(r)*53, sc.adv(), sc.maxSteps)
 			if err != nil {
 				return 0, err
 			}
@@ -109,7 +77,7 @@ func E7BaselineComparison(opt Options) (*Report, error) {
 				consistent++
 			}
 		}
-		tbl.AddRow(sc.proto, sc.name, inconsistent, blocked, consistent)
+		tbl.AddRow(sc.proto, sc.scenario, inconsistent, blocked, consistent)
 		isOurs := sc.proto == "protocol2"
 		if isOurs && (inconsistent > 0 || blocked > 0) {
 			pass = false
@@ -157,7 +125,7 @@ func E8LowerBoundProcessors(opt Options) (*Report, error) {
 	notes := []string{}
 	// Machine-check Lemmas 12/13 (the surgery steps of the proof) on the
 	// real Protocol 2 machines.
-	f := commitFactoryForLemmas(4)
+	f := core.Factory(core.Config{N: 4, T: 1, K: 2, Gadget: true}, AllVotes(4, types.V1))
 	s := map[types.ProcID]bool{0: true, 1: true}
 	sched, err := lowerbound.GenerateIsolatedSchedule(f, opt.Seed, lowerbound.IsolatedScheduleOptions{Cycles: 10, S: s})
 	if err != nil {
@@ -183,23 +151,6 @@ func E8LowerBoundProcessors(opt Options) (*Report, error) {
 		Notes: notes,
 		Pass:  pass,
 	}, nil
-}
-
-func commitFactoryForLemmas(n int) lowerbound.Factory {
-	return func() ([]types.Machine, error) {
-		out := make([]types.Machine, n)
-		for i := 0; i < n; i++ {
-			m, err := core.New(core.Config{
-				ID: types.ProcID(i), N: n, T: (n - 1) / 2, K: 2,
-				Vote: types.V1, Gadget: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			out[i] = m
-		}
-		return out, nil
-	}
 }
 
 // E9DelayScaling reproduces Theorem 17's phenomenon: an adversary that
@@ -312,41 +263,16 @@ func E11MessageComplexity(opt Options) (*Report, error) {
 	tbl := stats.NewTable("n", "protocol2", "p2 KiB", "protocol1", "ben-or", "2pc", "3pc")
 	for _, n := range ns {
 		n := n
-		p2 := avgMsgs(opt, runs, func(r int) (*sim.Result, error) {
-			res, _, err := RunCommit(CommitRun{N: n, Seed: opt.Seed + uint64(r), Record: true})
-			return res, err
-		})
-		p2Bits := avgBits(opt, runs, func(r int) (*sim.Result, error) {
-			res, _, err := RunCommit(CommitRun{N: n, Seed: opt.Seed + uint64(r), Record: true})
-			return res, err
-		})
-		p1 := avgMsgs(opt, runs, func(r int) (*sim.Result, error) {
-			res, _, err := RunAgreement(AgreementRun{N: n, Initial: SplitVotes(n), Shared: true,
-				Seed: opt.Seed + uint64(r), Record: true})
-			return res, err
-		})
-		bo := avgMsgs(opt, runs, func(r int) (*sim.Result, error) {
-			res, _, err := RunAgreement(AgreementRun{N: n, Initial: SplitVotes(n), Shared: false,
-				Seed: opt.Seed + uint64(r), Record: true})
-			return res, err
-		})
-		twoPC := avgMsgs(opt, runs, func(r int) (*sim.Result, error) {
-			ms, err := baselineMachines2PC(n, 4, AllVotes(n, types.V1), twopc.PolicyBlock)
-			if err != nil {
-				return nil, err
-			}
-			return sim.Run(sim.Config{K: 4, Machines: ms, Adversary: &adversary.RoundRobin{},
-				Seeds: rng.NewCollection(opt.Seed+uint64(r), n), Record: true})
-		})
-		threePC := avgMsgs(opt, runs, func(r int) (*sim.Result, error) {
-			ms, err := baselineMachines3PC(n, 4, AllVotes(n, types.V1))
-			if err != nil {
-				return nil, err
-			}
-			return sim.Run(sim.Config{K: 4, Machines: ms, Adversary: &adversary.RoundRobin{},
-				Seeds: rng.NewCollection(opt.Seed+uint64(r), n), Record: true})
-		})
-		tbl.AddRow(n, p2, p2Bits/8192, p1, bo, twoPC, threePC)
+		avg := func(name string, votes []types.Value, pick func(trace.MessageStats) float64) float64 {
+			return avgTraceStat(opt, runs, func(r int) (*sim.Result, error) {
+				return runNamed(name, n, 4, votes, opt.Seed+uint64(r), nil, 0)
+			}, pick)
+		}
+		sent := func(s trace.MessageStats) float64 { return float64(s.Sent) }
+		bits := func(s trace.MessageStats) float64 { return float64(s.TotalBits) }
+		tbl.AddRow(n, avg("protocol2", nil, sent), avg("protocol2", nil, bits)/8192,
+			avg("p1", SplitVotes(n), sent), avg("benor", SplitVotes(n), sent),
+			avg("2pc", nil, sent), avg("3pc", nil, sent))
 	}
 	return &Report{
 		ID:    "E11",
@@ -356,14 +282,6 @@ func E11MessageComplexity(opt Options) (*Report, error) {
 		Notes: []string{"randomized quorum protocols trade O(n^2) traffic for asynchrony tolerance; 2PC/3PC are O(n) but timing-fragile (E7)"},
 		Pass:  true,
 	}, nil
-}
-
-func avgMsgs(opt Options, runs int, f func(r int) (*sim.Result, error)) float64 {
-	return avgTraceStat(opt, runs, f, func(s trace.MessageStats) float64 { return float64(s.Sent) })
-}
-
-func avgBits(opt Options, runs int, f func(r int) (*sim.Result, error)) float64 {
-	return avgTraceStat(opt, runs, f, func(s trace.MessageStats) float64 { return float64(s.TotalBits) })
 }
 
 // avgTraceStat averages a trace statistic over a seed sweep; failed or
@@ -476,18 +394,24 @@ func buildBeaconTrace(n, k, numRounds int) *trace.Trace {
 	return tr
 }
 
+// experiments is the one experiment table, in report order (there is no
+// E14: the service-throughput measurement it named is bench/'s job).
+var experiments = []struct {
+	id  string
+	run func(Options) (*Report, error)
+}{
+	{"E1", E1ExpectedRounds}, {"E2", E2AgreementStages}, {"E3", E3SharedVsLocalCoins},
+	{"E4", E4FaultSweep}, {"E5", E5AbortValidity}, {"E6", E6CommitValidity8K},
+	{"E7", E7BaselineComparison}, {"E8", E8LowerBoundProcessors}, {"E9", E9DelayScaling},
+	{"E10", E10ExtraCoins}, {"E11", E11MessageComplexity}, {"E12", E12RoundDefinition},
+	{"E13", E13Recovery}, {"E15", E15Arena},
+}
+
 // All runs every experiment in order.
 func All(opt Options) ([]*Report, error) {
-	fns := []func(Options) (*Report, error){
-		E1ExpectedRounds, E2AgreementStages, E3SharedVsLocalCoins,
-		E4FaultSweep, E5AbortValidity, E6CommitValidity8K,
-		E7BaselineComparison, E8LowerBoundProcessors, E9DelayScaling,
-		E10ExtraCoins, E11MessageComplexity, E12RoundDefinition,
-		E13Recovery, E15Arena,
-	}
 	var out []*Report
-	for _, f := range fns {
-		r, err := f(opt)
+	for _, e := range experiments {
+		r, err := e.run(opt)
 		if err != nil {
 			return out, err
 		}
@@ -498,13 +422,19 @@ func All(opt Options) ([]*Report, error) {
 
 // ByID returns the experiment runner for an id like "E4".
 func ByID(id string) (func(Options) (*Report, error), bool) {
-	m := map[string]func(Options) (*Report, error){
-		"E1": E1ExpectedRounds, "E2": E2AgreementStages, "E3": E3SharedVsLocalCoins,
-		"E4": E4FaultSweep, "E5": E5AbortValidity, "E6": E6CommitValidity8K,
-		"E7": E7BaselineComparison, "E8": E8LowerBoundProcessors, "E9": E9DelayScaling,
-		"E10": E10ExtraCoins, "E11": E11MessageComplexity, "E12": E12RoundDefinition,
-		"E13": E13Recovery, "E15": E15Arena,
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run, true
+		}
 	}
-	f, ok := m[id]
-	return f, ok
+	return nil, false
+}
+
+// IDs lists the experiment ids in order, for help and error text.
+func IDs() string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return strings.Join(ids, ",")
 }

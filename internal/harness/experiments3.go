@@ -73,17 +73,12 @@ func E13Recovery(opt Options) (*Report, error) {
 // decided, every victim recovered, count of mismatched recoveries).
 func recoveryRound(n, crashes int, seed uint64) (bool, bool, int, error) {
 	logs := make([]wal.Records, n)
+	inner, err := core.NewSet(core.Config{N: n, T: (n - 1) / 2, K: 3, Gadget: true}, AllVotes(n, types.V1))
+	if err != nil {
+		return false, false, 0, err
+	}
 	machines := make([]types.Machine, n)
-	inner := make([]*core.Commit, n)
-	for i := 0; i < n; i++ {
-		m, err := core.New(core.Config{
-			ID: types.ProcID(i), N: n, T: (n - 1) / 2, K: 3,
-			Vote: types.V1, Gadget: true,
-		})
-		if err != nil {
-			return false, false, 0, err
-		}
-		inner[i] = m
+	for i, m := range inner {
 		machines[i] = wal.NewLoggedCommit(m, &logs[i])
 	}
 	st := rng.NewStream(seed ^ 0xE13)

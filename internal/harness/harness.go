@@ -1,8 +1,8 @@
-// Package harness drives the paper-reproduction experiments E1–E12
-// cataloged in DESIGN.md and renders their tables. Each experiment
+// Package harness drives the paper-reproduction experiments (E1–E13 and
+// E15) cataloged in DESIGN.md and renders their tables. Each experiment
 // regenerates one quantitative claim of Coan & Lundelius (PODC '86); the
-// bench targets in bench_test.go and the cmd/experiments binary are thin
-// wrappers over this package.
+// bench targets in bench_test.go and `lab experiments` are thin wrappers
+// over this package.
 package harness
 
 import (
@@ -12,12 +12,11 @@ import (
 	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/parallel"
+	"repro/internal/protocol"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/threepc"
 	"repro/internal/trace"
-	"repro/internal/twopc"
 	"repro/internal/types"
 )
 
@@ -112,22 +111,15 @@ func RunCommit(cfg CommitRun) (*sim.Result, []*core.Commit, error) {
 	if adv == nil {
 		adv = &adversary.RoundRobin{}
 	}
-	machines := make([]types.Machine, cfg.N)
-	commits := make([]*core.Commit, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		m, err := core.New(core.Config{
-			ID: types.ProcID(i), N: cfg.N, T: cfg.T, K: cfg.K,
-			Vote: votes[i], CoinFactor: cfg.CoinFactor, Gadget: true,
-			Unsafe: cfg.Unsafe,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		machines[i] = m
-		commits[i] = m
+	commits, err := core.NewSet(core.Config{
+		N: cfg.N, T: cfg.T, K: cfg.K, CoinFactor: cfg.CoinFactor, Gadget: true,
+		Unsafe: cfg.Unsafe,
+	}, votes)
+	if err != nil {
+		return nil, nil, err
 	}
 	res, err := sim.Run(sim.Config{
-		K: cfg.K, Machines: machines, Adversary: adv,
+		K: cfg.K, Machines: types.Machines(commits), Adversary: adv,
 		Seeds:    rng.NewCollection(cfg.Seed, cfg.N),
 		MaxSteps: cfg.MaxSteps, Record: cfg.Record,
 	})
@@ -137,13 +129,37 @@ func RunCommit(cfg CommitRun) (*sim.Result, []*core.Commit, error) {
 	return res, commits, nil
 }
 
+// runNamed executes one protocol from the one name table under the
+// simulator, recording its trace (votes nil: every processor votes
+// commit; adv nil: round-robin; maxSteps 0: the simulator's default).
+func runNamed(name string, n, k int, votes []types.Value, seed uint64, adv sim.Adversary, maxSteps int) (*sim.Result, error) {
+	p, err := protocol.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	if votes == nil {
+		votes = AllVotes(n, types.V1)
+	}
+	if adv == nil {
+		adv = &adversary.RoundRobin{}
+	}
+	res, _, err := p.Run(protocol.Instance{N: n, T: (n - 1) / 2, K: k, Votes: votes, Seed: seed}, adv, maxSteps)
+	return res, err
+}
+
+// coordinatorCrash crashes processor 0 right after its first broadcast,
+// under an otherwise round-robin schedule: the crash 2PC cannot survive.
+func coordinatorCrash() sim.Adversary {
+	return &adversary.Crash{Inner: &adversary.RoundRobin{},
+		Plan: []adversary.CrashPlan{{Proc: 0, AtClock: 1}}}
+}
+
 // AgreementRun configures one simulated agreement execution.
 type AgreementRun struct {
 	N         int
 	T         int // default (N-1)/2
 	Initial   []types.Value
-	Shared    bool // true: Protocol 1 (list coins); false: plain Ben-Or
-	CoinCount int  // default N
+	Shared    bool // true: Protocol 1 (a list of N coins); false: plain Ben-Or
 	Seed      uint64
 	Adversary sim.Adversary
 	MaxSteps  int
@@ -155,34 +171,20 @@ func RunAgreement(cfg AgreementRun) (*sim.Result, []*agreement.Machine, error) {
 	if cfg.T == 0 {
 		cfg.T = (cfg.N - 1) / 2
 	}
-	if cfg.CoinCount == 0 {
-		cfg.CoinCount = cfg.N
-	}
 	adv := cfg.Adversary
 	if adv == nil {
 		adv = &adversary.RoundRobin{}
 	}
-	var src agreement.CoinSource
+	var src agreement.CoinSource = agreement.LocalCoin{}
 	if cfg.Shared {
-		src = agreement.ListCoin{Coins: rng.NewStream(cfg.Seed ^ 0xC0175).Bits(cfg.CoinCount)}
-	} else {
-		src = agreement.LocalCoin{}
+		src = agreement.ListCoin{Coins: rng.NewStream(cfg.Seed ^ 0xC0175).Bits(cfg.N)}
 	}
-	machines := make([]types.Machine, cfg.N)
-	ams := make([]*agreement.Machine, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		m, err := agreement.New(agreement.Config{
-			ID: types.ProcID(i), N: cfg.N, T: cfg.T,
-			Initial: cfg.Initial[i], Coins: src, Gadget: true,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		machines[i] = m
-		ams[i] = m
+	ams, err := agreement.NewSet(agreement.Config{N: cfg.N, T: cfg.T, Coins: src, Gadget: true}, cfg.Initial)
+	if err != nil {
+		return nil, nil, err
 	}
 	res, err := sim.Run(sim.Config{
-		K: 2, Machines: machines, Adversary: adv,
+		K: 2, Machines: types.Machines(ams), Adversary: adv,
 		Seeds:    rng.NewCollection(cfg.Seed, cfg.N),
 		MaxSteps: cfg.MaxSteps, Record: cfg.Record,
 	})
@@ -229,34 +231,4 @@ func checkRun(votes []types.Value, res *sim.Result) error {
 		onTime = res.Trace.OnTime()
 	}
 	return trace.CheckAll(votes, res.Outcomes(), res.FailureFree(), onTime)
-}
-
-// baselineMachines2PC builds a 2PC cluster.
-func baselineMachines2PC(n, k int, votes []types.Value, policy twopc.Policy) ([]types.Machine, error) {
-	out := make([]types.Machine, n)
-	for i := 0; i < n; i++ {
-		m, err := twopc.New(twopc.Config{
-			ID: types.ProcID(i), N: n, K: k, Vote: votes[i], Policy: policy,
-		})
-		if err != nil {
-			return nil, err
-		}
-		out[i] = m
-	}
-	return out, nil
-}
-
-// baselineMachines3PC builds a 3PC cluster.
-func baselineMachines3PC(n, k int, votes []types.Value) ([]types.Machine, error) {
-	out := make([]types.Machine, n)
-	for i := 0; i < n; i++ {
-		m, err := threepc.New(threepc.Config{
-			ID: types.ProcID(i), N: n, K: k, Vote: votes[i],
-		})
-		if err != nil {
-			return nil, err
-		}
-		out[i] = m
-	}
-	return out, nil
 }

@@ -97,9 +97,8 @@ func EqualProjection(s map[types.ProcID]bool, a, b Schedule) bool {
 	return true
 }
 
-// Factory produces a fresh set of machines in their initial configuration.
-// Replays construct independent machine sets so runs never share state.
-type Factory func() ([]types.Machine, error)
+// Factory is types.Factory under the name this package's callers use.
+type Factory = types.Factory
 
 // Executor replays a schedule against a configuration. It mirrors §4's
 // model: events apply in order; failure steps silence a processor; message

@@ -67,16 +67,13 @@ func Theorem14Demo(t int, seed uint64, maxSteps int) (*Theorem14Result, error) {
 // runWithEarlyCrashes runs Protocol 2 with all-commit votes, crashing the
 // highest-numbered `crashes` processors before their first step.
 func runWithEarlyCrashes(n, faults, crashes int, seed uint64, maxSteps int, unsafe bool) (*sim.Result, error) {
-	machines := make([]types.Machine, n)
-	for i := 0; i < n; i++ {
-		m, err := core.New(core.Config{
-			ID: types.ProcID(i), N: n, T: faults, K: 2,
-			Vote: types.V1, Gadget: true, Unsafe: unsafe,
-		})
-		if err != nil {
-			return nil, err
-		}
-		machines[i] = m
+	votes := make([]types.Value, n)
+	for i := range votes {
+		votes[i] = types.V1
+	}
+	set, err := core.NewSet(core.Config{N: n, T: faults, K: 2, Gadget: true, Unsafe: unsafe}, votes)
+	if err != nil {
+		return nil, err
 	}
 	var plan []adversary.CrashPlan
 	for i := 0; i < crashes; i++ {
@@ -84,7 +81,7 @@ func runWithEarlyCrashes(n, faults, crashes int, seed uint64, maxSteps int, unsa
 	}
 	return sim.Run(sim.Config{
 		K:         2,
-		Machines:  machines,
+		Machines:  types.Machines(set),
 		Adversary: &adversary.Crash{Inner: &adversary.RoundRobin{}, Plan: plan},
 		Seeds:     rng.NewCollection(seed, n),
 		MaxSteps:  maxSteps,

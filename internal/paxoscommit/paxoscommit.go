@@ -247,8 +247,8 @@ func (m *Machine) Outcome() (types.Decision, bool) {
 
 // Blocked reports whether the machine is stuck in a state with no timeout
 // rule. Paxos Commit has none: an undecided processor always has a next
-// takeover scheduled, so this is false by construction (the arena's
-// CommitProtocol adapters use it uniformly across protocols).
+// takeover scheduled, so this is false by construction (the name table's
+// rows use it uniformly across protocols).
 func (m *Machine) Blocked() bool { return false }
 
 // ChosenInstances returns how many per-RM instances this machine has

@@ -8,7 +8,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/obs/watch"
 	"repro/internal/parallel"
-	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -91,19 +90,9 @@ func (r Run) logLine() string {
 // where MayBlock() protocols are permitted to block (their documented
 // failure mode) while the nonblocking protocols must decide on every
 // t-admissible plan.
-func RunOne(p CommitProtocol, plan *chaos.Plan, kind AdvKind, k, maxSteps int) (Run, error) {
+func RunOne(p Protocol, plan *chaos.Plan, kind AdvKind, k, maxSteps int) (Run, error) {
 	n := plan.Cfg.N
-	votes := make([]types.Value, n)
-	for i, v := range plan.Votes {
-		votes[i] = types.V0
-		if v {
-			votes[i] = types.V1
-		}
-	}
-	machines, err := p.New(Instance{N: n, T: plan.Cfg.T, K: k, Votes: votes})
-	if err != nil {
-		return Run{}, err
-	}
+	votes := types.Values(plan.Votes)
 	inner, err := newAdversary(kind, plan.Cfg.Seed, k)
 	if err != nil {
 		return Run{}, err
@@ -112,11 +101,12 @@ func RunOne(p CommitProtocol, plan *chaos.Plan, kind AdvKind, k, maxSteps int) (
 	if err != nil {
 		return Run{}, err
 	}
-	res, err := sim.Run(sim.Config{
-		K: k, Machines: machines, Adversary: adv,
-		Seeds:    rng.NewCollection(plan.Cfg.Seed, n),
-		MaxSteps: maxSteps, Record: true,
-	})
+	// 3PC's per-phase timeout is pinned to 8K — comfortably beyond the
+	// arena's fault horizon and capped delays — so that inside the arena's
+	// admissible envelope its timeout presumptions are sound.
+	res, machines, err := p.Run(Instance{
+		N: n, T: plan.Cfg.T, K: k, Votes: votes, Seed: plan.Cfg.Seed, Timeout: 8 * k,
+	}, adv, maxSteps)
 	if err != nil {
 		return Run{}, err
 	}
@@ -187,7 +177,7 @@ type Options struct {
 	// pareto; Protocols to All().
 	Shapes    []chaos.Shape
 	Advs      []AdvKind
-	Protocols []CommitProtocol
+	Protocols []Protocol
 	// MaxSteps bounds each run (default 20000 events).
 	MaxSteps int
 	// Workers parallelizes the sweep (default 1); results are
@@ -253,7 +243,7 @@ func Sweep(opts Options) (*Result, error) {
 	opts.defaults()
 
 	type combo struct {
-		proto CommitProtocol
+		proto Protocol
 		shape chaos.Shape
 		adv   AdvKind
 		seed  uint64
@@ -389,7 +379,7 @@ func joinAdvs(advs []AdvKind) string {
 	return strings.Join(parts, ",")
 }
 
-func joinProtos(protos []CommitProtocol) string {
+func joinProtos(protos []Protocol) string {
 	parts := make([]string, len(protos))
 	for i, p := range protos {
 		parts[i] = p.Name()
@@ -397,7 +387,7 @@ func joinProtos(protos []CommitProtocol) string {
 	return strings.Join(parts, ",")
 }
 
-func blockedSummary(protos []CommitProtocol, blocked map[string]int) string {
+func blockedSummary(protos []Protocol, blocked map[string]int) string {
 	parts := make([]string, len(protos))
 	for i, p := range protos {
 		parts[i] = fmt.Sprintf("%s:%d", p.Name(), blocked[p.Name()])

@@ -27,7 +27,7 @@ func TestCoordinatorCrashPhases(t *testing.T) {
 	)
 	cases := []struct {
 		name    string
-		proto   protocol.CommitProtocol
+		proto   string
 		crashAt int
 		// wantBlocked: nonfaulty participants stay undecided forever, and
 		// the protocol's Blocked classifier identifies them as in doubt.
@@ -37,18 +37,18 @@ func TestCoordinatorCrashPhases(t *testing.T) {
 	}{
 		// 2PC phase 1: coordinator crashes holding the votes. Yes-voters
 		// are in doubt with no timeout rule — the classic 2PC block.
-		{"2pc/crash-after-prepare", protocol.TwoPC{}, 1, true, 0},
+		{"2pc/crash-after-prepare", "2pc", 1, true, 0},
 		// 2PC phase 2: the outcome broadcast left atomically with the
 		// deciding step; participants learn COMMIT.
-		{"2pc/crash-after-outcome", protocol.TwoPC{}, 2, false, types.V1},
+		{"2pc/crash-after-outcome", "2pc", 2, false, types.V1},
 		// 3PC phase 1: participants voted but saw no PRECOMMIT; the WAIT
 		// timeout rule fires and they abort — 3PC decides where 2PC blocks.
-		{"3pc/crash-after-cancommit", protocol.ThreePC{}, 1, false, types.V0},
+		{"3pc/crash-after-cancommit", "3pc", 1, false, types.V0},
 		// 3PC phase 2: participants reached PRECOMMIT; its timeout rule
 		// commits (sound here because the coordinator really crashed).
-		{"3pc/crash-after-precommit", protocol.ThreePC{}, 2, false, types.V1},
+		{"3pc/crash-after-precommit", "3pc", 2, false, types.V1},
 		// 3PC phase 3: DOCOMMIT already broadcast; participants commit.
-		{"3pc/crash-after-docommit", protocol.ThreePC{}, 3, false, types.V1},
+		{"3pc/crash-after-docommit", "3pc", 3, false, types.V1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -56,7 +56,12 @@ func TestCoordinatorCrashPhases(t *testing.T) {
 			for i := range votes {
 				votes[i] = types.V1
 			}
-			machines, err := tc.proto.New(protocol.Instance{N: n, T: (n - 1) / 2, K: k, Votes: votes})
+			proto, err := protocol.ByName(tc.proto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// 3PC with the arena's 8K per-phase timeout.
+			machines, err := proto.New(protocol.Instance{N: n, T: (n - 1) / 2, K: k, Votes: votes, Timeout: 8 * k})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,7 +87,7 @@ func TestCoordinatorCrashPhases(t *testing.T) {
 					if res.Decided[p] {
 						t.Errorf("participant %d decided %v in a blocking scenario", p, res.Values[p])
 					}
-					if !tc.proto.Blocked(machines[p]) {
+					if !proto.Blocked(machines[p]) {
 						t.Errorf("participant %d not classified as blocked", p)
 					}
 				}
@@ -95,7 +100,7 @@ func TestCoordinatorCrashPhases(t *testing.T) {
 				if res.Values[p] != tc.want {
 					t.Errorf("participant %d decided %v, want %v", p, res.Values[p], tc.want)
 				}
-				if tc.proto.Blocked(machines[p]) {
+				if proto.Blocked(machines[p]) {
 					t.Errorf("participant %d classified blocked after deciding", p)
 				}
 			}

@@ -113,7 +113,7 @@ func TestClusterSlowNetworkStaysSafe(t *testing.T) {
 	c, err := runtime.NewLocalCluster(commitMachines(t, n, 2, votesOf(n, types.V1)), runtime.ClusterOptions{
 		TickEvery: time.Millisecond, Seed: 4, MaxTicks: 3000,
 		Hub: transport.HubOptions{
-			Delay: func(types.Message) time.Duration { return 15 * time.Millisecond },
+			Inject: func(types.Message) transport.Fault { return transport.Fault{Delay: 15 * time.Millisecond} },
 		},
 	})
 	if err != nil {
@@ -228,7 +228,7 @@ func TestClusterContextCancellation(t *testing.T) {
 	n := 3
 	c, err := runtime.NewLocalCluster(commitMachines(t, n, 1000, votesOf(n, types.V1)), runtime.ClusterOptions{
 		TickEvery: time.Millisecond, Seed: 5, MaxTicks: 1_000_000,
-		Hub: transport.HubOptions{Drop: func(types.Message) bool { return true }},
+		Hub: transport.HubOptions{Inject: func(types.Message) transport.Fault { return transport.Fault{Drop: true} }},
 	})
 	if err != nil {
 		t.Fatal(err)

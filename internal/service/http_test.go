@@ -235,7 +235,7 @@ func TestHTTPOverloadAndRetryAfter(t *testing.T) {
 		QueueDepth: 1, MaxInFlight: 1, BatchMax: 1,
 		DefaultTimeout: 400 * time.Millisecond,
 		RetryHint:      30 * time.Millisecond,
-		Hub:            transport.HubOptions{Drop: func(types.Message) bool { return true }},
+		Hub:            transport.HubOptions{Inject: func(types.Message) transport.Fault { return transport.Fault{Drop: true} }},
 	})
 	// Fill slot + dispatcher + queue with doomed submissions.
 	for i := 0; i < 3; i++ {

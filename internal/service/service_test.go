@@ -112,7 +112,7 @@ func TestQueueFullTypedRejection(t *testing.T) {
 		DefaultTimeout: 500 * time.Millisecond,
 		RetryHint:      40 * time.Millisecond,
 		Hub: transport.HubOptions{
-			Drop: func(types.Message) bool { return true },
+			Inject: func(types.Message) transport.Fault { return transport.Fault{Drop: true} },
 		},
 	})
 	results := make(chan service.Result, 3)
@@ -159,7 +159,7 @@ func TestDeadlineTimeoutDoesNotLeak(t *testing.T) {
 		N: 3, Seed: 4,
 		MaxAgeTicks: 80, RetireAfterTicks: 10,
 		Hub: transport.HubOptions{
-			Drop: func(types.Message) bool { return true },
+			Inject: func(types.Message) transport.Fault { return transport.Fault{Drop: true} },
 		},
 	})
 	res, err := s.Submit(context.Background(), service.Request{
@@ -239,7 +239,7 @@ func TestHardStopResolvesEverything(t *testing.T) {
 		N: 3, K: 3, Seed: 6, TickEvery: time.Millisecond,
 		DefaultTimeout: time.Hour, // deadlines will not save us; Close must
 		Hub: transport.HubOptions{
-			Drop: func(types.Message) bool { return true },
+			Inject: func(types.Message) transport.Fault { return transport.Fault{Drop: true} },
 		},
 	})
 	if err != nil {

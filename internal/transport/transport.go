@@ -51,13 +51,8 @@ type Fault struct {
 
 // HubOptions configures fault injection on an in-memory hub.
 type HubOptions struct {
-	// Delay, if non-nil, returns the artificial latency for a message.
-	Delay func(msg types.Message) time.Duration
-	// Drop, if non-nil, returns true to silently discard a message.
-	Drop func(msg types.Message) bool
 	// Inject, if non-nil, is consulted once per message with the full
-	// fault vocabulary (drop, duplicate, delay). It composes with
-	// Drop/Delay: a message is dropped if either says so, and delays add.
+	// fault vocabulary (drop, duplicate, delay).
 	Inject func(msg types.Message) Fault
 	// QueueSize is the per-node inbound buffer (default 4096).
 	QueueSize int
@@ -164,14 +159,11 @@ func (h *Hub) deliver(msg types.Message) error {
 	if h.opts.Inject != nil {
 		fault = h.opts.Inject(msg)
 	}
-	if fault.Drop || (h.opts.Drop != nil && h.opts.Drop(msg)) {
+	if fault.Drop {
 		h.m.dropped.Inc()
 		return nil
 	}
 	delay := fault.Delay
-	if h.opts.Delay != nil {
-		delay += h.opts.Delay(msg)
-	}
 	h.m.observeDelay(msg.From, msg.To, delay.Seconds())
 	if h.opts.Spans != nil {
 		txnID := ""

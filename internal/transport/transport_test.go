@@ -40,7 +40,7 @@ func TestHubBasicDelivery(t *testing.T) {
 
 func TestHubDelayInjection(t *testing.T) {
 	hub := transport.NewHub(2, transport.HubOptions{
-		Delay: func(types.Message) time.Duration { return 30 * time.Millisecond },
+		Inject: func(types.Message) transport.Fault { return transport.Fault{Delay: 30 * time.Millisecond} },
 	})
 	defer hub.Close() //nolint:errcheck
 	a, b := hub.Endpoint(0), hub.Endpoint(1)
@@ -58,7 +58,7 @@ func TestHubDelayInjection(t *testing.T) {
 
 func TestHubDropInjection(t *testing.T) {
 	hub := transport.NewHub(2, transport.HubOptions{
-		Drop: func(m types.Message) bool { return m.To == 1 },
+		Inject: func(m types.Message) transport.Fault { return transport.Fault{Drop: m.To == 1} },
 	})
 	defer hub.Close() //nolint:errcheck
 	a, b := hub.Endpoint(0), hub.Endpoint(1)

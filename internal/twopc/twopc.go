@@ -155,6 +155,9 @@ func (m *Machine) Halted() bool { return m.halted }
 // under PolicyBlock (used by the blocking-rate experiment).
 func (m *Machine) Blocked() bool { return m.ph == phWaitOutcome && !m.decided }
 
+// Policy returns the participant timeout policy the machine was built with.
+func (m *Machine) Policy() Policy { return m.cfg.Policy }
+
 func (m *Machine) isCoordinator() bool { return m.cfg.ID == types.Coordinator }
 
 // Step implements types.Machine.

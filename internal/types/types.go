@@ -71,6 +71,17 @@ func (d Decision) String() string {
 	}
 }
 
+// Values converts bool votes (true = commit) to protocol values.
+func Values(votes []bool) []Value {
+	out := make([]Value, len(votes))
+	for i, v := range votes {
+		if v {
+			out[i] = V1
+		}
+	}
+	return out
+}
+
 // DecisionOf maps a decided binary value to the commit-problem decision:
 // 0 is identified with abort and 1 with commit (paper §1).
 func DecisionOf(v Value) Decision {
@@ -154,6 +165,36 @@ type Machine interface {
 	// Step calls (it remains nonfaulty) but they are no-ops.
 	Halted() bool
 }
+
+// NewSet builds an n-processor machine set, processor i from mk(i): the
+// one loop behind every protocol's set constructor.
+func NewSet[M Machine](n int, mk func(id ProcID) (M, error)) ([]M, error) {
+	set := make([]M, n)
+	for i := range set {
+		m, err := mk(ProcID(i))
+		if err != nil {
+			return nil, err
+		}
+		set[i] = m
+	}
+	return set, nil
+}
+
+// Machines widens a typed machine set to the interface slice sim.Config
+// and the runtime take; callers that inspect their machines afterwards
+// (stages reached, journals) keep the typed slice.
+func Machines[M Machine](set []M) []Machine {
+	out := make([]Machine, len(set))
+	for i, m := range set {
+		out[i] = m
+	}
+	return out
+}
+
+// Factory builds a fresh machine set in its initial configuration. The
+// explorer and the lower-bound replays construct independent sets so
+// runs never share state.
+type Factory func() ([]Machine, error)
 
 // Snapshotter is an optional Machine extension producing a deterministic
 // encoding of the machine's full local state. The lower-bound package uses

@@ -113,10 +113,9 @@ func StartNode(cfg Config, spec NodeSpec) (*Node, error) {
 		if spec.Vote {
 			vote = types.V1
 		}
-		m, err := core.New(core.Config{
-			ID: spec.ID, N: cfg.N, T: cfg.T, K: cfg.K,
-			Vote: vote, CoinFactor: cfg.CoinFactor, Gadget: true,
-		})
+		mc := cfg.machineTemplate()
+		mc.ID, mc.Vote = spec.ID, vote
+		m, err := core.New(mc)
 		if err != nil {
 			nlog.Close() //nolint:errcheck
 			return nil, err

@@ -162,20 +162,13 @@ func Simulate(cfg Config, votes []bool, opts ...SimOption) (*SimResult, error) {
 		adv = &adversary.Crash{Inner: adv, Plan: settings.crashes}
 	}
 
-	machines := make([]types.Machine, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		m, err := core.New(core.Config{
-			ID: ProcID(i), N: cfg.N, T: cfg.T, K: cfg.K,
-			Vote: vals[i], CoinFactor: cfg.CoinFactor, Gadget: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		machines[i] = m
+	set, err := core.NewSet(cfg.machineTemplate(), vals)
+	if err != nil {
+		return nil, err
 	}
 	res, err := sim.Run(sim.Config{
 		K:         cfg.K,
-		Machines:  machines,
+		Machines:  types.Machines(set),
 		Adversary: adv,
 		Seeds:     rng.NewCollection(cfg.Seed, cfg.N),
 		MaxSteps:  settings.maxSteps,

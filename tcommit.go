@@ -40,6 +40,7 @@ package tcommit
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/types"
 )
 
@@ -100,16 +101,16 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
+// machineTemplate is the Protocol 2 machine configuration every
+// processor of this cluster shares; ID and Vote are filled per processor.
+func (c Config) machineTemplate() core.Config {
+	return core.Config{N: c.N, T: c.T, K: c.K, CoinFactor: c.CoinFactor, Gadget: true}
+}
+
 // votesToValues converts bool votes (true = commit) to protocol values.
 func votesToValues(n int, votes []bool) ([]types.Value, error) {
 	if len(votes) != n {
 		return nil, fmt.Errorf("tcommit: %d votes for %d processors", len(votes), n)
 	}
-	out := make([]types.Value, n)
-	for i, v := range votes {
-		if v {
-			out[i] = types.V1
-		}
-	}
-	return out, nil
+	return types.Values(votes), nil
 }

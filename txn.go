@@ -99,7 +99,7 @@ func RunTransactions(cfg Config, specs []TxnSpec, opts ...ClusterOption) (TxnOut
 		TickEvery: settings.tickEvery,
 		MaxTicks:  settings.maxTicks,
 		Seed:      cfg.Seed,
-		Hub:       settings.hub,
+		Hub:       settings.hubOptions(),
 	})
 	if err != nil {
 		return nil, err
