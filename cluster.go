@@ -42,9 +42,11 @@ func (s *clusterSettings) hubOptions() transport.HubOptions {
 	}}
 }
 
-// WithTick sets the step period (default 2ms). The protocol's timing
+// WithTick sets the clock period (default 2ms). The protocol's timing
 // constant K is measured in ticks, so K*tick is the on-time bound in wall
-// time.
+// time. A single-transaction machine takes one step per tick; the
+// transaction managers of RunTransactions also act on messages as they
+// arrive, between ticks.
 func WithTick(d time.Duration) ClusterOption {
 	return func(s *clusterSettings) { s.tickEvery = d }
 }

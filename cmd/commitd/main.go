@@ -93,7 +93,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		n         = fs.Int("n", 5, "number of processors per commit group")
 		tFaults   = fs.Int("t", 0, "crash tolerance (default (n-1)/2)")
 		k         = fs.Int("k", 4, "protocol timing constant in ticks")
-		tick      = fs.Duration("tick", time.Millisecond, "cluster step period")
+		tick      = fs.Duration("tick", time.Millisecond, "period of the timeout clock (nodes act on messages as they arrive)")
 		seed      = fs.Uint64("seed", 0, "randomness seed (0: derived from time)")
 		queue     = fs.Int("queue", 1024, "admission queue depth (per shard)")
 		inflight  = fs.Int("inflight", 128, "max concurrent commit instances (per shard)")

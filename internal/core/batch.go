@@ -192,11 +192,27 @@ func (c *BatchCommit) Violation() error {
 	return c.sub.Violation()
 }
 
-// Step implements types.Machine. The control flow is Protocol 2's,
-// unchanged: GO flood → 2K-tick GO wait → vectored vote exchange with a
-// 2K-tick timeout → vector agreement, with GO piggybacked on everything.
+// Step implements types.Machine: one tick of the timeout clock, then the
+// transition. The control flow is Protocol 2's, unchanged: GO flood →
+// 2K-tick GO wait → vectored vote exchange with a 2K-tick timeout → vector
+// agreement, with GO piggybacked on everything.
 func (c *BatchCommit) Step(received []types.Message, rnd types.Rand) []types.Message {
 	c.clock++
+	return c.transition(received, rnd, c.clock)
+}
+
+// Deliver hands the machine messages between ticks: the same transition
+// with the clock left alone, so no 2K comparison can newly hold inside it —
+// a timeout fires on a Step or not at all. A wait that starts here is
+// stamped with the next tick, so it runs its 2K ticks in full whatever
+// fraction of the current one has already passed.
+func (c *BatchCommit) Deliver(received []types.Message, rnd types.Rand) []types.Message {
+	return c.transition(received, rnd, c.clock+1)
+}
+
+// transition is the one protocol body behind Step and Deliver; now stamps
+// the waits it starts.
+func (c *BatchCommit) transition(received []types.Message, rnd types.Rand, now int) []types.Message {
 	if c.halted {
 		return nil
 	}
@@ -242,7 +258,7 @@ func (c *BatchCommit) Step(received []types.Message, rnd types.Rand) []types.Mes
 				// whole batch.
 				c.coins = rnd.Bits(c.cfg.CoinFactor * c.cfg.N)
 				out = c.broadcast(out, GoMsg{Coins: c.coins}, false)
-				c.waitClock = c.clock
+				c.waitClock = now
 				c.st = stWaitAllGo
 			} else {
 				c.st = stWaitGo
@@ -252,7 +268,7 @@ func (c *BatchCommit) Step(received []types.Message, rnd types.Rand) []types.Mes
 			// Instruction 2–3: on first contact, relay GO.
 			if c.coins != nil {
 				out = c.broadcast(out, GoMsg{Coins: c.coins}, false)
-				c.waitClock = c.clock
+				c.waitClock = now
 				c.st = stWaitAllGo
 				progress = true
 			}
@@ -269,7 +285,7 @@ func (c *BatchCommit) Step(received []types.Message, rnd types.Rand) []types.Mes
 			}
 			if done {
 				out = c.broadcast(out, BatchVoteMsg{Vals: c.votes}, true)
-				c.waitClock = c.clock
+				c.waitClock = now
 				c.st = stWaitVotes
 				progress = true
 			}

@@ -1,12 +1,21 @@
 // Package runtime executes protocol machines live: one goroutine per
-// processor, a tick clock driving Step calls, and a Transport carrying
-// messages. It is the deployment-shaped counterpart of the simulator —
-// the same machines, driven by wall-clock time instead of an adversary.
+// processor, a Transport carrying messages, and a clock that exists only
+// for timeouts. It is the deployment-shaped counterpart of the simulator —
+// the same machines, scheduled by arrivals and wall-clock time instead of
+// an adversary.
 //
-// A clock tick in the formal model is "one step of the processor"; here a
-// node takes one step every TickEvery, consuming whatever messages arrived
-// since the previous tick. The timing constant K of the protocol configs
-// therefore corresponds to K*TickEvery of wall time.
+// An event of the formal model hands a processor some messages (§2.1); here
+// a node whose machine can take a delivery without advancing its clock
+// (txn.Manager) is handed its messages the moment they arrive, and every
+// TickEvery its clock ticks once — the Step that timeouts are counted in.
+// A machine with Step alone (the formal core.Commit, 2PC/3PC, recovery
+// clients) is stepped on ticks only and receives its messages then. The
+// timing constant K of the protocol configs is K*TickEvery of wall time;
+// it bounds how late a message may be, not how soon one is acted on.
+//
+// The nodes of a Cluster share one clock, which ticks no faster than its
+// slowest live node takes the ticks: co-hosted processors starved of CPU
+// fall behind together instead of timing each other out (DESIGN §13).
 package runtime
 
 import (
@@ -29,7 +38,8 @@ type NodeConfig struct {
 	Machine   types.Machine
 	Transport transport.Transport
 	Rand      types.Rand
-	// TickEvery is the step period (default 2ms).
+	// TickEvery is the period of the timeout clock (default 2ms): the
+	// machine's Step runs once per period, however often messages arrive.
 	TickEvery time.Duration
 	// MaxTicks bounds the node's lifetime (default 10000 ticks); the
 	// paper's protocol may legitimately never decide when too many peers
@@ -64,12 +74,18 @@ func newNodeMetrics(reg *obs.Registry, p types.ProcID) nodeMetrics {
 	node := strconv.Itoa(int(p))
 	return nodeMetrics{
 		steps: reg.CounterVec("runtime_node_steps_total",
-			"Protocol steps (clock ticks) taken, by node.", "node").With(node),
+			"Machine invocations (clock ticks and between-tick deliveries), by node.", "node").With(node),
 		msgsIn: reg.CounterVec("runtime_node_messages_received_total",
 			"Messages consumed by the machine, by node.", "node").With(node),
 		msgsOut: reg.CounterVec("runtime_node_messages_sent_total",
 			"Messages produced by the machine, by node.", "node").With(node),
 	}
+}
+
+// deliverer is a machine that can be handed messages between clock ticks:
+// Deliver is Step without the tick.
+type deliverer interface {
+	Deliver(received []types.Message, rnd types.Rand) []types.Message
 }
 
 // Node runs one machine.
@@ -78,6 +94,13 @@ type Node struct {
 	m    nodeMetrics
 	done chan struct{}
 	stop chan struct{}
+	// wake asks for a delivery with no message behind it (see Wake); one
+	// slot, because one pending request covers any number of callers.
+	wake chan struct{}
+	// ticks is the clock: one slot filled by the cluster's shared clock,
+	// or nil for a standalone node, which then runs its own ticker.
+	ticks chan time.Time
+	buf   []types.Message // drain scratch
 
 	mu       sync.Mutex
 	err      error
@@ -109,7 +132,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		cfg.LingerTicks = 8
 	}
 	return &Node{cfg: cfg, m: newNodeMetrics(cfg.Registry, cfg.Machine.ID()),
-		done: make(chan struct{}), stop: make(chan struct{})}, nil
+		done: make(chan struct{}), stop: make(chan struct{}), wake: make(chan struct{}, 1)}, nil
 }
 
 // Start launches the node's goroutine. Call Wait (or receive on Done) to
@@ -121,8 +144,32 @@ func (n *Node) Start(ctx context.Context) {
 // Done returns a channel closed when the node has stopped.
 func (n *Node) Done() <-chan struct{} { return n.done }
 
-// Stop asks the node to stop after its current tick.
+// Stop asks the node to stop after its current step.
 func (n *Node) Stop() { n.stopOnce.Do(func() { close(n.stop) }) }
+
+// Wake makes the node run its machine now rather than at the next tick —
+// for work handed to the machine from outside the transport (a batch begun
+// on a txn.Manager). It never blocks, and does nothing for a machine
+// without Deliver, whose every step is a tick.
+func (n *Node) Wake() {
+	select {
+	case n.wake <- struct{}{}:
+	default:
+	}
+}
+
+// live reports whether the node still takes clock ticks: neither stopped
+// (a crash stops it) nor finished.
+func (n *Node) live() bool {
+	select {
+	case <-n.stop:
+		return false
+	case <-n.done:
+		return false
+	default:
+		return true
+	}
+}
 
 // Wait blocks until the node stops and returns its terminal error, if any.
 func (n *Node) Wait() error {
@@ -137,24 +184,49 @@ func (n *Node) Machine() types.Machine { return n.cfg.Machine }
 
 func (n *Node) run(ctx context.Context) {
 	defer close(n.done)
-	ticker := time.NewTicker(n.cfg.TickEvery)
-	defer ticker.Stop()
+	var ticks <-chan time.Time = n.ticks
+	if n.ticks == nil {
+		ticker := time.NewTicker(n.cfg.TickEvery)
+		defer ticker.Stop()
+		ticks = ticker.C
+	}
+	// Arrivals are armed only for a machine that can take one between
+	// ticks; for any other the two cases below never fire and the loop is
+	// tick, drain, Step.
+	d, _ := n.cfg.Machine.(deliverer)
+	var recv <-chan types.Message
+	var wake <-chan struct{}
+	if d != nil {
+		recv, wake = n.cfg.Transport.Recv(), n.wake
+	}
 
 	linger := -1
 	notified := false
-	for tick := 0; n.cfg.MaxTicks <= 0 || tick < n.cfg.MaxTicks; tick++ {
+	for tick := 0; n.cfg.MaxTicks <= 0 || tick < n.cfg.MaxTicks; {
+		var out []types.Message
+		ticked := false
+		n.buf = n.buf[:0]
 		select {
 		case <-ctx.Done():
 			n.setErr(ctx.Err())
 			return
 		case <-n.stop:
 			return
-		case <-ticker.C:
+		case <-ticks:
+			tick, ticked = tick+1, true
+			out = n.cfg.Machine.Step(n.drain(), n.cfg.Rand)
+		case m, ok := <-recv:
+			if !ok {
+				recv = nil // transport closed; the stop follows
+				continue
+			}
+			n.buf = append(n.buf, m)
+			out = d.Deliver(n.drain(), n.cfg.Rand)
+		case <-wake:
+			out = d.Deliver(n.drain(), n.cfg.Rand)
 		}
-		received := n.drain()
-		out := n.cfg.Machine.Step(received, n.cfg.Rand)
 		n.m.steps.Inc()
-		n.m.msgsIn.Add(uint64(len(received)))
+		n.m.msgsIn.Add(uint64(len(n.buf)))
 		n.m.msgsOut.Add(uint64(len(out)))
 		for i := range out {
 			if err := n.cfg.Transport.Send(out[i]); err != nil {
@@ -168,7 +240,7 @@ func (n *Node) run(ctx context.Context) {
 				n.cfg.OnDecision(n.cfg.Machine.ID(), v)
 			}
 		}
-		if !n.cfg.Persistent && n.cfg.Machine.Halted() {
+		if ticked && !n.cfg.Persistent && n.cfg.Machine.Halted() {
 			if linger < 0 {
 				linger = n.cfg.LingerTicks
 			}
@@ -180,18 +252,19 @@ func (n *Node) run(ctx context.Context) {
 	}
 }
 
-// drain collects every message currently queued without blocking.
+// drain appends every message currently queued to n.buf without blocking
+// and returns it. The buffer is reused: machines consume their input
+// within the call (the types.Machine contract the simulator relies on too).
 func (n *Node) drain() []types.Message {
-	var out []types.Message
 	for {
 		select {
 		case m, ok := <-n.cfg.Transport.Recv():
 			if !ok {
-				return out
+				return n.buf
 			}
-			out = append(out, m)
+			n.buf = append(n.buf, m)
 		default:
-			return out
+			return n.buf
 		}
 	}
 }
@@ -254,6 +327,12 @@ type Cluster struct {
 	crashes *obs.CounterVec
 	tracer  *obs.Tracer
 
+	// The one clock every node reads (see clock): its period, the signal
+	// that ends it, and the signal that it has ended.
+	tickEvery time.Duration
+	clockStop chan struct{}
+	clockDone chan struct{}
+
 	// timerMu guards timers; closed gates timer callbacks so a CrashAfter
 	// firing late cannot touch a hub that Wait has already closed.
 	timerMu sync.Mutex
@@ -263,6 +342,8 @@ type Cluster struct {
 
 // ClusterOptions configures NewCluster.
 type ClusterOptions struct {
+	// TickEvery is the period of the cluster's timeout clock — see
+	// NodeConfig.TickEvery.
 	TickEvery time.Duration
 	MaxTicks  int
 	Seed      uint64
@@ -300,7 +381,9 @@ func NewCluster(machines []types.Machine, trs []transport.Transport, opts Cluste
 		crashed: make([]atomic.Bool, len(machines)),
 		crashes: opts.Registry.CounterVec("runtime_node_crashes_total",
 			"Fail-stop crashes injected, by node.", "node"),
-		tracer: opts.Tracer,
+		tracer:    opts.Tracer,
+		clockStop: make(chan struct{}),
+		clockDone: make(chan struct{}),
 	}
 	if trs == nil {
 		if opts.Hub.Registry == nil {
@@ -329,6 +412,8 @@ func NewCluster(machines []types.Machine, trs []transport.Transport, opts Cluste
 		if err != nil {
 			return nil, err
 		}
+		node.ticks = make(chan time.Time, 1)
+		c.tickEvery = node.cfg.TickEvery // defaulted by NewNode
 		c.nodes = append(c.nodes, node)
 	}
 	return c, nil
@@ -348,18 +433,74 @@ func (c *Cluster) Start(ctx context.Context) {
 	for _, n := range c.nodes {
 		n.Start(ctx)
 	}
+	go c.clock()
 }
 
-// Stop asks every node to stop after its current tick. Wait still must be
-// called to join the goroutines and release the hub.
+// maxClockSkips bounds how many consecutive periods the cluster clock
+// gives up waiting for a node that has not taken its last tick: a node
+// that is wedged but not crashed stretches its peers' timeouts by at most
+// this factor plus one instead of freezing them.
+const maxClockSkips = 4
+
+// clock is the cluster's one timeout clock. Every TickEvery it offers a
+// tick to every live node — unless some live node has not yet taken the
+// previous one, in which case the period is skipped for everybody. Node
+// goroutines sharing a machine are scheduled unevenly: with a ticker each,
+// a node that was runnable but not running for a few periods is seen by
+// its peers, whose clocks ran on, as a late voter, and all-YES
+// transactions abort on the 2K timeout. Ticking together, the nodes fall
+// behind together, which is a legal schedule of the paper's model (K
+// relates message delay to steps of the processors, not to wall time). A
+// crashed or stopped node is not live and never holds the clock, so a real
+// crash is still timed out after 2K*TickEvery.
+func (c *Cluster) clock() {
+	defer close(c.clockDone)
+	ticker := time.NewTicker(c.tickEvery)
+	defer ticker.Stop()
+	skipped := 0
+	for {
+		var now time.Time
+		select {
+		case <-c.clockStop:
+			return
+		case now = <-ticker.C:
+		}
+		if skipped < maxClockSkips && c.tickPending() {
+			skipped++
+			continue
+		}
+		skipped = 0
+		for _, n := range c.nodes {
+			if n.live() {
+				select {
+				case n.ticks <- now:
+				default: // wedged past the skip bound: it keeps the one it has
+				}
+			}
+		}
+	}
+}
+
+// tickPending reports whether a live node still has the last tick waiting.
+func (c *Cluster) tickPending() bool {
+	for _, n := range c.nodes {
+		if len(n.ticks) > 0 && n.live() {
+			return true
+		}
+	}
+	return false
+}
+
+// Stop asks every node to stop after its current step. Wait still must be
+// called to join the goroutines and the clock and release the hub.
 func (c *Cluster) Stop() {
 	for _, n := range c.nodes {
 		n.Stop()
 	}
 }
 
-// Wait joins every node goroutine, closes the transports, and returns the
-// first error. A deliberately crashed node dies mid-send and its
+// Wait joins every node goroutine and then the clock, closes the
+// transports, and returns the first error. A deliberately crashed node dies mid-send and its
 // transport is closed twice; those errors are the fault model at work,
 // not a shutdown failure, and are ignored. The cluster's own hub closes
 // as a whole, after in-flight delayed messages settle, so a Stop/Wait
@@ -376,7 +517,10 @@ func (c *Cluster) Wait() error {
 	for p, n := range c.nodes {
 		keep(p, n.Wait())
 	}
-	c.closed.Store(true)
+	if !c.closed.Swap(true) {
+		close(c.clockStop)
+	}
+	<-c.clockDone
 	c.timerMu.Lock()
 	for _, t := range c.timers {
 		t.Stop()

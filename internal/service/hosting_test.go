@@ -47,15 +47,17 @@ func crashCount(s *Service, p types.ProcID) uint64 {
 }
 
 // TestCrashRescueDecideThenClose: a coordinator fail-stopped before its
-// first tick strands its batch; the rescue re-begins it on a live node
-// and the survivors decide it. A second Crash of the same node changes
+// GO reached anybody strands its batch; the rescue re-begins it on a live
+// node and the survivors decide it. A second Crash of the same node changes
 // nothing, the crash is counted once, and Close returns nil although the
 // crashed node died mid-run.
 func TestCrashRescueDecideThenClose(t *testing.T) {
 	onBothTransportSets(t, 3, func(t *testing.T, trs []transport.Transport) {
-		// The first tick is 50 ms away: a batch dispatched now is still
-		// pre-GO when its coordinator is crashed a millisecond later.
-		s, err := New(Config{N: 3, K: 3, Seed: 31, TickEvery: 50 * time.Millisecond,
+		// The gate holds the GO flood: the batch stays known to its
+		// coordinator alone until the crash, and the rescuer's flood leaves
+		// only once the gate opens.
+		gate, trs := NewGate(3, trs)
+		s, err := New(Config{N: 3, K: 3, Seed: 31, TickEvery: time.Millisecond,
 			DefaultTimeout: 20 * time.Second, Transports: trs})
 		if err != nil {
 			t.Fatal(err)
@@ -78,26 +80,25 @@ func TestCrashRescueDecideThenClose(t *testing.T) {
 				t.Fatal("never dispatched")
 			}
 		}
-		preGO := liveInstances(s, coord) == 0
+		if got := liveInstances(s, coord); got != 0 {
+			t.Fatalf("pre-crash: %d instances off the coordinator through a held gate", got)
+		}
 		if err := s.Crash(coord); err != nil {
 			t.Fatal(err)
 		}
-		if preGO {
-			if got := s.met.rescues.Value(); got != 1 {
-				t.Fatalf("rescues = %d, want 1: the stranded batch was not re-begun", got)
-			}
-		} else {
-			t.Log("the coordinator ticked before the crash; the GO had left, no rescue was needed")
+		if got := s.met.rescues.Value(); got != 1 {
+			t.Fatalf("rescues = %d, want 1: the stranded batch was not re-begun", got)
 		}
 		if err := s.Crash(coord); err != nil {
 			t.Fatalf("second crash of the same node: %v", err)
 		}
+		gate.Release()
 		select {
 		case res := <-done:
 			if res.State != StateCommit && res.State != StateAbort {
 				t.Fatalf("stranded transaction resolved %+v, want a decision", res)
 			}
-			if st, _ := s.Status("stranded"); preGO && st.Coordinator == coord {
+			if st, _ := s.Status("stranded"); st.Coordinator == coord {
 				t.Fatalf("status still names the crashed coordinator %d", coord)
 			}
 		case <-time.After(15 * time.Second):

@@ -81,7 +81,7 @@ func TestStatusWaitsForJournal(t *testing.T) {
 			wantResult: service.StateAbort, wantStatus: service.StateAbort},
 		{name: "flush fails", failSync: true, stalled: service.StateRunning,
 			wantResult: service.StateFailed, wantStatus: service.StateCommit},
-		{name: "late decision after timeout", timeout: time.Millisecond, stalled: service.StateTimeout,
+		{name: "late decision after timeout", timeout: 50 * time.Millisecond, stalled: service.StateTimeout,
 			wantResult: service.StateTimeout, wantStatus: service.StateCommit},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -98,10 +98,19 @@ func TestStatusWaitsForJournal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// A 5 ms tick keeps the decision well behind the 1 ms
-			// deadline of the late-decision case.
+			// The late-decision case holds the network until its deadline
+			// has passed (50 ms: long enough to have dispatched first even on
+			// a busy box — a submission whose deadline hits while it is still
+			// queued never runs); the others run with the gate open. K is
+			// large so that the held GO cannot meet its 2K timeout (and turn
+			// the COMMIT into an ABORT) before the gate opens; nothing waits
+			// on K while every message arrives.
+			gate, trs := service.NewGate(3, nil)
+			if tc.timeout == 0 {
+				gate.Release()
+			}
 			s, err := service.New(service.Config{
-				N: 3, K: 3, Seed: 41, TickEvery: 5 * time.Millisecond, Journal: journal,
+				N: 3, K: 1000, Seed: 41, TickEvery: time.Millisecond, Journal: journal, Transports: trs,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -129,6 +138,14 @@ func TestStatusWaitsForJournal(t *testing.T) {
 				done <- answer{res, err}
 			}()
 
+			if tc.timeout != 0 {
+				for deadline := time.Now().Add(10 * time.Second); status().State != service.StateTimeout; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatal("the deadline never resolved the submission as TIMEOUT")
+					}
+				}
+				gate.Release()
+			}
 			// The decision is reached and appended; its fsync is held.
 			select {
 			case <-fs.entered:

@@ -3,9 +3,9 @@ package service
 // White-box tests for rescueOrphans: a coordinator fail-stop in the
 // window between Begin and the first GO flood must not strand the
 // transaction on the dead node. The tests freeze that window open with a
-// huge TickEvery — nodes never step, so the GO can never leave the
-// coordinator — then crash it and verify the work re-dispatched onto a
-// live manager.
+// Gate that is never released — the GO is sent at once but can never
+// arrive — then crash the coordinator and verify the work re-dispatched
+// onto a live manager.
 
 import (
 	"context"
@@ -17,11 +17,11 @@ import (
 	"repro/internal/types"
 )
 
-// frozenService builds a service whose nodes never tick, keeping every
-// dispatched instance permanently pre-GO.
+// frozenService builds a service behind a held Gate, keeping every
+// dispatched instance permanently pre-GO everywhere but on its coordinator.
 func frozenService(t *testing.T, cfg Config) *Service {
 	t.Helper()
-	cfg.TickEvery = time.Hour
+	_, cfg.Transports = NewGate(cfg.N, cfg.Transports)
 	cfg.DefaultTimeout = time.Hour
 	s, err := New(cfg)
 	if err != nil {

@@ -524,7 +524,9 @@ func (s *Service) dispatchBatch(batch []*pending) {
 		for _, p := range live {
 			s.resolve(p, StateFailed, types.DecisionNone)
 		}
+		return
 	}
+	s.cluster.Node(coord).Wake() // flood the GO now, not at the next tick
 }
 
 // recordStage emits one service pipeline stage as a span, a histogram
@@ -722,11 +724,13 @@ func (s *Service) resolve(p *pending, state State, d types.Decision) {
 			// protocol decision.
 			res.State = StateFailed
 		}
-		p.done <- res
+		// The notify span is recorded before the caller is released, so
+		// whoever Submit returns to finds the transaction's graph whole. It
+		// is the transaction's last: the collector may retire it under a
+		// txn cap.
 		s.recordStage(p.id, span.StageNotify, decidedU, s.cfg.Spans.Now(), "")
-		// The notify span is the transaction's last: its graph is
-		// complete, so the collector may retire it under a txn cap.
 		s.cfg.Spans.CompleteTxn(string(p.id))
+		p.done <- res
 		s.cfg.Logger.Debug("transaction resolved",
 			olog.Txn(string(p.id)), olog.Shard(s.cfg.shardLabel()),
 			"state", string(res.State), "latency_ms", res.Latency.Milliseconds())
@@ -888,6 +892,8 @@ func (s *Service) rescueOrphans(p types.ProcID) {
 			olog.Shard(s.cfg.shardLabel()), olog.Node(int(r.coord)),
 			"batch", string(r.bid), "members", len(r.ids), "crashed", int(p))
 		s.managers[r.coord].BeginBatch(r.bid, r.ids, r.votes) //nolint:errcheck // already-known: the GO propagated
+		// Like a first dispatch, a rescue does not wait for a tick.
+		s.cluster.Node(r.coord).Wake()
 	}
 }
 

@@ -1,0 +1,68 @@
+package service
+
+import (
+	"context"
+	"testing"
+	"time"
+
+	"repro/internal/obs"
+	"repro/internal/transport"
+)
+
+// TestCrashedParticipantIsTimedOutInClockTime: nodes act on arrivals, but a
+// silent peer is still waited for in ticks of the clock. With a participant
+// crashed, an all-YES transaction runs out its GO wait and then its vote
+// wait — 2K ticks each, however many deliveries ran in between — and
+// answers ABORT no sooner than that takes on the wall.
+func TestCrashedParticipantIsTimedOutInClockTime(t *testing.T) {
+	onBothTransportSets(t, 3, func(t *testing.T, trs []transport.Transport) {
+		const (
+			k    = 2
+			tick = 10 * time.Millisecond
+		)
+		s, err := New(Config{N: 3, K: k, Seed: 47, TickEvery: tick, Transports: trs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := s.Close(ctx); err != nil {
+				t.Errorf("close: %v", err)
+			}
+		}()
+		if err := s.Crash(2); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Submit(context.Background(), Request{ID: "waits"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.State != StateAbort {
+			t.Fatalf("answered %s with a participant that never votes, want ABORT", res.State)
+		}
+		// Two waits of 2K ticks; a tick's worth of slack for a late ticker.
+		if least := (2*2*k - 1) * tick; res.Latency < least {
+			t.Errorf("answered after %v, before the two 2K-tick waits (%v) could have run", res.Latency, least)
+		}
+		// Every node that has decided did so 2K of its own ticks after its
+		// own vote broadcast (the first to decide resolved the Submit).
+		voted, decided := map[int]int{}, map[int]int{}
+		for _, e := range s.Tracer().ByTxn("waits", 0) {
+			switch e.Type {
+			case obs.EventVoteCast:
+				voted[e.Node] = e.Tick
+			case obs.EventDecided:
+				decided[e.Node] = e.Tick
+			}
+		}
+		if len(decided) == 0 {
+			t.Fatal("no node traced the decision")
+		}
+		for node, at := range decided {
+			if vote, ok := voted[node]; !ok || at-vote < 2*k {
+				t.Errorf("node %d decided at tick %d, voted at %d (%v): want 2K = %d ticks between", node, at, vote, ok, 2*k)
+			}
+		}
+	})
+}

@@ -34,8 +34,9 @@ type Config struct {
 	// Seed makes the cluster's randomness reproducible (0 is a valid
 	// fixed seed; vary it across deployments).
 	Seed uint64
-	// TickEvery is each node's step period (default 1ms). One protocol
-	// tick of the formal model is one wall-clock TickEvery here.
+	// TickEvery is the period of the cluster's timeout clock (default
+	// 1ms): the 2K vote timeouts and MaxAgeTicks/RetireAfterTicks count it.
+	// It does not pace the protocol — nodes act on messages as they arrive.
 	TickEvery time.Duration
 	// QueueDepth bounds the admission queue (default 1024). A full
 	// queue rejects new submissions with an OverloadError carrying a

@@ -68,6 +68,8 @@ type binstance struct {
 	roundStartU     int64 // collector clock when the current round began
 	spanDone        bool  // every member decided; stop round tracking
 
+	fresh bool // queued in Manager.fresh
+
 	// reportedElems[i] marks member i's outcome as already fanned out.
 	reportedElems []bool
 	doneCounted   bool // txn_batches_decided_total incremented
@@ -98,7 +100,12 @@ func (m *Manager) BeginBatch(batch BatchID, txns []ID, votes []bool) error {
 	if _, done := m.retiredBatches[batch]; done {
 		return fmt.Errorf("txn: batch %q already finished", batch)
 	}
-	return m.spawnBatchLocked(batch, txns, vals, m.cfg.ID, m.Clock())
+	if err := m.spawnBatchLocked(batch, txns, vals, m.cfg.ID, m.Clock()); err != nil {
+		return err
+	}
+	// The GO flood need not wait for a tick.
+	m.markFreshLocked(batch, m.batches[batch])
+	return nil
 }
 
 // spawnBatchLocked creates the batched commit instance and registers its
@@ -210,84 +217,101 @@ func (m *Manager) spanBatchRoundLocked(bi *binstance, tick int, force bool) {
 // stepBatchesLocked advances every batch one tick in creation order,
 // pipelined: batch i+1's machine takes its round-r step in the same
 // manager tick batch i takes round r+1's, so consecutive batches overlap
-// instead of queueing behind one another. Outputs are wrapped in
-// BatchEnvelope frames; member outcomes fan out individually the tick
-// their element decides. Returns the batches due for retirement. Caller
-// holds mu.
+// instead of queueing behind one another. Returns the batches due for
+// retirement. Caller holds mu.
 func (m *Manager) stepBatchesLocked(tick int, rnd types.Rand, out []types.Message, decidedNow []Outcome) ([]types.Message, []Outcome, []BatchID) {
 	var retire []BatchID
 	for _, b := range m.border {
 		bi := m.batches[b]
+		// haltedAt is the first tick that finds the machine already halted.
 		if bi.c.Halted() {
 			if bi.haltedAt < 0 {
 				bi.haltedAt = tick
 			}
-			// Elements can decide on the same tick the machine halts;
-			// the fan-out below must still run once after halt, so fall
-			// through instead of continuing.
 			if m.cfg.RetireAfter > 0 && tick-bi.haltedAt >= m.cfg.RetireAfter {
 				retire = append(retire, b)
 			}
-		} else {
-			sub := bi.c.Step(m.byBatch[b], rnd)
-			if m.cfg.Tracer != nil {
-				m.traceBatchOutputsLocked(bi, sub, tick)
-				if ag := bi.c.Agreement(); ag != nil {
-					if st := ag.Stage(); st != bi.lastStage {
-						bi.lastStage = st
-						m.trace(bi.key, obs.EventStage, tick, "stage="+strconv.Itoa(st))
-					}
-				}
-			}
-			for j := range sub {
-				sub[j].Payload = BatchEnvelope{Batch: b, Txns: bi.txns, Inner: sub[j].Payload}
-			}
-			out = append(out, sub...)
 		}
-
-		roundClosed := false
-		for i, txn := range bi.txns {
-			if bi.reportedElems[i] {
-				continue
-			}
-			d, ok := bi.c.OutcomeAt(i)
-			if !ok {
-				continue
-			}
-			bi.reportedElems[i] = true
-			m.met.decided.With(m.node, d.String()).Inc()
-			m.met.rounds.Observe(float64(tick - bi.born))
-			if m.cfg.Tracer != nil || m.cfg.Spans != nil {
-				// The member's records name its batch so a per-transaction
-				// view can follow it to the rounds and links that decided it.
-				detail := "decision=" + d.String() + " " + obs.BatchDetail(string(b))
-				m.trace(string(txn), obs.EventDecided, tick, detail)
-				if m.cfg.Spans != nil {
-					if !roundClosed {
-						m.spanBatchRoundLocked(bi, tick, true)
-						roundClosed = true
-					}
-					now := m.cfg.Spans.Now()
-					m.cfg.Spans.Add(span.Span{
-						Txn: string(txn), Track: span.ProcTrack(int(m.cfg.ID)),
-						Name: "decided", Kind: span.KindStage, Start: now, End: now,
-						From: -1, To: -1, Detail: detail,
-					})
-				}
-			}
-			decidedNow = append(decidedNow, Outcome{Txn: txn, Decision: d})
-		}
-		if !bi.doneCounted && bi.c.DecidedCount() == bi.c.Width() {
-			bi.doneCounted = true
-			bi.spanDone = true
-			m.met.batches.Inc()
-		}
+		out, decidedNow = m.advanceLocked(b, bi, tick, true, rnd, out, decidedNow)
 		m.spanBatchRoundLocked(bi, tick, false)
 		if m.cfg.MaxAge > 0 && tick-bi.born >= m.cfg.MaxAge && !bi.c.Halted() {
 			retire = append(retire, b)
 		}
 	}
 	return out, decidedNow, retire
+}
+
+// advanceLocked is the one per-instance transition, behind both Step
+// (ticked: the instance's clock advances) and Deliver (it does not): run
+// the machine on its inbox, wrap its output in BatchEnvelope frames, and
+// fan member outcomes out individually as their elements decide. Caller
+// holds mu.
+func (m *Manager) advanceLocked(b BatchID, bi *binstance, tick int, ticked bool, rnd types.Rand, out []types.Message, decidedNow []Outcome) ([]types.Message, []Outcome) {
+	// Elements can decide in the same call the machine halts, so the
+	// fan-out below runs whether or not the machine did.
+	if !bi.c.Halted() {
+		var sub []types.Message
+		if ticked {
+			sub = bi.c.Step(m.byBatch[b], rnd)
+		} else {
+			sub = bi.c.Deliver(m.byBatch[b], rnd)
+		}
+		if m.cfg.Tracer != nil {
+			m.traceBatchOutputsLocked(bi, sub, tick)
+			if ag := bi.c.Agreement(); ag != nil {
+				if st := ag.Stage(); st != bi.lastStage {
+					bi.lastStage = st
+					m.trace(bi.key, obs.EventStage, tick, "stage="+strconv.Itoa(st))
+				}
+			}
+		}
+		for j := range sub {
+			sub[j].Payload = BatchEnvelope{Batch: b, Txns: bi.txns, Inner: sub[j].Payload}
+		}
+		out = append(out, sub...)
+	}
+	// The inbox is consumed (its slice is reused); a halted instance's
+	// stragglers are dropped here.
+	m.byBatch[b] = m.byBatch[b][:0]
+
+	roundClosed := false
+	for i, txn := range bi.txns {
+		if bi.reportedElems[i] {
+			continue
+		}
+		d, ok := bi.c.OutcomeAt(i)
+		if !ok {
+			continue
+		}
+		bi.reportedElems[i] = true
+		m.met.decided.With(m.node, d.String()).Inc()
+		m.met.rounds.Observe(float64(tick - bi.born))
+		if m.cfg.Tracer != nil || m.cfg.Spans != nil {
+			// The member's records name its batch so a per-transaction
+			// view can follow it to the rounds and links that decided it.
+			detail := "decision=" + d.String() + " " + obs.BatchDetail(string(b))
+			m.trace(string(txn), obs.EventDecided, tick, detail)
+			if m.cfg.Spans != nil {
+				if !roundClosed {
+					m.spanBatchRoundLocked(bi, tick, true)
+					roundClosed = true
+				}
+				now := m.cfg.Spans.Now()
+				m.cfg.Spans.Add(span.Span{
+					Txn: string(txn), Track: span.ProcTrack(int(m.cfg.ID)),
+					Name: "decided", Kind: span.KindStage, Start: now, End: now,
+					From: -1, To: -1, Detail: detail,
+				})
+			}
+		}
+		decidedNow = append(decidedNow, Outcome{Txn: txn, Decision: d})
+	}
+	if !bi.doneCounted && bi.c.DecidedCount() == bi.c.Width() {
+		bi.doneCounted = true
+		bi.spanDone = true
+		m.met.batches.Inc()
+	}
+	return out, decidedNow
 }
 
 // retireBatchesLocked removes finished (or abandoned) batches, leaving a

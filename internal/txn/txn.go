@@ -8,10 +8,12 @@
 // envelope-wrapped protocol messages to batched Protocol 2 machines
 // (core.BatchCommit), creating participant instances on demand (the
 // first frame of an unknown batch reaches the node's VoteFunc once per
-// member to obtain its vote vector) and advancing every active instance
-// one step per Manager step. Any node may coordinate (the paper fixes
-// processor 0 without loss of generality; core.BatchConfig.Coordinator
-// generalizes it).
+// member to obtain its vote vector). Step is a tick of the manager's
+// clock and advances every instance it holds; Deliver hands over frames
+// between ticks and advances only the instances they reach, without
+// touching any clock, so timeouts run in ticks however often frames
+// arrive. Any node may coordinate (the paper fixes processor 0 without
+// loss of generality; core.BatchConfig.Coordinator generalizes it).
 //
 // There is one instance kind. BeginBatch starts one instance deciding
 // the outcome vector for many transactions at once — one coin flood, one
@@ -21,9 +23,10 @@
 // report individually as they decide.
 //
 // One mutex guards the manager's state. The stepping goroutine holds it
-// for the body of Step; the only other callers a serving manager has are
-// BeginBatch (once per batch), Active (once per scrape) and DecisionOf,
-// which take it briefly. OnOutcome callbacks run with it released.
+// for the body of Step and Deliver; the only other callers a serving
+// manager has are BeginBatch (once per batch), Active (once per scrape)
+// and DecisionOf, which take it briefly. OnOutcome callbacks run with it
+// released.
 //
 // Long-lived deployments (internal/service) configure RetireAfter so a
 // decided instance is eventually removed from the step loop, leaving only
@@ -94,9 +97,9 @@ type Config struct {
 	// CoinFactor is forwarded to each commit instance.
 	CoinFactor int
 	// OnOutcome, if non-nil, is invoked once per transaction as it
-	// decides at this node, from the goroutine driving Step and after the
-	// manager's lock is released (so the callback may call back into the
-	// manager).
+	// decides at this node, from the goroutine driving Step and Deliver and
+	// after the manager's lock is released (so the callback may call back
+	// into the manager).
 	OnOutcome func(Outcome)
 	// RetireAfter, when positive, removes an instance that many ticks
 	// after it halts, keeping only decision tombstones: later frames for
@@ -181,7 +184,8 @@ type Manager struct {
 	clock atomic.Int64
 
 	// mu guards the fields below: the stepping goroutine holds it for the
-	// body of Step, client calls (BeginBatch, DecisionOf, Active) briefly.
+	// body of Step and Deliver, client calls (BeginBatch, DecisionOf,
+	// Active) briefly.
 	// cfg.Vote runs under it, OnOutcome never does.
 	mu      sync.Mutex
 	spawned int
@@ -202,6 +206,11 @@ type Manager struct {
 	// TombstoneCap members, counted in retiredMembers.
 	retiredOrder   []BatchID
 	retiredMembers int
+
+	// fresh lists the instances with something to act on before the next
+	// tick — frames in their inbox, or just begun — in arrival order; it is
+	// all Deliver walks.
+	fresh []BatchID
 
 	// Step scratch, reused across steps.
 	byBatch    map[BatchID][]types.Message
@@ -268,7 +277,8 @@ func (m *Manager) trace(key string, t obs.EventType, tick int, detail string) {
 // ID implements types.Machine.
 func (m *Manager) ID() types.ProcID { return m.cfg.ID }
 
-// Clock implements types.Machine; it needs no lock.
+// Clock implements types.Machine: the ticks (Steps) taken so far —
+// deliveries do not count. It needs no lock.
 func (m *Manager) Clock() int { return int(m.clock.Load()) }
 
 // Decision implements types.Machine. A manager reports no aggregate
@@ -320,31 +330,75 @@ func (m *Manager) Active() int {
 	return len(m.border)
 }
 
-// Step implements types.Machine: demultiplex, spawn participants for new
-// batches, advance every instance one tick in creation order, wrap
-// outputs, retire finished instances, and report newly decided members.
-// OnOutcome callbacks run after the lock is released.
+// Step implements types.Machine — one tick of the manager's clock:
+// demultiplex, spawn participants for new batches, advance every instance
+// one tick in creation order, wrap outputs, retire finished instances, and
+// report newly decided members. OnOutcome callbacks run after the lock is
+// released.
 func (m *Manager) Step(received []types.Message, rnd types.Rand) []types.Message {
 	tick := int(m.clock.Add(1))
 
 	m.mu.Lock()
 	m.demuxLocked(received, tick)
 	out, decidedNow, retire := m.stepBatchesLocked(tick, rnd, m.out[:0], m.decidedNow[:0])
+	m.clearFreshLocked() // every instance held was just advanced
 	m.retireBatchesLocked(tick, retire)
-	// Consume per-instance inboxes (slices are reused next step).
-	for b := range m.byBatch {
-		m.byBatch[b] = m.byBatch[b][:0]
-	}
 	m.out, m.decidedNow = out, decidedNow
 	m.mu.Unlock()
 
-	// No lock is held here: the callback may call back into the manager.
+	m.report(decidedNow)
+	return out
+}
+
+// Deliver hands the manager frames between ticks. The clock stands still
+// (Clock counts Steps only), and only the instances these frames reached,
+// plus any begun since the last call, are advanced — the cost is that of
+// the instances touched, not of every decided instance awaiting retirement.
+// Retirement, MaxAge and the K-tick round close are clock business and wait
+// for the next Step.
+func (m *Manager) Deliver(received []types.Message, rnd types.Rand) []types.Message {
+	tick := m.Clock()
+
+	m.mu.Lock()
+	m.demuxLocked(received, tick)
+	out, decidedNow := m.out[:0], m.decidedNow[:0]
+	for _, b := range m.fresh {
+		out, decidedNow = m.advanceLocked(b, m.batches[b], tick, false, rnd, out, decidedNow)
+	}
+	m.clearFreshLocked()
+	m.out, m.decidedNow = out, decidedNow
+	m.mu.Unlock()
+
+	m.report(decidedNow)
+	return out
+}
+
+// report fans newly decided members out to OnOutcome. No lock is held: the
+// callback may call back into the manager.
+func (m *Manager) report(decidedNow []Outcome) {
 	if cb := m.cfg.OnOutcome; cb != nil {
 		for _, o := range decidedNow {
 			cb(o)
 		}
 	}
-	return out
+}
+
+// markFreshLocked queues an instance for the next Deliver, once. Caller
+// holds mu.
+func (m *Manager) markFreshLocked(b BatchID, bi *binstance) {
+	if !bi.fresh {
+		bi.fresh = true
+		m.fresh = append(m.fresh, b)
+	}
+}
+
+// clearFreshLocked empties the queue once its instances were advanced.
+// Caller holds mu.
+func (m *Manager) clearFreshLocked() {
+	for _, b := range m.fresh {
+		m.batches[b].fresh = false
+	}
+	m.fresh = m.fresh[:0]
 }
 
 // demuxLocked sorts the received batch frames into per-instance inboxes,
@@ -379,6 +433,7 @@ func (m *Manager) demuxLocked(received []types.Message, tick int) {
 			}
 			bi = m.batches[env.Batch]
 		}
+		m.markFreshLocked(env.Batch, bi)
 		bi.lastRecvClock = tick
 		if m.cfg.Tracer != nil && !bi.goRecv {
 			if inner, _ := core.Unwrap(env.Inner); inner != nil {
