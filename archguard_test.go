@@ -1,0 +1,552 @@
+package tcommit_test
+
+// The architecture guard: the "one of each" conditions the repository
+// arrived at, as one table that `go test ./...` evaluates over the parsed
+// source tree. A row is a rule (check), the reason it exists (why), and a
+// small synthetic tree that breaks it (planted) together with the one
+// violation that tree must yield (caught) — every rule is shown failing on
+// every run. Rules look at syntax — an import, a selector, a receiver, a
+// struct field — so a comment or a string neither trips nor hides one.
+//
+// To add a rule: append a row with its planted tree and bump wantRules.
+// bench/ is frozen by BENCHMARK.json; a name kept only because bench/ still
+// uses it is exempted by one line marked "ROADMAP 5f", and the bench/
+// revision tightens the rule by deleting that line.
+
+import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// file is one parsed Go file, by slash path from the tree's root.
+type file struct {
+	path string
+	*ast.File
+}
+
+// tree is a source tree as the rules see it.
+type tree struct {
+	fset  *token.FileSet
+	names []string // every file and directory, sorted
+	files []file   // the Go files among them, in the same order
+}
+
+// newTree builds a tree from path -> source; a path that does not end in
+// .go contributes its name only.
+func newTree(t *testing.T, src map[string]string) *tree {
+	t.Helper()
+	tr := &tree{fset: token.NewFileSet()}
+	seen := make(map[string]bool)
+	for name := range src {
+		for p := name; p != "." && !seen[p]; p = path.Dir(p) {
+			seen[p] = true
+			tr.names = append(tr.names, p)
+		}
+	}
+	sort.Strings(tr.names)
+	for _, name := range tr.names {
+		if text, ok := src[name]; ok && strings.HasSuffix(name, ".go") {
+			f, err := parser.ParseFile(tr.fset, name, text, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatalf("parse %s: %v", name, err)
+			}
+			tr.files = append(tr.files, file{name, f})
+		}
+	}
+	return tr
+}
+
+// loadTree reads the tree rooted at dir, skipping dot-directories.
+func loadTree(t *testing.T, dir string) *tree {
+	t.Helper()
+	src := make(map[string]string)
+	err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+		if err != nil || p == dir {
+			return err
+		}
+		if d.IsDir() && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		rel, err := filepath.Rel(dir, p)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		src[rel] = ""
+		if !d.IsDir() && strings.HasSuffix(rel, ".go") {
+			text, err := os.ReadFile(p)
+			src[rel] = string(text)
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newTree(t, src)
+}
+
+// A scope says which files a rule reads. within and outside take files or
+// directories.
+type scope func(p string) bool
+
+func nonTest(p string) bool { return !strings.HasSuffix(p, "_test.go") }
+
+func within(roots ...string) scope {
+	return func(p string) bool {
+		for _, r := range roots {
+			if p == r || strings.HasPrefix(p, r+"/") {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+func outside(roots ...string) scope {
+	in := within(roots...)
+	return func(p string) bool { return !in(p) }
+}
+
+// in returns the Go files every scope accepts.
+func (tr *tree) in(scopes ...scope) []file {
+	var out []file
+next:
+	for _, f := range tr.files {
+		for _, s := range scopes {
+			if !s(f.path) {
+				continue next
+			}
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// at formats a violation found at pos.
+func (tr *tree) at(pos token.Pos, msg string) string {
+	where := tr.fset.Position(pos)
+	return fmt.Sprintf("%s:%d: %s", where.Filename, where.Line, msg)
+}
+
+// importName is the name f knows the package at importPath by, "" if f
+// does not import it.
+func importName(f file, importPath string) string {
+	for _, im := range f.Imports {
+		if p, _ := strconv.Unquote(im.Path.Value); p == importPath {
+			if im.Name != nil {
+				return im.Name.Name
+			}
+			return path.Base(importPath)
+		}
+	}
+	return ""
+}
+
+// importers reports each of files that imports importPath.
+func (tr *tree) importers(importPath string, files []file) []string {
+	var out []string
+	for _, f := range files {
+		if importName(f, importPath) != "" {
+			out = append(out, tr.at(f.Package, "imports "+importPath))
+		}
+	}
+	return out
+}
+
+// users reports every selector pkg.name in files — a call or any other
+// mention — where pkg is whatever the file calls the package at importPath.
+func (tr *tree) users(importPath, name string, files []file) []string {
+	var out []string
+	for _, f := range files {
+		pkg := importName(f, importPath)
+		if pkg == "" {
+			continue
+		}
+		ast.Inspect(f.File, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == name {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == pkg {
+					out = append(out, tr.at(sel.Pos(), "uses "+path.Base(importPath)+"."+name))
+				}
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// namers reports every identifier name in files, except the ones in decl.
+func (tr *tree) namers(name string, files []file, decl map[*ast.Ident]bool) []string {
+	var out []string
+	for _, f := range files {
+		ast.Inspect(f.File, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && id.Name == name && !decl[id] {
+				out = append(out, tr.at(id.Pos(), "names "+name))
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// structFields returns the fields of every struct type named typeName
+// declared in files.
+func structFields(typeName string, files []file) []*ast.Field {
+	var out []*ast.Field
+	for _, f := range files {
+		ast.Inspect(f.File, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == typeName {
+				if st, ok := ts.Type.(*ast.StructType); ok {
+					out = append(out, st.Fields.List...)
+				}
+			}
+			return true
+		})
+	}
+	return out
+}
+
+type rule struct {
+	name, why string
+	check     func(*tree) []string
+	planted   map[string]string // a tree that breaks the rule
+	caught    string            // the one violation it must yield
+}
+
+const wantRules = 16
+
+var cmdMains = []string{"cmd/chaos", "cmd/commitd", "cmd/commitnode", "cmd/lab", "cmd/loadgen", "cmd/tracedump"}
+
+var rules = []rule{
+	// One framing.
+	{
+		name: "crc32 is imported by the segmented log alone",
+		why: "Record framing, checksums and torn-tail replay live in internal/wal/segment.go and nowhere else; " +
+			"a second non-test importer of hash/crc32 under internal/ means the framing forked.",
+		check: func(tr *tree) []string {
+			const framer = "internal/wal/segment.go"
+			out := tr.importers("hash/crc32", tr.in(nonTest, within("internal"), outside(framer)))
+			if len(tr.importers("hash/crc32", tr.in(within(framer)))) == 0 {
+				out = append(out, framer+": does not import hash/crc32; if the framing moved, move this rule with it")
+			}
+			return out
+		},
+		planted: map[string]string{
+			"internal/wal/segment.go": "package wal\nimport \"hash/crc32\"\nvar _ = crc32.IEEE",
+			"internal/txn/txn.go":     "package txn\nimport \"hash/crc32\"\nvar _ = crc32.IEEE",
+		},
+		caught: "internal/txn/txn.go:1: imports hash/crc32",
+	},
+
+	// One commit path.
+	{
+		name: "the serving packages never build the scalar machine",
+		why: "A transaction is a batch of width 1. The scalar core.Commit machine is the simulator's oracle " +
+			"and must not come back into internal/txn or internal/service, tests included.",
+		check: func(tr *tree) []string {
+			return tr.users("repro/internal/core", "New", tr.in(within("internal/txn", "internal/service")))
+		},
+		planted: map[string]string{
+			"internal/txn/txn.go":   "package txn\nimport \"repro/internal/core\"\nvar _, _ = core.New(core.Config{}, 0, 1)",
+			"internal/core/core.go": "package core\n// core.New( in a comment is not a use\nfunc f() { New() }",
+		},
+		caught: "internal/txn/txn.go:3: uses core.New",
+	},
+	{
+		name: "nothing reads the BatchAgreement switch",
+		why: "Every dispatch is a vector-agreement batch, so the switch selects nothing. Its ignored declaration " +
+			"and the ignored commitd flag stay until bench/ stops naming them; nothing else may name it again.",
+		check: func(tr *tree) []string {
+			return tr.namers("BatchAgreement", tr.in(within("internal", "cmd"),
+				// ROADMAP 5f: bench/ sets the field and passes the flag; this line goes with the bench/ revision.
+				outside("internal/service/types.go", "cmd/commitd/main.go")), nil)
+		},
+		planted: map[string]string{
+			"internal/service/types.go":   "package service\ntype Config struct{ BatchAgreement bool }",
+			"internal/service/service.go": "package service\nfunc f(c Config) bool {\n\treturn c.BatchAgreement // \"BatchAgreement\"\n}",
+		},
+		caught: "internal/service/service.go:3: names BatchAgreement",
+	},
+
+	// One codec, one instrument, one handler, one push hook.
+	{
+		name: "gob is a test oracle only",
+		why: "The binary codec is the one wire and journal format; encoding/gob survives in _test.go files only, " +
+			"as that codec's differential oracle.",
+		check: func(tr *tree) []string { return tr.importers("encoding/gob", tr.in(nonTest)) },
+		planted: map[string]string{
+			"internal/transport/tcp.go":        "package transport\nimport \"encoding/gob\"\nvar _ gob.Encoder",
+			"internal/transport/codec_test.go": "package transport\nimport \"encoding/gob\"\nvar _ gob.Encoder",
+		},
+		caught: "internal/transport/tcp.go:1: imports encoding/gob",
+	},
+	{
+		name: "bench/ is the instrument",
+		why: "bench/ (TestSmokeEveryWorkload drives all four workloads against the real commitd) is the " +
+			"instrument, not a BENCH_n.json snapshot written by cmd/benchjson; neither may come back.",
+		check: func(tr *tree) []string {
+			var out []string
+			for _, p := range tr.names {
+				if snapshot, _ := path.Match("BENCH_*.json", p); snapshot || p == "cmd/benchjson" {
+					out = append(out, p+": retired instrument file")
+				}
+			}
+			return out
+		},
+		planted: map[string]string{"bench/main.go": "package main", "BENCH_7.json": ""},
+		caught:  "BENCH_7.json: retired instrument file",
+	},
+	{
+		name: "POST /commit is registered once",
+		why: "The sharded daemon's HTTP surface is service's handler over another Backend, not a mirror of it: " +
+			"the route string appears in internal/service/http.go alone.",
+		check: func(tr *tree) []string {
+			var out []string
+			for _, f := range tr.in(nonTest, within("internal"), outside("internal/service/http.go")) {
+				ast.Inspect(f.File, func(n ast.Node) bool {
+					if lit, ok := n.(*ast.BasicLit); ok && lit.Value == `"POST /commit"` {
+						out = append(out, tr.at(lit.Pos(), "registers "+lit.Value))
+					}
+					return true
+				})
+			}
+			return out
+		},
+		planted: map[string]string{
+			"internal/service/http.go": "package service\nfunc h(m mux) { m.HandleFunc(\"POST /commit\", nil) }",
+			"internal/shard/http.go":   "package shard\n// POST /commit in a comment is not a route\nfunc h(m mux) { m.HandleFunc(\"POST /commit\", nil) }",
+		},
+		caught: `internal/shard/http.go:3: registers "POST /commit"`,
+	},
+	{
+		name: "a manager outcome is pushed or pulled, not observed",
+		why: "An outcome leaves txn.Manager through OnOutcome (push) or DecisionOf (pull). The Outcomes channel " +
+			"and Watch observers had no reader and must not come back.",
+		check: func(tr *tree) []string {
+			var out []string
+			for _, f := range tr.in(nonTest, within("internal/txn")) {
+				for _, d := range f.Decls {
+					fn, ok := d.(*ast.FuncDecl)
+					if !ok || fn.Recv == nil || (fn.Name.Name != "Outcomes" && fn.Name.Name != "Watch") {
+						continue
+					}
+					recv := fn.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if id, ok := recv.(*ast.Ident); ok && id.Name == "Manager" {
+						out = append(out, tr.at(fn.Pos(), "declares Manager."+fn.Name.Name))
+					}
+				}
+			}
+			return out
+		},
+		planted: map[string]string{
+			"internal/txn/txn.go":   "package txn\ntype Manager struct{}\nfunc (m *Manager) Watch() {}",
+			"internal/txn/other.go": "package txn\ntype watcher struct{}\nfunc (w *watcher) Watch() {}\nfunc Outcomes() {}",
+		},
+		caught: "internal/txn/txn.go:3: declares Manager.Watch",
+	},
+
+	// One lock, one host.
+	{
+		name: "the manager has one lock and no routing",
+		why: "A manager is one state machine stepped by one goroutine under one mutex: no lock shards, " +
+			"no hash routing, no sync.Map beside the mutex.",
+		check: func(tr *tree) []string {
+			files := tr.in(nonTest, within("internal/txn"))
+			out := tr.users("sync", "Map", files)
+			for _, f := range files {
+				for _, im := range f.Imports {
+					if p, _ := strconv.Unquote(im.Path.Value); strings.HasPrefix(path.Base(p), "hash") || strings.HasPrefix(p, "hash/") {
+						out = append(out, tr.at(im.Pos(), "imports hashing package "+p))
+					}
+				}
+			}
+			return out
+		},
+		planted: map[string]string{
+			"internal/txn/txn.go":      "package txn\nimport \"sync\"\n// a sync.Map in a comment is not a use\nvar mu sync.Mutex\nvar members sync.Map",
+			"internal/txn/txn_test.go": "package txn\nimport \"hash/fnv\"\nvar _ = fnv.New64a",
+		},
+		caught: "internal/txn/txn.go:5: uses sync.Map",
+	},
+	{
+		name: "the service hosts its nodes through a cluster",
+		why: "A service hosts its nodes through runtime.NewCluster over a transport set and never builds a " +
+			"node itself, so there is one hosting arm whatever the backend.",
+		check: func(tr *tree) []string {
+			return tr.users("repro/internal/runtime", "NewNode", tr.in(within("internal/service")))
+		},
+		planted: map[string]string{
+			"internal/service/service.go": "package service\nimport rt \"repro/internal/runtime\"\nvar _, _ = rt.NewNode(rt.NodeConfig{})",
+			"internal/chaos/cluster.go":   "package chaos\nimport \"repro/internal/runtime\"\nvar _, _ = runtime.NewNode(runtime.NodeConfig{})",
+		},
+		caught: "internal/service/service.go:3: uses runtime.NewNode",
+	},
+	{
+		name: "InboxShards is a declaration and nothing else",
+		why: "The manager has one lock, so there are no inbox shards to count. The ignored field stays until " +
+			"bench/ stops setting it; outside tests nothing else may name it.",
+		check: func(tr *tree) []string {
+			decl := make(map[*ast.Ident]bool)
+			for _, field := range structFields("Config", tr.in(within("internal/txn/txn.go"))) {
+				for _, id := range field.Names {
+					decl[id] = true
+				}
+			}
+			// ROADMAP 5f: bench/ still sets txn.Config.InboxShards; this exemption and the field go with the bench/ revision.
+			return tr.namers("InboxShards", tr.in(nonTest, outside("bench")), decl)
+		},
+		planted: map[string]string{
+			"internal/txn/txn.go":         "package txn\ntype Config struct {\n\t// InboxShards is ignored.\n\tInboxShards int\n}",
+			"internal/service/service.go": "package service\nimport \"repro/internal/txn\"\nvar _ = txn.Config{InboxShards: 8}",
+		},
+		caught: "internal/service/service.go:3: names InboxShards",
+	},
+	{
+		name: "the send-side fault wrapper stays gone",
+		why: "Faults are injected in one place, HubOptions.Inject; transport.WithFaults wrapped the send side " +
+			"with a second vocabulary and must not come back under that name anywhere.",
+		check: func(tr *tree) []string { return tr.namers("WithFaults", tr.in(), nil) },
+		planted: map[string]string{
+			"internal/transport/faults.go": "package transport\nfunc WithFaults(t Transport) Transport { return t }",
+			"internal/transport/hub.go":    "package transport\n// WithFaults is gone; see Inject.\nconst note = \"WithFaults\"",
+		},
+		caught: "internal/transport/faults.go:2: names WithFaults",
+	},
+
+	// One lab.
+	{
+		name: "cmd/ holds six mains",
+		why: "The four \"run machines under an adversary, print a table\" binaries are cmd/lab's subcommands; " +
+			"a new tool is a subcommand of an existing main before it is a seventh directory.",
+		check: func(tr *tree) []string {
+			var out []string
+			missing := make(map[string]bool)
+			for _, m := range cmdMains {
+				missing[m] = true
+			}
+			for _, p := range tr.names {
+				if path.Dir(p) == "cmd" && !missing[p] {
+					out = append(out, p+": not one of the six mains")
+				}
+				delete(missing, p)
+			}
+			for _, m := range cmdMains {
+				if missing[m] {
+					out = append(out, m+": missing")
+				}
+			}
+			return out
+		},
+		planted: map[string]string{
+			"cmd/chaos/main.go": "package main", "cmd/commitd/main.go": "package main", "cmd/commitnode/main.go": "package main",
+			"cmd/lab/main.go": "package main", "cmd/loadgen/main.go": "package main", "cmd/tracedump/main.go": "package main",
+			"cmd/arena/main.go": "package main",
+		},
+		caught: "cmd/arena: not one of the six mains",
+	},
+	{
+		name: "a Protocol 2 processor is built in node.go or by core.NewSet",
+		why: "A Protocol 2 machine set is built by core.NewSet (node.go builds its one processor), so ten " +
+			"hand-written machine loops stay one; outside tests core.New is used only in node.go.",
+		check: func(tr *tree) []string {
+			return tr.users("repro/internal/core", "New", tr.in(nonTest, outside("node.go")))
+		},
+		planted: map[string]string{
+			"node.go":         "package tcommit\nimport \"repro/internal/core\"\nvar _, _ = core.New(core.Config{}, 0, 1)",
+			"cmd/lab/sim.go":  "package main\nimport \"repro/internal/core\"\nvar _, _ = core.New(core.Config{}, 0, 1)",
+			"cmd/lab/main.go": "package main\nimport \"repro/internal/core\"\nvar _ = core.NewSet",
+		},
+		caught: "cmd/lab/sim.go:3: uses core.New",
+	},
+	{
+		name: "a baseline protocol is built by the name table",
+		why: "2PC and 3PC machine sets are built by internal/protocol's name table, so a protocol name " +
+			"means one thing in every subcommand and experiment.",
+		check: func(tr *tree) []string {
+			files := tr.in(nonTest, outside("internal/protocol"))
+			return append(tr.users("repro/internal/twopc", "New", files), tr.users("repro/internal/threepc", "New", files)...)
+		},
+		planted: map[string]string{
+			"internal/protocol/names.go":   "package protocol\nimport \"repro/internal/twopc\"\nvar _ = twopc.New(twopc.Config{})",
+			"internal/harness/baseline.go": "package harness\nimport \"repro/internal/threepc\"\nvar _ = threepc.New(threepc.Config{})",
+		},
+		caught: "internal/harness/baseline.go:3: uses threepc.New",
+	},
+	{
+		name: "the hub has one fault hook",
+		why: "HubOptions.Inject speaks the full fault vocabulary (drop, duplicate, delay) once per message; " +
+			"per-fault Delay and Drop func fields were the second and third hooks.",
+		check: func(tr *tree) []string {
+			var out []string
+			for _, field := range structFields("HubOptions", tr.in(nonTest, within("internal/transport"))) {
+				for _, id := range field.Names {
+					if _, isFunc := field.Type.(*ast.FuncType); isFunc && (id.Name == "Delay" || id.Name == "Drop") {
+						out = append(out, tr.at(id.Pos(), "HubOptions has a "+id.Name+" func field"))
+					}
+				}
+			}
+			return out
+		},
+		planted: map[string]string{
+			"internal/transport/transport.go": "package transport\ntype HubOptions struct {\n\tInject func(m Message) Fault\n\tDrop   func(m Message) bool\n\tDelay  int\n}",
+			"internal/transport/tcp.go":       "package transport\ntype TCPOptions struct{ Delay func() int }",
+		},
+		caught: "internal/transport/transport.go:4: HubOptions has a Drop func field",
+	},
+
+	// One clock.
+	{
+		name: "the runtime owns two tickers",
+		why: "A node steps when a message arrives and the clock ticks only for timeouts: one ticker per " +
+			"cluster and one in a standalone node. A third means something polls again.",
+		check: func(tr *tree) []string {
+			tickers := tr.users("time", "NewTicker", tr.in(nonTest, within("internal/runtime")))
+			if len(tickers) <= 2 {
+				return nil
+			}
+			return []string{fmt.Sprintf("%s: the runtime's ticker number %d, want at most 2", tickers[2], len(tickers))}
+		},
+		planted: map[string]string{
+			"internal/runtime/runtime.go": "package runtime\nimport \"time\"\nvar a, b = time.NewTicker(1), time.NewTicker(1)",
+			"internal/runtime/z.go":       "package runtime\nimport \"time\"\nvar c = time.NewTicker(1)",
+		},
+		caught: "internal/runtime/z.go:3: uses time.NewTicker: the runtime's ticker number 3, want at most 2",
+	},
+}
+
+// TestArchitecture evaluates every rule over the repository, and over the
+// rule's planted tree to show that it can fail.
+func TestArchitecture(t *testing.T) {
+	if len(rules) != wantRules {
+		t.Fatalf("the guard has %d rules, want %d: a deleted rule is a deleted condition", len(rules), wantRules)
+	}
+	repo := loadTree(t, ".")
+	for _, r := range rules {
+		r := r
+		t.Run(r.name, func(t *testing.T) {
+			if r.why == "" {
+				t.Error("rule gives no reason")
+			}
+			for _, v := range r.check(repo) {
+				t.Errorf("%s\n\twhy: %s", v, r.why)
+			}
+			if got := r.check(newTree(t, r.planted)); !reflect.DeepEqual(got, []string{r.caught}) {
+				t.Errorf("planted tree: got violations %q, want exactly %q", got, r.caught)
+			}
+		})
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs/flight"
 	"repro/internal/obs/span"
 )
 
@@ -73,7 +74,8 @@ func TestReplayServiceModeWithTrace(t *testing.T) {
 
 // TestServiceSpansOutAndCritpath: a service run writes its causal span
 // graph, prints the slowest transaction's critical path after the audit
-// log, and the dump is a loadable span graph.
+// log, and the dump is a loadable span graph in which that transaction's
+// critical path descends into its batch's rounds.
 func TestServiceSpansOutAndCritpath(t *testing.T) {
 	spansPath := filepath.Join(t.TempDir(), "spans.json")
 	code, out := capture(t, []string{
@@ -102,6 +104,51 @@ func TestServiceSpansOutAndCritpath(t *testing.T) {
 	}
 	if len(g.Spans) == 0 || len(g.Edges) == 0 {
 		t.Fatalf("spans dump empty: %d spans, %d edges", len(g.Spans), len(g.Edges))
+	}
+	// A member's critical path must not stop at the service stages: a
+	// round step is listed and rounds hold a nonzero share. (Links are not
+	// asserted: the in-process hub delivers in 0 us in the clean shape.)
+	_, rest, _ := strings.Cut(out, "slowest transaction: ")
+	slowest, _, _ := strings.Cut(rest, " ")
+	p, err := g.CriticalPathTxn(slowest)
+	if err != nil {
+		t.Fatalf("critical path of %q: %v", slowest, err)
+	}
+	roundStep := false
+	for _, st := range p.Steps {
+		roundStep = roundStep || st.Span.Kind == span.KindRound
+	}
+	if !roundStep || p.ByKind[span.KindRound] <= 0 {
+		t.Fatalf("critical path of %s has no round step or no round share (by kind %v):\n%s",
+			slowest, p.ByKind, p.Render())
+	}
+}
+
+// TestWatchedServiceWritesFlightDump: the CLI route of the detection-
+// coverage loop. A watched crash run passes the watchdog coverage check
+// and -flight-out leaves a dump the flight reader accepts, spans included.
+func TestWatchedServiceWritesFlightDump(t *testing.T) {
+	flightPath := filepath.Join(t.TempDir(), "flight.json")
+	code, out := capture(t, []string{
+		"-mode", "service", "-seed", "3", "-n", "5", "-shape", "crash",
+		"-tick", "500us", "-watch", "-flight-out", flightPath,
+	})
+	if code != 0 {
+		t.Fatalf("watched replay exited %d:\n%s", code, out)
+	}
+	if !strings.Contains(out, "check watchdog-crash-detection PASS") {
+		t.Fatalf("watched run carries no passing coverage check:\n%s", out)
+	}
+	raw, err := os.ReadFile(flightPath)
+	if err != nil {
+		t.Fatalf("flight dump not written: %v", err)
+	}
+	d, err := flight.ReadDump(raw)
+	if err != nil {
+		t.Fatalf("flight dump unreadable: %v", err)
+	}
+	if d.Reason != "chaos" || d.Spans == nil || len(d.Spans.Spans) == 0 {
+		t.Fatalf("flight dump is missing the run: reason=%q spans=%v", d.Reason, d.Spans != nil)
 	}
 }
 

@@ -36,7 +36,7 @@ func getAll(t *testing.T, url string) (int, []byte) {
 // watchdog, and flight recorder takes no unlocked reads of live state.
 func TestDebugHandlersUnderConcurrency(t *testing.T) {
 	base, stop := startDaemon(t,
-		"-watch-interval", "10ms", "-span-txns", "64", "-slo-p99", "1s")
+		"-watch-interval", "10ms", "-slo-p99", "1s")
 	defer stop()
 
 	const (

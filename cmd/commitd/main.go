@@ -117,7 +117,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		fsyncP99  = fs.Duration("fsync-p99", 0, "WAL fsync p99 ceiling; a windowed p99 above it is an anomaly (0: disabled)")
 		flightDir = fs.String("flight-dir", "", "directory for anomaly-triggered flight-recorder dumps (empty: /debug/flight only)")
 		flightCD  = fs.Duration("flight-cooldown", 30*time.Second, "minimum spacing between persisted flight dumps")
-		spanTxns  = fs.Int("span-txns", 0, "completed transactions whose spans the collector retains (0: ring bound only)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -157,7 +156,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		BatchMax:       *batch,
 		DefaultTimeout: *timeout,
 		Registry:       reg,
-		SpanTxnCap:     *spanTxns,
 		Logger:         logger,
 	}
 	switch *backend {

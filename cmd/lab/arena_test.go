@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -28,6 +29,11 @@ func TestArenaSmoke(t *testing.T) {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("artifact missing %q:\n%s", want, data)
 		}
+	}
+	// Coverage gate: every blocked classification is matched by a
+	// protocol-blocked anomaly, with no false positives.
+	if !regexp.MustCompile(`watchdog detected=[0-9]+ missed=0 false=0`).Match(data) {
+		t.Errorf("artifact has no clean watchdog coverage line:\n%s", data)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/explore"
 )
 
@@ -48,7 +49,7 @@ func runCheck(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	faults := (*n - 1) / 2
-	factory := explore.CommitFactory(*n, faults, *k, votes)
+	factory := core.Factory(core.Config{N: *n, T: faults, K: *k, Gadget: true}, votes)
 	start := time.Now()
 
 	switch *mode {

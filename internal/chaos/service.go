@@ -42,30 +42,12 @@ func RunService(p *Plan, o RunOptions) (*Report, *ServiceRunData, error) {
 		return nil, nil, fmt.Errorf("chaos: build service: %w", err)
 	}
 
-	var mu sync.Mutex
-	crashed := make([]bool, n)
-	stopped := false
-
 	wr := startWatch(&o, svc)
 
 	inj.Arm()
-	var crashTimers []*time.Timer
-	for _, ev := range p.Crashes {
-		ev := ev
-		crashTimers = append(crashTimers, time.AfterFunc(
-			time.Duration(ev.Tick)*o.TickEvery, func() {
-				// Crash inside the critical section: once the harness sets
-				// stopped under mu, every fired crash has reached the
-				// service, so the watchdog's final tick cannot miss one.
-				mu.Lock()
-				defer mu.Unlock()
-				if stopped {
-					return
-				}
-				crashed[ev.Node] = true
-				svc.Crash(types.ProcID(ev.Node)) //nolint:errcheck // in-range by construction
-			}))
-	}
+	disarm := armCrashes(p, o.TickEvery, func(node types.ProcID) {
+		svc.Crash(node) //nolint:errcheck // in-range by construction
+	})
 
 	// The workload: every plan transaction submitted concurrently, each
 	// blocking until its terminal state.
@@ -94,12 +76,7 @@ func RunService(p *Plan, o RunOptions) (*Report, *ServiceRunData, error) {
 	}
 	wg.Wait()
 
-	mu.Lock()
-	stopped = true
-	mu.Unlock()
-	for _, t := range crashTimers {
-		t.Stop()
-	}
+	crashed := disarm()
 	anomalies, health := wr.finish()
 
 	// Cross-check each result against the status endpoint while the
@@ -125,4 +102,38 @@ func RunService(p *Plan, o RunOptions) (*Report, *ServiceRunData, error) {
 		Health:    health,
 	}
 	return AuditService(p, data), data, closeErr
+}
+
+// armCrashes schedules the plan's crashes on the wall clock: at each
+// event's tick it marks the node crashed and calls crash. The returned
+// disarm stops the schedule and reports which crashes fired. A crash runs
+// inside the critical section disarm takes: once disarm has returned,
+// every crash it reports has reached the system under test, so the
+// watchdog's final tick cannot miss one.
+func armCrashes(p *Plan, tick time.Duration, crash func(types.ProcID)) (disarm func() []bool) {
+	var mu sync.Mutex
+	crashed := make([]bool, p.Cfg.N)
+	stopped := false
+	timers := make([]*time.Timer, 0, len(p.Crashes))
+	for _, ev := range p.Crashes {
+		ev := ev
+		timers = append(timers, time.AfterFunc(time.Duration(ev.Tick)*tick, func() {
+			mu.Lock()
+			defer mu.Unlock()
+			if stopped {
+				return
+			}
+			crashed[ev.Node] = true
+			crash(types.ProcID(ev.Node))
+		}))
+	}
+	return func() []bool {
+		mu.Lock()
+		stopped = true
+		mu.Unlock()
+		for _, t := range timers {
+			t.Stop()
+		}
+		return crashed
+	}
 }

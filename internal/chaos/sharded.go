@@ -103,32 +103,14 @@ func RunShardedService(p *Plan, o RunOptions) (*Report, *ShardedRunData, error) 
 		return nil, nil, fmt.Errorf("chaos: build sharded deployment: %w", err)
 	}
 
-	var mu sync.Mutex
-	crashed := make([]bool, n)
-	stopped := false
-
 	wr := startWatch(&o, coord)
 
 	for _, inj := range injectors {
 		inj.Arm()
 	}
-	var crashTimers []*time.Timer
-	for _, ev := range p.Crashes {
-		ev := ev
-		crashTimers = append(crashTimers, time.AfterFunc(
-			time.Duration(ev.Tick)*o.TickEvery, func() {
-				// Crash inside the critical section: once the harness sets
-				// stopped under mu, every fired crash has reached the
-				// groups, so the watchdog's final tick cannot miss one.
-				mu.Lock()
-				defer mu.Unlock()
-				if stopped {
-					return
-				}
-				crashed[ev.Node] = true
-				coord.CrashEverywhere(types.ProcID(ev.Node)) //nolint:errcheck // in-range by construction
-			}))
-	}
+	disarm := armCrashes(p, o.TickEvery, func(node types.ProcID) {
+		coord.CrashEverywhere(node) //nolint:errcheck // in-range by construction
+	})
 
 	// One deterministic key per shard: the lowest-numbered probe the
 	// router sends there. Plan shard sets become key sets through this
@@ -169,12 +151,7 @@ func RunShardedService(p *Plan, o RunOptions) (*Report, *ShardedRunData, error) 
 	}
 	wg.Wait()
 
-	mu.Lock()
-	stopped = true
-	mu.Unlock()
-	for _, t := range crashTimers {
-		t.Stop()
-	}
+	crashed := disarm()
 	anomalies, health := wr.finish()
 
 	// Cross-check statuses and snapshot child records while the groups

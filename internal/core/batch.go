@@ -98,9 +98,8 @@ type BatchCommit struct {
 	voteVecs  map[types.ProcID][]types.Value
 	waitClock int
 
-	sub           *agreement.VectorMachine
-	subStartClock int
-	preAgreement  []types.Message
+	sub          *agreement.VectorMachine
+	preAgreement []types.Message
 
 	halted bool
 
@@ -348,7 +347,6 @@ func (c *BatchCommit) startAgreement(out []types.Message, input []types.Value, r
 		return out
 	}
 	c.sub = sub
-	c.subStartClock = c.clock
 	first := sub.Step(c.preAgreement, rnd)
 	c.preAgreement = nil
 	return append(out, c.wrapAllBatch(first)...)

@@ -19,17 +19,11 @@ package explore
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/types"
 )
-
-// CommitFactory is the standard factory for Protocol 2 machines.
-func CommitFactory(n, t, k int, votes []types.Value) types.Factory {
-	return core.Factory(core.Config{N: n, T: t, K: k, Gadget: true}, votes)
-}
 
 // CrashSweepConfig parameterizes an exhaustive crash-schedule sweep.
 type CrashSweepConfig struct {

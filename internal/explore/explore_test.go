@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/types"
 )
@@ -22,7 +23,7 @@ func TestCrashSweepAllCommit(t *testing.T) {
 	// validity violations required across the whole family.
 	vs := votes(1, 1, 1)
 	res, err := explore.CrashSweep(explore.CrashSweepConfig{
-		Factory:      explore.CommitFactory(3, 1, 2, vs),
+		Factory:      core.Factory(core.Config{N: 3, T: 1, K: 2, Gadget: true}, vs),
 		N:            3,
 		K:            2,
 		Seed:         1,
@@ -48,7 +49,7 @@ func TestCrashSweepAllCommit(t *testing.T) {
 func TestCrashSweepWithAbortVote(t *testing.T) {
 	vs := votes(1, 0, 1)
 	res, err := explore.CrashSweep(explore.CrashSweepConfig{
-		Factory:      explore.CommitFactory(3, 1, 2, vs),
+		Factory:      core.Factory(core.Config{N: 3, T: 1, K: 2, Gadget: true}, vs),
 		N:            3,
 		K:            2,
 		Seed:         2,
@@ -70,7 +71,7 @@ func TestCrashSweepFiveProcs(t *testing.T) {
 	}
 	vs := votes(1, 1, 1, 1, 1)
 	res, err := explore.CrashSweep(explore.CrashSweepConfig{
-		Factory:      explore.CommitFactory(5, 2, 2, vs),
+		Factory:      core.Factory(core.Config{N: 5, T: 2, K: 2, Gadget: true}, vs),
 		N:            5,
 		K:            2,
 		Seed:         3,
@@ -99,7 +100,7 @@ func TestExploreTwoProcessors(t *testing.T) {
 	}
 	vs := votes(1, 1)
 	res, err := explore.Explore(explore.ExploreConfig{
-		Factory:   explore.CommitFactory(2, 0, 1, vs),
+		Factory:   core.Factory(core.Config{N: 2, T: 0, K: 1, Gadget: true}, vs),
 		N:         2,
 		K:         1,
 		Seed:      4,
@@ -130,7 +131,7 @@ func TestExploreAbortVoteNeverCommits(t *testing.T) {
 	}
 	vs := votes(1, 0)
 	res, err := explore.Explore(explore.ExploreConfig{
-		Factory:   explore.CommitFactory(2, 0, 1, vs),
+		Factory:   core.Factory(core.Config{N: 2, T: 0, K: 1, Gadget: true}, vs),
 		N:         2,
 		K:         1,
 		Seed:      5,
@@ -155,7 +156,7 @@ func TestExploreThreeProcessorsShallow(t *testing.T) {
 	}
 	vs := votes(1, 1, 1)
 	res, err := explore.Explore(explore.ExploreConfig{
-		Factory:   explore.CommitFactory(3, 1, 1, vs),
+		Factory:   core.Factory(core.Config{N: 3, T: 1, K: 1, Gadget: true}, vs),
 		N:         3,
 		K:         1,
 		Seed:      6,
@@ -183,7 +184,7 @@ func TestExploreWorkerCountInvariant(t *testing.T) {
 	vs := votes(1, 1)
 	run := func(workers, maxStates int) *explore.ExploreResult {
 		res, err := explore.Explore(explore.ExploreConfig{
-			Factory:   explore.CommitFactory(2, 0, 1, vs),
+			Factory:   core.Factory(core.Config{N: 2, T: 0, K: 1, Gadget: true}, vs),
 			N:         2,
 			K:         1,
 			Seed:      7,

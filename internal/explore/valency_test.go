@@ -3,6 +3,7 @@ package explore_test
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/explore"
 )
 
@@ -17,7 +18,7 @@ func TestValencyAllCommitIsBivalent(t *testing.T) {
 	}
 	vs := votes(1, 1)
 	res, err := explore.Valency(explore.ExploreConfig{
-		Factory:   explore.CommitFactory(2, 0, 1, vs),
+		Factory:   core.Factory(core.Config{N: 2, T: 0, K: 1, Gadget: true}, vs),
 		N:         2,
 		K:         1,
 		Seed:      11,
@@ -55,7 +56,7 @@ func TestValencyAbortVoteIsUnivalent(t *testing.T) {
 	}
 	vs := votes(1, 0)
 	res, err := explore.Valency(explore.ExploreConfig{
-		Factory:   explore.CommitFactory(2, 0, 1, vs),
+		Factory:   core.Factory(core.Config{N: 2, T: 0, K: 1, Gadget: true}, vs),
 		N:         2,
 		K:         1,
 		Seed:      12,

@@ -17,7 +17,7 @@ import (
 // fresh machine sets built by the two factories (which must agree on the
 // S-side machines) and compares snapshots. The same per-processor random
 // seeds are used in both runs, matching the paper's fixed collection F.
-func VerifyLemma12(fa, fb Factory, seedMaster uint64, s map[types.ProcID]bool, sa, sb Schedule) error {
+func VerifyLemma12(fa, fb types.Factory, seedMaster uint64, s map[types.ProcID]bool, sa, sb Schedule) error {
 	if !EqualProjection(s, sa, sb) {
 		return fmt.Errorf("lowerbound: schedules differ on S-projection; Lemma 12 does not apply")
 	}
@@ -60,7 +60,7 @@ func VerifyLemma12(fa, fb Factory, seedMaster uint64, s map[types.ProcID]bool, s
 // S, the surgery kill(S̄, σ) is applicable and leaves every S-side state
 // unchanged. The S̄-side is silenced by explicit failure steps, exactly as
 // in the Theorem 14 construction.
-func VerifyKillInvisibility(f Factory, seedMaster uint64, s map[types.ProcID]bool, sched Schedule) error {
+func VerifyKillInvisibility(f types.Factory, seedMaster uint64, s map[types.ProcID]bool, sched Schedule) error {
 	comp := complement(f, s)
 	killed := Kill(comp, sched)
 	return verifySurgery(f, seedMaster, s, sched, killed, "kill")
@@ -69,13 +69,13 @@ func VerifyKillInvisibility(f Factory, seedMaster uint64, s map[types.ProcID]boo
 // VerifyDeafenInvisibility checks Lemma 13(b) analogously: deafen(S̄, σ)
 // is applicable and S-side states are unchanged, provided σ delivered no
 // S̄→S messages.
-func VerifyDeafenInvisibility(f Factory, seedMaster uint64, s map[types.ProcID]bool, sched Schedule) error {
+func VerifyDeafenInvisibility(f types.Factory, seedMaster uint64, s map[types.ProcID]bool, sched Schedule) error {
 	comp := complement(f, s)
 	deaf := Deafen(comp, sched)
 	return verifySurgery(f, seedMaster, s, sched, deaf, "deafen")
 }
 
-func complement(f Factory, s map[types.ProcID]bool) map[types.ProcID]bool {
+func complement(f types.Factory, s map[types.ProcID]bool) map[types.ProcID]bool {
 	machines, err := f()
 	if err != nil {
 		return nil
@@ -89,7 +89,7 @@ func complement(f Factory, s map[types.ProcID]bool) map[types.ProcID]bool {
 	return comp
 }
 
-func verifySurgery(f Factory, seedMaster uint64, s map[types.ProcID]bool, orig, surgered Schedule, label string) error {
+func verifySurgery(f types.Factory, seedMaster uint64, s map[types.ProcID]bool, orig, surgered Schedule, label string) error {
 	// The surgery must preserve the S-projection by construction.
 	if !EqualProjection(s, orig, surgered) {
 		return fmt.Errorf("lowerbound: %s surgery changed the S-projection", label)
@@ -141,7 +141,7 @@ type IsolatedScheduleOptions struct {
 // — the precondition shared by the Lemma 13 checks. Processors step in
 // round-robin order; every intra-group message is delivered at the
 // earliest following step of its recipient.
-func GenerateIsolatedSchedule(f Factory, seedMaster uint64, opt IsolatedScheduleOptions) (Schedule, error) {
+func GenerateIsolatedSchedule(f types.Factory, seedMaster uint64, opt IsolatedScheduleOptions) (Schedule, error) {
 	x, err := NewExecutor(f, seedMaster)
 	if err != nil {
 		return nil, err

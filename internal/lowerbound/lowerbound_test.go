@@ -67,7 +67,7 @@ func deafenOther(sched lowerbound.Schedule) lowerbound.Schedule {
 }
 
 // agreementFactory builds n agreement machines with the given inputs.
-func agreementFactory(inits []types.Value) lowerbound.Factory {
+func agreementFactory(inits []types.Value) types.Factory {
 	return func() ([]types.Machine, error) {
 		n := len(inits)
 		out := make([]types.Machine, n)
@@ -87,7 +87,7 @@ func agreementFactory(inits []types.Value) lowerbound.Factory {
 }
 
 // commitFactory builds n Protocol 2 machines with the given votes.
-func commitFactory(votes []types.Value) lowerbound.Factory {
+func commitFactory(votes []types.Value) types.Factory {
 	return func() ([]types.Machine, error) {
 		n := len(votes)
 		out := make([]types.Machine, n)

@@ -112,7 +112,7 @@ func eventDirection(sched Schedule, i int, s map[types.ProcID]bool) Direction {
 // the Theorem 14 phase structure on real machines: cycles of round-robin
 // steps where odd cycles deliver only S̄→S traffic and even cycles only
 // S→S̄ traffic (intra-group traffic flows freely).
-func GenerateAlternatingSchedule(f Factory, seedMaster uint64, s map[types.ProcID]bool, cycles int) (Schedule, error) {
+func GenerateAlternatingSchedule(f types.Factory, seedMaster uint64, s map[types.ProcID]bool, cycles int) (Schedule, error) {
 	x, err := NewExecutor(f, seedMaster)
 	if err != nil {
 		return nil, err

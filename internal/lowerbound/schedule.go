@@ -97,9 +97,6 @@ func EqualProjection(s map[types.ProcID]bool, a, b Schedule) bool {
 	return true
 }
 
-// Factory is types.Factory under the name this package's callers use.
-type Factory = types.Factory
-
 // Executor replays a schedule against a configuration. It mirrors §4's
 // model: events apply in order; failure steps silence a processor; message
 // delivery is by source-event index.
@@ -119,7 +116,7 @@ type Executor struct {
 }
 
 // NewExecutor builds an executor over fresh machines.
-func NewExecutor(f Factory, seedMaster uint64) (*Executor, error) {
+func NewExecutor(f types.Factory, seedMaster uint64) (*Executor, error) {
 	machines, err := f()
 	if err != nil {
 		return nil, err

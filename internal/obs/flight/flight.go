@@ -44,6 +44,9 @@ import (
 // DumpFormat marks flight-recorder JSON documents.
 const DumpFormat = "flight"
 
+// dumpEvents caps how many trailing tracer events a dump carries.
+const dumpEvents = 2048
+
 // Dump is one flight-recorder capture.
 type Dump struct {
 	Format    string                `json:"format"` // always DumpFormat
@@ -73,8 +76,6 @@ type Config struct {
 	Watchdog *watch.Watchdog
 	// StallAge is forwarded to Source.WatchStats.
 	StallAge time.Duration
-	// Events caps how many trailing tracer events a dump carries.
-	Events int
 	// Dir is where anomaly-triggered dumps land. Empty disables
 	// persistence (Snapshot and the handler still work).
 	Dir string
@@ -87,9 +88,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Events <= 0 {
-		c.Events = 2048
-	}
 	if c.StallAge <= 0 {
 		c.StallAge = 10 * time.Second
 	}
@@ -147,7 +145,7 @@ func (r *Recorder) Snapshot(reason string) *Dump {
 		d.Blocked = st.Blocked
 	}
 	if t := r.cfg.Tracer; t != nil {
-		d.Events = t.Recent(r.cfg.Events)
+		d.Events = t.Recent(dumpEvents)
 		d.Dropped = t.Dropped()
 	}
 	if c := r.cfg.Spans; c != nil {

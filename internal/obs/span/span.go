@@ -171,19 +171,8 @@ type Collector struct {
 	mu      sync.Mutex
 	buf     []Span
 	next    int
-	full    bool
 	seq     int
 	dropped uint64
-
-	// Completed-transaction eviction (SetTxnCap). The ring alone keeps
-	// memory constant, but on a long soak completed transactions' spans
-	// would squat in the ring and push out live ones; with a cap the
-	// collector retires whole transactions FIFO once they finish.
-	txnCap  int
-	zeroed  int              // evicted (zeroed) entries still in buf
-	slots   map[string][]int // txn -> buf indices (entries may be stale)
-	done    []string         // completed txns awaiting eviction, oldest first
-	doneSet map[string]bool
 }
 
 // NewCollector creates a collector retaining at most capacity spans,
@@ -222,75 +211,14 @@ func (c *Collector) Add(s Span) int {
 	defer c.mu.Unlock()
 	c.seq++
 	s.ID = c.seq
-	var idx int
 	if len(c.buf) < cap(c.buf) {
 		c.buf = append(c.buf, s)
-		idx = len(c.buf) - 1
 	} else {
-		c.full = true
-		if c.buf[c.next].ID == 0 {
-			c.zeroed-- // reusing an already-evicted slot is not a drop
-		} else {
-			c.dropped++
-		}
+		c.dropped++
 		c.buf[c.next] = s
-		idx = c.next
 		c.next = (c.next + 1) % len(c.buf)
 	}
-	if c.txnCap > 0 && s.Txn != "" {
-		c.slots[s.Txn] = append(c.slots[s.Txn], idx)
-	}
 	return s.ID
-}
-
-// SetTxnCap bounds how many *completed* transactions' spans the
-// collector retains: once more than cap transactions have been marked
-// complete (CompleteTxn), the oldest completed transaction's spans are
-// evicted. cap <= 0 disables per-transaction eviction (the ring still
-// bounds total memory). Call before traffic; safe on nil.
-func (c *Collector) SetTxnCap(cap int) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.txnCap = cap
-	if cap > 0 && c.slots == nil {
-		c.slots = make(map[string][]int)
-		c.doneSet = make(map[string]bool)
-	}
-}
-
-// CompleteTxn marks a transaction finished (the service calls this
-// after delivering its result). When the completed-transaction backlog
-// exceeds the cap, the oldest completed transactions' spans are
-// evicted. No-op without SetTxnCap, on an unknown txn, or on nil.
-func (c *Collector) CompleteTxn(txn string) {
-	if c == nil || txn == "" {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.txnCap <= 0 || c.doneSet[txn] {
-		return
-	}
-	c.doneSet[txn] = true
-	c.done = append(c.done, txn)
-	for len(c.done) > c.txnCap {
-		t := c.done[0]
-		c.done = c.done[1:]
-		delete(c.doneSet, t)
-		for _, idx := range c.slots[t] {
-			// A stale index (ring overwrote the slot since) must not
-			// zero someone else's span.
-			if idx < len(c.buf) && c.buf[idx].ID != 0 && c.buf[idx].Txn == t {
-				c.buf[idx] = Span{}
-				c.zeroed++
-				c.dropped++
-			}
-		}
-		delete(c.slots, t)
-	}
 }
 
 // Dropped reports how many spans have been evicted since creation.
@@ -310,7 +238,7 @@ func (c *Collector) Len() int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.buf) - c.zeroed
+	return len(c.buf)
 }
 
 // Graph snapshots the retained spans (sorted by id) and infers their
@@ -322,12 +250,7 @@ func (c *Collector) Graph() *Graph {
 		return g
 	}
 	c.mu.Lock()
-	spans := make([]Span, 0, len(c.buf)-c.zeroed)
-	for i := range c.buf {
-		if c.buf[i].ID != 0 { // skip entries zeroed by txn eviction
-			spans = append(spans, c.buf[i])
-		}
-	}
+	spans := append([]Span(nil), c.buf...)
 	g.Dropped = c.dropped
 	c.mu.Unlock()
 	sort.Slice(spans, func(i, j int) bool { return spans[i].ID < spans[j].ID })

@@ -33,6 +33,10 @@ import (
 	"repro/internal/types"
 )
 
+// lingerTicks keeps a decided-and-halted node stepping a little longer
+// so its final broadcasts drain.
+const lingerTicks = 8
+
 // NodeConfig configures one live node.
 type NodeConfig struct {
 	Machine   types.Machine
@@ -45,9 +49,6 @@ type NodeConfig struct {
 	// paper's protocol may legitimately never decide when too many peers
 	// crash, and a live node must not spin forever.
 	MaxTicks int
-	// LingerTicks keeps a decided-and-halted node stepping a little
-	// longer so its final broadcasts drain (default 8).
-	LingerTicks int
 	// Persistent keeps the node stepping even when its machine reports
 	// Halted — the service mode, where a transaction manager quiesces
 	// between batches but must stay responsive for new work. A
@@ -127,9 +128,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		} else {
 			cfg.MaxTicks = 10_000
 		}
-	}
-	if cfg.LingerTicks <= 0 {
-		cfg.LingerTicks = 8
 	}
 	return &Node{cfg: cfg, m: newNodeMetrics(cfg.Registry, cfg.Machine.ID()),
 		done: make(chan struct{}), stop: make(chan struct{}), wake: make(chan struct{}, 1)}, nil
@@ -242,7 +240,7 @@ func (n *Node) run(ctx context.Context) {
 		}
 		if ticked && !n.cfg.Persistent && n.cfg.Machine.Halted() {
 			if linger < 0 {
-				linger = n.cfg.LingerTicks
+				linger = lingerTicks
 			}
 			linger--
 			if linger <= 0 {

@@ -725,11 +725,8 @@ func (s *Service) resolve(p *pending, state State, d types.Decision) {
 			res.State = StateFailed
 		}
 		// The notify span is recorded before the caller is released, so
-		// whoever Submit returns to finds the transaction's graph whole. It
-		// is the transaction's last: the collector may retire it under a
-		// txn cap.
+		// whoever Submit returns to finds the transaction's graph whole.
 		s.recordStage(p.id, span.StageNotify, decidedU, s.cfg.Spans.Now(), "")
-		s.cfg.Spans.CompleteTxn(string(p.id))
 		p.done <- res
 		s.cfg.Logger.Debug("transaction resolved",
 			olog.Txn(string(p.id)), olog.Shard(s.cfg.shardLabel()),

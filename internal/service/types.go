@@ -111,11 +111,6 @@ type Config struct {
 	// span.DefaultCollectorCapacity, exposed via Service.Spans and GET
 	// /debug/spans.
 	Spans *span.Collector
-	// SpanTxnCap, when > 0, bounds how many *completed* transactions'
-	// spans the collector retains (FIFO eviction of whole transactions):
-	// long soaks can run with spans enabled without completed graphs
-	// squatting in the ring. Applied to Spans (default or supplied).
-	SpanTxnCap int
 	// Logger receives structured operational log records (decisions,
 	// crashes, rescues) with txn/shard/node correlation fields. Nil
 	// logs nothing.
@@ -194,9 +189,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Spans == nil {
 		c.Spans = span.NewCollector(span.DefaultCollectorCapacity)
-	}
-	if c.SpanTxnCap > 0 {
-		c.Spans.SetTxnCap(c.SpanTxnCap)
 	}
 	return c, nil
 }

@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-
-	"repro/internal/hash64"
 )
 
 // DefaultVnodes is the number of virtual ring points per shard. 128
@@ -97,11 +95,34 @@ func (r *Router) RouteKeys(id string, keys []string) []int {
 	return out
 }
 
-// ringHash positions a string on the ring: FNV-1a 64 followed by a
-// splitmix64-style avalanche (hash64.String). FNV alone leaves the high
-// bits of similar short strings ("shard-3-vnode-17") badly mixed — the
-// ring orders by the full 64-bit value, so without the finalizer vnodes
-// cluster and shard loads skew by an order of magnitude. Both stages are
-// fixed published constants, so the mapping stays deterministic across
-// processes; hash64's pinned-value test enforces that.
-func ringHash(s string) uint64 { return hash64.String(s) }
+// ringHash positions a string on the ring: FNV-1a 64 followed by the
+// splitmix64 finalizer. FNV alone leaves the high bits of similar short
+// strings ("shard-3-vnode-17") badly mixed — the ring orders by the full
+// 64-bit value, so without the finalizer vnodes cluster and shard loads
+// skew by an order of magnitude. Both stages are fixed published
+// constants, so the mapping stays deterministic across goroutines,
+// processes and restarts; TestRingHashPinnedValues enforces that.
+func ringHash(s string) uint64 { return mix64(fnv64a(s)) }
+
+// mix64 is the splitmix64 finalizer (Vigna 2015): full avalanche in
+// three multiply-xorshift rounds.
+func mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// fnv64a is the 64-bit FNV-1a hash, inlined so hashing is
+// allocation-free (hash/fnv would allocate a hasher per call).
+func fnv64a(s string) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime64
+	}
+	return h
+}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"testing"
-
-	"repro/internal/hash64"
 )
 
 // The routing function must agree with the canonical published FNV-1a
@@ -18,10 +16,39 @@ func TestRouterHashMatchesCanonicalFNV(t *testing.T) {
 		s := fmt.Sprintf("txn-%d-%c", i*7919, 'a'+byte(i%26))
 		h := fnv.New64a()
 		h.Write([]byte(s)) //nolint:errcheck // never fails
-		if got, want := ringHash(s), hash64.Mix(h.Sum64()); got != want {
+		if got, want := ringHash(s), mix64(h.Sum64()); got != want {
 			t.Fatalf("ringHash(%q) = %#x, stdlib FNV + mix says %#x", s, got, want)
 		}
 	}
+}
+
+// TestRingHashPinnedValues pins the hash byte-for-byte: the ring is
+// wire-adjacent (cross-process routers must agree), so the function may
+// never silently change.
+func TestRingHashPinnedValues(t *testing.T) {
+	for _, s := range []string{"", "txn-1", "shard-3-vnode-17"} {
+		if got, want := ringHash(s), fnvSplitmix(s); got != want {
+			t.Errorf("ringHash(%q) = %#x, want %#x", s, got, want)
+		}
+	}
+	// And one literal anchor so a change to *both* implementations is
+	// still caught: FNV-1a("a") = 0xaf63dc4c8601ec8c, mixed.
+	if got, want := ringHash("a"), uint64(0x2c0bdbf481420f8); got != want {
+		t.Errorf("ringHash(\"a\") = %#x, want %#x", got, want)
+	}
+}
+
+// fnvSplitmix is an independent re-derivation used only by the test.
+func fnvSplitmix(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	z := h
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 func TestRouterDeterministicAcrossInstances(t *testing.T) {
