@@ -224,7 +224,7 @@ type rule struct {
 	caught    string            // the one violation it must yield
 }
 
-const wantRules = 16
+const wantRules = 17
 
 var cmdMains = []string{"cmd/chaos", "cmd/commitd", "cmd/commitnode", "cmd/lab", "cmd/loadgen", "cmd/tracedump"}
 
@@ -525,6 +525,40 @@ var rules = []rule{
 			"internal/runtime/z.go":       "package runtime\nimport \"time\"\nvar c = time.NewTicker(1)",
 		},
 		caught: "internal/runtime/z.go:3: uses time.NewTicker: the runtime's ticker number 3, want at most 2",
+	},
+
+	// One label lookup.
+	{
+		name: "a metric handle is resolved in its constructor",
+		why: "A Vec's With joins its label values into a map key on every call. The serving packages resolve " +
+			"each child once, in a new*Metrics constructor, and keep the handle; a With anywhere else is a " +
+			"lookup per transaction or per message.",
+		check: func(tr *tree) []string {
+			var out []string
+			for _, f := range tr.in(nonTest, within("internal/service", "internal/txn")) {
+				for _, d := range f.Decls {
+					if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil &&
+						strings.HasPrefix(fn.Name.Name, "new") && strings.HasSuffix(fn.Name.Name, "Metrics") {
+						continue
+					}
+					ast.Inspect(d, func(n ast.Node) bool {
+						if call, ok := n.(*ast.CallExpr); ok {
+							if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "With" {
+								out = append(out, tr.at(sel.Sel.Pos(), "calls With outside a new*Metrics constructor"))
+							}
+						}
+						return true
+					})
+				}
+			}
+			return out
+		},
+		planted: map[string]string{
+			"internal/txn/txn.go": "package txn\nfunc newMMetrics(v vec) handle { return v.With(\"0\") }\n" +
+				"func (m *Manager) decided(d string) {\n\tm.met.decided.With(m.node, d).Inc() // .With( in a comment is not a call\n}",
+			"internal/shard/coordinator.go": "package shard\nfunc (c *Coordinator) done() { c.met.outcomes.With(\"committed\").Inc() }",
+		},
+		caught: "internal/txn/txn.go:4: calls With outside a new*Metrics constructor",
 	},
 }
 

@@ -106,7 +106,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		walDir    = fs.String("wal-dir", "", "decision-journal directory (single-shard mode only; replayed on start, client acks wait for group-commit fsync)")
 		walSeg    = fs.Int("wal-segment-bytes", 1<<20, "WAL segment rotation threshold in bytes")
 		walGroup  = fs.Duration("wal-group-commit", 0, "max extra latency the WAL writer waits to coalesce decision fsyncs (0: flush whatever has queued)")
-		snapEvery = fs.Int("snapshot-every", 4096, "WAL records between state snapshots (0: never snapshot; replay covers the whole log)")
+		snapEvery = fs.Int("snapshot-every", 4096, "at least this many WAL records between state snapshots; one also waits until the log has grown by as much as the last weighed (0: never snapshot; replay covers the whole log)")
 		withPprof = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 
 		logFormat = fs.String("log-format", "text", "structured log format: text or json")

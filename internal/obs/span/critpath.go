@@ -134,22 +134,30 @@ func (g *Graph) CriticalPath(targetID int) (*Path, error) {
 
 // CriticalPathTxn computes the critical path of one transaction within
 // its own subgraph (ByTxn). The target is the last-finishing of the
-// transaction's service-track spans (ties to the lowest id) — the notify
-// stage that delivered the client's answer, so Total is the client's
-// latency whatever the other processors did afterwards — or, for a
-// transaction without service spans, its last-finishing span.
+// transaction's service-track spans (ties to the one recorded last: a
+// transaction's stages are recorded in causal order) — the notify stage
+// that delivered the client's answer, even one too short to measure, so
+// Total is the client's latency whatever the other processors did
+// afterwards — or, for a transaction without service spans, its
+// last-finishing span (ties to the lowest id).
 // Restricting the walk to the subgraph keeps it off the stage spans of
 // the other members of its batch, so the path starts at this
 // transaction's own admission.
 func (g *Graph) CriticalPathTxn(txn string) (*Path, error) {
 	sub := g.ByTxn(txn)
 	// better: a service-track span beats any other, then the later end,
-	// then the lower id.
+	// then the later-recorded stage or the lower id.
 	better := func(s, t *Span) bool {
 		if so, to := s.Track == ServiceTrack, t.Track == ServiceTrack; so != to {
 			return so
 		}
-		return s.End > t.End || (s.End == t.End && s.ID < t.ID)
+		if s.End != t.End {
+			return s.End > t.End
+		}
+		if s.Track == ServiceTrack {
+			return s.ID > t.ID
+		}
+		return s.ID < t.ID
 	}
 	var target *Span
 	for i := range sub.Spans {

@@ -182,7 +182,7 @@ func batchGraph() *Graph {
 		stage(15, "m1", StageDecided, 5, 22, "state=COMMIT"),
 		stage(16, "m2", StageDecided, 5, 23, "state=ABORT"),
 		stage(17, "m1", StageNotify, 22, 24, ""),
-		stage(18, "m2", StageNotify, 23, 26, ""),
+		stage(18, "m2", StageNotify, 23, 23, ""), // answered within the clock's resolution
 		// A slow processor decides after the clients were answered.
 		{ID: 19, Txn: "m1", Track: "proc 2", Name: "decided", Kind: KindStage, Start: 30, End: 30, From: -1, To: -1, Detail: "decision=COMMIT batch=b1"},
 	}
@@ -214,7 +214,7 @@ func TestMemberCriticalPathFollowsBatch(t *testing.T) {
   +2        stage service    notify (22..24)
 by kind: stage=9 round=11 link=4
 `},
-		{"m2", 1, 26, ""},
+		{"m2", 1, 23, ""},
 	} {
 		p, err := g.CriticalPathTxn(tc.txn)
 		if err != nil {
@@ -233,6 +233,9 @@ by kind: stage=9 round=11 link=4
 		if p.Start != tc.start || p.End != tc.end || sum != tc.end-tc.start || p.Total != sum {
 			t.Errorf("%s: path %d..%d total %d sum %d, want %d..%d:\n%s",
 				tc.txn, p.Start, p.End, p.Total, sum, tc.start, tc.end, p.Render())
+		}
+		if last := p.Steps[len(p.Steps)-1].Span; last.Name != StageNotify {
+			t.Errorf("%s: path ends at %s, want its notify stage:\n%s", tc.txn, last.Name, p.Render())
 		}
 		if p.ByKind[KindRound] <= 0 || p.ByKind[KindLink] <= 0 {
 			t.Errorf("%s: no round or link attribution: %v", tc.txn, p.ByKind)

@@ -76,18 +76,22 @@ type pending struct {
 // Every family carries a leading "shard" label so N independent groups
 // hosted in one daemon (internal/shard) share the registry without their
 // counts merging; an unsharded service is shard "0".
+//
+// Every handle is resolved here, once: a Vec's With builds a label key per
+// call, which is no cost to pay per transaction.
 type svcMetrics struct {
-	shard          string
 	submitted      *obs.Counter
-	outcomes       *obs.CounterVec // labels: shard, outcome (committed|aborted|timed_out|failed)
-	rejected       *obs.CounterVec // labels: shard, reason (full|draining)
 	batches        *obs.Counter
 	violations     *obs.Counter
-	latency        *obs.Histogram    // seconds, decided (COMMIT/ABORT) submissions
-	stage          *obs.HistogramVec // seconds per pipeline stage, labels: shard, stage
-	occupancy      *obs.Histogram    // members per dispatched agreement batch
-	batchesDecided *obs.Counter      // batches whose every member resolved
-	rescues        *obs.Counter      // orphaned batches re-dispatched after a coordinator crash
+	latency        *obs.Histogram            // seconds, decided (COMMIT/ABORT) submissions
+	stage          map[string]*obs.Histogram // seconds per pipeline stage, by stage name
+	occupancy      *obs.Histogram            // members per dispatched agreement batch
+	batchesDecided *obs.Counter              // batches whose every member resolved
+	rescues        *obs.Counter              // orphaned batches re-dispatched after a coordinator crash
+
+	// service_outcomes_total by outcome, service_rejected_total by reason.
+	committed, aborted, timedOut, failed *obs.Counter
+	rejectedFull, rejectedDraining       *obs.Counter
 }
 
 // OccupancyBuckets are the upper bounds for the batch-occupancy
@@ -96,14 +100,26 @@ type svcMetrics struct {
 var OccupancyBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 func newSvcMetrics(reg *obs.Registry, shard string) svcMetrics {
+	outcomes := reg.CounterVec("service_outcomes_total",
+		"Terminal submission outcomes.", "shard", "outcome")
+	rejected := reg.CounterVec("service_rejected_total",
+		"Submissions rejected at admission.", "shard", "reason")
+	stages := reg.HistogramVec("service_stage_seconds",
+		"Per-stage latency of the submission pipeline (admit, batch, dispatch, decided, notify).",
+		obs.DefBuckets, "shard", "stage")
+	stage := make(map[string]*obs.Histogram, len(stageNames))
+	for _, st := range stageNames {
+		stage[st] = stages.With(shard, st)
+	}
 	return svcMetrics{
-		shard: shard,
 		submitted: reg.CounterVec("service_submitted_total",
 			"Transactions admitted into the queue.", "shard").With(shard),
-		outcomes: reg.CounterVec("service_outcomes_total",
-			"Terminal submission outcomes.", "shard", "outcome"),
-		rejected: reg.CounterVec("service_rejected_total",
-			"Submissions rejected at admission.", "shard", "reason"),
+		committed:        outcomes.With(shard, "committed"),
+		aborted:          outcomes.With(shard, "aborted"),
+		timedOut:         outcomes.With(shard, "timed_out"),
+		failed:           outcomes.With(shard, "failed"),
+		rejectedFull:     rejected.With(shard, "full"),
+		rejectedDraining: rejected.With(shard, "draining"),
 		batches: reg.CounterVec("service_batches_total",
 			"Dispatcher wakeups that dispatched at least one submission.", "shard").With(shard),
 		violations: reg.CounterVec("service_safety_violations_total",
@@ -111,9 +127,7 @@ func newSvcMetrics(reg *obs.Registry, shard string) svcMetrics {
 		latency: reg.HistogramVec("service_latency_seconds",
 			"Submission-to-decision latency of committed/aborted transactions.",
 			obs.DefBuckets, "shard").With(shard),
-		stage: reg.HistogramVec("service_stage_seconds",
-			"Per-stage latency of the submission pipeline (admit, batch, dispatch, decided, notify).",
-			obs.DefBuckets, "shard", "stage"),
+		stage: stage,
 		occupancy: reg.HistogramVec("service_batch_occupancy",
 			"Members per dispatched agreement batch.",
 			OccupancyBuckets, "shard").With(shard),
@@ -124,14 +138,24 @@ func newSvcMetrics(reg *obs.Registry, shard string) svcMetrics {
 	}
 }
 
-// outcome returns this shard's counter for one terminal outcome.
-func (m *svcMetrics) outcome(o string) *obs.Counter { return m.outcomes.With(m.shard, o) }
-
-// reject returns this shard's counter for one admission-rejection reason.
-func (m *svcMetrics) reject(r string) *obs.Counter { return m.rejected.With(m.shard, r) }
-
-// stageHist returns this shard's histogram for one pipeline stage.
-func (m *svcMetrics) stageHist(st string) *obs.Histogram { return m.stage.With(m.shard, st) }
+// newGaugeMetrics registers the gauges a scrape computes from s.
+func newGaugeMetrics(reg *obs.Registry, shard string, s *Service) {
+	reg.GaugeFuncVec("service_queue_depth",
+		"Submissions waiting in the admission queue.", "shard").
+		With(func() float64 { return float64(len(s.queue)) }, shard)
+	reg.GaugeFuncVec("service_in_flight",
+		"Commit instances currently holding an in-flight slot.", "shard").
+		With(func() float64 { return float64(len(s.slots)) }, shard)
+	reg.GaugeFuncVec("service_active_instances",
+		"Instances still held by the transaction managers (all nodes).", "shard").
+		With(func() float64 {
+			total := 0
+			for _, mgr := range s.managers {
+				total += mgr.Active()
+			}
+			return float64(total)
+		}, shard)
+}
 
 // stageNames lists the pipeline stages in causal order.
 var stageNames = []string{
@@ -244,22 +268,7 @@ func New(cfg Config) (*Service, error) {
 			s.retain(id)
 		}
 	}
-	shardLabel := cfg.shardLabel()
-	cfg.Registry.GaugeFuncVec("service_queue_depth",
-		"Submissions waiting in the admission queue.", "shard").
-		With(func() float64 { return float64(len(s.queue)) }, shardLabel)
-	cfg.Registry.GaugeFuncVec("service_in_flight",
-		"Commit instances currently holding an in-flight slot.", "shard").
-		With(func() float64 { return float64(len(s.slots)) }, shardLabel)
-	cfg.Registry.GaugeFuncVec("service_active_instances",
-		"Instances still held by the transaction managers (all nodes).", "shard").
-		With(func() float64 {
-			total := 0
-			for _, mgr := range s.managers {
-				total += mgr.Active()
-			}
-			return float64(total)
-		}, shardLabel)
+	newGaugeMetrics(cfg.Registry, cfg.shardLabel(), s)
 
 	s.managers = make([]*txn.Manager, cfg.N)
 	machines := make([]types.Machine, cfg.N)
@@ -371,7 +380,7 @@ func (s *Service) Submit(ctx context.Context, req Request) (Result, error) {
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
-		s.met.reject("draining").Inc()
+		s.met.rejectedDraining.Inc()
 		return Result{}, ErrDraining
 	}
 	id := req.ID
@@ -390,7 +399,7 @@ func (s *Service) Submit(ctx context.Context, req Request) (Result, error) {
 	default:
 		hint := s.cfg.RetryHint
 		s.mu.Unlock()
-		s.met.reject("full").Inc()
+		s.met.rejectedFull.Inc()
 		return Result{}, &OverloadError{RetryAfter: hint}
 	}
 	s.met.submitted.Inc()
@@ -541,7 +550,7 @@ func (s *Service) recordStage(id txn.ID, stage string, start, end int64, detail 
 		Start: start, End: end, From: -1, To: -1, Detail: detail,
 	})
 	d := float64(end-start) / 1e6 // collector clock is microseconds
-	s.met.stageHist(stage).Observe(d)
+	s.met.stage[stage].Observe(d)
 	if rec := s.stageLat[stage]; rec != nil {
 		rec.Add(d * 1e3) // recorders hold milliseconds
 	}
@@ -683,13 +692,13 @@ func (s *Service) resolve(p *pending, state State, d types.Decision) {
 
 	switch state {
 	case StateCommit:
-		s.met.outcome("committed").Inc()
+		s.met.committed.Inc()
 	case StateAbort:
-		s.met.outcome("aborted").Inc()
+		s.met.aborted.Inc()
 	case StateTimeout:
-		s.met.outcome("timed_out").Inc()
+		s.met.timedOut.Inc()
 	case StateFailed:
-		s.met.outcome("failed").Inc()
+		s.met.failed.Inc()
 	}
 	if p.timer != nil {
 		p.timer.Stop()
@@ -903,12 +912,12 @@ func (s *Service) Metrics() Metrics {
 		N:                s.cfg.N,
 		Draining:         s.stopped,
 		Submitted:        s.met.submitted.Value(),
-		Committed:        s.met.outcome("committed").Value(),
-		Aborted:          s.met.outcome("aborted").Value(),
-		TimedOut:         s.met.outcome("timed_out").Value(),
-		Failed:           s.met.outcome("failed").Value(),
-		RejectedFull:     s.met.reject("full").Value(),
-		RejectedDraining: s.met.reject("draining").Value(),
+		Committed:        s.met.committed.Value(),
+		Aborted:          s.met.aborted.Value(),
+		TimedOut:         s.met.timedOut.Value(),
+		Failed:           s.met.failed.Value(),
+		RejectedFull:     s.met.rejectedFull.Value(),
+		RejectedDraining: s.met.rejectedDraining.Value(),
 		Batches:          s.met.batches.Value(),
 		BatchesDecided:   s.met.batchesDecided.Value(),
 		MaxBatch:         s.maxBatch,
@@ -1010,8 +1019,8 @@ func (s *Service) WatchSample(stall time.Duration) watch.ShardSample {
 	s.mu.Unlock()
 	sort.Slice(sm.Stalled, func(i, j int) bool { return sm.Stalled[i].Txn < sm.Stalled[j].Txn })
 	sm.Submitted = s.met.submitted.Value()
-	sm.Decided = s.met.outcome("committed").Value() + s.met.outcome("aborted").Value()
-	sm.TimedOut = s.met.outcome("timed_out").Value()
+	sm.Decided = s.met.committed.Value() + s.met.aborted.Value()
+	sm.TimedOut = s.met.timedOut.Value()
 	sm.Rescues = s.met.rescues.Value()
 	sm.Latency = s.met.latency.Buckets()
 	if s.cfg.Journal != nil {

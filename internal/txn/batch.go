@@ -2,6 +2,7 @@ package txn
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 
 	"repro/internal/core"
@@ -23,19 +24,43 @@ type BatchEnvelope struct {
 	Batch BatchID
 	Txns  []ID
 	Inner types.Payload
+
+	// key is the sending instance's trace key, so a frame built here names
+	// its batch to the link span without building a string; it never
+	// reaches the wire, and a decoded frame has none.
+	key string
 }
 
-// Kind implements types.Payload.
+// Kind implements types.Payload. The five payloads a batch instance sends
+// get a constant; anything else is named by concatenation.
 func (e BatchEnvelope) Kind() string {
 	if e.Inner == nil {
 		return "txnb.envelope"
 	}
-	return "txnb:" + e.Inner.Kind()
+	switch k := e.Inner.Kind(); k {
+	case "tc.go":
+		return "txnb:tc.go"
+	case "tc.bvote":
+		return "txnb:tc.bvote"
+	case "ag.vreport":
+		return "txnb:ag.vreport"
+	case "ag.vproposal":
+		return "txnb:ag.vproposal"
+	case "ag.vdecided":
+		return "txnb:ag.vdecided"
+	default:
+		return "txnb:" + k
+	}
 }
 
 // TxnID exposes a stable trace key for link-span attribution; batch
 // frames are attributed to the batch, not a member.
-func (e BatchEnvelope) TxnID() string { return obs.BatchKey(string(e.Batch)) }
+func (e BatchEnvelope) TxnID() string {
+	if e.key != "" {
+		return e.key
+	}
+	return obs.BatchKey(string(e.Batch))
+}
 
 // SizeBits implements types.Sized: inner payload, a 64-bit batch id
 // hash, and a 64-bit id hash per member.
@@ -49,11 +74,17 @@ func (e BatchEnvelope) SizeBits() int {
 // per-element reporting bitmap that fans batch decisions back out to
 // transactions.
 type binstance struct {
+	id   BatchID
 	c    *core.BatchCommit
 	txns []ID
 	idx  map[ID]int
 	key  string // trace/span key: "batch:<id>"
 
+	// inbox is the frames demultiplexed to this instance since it last
+	// advanced.
+	inbox []types.Message
+
+	seq      int // creation order among this manager's instances
 	born     int // manager clock at spawn
 	haltedAt int // manager clock when first seen halted; -1 while running
 
@@ -104,7 +135,7 @@ func (m *Manager) BeginBatch(batch BatchID, txns []ID, votes []bool) error {
 		return err
 	}
 	// The GO flood need not wait for a tick.
-	m.markFreshLocked(batch, m.batches[batch])
+	m.markFreshLocked(m.batches[batch])
 	return nil
 }
 
@@ -126,13 +157,13 @@ func (m *Manager) spawnBatchLocked(batch BatchID, txns []ID, votes []types.Value
 		idx[id] = i
 	}
 	bi := &binstance{
-		c: c, txns: members, idx: idx, key: obs.BatchKey(string(batch)),
-		born: tick, haltedAt: -1,
+		id: batch, c: c, txns: members, idx: idx, key: obs.BatchKey(string(batch)),
+		seq: m.spawned, born: tick, haltedAt: -1,
 		round: 1, roundStartClock: tick, roundStartU: m.cfg.Spans.Now(),
 		reportedElems: make([]bool, len(members)),
 	}
 	m.batches[batch] = bi
-	m.border = append(m.border, batch)
+	m.running = append(m.running, bi)
 	for _, id := range members {
 		m.members[id] = batch
 	}
@@ -203,42 +234,69 @@ func (m *Manager) spanBatchRoundLocked(bi *binstance, tick int, force bool) {
 		return
 	}
 	now := m.cfg.Spans.Now()
+	detail := append(make([]byte, 0, 32), "ticks "...)
+	detail = strconv.AppendInt(detail, int64(bi.roundStartClock), 10)
+	detail = append(detail, ".."...)
+	detail = strconv.AppendInt(detail, int64(tick), 10)
 	m.cfg.Spans.Add(span.Span{
 		Txn: bi.key, Track: span.ProcTrack(int(m.cfg.ID)),
 		Name: "round " + strconv.Itoa(bi.round), Kind: span.KindRound,
 		Start: bi.roundStartU, End: now, From: -1, To: -1,
-		Detail: fmt.Sprintf("ticks %d..%d", bi.roundStartClock, tick),
+		Detail: string(detail),
 	})
 	bi.round++
 	bi.roundStartClock = tick
 	bi.roundStartU = now
 }
 
-// stepBatchesLocked advances every batch one tick in creation order,
-// pipelined: batch i+1's machine takes its round-r step in the same
-// manager tick batch i takes round r+1's, so consecutive batches overlap
-// instead of queueing behind one another. Returns the batches due for
-// retirement. Caller holds mu.
-func (m *Manager) stepBatchesLocked(tick int, rnd types.Rand, out []types.Message, decidedNow []Outcome) ([]types.Message, []Outcome, []BatchID) {
-	var retire []BatchID
-	for _, b := range m.border {
-		bi := m.batches[b]
-		// haltedAt is the first tick that finds the machine already halted.
-		if bi.c.Halted() {
-			if bi.haltedAt < 0 {
-				bi.haltedAt = tick
-			}
-			if m.cfg.RetireAfter > 0 && tick-bi.haltedAt >= m.cfg.RetireAfter {
-				retire = append(retire, b)
-			}
-		}
-		out, decidedNow = m.advanceLocked(b, bi, tick, true, rnd, out, decidedNow)
-		m.spanBatchRoundLocked(bi, tick, false)
-		if m.cfg.MaxAge > 0 && tick-bi.born >= m.cfg.MaxAge && !bi.c.Halted() {
-			retire = append(retire, b)
+// stepRunningLocked is the body of a tick: retire what is due off the
+// front of the halted FIFO, then advance every running instance one tick in
+// creation order, pipelined — batch i+1's machine takes its round-r step in
+// the same manager tick batch i takes round r+1's, so consecutive batches
+// overlap instead of queueing behind one another. An instance found already
+// halted is stamped and moved to the FIFO's back without being advanced: its
+// members were all reported by the call that halted it. Caller holds mu.
+func (m *Manager) stepRunningLocked(tick int, rnd types.Rand, out []types.Message, decidedNow []Outcome) ([]types.Message, []Outcome) {
+	var retire []*binstance
+	if m.cfg.RetireAfter > 0 {
+		// haltedAt never decreases along the FIFO: behind the first
+		// instance not yet due, none is.
+		for len(m.halted) > 0 && tick-m.halted[0].haltedAt >= m.cfg.RetireAfter {
+			retire = append(retire, m.halted[0])
+			m.halted[0] = nil
+			m.halted = m.halted[1:] // append reallocates past the popped prefix
 		}
 	}
-	return out, decidedNow, retire
+	due := len(retire)
+
+	kept := m.running[:0]
+	for _, bi := range m.running {
+		// haltedAt is the first tick that finds the machine already halted.
+		if bi.c.Halted() {
+			bi.haltedAt = tick
+			bi.inbox = nil // emptied by its last advance; demux adds no more
+			m.halted = append(m.halted, bi)
+			continue
+		}
+		m.ticked++
+		out, decidedNow = m.advanceLocked(bi, tick, true, rnd, out, decidedNow)
+		m.spanBatchRoundLocked(bi, tick, false)
+		if m.cfg.MaxAge > 0 && tick-bi.born >= m.cfg.MaxAge && !bi.c.Halted() {
+			retire = append(retire, bi)
+			continue
+		}
+		kept = append(kept, bi)
+	}
+	clear(m.running[len(kept):])
+	m.running = kept
+
+	if due > 0 && len(retire) > due {
+		// Retired and abandoned in one tick: tombstones go down in creation
+		// order, as when one walk over everything held found both.
+		sort.Slice(retire, func(i, j int) bool { return retire[i].seq < retire[j].seq })
+	}
+	m.retireLocked(tick, retire)
+	return out, decidedNow
 }
 
 // advanceLocked is the one per-instance transition, behind both Step
@@ -246,33 +304,30 @@ func (m *Manager) stepBatchesLocked(tick int, rnd types.Rand, out []types.Messag
 // the machine on its inbox, wrap its output in BatchEnvelope frames, and
 // fan member outcomes out individually as their elements decide. Caller
 // holds mu.
-func (m *Manager) advanceLocked(b BatchID, bi *binstance, tick int, ticked bool, rnd types.Rand, out []types.Message, decidedNow []Outcome) ([]types.Message, []Outcome) {
-	// Elements can decide in the same call the machine halts, so the
-	// fan-out below runs whether or not the machine did.
-	if !bi.c.Halted() {
-		var sub []types.Message
-		if ticked {
-			sub = bi.c.Step(m.byBatch[b], rnd)
-		} else {
-			sub = bi.c.Deliver(m.byBatch[b], rnd)
-		}
-		if m.cfg.Tracer != nil {
-			m.traceBatchOutputsLocked(bi, sub, tick)
-			if ag := bi.c.Agreement(); ag != nil {
-				if st := ag.Stage(); st != bi.lastStage {
-					bi.lastStage = st
-					m.trace(bi.key, obs.EventStage, tick, "stage="+strconv.Itoa(st))
-				}
+func (m *Manager) advanceLocked(bi *binstance, tick int, ticked bool, rnd types.Rand, out []types.Message, decidedNow []Outcome) ([]types.Message, []Outcome) {
+	// Only a running machine gets here: a tick skips the halted and demux
+	// drops their frames.
+	var sub []types.Message
+	if ticked {
+		sub = bi.c.Step(bi.inbox, rnd)
+	} else {
+		sub = bi.c.Deliver(bi.inbox, rnd)
+	}
+	if m.cfg.Tracer != nil {
+		m.traceBatchOutputsLocked(bi, sub, tick)
+		if ag := bi.c.Agreement(); ag != nil {
+			if st := ag.Stage(); st != bi.lastStage {
+				bi.lastStage = st
+				m.trace(bi.key, obs.EventStage, tick, "stage="+strconv.Itoa(st))
 			}
 		}
-		for j := range sub {
-			sub[j].Payload = BatchEnvelope{Batch: b, Txns: bi.txns, Inner: sub[j].Payload}
-		}
-		out = append(out, sub...)
 	}
-	// The inbox is consumed (its slice is reused); a halted instance's
-	// stragglers are dropped here.
-	m.byBatch[b] = m.byBatch[b][:0]
+	for j := range sub {
+		sub[j].Payload = BatchEnvelope{Batch: bi.id, Txns: bi.txns, Inner: sub[j].Payload, key: bi.key}
+	}
+	out = append(out, sub...)
+	// The inbox is consumed (its slice is reused).
+	bi.inbox = bi.inbox[:0]
 
 	roundClosed := false
 	for i, txn := range bi.txns {
@@ -284,12 +339,16 @@ func (m *Manager) advanceLocked(b BatchID, bi *binstance, tick int, ticked bool,
 			continue
 		}
 		bi.reportedElems[i] = true
-		m.met.decided.With(m.node, d.String()).Inc()
+		if d == types.DecisionCommit {
+			m.met.committed.Inc()
+		} else {
+			m.met.aborted.Inc()
+		}
 		m.met.rounds.Observe(float64(tick - bi.born))
 		if m.cfg.Tracer != nil || m.cfg.Spans != nil {
 			// The member's records name its batch so a per-transaction
 			// view can follow it to the rounds and links that decided it.
-			detail := "decision=" + d.String() + " " + obs.BatchDetail(string(b))
+			detail := "decision=" + d.String() + " " + obs.BatchDetail(string(bi.id))
 			m.trace(string(txn), obs.EventDecided, tick, detail)
 			if m.cfg.Spans != nil {
 				if !roundClosed {
@@ -314,19 +373,12 @@ func (m *Manager) advanceLocked(b BatchID, bi *binstance, tick int, ticked bool,
 	return out, decidedNow
 }
 
-// retireBatchesLocked removes finished (or abandoned) batches, leaving a
+// retireLocked removes finished (or abandoned) instances, leaving a
 // per-member decision tombstone — DecisionOf keeps answering through the
 // members index — and evicts the oldest batches' tombstones past
-// TombstoneCap members. Caller holds mu.
-func (m *Manager) retireBatchesLocked(tick int, ids []BatchID) {
-	if len(ids) == 0 {
-		return
-	}
-	for _, b := range ids {
-		bi := m.batches[b]
-		if bi == nil {
-			continue
-		}
+// TombstoneCap members. The caller has already unlisted them and holds mu.
+func (m *Manager) retireLocked(tick int, gone []*binstance) {
+	for _, bi := range gone {
 		for i, txn := range bi.txns {
 			d, decided := bi.c.OutcomeAt(i)
 			if decided {
@@ -343,19 +395,11 @@ func (m *Manager) retireBatchesLocked(tick int, ids []BatchID) {
 			}
 			m.retired[txn] = d
 		}
-		m.retiredBatches[b] = bi.txns
-		m.retiredOrder = append(m.retiredOrder, b)
+		m.retiredBatches[bi.id] = bi.txns
+		m.retiredOrder = append(m.retiredOrder, bi.id)
 		m.retiredMembers += len(bi.txns)
-		delete(m.batches, b)
-		delete(m.byBatch, b)
+		delete(m.batches, bi.id)
 	}
-	kept := m.border[:0]
-	for _, b := range m.border {
-		if _, ok := m.batches[b]; ok {
-			kept = append(kept, b)
-		}
-	}
-	m.border = kept
 
 	for m.retiredMembers > TombstoneCap {
 		old := m.retiredOrder[0]

@@ -9,8 +9,8 @@
 // (core.BatchCommit), creating participant instances on demand (the
 // first frame of an unknown batch reaches the node's VoteFunc once per
 // member to obtain its vote vector). Step is a tick of the manager's
-// clock and advances every instance it holds; Deliver hands over frames
-// between ticks and advances only the instances they reach, without
+// clock and advances every instance still running; Deliver hands over
+// frames between ticks and advances only the instances they reach, without
 // touching any clock, so timeouts run in ticks however often frames
 // arrive. Any node may coordinate (the paper fixes processor 0 without
 // loss of generality; core.BatchConfig.Coordinator generalizes it).
@@ -28,11 +28,13 @@
 // and DecisionOf, which take it briefly. OnOutcome callbacks run with it
 // released.
 //
-// Long-lived deployments (internal/service) configure RetireAfter so a
-// decided instance is eventually removed from the step loop, leaving only
-// a tombstone with its decisions; per-step cost then tracks the number of
-// *active* batches, not every transaction the node has ever seen, and the
-// tombstones themselves are a FIFO bounded at TombstoneCap transactions.
+// What the manager holds is split in two. The running list, in creation
+// order, is all a tick walks; the first tick that finds an instance halted
+// moves it to a FIFO where it costs nothing until the front's RetireAfter
+// ticks are up (long-lived deployments, internal/service, configure it),
+// when it is popped and leaves only a tombstone with its decisions. A tick
+// therefore costs what is running plus what retires, not what is held, and
+// the tombstones themselves are a FIFO bounded at TombstoneCap transactions.
 // Completion is observable without polling via OnOutcome (a callback
 // invoked from the stepping goroutine).
 package txn
@@ -143,7 +145,8 @@ type Config struct {
 // handles are nil no-ops when no registry is configured.
 type mmetrics struct {
 	started   *obs.Counter
-	decided   *obs.CounterVec // label: decision (COMMIT/ABORT)
+	committed *obs.Counter // txn_instances_decided_total{decision="COMMIT"}
+	aborted   *obs.Counter // txn_instances_decided_total{decision="ABORT"}
 	retired   *obs.Counter
 	abandoned *obs.Counter
 	batches   *obs.Counter
@@ -151,11 +154,13 @@ type mmetrics struct {
 }
 
 func newMMetrics(reg *obs.Registry, node string) mmetrics {
+	decided := reg.CounterVec("txn_instances_decided_total",
+		"Commit instances decided, by node and decision.", "node", "decision")
 	return mmetrics{
 		started: reg.CounterVec("txn_instances_started_total",
 			"Commit instances spawned (begun or joined), by node; a batch counts one per member.", "node").With(node),
-		decided: reg.CounterVec("txn_instances_decided_total",
-			"Commit instances decided, by node and decision.", "node", "decision"),
+		committed: decided.With(node, types.DecisionCommit.String()),
+		aborted:   decided.With(node, types.DecisionAbort.String()),
 		retired: reg.CounterVec("txn_instances_retired_total",
 			"Decided instances retired to tombstones, by node.", "node").With(node),
 		abandoned: reg.CounterVec("txn_instances_abandoned_total",
@@ -177,9 +182,8 @@ const TombstoneCap = 1 << 16
 
 // Manager runs all of one node's commit instances.
 type Manager struct {
-	cfg  Config
-	met  mmetrics
-	node string // cached label value
+	cfg Config
+	met mmetrics
 
 	clock atomic.Int64
 
@@ -189,10 +193,17 @@ type Manager struct {
 	// cfg.Vote runs under it, OnOutcome never does.
 	mu      sync.Mutex
 	spawned int
+	// batches indexes every held instance, running or halted, for demux
+	// and DecisionOf.
 	batches map[BatchID]*binstance
-	// border is creation order: deterministic iteration for simulation
-	// replay, and the order batches retire in.
-	border []BatchID
+	// running is the instances no tick has yet found halted, in creation
+	// order: deterministic iteration for simulation replay, and all a tick
+	// walks.
+	running []*binstance
+	// halted is the FIFO of instances a tick found halted, in (haltedAt,
+	// creation) order — the order they retire in, so only its front is
+	// ever compared with RetireAfter.
+	halted []*binstance
 	// members maps a transaction's id to its batch for as long as the
 	// batch or its tombstone lives.
 	members map[ID]BatchID
@@ -210,12 +221,13 @@ type Manager struct {
 	// fresh lists the instances with something to act on before the next
 	// tick — frames in their inbox, or just begun — in arrival order; it is
 	// all Deliver walks.
-	fresh []BatchID
+	fresh []*binstance
 
 	// Step scratch, reused across steps.
-	byBatch    map[BatchID][]types.Message
 	out        []types.Message
 	decidedNow []Outcome
+
+	ticked int // machines advanced by Step so far (tests read it)
 }
 
 var _ types.Machine = (*Manager)(nil)
@@ -250,12 +262,10 @@ func NewManager(cfg Config) (*Manager, error) {
 	return &Manager{
 		cfg:            cfg,
 		met:            newMMetrics(cfg.Registry, node),
-		node:           node,
 		batches:        make(map[BatchID]*binstance),
 		members:        make(map[ID]BatchID),
 		retired:        make(map[ID]types.Decision),
 		retiredBatches: make(map[BatchID][]ID),
-		byBatch:        make(map[BatchID][]types.Message),
 	}, nil
 }
 
@@ -297,8 +307,9 @@ func (m *Manager) Halted() bool {
 	if m.spawned == 0 {
 		return false
 	}
-	for _, b := range m.border {
-		if !m.batches[b].c.Halted() {
+	// An instance that halted since the last tick is still listed running.
+	for _, bi := range m.running {
+		if !bi.c.Halted() {
 			return false
 		}
 	}
@@ -327,22 +338,21 @@ func (m *Manager) DecisionOf(txn ID) (types.Decision, bool) {
 func (m *Manager) Active() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.border)
+	return len(m.running) + len(m.halted)
 }
 
 // Step implements types.Machine — one tick of the manager's clock:
-// demultiplex, spawn participants for new batches, advance every instance
-// one tick in creation order, wrap outputs, retire finished instances, and
-// report newly decided members. OnOutcome callbacks run after the lock is
-// released.
+// demultiplex, spawn participants for new batches, advance every running
+// instance one tick in creation order, wrap outputs, retire the instances
+// whose time is up, and report newly decided members. OnOutcome callbacks
+// run after the lock is released.
 func (m *Manager) Step(received []types.Message, rnd types.Rand) []types.Message {
 	tick := int(m.clock.Add(1))
 
 	m.mu.Lock()
 	m.demuxLocked(received, tick)
-	out, decidedNow, retire := m.stepBatchesLocked(tick, rnd, m.out[:0], m.decidedNow[:0])
-	m.clearFreshLocked() // every instance held was just advanced
-	m.retireBatchesLocked(tick, retire)
+	out, decidedNow := m.stepRunningLocked(tick, rnd, m.out[:0], m.decidedNow[:0])
+	m.clearFreshLocked() // every running instance was just advanced
 	m.out, m.decidedNow = out, decidedNow
 	m.mu.Unlock()
 
@@ -362,8 +372,8 @@ func (m *Manager) Deliver(received []types.Message, rnd types.Rand) []types.Mess
 	m.mu.Lock()
 	m.demuxLocked(received, tick)
 	out, decidedNow := m.out[:0], m.decidedNow[:0]
-	for _, b := range m.fresh {
-		out, decidedNow = m.advanceLocked(b, m.batches[b], tick, false, rnd, out, decidedNow)
+	for _, bi := range m.fresh {
+		out, decidedNow = m.advanceLocked(bi, tick, false, rnd, out, decidedNow)
 	}
 	m.clearFreshLocked()
 	m.out, m.decidedNow = out, decidedNow
@@ -385,19 +395,20 @@ func (m *Manager) report(decidedNow []Outcome) {
 
 // markFreshLocked queues an instance for the next Deliver, once. Caller
 // holds mu.
-func (m *Manager) markFreshLocked(b BatchID, bi *binstance) {
+func (m *Manager) markFreshLocked(bi *binstance) {
 	if !bi.fresh {
 		bi.fresh = true
-		m.fresh = append(m.fresh, b)
+		m.fresh = append(m.fresh, bi)
 	}
 }
 
 // clearFreshLocked empties the queue once its instances were advanced.
 // Caller holds mu.
 func (m *Manager) clearFreshLocked() {
-	for _, b := range m.fresh {
-		m.batches[b].fresh = false
+	for _, bi := range m.fresh {
+		bi.fresh = false
 	}
+	clear(m.fresh)
 	m.fresh = m.fresh[:0]
 }
 
@@ -433,8 +444,6 @@ func (m *Manager) demuxLocked(received []types.Message, tick int) {
 			}
 			bi = m.batches[env.Batch]
 		}
-		m.markFreshLocked(env.Batch, bi)
-		bi.lastRecvClock = tick
 		if m.cfg.Tracer != nil && !bi.goRecv {
 			if inner, _ := core.Unwrap(env.Inner); inner != nil {
 				if _, isGo := inner.(core.GoMsg); isGo {
@@ -443,8 +452,15 @@ func (m *Manager) demuxLocked(received []types.Message, tick int) {
 				}
 			}
 		}
+		if bi.c.Halted() {
+			// Straggler for a halted instance: its machine reads nothing
+			// more, and no tick will visit it to empty an inbox.
+			continue
+		}
+		m.markFreshLocked(bi)
+		bi.lastRecvClock = tick
 		inner := received[i]
 		inner.Payload = env.Inner
-		m.byBatch[env.Batch] = append(m.byBatch[env.Batch], inner)
+		bi.inbox = append(bi.inbox, inner)
 	}
 }

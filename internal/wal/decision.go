@@ -88,11 +88,9 @@ func (c *decisionCodec) EncodeSnapshot() []byte {
 	out := make([]byte, 4, size)
 	binary.LittleEndian.PutUint32(out, uint32(len(ids)))
 	for _, id := range ids {
-		entry := make([]byte, 3+len(id))
-		entry[0] = byte(c.m[id])
-		binary.LittleEndian.PutUint16(entry[1:3], uint16(len(id)))
-		copy(entry[3:], id)
-		out = append(out, entry...)
+		out = append(out, byte(c.m[id]))
+		out = binary.LittleEndian.AppendUint16(out, uint16(len(id)))
+		out = append(out, id...)
 	}
 	return out
 }

@@ -16,9 +16,9 @@ import (
 
 // This file is the segmented durability substrate: an append-only log
 // split across fixed-size segment files, written by a single group-commit
-// goroutine that coalesces concurrent appends into one fsync, bounded in
-// replay length by periodic state snapshots, and compacted as snapshots
-// retire old segments.
+// goroutine that coalesces concurrent appends into one write and one fsync,
+// bounded in replay length by state snapshots amortised against the log's
+// growth, and compacted as snapshots retire old segments.
 //
 // On-disk layout (all little endian, one directory):
 //
@@ -64,11 +64,14 @@ const headerSize = 8
 // the only framing in the repository. It is exported for codecs whose
 // snapshot payload is itself a run of frames (the cross-shard log).
 func Frame(payload []byte) []byte {
-	buf := make([]byte, headerSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[headerSize:], payload)
-	return buf
+	return appendFrame(make([]byte, 0, headerSize+len(payload)), payload)
+}
+
+// appendFrame appends payload's frame to dst.
+func appendFrame(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...)
 }
 
 // ScanFrames reads framed payloads from r, calling fn for each. It
@@ -140,8 +143,11 @@ type SegmentedOptions struct {
 	// long before the group's single fsync. Zero flushes whatever has
 	// queued by the time the writer gets to it (pure natural batching).
 	GroupCommit time.Duration
-	// SnapshotEvery writes a state snapshot (and rotates) every that
-	// many appended records; segments below the snapshot are compacted
+	// SnapshotEvery is the least number of appended records between state
+	// snapshots: one is written (and the segment rotated) once that many
+	// records and at least as many bytes as the last snapshot weighed have
+	// been appended since it, so encoding the state costs O(1) per record
+	// however large the state; segments below the snapshot are compacted
 	// away. Zero disables snapshots (replay covers the whole history).
 	SnapshotEvery int
 	// QueueDepth bounds the append queue (default 4096); a full queue
@@ -175,8 +181,8 @@ func (o SegmentedOptions) withDefaults() (SegmentedOptions, error) {
 // ReplayStats describes what recovery did at open.
 type ReplayStats struct {
 	// Records is how many records were replayed (the suffix past the
-	// snapshot — bounded by SnapshotEvery plus one group, not by the
-	// log's lifetime).
+	// snapshot — bounded by the live state, SnapshotEvery and one group,
+	// not by the log's lifetime).
 	Records int
 	// SnapshotSeq is the snapshot the replay started from (0: none).
 	SnapshotSeq uint64
@@ -229,8 +235,14 @@ type SegmentedLog struct {
 	active     File
 	activeSeq  uint64
 	activeSize int64
-	sinceSnap  int
+	group      []byte // commit's frame buffer, reused
 	snapSeq    uint64
+	// sinceSnap and bytesSinceSnap are what this writer has appended since
+	// it last snapshotted (or opened), in records and in framed bytes;
+	// snapBytes is what the newest snapshot weighed.
+	sinceSnap      int
+	bytesSinceSnap int64
+	snapBytes      int64
 
 	appends   atomic.Uint64
 	fsyncs    atomic.Uint64
@@ -329,6 +341,7 @@ func OpenSegmented(codec SnapshotCodec, opts SegmentedOptions) (*SegmentedLog, e
 			continue
 		}
 		s.snapSeq = snaps[i]
+		s.snapBytes = int64(headerSize + len(payload))
 		break
 	}
 
@@ -541,8 +554,8 @@ func (s *SegmentedLog) Kill() {
 
 // writer is the single goroutine owning the segment files: it gathers
 // groups off the queue, writes them, issues ONE fsync per group, fires
-// every waiter with that fsync's outcome, and takes snapshots on the
-// record cadence.
+// every waiter with that fsync's outcome, and takes snapshots as they
+// fall due.
 func (s *SegmentedLog) writer() {
 	defer close(s.writerDone)
 	for {
@@ -607,17 +620,14 @@ func (s *SegmentedLog) gather(first segAppend) []segAppend {
 	return batch
 }
 
-// commit writes one group and issues its single fsync. The fsync's
-// error — or a write error — reaches EVERY waiter in the group, and
-// poisons the log (the durable suffix is unknown after a failed flush).
+// commit writes one group — one Write, unless a rotation falls inside it —
+// and issues its single fsync. The fsync's error — or a write error —
+// reaches EVERY waiter in the group, and poisons the log (the durable
+// suffix is unknown after a failed flush).
 func (s *SegmentedLog) commit(batch []segAppend) {
 	err := s.Err()
 	if err == nil {
-		for i := range batch {
-			if err = s.writeRecord(batch[i].payload); err != nil {
-				break
-			}
-		}
+		err = s.writeGroup(batch)
 	}
 	if err == nil {
 		fsyncStart := time.Now()
@@ -650,21 +660,41 @@ func (s *SegmentedLog) commit(batch []segAppend) {
 	}
 }
 
-// writeRecord frames and writes one record, rotating the active segment
-// first when it would overflow.
-func (s *SegmentedLog) writeRecord(payload []byte) error {
-	buf := Frame(payload)
-	if s.activeSize > 0 && s.activeSize+int64(len(buf)) > int64(s.opts.SegmentBytes) {
-		if err := s.rotate(); err != nil {
-			return err
+// writeGroup frames the group's records into one buffer and writes it. A
+// record that would overflow the active segment flushes what is buffered
+// and rotates first, so a frame never straddles two segments.
+func (s *SegmentedLog) writeGroup(batch []segAppend) error {
+	buf, records := s.group[:0], 0
+	for i := range batch {
+		frame := int64(headerSize + len(batch[i].payload))
+		if held := s.activeSize + int64(len(buf)); held > 0 && held+frame > int64(s.opts.SegmentBytes) {
+			if err := s.write(buf, records); err != nil {
+				return err
+			}
+			if err := s.rotate(); err != nil {
+				return err
+			}
+			buf, records = buf[:0], 0
 		}
+		buf = appendFrame(buf, batch[i].payload)
+		records++
+	}
+	s.group = buf[:0]
+	return s.write(buf, records)
+}
+
+// write appends buf, which frames that many records, to the active segment.
+func (s *SegmentedLog) write(buf []byte, records int) error {
+	if len(buf) == 0 {
+		return nil
 	}
 	if _, err := s.active.Write(buf); err != nil {
 		return fmt.Errorf("wal: segment write: %w", err)
 	}
 	s.activeSize += int64(len(buf))
-	s.appends.Add(1)
-	s.met.appends.Inc()
+	s.bytesSinceSnap += int64(len(buf))
+	s.appends.Add(uint64(records))
+	s.met.appends.Add(uint64(records))
 	return nil
 }
 
@@ -690,29 +720,32 @@ func (s *SegmentedLog) rotate() error {
 	return nil
 }
 
-// maybeSnapshot writes a snapshot when the record cadence is due: seal
-// the active segment (so the snapshot boundary is a segment boundary),
+// maybeSnapshot writes a snapshot when one is due — SnapshotEvery records
+// and as many bytes as the last snapshot weighed appended since it, so the
+// next snapshot is paid for by the log growing as much again as the last:
+// seal the active segment (so the snapshot boundary is a segment boundary),
 // write the state to a tmp, fsync, rename — then compact the segments
 // the snapshot covers. A failed snapshot write is retried at the next
 // cadence; it never poisons the log (appends are unaffected).
 func (s *SegmentedLog) maybeSnapshot() {
-	if s.opts.SnapshotEvery <= 0 || s.sinceSnap < s.opts.SnapshotEvery || s.Err() != nil {
+	if s.opts.SnapshotEvery <= 0 || s.sinceSnap < s.opts.SnapshotEvery ||
+		s.bytesSinceSnap < s.snapBytes || s.Err() != nil {
 		return
 	}
-	s.sinceSnap = 0
+	s.sinceSnap, s.bytesSinceSnap = 0, 0
 	if err := s.rotate(); err != nil {
 		s.poison(err)
 		return
 	}
 	seq := s.activeSeq // covers all records in segments < seq
-	payload := s.codec.EncodeSnapshot()
+	framed := Frame(s.codec.EncodeSnapshot())
 	tmp := snapTmp(seq)
 	ok := func() bool {
 		f, err := s.opts.FS.Create(tmp)
 		if err != nil {
 			return false
 		}
-		if _, err := f.Write(Frame(payload)); err != nil {
+		if _, err := f.Write(framed); err != nil {
 			f.Close() //nolint:errcheck
 			return false
 		}
@@ -730,6 +763,7 @@ func (s *SegmentedLog) maybeSnapshot() {
 		return
 	}
 	s.snapSeq = seq
+	s.snapBytes = int64(len(framed))
 	s.snapsDone.Add(1)
 	s.met.snapshots.Inc()
 	s.compact()

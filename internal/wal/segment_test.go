@@ -120,13 +120,18 @@ func TestSegmentedRotation(t *testing.T) {
 	}
 }
 
-// TestSnapshotBoundsReplay: with snapshots enabled, the number of records
-// replayed at open is bounded by the snapshot cadence — independent of how
-// many records the log has ever carried — and compaction actually deletes
-// the covered segments.
+// TestSnapshotBoundsReplay: a snapshot is due once SnapshotEvery records
+// and as many bytes as the last one weighed have been appended since it.
+// With retire records holding the state at S entries, the records replayed
+// at open stay within S + SnapshotEvery + one group however long the log has
+// lived, and compaction keeps the directory small. With no retirement the
+// state grows with the log, and N records cost O(log N) snapshots — each is
+// paid for by the log growing as much again — not N/SnapshotEvery.
 func TestSnapshotBoundsReplay(t *testing.T) {
 	const every = 16
-	run := func(txns int) (replayed int, st wal.SegStats, files int) {
+	// run journals txns decisions, retiring each once `window` newer ones
+	// exist (0: never), and reopens the log.
+	run := func(txns, window int) (replayed, recovered int, st wal.SegStats, files int) {
 		t.Helper()
 		fs := wal.NewMemFS()
 		opts := wal.SegmentedOptions{FS: fs, SegmentBytes: 512, SnapshotEvery: every}
@@ -135,6 +140,12 @@ func TestSnapshotBoundsReplay(t *testing.T) {
 			t.Fatalf("open: %v", err)
 		}
 		for i := 0; i < txns; i++ {
+			if window > 0 && i >= window {
+				// Asynchronous: it rides in the next decision's group.
+				if err := dl.Retire(txnID(i - window)); err != nil {
+					t.Fatalf("retire %d: %v", i-window, err)
+				}
+			}
 			if err := dl.AppendSync(txnID(i), decisionFor(i)); err != nil {
 				t.Fatalf("append %d: %v", i, err)
 			}
@@ -148,33 +159,154 @@ func TestSnapshotBoundsReplay(t *testing.T) {
 			t.Fatalf("reopen: %v", err)
 		}
 		defer dl2.Close() //nolint:errcheck
-		if got := len(dl2.Recovered()); got != txns {
-			t.Fatalf("recovered %d decisions, want %d", got, txns)
+		want := txns
+		if window > 0 && txns > window {
+			want = window
+		}
+		if got := len(dl2.Recovered()); got != want {
+			t.Fatalf("recovered %d decisions, want %d", got, want)
 		}
 		names, _ := fs.List()
-		return dl2.ReplayStats().Records, st, len(names)
+		return dl2.ReplayStats().Records, want, st, len(names)
 	}
 
-	small, _, _ := run(10 * every)
-	big, st, files := run(100 * every)
-	// AppendSync batches are single-record, so a snapshot lands exactly on
-	// the cadence and at most `every` records can trail the newest one.
-	if small > 2*every || big > 2*every {
-		t.Errorf("replay not bounded by snapshots: small=%d big=%d (cadence %d)", small, big, every)
+	t.Run("bounded state", func(t *testing.T) {
+		const state, group = 32, 2 // a group is a decision and the retire it carries
+		small, _, _, _ := run(10*state, state)
+		big, _, st, files := run(1000*state, state)
+		if bound := state + every + group; small > bound || big > bound {
+			t.Errorf("replay not bounded by state + cadence + a group = %d: small=%d big=%d", bound, small, big)
+		}
+		if st.Snapshots == 0 {
+			t.Error("no snapshots written")
+		}
+		if st.SegmentsCompacted == 0 {
+			t.Error("compaction never deleted a segment")
+		}
+		// Everything below the newest snapshot is compacted, so the directory
+		// stays small no matter how long the log has lived.
+		if files > 8 {
+			t.Errorf("directory holds %d files after compaction", files)
+		}
+	})
+	t.Run("growing state", func(t *testing.T) {
+		replayedS, _, stS, _ := run(100*every, 0)
+		replayedL, recovered, stL, _ := run(1000*every, 0)
+		t.Logf("%d records: %d snapshots, %d replayed; %d records: %d snapshots, %d replayed",
+			100*every, stS.Snapshots, replayedS, 1000*every, stL.Snapshots, replayedL)
+		if replayedL > recovered+every+1 {
+			t.Errorf("replayed %d records for a state of %d, want at most state + cadence + a group", replayedL, recovered)
+		}
+		// Ten times the records is a constant number of doublings more.
+		if stS.Snapshots == 0 || stL.Snapshots > stS.Snapshots+8 || stL.Snapshots > 1000/10 {
+			t.Errorf("%d snapshots for %d records and %d for %d: want O(log N), not N/%d",
+				stS.Snapshots, 100*every, stL.Snapshots, 1000*every, every)
+		}
+	})
+}
+
+// countFS counts the writes and syncs its files see, and can hold one Sync
+// open so a test decides what queues up behind it.
+type countFS struct {
+	wal.FS
+	writes, syncs atomic.Int32
+	hold          atomic.Bool   // the next Sync parks until release closes
+	parked        chan struct{} // receives once that Sync is inside
+	release       chan struct{}
+}
+
+func (f *countFS) OpenAppend(name string) (wal.File, error) {
+	inner, err := f.FS.OpenAppend(name)
+	if err != nil {
+		return nil, err
 	}
-	if big > small+every {
-		t.Errorf("replay grew with history length: small=%d big=%d", small, big)
+	return &countFile{File: inner, fs: f}, nil
+}
+
+func (f *countFS) Create(name string) (wal.File, error) {
+	inner, err := f.FS.Create(name)
+	if err != nil {
+		return nil, err
 	}
-	if st.Snapshots == 0 {
-		t.Error("no snapshots written")
+	return &countFile{File: inner, fs: f}, nil
+}
+
+type countFile struct {
+	wal.File
+	fs *countFS
+}
+
+func (f *countFile) Write(p []byte) (int, error) {
+	f.fs.writes.Add(1)
+	return f.File.Write(p)
+}
+
+func (f *countFile) Sync() error {
+	f.fs.syncs.Add(1)
+	if f.fs.hold.CompareAndSwap(true, false) {
+		f.fs.parked <- struct{}{}
+		<-f.fs.release
 	}
-	if st.SegmentsCompacted == 0 {
-		t.Error("compaction never deleted a segment")
-	}
-	// Everything below the newest snapshot is compacted, so the directory
-	// stays small no matter how long the log has lived.
-	if files > 8 {
-		t.Errorf("directory holds %d files after compaction", files)
+	return f.File.Sync()
+}
+
+// TestGroupIsOneWriteOneSync: the k records of a group reach the segment in
+// one Write followed by one Sync; only a rotation inside the group splits
+// the write, once per segment it seals, and every record still replays.
+func TestGroupIsOneWriteOneSync(t *testing.T) {
+	const k = 64
+	for _, segBytes := range []int{0 /* default: no rotation */, 256} {
+		cfs := &countFS{FS: wal.NewMemFS(), parked: make(chan struct{}), release: make(chan struct{})}
+		opts := wal.SegmentedOptions{FS: cfs, SegmentBytes: segBytes}
+		dl, err := wal.OpenDecisionLog(opts)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		// Park the writer inside a first group's fsync, queue k records
+		// behind it, and let go: they are the next group.
+		cfs.hold.Store(true)
+		acks := make(chan error, k+1)
+		if err := dl.Append("first", types.DecisionCommit, func(err error) { acks <- err }); err != nil {
+			t.Fatal(err)
+		}
+		<-cfs.parked
+		for i := 0; i < k; i++ {
+			if err := dl.Append(txnID(i), decisionFor(i), func(err error) { acks <- err }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		writes, syncs, segs := cfs.writes.Load(), cfs.syncs.Load(), dl.Stats().SegmentsCreated
+		close(cfs.release)
+		for i := 0; i < k+1; i++ {
+			if err := <-acks; err != nil {
+				t.Fatalf("segment bytes %d: append failed: %v", segBytes, err)
+			}
+		}
+		st := dl.Stats()
+		if st.Groups != 2 || st.Appends != k+1 {
+			t.Fatalf("segment bytes %d: %d appends in %d groups, want %d in 2", segBytes, st.Appends, st.Groups, k+1)
+		}
+		rotations := int32(st.SegmentsCreated - segs)
+		if segBytes == 0 != (rotations == 0) {
+			t.Fatalf("segment bytes %d: the group rotated %d times", segBytes, rotations)
+		}
+		// Each rotation writes what it seals and syncs it; the group's tail
+		// is the one write and one sync more.
+		if w, s := cfs.writes.Load()-writes, cfs.syncs.Load()-syncs; w != rotations+1 || s != rotations+1 {
+			t.Errorf("segment bytes %d: a group of %d records took %d writes and %d syncs over %d rotations, want %d each",
+				segBytes, k, w, s, rotations, rotations+1)
+		}
+		if err := dl.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		dl2, err := wal.OpenDecisionLog(opts)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		if got := len(dl2.Recovered()); got != k+1 {
+			t.Errorf("segment bytes %d: recovered %d decisions, want %d", segBytes, got, k+1)
+		}
+		dl2.Close() //nolint:errcheck
 	}
 }
 
