@@ -224,7 +224,7 @@ type rule struct {
 	caught    string            // the one violation it must yield
 }
 
-const wantRules = 17
+const wantRules = 18
 
 var cmdMains = []string{"cmd/chaos", "cmd/commitd", "cmd/commitnode", "cmd/lab", "cmd/loadgen", "cmd/tracedump"}
 
@@ -506,6 +506,50 @@ var rules = []rule{
 			"internal/transport/tcp.go":       "package transport\ntype TCPOptions struct{ Delay func() int }",
 		},
 		caught: "internal/transport/transport.go:4: HubOptions has a Drop func field",
+	},
+	{
+		name: "self-delivery lives in the runtime",
+		why: "A runtime node hands its machine's messages to itself back without sending them, so a transport " +
+			"carries real links only; a transport comparing a message's To with its own id is a second loopback.",
+		check: func(tr *tree) []string {
+			// named reports whether e is x.<name>, <name>, or a call of either.
+			named := func(e ast.Expr, names ...string) bool {
+				if call, ok := e.(*ast.CallExpr); ok {
+					e = call.Fun
+				}
+				var id string
+				switch x := e.(type) {
+				case *ast.SelectorExpr:
+					id = x.Sel.Name
+				case *ast.Ident:
+					id = x.Name
+				}
+				for _, name := range names {
+					if id == name {
+						return true
+					}
+				}
+				return false
+			}
+			var out []string
+			for _, f := range tr.in(nonTest, within("internal/transport")) {
+				ast.Inspect(f.File, func(n ast.Node) bool {
+					if be, ok := n.(*ast.BinaryExpr); ok && (be.Op == token.EQL || be.Op == token.NEQ) {
+						if named(be.X, "To") && named(be.Y, "id", "ID") || named(be.Y, "To") && named(be.X, "id", "ID") {
+							out = append(out, tr.at(be.Pos(), "compares a message's To with its own id"))
+						}
+					}
+					return true
+				})
+			}
+			return out
+		},
+		planted: map[string]string{
+			"internal/transport/tcp.go":      "package transport\nfunc (n *TCPNode) Send(msg Message) error {\n\tif msg.To == n.id {\n\t\treturn nil\n\t}\n\treturn nil\n}",
+			"internal/transport/hub.go":      "package transport\n// msg.To == n.id in a comment is not a comparison\nfunc same(a, b Message) bool { return a.To == b.To }",
+			"internal/transport/tcp_test.go": "package transport\nfunc loop(msg Message, id ProcID) bool { return id != msg.To }",
+		},
+		caught: "internal/transport/tcp.go:3: compares a message's To with its own id",
 	},
 
 	// One clock.

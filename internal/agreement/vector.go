@@ -14,9 +14,12 @@ package agreement
 // for that stage. Theorem 11's agreement and validity therefore hold
 // for every element independently. Termination is per element too: an
 // element may decide at a different stage than its neighbors, so the
-// machine tracks decision and return readiness element-wise and halts
-// only when every element has returned (or a DECIDED vector arrives —
-// the same gadget as the scalar machine, generalized to vectors).
+// machine tracks decision and return readiness element-wise. In the
+// strict-paper mode it halts only when every element has returned. With
+// the gadget it halts as soon as every element has decided, and its one
+// DECIDED vector takes the place of the stage-s+1 rounds it would have sent
+// (decide-and-stop, DESIGN §2); a received DECIDED vector halts it too —
+// the scalar machine's gadget, generalized to vectors.
 
 import (
 	"fmt"
@@ -58,9 +61,10 @@ func (m VecProposalMsg) String() string { return fmt.Sprintf("(2,%d,[%d])", m.St
 func (m VecProposalMsg) SizeBits() int { return 8 + 32 + len(m.Vals) + len(m.Bots) }
 
 // VecDecidedMsg is the termination gadget, vector form: broadcast once
-// by a processor as it returns from the last undecided element. Safe
-// for the same reason as the scalar DecidedMsg: each component is sent
-// only after n−t processors sent S-messages for that component's value.
+// by a processor as its last undecided element decides, in place of its
+// next stage's rounds. Safe for the same reason as the scalar
+// DecidedMsg: each component is sent only after n−t processors sent
+// S-messages for that component's value.
 type VecDecidedMsg struct {
 	Vals []types.Value
 }
@@ -184,7 +188,8 @@ func (m *VectorMachine) Clock() int { return m.clock }
 // Width returns the batch width B.
 func (m *VectorMachine) Width() int { return m.b }
 
-// Halted reports whether every element has returned.
+// Halted reports whether the machine has returned: every element has
+// returned or, with the gadget, decided.
 func (m *VectorMachine) Halted() bool { return m.halted }
 
 // Stage returns the stage currently executing.
@@ -325,7 +330,8 @@ func (m *VectorMachine) tryFinishReports(out []types.Message) ([]types.Message, 
 // vector proposals arrived: per element, adopt an S-value or the shared
 // stage coin, and decide (or mark returnable) on n−t matching
 // S-messages. The machine halts when every element has become
-// returnable; until then it advances to the next stage.
+// returnable — with the gadget, as soon as every element has decided —
+// and until then it advances to the next stage.
 func (m *VectorMachine) tryFinishProposals(out []types.Message, rnd types.Rand) ([]types.Message, bool) {
 	mm := m.proposals[m.stage]
 	if len(mm) < m.cfg.N-m.cfg.T {
@@ -390,8 +396,11 @@ func (m *VectorMachine) tryFinishProposals(out []types.Message, rnd types.Rand) 
 	}
 	m.stagesCompleted++
 
-	if m.retCount == m.b {
-		// Every element has returned: the whole machine returns.
+	if m.retCount == m.b || (m.cfg.Gadget && m.decidedCount == m.b) {
+		// Every element has returned, or with the gadget decided: the whole
+		// machine returns. Decide-and-stop: the DECIDED broadcast goes out
+		// where the (1, s+1, x) broadcast would have, on the same n−t
+		// S-message evidence the decisions rest on.
 		return m.ret(out), true
 	}
 

@@ -353,10 +353,7 @@ func (c *BatchCommit) startAgreement(out []types.Message, input []types.Value, r
 }
 
 // wrapAllBatch applies GO piggybacking to outgoing agreement messages,
-// allocating one Piggyback box per distinct broadcast payload. Vector
-// payloads hold slices, so plain interface equality would panic; a
-// broadcast repeats the same value (hence the same backing arrays) n
-// times, and sameVecPayload detects that by slice identity.
+// allocating one Piggyback box per distinct broadcast payload.
 func (c *BatchCommit) wrapAllBatch(msgs []types.Message) []types.Message {
 	if c.coins == nil {
 		return msgs
@@ -364,7 +361,7 @@ func (c *BatchCommit) wrapAllBatch(msgs []types.Message) []types.Message {
 	var lastInner, lastWrapped types.Payload
 	for i := range msgs {
 		p := msgs[i].Payload
-		if lastInner != nil && sameVecPayload(p, lastInner) {
+		if lastInner != nil && SamePayload(p, lastInner) {
 			msgs[i].Payload = lastWrapped
 			continue
 		}
@@ -375,11 +372,22 @@ func (c *BatchCommit) wrapAllBatch(msgs []types.Message) []types.Message {
 	return msgs
 }
 
-// sameVecPayload reports whether a and b are the same broadcast payload
-// value, compared by stage and backing-array identity (never by
-// interface equality, which panics on slice-bearing types).
-func sameVecPayload(a, b types.Payload) bool {
+// SamePayload reports whether a and b are the same broadcast payload of a
+// batch machine, so a wrapper can box it once for all n frames. The
+// payloads hold slices, so plain interface equality would panic; a
+// broadcast repeats the same value (hence the same backing arrays) n
+// times, and SamePayload detects that by stage and slice identity.
+func SamePayload(a, b types.Payload) bool {
 	switch x := a.(type) {
+	case Piggyback:
+		y, ok := b.(Piggyback)
+		return ok && sameValueSlice(x.Coins, y.Coins) && SamePayload(x.Inner, y.Inner)
+	case GoMsg:
+		y, ok := b.(GoMsg)
+		return ok && sameValueSlice(x.Coins, y.Coins)
+	case BatchVoteMsg:
+		y, ok := b.(BatchVoteMsg)
+		return ok && sameValueSlice(x.Vals, y.Vals)
 	case agreement.VecReportMsg:
 		y, ok := b.(agreement.VecReportMsg)
 		return ok && x.Stage == y.Stage && sameValueSlice(x.Vals, y.Vals)

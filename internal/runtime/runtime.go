@@ -9,9 +9,12 @@
 // (txn.Manager) is handed its messages the moment they arrive, and every
 // TickEvery its clock ticks once — the Step that timeouts are counted in.
 // A machine with Step alone (the formal core.Commit, 2PC/3PC, recovery
-// clients) is stepped on ticks only and receives its messages then. The
-// timing constant K of the protocol configs is K*TickEvery of wall time;
-// it bounds how late a message may be, not how soon one is acted on.
+// clients) is stepped on ticks only and receives its messages then. A
+// machine's messages to itself never reach the transport: the node hands
+// them back, to a deliverer at once and to any other machine at its next
+// tick. The timing constant K of the protocol configs is K*TickEvery of
+// wall time; it bounds how late a message may be, not how soon one is
+// acted on.
 //
 // The nodes of a Cluster share one clock, which ticks no faster than its
 // slowest live node takes the ticks: co-hosted processors starved of CPU
@@ -102,6 +105,9 @@ type Node struct {
 	// or nil for a standalone node, which then runs its own ticker.
 	ticks chan time.Time
 	buf   []types.Message // drain scratch
+	// self holds the machine's messages to itself until its next run; they
+	// never reach the transport.
+	self []types.Message
 
 	mu       sync.Mutex
 	err      error
@@ -198,12 +204,20 @@ func (n *Node) run(ctx context.Context) {
 		recv, wake = n.cfg.Transport.Recv(), n.wake
 	}
 
+	id := n.cfg.Machine.ID()
 	linger := -1
 	notified := false
 	for tick := 0; n.cfg.MaxTicks <= 0 || tick < n.cfg.MaxTicks; {
 		var out []types.Message
 		ticked := false
 		n.buf = n.buf[:0]
+		// A machine with Deliver gets its own messages back at once — but
+		// through the select, so one that answers itself on every delivery
+		// still yields to a stop, a cancellation or a tick.
+		var own <-chan struct{}
+		if d != nil && len(n.self) > 0 {
+			own = ready
+		}
 		select {
 		case <-ctx.Done():
 			n.setErr(ctx.Err())
@@ -212,23 +226,31 @@ func (n *Node) run(ctx context.Context) {
 			return
 		case <-ticks:
 			tick, ticked = tick+1, true
-			out = n.cfg.Machine.Step(n.drain(), n.cfg.Rand)
+			out = n.cfg.Machine.Step(n.inbox(), n.cfg.Rand)
 		case m, ok := <-recv:
 			if !ok {
 				recv = nil // transport closed; the stop follows
 				continue
 			}
 			n.buf = append(n.buf, m)
-			out = d.Deliver(n.drain(), n.cfg.Rand)
+			out = d.Deliver(n.inbox(), n.cfg.Rand)
 		case <-wake:
-			out = d.Deliver(n.drain(), n.cfg.Rand)
+			out = d.Deliver(n.inbox(), n.cfg.Rand)
+		case <-own:
+			out = d.Deliver(n.inbox(), n.cfg.Rand)
 		}
 		n.m.steps.Inc()
 		n.m.msgsIn.Add(uint64(len(n.buf)))
 		n.m.msgsOut.Add(uint64(len(out)))
 		for i := range out {
+			if out[i].To == id {
+				msg := out[i]
+				msg.From = id
+				n.self = append(n.self, msg)
+				continue
+			}
 			if err := n.cfg.Transport.Send(out[i]); err != nil {
-				n.setErr(fmt.Errorf("runtime: node %d send: %w", n.cfg.Machine.ID(), err))
+				n.setErr(fmt.Errorf("runtime: node %d send: %w", id, err))
 				return
 			}
 		}
@@ -248,6 +270,22 @@ func (n *Node) run(ctx context.Context) {
 			}
 		}
 	}
+}
+
+// ready is always ready to receive from: the select case that hands a
+// machine its own messages is armed with it.
+var ready = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// inbox appends the machine's own pending messages and then everything
+// queued on the transport to n.buf, and returns it.
+func (n *Node) inbox() []types.Message {
+	n.buf = append(n.buf, n.self...)
+	n.self = n.self[:0]
+	return n.drain()
 }
 
 // drain appends every message currently queued to n.buf without blocking

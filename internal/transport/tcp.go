@@ -23,7 +23,9 @@ var errUnencodable = errors.New("transport: payload has no wire encoding")
 // framing (see wire.go). Every node listens on one address and lazily
 // dials its peers. Connection failures and encode errors drop the message
 // (crash semantics: an unreachable peer is indistinguishable from a
-// crashed one, which is exactly the model).
+// crashed one, which is exactly the model). The node's own id is a peer
+// like any other: a runtime node hands its machine's messages to itself
+// back without sending them.
 type TCPNode struct {
 	id types.ProcID
 	ln net.Listener
@@ -206,25 +208,6 @@ func (n *TCPNode) readLoop(c net.Conn) {
 // Send implements Transport.
 func (n *TCPNode) Send(msg types.Message) error {
 	msg.From = n.id
-	if msg.To == n.id {
-		// Loopback without touching the network.
-		n.mu.Lock()
-		closed := n.closed
-		m := n.m
-		n.mu.Unlock()
-		if closed {
-			return ErrClosed
-		}
-		m.sent.Inc()
-		m.bytesSent.Add(payloadBytes(msg))
-		select {
-		case n.recv <- msg:
-			m.delivered.Inc()
-		default:
-			m.dropped.Inc()
-		}
-		return nil
-	}
 	start := time.Now()
 	n.mu.Lock()
 	if n.closed {

@@ -52,7 +52,9 @@ type Fault struct {
 // HubOptions configures fault injection on an in-memory hub.
 type HubOptions struct {
 	// Inject, if non-nil, is consulted once per message with the full
-	// fault vocabulary (drop, duplicate, delay).
+	// fault vocabulary (drop, duplicate, delay). A runtime node's messages
+	// to itself never reach the hub (DESIGN §13), so faults act on real
+	// links only.
 	Inject func(msg types.Message) Fault
 	// QueueSize is the per-node inbound buffer (default 4096).
 	QueueSize int

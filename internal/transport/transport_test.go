@@ -156,20 +156,6 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTCPLoopback(t *testing.T) {
-	n0, err := transport.ListenTCP(0, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n0.Close() //nolint:errcheck
-	if err := n0.Send(types.Message{To: 0, Payload: core.VoteMsg{Val: types.V0}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := recvWithTimeout(t, n0, time.Second); !ok {
-		t.Fatal("loopback message not delivered")
-	}
-}
-
 func TestTCPUnknownAndDeadPeerDropsSilently(t *testing.T) {
 	n0, err := transport.ListenTCP(0, "127.0.0.1:0")
 	if err != nil {

@@ -322,8 +322,15 @@ func (m *Manager) advanceLocked(bi *binstance, tick int, ticked bool, rnd types.
 			}
 		}
 	}
+	// One envelope box per broadcast: its n frames carry the same inner
+	// payload and share the wrapped one.
+	var lastInner, lastEnv types.Payload
 	for j := range sub {
-		sub[j].Payload = BatchEnvelope{Batch: bi.id, Txns: bi.txns, Inner: sub[j].Payload, key: bi.key}
+		if p := sub[j].Payload; lastInner == nil || !core.SamePayload(p, lastInner) {
+			lastInner = p
+			lastEnv = BatchEnvelope{Batch: bi.id, Txns: bi.txns, Inner: p, key: bi.key}
+		}
+		sub[j].Payload = lastEnv
 	}
 	out = append(out, sub...)
 	// The inbox is consumed (its slice is reused).

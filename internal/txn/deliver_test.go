@@ -94,9 +94,8 @@ func (r *schedRun) send(p int, out []types.Message) {
 	for _, msg := range out {
 		msg.From = types.ProcID(p)
 		if r.hash != nil {
-			// Field by field: what %v printed of the envelope when these
-			// three fields were all it had, so the sum still compares with
-			// the parent's.
+			// Field by field: the envelope's three wire fields, as %v
+			// printed them before it gained an unexported one.
 			env := msg.Payload.(txn.BatchEnvelope)
 			fmt.Fprintf(r.hash, "%d@%d>%d {%v %v %v}|", p, r.ticks[p], msg.To, env.Batch, env.Txns, env.Inner)
 		}
@@ -170,7 +169,7 @@ func (r *schedRun) live() int {
 
 func TestSeededTickAndDeliverySchedulesContentOblivious(t *testing.T) {
 	const seeds = 2400
-	golden := fnv.New64a()
+	transcript, decisions := fnv.New64a(), fnv.New64a()
 	for seed := uint64(0); seed < seeds; seed++ {
 		if testing.Short() && seed >= seeds/4 && seed%4 != 0 {
 			continue // -short keeps every tick-only seed: the checksum covers them all
@@ -209,7 +208,7 @@ func TestSeededTickAndDeliverySchedulesContentOblivious(t *testing.T) {
 
 		r := newSchedRun(t, seed, mode, votes)
 		if mode == ticksOnly {
-			r.hash = golden
+			r.hash = transcript
 		}
 		done := func() bool {
 			for p, mgr := range r.managers {
@@ -292,17 +291,26 @@ func TestSeededTickAndDeliverySchedulesContentOblivious(t *testing.T) {
 				}
 			}
 			if r.hash != nil {
-				fmt.Fprintf(r.hash, "%s=%v|", id, agreed)
+				fmt.Fprintf(io.MultiWriter(r.hash, decisions), "%s=%v|", id, agreed)
 			}
 		}
 	}
-	// A schedule with no delivery events is the run the managers made
-	// before Deliver existed, bit for bit: this sum is what these same
-	// tick-only seeds hashed to at the commit before Deliver (7bdc94b, with
-	// a stub Deliver so the file compiled).
-	const parentSum = 0x27ff3296bf66d0ed
-	if got := golden.Sum64(); got != parentSum {
-		t.Fatalf("tick-only runs hash to %#x, the parent's to %#x", got, uint64(parentSum))
+	// Two sums over the tick-only seeds. What every transaction was decided
+	// to be must not move when the messages that decide it change: this is
+	// what these seeds' decisions hashed to at the commit before
+	// decide-and-stop (29f20db).
+	const decisionsSum = 0x2a5b3bdd71d49d41
+	if got := decisions.Sum64(); got != decisionsSum {
+		t.Errorf("tick-only decisions hash to %#x, the parent's to %#x", got, uint64(decisionsSum))
+	}
+	// The full transcript, frames included, is pinned so that any change to
+	// what the managers send shows up here first. Re-pinned for
+	// decide-and-stop: a processor whose last element decides at stage s
+	// sends one DECIDED broadcast where its stage-s+1 report and proposal
+	// rounds (and the DECIDED after them) used to go.
+	const transcriptSum = 0x565d52b1194dcdd7
+	if got := transcript.Sum64(); got != transcriptSum {
+		t.Errorf("tick-only transcripts hash to %#x, pinned %#x", got, uint64(transcriptSum))
 	}
 }
 
