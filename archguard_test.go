@@ -38,15 +38,16 @@ type file struct {
 // tree is a source tree as the rules see it.
 type tree struct {
 	fset  *token.FileSet
-	names []string // every file and directory, sorted
-	files []file   // the Go files among them, in the same order
+	names []string          // every file and directory, sorted
+	files []file            // the Go files among them, in the same order
+	texts map[string]string // the other files a rule reads, by path
 }
 
 // newTree builds a tree from path -> source; a path that does not end in
-// .go contributes its name only.
+// .go contributes its name, and its text if it has any.
 func newTree(t *testing.T, src map[string]string) *tree {
 	t.Helper()
-	tr := &tree{fset: token.NewFileSet()}
+	tr := &tree{fset: token.NewFileSet(), texts: make(map[string]string)}
 	seen := make(map[string]bool)
 	for name := range src {
 		for p := name; p != "." && !seen[p]; p = path.Dir(p) {
@@ -56,18 +57,23 @@ func newTree(t *testing.T, src map[string]string) *tree {
 	}
 	sort.Strings(tr.names)
 	for _, name := range tr.names {
-		if text, ok := src[name]; ok && strings.HasSuffix(name, ".go") {
+		text, ok := src[name]
+		switch {
+		case ok && strings.HasSuffix(name, ".go"):
 			f, err := parser.ParseFile(tr.fset, name, text, parser.SkipObjectResolution)
 			if err != nil {
 				t.Fatalf("parse %s: %v", name, err)
 			}
 			tr.files = append(tr.files, file{name, f})
+		case text != "":
+			tr.texts[name] = text
 		}
 	}
 	return tr
 }
 
-// loadTree reads the tree rooted at dir, skipping dot-directories.
+// loadTree reads the tree rooted at dir, skipping dot-directories: the
+// text of its Go files and of CHANGES.md, the names of the rest.
 func loadTree(t *testing.T, dir string) *tree {
 	t.Helper()
 	src := make(map[string]string)
@@ -84,7 +90,7 @@ func loadTree(t *testing.T, dir string) *tree {
 		}
 		rel = filepath.ToSlash(rel)
 		src[rel] = ""
-		if !d.IsDir() && strings.HasSuffix(rel, ".go") {
+		if !d.IsDir() && (strings.HasSuffix(rel, ".go") || rel == changes) {
 			text, err := os.ReadFile(p)
 			src[rel] = string(text)
 			return err
@@ -224,7 +230,44 @@ type rule struct {
 	caught    string            // the one violation it must yield
 }
 
-const wantRules = 18
+const wantRules = 20
+
+// changes is the change log; its newest entry is bounded in lines and
+// bytes (ROADMAP 11b).
+const (
+	changes         = "CHANGES.md"
+	maxChangesLines = 16
+	maxChangesBytes = 6 << 10
+)
+
+// newestEntry returns the newest CHANGES.md entry — from its "PR N:" line,
+// N the largest, to the line before the next entry — with the 1-based line
+// it starts on; ok is false when the text has no entry.
+func newestEntry(text string) (entry string, line int, ok bool) {
+	lines := strings.SplitAfter(text, "\n")
+	isEntry := func(l string) (int, bool) {
+		num, _, found := strings.Cut(strings.TrimPrefix(l, "PR "), ":")
+		pr, err := strconv.Atoi(num)
+		return pr, strings.HasPrefix(l, "PR ") && found && err == nil
+	}
+	newest, start := -1, -1
+	for i, l := range lines {
+		if pr, is := isEntry(l); is && pr > newest {
+			newest, start = pr, i
+		}
+	}
+	if start < 0 {
+		return "", 0, false
+	}
+	end := start + 1
+	for end < len(lines) {
+		if _, is := isEntry(lines[end]); is {
+			break
+		}
+		end++
+	}
+	return strings.Join(lines[start:end], ""), start + 1, true
+}
 
 var cmdMains = []string{"cmd/chaos", "cmd/commitd", "cmd/commitnode", "cmd/lab", "cmd/loadgen", "cmd/tracedump"}
 
@@ -427,6 +470,28 @@ var rules = []rule{
 		caught: "internal/transport/faults.go:2: names WithFaults",
 	},
 
+	// One log of changes, kept short.
+	{
+		name: "the newest CHANGES.md entry is short",
+		why: "ROADMAP 11b: a change log entry says what changed and cites runs; it does not inline them. The newest " +
+			"entry, from its \"PR N:\" line to the next entry, has at most 16 lines and 6 KB.",
+		check: func(tr *tree) []string {
+			entry, line, ok := newestEntry(tr.texts[changes])
+			if !ok {
+				return []string{changes + ": no \"PR N:\" entry"}
+			}
+			if lines := strings.Count(entry, "\n"); lines > maxChangesLines || len(entry) > maxChangesBytes {
+				return []string{fmt.Sprintf("%s:%d: the newest entry has %d lines and %d bytes, want at most %d and %d",
+					changes, line, lines, len(entry), maxChangesLines, maxChangesBytes)}
+			}
+			return nil
+		},
+		planted: map[string]string{
+			changes: "PR 2: short\nPR 3: long\n" + strings.Repeat("  run\n", 16) + "PR 1: an older entry\n" + strings.Repeat("  run\n", 40),
+		},
+		caught: "CHANGES.md:2: the newest entry has 17 lines and 107 bytes, want at most 16 and 6144",
+	},
+
 	// One lab.
 	{
 		name: "cmd/ holds six mains",
@@ -459,18 +524,40 @@ var rules = []rule{
 		caught: "cmd/arena: not one of the six mains",
 	},
 	{
-		name: "a Protocol 2 processor is built in node.go or by core.NewSet",
-		why: "A Protocol 2 machine set is built by core.NewSet (node.go builds its one processor), so ten " +
-			"hand-written machine loops stay one; outside tests core.New is used only in node.go.",
+		name: "the scalar Protocol 2 machine is built by the simulation tools alone",
+		why: "Every live path hosts txn.Manager; the scalar core.Commit is the paper-faithful oracle the simulator, " +
+			"explorer, lab and differential tests run. Outside tests only those tools build it, with core.New or core.NewSet.",
 		check: func(tr *tree) []string {
-			return tr.users("repro/internal/core", "New", tr.in(nonTest, outside("node.go")))
+			files := tr.in(nonTest, outside("internal/sim", "internal/explore", "internal/harness",
+				"internal/protocol", "internal/lowerbound", "cmd/lab", "simulate.go"))
+			return append(tr.users("repro/internal/core", "New", files), tr.users("repro/internal/core", "NewSet", files)...)
 		},
 		planted: map[string]string{
-			"node.go":         "package tcommit\nimport \"repro/internal/core\"\nvar _, _ = core.New(core.Config{}, 0, 1)",
-			"cmd/lab/sim.go":  "package main\nimport \"repro/internal/core\"\nvar _, _ = core.New(core.Config{}, 0, 1)",
-			"cmd/lab/main.go": "package main\nimport \"repro/internal/core\"\nvar _ = core.NewSet",
+			"node.go":                    "package tcommit\nimport \"repro/internal/core\"\nvar _, _ = core.New(core.Config{})",
+			"simulate.go":                "package tcommit\nimport \"repro/internal/core\"\nvar _ = core.NewSet",
+			"cmd/lab/sim.go":             "package main\nimport \"repro/internal/core\"\nvar _, _ = core.New(core.Config{})",
+			"internal/protocol/names.go": "package protocol\nimport \"repro/internal/core\"\nvar _ = core.NewSet",
+			"node_test.go":               "package tcommit\nimport \"repro/internal/core\"\nvar _, _ = core.New(core.Config{})",
 		},
-		caught: "cmd/lab/sim.go:3: uses core.New",
+		caught: "node.go:3: uses core.New",
+	},
+	{
+		name: "internal/transport imports no baseline protocol package",
+		why: "The wire carries what live nodes send: the batched Protocol 2 frames and the recovery query and reply. " +
+			"2PC, 3PC and Paxos Commit run in the simulator only, so their payloads have no encoding (their tags stay reserved).",
+		check: func(tr *tree) []string {
+			var out []string
+			for _, pkg := range []string{"twopc", "threepc", "paxoscommit"} {
+				out = append(out, tr.importers("repro/internal/"+pkg, tr.in(within("internal/transport")))...)
+			}
+			return out
+		},
+		planted: map[string]string{
+			"internal/transport/wire.go":  "package transport\nimport \"repro/internal/paxoscommit\"\nvar _ paxoscommit.OutcomeMsg",
+			"internal/protocol/arena.go":  "package protocol\nimport \"repro/internal/twopc\"\nvar _ twopc.VoteMsg",
+			"internal/transport/codec.go": "package transport\n// repro/internal/threepc in a comment is not an import",
+		},
+		caught: "internal/transport/wire.go:1: imports repro/internal/paxoscommit",
 	},
 	{
 		name: "a baseline protocol is built by the name table",

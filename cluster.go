@@ -4,17 +4,19 @@ import (
 	"context"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/recovery"
 	"repro/internal/runtime"
 	"repro/internal/transport"
+	"repro/internal/txn"
 	"repro/internal/types"
 )
 
 // Cluster is a live in-memory deployment of the protocol: one goroutine
-// per processor connected through a lossy, delayable hub.
+// per processor, each running a transaction manager (the machine the
+// commit service runs), connected through a lossy, delayable hub.
 type Cluster struct {
-	inner *runtime.Cluster
-	n     int
+	inner    *runtime.Cluster
+	managers []*txn.Manager
 }
 
 // ClusterOption customizes a live cluster.
@@ -42,11 +44,10 @@ func (s *clusterSettings) hubOptions() transport.HubOptions {
 	}}
 }
 
-// WithTick sets the clock period (default 2ms). The protocol's timing
-// constant K is measured in ticks, so K*tick is the on-time bound in wall
-// time. A single-transaction machine takes one step per tick; the
-// transaction managers of RunTransactions also act on messages as they
-// arrive, between ticks.
+// WithTick sets the period of the timeout clock (default 2ms). The
+// protocol's timing constant K is measured in ticks, so K*tick is the
+// on-time bound in wall time; it bounds how late a message may be, not how
+// soon one is acted on — every processor acts on a message as it arrives.
 func WithTick(d time.Duration) ClusterOption {
 	return func(s *clusterSettings) { s.tickEvery = d }
 }
@@ -66,25 +67,47 @@ func WithNetworkLoss(f func(from, to ProcID) bool) ClusterOption {
 	return func(s *clusterSettings) { s.loss = f }
 }
 
-// NewCluster builds a live in-memory cluster with the given votes.
+// NewCluster builds a live in-memory cluster that commits one transaction,
+// begun by processor 0, with the given votes.
 func NewCluster(cfg Config, votes []bool, opts ...ClusterOption) (*Cluster, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	vals, err := votesToValues(cfg.N, votes)
+	if _, err := votesToValues(cfg.N, votes); err != nil {
+		return nil, err
+	}
+	c, err := newCluster(cfg, func(p ProcID, _ txn.ID) bool { return votes[p] }, opts)
 	if err != nil {
 		return nil, err
 	}
+	if err := c.managers[0].Begin(recovery.SoleTxn, votes[0]); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// newCluster is the one constructor behind NewCluster and RunTransactions:
+// a transaction manager per processor, processor p voting vote(p, id) on
+// each transaction it joins, over a fresh hub. Nothing is begun yet.
+func newCluster(cfg Config, vote func(p ProcID, id txn.ID) bool, opts []ClusterOption) (*Cluster, error) {
 	var settings clusterSettings
 	for _, o := range opts {
 		o(&settings)
 	}
-	set, err := core.NewSet(cfg.machineTemplate(), vals)
-	if err != nil {
-		return nil, err
+	c := &Cluster{managers: make([]*txn.Manager, cfg.N)}
+	for i := range c.managers {
+		p := ProcID(i)
+		mgr, err := txn.NewManager(txn.Config{
+			ID: p, N: cfg.N, T: cfg.T, K: cfg.K, CoinFactor: cfg.CoinFactor,
+			Vote: func(id txn.ID) bool { return vote(p, id) },
+		})
+		if err != nil {
+			return nil, err
+		}
+		c.managers[i] = mgr
 	}
-	inner, err := runtime.NewLocalCluster(types.Machines(set), runtime.ClusterOptions{
+	inner, err := runtime.NewLocalCluster(types.Machines(c.managers), runtime.ClusterOptions{
 		TickEvery: settings.tickEvery,
 		MaxTicks:  settings.maxTicks,
 		Seed:      cfg.Seed,
@@ -93,7 +116,18 @@ func NewCluster(cfg Config, votes []bool, opts ...ClusterOption) (*Cluster, erro
 	if err != nil {
 		return nil, err
 	}
-	return &Cluster{inner: inner, n: cfg.N}, nil
+	c.inner = inner
+	return c, nil
+}
+
+// decisions reads transaction id's decision at every processor (None
+// where it has none).
+func (c *Cluster) decisions(id txn.ID) []Decision {
+	out := make([]Decision, len(c.managers))
+	for p, m := range c.managers {
+		out[p], _ = m.DecisionOf(id)
+	}
+	return out
 }
 
 // CrashAfter schedules processor p to crash (stop and disconnect) after d.
@@ -129,9 +163,8 @@ func (o *ClusterOutcome) Unanimous() (Decision, bool) {
 // Run executes the cluster until every node decides and quiesces (or the
 // context ends / tick budgets expire).
 func (c *Cluster) Run(ctx context.Context) (*ClusterOutcome, error) {
-	res, err := c.inner.Run(ctx)
-	if err != nil {
+	if err := c.inner.Run(ctx); err != nil {
 		return nil, err
 	}
-	return &ClusterOutcome{Decisions: res.Decisions()}, nil
+	return &ClusterOutcome{Decisions: c.decisions(recovery.SoleTxn)}, nil
 }

@@ -39,7 +39,7 @@ func run(args []string) error {
 		peersStr = fs.String("peers", "", "peer directory id=addr[,id=addr...]")
 		vote     = fs.Bool("vote", true, "vote commit (false: abort)")
 		seed     = fs.Uint64("seed", 0, "randomness seed (0: derived from time)")
-		tick     = fs.Duration("tick", 5*time.Millisecond, "step period")
+		tick     = fs.Duration("tick", 5*time.Millisecond, "period of the timeout clock")
 		timeout  = fs.Duration("timeout", 30*time.Second, "overall deadline")
 	)
 	if err := fs.Parse(args); err != nil {

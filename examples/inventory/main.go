@@ -4,7 +4,7 @@
 //
 // Five warehouse services, each a TCP node on localhost, atomically
 // reserve the items of a multi-warehouse order using the PODC '86 commit
-// protocol. The network is real (stdlib TCP with gob framing); one
+// protocol. The network is real (stdlib TCP, binary framing); one
 // warehouse is killed mid-protocol to show the fault tolerance: with
 // t = 2 of 5 processors allowed to crash, the survivors still decide.
 package main

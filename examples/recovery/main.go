@@ -1,15 +1,18 @@
-// Recovery: crash a journaled node mid-protocol, restart it, and watch it
-// recover the cluster's decision from its peers.
+// Recovery: crash a journaled node, restart it, and watch it recover the
+// cluster's decision from its peers.
 //
 //	go run ./examples/recovery
 //
 // The paper's graceful-degradation pitch — "by not producing a wrong
 // answer, we leave open the opportunity to recover" — as an operational
-// flow: every node write-ahead-logs its protocol transitions; one node is
-// killed mid-protocol (within the crash tolerance, so the survivors still
-// decide and keep serving the outcome); the node then restarts with the
-// same journal, detects its unfinished participation, switches into
-// recovery mode, and polls the survivors until it learns the decision.
+// flow: every node journals its decision before acting on it; one node is
+// killed before it takes a single step (within the crash tolerance, so the
+// survivors still decide and keep serving the outcome); the node then
+// restarts with the same journal, finds it present but without a decision,
+// switches into recovery mode, and polls the survivors until it learns the
+// decision. The victim's vote never left it, so the survivors time out
+// waiting for it and the decision is ABORT: a crashed participant is
+// indistinguishable from one that voted no.
 package main
 
 import (
@@ -48,7 +51,7 @@ func main() {
 			Vote:              true,
 			TickEvery:         4 * time.Millisecond,
 			MaxTicks:          5000,
-			ServeOutcomeTicks: 2000, // ~8s serve window
+			ServeOutcomeTicks: 250, // ~1s serve window
 			JournalPath:       journal(tcommit.ProcID(i)),
 		})
 		if err != nil {
@@ -57,42 +60,17 @@ func main() {
 		nodes[i] = node
 		peers[tcommit.ProcID(i)] = node.Addr()
 	}
-	for _, node := range nodes {
-		node.SetPeers(peers)
-	}
 
-	ctx := context.Background()
-	type outcome struct {
-		p tcommit.ProcID
-		d tcommit.Decision
-	}
-	results := make(chan outcome, n)
-	for i, node := range nodes {
-		go func(p tcommit.ProcID, node *tcommit.Node) {
-			d, err := node.Run(ctx)
-			if err != nil {
-				log.Printf("node %d: %v", p, err)
-			}
-			results <- outcome{p, d}
-		}(tcommit.ProcID(i), node)
-	}
+	// Kill the victim before its first step: its journal exists, its vote
+	// never leaves it.
+	fmt.Printf("*** killing processor %d before it takes a step ***\n", victim)
+	nodes[victim].Kill()
 
-	// Kill the victim mid-protocol: its journal holds the vote (and
-	// probably the coins) but no decision.
-	time.AfterFunc(15*time.Millisecond, func() {
-		fmt.Printf("*** killing processor %d mid-protocol ***\n", victim)
-		nodes[victim].Kill()
-	})
-
-	// Give the survivors time to decide (they then linger, serving).
-	time.Sleep(500 * time.Millisecond)
-
-	// Phase 2: restart the victim from its journal. StartNode sees the
-	// unfinished participation and enters recovery mode.
+	// Phase 2: restart the victim from its journal. StartNode finds the
+	// journal without a decision and enters recovery mode.
 	restarted, err := tcommit.StartNode(cfg, tcommit.NodeSpec{
 		ID:          victim,
 		Listen:      "127.0.0.1:0",
-		Peers:       peers,
 		TickEvery:   4 * time.Millisecond,
 		MaxTicks:    2000,
 		JournalPath: journal(victim),
@@ -101,11 +79,24 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("processor %d restarted in %q mode at %s\n", victim, restarted.Mode(), restarted.Addr())
+	peers[victim] = restarted.Addr()
+	restarted.SetPeers(peers)
 
-	// Tell the survivors where the reincarnated victim lives so their
-	// outcome replies reach the new process.
+	ctx := context.Background()
+	type outcome struct {
+		p tcommit.ProcID
+		d tcommit.Decision
+	}
+	results := make(chan outcome, n-1)
 	for i := 0; i < n-1; i++ {
-		nodes[i].SetPeers(map[tcommit.ProcID]string{victim: restarted.Addr()})
+		nodes[i].SetPeers(peers)
+		go func(p tcommit.ProcID, node *tcommit.Node) {
+			d, err := node.Run(ctx)
+			if err != nil {
+				log.Printf("node %d: %v", p, err)
+			}
+			results <- outcome{p, d}
+		}(tcommit.ProcID(i), nodes[i])
 	}
 
 	recovered, err := restarted.Run(ctx)
@@ -114,27 +105,21 @@ func main() {
 	}
 	fmt.Printf("processor %d recovered the outcome from its peers: %s\n", victim, recovered)
 
-	// Wind the survivors down and collect their decisions.
+	// The survivors stop on their own once their serve window closes.
+	decisions := make([]tcommit.Decision, n)
+	decisions[victim] = recovered
 	for i := 0; i < n-1; i++ {
-		nodes[i].Kill()
+		r := <-results
+		decisions[r.p] = r.d
 	}
 	fmt.Println("\nfinal decisions:")
-	seen := 0
-	for seen < n {
-		r := <-results
-		seen++
-		d := r.d
-		if r.p == victim {
-			d = recovered // the restart superseded the killed process
-		}
-		fmt.Printf("  processor %d: %s\n", r.p, d)
+	for p, d := range decisions {
+		fmt.Printf("  processor %d: %s\n", p, d)
 	}
 
-	// Bonus: a second restart of the victim now short-circuits entirely —
-	// wait: the victim's journal has no decision record (the recovery
-	// client does not journal). Restarting a *survivor* from its journal
-	// returns the decision with no network at all.
-	offline, err := tcommit.StartNode(cfg, tcommit.NodeSpec{ID: 0, JournalPath: journal(0)})
+	// A second restart of the victim short-circuits: the recovered
+	// decision was journaled, so it comes back with no network at all.
+	offline, err := tcommit.StartNode(cfg, tcommit.NodeSpec{ID: victim, JournalPath: journal(victim)})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -142,5 +127,5 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nsurvivor 0 restarted offline in %q mode: journaled decision %s\n", offline.Mode(), d)
+	fmt.Printf("\nprocessor %d restarted offline in %q mode: journaled decision %s\n", victim, offline.Mode(), d)
 }

@@ -13,7 +13,7 @@ import (
 	"repro/internal/types"
 )
 
-// stopWatch runs a gadget VectorMachine in the simulator and checks, step
+// stopWatch runs a VectorMachine in the simulator and checks, step
 // by step, what decide-and-stop promises: the machine halts in the very
 // step its last element decides, sends one DECIDED broadcast, and sends
 // no frame of a later stage than the one it decided in.
@@ -71,7 +71,7 @@ func (w *stopWatch) Step(received []types.Message, rnd types.Rand) []types.Messa
 	return out
 }
 
-// TestDecideAndStopContentOblivious: a gadget vector machine stops the
+// TestDecideAndStopContentOblivious: a vector machine stops the
 // moment its last element decides, and its DECIDED broadcast replaces the
 // stage-s+1 rounds — under round-robin, random-asynchronous and crashing
 // schedules, none of which reads a payload. Theorem 11's agreement and
@@ -110,7 +110,7 @@ func TestDecideAndStopContentOblivious(t *testing.T) {
 					for p := range machines {
 						m, err := agreement.NewVector(agreement.VectorConfig{
 							ID: types.ProcID(p), N: n, T: faults,
-							Initial: initials[p], Coins: coins, Gadget: true,
+							Initial: initials[p], Coins: coins,
 						})
 						if err != nil {
 							t.Fatal(err)
@@ -198,7 +198,7 @@ func TestDecideAndStopContentOblivious(t *testing.T) {
 	machines := make([]types.Machine, n)
 	for p := range machines {
 		m, err := core.NewBatch(core.BatchConfig{
-			ID: types.ProcID(p), N: n, T: 1, K: k, Votes: []types.Value{types.V1}, Gadget: true,
+			ID: types.ProcID(p), N: n, T: 1, K: k, Votes: []types.Value{types.V1},
 		})
 		if err != nil {
 			t.Fatal(err)

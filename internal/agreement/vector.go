@@ -14,12 +14,12 @@ package agreement
 // for that stage. Theorem 11's agreement and validity therefore hold
 // for every element independently. Termination is per element too: an
 // element may decide at a different stage than its neighbors, so the
-// machine tracks decision and return readiness element-wise. In the
-// strict-paper mode it halts only when every element has returned. With
-// the gadget it halts as soon as every element has decided, and its one
-// DECIDED vector takes the place of the stage-s+1 rounds it would have sent
-// (decide-and-stop, DESIGN §2); a received DECIDED vector halts it too —
-// the scalar machine's gadget, generalized to vectors.
+// machine tracks decisions element-wise. It halts as soon as every element
+// has decided, and its one DECIDED vector takes the place of the stage-s+1
+// rounds it would have sent (decide-and-stop, DESIGN §2); a received
+// DECIDED vector halts it too — the scalar machine's termination gadget,
+// generalized to vectors. The gadget is always on: the strict-paper mode
+// lives in the scalar Machine alone.
 
 import (
 	"fmt"
@@ -87,8 +87,6 @@ type VectorConfig struct {
 	// width for the whole run. All processors must agree on the width.
 	Initial []types.Value
 	Coins   CoinSource
-	// Gadget enables the DECIDED termination broadcast.
-	Gadget bool
 	// Unsafe permits N <= 2T (see Config.Unsafe).
 	Unsafe bool
 }
@@ -142,10 +140,7 @@ type VectorMachine struct {
 	decided      []bool
 	decision     []types.Value
 	decidedCount int
-	retReady     []bool // element returned: decision condition recurred
-	retCount     int
 	halted       bool
-	sentDecided  bool
 
 	// Bulletin board, stage -> sender -> vector.
 	reports   map[int]map[types.ProcID][]types.Value
@@ -173,7 +168,6 @@ func NewVector(cfg VectorConfig) (*VectorMachine, error) {
 		ph:        phaseReports,
 		decided:   make([]bool, b),
 		decision:  make([]types.Value, b),
-		retReady:  make([]bool, b),
 		reports:   make(map[int]map[types.ProcID][]types.Value),
 		proposals: make(map[int]map[types.ProcID]vecProposal),
 	}, nil
@@ -189,7 +183,7 @@ func (m *VectorMachine) Clock() int { return m.clock }
 func (m *VectorMachine) Width() int { return m.b }
 
 // Halted reports whether the machine has returned: every element has
-// returned or, with the gadget, decided.
+// decided.
 func (m *VectorMachine) Halted() bool { return m.halted }
 
 // Stage returns the stage currently executing.
@@ -265,7 +259,7 @@ func (m *VectorMachine) post(received []types.Message) {
 			if len(p.Vals) != m.b {
 				continue
 			}
-			if m.cfg.Gadget && m.adoptDecided == nil {
+			if m.adoptDecided == nil {
 				m.adoptDecided = p.Vals
 			}
 		}
@@ -328,10 +322,9 @@ func (m *VectorMachine) tryFinishReports(out []types.Message) ([]types.Message, 
 
 // tryFinishProposals applies instructions 6–14 element-wise once n−t
 // vector proposals arrived: per element, adopt an S-value or the shared
-// stage coin, and decide (or mark returnable) on n−t matching
-// S-messages. The machine halts when every element has become
-// returnable — with the gadget, as soon as every element has decided —
-// and until then it advances to the next stage.
+// stage coin, and decide on n−t matching S-messages. The machine halts as
+// soon as every element has decided, and until then it advances to the
+// next stage.
 func (m *VectorMachine) tryFinishProposals(out []types.Message, rnd types.Rand) ([]types.Message, bool) {
 	mm := m.proposals[m.stage]
 	if len(mm) < m.cfg.N-m.cfg.T {
@@ -379,28 +372,20 @@ func (m *VectorMachine) tryFinishProposals(out []types.Message, rnd types.Rand) 
 			m.x[i] = sVal
 		}
 
-		// Instructions 11–14: decide, or mark returnable on recurrence.
+		// Instructions 11–14 under decide-and-stop: decide. A decided
+		// element's condition recurring is only checked against its
+		// decision; nobody waits for it to return.
 		if sawVal && counts[sVal] >= m.cfg.N-m.cfg.T {
-			if m.decided[i] {
-				if !m.retReady[i] {
-					if m.decision[i] != sVal {
-						m.violation = fmt.Errorf("agreement: return value %v conflicts with decision %v at element %d", sVal, m.decision[i], i)
-					}
-					m.retReady[i] = true
-					m.retCount++
-				}
-			} else {
-				m.decideAt(i, sVal)
-			}
+			m.decideAt(i, sVal)
 		}
 	}
 	m.stagesCompleted++
 
-	if m.retCount == m.b || (m.cfg.Gadget && m.decidedCount == m.b) {
-		// Every element has returned, or with the gadget decided: the whole
-		// machine returns. Decide-and-stop: the DECIDED broadcast goes out
-		// where the (1, s+1, x) broadcast would have, on the same n−t
-		// S-message evidence the decisions rest on.
+	if m.decidedCount == m.b {
+		// Every element has decided: the whole machine returns.
+		// Decide-and-stop: the DECIDED broadcast goes out where the
+		// (1, s+1, x) broadcast would have, on the same n−t S-message
+		// evidence the decisions rest on.
 		return m.ret(out), true
 	}
 
@@ -424,15 +409,11 @@ func (m *VectorMachine) decideAt(i int, v types.Value) {
 	m.decidedCount++
 }
 
-// ret halts the machine and, with the gadget enabled, broadcasts the
-// decided vector once.
+// ret halts the machine and broadcasts the decided vector — once, since
+// a halted machine takes no further step.
 func (m *VectorMachine) ret(out []types.Message) []types.Message {
 	m.halted = true
-	if m.cfg.Gadget && !m.sentDecided {
-		m.sentDecided = true
-		return m.broadcast(out, VecDecidedMsg{Vals: append([]types.Value(nil), m.decision...)})
-	}
-	return out
+	return m.broadcast(out, VecDecidedMsg{Vals: append([]types.Value(nil), m.decision...)})
 }
 
 // snapshotX copies the local vector for a broadcast (the live x keeps

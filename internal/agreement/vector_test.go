@@ -11,7 +11,7 @@ import (
 // stepVector drives n vector machines synchronously (full delivery each
 // tick, crashed senders silent) until all live machines halt. It returns
 // the machines for inspection.
-func stepVector(t *testing.T, initials [][]types.Value, coins []types.Value, crashed map[int]bool, gadget bool) []*agreement.VectorMachine {
+func stepVector(t *testing.T, initials [][]types.Value, coins []types.Value, crashed map[int]bool) []*agreement.VectorMachine {
 	t.Helper()
 	n := len(initials)
 	faults := (n - 1) / 2
@@ -21,7 +21,6 @@ func stepVector(t *testing.T, initials [][]types.Value, coins []types.Value, cra
 			ID: types.ProcID(i), N: n, T: faults,
 			Initial: initials[i],
 			Coins:   agreement.ListCoin{Coins: coins},
-			Gadget:  gadget,
 		})
 		if err != nil {
 			t.Fatalf("machine %d: %v", i, err)
@@ -84,7 +83,7 @@ func TestVectorMatchesScalarProjection(t *testing.T) {
 			}
 		}
 	}
-	ms := stepVector(t, initials, coins, nil, true)
+	ms := stepVector(t, initials, coins, nil)
 
 	for e := 0; e < b; e++ {
 		// Scalar reference run for element e: same coins, same synchronous
@@ -174,7 +173,7 @@ func TestVectorValidityAndAgreementUnderCrashes(t *testing.T) {
 			}
 		}
 	}
-	ms := stepVector(t, initials, coins, crashed, true)
+	ms := stepVector(t, initials, coins, crashed)
 	for e := 0; e < b; e++ {
 		var want types.Value
 		first := true
@@ -211,7 +210,6 @@ func TestVectorIgnoresMismatchedWidths(t *testing.T) {
 		ID: 0, N: 3, T: 1,
 		Initial: []types.Value{types.V1, types.V1},
 		Coins:   agreement.ListCoin{Coins: []types.Value{1, 1, 1}},
-		Gadget:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +237,6 @@ func TestVectorGadgetAdoption(t *testing.T) {
 		ID: 0, N: 3, T: 1,
 		Initial: []types.Value{types.V0, types.V1, types.V0},
 		Coins:   agreement.ListCoin{Coins: []types.Value{1, 1, 1}},
-		Gadget:  true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/obs/watch"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/runtime"
 	"repro/internal/transport"
+	"repro/internal/txn"
 	"repro/internal/types"
 	"repro/internal/wal"
 )
@@ -34,11 +34,10 @@ type RunOptions struct {
 	// Registry and Tracer receive run telemetry; nil creates fresh ones.
 	Registry *obs.Registry
 	Tracer   *obs.Tracer
-	// Spans, if non-nil, collects causal spans from the run: service
-	// stages, manager rounds, and hub link delays (service mode), or
-	// link delays only (cluster mode, whose machines are raw core
-	// protocol instances, not managers). Nil disables span collection —
-	// audit reproducibility never depends on it.
+	// Spans, if non-nil, collects causal spans from the run: manager
+	// rounds and hub link delays, plus the service stages in service
+	// mode. Nil disables span collection — audit reproducibility never
+	// depends on it.
 	Spans *span.Collector
 	// Watch attaches a live watchdog to service-mode runs (RunService,
 	// RunShardedService): it is ticked while the workload executes plus
@@ -75,14 +74,13 @@ func (o *RunOptions) defaults(p *Plan) {
 // clusterHarness is the mutable state the orchestration goroutines share.
 type clusterHarness struct {
 	mu          sync.Mutex
-	stopped     bool
 	decided     []bool
 	crashFired  []bool
 	recovered   map[int]types.Value
 	recoveredOK map[int]bool
 }
 
-func (h *clusterHarness) onDecision(p types.ProcID, _ types.Value) {
+func (h *clusterHarness) onDecision(p types.ProcID) {
 	h.mu.Lock()
 	h.decided[p] = true
 	h.mu.Unlock()
@@ -135,32 +133,22 @@ func (h *clusterHarness) complete(p *Plan) bool {
 	return true
 }
 
-// RunCluster executes one single-instance commit run under the plan's
+// RunCluster executes one single-transaction commit run under the plan's
 // adversary and audits it.
 //
-// Every processor runs the paper's Protocol 2 wrapped in a write-ahead
-// log and an outcome-query responder. The plan's crash schedule fires as
-// live fail-stops; restart events replay the victim's WAL and, absent a
-// journaled decision, run the recovery client against the survivors. The
-// run ends when every processor has decided, crashed, or recovered — or
-// when the tick budget expires, which the auditor reports as a
-// termination violation.
+// Every processor runs what a commitnode process runs: a transaction
+// manager, processor 0 beginning the one transaction, whose decision is
+// journaled with AppendSync to a decision log on the processor's own MemFS.
+// The plan's crash schedule fires as live fail-stops, and a crash kills the
+// victim's log with it. A restart reopens the log: a journaled decision is
+// the victim's answer, and otherwise it runs the recovery client against
+// the survivors, which keep stepping (and answering its queries) until the
+// harness stops them. The run ends when every processor has decided,
+// crashed, or recovered — or when the tick budget expires, which the
+// auditor reports as a termination violation.
 func RunCluster(p *Plan, o RunOptions) (*Report, *ClusterRunData, error) {
 	o.defaults(p)
 	n := p.Cfg.N
-
-	// Each node goroutine appends to its own journal; the harness reads one
-	// only after that node's goroutine has stopped.
-	journals := make([]wal.Records, n)
-	set, err := core.NewSet(core.Config{N: n, T: p.Cfg.T, K: o.K, Gadget: true}, types.Values(p.Votes))
-	if err != nil {
-		return nil, nil, fmt.Errorf("chaos: build machines: %w", err)
-	}
-	machines := make([]types.Machine, n)
-	for i, cm := range set {
-		machines[i] = &recovery.Responder{Inner: wal.NewLoggedCommit(cm, &journals[i])}
-	}
-
 	h := &clusterHarness{
 		decided:     make([]bool, n),
 		crashFired:  make([]bool, n),
@@ -168,13 +156,43 @@ func RunCluster(p *Plan, o RunOptions) (*Report, *ClusterRunData, error) {
 		recoveredOK: map[int]bool{},
 	}
 
+	fss := make([]*wal.MemFS, n)
+	logs := make([]*wal.DecisionLog, n)
+	managers := make([]*txn.Manager, n)
+	for i := range managers {
+		fss[i] = wal.NewMemFS()
+		dl, err := wal.OpenDecisionLog(wal.SegmentedOptions{FS: fss[i]})
+		if err != nil {
+			return nil, nil, fmt.Errorf("chaos: open decision log: %w", err)
+		}
+		defer dl.Close() //nolint:errcheck // for an early return: the run kills every log before reading it back
+		logs[i] = dl
+		id, vote := types.ProcID(i), p.Votes[i]
+		managers[i], err = txn.NewManager(txn.Config{
+			ID: id, N: n, T: p.Cfg.T, K: o.K,
+			Vote: func(txn.ID) bool { return vote },
+			OnOutcome: func(out txn.Outcome) {
+				dl.AppendSync(recovery.SoleTxn, out.Decision) //nolint:errcheck // fails only once a crash killed the log
+				h.onDecision(id)
+			},
+			Tracer: o.Tracer,
+			Spans:  o.Spans,
+		})
+		if err != nil {
+			return nil, nil, fmt.Errorf("chaos: build managers: %w", err)
+		}
+	}
+	if err := managers[0].Begin(recovery.SoleTxn, p.Votes[0]); err != nil {
+		return nil, nil, fmt.Errorf("chaos: begin: %w", err)
+	}
+
 	inj := NewInjector(p, o.TickEvery)
-	cl, err := runtime.NewLocalCluster(machines, runtime.ClusterOptions{
+	cl, err := runtime.NewLocalCluster(types.Machines(managers), runtime.ClusterOptions{
 		TickEvery:  o.TickEvery,
 		MaxTicks:   o.BudgetTicks,
 		Seed:       p.Cfg.Seed ^ 0xa5a5a5a5deadbeef,
 		Hub:        transport.HubOptions{Inject: inj.Decide, Spans: o.Spans},
-		OnDecision: h.onDecision,
+		Persistent: true,
 		Registry:   o.Registry,
 		Tracer:     o.Tracer,
 	})
@@ -188,30 +206,16 @@ func RunCluster(p *Plan, o RunOptions) (*Report, *ClusterRunData, error) {
 
 	inj.Arm()
 	cl.Start(ctx)
+	disarm := armCrashes(p, o.TickEvery, func(node types.ProcID) {
+		h.mu.Lock()
+		h.crashFired[node] = true
+		h.mu.Unlock()
+		// The log dies first, so it is dead by the time a restart sees the
+		// node's goroutine stopped and reopens it.
+		logs[node].Kill()
+		cl.Crash(node)
+	})
 
-	// Crash schedule: tracked timers so the harness knows which crashes
-	// actually fired before the run resolved (a processor may decide
-	// before its scheduled crash tick).
-	var crashTimers []*time.Timer
-	for _, ev := range p.Crashes {
-		ev := ev
-		crashTimers = append(crashTimers, time.AfterFunc(
-			time.Duration(ev.Tick)*o.TickEvery, func() {
-				h.mu.Lock()
-				if h.stopped {
-					h.mu.Unlock()
-					return
-				}
-				h.crashFired[ev.Node] = true
-				h.mu.Unlock()
-				cl.Crash(types.ProcID(ev.Node))
-			}))
-	}
-
-	// Restart schedule: after the restart tick, join the victim's stopped
-	// goroutine (its WAL is then stable), replay the log, reconnect the
-	// hub, and either short-circuit on a journaled decision or run the
-	// recovery client over the victim's endpoint.
 	var restarts sync.WaitGroup
 	for _, ev := range p.Crashes {
 		if ev.RestartTick < 0 {
@@ -221,58 +225,9 @@ func RunCluster(p *Plan, o RunOptions) (*Report, *ClusterRunData, error) {
 		restarts.Add(1)
 		go func() {
 			defer restarts.Done()
-			pid := types.ProcID(ev.Node)
-			timer := time.NewTimer(time.Duration(ev.RestartTick) * o.TickEvery)
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-				timer.Stop()
-				h.setRecovered(ev.Node, 0, false)
-				return
-			}
-			select {
-			case <-cl.Node(pid).Done():
-			case <-ctx.Done():
-				h.setRecovered(ev.Node, 0, false)
-				return
-			}
-			st := wal.Reconstruct(journals[ev.Node])
-			cl.Restart(pid)
-			if st.Decided {
-				h.setRecovered(ev.Node, st.Decision, true)
-				return
-			}
-			client, err := recovery.NewClient(recovery.ClientConfig{
-				ID: pid, N: n, QueryEvery: 4, Resume: st,
-			})
-			if err != nil {
-				h.setRecovered(ev.Node, 0, false)
-				return
-			}
-			node, err := runtime.NewNode(runtime.NodeConfig{
-				Machine:   client,
-				Transport: cl.Hub().Endpoint(pid),
-				Rand:      rng.NewStream(p.Cfg.Seed ^ 0x5bd1e995*(uint64(ev.Node)+1)),
-				TickEvery: o.TickEvery,
-				MaxTicks:  o.BudgetTicks,
-				Registry:  o.Registry,
-			})
-			if err != nil {
-				h.setRecovered(ev.Node, 0, false)
-				return
-			}
-			node.Start(ctx)
-			select {
-			case <-node.Done():
-			case <-ctx.Done():
-				node.Stop()
-				<-node.Done()
-			}
-			if v, ok := client.Decision(); ok {
-				h.setRecovered(ev.Node, v, true)
-			} else {
-				h.setRecovered(ev.Node, 0, false)
-			}
+			v, ok := restartNode(ctx, cl, types.ProcID(ev.Node), fss[ev.Node],
+				time.Duration(ev.RestartTick)*o.TickEvery, p, o)
+			h.setRecovered(ev.Node, v, ok)
 		}()
 	}
 
@@ -301,12 +256,7 @@ func RunCluster(p *Plan, o RunOptions) (*Report, *ClusterRunData, error) {
 	}
 	poll.Stop()
 
-	h.mu.Lock()
-	h.stopped = true
-	h.mu.Unlock()
-	for _, t := range crashTimers {
-		t.Stop()
-	}
+	disarm()
 	cl.Stop()
 	runErr := cl.Wait()
 	cancel()
@@ -315,11 +265,12 @@ func RunCluster(p *Plan, o RunOptions) (*Report, *ClusterRunData, error) {
 		runErr = nil // the harness's own lifecycle, not a node failure
 	}
 
-	// Snapshot the run for the auditor.
-	res := cl.Result()
+	// Snapshot the run for the auditor: every original manager's decision
+	// (a crashed one keeps what it decided before dying), and every
+	// journal as a restart would replay it.
 	data := &ClusterRunData{
-		Decided:     res.Decided,
-		Values:      res.Values,
+		Decided:     make([]bool, n),
+		Values:      make([]types.Value, n),
 		Crashed:     h.crashFired,
 		Recovered:   h.recovered,
 		RecoveredOK: h.recoveredOK,
@@ -329,9 +280,81 @@ func RunCluster(p *Plan, o RunOptions) (*Report, *ClusterRunData, error) {
 		TimedOut:    timedOut,
 		Vacuous:     vacuous,
 	}
-	for i := 0; i < n; i++ {
-		st := wal.Reconstruct(journals[i])
-		data.WALDecided[i], data.WALValue[i] = st.Decided, st.Decision
+	for i, m := range managers {
+		d, ok := m.DecisionOf(recovery.SoleTxn)
+		data.Decided[i], data.Values[i] = ok, d.Value()
+		logs[i].Kill()
+		if d, ok := journaled(fss[i]); ok {
+			data.WALDecided[i], data.WALValue[i] = true, d.Value()
+		}
 	}
 	return AuditCluster(p, data), data, runErr
+}
+
+// journaled replays the decision log on fs and reports the one
+// transaction's journaled decision.
+func journaled(fs *wal.MemFS) (types.Decision, bool) {
+	dl, err := wal.OpenDecisionLog(wal.SegmentedOptions{FS: fs})
+	if err != nil {
+		return types.DecisionNone, false
+	}
+	defer dl.Close() //nolint:errcheck // read-only replay
+	d, ok := dl.Recovered()[recovery.SoleTxn]
+	return d, ok
+}
+
+// restartNode brings crashed processor pid back after the given delay,
+// once its goroutine has stopped: it reconnects the processor at the hub
+// and answers from its journal, or, when the journal holds no decision,
+// runs the recovery client over the processor's endpoint and journals what
+// the client learns. ok is false if nothing was learned before ctx ended.
+func restartNode(ctx context.Context, cl *runtime.Cluster, pid types.ProcID, fs *wal.MemFS, after time.Duration, p *Plan, o RunOptions) (types.Value, bool) {
+	timer := time.NewTimer(after)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+	case <-ctx.Done():
+		return 0, false
+	}
+	select {
+	case <-cl.Node(pid).Done():
+	case <-ctx.Done():
+		return 0, false
+	}
+	dl, err := wal.OpenDecisionLog(wal.SegmentedOptions{FS: fs})
+	if err != nil {
+		return 0, false
+	}
+	defer dl.Close() //nolint:errcheck // the harness reads it back after the run
+	cl.Restart(pid)
+	if d, ok := dl.Recovered()[recovery.SoleTxn]; ok {
+		return d.Value(), true
+	}
+	client, err := recovery.NewClient(recovery.ClientConfig{ID: pid, N: p.Cfg.N, QueryEvery: 4})
+	if err != nil {
+		return 0, false
+	}
+	node, err := runtime.NewNode(runtime.NodeConfig{
+		Machine:   client,
+		Transport: cl.Hub().Endpoint(pid),
+		Rand:      rng.NewStream(p.Cfg.Seed ^ 0x5bd1e995*(uint64(pid)+1)),
+		TickEvery: o.TickEvery,
+		MaxTicks:  o.BudgetTicks,
+		Registry:  o.Registry,
+	})
+	if err != nil {
+		return 0, false
+	}
+	node.Start(ctx)
+	select {
+	case <-node.Done():
+	case <-ctx.Done():
+		node.Stop()
+		<-node.Done()
+	}
+	v, ok := client.Decision()
+	if ok {
+		dl.AppendSync(recovery.SoleTxn, types.DecisionOf(v)) //nolint:errcheck // the in-memory log cannot fail
+	}
+	return v, ok
 }

@@ -46,8 +46,6 @@ type BatchConfig struct {
 	Votes []types.Value
 	// CoinFactor c makes the coordinator flip c*n coins instead of n.
 	CoinFactor int
-	// Gadget enables the agreement termination gadget.
-	Gadget bool
 	// Coordinator selects which processor floods GO. Default 0.
 	Coordinator types.ProcID
 }
@@ -338,7 +336,6 @@ func (c *BatchCommit) startAgreement(out []types.Message, input []types.Value, r
 		T:       c.cfg.T,
 		Initial: input,
 		Coins:   agreement.ListCoin{Coins: c.coins},
-		Gadget:  c.cfg.Gadget,
 	})
 	if err != nil {
 		// Config was validated at NewBatch; an error here is a programming

@@ -21,7 +21,7 @@ func runBatch(t *testing.T, votes [][]types.Value, k int, adv sim.Adversary, see
 	for i := 0; i < n; i++ {
 		m, err := core.NewBatch(core.BatchConfig{
 			ID: types.ProcID(i), N: n, T: faults, K: k,
-			Votes: votes[i], Gadget: true,
+			Votes: votes[i],
 		})
 		if err != nil {
 			t.Fatalf("machine %d: %v", i, err)

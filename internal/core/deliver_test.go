@@ -18,7 +18,7 @@ func newBatchSet(t *testing.T, n, k int, votes []types.Value) []*BatchCommit {
 	t.Helper()
 	ms := make([]*BatchCommit, n)
 	for p := range ms {
-		m, err := NewBatch(BatchConfig{ID: types.ProcID(p), N: n, T: (n - 1) / 2, K: k, Votes: votes, Gadget: true})
+		m, err := NewBatch(BatchConfig{ID: types.ProcID(p), N: n, T: (n - 1) / 2, K: k, Votes: votes})
 		if err != nil {
 			t.Fatal(err)
 		}

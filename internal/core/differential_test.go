@@ -110,7 +110,7 @@ func (c *diffCase) runBatch(t *testing.T) diffRun {
 	for p := range machines {
 		m, err := core.NewBatch(core.BatchConfig{
 			ID: types.ProcID(p), N: c.n, T: (c.n - 1) / 2, K: c.k,
-			Votes: c.votes[p], Gadget: true,
+			Votes: c.votes[p],
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -3,7 +3,10 @@
 // that crashed (or was started after the fact) replays its write-ahead
 // log; if the log lacks a decision, it runs a Client, which polls the
 // cluster with outcome queries until some processor that decided answers.
-// Running processors answer through the Responder middleware.
+// It never rejoins the protocol: a processor with amnesia could send two
+// different values for one stage. Live processors are transaction managers
+// (txn.Manager), which answer a query from their decisions; in the
+// simulator the formal machines answer through the Responder middleware.
 //
 // Recovery is safe for the same reason the termination gadget is: a
 // decided value is backed by n−t matching S-messages (Lemma 3 evidence),
@@ -17,14 +20,21 @@ import (
 	"repro/internal/wal"
 )
 
-// QueryMsg asks "what was decided?".
-type QueryMsg struct{}
+// SoleTxn is the id of the one transaction a single-transaction deployment
+// runs (tcommit's NewCluster and StartNode, the chaos cluster mode): the
+// transaction a Client asks about.
+const SoleTxn = "txn"
+
+// QueryMsg asks "what was decided for transaction Txn?".
+type QueryMsg struct {
+	Txn string
+}
 
 // Kind implements types.Payload.
 func (QueryMsg) Kind() string { return "rc.query" }
 
-// SizeBits implements types.Sized.
-func (QueryMsg) SizeBits() int { return 8 }
+// SizeBits implements types.Sized: tag + a 64-bit id hash.
+func (QueryMsg) SizeBits() int { return 8 + 64 }
 
 // ReplyMsg answers an outcome query from a decided processor.
 type ReplyMsg struct {
@@ -38,7 +48,8 @@ func (ReplyMsg) Kind() string { return "rc.reply" }
 func (ReplyMsg) SizeBits() int { return 8 + 1 }
 
 // Responder wraps any protocol machine and answers outcome queries once
-// the inner machine has decided. Undecided responders stay silent; the
+// the inner machine has decided, whatever transaction they name: the inner
+// machine runs one. Undecided responders stay silent; the
 // client keeps polling. The wrapper is transparent to the inner protocol:
 // query payloads are filtered out of its deliveries.
 type Responder struct {
@@ -166,7 +177,7 @@ func (c *Client) Step(received []types.Message, _ types.Rand) []types.Message {
 			if types.ProcID(p) == c.cfg.ID {
 				continue
 			}
-			out = append(out, types.Message{From: c.cfg.ID, To: types.ProcID(p), Payload: QueryMsg{}})
+			out = append(out, types.Message{From: c.cfg.ID, To: types.ProcID(p), Payload: QueryMsg{Txn: SoleTxn}})
 		}
 		return out
 	}

@@ -6,15 +6,16 @@
 //
 // An event of the formal model hands a processor some messages (§2.1); here
 // a node whose machine can take a delivery without advancing its clock
-// (txn.Manager) is handed its messages the moment they arrive, and every
-// TickEvery its clock ticks once — the Step that timeouts are counted in.
-// A machine with Step alone (the formal core.Commit, 2PC/3PC, recovery
-// clients) is stepped on ticks only and receives its messages then. A
-// machine's messages to itself never reach the transport: the node hands
-// them back, to a deliverer at once and to any other machine at its next
-// tick. The timing constant K of the protocol configs is K*TickEvery of
-// wall time; it bounds how late a message may be, not how soon one is
-// acted on.
+// (txn.Manager, the machine every live path hosts) is handed its messages
+// the moment they arrive, and every TickEvery its clock ticks once — the
+// Step that timeouts are counted in. A machine with Step alone is stepped on
+// ticks only and receives its messages then; the one such machine run live
+// is the recovery client of a restarted node, which polls on a timer
+// anyway. A machine's messages to itself never reach the transport: the
+// node hands them back, to a deliverer at once and to any other machine at
+// its next tick. The timing constant K of the protocol configs is
+// K*TickEvery of wall time; it bounds how late a message may be, not how
+// soon one is acted on.
 //
 // The nodes of a Cluster share one clock, which ticks no faster than its
 // slowest live node takes the ticks: co-hosted processors starved of CPU
@@ -58,9 +59,6 @@ type NodeConfig struct {
 	// persistent node stops only via Stop, context cancellation, or (if
 	// MaxTicks > 0) the tick budget; MaxTicks <= 0 means unbounded.
 	Persistent bool
-	// OnDecision, if non-nil, is invoked exactly once, from the node's
-	// goroutine, when the machine first decides.
-	OnDecision func(p types.ProcID, v types.Value)
 	// Registry, if non-nil, receives the node's runtime metrics (steps
 	// taken, messages consumed and produced, labeled by node id).
 	Registry *obs.Registry
@@ -183,9 +181,6 @@ func (n *Node) Wait() error {
 	return n.err
 }
 
-// Machine returns the underlying machine (read its Decision after Wait).
-func (n *Node) Machine() types.Machine { return n.cfg.Machine }
-
 func (n *Node) run(ctx context.Context) {
 	defer close(n.done)
 	var ticks <-chan time.Time = n.ticks
@@ -206,7 +201,6 @@ func (n *Node) run(ctx context.Context) {
 
 	id := n.cfg.Machine.ID()
 	linger := -1
-	notified := false
 	for tick := 0; n.cfg.MaxTicks <= 0 || tick < n.cfg.MaxTicks; {
 		var out []types.Message
 		ticked := false
@@ -252,12 +246,6 @@ func (n *Node) run(ctx context.Context) {
 			if err := n.cfg.Transport.Send(out[i]); err != nil {
 				n.setErr(fmt.Errorf("runtime: node %d send: %w", id, err))
 				return
-			}
-		}
-		if !notified && n.cfg.OnDecision != nil {
-			if v, ok := n.cfg.Machine.Decision(); ok {
-				notified = true
-				n.cfg.OnDecision(n.cfg.Machine.ID(), v)
 			}
 		}
 		if ticked && !n.cfg.Persistent && n.cfg.Machine.Halted() {
@@ -313,45 +301,6 @@ func (n *Node) setErr(err error) {
 	}
 }
 
-// ClusterResult is the outcome of one cluster run.
-type ClusterResult struct {
-	// Decided[p]/Values[p] report each machine's final decision state.
-	Decided []bool
-	Values  []types.Value
-}
-
-// Decisions renders the outcome as commit-problem decisions.
-func (r *ClusterResult) Decisions() []types.Decision {
-	out := make([]types.Decision, len(r.Decided))
-	for i := range out {
-		if r.Decided[i] {
-			out[i] = types.DecisionOf(r.Values[i])
-		}
-	}
-	return out
-}
-
-// Unanimous returns the common decision if every machine decided the same
-// value, else (DecisionNone, false).
-func (r *ClusterResult) Unanimous() (types.Decision, bool) {
-	if len(r.Decided) == 0 {
-		return types.DecisionNone, false
-	}
-	var v types.Value
-	seen := false
-	for i := range r.Decided {
-		if !r.Decided[i] {
-			return types.DecisionNone, false
-		}
-		if !seen {
-			v, seen = r.Values[i], true
-		} else if r.Values[i] != v {
-			return types.DecisionNone, false
-		}
-	}
-	return types.DecisionOf(v), true
-}
-
 // Cluster runs a set of machines, one node each, over a transport set:
 // the endpoints of an in-memory hub it owns, or transports the caller
 // supplied (TCP nodes already listening and peered, say).
@@ -386,9 +335,6 @@ type ClusterOptions struct {
 	// Hub configures the hub a cluster builds for itself; it is not
 	// consulted over supplied transports.
 	Hub transport.HubOptions
-	// OnDecision, if non-nil, is invoked once per node as it decides
-	// (from that node's goroutine; synchronize externally).
-	OnDecision func(p types.ProcID, v types.Value)
 	// Persistent makes every node ignore machine quiescence and step
 	// until stopped — see NodeConfig.Persistent.
 	Persistent bool
@@ -441,7 +387,6 @@ func NewCluster(machines []types.Machine, trs []transport.Transport, opts Cluste
 			Rand:       seeds.Stream(types.ProcID(i)),
 			TickEvery:  opts.TickEvery,
 			MaxTicks:   opts.MaxTicks,
-			OnDecision: opts.OnDecision,
 			Persistent: opts.Persistent,
 			Registry:   opts.Registry,
 		})
@@ -575,28 +520,11 @@ func (c *Cluster) Wait() error {
 	return firstErr
 }
 
-// Result snapshots every machine's decision state. Meaningful once the
-// nodes have stopped (after Wait) or for machines safe to query live.
-func (c *Cluster) Result() *ClusterResult {
-	res := &ClusterResult{
-		Decided: make([]bool, len(c.nodes)),
-		Values:  make([]types.Value, len(c.nodes)),
-	}
-	for i, n := range c.nodes {
-		if v, ok := n.Machine().Decision(); ok {
-			res.Decided[i] = true
-			res.Values[i] = v
-		}
-	}
-	return res
-}
-
-// Run starts every node, waits for all to stop (or ctx to end), and
-// collects decisions.
-func (c *Cluster) Run(ctx context.Context) (*ClusterResult, error) {
+// Run starts every node and waits for all to stop (or ctx to end); the
+// machines hold what they decided.
+func (c *Cluster) Run(ctx context.Context) error {
 	c.Start(ctx)
-	err := c.Wait()
-	return c.Result(), err
+	return c.Wait()
 }
 
 // Crash immediately crashes node p: the goroutine stops stepping and its

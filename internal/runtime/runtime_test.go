@@ -2,32 +2,61 @@ package runtime_test
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/runtime"
 	"repro/internal/transport"
+	"repro/internal/txn"
 	"repro/internal/types"
 )
 
-func commitMachines(t *testing.T, n, k int, votes []types.Value) []types.Machine {
+// theTxn is the one transaction the cluster tests commit.
+const theTxn txn.ID = "t"
+
+// managers builds the machine every live path hosts, one transaction
+// manager per processor, with processor 0 having begun theTxn and
+// processor p voting votes[p] on it.
+func managers(t *testing.T, n, k int, votes []types.Value) []*txn.Manager {
 	t.Helper()
-	out := make([]types.Machine, n)
-	for i := 0; i < n; i++ {
-		m, err := core.New(core.Config{
-			ID: types.ProcID(i), N: n, T: (n - 1) / 2, K: k,
-			Vote: votes[i], Gadget: true,
+	out := make([]*txn.Manager, n)
+	for i := range out {
+		vote := votes[i] == types.V1
+		m, err := txn.NewManager(txn.Config{
+			ID: types.ProcID(i), N: n, K: k,
+			Vote: func(txn.ID) bool { return vote },
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		out[i] = m
 	}
+	if err := out[0].Begin(theTxn, votes[0] == types.V1); err != nil {
+		t.Fatal(err)
+	}
 	return out
+}
+
+// decisions reads every manager's decision on theTxn (DecisionNone where
+// it has none).
+func decisions(ms []*txn.Manager) []types.Decision {
+	out := make([]types.Decision, len(ms))
+	for p, m := range ms {
+		out[p], _ = m.DecisionOf(theTxn)
+	}
+	return out
+}
+
+// unanimous reports whether every manager decided want on theTxn.
+func unanimous(ms []*txn.Manager, want types.Decision) bool {
+	for _, d := range decisions(ms) {
+		if d != want {
+			return false
+		}
+	}
+	return true
 }
 
 func votesOf(n int, v types.Value) []types.Value {
@@ -40,19 +69,18 @@ func votesOf(n int, v types.Value) []types.Value {
 
 func TestClusterAllCommit(t *testing.T) {
 	n := 5
-	c, err := runtime.NewLocalCluster(commitMachines(t, n, 8, votesOf(n, types.V1)), runtime.ClusterOptions{
+	ms := managers(t, n, 8, votesOf(n, types.V1))
+	c, err := runtime.NewLocalCluster(types.Machines(ms), runtime.ClusterOptions{
 		TickEvery: time.Millisecond, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Run(context.Background())
-	if err != nil {
+	if err := c.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	d, ok := res.Unanimous()
-	if !ok || d != types.DecisionCommit {
-		t.Fatalf("decisions = %v (unanimous=%v %v)", res.Decisions(), d, ok)
+	if !unanimous(ms, types.DecisionCommit) {
+		t.Fatalf("decisions = %v, want unanimous COMMIT", decisions(ms))
 	}
 }
 
@@ -60,25 +88,44 @@ func TestClusterAbortVote(t *testing.T) {
 	n := 5
 	votes := votesOf(n, types.V1)
 	votes[3] = types.V0
-	c, err := runtime.NewLocalCluster(commitMachines(t, n, 8, votes), runtime.ClusterOptions{
+	ms := managers(t, n, 8, votes)
+	c, err := runtime.NewLocalCluster(types.Machines(ms), runtime.ClusterOptions{
 		TickEvery: time.Millisecond, Seed: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Run(context.Background())
-	if err != nil {
+	if err := c.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	d, ok := res.Unanimous()
-	if !ok || d != types.DecisionAbort {
-		t.Fatalf("decisions = %v", res.Decisions())
+	if !unanimous(ms, types.DecisionAbort) {
+		t.Fatalf("decisions = %v, want unanimous ABORT", decisions(ms))
+	}
+}
+
+// agreed fails the test if two of ds are different decisions, or if one
+// of the processors in mustDecide has none.
+func agreed(t *testing.T, ds []types.Decision, mustDecide int) {
+	t.Helper()
+	seen := types.DecisionNone
+	for p, d := range ds {
+		if d == types.DecisionNone {
+			if p < mustDecide {
+				t.Fatalf("processor %d undecided: %v", p, ds)
+			}
+			continue
+		}
+		if seen != types.DecisionNone && d != seen {
+			t.Fatalf("deciders disagree: %v", ds)
+		}
+		seen = d
 	}
 }
 
 func TestClusterSurvivesMinorityCrash(t *testing.T) {
 	n := 5 // t = 2
-	c, err := runtime.NewLocalCluster(commitMachines(t, n, 10, votesOf(n, types.V1)), runtime.ClusterOptions{
+	ms := managers(t, n, 10, votesOf(n, types.V1))
+	c, err := runtime.NewLocalCluster(types.Machines(ms), runtime.ClusterOptions{
 		TickEvery: time.Millisecond, Seed: 3, MaxTicks: 4000,
 	})
 	if err != nil {
@@ -88,29 +135,18 @@ func TestClusterSurvivesMinorityCrash(t *testing.T) {
 	// must still decide — and agree.
 	c.CrashAfter(3, 12*time.Millisecond)
 	c.CrashAfter(4, 15*time.Millisecond)
-	res, err := c.Run(context.Background())
-	if err != nil {
+	if err := c.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	var dec *types.Value
-	for p := 0; p < 3; p++ {
-		if !res.Decided[p] {
-			t.Fatalf("survivor %d undecided", p)
-		}
-		v := res.Values[p]
-		if dec == nil {
-			dec = &v
-		} else if *dec != v {
-			t.Fatalf("survivors disagree: %v", res.Values)
-		}
-	}
+	agreed(t, decisions(ms), 3)
 }
 
 func TestClusterSlowNetworkStaysSafe(t *testing.T) {
 	// Latency far above K ticks: the run is "late", so commit is not
 	// guaranteed — but whatever happens must be unanimous among deciders.
 	n := 3
-	c, err := runtime.NewLocalCluster(commitMachines(t, n, 2, votesOf(n, types.V1)), runtime.ClusterOptions{
+	ms := managers(t, n, 2, votesOf(n, types.V1))
+	c, err := runtime.NewLocalCluster(types.Machines(ms), runtime.ClusterOptions{
 		TickEvery: time.Millisecond, Seed: 4, MaxTicks: 3000,
 		Hub: transport.HubOptions{
 			Inject: func(types.Message) transport.Fault { return transport.Fault{Delay: 15 * time.Millisecond} },
@@ -119,27 +155,15 @@ func TestClusterSlowNetworkStaysSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Run(context.Background())
-	if err != nil {
+	if err := c.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	var seen *types.Value
-	for p := 0; p < n; p++ {
-		if !res.Decided[p] {
-			continue
-		}
-		v := res.Values[p]
-		if seen == nil {
-			seen = &v
-		} else if *seen != v {
-			t.Fatalf("deciders disagree: %v", res.Values)
-		}
-	}
+	agreed(t, decisions(ms), 0)
 }
 
 func TestClusterOverTCP(t *testing.T) {
 	n := 3
-	machines := commitMachines(t, n, 8, votesOf(n, types.V1))
+	ms := managers(t, n, 8, votesOf(n, types.V1))
 	nodesT := make([]*transport.TCPNode, n)
 	peers := make(map[types.ProcID]string, n)
 	for i := 0; i < n; i++ {
@@ -156,7 +180,7 @@ func TestClusterOverTCP(t *testing.T) {
 	for i := 0; i < n; i++ {
 		nodesT[i].SetPeers(peers)
 		node, err := runtime.NewNode(runtime.NodeConfig{
-			Machine:   machines[i],
+			Machine:   ms[i],
 			Transport: nodesT[i],
 			Rand:      seeds.Stream(types.ProcID(i)),
 			TickEvery: time.Millisecond,
@@ -176,18 +200,15 @@ func TestClusterOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i, m := range machines {
-		v, ok := m.Decision()
-		if !ok || v != types.V1 {
-			t.Fatalf("node %d: decision=%v ok=%v, want commit", i, v, ok)
-		}
+	if !unanimous(ms, types.DecisionCommit) {
+		t.Fatalf("decisions = %v, want unanimous COMMIT", decisions(ms))
 	}
 }
 
 func TestNodeConfigValidation(t *testing.T) {
 	hub := transport.NewHub(1, transport.HubOptions{})
 	defer hub.Close() //nolint:errcheck
-	m := commitMachines(t, 1, 2, votesOf(1, types.V1))[0]
+	m := managers(t, 1, 2, votesOf(1, types.V1))[0]
 	bad := []runtime.NodeConfig{
 		{Transport: hub.Endpoint(0), Rand: rng.NewStream(1)},
 		{Machine: m, Rand: rng.NewStream(1)},
@@ -206,7 +227,7 @@ func TestNodeConfigValidation(t *testing.T) {
 func TestNodeStop(t *testing.T) {
 	hub := transport.NewHub(1, transport.HubOptions{})
 	defer hub.Close() //nolint:errcheck
-	m := commitMachines(t, 1, 2, votesOf(1, types.V1))[0]
+	m := managers(t, 1, 2, votesOf(1, types.V1))[0]
 	node, err := runtime.NewNode(runtime.NodeConfig{
 		Machine: m, Transport: hub.Endpoint(0), Rand: rng.NewStream(1),
 		TickEvery: time.Millisecond, MaxTicks: 1_000_000,
@@ -226,7 +247,7 @@ func TestNodeStop(t *testing.T) {
 
 func TestClusterContextCancellation(t *testing.T) {
 	n := 3
-	c, err := runtime.NewLocalCluster(commitMachines(t, n, 1000, votesOf(n, types.V1)), runtime.ClusterOptions{
+	c, err := runtime.NewLocalCluster(types.Machines(managers(t, n, 1000, votesOf(n, types.V1))), runtime.ClusterOptions{
 		TickEvery: time.Millisecond, Seed: 5, MaxTicks: 1_000_000,
 		Hub: transport.HubOptions{Inject: func(types.Message) transport.Fault { return transport.Fault{Drop: true} }},
 	})
@@ -235,59 +256,8 @@ func TestClusterContextCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := c.Run(ctx); err == nil {
+	if err := c.Run(ctx); err == nil {
 		t.Fatal("expected context error from a starved cluster")
-	}
-}
-
-func TestUnanimousHelper(t *testing.T) {
-	r := &runtime.ClusterResult{Decided: []bool{true, true}, Values: []types.Value{1, 1}}
-	if d, ok := r.Unanimous(); !ok || d != types.DecisionCommit {
-		t.Errorf("unanimous = %v %v", d, ok)
-	}
-	r2 := &runtime.ClusterResult{Decided: []bool{true, false}, Values: []types.Value{1, 0}}
-	if _, ok := r2.Unanimous(); ok {
-		t.Error("partial decision reported unanimous")
-	}
-	r3 := &runtime.ClusterResult{Decided: []bool{true, true}, Values: []types.Value{1, 0}}
-	if _, ok := r3.Unanimous(); ok {
-		t.Error("split decision reported unanimous")
-	}
-	if d, ok := (&runtime.ClusterResult{}).Unanimous(); ok || d != types.DecisionNone {
-		t.Error("empty result reported unanimous")
-	}
-}
-
-func TestOnDecisionCallback(t *testing.T) {
-	n := 3
-	var mu sync.Mutex
-	got := make(map[types.ProcID]types.Value)
-	c, err := runtime.NewLocalCluster(commitMachines(t, n, 8, votesOf(n, types.V1)), runtime.ClusterOptions{
-		TickEvery: time.Millisecond, Seed: 10,
-		OnDecision: func(p types.ProcID, v types.Value) {
-			mu.Lock()
-			defer mu.Unlock()
-			if _, dup := got[p]; dup {
-				t.Errorf("OnDecision fired twice for %d", p)
-			}
-			got[p] = v
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != n {
-		t.Fatalf("OnDecision fired for %d of %d nodes", len(got), n)
-	}
-	for p, v := range got {
-		if v != types.V1 {
-			t.Errorf("node %d callback value %v", p, v)
-		}
 	}
 }
 
@@ -295,24 +265,17 @@ func TestOnDecisionCallback(t *testing.T) {
 // quiescence (the service lifecycle) and a Stop/Wait pair drains cleanly.
 func TestPersistentClusterStopDrain(t *testing.T) {
 	n := 3
-	machines := commitMachines(t, n, 6, votesOf(n, types.V1))
-	decided := make(chan types.ProcID, n)
-	c, err := runtime.NewLocalCluster(machines, runtime.ClusterOptions{
+	ms := managers(t, n, 6, votesOf(n, types.V1))
+	c, err := runtime.NewLocalCluster(types.Machines(ms), runtime.ClusterOptions{
 		TickEvery: time.Millisecond, Seed: 4, Persistent: true,
-		OnDecision: func(p types.ProcID, v types.Value) { decided <- p },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Start(context.Background())
 	// Every machine decides, halts — and the nodes keep running anyway.
-	for i := 0; i < n; i++ {
-		select {
-		case <-decided:
-		case <-time.After(10 * time.Second):
-			t.Fatal("cluster never decided")
-		}
-	}
+	waitFor(t, "every manager to decide", func() bool { return unanimous(ms, types.DecisionCommit) })
+	waitFor(t, "every manager to halt", func() bool { return ms[0].Halted() && ms[1].Halted() && ms[2].Halted() })
 	time.Sleep(20 * time.Millisecond) // well past halt+linger
 	select {
 	case <-c.Node(0).Done():
@@ -323,9 +286,8 @@ func TestPersistentClusterStopDrain(t *testing.T) {
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	d, ok := c.Result().Unanimous()
-	if !ok || d != types.DecisionCommit {
-		t.Fatalf("unanimous = %v %v", d, ok)
+	if !unanimous(ms, types.DecisionCommit) {
+		t.Fatalf("decisions = %v, want unanimous COMMIT", decisions(ms))
 	}
 }
 
@@ -337,7 +299,7 @@ func TestCrashAfterClusterClose(t *testing.T) {
 	n := 3
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(64)
-	c, err := runtime.NewLocalCluster(commitMachines(t, n, 6, votesOf(n, types.V1)), runtime.ClusterOptions{
+	c, err := runtime.NewLocalCluster(types.Machines(managers(t, n, 6, votesOf(n, types.V1))), runtime.ClusterOptions{
 		TickEvery: time.Millisecond, Seed: 11, Registry: reg, Tracer: tr,
 	})
 	if err != nil {
@@ -347,7 +309,7 @@ func TestCrashAfterClusterClose(t *testing.T) {
 	// completes (racing Wait) — neither may fire into the closed hub.
 	c.CrashAfter(1, time.Hour)
 	c.CrashAfter(2, 30*time.Millisecond)
-	if _, err := c.Run(context.Background()); err != nil {
+	if err := c.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Scheduling after close is likewise inert.
@@ -382,7 +344,7 @@ func TestRestartOverSuppliedTransportsIsNoop(t *testing.T) {
 		trs[p] = hub.Endpoint(types.ProcID(p))
 	}
 	tr := obs.NewTracer(64)
-	c, err := runtime.NewCluster(commitMachines(t, n, 6, votesOf(n, types.V1)), trs, runtime.ClusterOptions{
+	c, err := runtime.NewCluster(types.Machines(managers(t, n, 6, votesOf(n, types.V1))), trs, runtime.ClusterOptions{
 		TickEvery: time.Millisecond, Seed: 12, Persistent: true, Tracer: tr,
 	})
 	if err != nil {

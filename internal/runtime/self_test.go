@@ -68,7 +68,7 @@ func (h *hello) run(received []types.Message) []types.Message {
 		return nil
 	}
 	h.said = true
-	return types.Broadcast(h.id, h.n, core.VoteMsg{Val: types.V1}) // a payload the wire carries
+	return types.Broadcast(h.id, h.n, core.GoMsg{}) // a payload the wire carries
 }
 
 // helloDeliverer is hello with Deliver: a wake makes it broadcast.

@@ -40,7 +40,7 @@ func BenchmarkTCPSendRecv(b *testing.B) {
 	n0.SetPeers(peers)
 	n1.SetPeers(peers)
 	msg := types.Message{To: 1, Payload: core.Piggyback{
-		Inner: core.VoteMsg{Val: types.V1},
+		Inner: core.BatchVoteMsg{Vals: []types.Value{types.V1}},
 		Coins: make([]types.Value, 16),
 	}}
 	b.ResetTimer()

@@ -125,7 +125,7 @@ func TestTCPRoundTrip(t *testing.T) {
 	n1.SetPeers(peers)
 
 	payload := core.Piggyback{
-		Inner: core.VoteMsg{Val: types.V1},
+		Inner: core.BatchVoteMsg{Vals: []types.Value{types.V1}},
 		Coins: []types.Value{1, 0, 1},
 	}
 	if err := n0.Send(types.Message{To: 1, Payload: payload}); err != nil {
@@ -140,7 +140,7 @@ func TestTCPRoundTrip(t *testing.T) {
 		t.Fatalf("payload type %T", m.Payload)
 	}
 	inner, coins := core.Unwrap(pb)
-	if v, okInner := inner.(core.VoteMsg); !okInner || v.Val != types.V1 {
+	if v, okInner := inner.(core.BatchVoteMsg); !okInner || len(v.Vals) != 1 || v.Vals[0] != types.V1 {
 		t.Errorf("inner = %#v", inner)
 	}
 	if len(coins) != 3 || coins[0] != types.V1 {
@@ -163,12 +163,12 @@ func TestTCPUnknownAndDeadPeerDropsSilently(t *testing.T) {
 	}
 	defer n0.Close() //nolint:errcheck
 	// Unknown peer: no directory entry.
-	if err := n0.Send(types.Message{To: 5, Payload: core.VoteMsg{}}); err != nil {
+	if err := n0.Send(types.Message{To: 5, Payload: core.GoMsg{}}); err != nil {
 		t.Errorf("send to unknown peer errored: %v", err)
 	}
 	// Dead peer: directory entry pointing nowhere.
 	n0.SetPeers(map[types.ProcID]string{1: "127.0.0.1:1"})
-	if err := n0.Send(types.Message{To: 1, Payload: core.VoteMsg{}}); err != nil {
+	if err := n0.Send(types.Message{To: 1, Payload: core.GoMsg{}}); err != nil {
 		t.Errorf("send to dead peer errored: %v", err)
 	}
 }

@@ -4,9 +4,12 @@ package transport
 //
 // Frames are length-prefixed: a 4-byte big-endian length followed by one
 // format byte and the body. The only format is 'B', the hand-rolled binary
-// encoding below, covering every payload type shipped in this repository.
-// A payload without a tag is dropped by the sender; a frame with any other
-// format byte is a corrupt stream and tears the connection down.
+// encoding below, covering every payload a live node sends: the batched
+// Protocol 2 frames of txn.Manager and the recovery client's query and
+// reply. The formal machines only the simulator runs (the scalar core.Commit
+// and agreement.Machine, 2PC, 3PC, Paxos Commit) have no encoding. A payload
+// without a tag is dropped by the sender; a frame with any other format byte
+// is a corrupt stream and tears the connection down.
 //
 // The binary encoding is deliberately simple: zigzag varints for ints, one
 // byte per Value, a one-byte type tag per payload. Piggyback and Envelope
@@ -20,10 +23,7 @@ import (
 
 	"repro/internal/agreement"
 	"repro/internal/core"
-	"repro/internal/paxoscommit"
 	"repro/internal/recovery"
-	"repro/internal/threepc"
-	"repro/internal/twopc"
 	"repro/internal/txn"
 	"repro/internal/types"
 )
@@ -45,32 +45,34 @@ const maxFrameBytes = 1 << 24
 const maxPayloadDepth = 32
 
 // Payload type tags of the binary encoding. Append-only: tags are wire
-// format and must never be renumbered.
+// format and must never be renumbered. A reserved tag once named a payload
+// that no live node sends any more; it decodes as a corrupt frame and is
+// never reused.
 const (
 	tagNil byte = iota
 	tagCoreGo
-	tagCoreVote
+	_ // reserved: scalar core.VoteMsg
 	tagCorePiggyback
-	tagAgReport
-	tagAgProposal
-	tagAgDecided
-	tag2PCPrepare
-	tag2PCVote
-	tag2PCOutcome
-	tag3PCCanCommit
-	tag3PCVote
-	tag3PCPreCommit
-	tag3PCAck
-	tag3PCDoCommit
-	tag3PCAbort
+	_ // reserved: scalar agreement.ReportMsg
+	_ // reserved: scalar agreement.ProposalMsg
+	_ // reserved: scalar agreement.DecidedMsg
+	_ // reserved: 2PC prepare, vote, outcome
+	_
+	_
+	_ // reserved: 3PC can-commit, vote, pre-commit, ack, do-commit, abort
+	_
+	_
+	_
+	_
+	_
 	tagTxnEnvelope
 	tagRcQuery
 	tagRcReply
-	tagPC1a
-	tagPC1b
-	tagPC2a
-	tagPC2b
-	tagPCOutcome
+	_ // reserved: Paxos Commit 1a, 1b, 2a, 2b, outcome
+	_
+	_
+	_
+	_
 	tagCoreBatchVote
 	tagAgVecReport
 	tagAgVecProposal
@@ -128,42 +130,12 @@ func appendPayload(dst []byte, p types.Payload) (_ []byte, ok bool) {
 		return append(dst, tagNil), true
 	case core.GoMsg:
 		return appendValues(append(dst, tagCoreGo), v.Coins), true
-	case core.VoteMsg:
-		return append(dst, tagCoreVote, byte(v.Val)), true
 	case core.Piggyback:
 		dst, ok = appendPayload(append(dst, tagCorePiggyback), v.Inner)
 		if !ok {
 			return dst, false
 		}
 		return appendValues(dst, v.Coins), true
-	case agreement.ReportMsg:
-		return append(appendInt(append(dst, tagAgReport), int64(v.Stage)), byte(v.Val)), true
-	case agreement.ProposalMsg:
-		bot := byte(0)
-		if v.Bot {
-			bot = 1
-		}
-		return append(appendInt(append(dst, tagAgProposal), int64(v.Stage)), byte(v.Val), bot), true
-	case agreement.DecidedMsg:
-		return append(dst, tagAgDecided, byte(v.Val)), true
-	case twopc.PrepareMsg:
-		return append(dst, tag2PCPrepare), true
-	case twopc.VoteMsg:
-		return append(dst, tag2PCVote, byte(v.Val)), true
-	case twopc.OutcomeMsg:
-		return append(dst, tag2PCOutcome, byte(v.Val)), true
-	case threepc.CanCommitMsg:
-		return append(dst, tag3PCCanCommit), true
-	case threepc.VoteMsg:
-		return append(dst, tag3PCVote, byte(v.Val)), true
-	case threepc.PreCommitMsg:
-		return append(dst, tag3PCPreCommit), true
-	case threepc.AckMsg:
-		return append(dst, tag3PCAck), true
-	case threepc.DoCommitMsg:
-		return append(dst, tag3PCDoCommit), true
-	case threepc.AbortMsg:
-		return append(dst, tag3PCAbort), true
 	case core.BatchVoteMsg:
 		return appendValues(append(dst, tagCoreBatchVote), v.Vals), true
 	case agreement.VecReportMsg:
@@ -187,27 +159,10 @@ func appendPayload(dst []byte, p types.Payload) (_ []byte, ok bool) {
 		}
 		return appendPayload(dst, v.Inner)
 	case recovery.QueryMsg:
-		return append(dst, tagRcQuery), true
+		dst = appendInt(append(dst, tagRcQuery), int64(len(v.Txn)))
+		return append(dst, v.Txn...), true
 	case recovery.ReplyMsg:
 		return append(dst, tagRcReply, byte(v.Val)), true
-	case paxoscommit.Prepare1aMsg:
-		dst = appendInt(append(dst, tagPC1a), int64(v.Instance))
-		return appendInt(dst, int64(v.Ballot)), true
-	case paxoscommit.Promise1bMsg:
-		dst = appendInt(append(dst, tagPC1b), int64(v.Instance))
-		dst = appendInt(dst, int64(v.Ballot))
-		dst = appendInt(dst, int64(v.VBal))
-		return append(dst, byte(v.VVal)), true
-	case paxoscommit.Accept2aMsg:
-		dst = appendInt(append(dst, tagPC2a), int64(v.Instance))
-		dst = appendInt(dst, int64(v.Ballot))
-		return append(dst, byte(v.Val)), true
-	case paxoscommit.Accepted2bMsg:
-		dst = appendInt(append(dst, tagPC2b), int64(v.Instance))
-		dst = appendInt(dst, int64(v.Ballot))
-		return append(dst, byte(v.Val)), true
-	case paxoscommit.OutcomeMsg:
-		return append(dst, tagPCOutcome, byte(v.Val)), true
 	default:
 		return dst, false
 	}
@@ -322,35 +277,9 @@ func decodePayload(r *wireReader, depth int) types.Payload {
 		return nil
 	case tagCoreGo:
 		return core.GoMsg{Coins: r.values()}
-	case tagCoreVote:
-		return core.VoteMsg{Val: types.Value(r.byte())}
 	case tagCorePiggyback:
 		inner := decodePayload(r, depth+1)
 		return core.Piggyback{Inner: inner, Coins: r.values()}
-	case tagAgReport:
-		return agreement.ReportMsg{Stage: int(r.int()), Val: types.Value(r.byte())}
-	case tagAgProposal:
-		return agreement.ProposalMsg{Stage: int(r.int()), Val: types.Value(r.byte()), Bot: r.byte() != 0}
-	case tagAgDecided:
-		return agreement.DecidedMsg{Val: types.Value(r.byte())}
-	case tag2PCPrepare:
-		return twopc.PrepareMsg{}
-	case tag2PCVote:
-		return twopc.VoteMsg{Val: types.Value(r.byte())}
-	case tag2PCOutcome:
-		return twopc.OutcomeMsg{Val: types.Value(r.byte())}
-	case tag3PCCanCommit:
-		return threepc.CanCommitMsg{}
-	case tag3PCVote:
-		return threepc.VoteMsg{Val: types.Value(r.byte())}
-	case tag3PCPreCommit:
-		return threepc.PreCommitMsg{}
-	case tag3PCAck:
-		return threepc.AckMsg{}
-	case tag3PCDoCommit:
-		return threepc.DoCommitMsg{}
-	case tag3PCAbort:
-		return threepc.AbortMsg{}
 	case tagCoreBatchVote:
 		return core.BatchVoteMsg{Vals: r.values()}
 	case tagAgVecReport:
@@ -374,22 +303,9 @@ func decodePayload(r *wireReader, depth int) types.Payload {
 		}
 		return txn.BatchEnvelope{Batch: batch, Txns: ids, Inner: decodePayload(r, depth+1)}
 	case tagRcQuery:
-		return recovery.QueryMsg{}
+		return recovery.QueryMsg{Txn: r.string()}
 	case tagRcReply:
 		return recovery.ReplyMsg{Val: types.Value(r.byte())}
-	case tagPC1a:
-		return paxoscommit.Prepare1aMsg{Instance: types.ProcID(r.int()), Ballot: int(r.int())}
-	case tagPC1b:
-		return paxoscommit.Promise1bMsg{
-			Instance: types.ProcID(r.int()), Ballot: int(r.int()),
-			VBal: int(r.int()), VVal: types.Value(r.byte()),
-		}
-	case tagPC2a:
-		return paxoscommit.Accept2aMsg{Instance: types.ProcID(r.int()), Ballot: int(r.int()), Val: types.Value(r.byte())}
-	case tagPC2b:
-		return paxoscommit.Accepted2bMsg{Instance: types.ProcID(r.int()), Ballot: int(r.int()), Val: types.Value(r.byte())}
-	case tagPCOutcome:
-		return paxoscommit.OutcomeMsg{Val: types.Value(r.byte())}
 	default:
 		r.bad = true
 		return nil

@@ -1,14 +1,16 @@
 package transport
 
-// Differential tests for the binary wire codec: every registered payload
-// type must survive binary encode→decode with exactly the value gob would
-// reproduce, and arbitrary bytes must never panic the decoder.
+// Differential tests for the binary wire codec: every payload type a live
+// node sends must survive binary encode→decode with exactly the value gob
+// would reproduce, a reserved tag must never decode, and arbitrary bytes
+// must never panic the decoder.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"reflect"
@@ -19,43 +21,26 @@ import (
 	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/paxoscommit"
 	"repro/internal/recovery"
-	"repro/internal/threepc"
-	"repro/internal/twopc"
 	"repro/internal/txn"
 	"repro/internal/types"
 )
 
-// wirePayloads is one representative value per registered payload type,
-// plus the nesting combinations the protocols actually ship (Piggyback
-// and Envelope wrap inner payloads recursively).
+// wirePayloads is one representative value per payload type a live node
+// sends, plus the nesting combinations the protocols actually ship
+// (Piggyback and the envelopes wrap inner payloads recursively).
 func wirePayloads() []types.Payload {
 	return []types.Payload{
 		nil,
 		core.GoMsg{Coins: []types.Value{1, 0, 1, 1}},
 		core.GoMsg{}, // nil coin slice
-		core.VoteMsg{Val: types.V1},
-		core.Piggyback{Inner: core.VoteMsg{Val: types.V0}, Coins: []types.Value{0, 1}},
+		core.Piggyback{Inner: agreement.VecDecidedMsg{Vals: []types.Value{0, 1}}, Coins: []types.Value{0, 1}},
 		core.Piggyback{Inner: core.GoMsg{Coins: []types.Value{1}}, Coins: []types.Value{1, 1, 0}},
 		core.Piggyback{}, // nil inner, nil coins
-		agreement.ReportMsg{Stage: 4, Val: types.V1},
-		agreement.ProposalMsg{Stage: 3, Val: types.V0, Bot: true},
-		agreement.ProposalMsg{Stage: 1 << 20, Val: types.V1},
-		agreement.DecidedMsg{Val: types.V0},
-		twopc.PrepareMsg{},
-		twopc.VoteMsg{Val: types.V1},
-		twopc.OutcomeMsg{Val: types.V0},
-		threepc.CanCommitMsg{},
-		threepc.VoteMsg{Val: types.V0},
-		threepc.PreCommitMsg{},
-		threepc.AckMsg{},
-		threepc.DoCommitMsg{},
-		threepc.AbortMsg{},
-		txn.Envelope{Txn: "txn-00042", Inner: core.VoteMsg{Val: types.V1}},
+		txn.Envelope{Txn: "txn-00042", Inner: core.BatchVoteMsg{Vals: []types.Value{1}}},
 		txn.Envelope{Txn: "", Inner: nil},
 		txn.Envelope{Txn: "nested", Inner: core.Piggyback{
-			Inner: agreement.ReportMsg{Stage: 2, Val: types.V1}, Coins: []types.Value{1, 0}}},
+			Inner: agreement.VecReportMsg{Stage: 2, Vals: []types.Value{1}}, Coins: []types.Value{1, 0}}},
 		core.BatchVoteMsg{Vals: []types.Value{1, 0, 0, 1, 1}},
 		core.BatchVoteMsg{}, // nil vote vector
 		agreement.VecReportMsg{Stage: 2, Vals: []types.Value{1, 1, 0}},
@@ -63,21 +48,40 @@ func wirePayloads() []types.Payload {
 		agreement.VecProposalMsg{Stage: 3, Vals: []types.Value{0, 1}, Bots: []bool{true, false}},
 		agreement.VecProposalMsg{Stage: 1}, // nil vals, nil bots
 		agreement.VecDecidedMsg{Vals: []types.Value{1, 0, 1}},
+		agreement.VecDecidedMsg{}, // nil vals
 		txn.BatchEnvelope{Batch: "batch-7", Txns: []txn.ID{"a", "b", "c"},
 			Inner: core.BatchVoteMsg{Vals: []types.Value{1, 0, 1}}},
 		txn.BatchEnvelope{Batch: "", Txns: nil, Inner: nil},
 		txn.BatchEnvelope{Batch: "nested", Txns: []txn.ID{"x"}, Inner: core.Piggyback{
 			Inner: agreement.VecReportMsg{Stage: 1, Vals: []types.Value{1}},
 			Coins: []types.Value{0, 1}}},
-		recovery.QueryMsg{},
+		recovery.QueryMsg{Txn: recovery.SoleTxn},
+		recovery.QueryMsg{}, // empty id
 		recovery.ReplyMsg{Val: types.V1},
-		paxoscommit.Prepare1aMsg{Instance: 3, Ballot: 17},
-		paxoscommit.Prepare1aMsg{}, // ballot 0, instance 0
-		paxoscommit.Promise1bMsg{Instance: 2, Ballot: 12, VBal: 7, VVal: types.V1},
-		paxoscommit.Promise1bMsg{Instance: 0, Ballot: 5, VBal: -1}, // free case: VBal -1
-		paxoscommit.Accept2aMsg{Instance: 4, Ballot: 0, Val: types.V1},
-		paxoscommit.Accepted2bMsg{Instance: 1, Ballot: 1 << 16, Val: types.V0},
-		paxoscommit.OutcomeMsg{Val: types.V1},
+		recovery.ReplyMsg{Val: types.V0},
+	}
+}
+
+// reservedTags are the tags of payloads no live node sends any more — the
+// scalar core.VoteMsg and agreement.{Report,Proposal,Decided}Msg, 2PC, 3PC
+// and Paxos Commit — by number, since the constants are gone. Tags are wire
+// format: these stay unused and must never decode.
+var reservedTags = []byte{2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 19, 20, 21, 22, 23}
+
+// TestTagNumbersPinned: deleting an encoding reserved its tag instead of
+// renumbering the ones after it.
+func TestTagNumbersPinned(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want byte
+	}{
+		{"tagCoreGo", tagCoreGo, 1}, {"tagCorePiggyback", tagCorePiggyback, 3},
+		{"tagTxnEnvelope", tagTxnEnvelope, 16}, {"tagRcQuery", tagRcQuery, 17}, {"tagRcReply", tagRcReply, 18},
+		{"tagCoreBatchVote", tagCoreBatchVote, 24}, {"tagTxnBatchEnvelope", tagTxnBatchEnvelope, 28},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
 	}
 }
 
@@ -196,10 +200,10 @@ func TestUnencodablePayloadIsDropped(t *testing.T) {
 	dropped := reg.CounterVec("transport_messages_dropped_total", "", "transport").With("tcp")
 
 	sent := []types.Message{
-		{To: 1, Payload: core.VoteMsg{Val: types.V1}, Seq: 1},
+		{To: 1, Payload: recovery.ReplyMsg{Val: types.V1}, Seq: 1},
 		bare,
 		nested,
-		{To: 1, Payload: core.VoteMsg{Val: types.V0}, Seq: 4},
+		{To: 1, Payload: recovery.ReplyMsg{Val: types.V0}, Seq: 4},
 	}
 	var conn *outConn
 	for _, msg := range sent {
@@ -240,7 +244,7 @@ func TestUnencodablePayloadIsDropped(t *testing.T) {
 // not even a valid 'B' frame queued behind it.
 func TestForeignFrameFormatRejected(t *testing.T) {
 	registerGobPayloads()
-	msg := types.Message{From: 0, To: 1, Payload: core.VoteMsg{Val: types.V1}, Seq: 7}
+	msg := types.Message{From: 0, To: 1, Payload: recovery.ReplyMsg{Val: types.V1}, Seq: 7}
 	var gobBody bytes.Buffer
 	if err := gob.NewEncoder(&gobBody).Encode(gobFrame{Msg: msg}); err != nil {
 		t.Fatal(err)
@@ -294,6 +298,10 @@ func TestDecodeRejectsCorruptBodies(t *testing.T) {
 		"huge coin count":        {0, 0, 0, 0, 0, tagCoreGo, 0xFE, 0xFF, 0xFF, 0xFF, 0x0F},
 		"huge member count":      {0, 0, 0, 0, 0, tagTxnBatchEnvelope, 0, 0xFE, 0xFF, 0xFF, 0xFF, 0x0F},
 		"truncated vec proposal": {0, 0, 0, 0, 0, tagAgVecProposal, 2, 4, 1, 1},
+		"truncated query id":     {0, 0, 0, 0, 0, tagRcQuery, 6, 't'},
+	}
+	for _, tag := range reservedTags {
+		cases[fmt.Sprintf("reserved tag %d", tag)] = []byte{0, 0, 0, 0, 0, tag, 1}
 	}
 	for name, body := range cases {
 		if _, err := decodeMessage(body); err == nil {
@@ -312,12 +320,16 @@ func TestDecodeRejectsCorruptBodies(t *testing.T) {
 
 // FuzzDecodeMessage fuzzes the binary decoder: arbitrary bodies must never
 // panic, and any body that decodes must re-encode and decode to the same
-// message (the codec is canonical on its own output).
+// message (the codec is canonical on its own output). The seeds are every
+// live payload's encoding and a frame under every reserved tag.
 func FuzzDecodeMessage(f *testing.F) {
 	for _, p := range wirePayloads() {
 		if body, ok := appendMessage(nil, types.Message{From: 1, To: 2, Payload: p, Seq: 3}); ok {
 			f.Add(body)
 		}
+	}
+	for _, tag := range reservedTags {
+		f.Add([]byte{0, 0, 0, 0, 0, tag, 1})
 	}
 	f.Add([]byte{0, 0, 0, 0, 0, tagCoreGo, 2, 1, 0})
 	f.Fuzz(func(t *testing.T, body []byte) {

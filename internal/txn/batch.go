@@ -144,7 +144,7 @@ func (m *Manager) BeginBatch(batch BatchID, txns []ID, votes []bool) error {
 func (m *Manager) spawnBatchLocked(batch BatchID, txns []ID, votes []types.Value, coordinator types.ProcID, tick int) error {
 	c, err := core.NewBatch(core.BatchConfig{
 		ID: m.cfg.ID, N: m.cfg.N, T: m.cfg.T, K: m.cfg.K,
-		Votes: votes, CoinFactor: m.cfg.CoinFactor, Gadget: true,
+		Votes: votes, CoinFactor: m.cfg.CoinFactor,
 		Coordinator: coordinator,
 	})
 	if err != nil {

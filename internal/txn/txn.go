@@ -20,7 +20,9 @@
 // vote exchange, one agreement run per batch — and Begin is its width-1
 // case: the paper's Protocol 2 for a single transaction. Per-transaction
 // observability (OnOutcome push, DecisionOf pull) is element-wise; elements
-// report individually as they decide.
+// report individually as they decide. A peer that restarted without its
+// state pulls too: the manager answers its recovery.QueryMsg from
+// DecisionOf.
 //
 // One mutex guards the manager's state. The stepping goroutine holds it
 // for the body of Step and Deliver; the only other callers a serving
@@ -48,6 +50,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
+	"repro/internal/recovery"
 	"repro/internal/types"
 )
 
@@ -321,6 +324,11 @@ func (m *Manager) Halted() bool {
 func (m *Manager) DecisionOf(txn ID) (types.Decision, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.decisionOfLocked(txn)
+}
+
+// decisionOfLocked is DecisionOf for a caller holding mu.
+func (m *Manager) decisionOfLocked(txn ID) (types.Decision, bool) {
 	b, ok := m.members[txn]
 	if !ok {
 		return types.DecisionNone, false
@@ -350,8 +358,8 @@ func (m *Manager) Step(received []types.Message, rnd types.Rand) []types.Message
 	tick := int(m.clock.Add(1))
 
 	m.mu.Lock()
-	m.demuxLocked(received, tick)
-	out, decidedNow := m.stepRunningLocked(tick, rnd, m.out[:0], m.decidedNow[:0])
+	out := m.demuxLocked(received, tick, m.out[:0])
+	out, decidedNow := m.stepRunningLocked(tick, rnd, out, m.decidedNow[:0])
 	m.clearFreshLocked() // every running instance was just advanced
 	m.out, m.decidedNow = out, decidedNow
 	m.mu.Unlock()
@@ -370,8 +378,7 @@ func (m *Manager) Deliver(received []types.Message, rnd types.Rand) []types.Mess
 	tick := m.Clock()
 
 	m.mu.Lock()
-	m.demuxLocked(received, tick)
-	out, decidedNow := m.out[:0], m.decidedNow[:0]
+	out, decidedNow := m.demuxLocked(received, tick, m.out[:0]), m.decidedNow[:0]
 	for _, bi := range m.fresh {
 		out, decidedNow = m.advanceLocked(bi, tick, false, rnd, out, decidedNow)
 	}
@@ -413,11 +420,19 @@ func (m *Manager) clearFreshLocked() {
 }
 
 // demuxLocked sorts the received batch frames into per-instance inboxes,
-// joining batches first heard of from the wire. Caller holds mu.
-func (m *Manager) demuxLocked(received []types.Message, tick int) {
+// joining batches first heard of from the wire, and appends to out a reply
+// to every outcome query for a transaction this node has decided — from a
+// live instance or a tombstone; a query it cannot answer gets none. Caller
+// holds mu.
+func (m *Manager) demuxLocked(received []types.Message, tick int, out []types.Message) []types.Message {
 	for i := range received {
 		env, ok := received[i].Payload.(BatchEnvelope)
 		if !ok {
+			if q, isQuery := received[i].Payload.(recovery.QueryMsg); isQuery {
+				if d, decided := m.decisionOfLocked(ID(q.Txn)); decided {
+					out = append(out, types.Message{From: m.cfg.ID, To: received[i].From, Payload: recovery.ReplyMsg{Val: d.Value()}})
+				}
+			}
 			continue
 		}
 		if _, done := m.retiredBatches[env.Batch]; done {
@@ -463,4 +478,5 @@ func (m *Manager) demuxLocked(received []types.Message, tick int) {
 		inner.Payload = env.Inner
 		bi.inbox = append(bi.inbox, inner)
 	}
+	return out
 }

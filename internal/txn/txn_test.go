@@ -275,10 +275,7 @@ func TestOnOutcomeConcurrentCoordinators(t *testing.T) {
 		t.Fatal(err)
 	}
 	runDone := make(chan error, 1)
-	go func() {
-		_, err := cluster.Run(context.Background())
-		runDone <- err
-	}()
+	go func() { runDone <- cluster.Run(context.Background()) }()
 
 	got := make([]types.Decision, len(ids))
 	var wg sync.WaitGroup

@@ -91,6 +91,15 @@ func DecisionOf(v Value) Decision {
 	return DecisionAbort
 }
 
+// Value inverts DecisionOf on decided outcomes: 1 for commit, 0 for abort
+// (and for none, which a caller rules out first).
+func (d Decision) Value() Value {
+	if d == DecisionCommit {
+		return V1
+	}
+	return V0
+}
+
 // Payload is the protocol-level content of a message. Concrete payload
 // types live with their protocols. Payloads are opaque to adversaries:
 // the scheduling layer only ever exposes the message *pattern* (§2.3).

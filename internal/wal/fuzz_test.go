@@ -2,29 +2,27 @@ package wal_test
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"repro/internal/types"
 	"repro/internal/wal"
 )
 
-// FuzzReplay throws arbitrary bytes at the frame scanner and the protocol
-// record codec, as the one segment of a node journal: opening must never
-// panic and must either replay a state or return a clean error.
+// FuzzReplay throws arbitrary bytes at the frame scanner and the decision
+// record codec, as the one segment of a decision journal: opening must
+// never panic and must either replay decisions or return a clean error, and
+// bytes holding no whole frame replay nothing.
 func FuzzReplay(f *testing.F) {
 	// Seed with a valid log, a truncated log, and garbage.
-	vote, _ := wal.EncodePayload(wal.Record{Type: wal.RecordVote, Value: 1})
-	coins, _ := wal.EncodePayload(wal.Record{Type: wal.RecordCoins, Coins: []types.Value{1, 0, 1}})
-	valid := append(wal.Frame(vote), wal.Frame(coins)...)
+	valid := append(wal.Frame(wal.EncodeDecision("txn-1", types.DecisionCommit)), wal.Frame(wal.EncodeRetire("txn-1"))...)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])
 	f.Add([]byte{0xde, 0xad, 0xbe, 0xef})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, had, err := replaySegment(t, data)
-		if err == nil && !had && (st.HasVote || st.Decided) {
-			t.Fatalf("state %+v replayed from no records", st)
+		got, err := replaySegment(t, data)
+		if err == nil && len(data) < 8 && len(got) > 0 {
+			t.Fatalf("decisions %v replayed from %d bytes, less than a frame header", got, len(data))
 		}
 	})
 }
@@ -81,42 +79,31 @@ func FuzzSegmentedOpen(f *testing.F) {
 	})
 }
 
-// FuzzAppendReplayRoundTrip: any record the encoder accepts must survive
-// a replay, even with trailing garbage after it.
+// FuzzAppendReplayRoundTrip: any decision record the encoder writes must
+// survive a replay, even with trailing garbage after it: the frame scanner
+// hands back its payload, and the decision codec folds that payload back
+// into the decision.
 func FuzzAppendReplayRoundTrip(f *testing.F) {
-	f.Add(uint8(1), uint8(1), []byte{1, 0, 1}, []byte{0xff})
-	f.Fuzz(func(t *testing.T, typRaw, valRaw uint8, coinsRaw, garbage []byte) {
-		rec := wal.Record{
-			Type:  wal.RecordType(typRaw%4 + 1),
-			Value: 0,
+	f.Add("txn-1", true, []byte{0xff})
+	f.Fuzz(func(t *testing.T, id string, commit bool, garbage []byte) {
+		d := types.DecisionAbort
+		if commit {
+			d = types.DecisionCommit
 		}
-		if valRaw%2 == 1 {
-			rec.Value = 1
-		}
-		for _, c := range coinsRaw {
-			rec.Coins = append(rec.Coins, 0)
-			if c%2 == 1 {
-				rec.Coins[len(rec.Coins)-1] = 1
-			}
-		}
-		payload, err := wal.EncodePayload(rec)
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		var records []wal.Record
+		var first []byte
 		//nolint:errcheck // the garbage may be corrupt; the record before it must still come back
-		wal.ScanFrames(bytes.NewReader(append(wal.Frame(payload), garbage...)), func(p []byte) error {
-			r, err := wal.DecodePayload(p)
-			if err == nil {
-				records = append(records, r)
+		wal.ScanFrames(bytes.NewReader(append(wal.Frame(wal.EncodeDecision(id, d)), garbage...)), func(p []byte) error {
+			if first == nil {
+				first = append([]byte{}, p...)
 			}
-			return err
+			return nil
 		})
-		if len(records) < 1 {
+		if first == nil {
 			t.Fatal("own record lost")
 		}
-		if got := records[0]; !reflect.DeepEqual(got, rec) {
-			t.Fatalf("round trip mismatch: %+v vs %+v", got, rec)
+		got, err := replaySegment(t, wal.Frame(first))
+		if err != nil || len(got) != 1 || got[id] != d {
+			t.Fatalf("round trip of (%q, %v) replayed %v, err %v", id, d, got, err)
 		}
 	})
 }

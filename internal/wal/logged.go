@@ -7,37 +7,24 @@ import (
 
 // LoggedCommit wraps a Protocol 2 machine and journals its protocol-
 // relevant transitions: vote changes (including the 2K-timeout demotion),
-// the learned coin list, the Protocol 1 input, and the decision. Append
-// errors are retained (inspect Err) rather than crashing the protocol —
-// a processor whose disk died is indistinguishable from a crashed one
-// only if it stops, which is the operator's call.
+// the learned coin list, the Protocol 1 input, and the decision.
 type LoggedCommit struct {
 	inner *core.Commit
-	log   RecordAppender
+	log   *Records
 
 	lastVote   types.Value
 	votedOnce  bool
 	coinsSeen  bool
 	inputSeen  bool
 	decidedLog bool
-	err        error
 }
 
 var _ types.Machine = (*LoggedCommit)(nil)
 
-// RecordAppender journals protocol records: a *NodeLog over a segmented
-// directory, or the in-memory *Records.
-type RecordAppender interface {
-	Append(Record) error
-}
-
 // NewLoggedCommit wraps m so its transitions are journaled to log.
-func NewLoggedCommit(m *core.Commit, log RecordAppender) *LoggedCommit {
+func NewLoggedCommit(m *core.Commit, log *Records) *LoggedCommit {
 	return &LoggedCommit{inner: m, log: log}
 }
-
-// Err returns the first append error, if any.
-func (l *LoggedCommit) Err() error { return l.err }
 
 // Inner returns the wrapped machine.
 func (l *LoggedCommit) Inner() *core.Commit { return l.inner }
@@ -61,28 +48,19 @@ func (l *LoggedCommit) Step(received []types.Message, rnd types.Rand) []types.Me
 
 	if v := l.inner.CurrentVote(); !l.votedOnce || v != l.lastVote {
 		l.votedOnce, l.lastVote = true, v
-		l.append(Record{Type: RecordVote, Value: v})
+		l.log.Append(Record{Type: RecordVote, Value: v})
 	}
 	if coins := l.inner.Coins(); coins != nil && !l.coinsSeen {
 		l.coinsSeen = true
-		l.append(Record{Type: RecordCoins, Coins: coins})
+		l.log.Append(Record{Type: RecordCoins, Coins: coins})
 	}
 	if ag := l.inner.Agreement(); ag != nil && !l.inputSeen {
 		l.inputSeen = true
-		l.append(Record{Type: RecordInput, Value: ag.LocalValue()})
+		l.log.Append(Record{Type: RecordInput, Value: ag.LocalValue()})
 	}
 	if v, ok := l.inner.Decision(); ok && !l.decidedLog {
 		l.decidedLog = true
-		l.append(Record{Type: RecordDecision, Value: v})
+		l.log.Append(Record{Type: RecordDecision, Value: v})
 	}
 	return out
-}
-
-func (l *LoggedCommit) append(r Record) {
-	if l.err != nil {
-		return
-	}
-	if err := l.log.Append(r); err != nil {
-		l.err = err
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -437,62 +438,54 @@ func TestSegmentedFlushErrorReachesEveryWaiter(t *testing.T) {
 	dl.Close() //nolint:errcheck // already poisoned
 }
 
-// TestDifferentialSegmentedVsReconstruct: a record stream journaled
-// through the segmented node journal (with rotation and snapshots forced)
-// and replayed from disk must reconstruct the SAME protocol state as
-// folding the in-memory records — Reconstruct is the oracle, as it is for
-// every in-process user of wal.Records.
+// TestDifferentialSegmentedVsReconstruct: a decide/retire stream journaled
+// through the segmented decision journal on disk (with rotation and
+// snapshots forced) and replayed must reconstruct the SAME decisions as
+// folding the stream in memory — the fold is the oracle.
 func TestDifferentialSegmentedVsReconstruct(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var stream []wal.Record
-	for i := 0; i < 300; i++ {
-		switch rng.Intn(3) {
-		case 0:
-			stream = append(stream, wal.Record{Type: wal.RecordVote, Value: types.Value(rng.Intn(2))})
-		case 1:
-			coins := make([]types.Value, 1+rng.Intn(20))
-			for j := range coins {
-				coins[j] = types.Value(rng.Intn(2))
-			}
-			stream = append(stream, wal.Record{Type: wal.RecordCoins, Coins: coins})
-		case 2:
-			stream = append(stream, wal.Record{Type: wal.RecordInput, Value: types.Value(rng.Intn(2))})
+	want := make(map[string]types.Decision)
+	opts := func() wal.SegmentedOptions {
+		fs, err := wal.NewDirFS(filepath.Join(t.TempDir(), "journal"))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	stream = append(stream, wal.Record{Type: wal.RecordDecision, Value: 1})
-
-	want := wal.Reconstruct(stream)
-
-	// Segmented replay, with rotation and snapshots in the path.
-	dir := t.TempDir()
-	nl, st0, had, err := wal.OpenNodeLog(dir, wal.SegmentedOptions{SegmentBytes: 128, SnapshotEvery: 64})
+		return wal.SegmentedOptions{FS: fs, SegmentBytes: 128, SnapshotEvery: 64}
+	}()
+	dl, err := wal.OpenDecisionLog(opts)
 	if err != nil {
 		t.Fatalf("segmented open: %v", err)
 	}
-	if had || st0.Decided {
-		t.Fatalf("fresh segmented journal claims prior participation (%+v)", st0)
+	if len(dl.Recovered()) != 0 {
+		t.Fatalf("fresh segmented journal recovered %v", dl.Recovered())
 	}
-	for _, r := range stream {
-		if err := nl.Append(r); err != nil {
+	for i := 0; i < 300; i++ {
+		id := txnID(rng.Intn(40))
+		if rng.Intn(4) == 0 {
+			delete(want, id)
+			if err := dl.Retire(id); err != nil {
+				t.Fatalf("segmented retire: %v", err)
+			}
+			continue
+		}
+		want[id] = decisionFor(rng.Intn(3))
+		if err := dl.AppendSync(id, want[id]); err != nil {
 			t.Fatalf("segmented append: %v", err)
 		}
 	}
-	if err := nl.Close(); err != nil {
+	if err := dl.Close(); err != nil {
 		t.Fatalf("segmented close: %v", err)
 	}
 
-	nl2, got, had2, err := wal.OpenNodeLog(dir, wal.SegmentedOptions{SegmentBytes: 128, SnapshotEvery: 64})
+	dl2, err := wal.OpenDecisionLog(opts)
 	if err != nil {
 		t.Fatalf("segmented reopen: %v", err)
 	}
-	defer nl2.Close() //nolint:errcheck
-	if !had2 {
-		t.Fatal("segmented journal forgot its participation")
+	defer dl2.Close() //nolint:errcheck
+	if got := dl2.Recovered(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("segmented replay diverged from the fold:\n got %v\nwant %v", got, want)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("segmented replay diverged from Reconstruct:\n got %+v\nwant %+v", got, want)
-	}
-	if rs := nl2.Stats(); rs.Replay.SnapshotSeq == 0 || rs.Replay.Records == len(stream) {
+	if rs := dl2.ReplayStats(); rs.SnapshotSeq == 0 || rs.Records == 300 {
 		t.Errorf("differential run never exercised a snapshot (stats %+v)", rs)
 	}
 }

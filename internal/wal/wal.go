@@ -2,27 +2,23 @@
 // recovery story concrete. The protocol's graceful degradation ("instead
 // of producing a wrong answer, the protocol simply fails to terminate...
 // by not producing a wrong answer, we leave open the opportunity to
-// recover", §1) is only useful if a crashed processor can come back,
-// re-learn where it was, and find out the outcome. This package persists
-// the protocol-relevant transitions — the vote, the shared coin list, the
-// agreement input, and the decision — in an append-only, checksummed,
-// torn-tail-tolerant log.
+// recover", §1) is only useful if a crashed processor can come back and
+// find out the outcome.
 //
 // There is one log: SegmentedLog (segment.go) is the only code that
 // frames, checksums, fsyncs or replays a record; its file comment gives
-// the on-disk layout. The journals built on it — NodeLog (protocol.go),
-// DecisionLog (decision.go) and the cross-shard log in internal/shard —
-// are record codecs: they encode a payload, hand it to the log, and fold
-// replayed payloads back into state. This file holds the protocol
-// journal's record type, its payload
+// the on-disk layout. The journals built on it — DecisionLog (decision.go),
+// which every live node and the commit service keep, and the cross-shard
+// log in internal/shard — are record codecs: they encode a payload, hand it
+// to the log, and fold replayed payloads back into state.
 //
-//	[u8 type][u8 value][u16 coinCount][coinCount bytes of coin bits]
-//
-// and the fold from records to State.
+// This file holds the formal machine's journal, which the simulator keeps
+// in memory: the protocol-relevant transitions of a Protocol 2 processor —
+// the vote, the shared coin list, the agreement input, and the decision —
+// as Records that LoggedCommit appends, and their fold into a State.
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -72,52 +68,13 @@ type Record struct {
 // decode.
 var ErrCorrupt = errors.New("wal: corrupt record")
 
-// encodePayload serializes a record's payload (the bytes under the
-// frame — the segmented log frames them itself).
-func encodePayload(r Record) ([]byte, error) {
-	if len(r.Coins) > 1<<16-1 {
-		return nil, fmt.Errorf("wal: too many coins (%d)", len(r.Coins))
-	}
-	payload := make([]byte, 4+len(r.Coins))
-	payload[0] = byte(r.Type)
-	payload[1] = byte(r.Value)
-	binary.LittleEndian.PutUint16(payload[2:4], uint16(len(r.Coins)))
-	for i, c := range r.Coins {
-		payload[4+i] = byte(c)
-	}
-	return payload, nil
-}
-
-// decodePayload parses a checksum-verified payload.
-func decodePayload(payload []byte) (Record, error) {
-	if len(payload) < 4 {
-		return Record{}, ErrCorrupt
-	}
-	r := Record{Type: RecordType(payload[0]), Value: types.Value(payload[1])}
-	count := int(binary.LittleEndian.Uint16(payload[2:4]))
-	if len(payload) != 4+count {
-		return Record{}, ErrCorrupt
-	}
-	if count > 0 {
-		r.Coins = make([]types.Value, count)
-		for i := 0; i < count; i++ {
-			r.Coins[i] = types.Value(payload[4+i])
-		}
-	}
-	return r, nil
-}
-
-// Records is the in-memory journal: a RecordAppender that keeps the
-// records themselves, for the simulator and the chaos harness, where the
-// journal only has to outlive a simulated crash inside one process. Fold
-// it with Reconstruct. Not safe for concurrent use.
+// Records is the in-memory journal LoggedCommit appends to, for the
+// simulator, where the journal only has to outlive a simulated crash inside
+// one process. Fold it with Reconstruct. Not safe for concurrent use.
 type Records []Record
 
-// Append implements RecordAppender.
-func (rs *Records) Append(r Record) error {
-	*rs = append(*rs, r)
-	return nil
-}
+// Append journals one record.
+func (rs *Records) Append(r Record) { *rs = append(*rs, r) }
 
 // State is the protocol state reconstructed from a log.
 type State struct {

@@ -21,22 +21,28 @@ import (
 // firstSeg is the file a fresh segmented log appends to.
 const firstSeg = "wal-00000001.seg"
 
-// nodeSegment journals records through a NodeLog over a fresh MemFS and
-// returns the bytes of its one segment — a valid log to truncate or
-// corrupt.
-func nodeSegment(t *testing.T, records ...wal.Record) []byte {
+// decision is one journaled transaction outcome.
+type decision struct {
+	id string
+	d  types.Decision
+}
+
+// decisionSegment journals decisions through a DecisionLog over a fresh
+// MemFS and returns the bytes of its one segment — a valid log to
+// truncate or corrupt.
+func decisionSegment(t *testing.T, ds ...decision) []byte {
 	t.Helper()
 	fs := wal.NewMemFS()
-	nl, _, _, err := wal.OpenNodeLog("", wal.SegmentedOptions{FS: fs})
+	dl, err := wal.OpenDecisionLog(wal.SegmentedOptions{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range records {
-		if err := nl.Append(r); err != nil {
+	for _, x := range ds {
+		if err := dl.AppendSync(x.id, x.d); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := nl.Close(); err != nil {
+	if err := dl.Close(); err != nil {
 		t.Fatal(err)
 	}
 	f, err := fs.Open(firstSeg)
@@ -67,122 +73,75 @@ func memWith(t testing.TB, files map[string][]byte) *wal.MemFS {
 	return fs
 }
 
-// replaySegment opens a node journal whose one segment holds seg — the
+// replaySegment opens a decision journal whose one segment holds seg — the
 // way every on-disk byte reaches a decoder: through the segmented open
 // and its one frame scanner.
-func replaySegment(t testing.TB, seg []byte) (wal.State, bool, error) {
+func replaySegment(t testing.TB, seg []byte) (map[string]types.Decision, error) {
 	t.Helper()
-	nl, st, had, err := wal.OpenNodeLog("", wal.SegmentedOptions{FS: memWith(t, map[string][]byte{firstSeg: seg})})
+	dl, err := wal.OpenDecisionLog(wal.SegmentedOptions{FS: memWith(t, map[string][]byte{firstSeg: seg})})
 	if err != nil {
-		return st, had, err
+		return nil, err
 	}
-	return st, had, nl.Close()
+	return dl.Recovered(), dl.Close()
 }
 
+// TestRoundTrip: decide and retire records replay to their fold, the
+// last decide of an id winning until a retire drops it.
 func TestRoundTrip(t *testing.T) {
-	records := []wal.Record{
-		{Type: wal.RecordVote, Value: types.V1},
-		{Type: wal.RecordCoins, Coins: []types.Value{1, 0, 1, 1, 0}},
-		{Type: wal.RecordInput, Value: types.V1},
-		{Type: wal.RecordVote, Value: types.V0},
-		{Type: wal.RecordDecision, Value: types.V0},
+	fs := wal.NewMemFS()
+	dl, err := wal.OpenDecisionLog(wal.SegmentedOptions{FS: fs})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, r := range records {
-		payload, err := wal.EncodePayload(r)
-		if err != nil {
+	for _, x := range []decision{{"a", types.DecisionCommit}, {"b", types.DecisionAbort}, {"", types.DecisionCommit}, {"c", types.DecisionCommit}} {
+		if err := dl.AppendSync(x.id, x.d); err != nil {
 			t.Fatal(err)
 		}
-		got, err := wal.DecodePayload(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, r) {
-			t.Errorf("record %d = %+v, want %+v", i, got, r)
-		}
 	}
-	// And through the log: the replayed state is the fold of the records.
-	st, had, err := replaySegment(t, nodeSegment(t, records...))
-	if err != nil || !had {
-		t.Fatalf("replay: had=%v err=%v", had, err)
+	if err := dl.Retire("c"); err != nil {
+		t.Fatal(err)
 	}
-	if want := wal.Reconstruct(records); !reflect.DeepEqual(st, want) {
-		t.Errorf("replayed state %+v, want %+v", st, want)
+	if err := dl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dl, err = wal.OpenDecisionLog(wal.SegmentedOptions{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dl.Close() //nolint:errcheck
+	want := map[string]types.Decision{"a": types.DecisionCommit, "b": types.DecisionAbort, "": types.DecisionCommit}
+	if got := dl.Recovered(); !reflect.DeepEqual(got, want) {
+		t.Errorf("replayed %v, want %v", got, want)
 	}
 }
 
 func TestTornTailIsTolerated(t *testing.T) {
-	full := nodeSegment(t,
-		wal.Record{Type: wal.RecordVote, Value: types.V1},
-		wal.Record{Type: wal.RecordDecision, Value: types.V1})
+	full := decisionSegment(t, decision{"first", types.DecisionCommit}, decision{"second", types.DecisionAbort})
 	// Chop bytes off the end: replay must never error, and must return
 	// the first record intact once the second is incomplete.
 	for cut := 1; cut < 12; cut++ {
-		st, had, err := replaySegment(t, full[:len(full)-cut])
+		got, err := replaySegment(t, full[:len(full)-cut])
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
-		if !had || !st.HasVote || st.Vote != types.V1 || st.Decided {
-			t.Fatalf("cut=%d: state %+v (had=%v), want the vote alone", cut, st, had)
+		if want := map[string]types.Decision{"first": types.DecisionCommit}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut=%d: replayed %v, want the first decision alone", cut, got)
 		}
 	}
 }
 
 func TestCorruptionDetected(t *testing.T) {
-	raw := nodeSegment(t, wal.Record{Type: wal.RecordDecision, Value: types.V1})
+	raw := decisionSegment(t, decision{"txn", types.DecisionCommit})
 	raw[len(raw)-1] ^= 0xFF // flip a payload bit
-	if _, _, err := replaySegment(t, raw); !errors.Is(err, wal.ErrCorrupt) {
+	if _, err := replaySegment(t, raw); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }
 
 func TestImplausibleLengthRejected(t *testing.T) {
 	raw := []byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0, 1, 2, 3}
-	if _, _, err := replaySegment(t, raw); !errors.Is(err, wal.ErrCorrupt) {
+	if _, err := replaySegment(t, raw); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
-	}
-}
-
-// TestNodeLogLifecycle: a fresh journal reports no participation, records
-// accumulate across reopen, and a caller-supplied FS is the one used.
-func TestNodeLogLifecycle(t *testing.T) {
-	fs := wal.NewMemFS()
-	open := func() (*wal.NodeLog, wal.State, bool) {
-		t.Helper()
-		nl, st, had, err := wal.OpenNodeLog("", wal.SegmentedOptions{FS: fs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return nl, st, had
-	}
-	nl, st, had := open()
-	if had || st.HasVote || st.Decided {
-		t.Fatalf("fresh journal: had=%v state=%+v", had, st)
-	}
-	if err := nl.Append(wal.Record{Type: wal.RecordVote, Value: types.V1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := nl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if names, _ := fs.List(); len(names) == 0 {
-		t.Fatal("journal did not land in the supplied FS")
-	}
-
-	nl, st, had = open()
-	if !had || !st.HasVote || st.Decided {
-		t.Fatalf("after one record: had=%v state=%+v", had, st)
-	}
-	if err := nl.Append(wal.Record{Type: wal.RecordDecision, Value: types.V1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := nl.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	nl, st, had = open()
-	defer nl.Close() //nolint:errcheck
-	if !had || !st.HasVote || !st.Decided || st.Decision != types.V1 {
-		t.Fatalf("after reopen-append: had=%v state=%+v", had, st)
 	}
 }
 
@@ -194,7 +153,7 @@ func TestSingleFileJournalRefused(t *testing.T) {
 	if err := os.WriteFile(path, []byte("old journal"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, err := wal.OpenNodeLog(path, wal.SegmentedOptions{})
+	_, err := wal.NewDirFS(path)
 	if err == nil || !strings.Contains(err.Error(), "single-file journals are no longer read: "+path) {
 		t.Fatalf("err = %v, want the single-file refusal naming %s", err, path)
 	}
@@ -240,25 +199,15 @@ func TestRecordTypeString(t *testing.T) {
 	}
 }
 
+// TestQuickRoundTrip: any id and decision survive a journal round trip.
 func TestQuickRoundTrip(t *testing.T) {
-	f := func(typ uint8, val bool, coinBits []bool) bool {
-		r := wal.Record{Type: wal.RecordType(typ%4 + 1)}
-		if val {
-			r.Value = types.V1
+	f := func(id string, commit bool) bool {
+		d := types.DecisionAbort
+		if commit {
+			d = types.DecisionCommit
 		}
-		for _, b := range coinBits {
-			if b {
-				r.Coins = append(r.Coins, types.V1)
-			} else {
-				r.Coins = append(r.Coins, types.V0)
-			}
-		}
-		payload, err := wal.EncodePayload(r)
-		if err != nil {
-			return false
-		}
-		got, err := wal.DecodePayload(payload)
-		return err == nil && reflect.DeepEqual(got, r)
+		got, err := replaySegment(t, decisionSegment(t, decision{id, d}))
+		return err == nil && len(got) == 1 && got[id] == d
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -293,9 +242,6 @@ func TestLoggedCommitJournal(t *testing.T) {
 		t.Fatal("run undecided")
 	}
 	for p := 0; p < n; p++ {
-		if logged[p].Err() != nil {
-			t.Fatalf("proc %d journal error: %v", p, logged[p].Err())
-		}
 		s := wal.Reconstruct(journals[p])
 		if !s.Decided || s.Decision != res.Values[p] {
 			t.Errorf("proc %d reconstructed %+v, run decided %v", p, s, res.Values[p])

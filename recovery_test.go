@@ -86,10 +86,11 @@ func TestJournaledNodeLifecycle(t *testing.T) {
 	}
 }
 
-// TestRecoveryModeOverTCP kills a journaled node mid-protocol, restarts
-// it, and checks it recovers the outcome from the lingering survivors —
-// then that a second restart short-circuits from the freshly journaled
-// decision.
+// TestRecoveryModeOverTCP kills a journaled node before its first step,
+// restarts it, and checks that it recovers the outcome from the survivors'
+// managers — the decision every survivor journaled — and that a second
+// restart short-circuits from the freshly journaled decision. The victim's
+// vote never leaves it, so the outcome is ABORT whatever the timing.
 func TestRecoveryModeOverTCP(t *testing.T) {
 	dir := t.TempDir()
 	n := 5
@@ -103,7 +104,7 @@ func TestRecoveryModeOverTCP(t *testing.T) {
 		node, err := tcommit.StartNode(cfg, tcommit.NodeSpec{
 			ID: tcommit.ProcID(i), Listen: "127.0.0.1:0", Vote: true,
 			TickEvery: time.Millisecond, MaxTicks: 8000,
-			ServeOutcomeTicks: 4000, JournalPath: journal(tcommit.ProcID(i)),
+			ServeOutcomeTicks: 500, JournalPath: journal(tcommit.ProcID(i)),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -111,51 +112,10 @@ func TestRecoveryModeOverTCP(t *testing.T) {
 		nodes[i] = node
 		peers[tcommit.ProcID(i)] = node.Addr()
 	}
-	for _, node := range nodes {
-		node.SetPeers(peers)
-	}
-	var wg sync.WaitGroup
-	for i, node := range nodes {
-		wg.Add(1)
-		go func(i int, node *tcommit.Node) {
-			defer wg.Done()
-			_, _ = node.Run(context.Background()) // survivors are wound down by Kill below
-		}(i, node)
-	}
-	// Kill the victim only once its journal holds a record (it must have
-	// taken at least one step, or the restart has nothing to resume from).
-	firstSegment := filepath.Join(journal(victim), "wal-00000001.seg")
-	go func() {
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			if fi, err := os.Stat(firstSegment); err == nil && fi.Size() > 0 {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
-		nodes[victim].Kill()
-	}()
-
-	// Wait for the survivors to decide (poll their journals offline).
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		re, err := tcommit.StartNode(cfg, tcommit.NodeSpec{ID: 0, JournalPath: journal(0)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if re.Mode() == "journal" {
-			break
-		}
-		// Not decided yet — but StartNode consumed the journal in
-		// recovery mode; that instance is unused. Spin.
-		if time.Now().After(deadline) {
-			t.Fatal("survivors never decided")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
+	// The victim dies before its first step, leaving an empty journal.
+	nodes[victim].Kill()
 	restarted, err := tcommit.StartNode(cfg, tcommit.NodeSpec{
-		ID: victim, Listen: "127.0.0.1:0", Peers: peers,
+		ID: victim, Listen: "127.0.0.1:0",
 		TickEvery: time.Millisecond, MaxTicks: 4000,
 		JournalPath: journal(victim),
 	})
@@ -163,17 +123,24 @@ func TestRecoveryModeOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	if restarted.Mode() != "recovery" {
-		// The victim may have decided before the kill landed; then the
-		// journal already has the decision and there is nothing to test.
-		if restarted.Mode() == "journal" {
-			t.Skip("victim decided before the kill; journal short-circuit covered elsewhere")
-		}
-		t.Fatalf("restart mode = %q", restarted.Mode())
+		t.Fatalf("restart mode = %q, want recovery", restarted.Mode())
 	}
-	for i := 0; i < n; i++ {
-		if tcommit.ProcID(i) != victim {
-			nodes[i].SetPeers(map[tcommit.ProcID]string{victim: restarted.Addr()})
-		}
+	peers[victim] = restarted.Addr()
+	restarted.SetPeers(peers)
+
+	survivors := make([]tcommit.Decision, n-1)
+	var wg sync.WaitGroup
+	for i := 0; i < n-1; i++ {
+		nodes[i].SetPeers(peers)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			d, err := nodes[i].Run(context.Background())
+			if err != nil {
+				t.Errorf("survivor %d: %v", i, err)
+			}
+			survivors[i] = d
+		}(i)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
@@ -181,30 +148,34 @@ func TestRecoveryModeOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d == tcommit.None {
-		t.Fatal("recovery-mode node never learned the outcome")
-	}
-
-	// Second restart: the adopted decision was journaled.
-	again, err := tcommit.StartNode(cfg, tcommit.NodeSpec{ID: victim, JournalPath: journal(victim)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Mode() != "journal" {
-		t.Fatalf("second restart mode = %q, want journal", again.Mode())
-	}
-	d2, err := again.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2 != d {
-		t.Fatalf("journaled decision %v != recovered %v", d2, d)
-	}
-
-	for i := 0; i < n; i++ {
-		nodes[i].Kill()
-	}
 	wg.Wait()
+	if d != tcommit.Abort {
+		t.Fatalf("recovered %v, want ABORT (the victim never voted)", d)
+	}
+	for i, sd := range survivors {
+		if sd != d {
+			t.Errorf("survivor %d decided %v, the victim recovered %v", i, sd, d)
+		}
+	}
+
+	// Every journal — the survivors' and, on a second restart, the
+	// victim's — holds the recovered decision.
+	for p := 0; p < n; p++ {
+		again, err := tcommit.StartNode(cfg, tcommit.NodeSpec{ID: tcommit.ProcID(p), JournalPath: journal(tcommit.ProcID(p))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.Mode() != "journal" {
+			t.Fatalf("node %d restart mode = %q, want journal", p, again.Mode())
+		}
+		jd, err := again.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jd != d {
+			t.Errorf("node %d journaled %v, the victim recovered %v", p, jd, d)
+		}
+	}
 }
 
 // TestSingleFileJournalRefused: a JournalPath naming a regular file — a

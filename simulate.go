@@ -162,7 +162,7 @@ func Simulate(cfg Config, votes []bool, opts ...SimOption) (*SimResult, error) {
 		adv = &adversary.Crash{Inner: adv, Plan: settings.crashes}
 	}
 
-	set, err := core.NewSet(cfg.machineTemplate(), vals)
+	set, err := core.NewSet(core.Config{N: cfg.N, T: cfg.T, K: cfg.K, CoinFactor: cfg.CoinFactor, Gadget: true}, vals)
 	if err != nil {
 		return nil, err
 	}

@@ -22,25 +22,31 @@
 //
 // Four ways to use the package:
 //
-//   - Simulate: run the protocol under the paper's formal model with a
-//     chosen adversary (delays, crashes, partitions) and inspect the
-//     outcome. Deterministic given a seed.
-//   - NewCluster: run a live in-memory cluster, one goroutine per
-//     processor, with optional latency/loss/crash injection.
+//   - Simulate: run the paper's Protocol 2, exactly as printed, under the
+//     formal model with a chosen adversary (delays, crashes, partitions)
+//     and inspect the outcome. Deterministic given a seed.
+//   - NewCluster (and RunTransactions for many transactions at once): run
+//     a live in-memory cluster, one goroutine per processor, with optional
+//     latency/loss/crash injection.
 //   - StartNode: run one processor of a TCP cluster, for multi-process
-//     deployments.
+//     deployments, with an optional decision journal and recovery after a
+//     restart.
 //   - Serve: run a long-lived commit service over a live cluster —
 //     bounded admission, per-request deadlines, batched dispatch, and
 //     graceful drain. cmd/commitd exposes it over HTTP/JSON and
 //     cmd/loadgen load-tests it.
 //
-// Processor 0 is always the coordinator.
+// The three live ways run one machine: each processor hosts a transaction
+// manager (internal/txn) that runs Protocol 2 as a batch of width 1 and
+// acts on each message as it arrives. Simulate runs the formal machine the
+// live one is checked against. In Simulate, NewCluster and StartNode
+// processor 0 is the coordinator; RunTransactions and Serve let any
+// processor coordinate.
 package tcommit
 
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/types"
 )
 
@@ -99,12 +105,6 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("tcommit: CoinFactor must be >= 1, got %d", c.CoinFactor)
 	}
 	return c, nil
-}
-
-// machineTemplate is the Protocol 2 machine configuration every
-// processor of this cluster shares; ID and Vote are filled per processor.
-func (c Config) machineTemplate() core.Config {
-	return core.Config{N: c.N, T: c.T, K: c.K, CoinFactor: c.CoinFactor, Gadget: true}
 }
 
 // votesToValues converts bool votes (true = commit) to protocol values.

@@ -2,6 +2,7 @@ package tcommit_test
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -149,6 +150,34 @@ func TestClusterLifecycle(t *testing.T) {
 	}
 	if d, ok := out.Unanimous(); !ok || d != tcommit.Commit {
 		t.Fatalf("decisions = %v", out.Decisions)
+	}
+}
+
+// TestClusterFrameBudget: a cluster runs the serving machine, so a
+// failure-free commit at n = 3 puts at most 30 frames on the hub — five
+// broadcasts per processor (GO or its relay, vote, report, proposal,
+// DECIDED) to two peers each, fewer when a DECIDED overtakes a round. The
+// scalar machine sent 42. K is generous so no timeout can fire.
+func TestClusterFrameBudget(t *testing.T) {
+	var frames atomic.Int64
+	c, err := tcommit.NewCluster(tcommit.Config{N: 3, K: 50, Seed: 10}, allTrue(3),
+		tcommit.WithTick(time.Millisecond),
+		tcommit.WithNetworkLoss(func(from, to tcommit.ProcID) bool {
+			frames.Add(1)
+			return false
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, ok := out.Unanimous(); !ok || d != tcommit.Commit {
+		t.Fatalf("decisions = %v", out.Decisions)
+	}
+	if got := frames.Load(); got > 30 {
+		t.Fatalf("the hub carried %d frames, want at most 30", got)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/runtime"
 	"repro/internal/txn"
 	"repro/internal/types"
 )
@@ -58,63 +57,32 @@ func RunTransactions(cfg Config, specs []TxnSpec, opts ...ClusterOption) (TxnOut
 		}
 	}
 
-	// voteOf[p][id] is node p's vote for a transaction it joins.
-	voteOf := make([]map[txn.ID]bool, cfg.N)
-	for p := 0; p < cfg.N; p++ {
-		voteOf[p] = make(map[txn.ID]bool, len(specs))
-		for _, spec := range specs {
-			voteOf[p][txn.ID(spec.ID)] = spec.Votes[p]
-		}
-	}
-
-	managers := make([]*txn.Manager, cfg.N)
-	machines := make([]types.Machine, cfg.N)
-	for p := 0; p < cfg.N; p++ {
-		votes := voteOf[p]
-		mgr, err := txn.NewManager(txn.Config{
-			ID: ProcID(p), N: cfg.N, T: cfg.T, K: cfg.K,
-			CoinFactor: cfg.CoinFactor,
-			Vote: func(id txn.ID) bool {
-				v, ok := votes[id]
-				return ok && v
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		managers[p] = mgr
-		machines[p] = mgr
-	}
+	// votesOf[id][p] is node p's vote on transaction id.
+	votesOf := make(map[txn.ID][]bool, len(specs))
 	for _, spec := range specs {
-		if err := managers[spec.Coordinator].Begin(txn.ID(spec.ID), spec.Votes[spec.Coordinator]); err != nil {
-			return nil, err
-		}
+		votesOf[txn.ID(spec.ID)] = spec.Votes
 	}
-
-	var settings clusterSettings
-	for _, o := range opts {
-		o(&settings)
-	}
-	cluster, err := runtime.NewLocalCluster(machines, runtime.ClusterOptions{
-		TickEvery: settings.tickEvery,
-		MaxTicks:  settings.maxTicks,
-		Seed:      cfg.Seed,
-		Hub:       settings.hubOptions(),
-	})
+	c, err := newCluster(cfg, func(p ProcID, id txn.ID) bool {
+		votes, ok := votesOf[id]
+		return ok && votes[p]
+	}, opts)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := cluster.Run(context.Background()); err != nil {
+	for _, spec := range specs {
+		if err := c.managers[spec.Coordinator].Begin(txn.ID(spec.ID), spec.Votes[spec.Coordinator]); err != nil {
+			return nil, err
+		}
+	}
+	if err := c.inner.Run(context.Background()); err != nil {
 		return nil, err
 	}
 
 	out := make(TxnOutcomes, len(specs))
 	for _, spec := range specs {
-		id := txn.ID(spec.ID)
 		agreed := DecisionNone
-		for p := 0; p < cfg.N; p++ {
-			d, ok := managers[p].DecisionOf(id)
-			if !ok {
+		for _, d := range c.decisions(txn.ID(spec.ID)) {
+			if d == DecisionNone {
 				continue
 			}
 			if agreed == DecisionNone {
