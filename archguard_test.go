@@ -230,7 +230,7 @@ type rule struct {
 	caught    string            // the one violation it must yield
 }
 
-const wantRules = 20
+const wantRules = 21
 
 // changes is the change log; its newest entry is bounded in lines and
 // bytes (ROADMAP 11b).
@@ -490,6 +490,31 @@ var rules = []rule{
 			changes: "PR 2: short\nPR 3: long\n" + strings.Repeat("  run\n", 16) + "PR 1: an older entry\n" + strings.Repeat("  run\n", 40),
 		},
 		caught: "CHANGES.md:2: the newest entry has 17 lines and 107 bytes, want at most 16 and 6144",
+	},
+
+	// One ring.
+	{
+		name: "the live stack records into one ring",
+		why: "A protocol milestone is a KindEvent span in the one span ring (internal/obs/span), beside the stages, " +
+			"rounds and links it explains. The tracer is kept only for bench/'s record-cost drivers: outside bench/ and " +
+			"internal/obs no program file names obs.Tracer, obs.NewTracer or obs.Event.",
+		check: func(tr *tree) []string {
+			// ROADMAP 5f: bench/drivers.go still times obs.NewTracer and Tracer.Record; the bench/ revision deletes the tracer.
+			files := tr.in(nonTest, outside("bench", "internal/obs"))
+			var out []string
+			for _, name := range []string{"Tracer", "NewTracer", "Event"} {
+				out = append(out, tr.users("repro/internal/obs", name, files)...)
+			}
+			return out
+		},
+		planted: map[string]string{
+			"internal/txn/txn.go":       "package txn\nimport \"repro/internal/obs\"\n// obs.Tracer in a comment is not a use\nvar _ = obs.NewTracer(1)",
+			"internal/txn/txn_test.go":  "package txn\nimport \"repro/internal/obs\"\nvar _ obs.Event",
+			"internal/obs/tracer.go":    "package obs\ntype Tracer struct{}\nfunc NewTracer(int) *Tracer { return nil }",
+			"bench/drivers.go":          "package main\nimport \"repro/internal/obs\"\nvar _ = obs.NewTracer(1)",
+			"internal/service/types.go": "package service\nimport \"repro/internal/obs\"\nvar _ obs.Registry",
+		},
+		caught: "internal/txn/txn.go:4: uses obs.NewTracer",
 	},
 
 	// One lab.

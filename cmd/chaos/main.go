@@ -10,10 +10,10 @@
 // The plan is a pure function of its flags, so the same invocation
 // always exercises the same crash schedule, partition windows, and
 // per-message fault verdicts. On an audit violation the process exits 1
-// after printing the audit log and the failing seed; -trace-out
-// additionally dumps the run's protocol trace as JSON for post-mortem,
-// and -spans-out the run's causal span graph (feed it to `tracedump
-// critpath` or `tracedump chrome`). Service runs also print the
+// after printing the audit log and the failing seed; -spans-out
+// additionally dumps the run's span ring — rounds, links and protocol
+// milestones — as a causal span graph for post-mortem (feed it to
+// `tracedump`, `tracedump critpath` or `tracedump chrome`). Service runs also print the
 // critical path of the slowest transaction — after the audit log, so the
 // log itself stays a pure function of the seed. -watch attaches the live
 // watchdog (service and sharded modes), which adds detection-coverage
@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/obs/span"
 	"repro/internal/obs/watch"
@@ -55,8 +54,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		tick     = fs.Duration("tick", time.Millisecond, "protocol tick length")
 		budget   = fs.Int("budget", 0, "run budget in ticks (default 8*horizon+512)")
 		planOnly = fs.Bool("plan", false, "print the canonical plan and exit")
-		traceOut = fs.String("trace-out", "", "write the run's protocol trace JSON to this file")
-		spansOut = fs.String("spans-out", "", "write the run's causal span graph JSON to this file")
+		spansOut = fs.String("spans-out", "", "write the run's span ring (rounds, links, milestones) as span-graph JSON to this file")
 		watched  = fs.Bool("watch", false, "attach the live watchdog (-mode service|sharded); the audit gains detection-coverage checks")
 		flOut    = fs.String("flight-out", "", "write a flight dump of the watched run to this file (requires -watch)")
 	)
@@ -89,11 +87,8 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintln(stderr, "-flight-out requires -watch")
 		return 2
 	}
-	tracer := obs.NewTracer(1 << 14)
 	spans := span.NewCollector(1 << 16)
-	opts := chaos.RunOptions{
-		TickEvery: *tick, BudgetTicks: *budget, Tracer: tracer, Spans: spans,
-	}
+	opts := chaos.RunOptions{TickEvery: *tick, BudgetTicks: *budget, Spans: spans}
 	if *watched {
 		opts.Watch = &watch.Config{}
 	}
@@ -146,7 +141,6 @@ func run(args []string, stdout, stderr *os.File) int {
 				Format: flight.DumpFormat,
 				Reason: "chaos",
 				Health: health,
-				Events: tracer.Recent(256),
 				Spans:  spans.Graph(),
 			}
 			raw, err := json.MarshalIndent(d, "", " ")
@@ -159,22 +153,6 @@ func run(args []string, stdout, stderr *os.File) int {
 			}
 			fmt.Fprintf(stdout, "flight dump written to %s\n", *flOut)
 		}
-	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		werr := tracer.WriteJSON(f, "", tracer.Len())
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(stderr, werr)
-			return 1
-		}
-		fmt.Fprintf(stdout, "trace written to %s\n", *traceOut)
 	}
 	if *spansOut != "" {
 		f, err := os.Create(*spansOut)

@@ -54,21 +54,39 @@ func TestReplayClusterSeed(t *testing.T) {
 	}
 }
 
+// TestReplayServiceModeWithTrace: a service replay's -spans-out carries
+// the run's protocol milestones beside its spans; the tracer's -trace-out
+// is gone.
 func TestReplayServiceModeWithTrace(t *testing.T) {
-	trace := filepath.Join(t.TempDir(), "trace.json")
+	spansPath := filepath.Join(t.TempDir(), "spans.json")
 	code, out := capture(t, []string{
 		"-seed", "7", "-n", "3", "-shape", "lossy", "-mode", "service",
-		"-tick", "500us", "-trace-out", trace,
+		"-tick", "500us", "-spans-out", spansPath,
 	})
 	if code != 0 {
 		t.Fatalf("service replay exited %d:\n%s", code, out)
 	}
-	data, err := os.ReadFile(trace)
+	raw, err := os.ReadFile(spansPath)
 	if err != nil {
-		t.Fatalf("trace not written: %v", err)
+		t.Fatalf("spans not written: %v", err)
 	}
-	if !strings.Contains(string(data), "\"events\"") {
-		t.Fatalf("trace JSON missing events:\n%.200s", data)
+	g, err := span.ReadJSON(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, s := range g.Spans {
+		if s.Kind == span.KindEvent {
+			seen[s.Name] = true
+		}
+	}
+	for _, want := range []string{span.EventGoSent, span.EventGoRecv, span.EventVoteCast} {
+		if !seen[want] {
+			t.Errorf("span ring missing %s milestones (has %v)", want, seen)
+		}
+	}
+	if code, _ := capture(t, []string{"-mode", "service", "-trace-out", spansPath}); code != 2 {
+		t.Fatalf("-trace-out accepted (exit %d)", code)
 	}
 }
 

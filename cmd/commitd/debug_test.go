@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/obs/flight"
+	"repro/internal/obs/span"
 	"repro/internal/obs/watch"
 )
 
@@ -30,10 +31,10 @@ func getAll(t *testing.T, url string) (int, []byte) {
 }
 
 // TestDebugHandlersUnderConcurrency hammers every debug surface —
-// /debug/trace, /debug/spans, /readyz, /debug/health, /debug/flight —
-// in parallel with live commit traffic. Run under -race this is the
-// regression test that snapshotting the tracer ring, span collector,
-// watchdog, and flight recorder takes no unlocked reads of live state.
+// /debug/spans (whole and per transaction), /readyz, /debug/health,
+// /debug/flight — in parallel with live commit traffic. Run under -race
+// this is the regression test that snapshotting the span ring, watchdog,
+// and flight recorder takes no unlocked reads of live state.
 func TestDebugHandlersUnderConcurrency(t *testing.T) {
 	base, stop := startDaemon(t,
 		"-watch-interval", "10ms", "-slo-p99", "1s")
@@ -46,7 +47,7 @@ func TestDebugHandlersUnderConcurrency(t *testing.T) {
 		perR    = 30
 	)
 	paths := []string{
-		"/debug/trace?n=200",
+		"/debug/spans?txn=dbg-0-3",
 		"/debug/spans",
 		"/readyz",
 		"/debug/health",
@@ -115,7 +116,16 @@ func TestDebugHandlersUnderConcurrency(t *testing.T) {
 	if d.Reason != "on-demand" || len(d.Shards) != 1 {
 		t.Fatalf("dump: reason=%q shards=%d", d.Reason, len(d.Shards))
 	}
-	if len(d.Events) == 0 || d.Spans == nil || len(d.Spans.Spans) == 0 {
-		t.Fatalf("dump missing telemetry: events=%d spans=%v", len(d.Events), d.Spans)
+	if d.Spans == nil {
+		t.Fatal("dump carries no span ring")
+	}
+	milestones := 0
+	for _, s := range d.Spans.Spans {
+		if s.Kind == span.KindEvent {
+			milestones++
+		}
+	}
+	if milestones == 0 {
+		t.Fatalf("dump carries no protocol milestones among %d spans", len(d.Spans.Spans))
 	}
 }

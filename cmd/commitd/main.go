@@ -11,11 +11,10 @@
 //	GET  /status/{txn}  state of a known transaction
 //	GET  /metrics       counters + latency percentiles (JSON)
 //	GET  /metrics.prom  every layer's metrics, Prometheus text format
-//	GET  /debug/trace   recent protocol events (?txn=<id>&n=<count>; a
-//	                    txn's view includes the batch that decided it)
-//	GET  /debug/spans   causal span graph (?txn=<id> filters to the txn
-//	                    and its batch; sharded deployments include the
-//	                    txn's per-shard children)
+//	GET  /debug/spans   the span ring as a causal graph: stages, rounds,
+//	                    links and protocol milestones (?txn=<id> filters
+//	                    to the txn and its batch; sharded deployments
+//	                    include the txn's per-shard children)
 //	GET  /debug/health  watchdog anomaly report (stalls, crashes, SLO burn)
 //	GET  /debug/flight  on-demand flight-recorder dump (render with
 //	                    `tracedump flight`)
@@ -179,7 +178,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	var closeFn func(context.Context) error
 	var report func()
 	var src watch.Source
-	var tracer *obs.Tracer
 	var spans *span.Collector
 	if *shards == 1 {
 		var journal *wal.DecisionLog
@@ -211,7 +209,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 			return err
 		}
 		handler = service.NewHTTPHandler(svc)
-		src, tracer, spans = svc, svc.Tracer(), svc.Spans()
+		src, spans = svc, svc.Spans()
 		closeFn = func(ctx context.Context) error {
 			err := svc.Close(ctx)
 			if journal != nil {
@@ -272,7 +270,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 			fmt.Fprintf(out, "commitd: cross WAL replayed (%d records, %d in-doubt settled)\n", len(replayed), settled)
 		}
 		handler = shard.NewHTTPHandler(coord)
-		src, tracer, spans = coord, coord.Tracer(), coord.Spans()
+		src, spans = coord, coord.Spans()
 		closeFn = func(ctx context.Context) error {
 			err := coord.Close(ctx)
 			if crossLog != nil {
@@ -319,7 +317,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		},
 	})
 	rec = flight.New(flight.Config{
-		Tracer: tracer, Spans: spans, Source: src, Watchdog: wd,
+		Spans: spans, Source: src, Watchdog: wd,
 		StallAge: *stallAge, Dir: *flightDir, Cooldown: *flightCD,
 		Registry: reg,
 	})

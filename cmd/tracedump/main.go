@@ -5,9 +5,9 @@
 //     message statistics, lateness, and per-processor asynchronous round
 //     boundaries;
 //
-//   - live traces exported by a running commitd daemon
-//     (`curl http://host/debug/trace > live.json`), rendered as a
-//     per-node protocol event timeline.
+//   - span graphs taken from a live run (`curl http://host/debug/spans >
+//     spans.json`, or `chaos -spans-out`), rendered as a per-track
+//     timeline of the protocol milestones in the span ring.
 //
 // Subcommands turn either input into the causal span model
 // (internal/obs/span):
@@ -39,22 +39,20 @@
 //     tracedump -rounds -late run.json
 //     tracedump critpath run.json
 //     tracedump chrome -o run.chrome.json run.json
-//     curl -s localhost:8080/debug/trace?n=500 > live.json && tracedump live.json
+//     curl -s localhost:8080/debug/spans?txn=t1 > live.json && tracedump live.json
 package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"sort"
+	"strconv"
 	"strings"
 
-	"sort"
-
-	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/obs/span"
 	"repro/internal/obs/watch"
@@ -182,9 +180,9 @@ func runSub(cmd string, args []string, stdout io.Writer) error {
 	return fmt.Errorf("unknown subcommand %q", cmd)
 }
 
-// loadGraph builds a span graph from any of the four input formats:
-// simulator trace, live-trace export, an already-built span graph, or a
-// flight-recorder dump (whose embedded span graph is extracted).
+// loadGraph builds a span graph from any of the three input formats:
+// simulator trace, an already-built span graph, or a flight-recorder dump
+// (whose embedded span graph is extracted).
 func loadGraph(path string) (*span.Graph, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -202,13 +200,6 @@ func loadGraph(path string) (*span.Graph, error) {
 			return nil, errors.New("flight dump carries no span graph")
 		}
 		return d.Spans, nil
-	}
-	if isLiveTrace(raw) {
-		var exp obs.TraceExport
-		if err := json.Unmarshal(raw, &exp); err != nil {
-			return nil, fmt.Errorf("live trace: %w", err)
-		}
-		return span.FromEvents(exp.Events), nil
 	}
 	tr, err := trace.ReadJSON(bytes.NewReader(raw))
 	if err != nil {
@@ -274,20 +265,25 @@ func renderFlight(w io.Writer, d *flight.Dump) error {
 			fmt.Fprintln(w, line)
 		}
 	}
-	spans := 0
+	var spans, milestones int
+	var dropped uint64
 	if d.Spans != nil {
-		spans = len(d.Spans.Spans)
+		spans, milestones, dropped = len(d.Spans.Spans), len(milestonesOf(d.Spans)), d.Spans.Dropped
 	}
-	_, err := fmt.Fprintf(w, "telemetry: events=%d dropped=%d spans=%d\n", len(d.Events), d.Dropped, spans)
+	_, err := fmt.Fprintf(w, "telemetry: spans=%d milestones=%d dropped=%d\n", spans, milestones, dropped)
 	return err
 }
 
 // criticalPathLast targets the graph's last-finishing span (ties to the
-// lowest id) — the overall makespan's endpoint.
+// lowest id) — the overall makespan's endpoint. A milestone is never the
+// target.
 func criticalPathLast(g *span.Graph) (*span.Path, error) {
 	idx := -1
 	for i := range g.Spans {
 		s := &g.Spans[i]
+		if s.Kind == span.KindEvent {
+			continue
+		}
 		if idx < 0 || s.End > g.Spans[idx].End ||
 			(s.End == g.Spans[idx].End && s.ID < g.Spans[idx].ID) {
 			idx = i
@@ -317,8 +313,12 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if isLiveTrace(raw) {
-		return dumpLive(raw, *showEvents, *maxEvents)
+	if span.IsGraphJSON(raw) {
+		g, err := span.ReadJSON(bytes.NewReader(raw))
+		if err != nil {
+			return err
+		}
+		return dumpGraph(os.Stdout, g, *showEvents, *maxEvents)
 	}
 	tr, err := trace.ReadJSON(bytes.NewReader(raw))
 	if err != nil {
@@ -408,61 +408,77 @@ func run(args []string) error {
 	return nil
 }
 
-// isLiveTrace sniffs the top-level "format" field that the obs tracer
-// stamps on its exports, without decoding the whole document.
-func isLiveTrace(raw []byte) bool {
-	var probe struct {
-		Format string `json:"format"`
-	}
-	return json.Unmarshal(raw, &probe) == nil && probe.Format == obs.TraceFormat
+// milestoneNames is the display order of dumpGraph's counts.
+var milestoneNames = []string{
+	span.EventGoSent, span.EventGoRecv, span.EventVoteCast, span.EventStage,
+	span.StageDecided, span.EventRetired, span.EventAbandoned,
+	span.EventCrash, span.EventRecover,
 }
 
-// dumpLive renders a live-trace export (GET /debug/trace on a running
-// daemon) as a protocol event timeline.
-func dumpLive(raw []byte, showEvents bool, maxEvents int) error {
-	var exp obs.TraceExport
-	if err := json.Unmarshal(raw, &exp); err != nil {
-		return fmt.Errorf("live trace: %w", err)
+// milestonesOf picks a graph's protocol milestones: the event records and
+// the decided markers on processor tracks, in id order.
+func milestonesOf(g *span.Graph) []span.Span {
+	var ms []span.Span
+	for _, s := range g.Spans {
+		if s.Milestone() {
+			ms = append(ms, s)
+		}
 	}
-	fmt.Printf("live trace: events=%d dropped=%d\n", len(exp.Events), exp.Dropped)
+	return ms
+}
 
-	byType := map[obs.EventType]int{}
+// dumpGraph renders a live span graph as the protocol's timeline: how many
+// of each milestone the ring holds, then each processor track's milestones
+// in time order.
+func dumpGraph(w io.Writer, g *span.Graph, showEvents bool, maxEvents int) error {
+	ms := milestonesOf(g)
+	byName := map[string]int{}
 	txns := map[string]bool{}
-	for i := range exp.Events {
-		byType[exp.Events[i].Type]++
-		if t := exp.Events[i].Txn; t != "" {
-			txns[t] = true
+	for _, s := range ms {
+		byName[s.Name]++
+		if s.Txn != "" {
+			txns[s.Txn] = true
 		}
 	}
-	fmt.Printf("transactions seen: %d\n", len(txns))
-	for _, t := range []obs.EventType{
-		obs.EventGoSent, obs.EventGoRecv, obs.EventVoteCast, obs.EventStage,
-		obs.EventDecided, obs.EventRetired, obs.EventAbandoned,
-		obs.EventCrash, obs.EventRecover,
-	} {
-		if byType[t] > 0 {
-			fmt.Printf("  %-10s %d\n", t, byType[t])
+	fmt.Fprintf(w, "span graph: unit=%s spans=%d dropped=%d milestones=%d\n", g.Unit, len(g.Spans), g.Dropped, len(ms))
+	fmt.Fprintf(w, "transactions seen: %d\n", len(txns))
+	for _, name := range milestoneNames {
+		if byName[name] > 0 {
+			fmt.Fprintf(w, "  %-10s %d\n", name, byName[name])
 		}
 	}
-
 	if !showEvents {
 		return nil
 	}
-	fmt.Println("timeline:")
-	for i := range exp.Events {
+	proc := func(track string) int {
+		p, _ := strconv.Atoi(strings.TrimPrefix(track, "proc "))
+		return p
+	}
+	sort.SliceStable(ms, func(i, j int) bool {
+		if pi, pj := proc(ms[i].Track), proc(ms[j].Track); pi != pj {
+			return pi < pj
+		}
+		return ms[i].Start < ms[j].Start
+	})
+	fmt.Fprintln(w, "timeline:")
+	track := ""
+	for i, s := range ms {
 		if maxEvents > 0 && i >= maxEvents {
-			fmt.Printf("  ... %d more events\n", len(exp.Events)-maxEvents)
+			fmt.Fprintf(w, "  ... %d more milestones\n", len(ms)-maxEvents)
 			break
 		}
-		e := &exp.Events[i]
-		line := fmt.Sprintf("  seq%-6d n%d tick%-5d %-10s", e.Seq, e.Node, e.Tick, e.Type)
-		if e.Txn != "" {
-			line += " txn=" + e.Txn
+		if s.Track != track {
+			track = s.Track
+			fmt.Fprintf(w, "  %s:\n", track)
 		}
-		if e.Detail != "" {
-			line += " " + e.Detail
+		line := fmt.Sprintf("    #%-6d %10d%s %-10s", s.ID, s.Start, g.Unit, s.Name)
+		if s.Txn != "" {
+			line += " txn=" + s.Txn
 		}
-		fmt.Println(line)
+		if s.Detail != "" {
+			line += " " + s.Detail
+		}
+		fmt.Fprintln(w, strings.TrimRight(line, " "))
 	}
 	return nil
 }

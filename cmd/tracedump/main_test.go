@@ -55,31 +55,81 @@ func TestRunDump(t *testing.T) {
 	}
 }
 
-// TestRunLiveTrace: a live-trace export (as served by commitd's
-// /debug/trace) is auto-detected by its format stamp and rendered by the
-// live path instead of the simulator one.
-func TestRunLiveTrace(t *testing.T) {
-	tr := obs.NewTracer(16)
-	tr.Record(obs.Event{Node: 0, Txn: "t1", Type: obs.EventGoSent, Tick: 1, Detail: "coins=2 fanout=3"})
-	tr.Record(obs.Event{Node: 1, Txn: "t1", Type: obs.EventGoRecv, Tick: 2, Detail: "from=0"})
-	tr.Record(obs.Event{Node: 1, Txn: "t1", Type: obs.EventVoteCast, Tick: 2, Detail: "vote=true"})
-	tr.Record(obs.Event{Node: 0, Txn: "t1", Type: obs.EventDecided, Tick: 9, Detail: "decision=COMMIT"})
+// liveGraph is a small live span ring: t1's admission, its batch's GO
+// and vote milestones, two nodes' decided markers and a crash.
+func liveGraph() *span.Graph {
+	var now int64
+	c := span.NewCollectorClock(64, func() int64 { now++; return now })
+	b := obs.BatchKey("b1")
+	c.Add(span.Span{Txn: "t1", Track: span.ServiceTrack, Name: span.StageAdmit, Kind: span.KindStage, Start: 0, End: 1, From: -1, To: -1})
+	c.Mark(b, span.ProcTrack(0), span.EventGoSent, "tick=1 coins=2 fanout=3")
+	c.Mark(b, span.ProcTrack(1), span.EventGoRecv, "tick=2 from=0")
+	c.Mark(b, span.ProcTrack(1), span.EventVoteCast, "tick=2 votes=1")
+	for p := 1; p >= 0; p-- {
+		at := c.Now()
+		c.Add(span.Span{Txn: "t1", Track: span.ProcTrack(p), Name: span.StageDecided, Kind: span.KindStage,
+			Start: at, End: at, From: -1, To: -1, Detail: "decision=COMMIT " + obs.BatchDetail("b1")})
+	}
+	c.Mark("", span.ProcTrack(2), span.EventCrash, "")
+	return c.Graph()
+}
+
+// writeGraph saves g as span-graph JSON, the way GET /debug/spans serves it.
+func writeGraph(t *testing.T, g *span.Graph) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := span.WriteJSON(&buf, g); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "live.json")
-	f, err := os.Create(path)
-	if err != nil {
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.WriteJSON(f, "", 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return path
+}
+
+// TestRunLiveTrace: a live span graph (as served by commitd's
+// /debug/spans) is auto-detected by its format stamp and rendered as the
+// per-track timeline of its milestones instead of the simulator view.
+func TestRunLiveTrace(t *testing.T) {
+	path := writeGraph(t, liveGraph())
 	if err := run([]string{path}); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-events=false", "-max-events", "2", path}); err != nil {
 		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := dumpGraph(&out, liveGraph(), true, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := `span graph: unit=us spans=7 dropped=0 milestones=6
+transactions seen: 2
+  go_sent    1
+  go_recv    1
+  vote_cast  1
+  decided    2
+  crash      1
+timeline:
+  proc 0:
+    #2               1us go_sent    txn=batch:b1 tick=1 coins=2 fanout=3
+    #6               5us decided    txn=t1 decision=COMMIT batch=b1
+  proc 1:
+    #3               2us go_recv    txn=batch:b1 tick=2 from=0
+    #4               3us vote_cast  txn=batch:b1 tick=2 votes=1
+    #5               4us decided    txn=t1 decision=COMMIT batch=b1
+  proc 2:
+    #7               6us crash
+`
+	if out.String() != want {
+		t.Fatalf("timeline:\n%s\nwant\n%s", out.String(), want)
+	}
+	out.Reset()
+	if err := dumpGraph(&out, liveGraph(), true, 2); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasSuffix(out.String(), "  ... 4 more milestones\n") {
+		t.Fatalf("capped timeline:\n%s", out.String())
 	}
 }
 
@@ -193,22 +243,10 @@ func TestSubcommandGoldens(t *testing.T) {
 	}
 }
 
-// TestCritpathFlags: -txn and -o work; a live trace also feeds critpath.
+// TestCritpathFlags: -txn and -o work; a live span graph also feeds
+// critpath, whose target is never a milestone.
 func TestCritpathFlags(t *testing.T) {
-	tr := obs.NewTracer(16)
-	tr.Record(obs.Event{Node: 0, Txn: "t1", Type: obs.EventGoSent, Tick: 1})
-	tr.Record(obs.Event{Node: 0, Txn: "t1", Type: obs.EventDecided, Tick: 7, Detail: "decision=COMMIT"})
-	live := filepath.Join(t.TempDir(), "live.json")
-	f, err := os.Create(live)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteJSON(f, "", 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	live := writeGraph(t, liveGraph())
 
 	var out bytes.Buffer
 	if code := dispatch([]string{"critpath", "-txn", "t1", live}, &out, io.Discard); code != 0 {
@@ -216,6 +254,10 @@ func TestCritpathFlags(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "txn=t1") {
 		t.Fatalf("critpath output = %q", out.String())
+	}
+	out.Reset()
+	if code := dispatch([]string{"critpath", live}, &out, io.Discard); code != 0 || strings.Contains(out.String(), "crash") {
+		t.Fatalf("critpath targeted a milestone: %q", out.String())
 	}
 	if code := dispatch([]string{"critpath", "-txn", "missing", live}, io.Discard, io.Discard); code != 1 {
 		t.Fatal("unknown -txn exited 0")
@@ -238,10 +280,8 @@ func TestCritpathFlags(t *testing.T) {
 // way commitd's anomaly path would.
 func writeFlightDump(t *testing.T) string {
 	t.Helper()
-	events := []obs.Event{
-		{Seq: 1, Node: 0, Txn: "t1", Type: obs.EventGoSent, Tick: 1},
-		{Seq: 2, Node: 0, Txn: "t1", Type: obs.EventDecided, Tick: 5, Detail: "decision=COMMIT"},
-	}
+	g := liveGraph()
+	g.Dropped = 4
 	d := &flight.Dump{
 		Format: flight.DumpFormat,
 		Seq:    3,
@@ -261,9 +301,7 @@ func writeFlightDump(t *testing.T) string {
 		}},
 		Cross:   []watch.TxnAge{{Txn: "x1", AgeMs: 900, State: "preparing"}},
 		Blocked: []watch.BlockedReport{{Protocol: "2pc", Txn: "b1", Detail: "coordinator dead"}},
-		Dropped: 4,
-		Events:  events,
-		Spans:   span.FromEvents(events),
+		Spans:   g,
 	}
 	raw, err := json.Marshal(d)
 	if err != nil {
@@ -294,7 +332,7 @@ func TestFlightRender(t *testing.T) {
 		"cross in-doubt txn=x1 state=preparing age=900ms",
 		"blocked protocol=2pc txn=b1 coordinator dead",
 		"node=2",
-		"telemetry: events=2 dropped=4 spans=",
+		"telemetry: spans=7 milestones=6 dropped=4",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("flight output missing %q:\n%s", want, out.String())
@@ -343,7 +381,7 @@ func TestFlightErrors(t *testing.T) {
 	if code := dispatch([]string{"flight", "/nonexistent.json"}, io.Discard, io.Discard); code != 1 {
 		t.Fatal("missing file accepted")
 	}
-	// A live trace is not a flight dump.
+	// A simulator trace is not a flight dump.
 	if code := dispatch([]string{"flight", writeTrace(t)}, io.Discard, io.Discard); code != 1 {
 		t.Fatal("non-dump file accepted")
 	}

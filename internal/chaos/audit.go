@@ -5,7 +5,7 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/obs"
+	"repro/internal/obs/span"
 	"repro/internal/obs/watch"
 	"repro/internal/service"
 	"repro/internal/types"
@@ -93,8 +93,9 @@ type ClusterRunData struct {
 	// write-ahead log after the run.
 	WALDecided []bool
 	WALValue   []types.Value
-	// Events is the trace export (crash/recover events at minimum).
-	Events []obs.Event
+	// Spans is the run's span ring, oldest first (crash and recover
+	// milestones at minimum).
+	Spans []span.Span
 	// TimedOut is true when the run hit its wall-clock budget before
 	// every live node decided.
 	TimedOut bool
@@ -212,11 +213,11 @@ func AuditCluster(p *Plan, d *ClusterRunData) *Report {
 	}
 	r.add("wal-consistency", walOK, walDetail)
 
-	// Trace sanity: sequence numbers strictly increase; every fired
-	// crash has a crash event; every restart has a recover event after
-	// its crash event.
-	r.add("trace-sanity", auditTrace(p, d.Crashed, d.Recovered, d.Events) == "",
-		auditTrace(p, d.Crashed, d.Recovered, d.Events))
+	// Trace sanity: span ids strictly increase; every fired crash left a
+	// crash milestone; every restart left a recover milestone after its
+	// crash's.
+	trace := auditTrace(d.Crashed, d.Recovered, d.Spans)
+	r.add("trace-sanity", trace == "", trace)
 	return r
 }
 
@@ -235,39 +236,40 @@ func renderValues(values map[types.Value][]int) string {
 	return strings.Join(parts, "; ")
 }
 
-// auditTrace returns "" when the event stream is causally sane.
-func auditTrace(p *Plan, crashed []bool, recovered map[int]types.Value, events []obs.Event) string {
-	var lastSeq uint64
-	crashSeq := map[int]uint64{}
-	recoverSeq := map[int]uint64{}
-	for _, e := range events {
-		if e.Seq <= lastSeq {
-			return fmt.Sprintf("seq not strictly increasing at %d", e.Seq)
+// auditTrace returns "" when the span ring is causally sane.
+func auditTrace(crashed []bool, recovered map[int]types.Value, spans []span.Span) string {
+	lastID := 0
+	crashID := map[string]int{} // by processor track
+	recoverID := map[string]int{}
+	for _, s := range spans {
+		if s.ID <= lastID {
+			return fmt.Sprintf("span ids not strictly increasing at %d", s.ID)
 		}
-		lastSeq = e.Seq
-		switch e.Type {
-		case obs.EventCrash:
-			if _, dup := crashSeq[e.Node]; !dup {
-				crashSeq[e.Node] = e.Seq
+		lastID = s.ID
+		if s.Kind != span.KindEvent {
+			continue
+		}
+		switch s.Name {
+		case span.EventCrash:
+			if _, dup := crashID[s.Track]; !dup {
+				crashID[s.Track] = s.ID
 			}
-		case obs.EventRecover:
-			recoverSeq[e.Node] = e.Seq
+		case span.EventRecover:
+			recoverID[s.Track] = s.ID
 		}
 	}
 	for i, c := range crashed {
-		if c {
-			if _, ok := crashSeq[i]; !ok {
-				return fmt.Sprintf("crash of node %d left no trace event", i)
-			}
+		if _, ok := crashID[span.ProcTrack(i)]; c && !ok {
+			return fmt.Sprintf("crash of node %d left no crash milestone", i)
 		}
 	}
 	for pID := range recovered {
-		rs, ok := recoverSeq[pID]
+		rs, ok := recoverID[span.ProcTrack(pID)]
 		if !ok {
-			return fmt.Sprintf("restart of node %d left no recover event", pID)
+			return fmt.Sprintf("restart of node %d left no recover milestone", pID)
 		}
-		if cs, ok := crashSeq[pID]; ok && rs <= cs {
-			return fmt.Sprintf("node %d recover event (seq %d) precedes its crash (seq %d)", pID, rs, cs)
+		if cs, ok := crashID[span.ProcTrack(pID)]; ok && rs <= cs {
+			return fmt.Sprintf("node %d recover milestone (span %d) precedes its crash (span %d)", pID, rs, cs)
 		}
 	}
 	return ""
@@ -287,7 +289,7 @@ type TxnResult struct {
 type ServiceRunData struct {
 	Results []TxnResult
 	Metrics service.Metrics
-	Events  []obs.Event
+	Spans   []span.Span
 	Crashed []bool
 	// Watched is true when RunOptions.Watch attached a live watchdog;
 	// Anomalies and Health are its findings (the workload's periodic
@@ -357,12 +359,13 @@ func AuditService(p *Plan, d *ServiceRunData) *Report {
 		fmt.Sprintf("submitted=%d committed=%d aborted=%d timed_out=%d failed=%d client saw %d/%d/%d",
 			m.Submitted, m.Committed, m.Aborted, m.TimedOut, m.Failed, committed, aborted, failed))
 
-	// Trace causal sanity: seq strictly increasing; per (txn, node) the
-	// protocol milestones appear in causal order with non-decreasing
-	// ticks; decided events for one txn never disagree. The ring buffer
-	// may have evicted early events, so order is only checked among the
-	// events present.
-	r.add("trace-sanity", auditServiceTrace(d.Events) == "", auditServiceTrace(d.Events))
+	// Trace causal sanity: span ids strictly increasing; per (txn, node)
+	// the protocol milestones appear in causal order at non-decreasing
+	// times; decided markers for one txn never disagree. The ring may have
+	// evicted early records, so order is only checked among the records
+	// present.
+	trace := auditServiceTrace(d.Spans)
+	r.add("trace-sanity", trace == "", trace)
 
 	// Watchdog detection coverage (watched runs only): injected crashes
 	// must be reported, live nodes must not be, clean plans stay silent.
@@ -370,64 +373,61 @@ func AuditService(p *Plan, d *ServiceRunData) *Report {
 	return r
 }
 
-// auditServiceTrace checks the causal sanity of a service-mode trace:
-// sequence numbers strictly increase; per (txn, node) the milestone
-// events are recorded at most once each, their ticks never run
-// backwards, and nothing follows retirement/abandonment; decided events
-// for one transaction never disagree across nodes. The ring buffer may
-// have evicted early events, so only the events present are checked —
-// eviction can hide a milestone, never fabricate one.
-func auditServiceTrace(events []obs.Event) string {
-	var lastSeq uint64
-	type key struct {
-		txn  string
-		node int
-	}
+// auditServiceTrace checks the causal sanity of a service-mode span ring:
+// ids strictly increase; per (txn, node) the milestones — a processor
+// track's event records and decided markers — are recorded at most once
+// each, their times never run backwards, and nothing follows
+// retirement/abandonment; decided markers for one transaction never
+// disagree across nodes. The ring may have evicted early records, so only
+// the records present are checked — eviction can hide a milestone, never
+// fabricate one.
+func auditServiceTrace(spans []span.Span) string {
+	lastID := 0
+	type key struct{ txn, track string }
 	type txnNodeState struct {
-		seen     map[obs.EventType]bool
-		lastTick int
-		closed   bool // retired or abandoned
+		seen   map[string]bool
+		last   int64
+		closed bool // retired or abandoned
 	}
 	states := map[key]*txnNodeState{}
 	decided := map[string]string{}
-	for _, e := range events {
-		if e.Seq <= lastSeq {
-			return fmt.Sprintf("seq not strictly increasing at %d", e.Seq)
+	for _, s := range spans {
+		if s.ID <= lastID {
+			return fmt.Sprintf("span ids not strictly increasing at %d", s.ID)
 		}
-		lastSeq = e.Seq
-		if e.Txn == "" {
-			continue // crash/recover events carry no txn clock
+		lastID = s.ID
+		if !s.Milestone() || s.Txn == "" {
+			continue // crash/recover carry no txn
 		}
-		k := key{e.Txn, e.Node}
+		k := key{s.Txn, s.Track}
 		st := states[k]
 		if st == nil {
-			st = &txnNodeState{seen: map[obs.EventType]bool{}, lastTick: e.Tick}
+			st = &txnNodeState{seen: map[string]bool{}, last: s.Start}
 			states[k] = st
 		}
-		if e.Tick < st.lastTick {
-			return fmt.Sprintf("txn %s node %d: tick went backwards (%d -> %d)",
-				e.Txn, e.Node, st.lastTick, e.Tick)
+		if s.Start < st.last {
+			return fmt.Sprintf("txn %s %s: time went backwards (%d -> %d)", s.Txn, s.Track, st.last, s.Start)
 		}
-		st.lastTick = e.Tick
-		switch e.Type {
-		case obs.EventGoSent, obs.EventGoRecv, obs.EventVoteCast,
-			obs.EventDecided, obs.EventRetired, obs.EventAbandoned:
-			if st.seen[e.Type] {
-				return fmt.Sprintf("txn %s node %d: duplicate %s event", e.Txn, e.Node, e.Type)
+		st.last = s.Start
+		switch s.Name {
+		case span.EventGoSent, span.EventGoRecv, span.EventVoteCast,
+			span.StageDecided, span.EventRetired, span.EventAbandoned:
+			if st.seen[s.Name] {
+				return fmt.Sprintf("txn %s %s: duplicate %s", s.Txn, s.Track, s.Name)
 			}
-			st.seen[e.Type] = true
+			st.seen[s.Name] = true
 		}
 		if st.closed {
-			return fmt.Sprintf("txn %s node %d: %s after retirement", e.Txn, e.Node, e.Type)
+			return fmt.Sprintf("txn %s %s: %s after retirement", s.Txn, s.Track, s.Name)
 		}
-		if e.Type == obs.EventRetired || e.Type == obs.EventAbandoned {
+		if s.Name == span.EventRetired || s.Name == span.EventAbandoned {
 			st.closed = true
 		}
-		if e.Type == obs.EventDecided {
-			if prev, ok := decided[e.Txn]; ok && prev != e.Detail {
-				return fmt.Sprintf("txn %s decided %q on one node, %q on another", e.Txn, prev, e.Detail)
+		if s.Name == span.StageDecided {
+			if prev, ok := decided[s.Txn]; ok && prev != s.Detail {
+				return fmt.Sprintf("txn %s decided %q on one node, %q on another", s.Txn, prev, s.Detail)
 			}
-			decided[e.Txn] = e.Detail
+			decided[s.Txn] = s.Detail
 		}
 	}
 	return ""

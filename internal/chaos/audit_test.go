@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/obs"
+	"repro/internal/obs/span"
 	"repro/internal/service"
 	"repro/internal/types"
 )
@@ -157,14 +157,14 @@ func TestAuditTraceSanity(t *testing.T) {
 	if !failed(r, "trace-sanity") {
 		t.Fatalf("missing crash event not caught:\n%s", r.Log())
 	}
-	d.Events = []obs.Event{{Seq: 1, Node: p.Crashes[0].Node, Type: obs.EventCrash}}
+	d.Spans = []span.Span{milestone(1, "", p.Crashes[0].Node, span.EventCrash, 0, "")}
 	if r := AuditCluster(p, d); failed(r, "trace-sanity") {
 		t.Fatalf("valid trace rejected:\n%s", r.Log())
 	}
-	// Non-increasing sequence numbers.
-	d.Events = append(d.Events, obs.Event{Seq: 1, Node: 0, Type: obs.EventDecided})
+	// Non-increasing span ids.
+	d.Spans = append(d.Spans, milestone(1, "t", 0, span.EventStage, 0, ""))
 	if r := AuditCluster(p, d); !failed(r, "trace-sanity") {
-		t.Fatal("stalled seq not caught")
+		t.Fatal("stalled id not caught")
 	}
 }
 
@@ -222,31 +222,39 @@ func TestAuditServiceCatchesViolations(t *testing.T) {
 		t.Fatal("counter mismatch not caught")
 	}
 
-	d = cleanServiceData(p)
-	d.Events = []obs.Event{
-		{Seq: 1, Node: 0, Txn: "t", Type: obs.EventDecided, Detail: "decision=COMMIT"},
-		{Seq: 2, Node: 1, Txn: "t", Type: obs.EventDecided, Detail: "decision=ABORT"},
+	decided := func(id, node int, detail string) span.Span {
+		s := milestone(id, "t", node, span.StageDecided, 0, detail)
+		s.Kind = span.KindStage
+		return s
 	}
+	d = cleanServiceData(p)
+	d.Spans = []span.Span{decided(1, 0, "decision=COMMIT"), decided(2, 1, "decision=ABORT")}
 	if r := AuditService(p, d); !failed(r, "trace-sanity") {
-		t.Fatal("conflicting decided events not caught")
+		t.Fatal("conflicting decided markers not caught")
 	}
 
 	d = cleanServiceData(p)
-	d.Events = []obs.Event{
-		{Seq: 1, Node: 0, Txn: "t", Type: obs.EventRetired},
-		{Seq: 2, Node: 0, Txn: "t", Type: obs.EventVoteCast},
-	}
+	d.Spans = []span.Span{decided(1, 0, "decision=COMMIT"), decided(2, 0, "decision=COMMIT")}
 	if r := AuditService(p, d); !failed(r, "trace-sanity") {
-		t.Fatal("event after retirement not caught")
+		t.Fatal("duplicate decided marker not caught")
 	}
 
 	d = cleanServiceData(p)
-	d.Events = []obs.Event{
-		{Seq: 1, Node: 0, Txn: "t", Type: obs.EventStage, Tick: 9},
-		{Seq: 2, Node: 0, Txn: "t", Type: obs.EventStage, Tick: 3},
+	d.Spans = []span.Span{
+		milestone(1, "t", 0, span.EventRetired, 0, "tick=9"),
+		milestone(2, "t", 0, span.EventVoteCast, 0, "tick=9 votes=1"),
 	}
 	if r := AuditService(p, d); !failed(r, "trace-sanity") {
-		t.Fatal("backwards tick not caught")
+		t.Fatal("milestone after retirement not caught")
+	}
+
+	d = cleanServiceData(p)
+	d.Spans = []span.Span{
+		milestone(1, "t", 0, span.EventStage, 9, "tick=9 stage=1"),
+		milestone(2, "t", 0, span.EventStage, 3, "tick=9 stage=2"),
+	}
+	if r := AuditService(p, d); !failed(r, "trace-sanity") {
+		t.Fatal("backwards time not caught")
 	}
 }
 
@@ -272,4 +280,10 @@ func TestReportLogShape(t *testing.T) {
 	if len(r.Failures()) == 0 {
 		t.Fatal("Failures() empty on a failing report")
 	}
+}
+
+// milestone builds a zero-length event record on node's processor track.
+func milestone(id int, txn string, node int, name string, at int64, detail string) span.Span {
+	return span.Span{ID: id, Txn: txn, Track: span.ProcTrack(node), Name: name, Kind: span.KindEvent,
+		Start: at, End: at, From: -1, To: -1, Detail: detail}
 }

@@ -31,14 +31,13 @@ type RunOptions struct {
 	// the plan's fault envelope guarantees the protocol decides well
 	// inside it.
 	BudgetTicks int
-	// Registry and Tracer receive run telemetry; nil creates fresh ones.
+	// Registry and Spans receive run telemetry; nil creates fresh ones.
+	// Spans is the run's one ring: manager rounds and milestones, hub
+	// links, crashes and restarts, plus the service stages in service
+	// mode. The trace-sanity check audits it; audit logs never depend on
+	// its timings.
 	Registry *obs.Registry
-	Tracer   *obs.Tracer
-	// Spans, if non-nil, collects causal spans from the run: manager
-	// rounds and hub link delays, plus the service stages in service
-	// mode. Nil disables span collection — audit reproducibility never
-	// depends on it.
-	Spans *span.Collector
+	Spans    *span.Collector
 	// Watch attaches a live watchdog to service-mode runs (RunService,
 	// RunShardedService): it is ticked while the workload executes plus
 	// once synchronously after the last crash timer settles, and the
@@ -66,8 +65,8 @@ func (o *RunOptions) defaults(p *Plan) {
 	if o.Registry == nil {
 		o.Registry = obs.NewRegistry()
 	}
-	if o.Tracer == nil {
-		o.Tracer = obs.NewTracer(1 << 14)
+	if o.Spans == nil {
+		o.Spans = span.NewCollector(span.DefaultCollectorCapacity)
 	}
 }
 
@@ -175,8 +174,7 @@ func RunCluster(p *Plan, o RunOptions) (*Report, *ClusterRunData, error) {
 				dl.AppendSync(recovery.SoleTxn, out.Decision) //nolint:errcheck // fails only once a crash killed the log
 				h.onDecision(id)
 			},
-			Tracer: o.Tracer,
-			Spans:  o.Spans,
+			Spans: o.Spans,
 		})
 		if err != nil {
 			return nil, nil, fmt.Errorf("chaos: build managers: %w", err)
@@ -191,10 +189,10 @@ func RunCluster(p *Plan, o RunOptions) (*Report, *ClusterRunData, error) {
 		TickEvery:  o.TickEvery,
 		MaxTicks:   o.BudgetTicks,
 		Seed:       p.Cfg.Seed ^ 0xa5a5a5a5deadbeef,
-		Hub:        transport.HubOptions{Inject: inj.Decide, Spans: o.Spans},
+		Hub:        transport.HubOptions{Inject: inj.Decide},
 		Persistent: true,
 		Registry:   o.Registry,
-		Tracer:     o.Tracer,
+		Spans:      o.Spans,
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("chaos: build cluster: %w", err)
@@ -276,7 +274,7 @@ func RunCluster(p *Plan, o RunOptions) (*Report, *ClusterRunData, error) {
 		RecoveredOK: h.recoveredOK,
 		WALDecided:  make([]bool, n),
 		WALValue:    make([]types.Value, n),
-		Events:      o.Tracer.Recent(o.Tracer.Len()),
+		Spans:       o.Spans.Graph().Spans,
 		TimedOut:    timedOut,
 		Vacuous:     vacuous,
 	}

@@ -35,7 +35,6 @@ func RunService(p *Plan, o RunOptions) (*Report, *ServiceRunData, error) {
 		DefaultTimeout: time.Duration(o.BudgetTicks) * o.TickEvery,
 		Hub:            transport.HubOptions{Inject: inj.Decide},
 		Registry:       o.Registry,
-		Tracer:         o.Tracer,
 		Spans:          o.Spans,
 	})
 	if err != nil {
@@ -95,7 +94,7 @@ func RunService(p *Plan, o RunOptions) (*Report, *ServiceRunData, error) {
 	data := &ServiceRunData{
 		Results:   results,
 		Metrics:   metrics,
-		Events:    o.Tracer.Recent(o.Tracer.Len()),
+		Spans:     o.Spans.Graph().Spans,
 		Crashed:   crashed,
 		Watched:   wr != nil,
 		Anomalies: anomalies,

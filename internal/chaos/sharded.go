@@ -6,7 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/obs/span"
 	"repro/internal/obs/watch"
 	"repro/internal/service"
 	"repro/internal/shard"
@@ -35,7 +35,7 @@ type ShardedTxnResult struct {
 type ShardedRunData struct {
 	Results []ShardedTxnResult
 	Metrics shard.Metrics
-	Events  []obs.Event
+	Spans   []span.Span
 	Crashed []bool
 	// Records is the cross-shard WAL as written during the workload
 	// (snapshotted before the recovery echo appends to it).
@@ -91,7 +91,6 @@ func RunShardedService(p *Plan, o RunOptions) (*Report, *ShardedRunData, error) 
 			TickEvery:      o.TickEvery,
 			DefaultTimeout: time.Duration(o.BudgetTicks) * o.TickEvery,
 			Registry:       o.Registry,
-			Tracer:         o.Tracer,
 			Spans:          o.Spans,
 		},
 		ConfigureGroup: func(k int, gcfg *service.Config) {
@@ -211,7 +210,7 @@ func RunShardedService(p *Plan, o RunOptions) (*Report, *ShardedRunData, error) 
 		}
 	}
 
-	data.Events = o.Tracer.Recent(o.Tracer.Len())
+	data.Spans = o.Spans.Graph().Spans
 
 	closeCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -369,10 +368,11 @@ func AuditSharded(p *Plan, d *ShardedRunData) *Report {
 		fmt.Sprintf("aggregate submitted=%d (want %d singles + %d children) cross submitted=%d outcomes=%d (want %d)",
 			agg.Submitted, singles, children, m.Cross.Submitted, crossSum, crossCount))
 
-	// Trace causal sanity: one shared tracer serves every group; txn
-	// ids are disjoint across groups (children carry their shard
-	// suffix), so the single-group checker applies verbatim.
-	r.add("trace-sanity", auditServiceTrace(d.Events) == "", auditServiceTrace(d.Events))
+	// Trace causal sanity: one shared ring serves every group; txn ids
+	// are disjoint across groups (children carry their shard suffix), so
+	// the single-group checker applies verbatim.
+	trace := auditServiceTrace(d.Spans)
+	r.add("trace-sanity", trace == "", trace)
 
 	// Watchdog detection coverage (watched runs only): injected crashes
 	// must be reported, live nodes must not be, clean plans stay silent.

@@ -1,13 +1,13 @@
 // Package flight is commitd's always-on flight recorder. The daemon
-// already keeps bounded in-memory telemetry — the tracer's protocol
-// event ring, the span collector's causal graphs, per-shard in-flight
-// state — but when a process dies or an operator notices a stall, that
-// evidence is gone or has scrolled away. The recorder closes that gap:
+// already keeps bounded in-memory telemetry — the one span ring (stages,
+// rounds, links and protocol milestones), per-shard in-flight state — but
+// when a process dies or an operator notices a stall, that evidence is
+// gone or has scrolled away. The recorder closes that gap:
 //
-//   - Snapshot assembles a single Dump from all the live sources: the
-//     last N protocol events, the open span-graph fragments, per-shard
-//     in-flight/in-doubt samples (including WAL fsync histograms), and
-//     the watchdog's health document;
+//   - Snapshot assembles a single Dump from the live sources: the span
+//     ring, the open transactions (per-shard in-flight/in-doubt samples,
+//     including WAL fsync histograms), and the watchdog's health
+//     document;
 //
 //   - DumpToDir persists a Dump atomically (tmp + fsync + rename, the
 //     same discipline as WAL snapshots) with a cooldown so an anomaly
@@ -21,8 +21,8 @@
 //   - `tracedump flight <dump.json>` (cmd/tracedump) renders a dump
 //     with the existing span / critical-path machinery.
 //
-// Dumps carry Format "flight" for sniffing, mirroring the tracer's
-// "live-trace" marker.
+// Dumps carry Format "flight" for sniffing, mirroring the span graph's
+// "span-graph" marker.
 package flight
 
 import (
@@ -44,9 +44,6 @@ import (
 // DumpFormat marks flight-recorder JSON documents.
 const DumpFormat = "flight"
 
-// dumpEvents caps how many trailing tracer events a dump carries.
-const dumpEvents = 2048
-
 // Dump is one flight-recorder capture.
 type Dump struct {
 	Format    string                `json:"format"` // always DumpFormat
@@ -57,17 +54,13 @@ type Dump struct {
 	Shards    []watch.ShardSample   `json:"shards,omitempty"`
 	Cross     []watch.TxnAge        `json:"cross,omitempty"`
 	Blocked   []watch.BlockedReport `json:"blocked,omitempty"`
-	Dropped   uint64                `json:"events_dropped"`
-	Events    []obs.Event           `json:"events,omitempty"`
 	Spans     *span.Graph           `json:"spans,omitempty"`
 }
 
 // Config wires a Recorder to its sources. All sources are optional;
 // missing ones leave their Dump section empty.
 type Config struct {
-	// Tracer supplies the protocol event ring.
-	Tracer *obs.Tracer
-	// Spans supplies the open span graphs.
+	// Spans supplies the span ring.
 	Spans *span.Collector
 	// Source supplies per-shard samples (the same Source the watchdog
 	// reads).
@@ -143,10 +136,6 @@ func (r *Recorder) Snapshot(reason string) *Dump {
 		d.Shards = st.Shards
 		d.Cross = st.Cross
 		d.Blocked = st.Blocked
-	}
-	if t := r.cfg.Tracer; t != nil {
-		d.Events = t.Recent(dumpEvents)
-		d.Dropped = t.Dropped()
 	}
 	if c := r.cfg.Spans; c != nil {
 		d.Spans = c.Graph()
@@ -251,8 +240,7 @@ func (r *Recorder) Handler() http.Handler {
 	})
 }
 
-// IsDumpJSON sniffs the Format marker, mirroring the live-trace sniff
-// in cmd/tracedump.
+// IsDumpJSON sniffs the Format marker, mirroring span.IsGraphJSON.
 func IsDumpJSON(raw []byte) bool {
 	var probe struct {
 		Format string `json:"format"`
@@ -274,8 +262,8 @@ func ReadDump(raw []byte) (*Dump, error) {
 
 // CanonicalSummary renders the plan-deterministic core of a dump: the
 // anomaly rules with counts, and for node-down the sorted node set.
-// Wall-clock-dependent content (timestamps, event sequence numbers,
-// latencies) is excluded, so for a seeded chaos plan the summary is
+// Wall-clock-dependent content (timestamps, span ids, latencies) is
+// excluded, so for a seeded chaos plan the summary is
 // byte-identical across reruns — which is what the chaos harness
 // asserts. One line per rule, sorted, trailing newline.
 func CanonicalSummary(d *Dump) string {

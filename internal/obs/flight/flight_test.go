@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/obs/watch"
 )
@@ -20,12 +19,9 @@ func (s staticSource) WatchStats(time.Duration) watch.Stats { return s.st }
 
 func testRecorder(t *testing.T, dir string) (*Recorder, *watch.Watchdog) {
 	t.Helper()
-	tr := obs.NewTracer(64)
-	tr.Record(obs.Event{Node: 0, Txn: "t-1", Type: obs.EventDecided, Tick: 5, Detail: "COMMIT"})
-	tr.Record(obs.Event{Node: 1, Txn: "t-2", Type: obs.EventStage, Tick: 6})
-
 	sp := span.NewCollectorClock(16, func() int64 { return 0 })
 	sp.Add(span.Span{Txn: "t-1", Track: "service", Name: "admit", Start: 1, End: 2})
+	sp.Mark("batch:b-1", span.ProcTrack(1), span.EventStage, "tick=6 stage=1")
 
 	src := staticSource{st: watch.Stats{Shards: []watch.ShardSample{
 		{Shard: "0", InFlight: 3, CrashedNodes: []int{2}},
@@ -34,7 +30,7 @@ func testRecorder(t *testing.T, dir string) (*Recorder, *watch.Watchdog) {
 
 	clock := time.Unix(1700000000, 0)
 	rec := New(Config{
-		Tracer: tr, Spans: sp, Source: src, Watchdog: wd,
+		Spans: sp, Source: src, Watchdog: wd,
 		Dir: dir, Cooldown: time.Minute,
 		Clock: func() time.Time { return clock },
 	})
@@ -48,10 +44,7 @@ func TestSnapshotAssemblesAllSections(t *testing.T) {
 	if d.Format != DumpFormat || d.Seq != 1 {
 		t.Fatalf("header: %+v", d)
 	}
-	if len(d.Events) != 2 || d.Events[0].Txn != "t-1" {
-		t.Fatalf("events: %+v", d.Events)
-	}
-	if d.Spans == nil || len(d.Spans.Spans) != 1 {
+	if d.Spans == nil || len(d.Spans.Spans) != 2 || d.Spans.Spans[1].Kind != span.KindEvent {
 		t.Fatalf("spans: %+v", d.Spans)
 	}
 	if len(d.Shards) != 1 || d.Shards[0].InFlight != 3 {
@@ -134,8 +127,8 @@ func TestHandler(t *testing.T) {
 	if err := json.Unmarshal(rw.Body.Bytes(), &d); err != nil {
 		t.Fatal(err)
 	}
-	if d.Format != DumpFormat || d.Reason != "on-demand" || len(d.Events) != 2 {
-		t.Fatalf("dump: format=%q reason=%q events=%d", d.Format, d.Reason, len(d.Events))
+	if d.Format != DumpFormat || d.Reason != "on-demand" || d.Spans == nil || len(d.Spans.Spans) != 2 {
+		t.Fatalf("dump: format=%q reason=%q spans=%+v", d.Format, d.Reason, d.Spans)
 	}
 	rw = httptest.NewRecorder()
 	rec.Handler().ServeHTTP(rw, httptest.NewRequest("DELETE", "/debug/flight", nil))
@@ -145,8 +138,8 @@ func TestHandler(t *testing.T) {
 }
 
 func TestReadDumpRejectsOtherFormats(t *testing.T) {
-	if _, err := ReadDump([]byte(`{"format":"live-trace"}`)); err == nil {
-		t.Fatalf("live-trace should be rejected")
+	if _, err := ReadDump([]byte(`{"format":"span-graph"}`)); err == nil {
+		t.Fatalf("a span graph should be rejected")
 	}
 	if _, err := ReadDump([]byte(`{nope`)); err == nil {
 		t.Fatalf("garbage should error")

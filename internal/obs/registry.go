@@ -1,8 +1,8 @@
 // Package obs is the observability subsystem of the live stack: a
 // concurrent metrics registry (atomic counters, gauges, and fixed-bucket
 // histograms, with labeled families) exposable in the Prometheus text
-// format, plus a bounded ring-buffer tracer of per-transaction protocol
-// events (see tracer.go).
+// format, plus the batch-key convention the span ring's per-transaction
+// views follow (batchkey.go; the ring itself is internal/obs/span).
 //
 // The paper's quantitative claims — expected asynchronous rounds
 // (Theorem 10), message counts, the 8K-tick failure-free bound (Remark 1)

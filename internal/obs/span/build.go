@@ -2,10 +2,8 @@ package span
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 
-	"repro/internal/obs"
 	"repro/internal/rounds"
 	"repro/internal/trace"
 	"repro/internal/types"
@@ -85,51 +83,4 @@ func FromTrace(tr *trace.Trace) (*Graph, error) {
 		g.Spans = []Span{}
 	}
 	return g, nil
-}
-
-// FromEvents builds a span graph from the obs tracer's protocol event
-// stream (a live-trace export). Time is the recording node's manager
-// tick, so cross-node comparisons are only as aligned as the nodes'
-// clocks; per-node and per-transaction attribution is exact. Each
-// milestone becomes a span covering the gap since the transaction's
-// previous milestone on that node, so span durations read as "ticks
-// spent reaching this milestone". The live event stream carries no
-// message identities, so the graph has program-order edges only —
-// message edges need the simulator trace (FromTrace) or the live link
-// collector.
-func FromEvents(events []obs.Event) *Graph {
-	evs := append([]obs.Event(nil), events...)
-	sort.Slice(evs, func(i, j int) bool { return evs[i].Seq < evs[j].Seq })
-
-	g := &Graph{Unit: "tick"}
-	type key struct {
-		txn  string
-		node int
-	}
-	last := make(map[key]int64)
-	for i := range evs {
-		e := &evs[i]
-		start := int64(e.Tick)
-		k := key{e.Txn, e.Node}
-		if prev, ok := last[k]; ok && prev <= start {
-			start = prev
-		}
-		last[k] = int64(e.Tick)
-		g.Spans = append(g.Spans, Span{
-			ID:    i + 1,
-			Txn:   e.Txn,
-			Track: ProcTrack(e.Node),
-			Name:  string(e.Type),
-			Kind:  KindStage,
-			Start: start,
-			End:   int64(e.Tick),
-			From:  -1, To: -1,
-			Detail: e.Detail,
-		})
-	}
-	g.Edges = InferEdges(g.Spans)
-	if g.Spans == nil {
-		g.Spans = []Span{}
-	}
-	return g
 }

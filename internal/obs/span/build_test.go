@@ -3,11 +3,9 @@ package span_test
 import (
 	"bytes"
 	"runtime"
-	"strings"
 	"testing"
 
 	tcommit "repro"
-	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/trace"
 )
@@ -155,63 +153,5 @@ func TestFromTraceCriticalPathTelescopes(t *testing.T) {
 	}
 	if len(p.Steps) < 2 {
 		t.Fatalf("suspiciously short path: %+v", p.Steps)
-	}
-}
-
-func TestFromEvents(t *testing.T) {
-	events := []obs.Event{
-		{Seq: 1, Node: 0, Txn: "t1", Type: obs.EventGoSent, Tick: 2, Detail: "coins=1"},
-		{Seq: 2, Node: 1, Txn: "t1", Type: obs.EventGoRecv, Tick: 3, Detail: "from=0"},
-		{Seq: 3, Node: 1, Txn: "t1", Type: obs.EventVoteCast, Tick: 3},
-		{Seq: 4, Node: 0, Txn: "t1", Type: obs.EventDecided, Tick: 9, Detail: "decision=COMMIT"},
-		{Seq: 5, Node: 0, Type: obs.EventCrash, Tick: 11},
-	}
-	g := span.FromEvents(events)
-	if g.Unit != "tick" {
-		t.Fatalf("unit = %q", g.Unit)
-	}
-	if len(g.Spans) != len(events) {
-		t.Fatalf("%d spans for %d events", len(g.Spans), len(events))
-	}
-	// Milestone spans cover the gap since the previous one: node 0's
-	// decided span runs 2..9.
-	var decided *span.Span
-	for i := range g.Spans {
-		if g.Spans[i].Name == string(obs.EventDecided) {
-			decided = &g.Spans[i]
-		}
-	}
-	if decided == nil || decided.Start != 2 || decided.End != 9 {
-		t.Fatalf("decided span = %+v, want 2..9", decided)
-	}
-
-	// Permuted input (stale ring order) produces the same graph: the
-	// builder re-sorts by sequence number.
-	perm := []obs.Event{events[3], events[0], events[4], events[2], events[1]}
-	g2 := span.FromEvents(perm)
-	var a, b bytes.Buffer
-	if err := span.WriteJSON(&a, g); err != nil {
-		t.Fatal(err)
-	}
-	if err := span.WriteJSON(&b, g2); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatal("permuted event order changed the graph")
-	}
-
-	p, err := g.CriticalPathTxn("t1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(p.Render(), "decided") {
-		t.Fatalf("critical path misses the decision:\n%s", p.Render())
-	}
-}
-
-func TestFromEventsEmpty(t *testing.T) {
-	g := span.FromEvents(nil)
-	if len(g.Spans) != 0 || len(g.Edges) != 0 {
-		t.Fatalf("empty events produced %+v", g)
 	}
 }

@@ -139,10 +139,10 @@ func (g *Graph) CriticalPath(targetID int) (*Path, error) {
 // that delivered the client's answer, even one too short to measure, so
 // Total is the client's latency whatever the other processors did
 // afterwards — or, for a transaction without service spans, its
-// last-finishing span (ties to the lowest id).
-// Restricting the walk to the subgraph keeps it off the stage spans of
-// the other members of its batch, so the path starts at this
-// transaction's own admission.
+// last-finishing span (ties to the lowest id). A milestone (KindEvent)
+// is never the target. Restricting the walk to the subgraph keeps it off
+// the stage spans of the other members of its batch, so the path starts
+// at this transaction's own admission.
 func (g *Graph) CriticalPathTxn(txn string) (*Path, error) {
 	sub := g.ByTxn(txn)
 	// better: a service-track span beats any other, then the later end,
@@ -161,7 +161,7 @@ func (g *Graph) CriticalPathTxn(txn string) (*Path, error) {
 	}
 	var target *Span
 	for i := range sub.Spans {
-		if s := &sub.Spans[i]; s.Txn == txn && (target == nil || better(s, target)) {
+		if s := &sub.Spans[i]; s.Txn == txn && s.Kind != KindEvent && (target == nil || better(s, target)) {
 			target = s
 		}
 	}

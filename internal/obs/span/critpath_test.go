@@ -271,6 +271,67 @@ func TestFilterFollowsBatch(t *testing.T) {
 	}
 }
 
+// TestEventRecordsStayOffTheCausalGraph: milestones laid down beside the
+// batch's spans — on the same tracks, under the same keys, at the same
+// instants — add no edge and change no critical path, a per-transaction
+// view carries them, and a milestone is never a path's target, even as a
+// transaction's last-finishing record.
+func TestEventRecordsStayOffTheCausalGraph(t *testing.T) {
+	plain := batchGraph()
+	mark := func(id int, txn, track, name string, at int64, detail string) Span {
+		return Span{ID: id, Txn: txn, Track: track, Name: name, Kind: KindEvent,
+			Start: at, End: at, From: -1, To: -1, Detail: detail}
+	}
+	spans := append(append([]Span(nil), plain.Spans...),
+		mark(20, "batch:b1", "proc 0", EventGoSent, 8, "tick=1 coins=3 fanout=3"),
+		mark(21, "batch:b1", "proc 2", EventGoRecv, 10, "tick=1 from=0"),
+		mark(22, "batch:b1", "proc 2", EventVoteCast, 14, "tick=2 votes=2"),
+		mark(23, "batch:b1", "proc 0", EventStage, 16, "tick=3 stage=1"),
+		mark(24, "m1", "proc 0", EventRetired, 40, "tick=70"),
+		mark(25, "", "proc 1", EventCrash, 18, ""),
+	)
+	g := &Graph{Unit: "us", Spans: spans, Edges: InferEdges(spans)}
+	if fmt.Sprint(g.Edges) != fmt.Sprint(plain.Edges) {
+		t.Fatalf("milestones changed the edges:\n%v\nwant\n%v", g.Edges, plain.Edges)
+	}
+	for _, txn := range []string{"m1", "m2"} {
+		want, err := plain.CriticalPathTxn(txn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := g.CriticalPathTxn(txn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Render() != want.Render() {
+			t.Errorf("%s: milestones changed the path:\n%s\nwant\n%s", txn, got.Render(), want.Render())
+		}
+	}
+	events := 0
+	for _, s := range g.ByTxn("m1").Spans {
+		if s.Kind == KindEvent {
+			events++
+		}
+	}
+	if events != 5 {
+		t.Errorf("m1's view holds %d milestones, want its own retire and its batch's four", events)
+	}
+
+	// Without service spans the target is the last-finishing record — but
+	// never a milestone, however late.
+	lone := []Span{
+		{ID: 1, Txn: "t", Track: "proc 0", Name: "round 1", Kind: KindRound, Start: 0, End: 5, From: -1, To: -1},
+		mark(2, "t", "proc 0", EventRetired, 9, "tick=9"),
+	}
+	p, err := (&Graph{Unit: "us", Spans: lone, Edges: InferEdges(lone)}).CriticalPathTxn("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Target != 1 || len(p.Steps) != 1 {
+		t.Fatalf("lone transaction's path targets #%d over %d steps, want the round alone:\n%s", p.Target, len(p.Steps), p.Render())
+	}
+}
+
 // TestCriticalPathRules pins each rule of the backward walk with the
 // smallest graph that needs it (edges are given, not inferred, so a case
 // exercises the walk alone). Every case fails if its rule is removed.

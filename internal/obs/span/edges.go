@@ -8,8 +8,9 @@ import (
 )
 
 // InferEdges reconstructs the happens-before edges of a span set. The
-// rules are purely structural, so one inference serves every producer
-// (live collector, simulator trace, protocol event stream):
+// rules are purely structural, so one inference serves both producers
+// (live collector, simulator trace). Milestone (KindEvent) records get no
+// edges: they annotate a track without lengthening any chain.
 //
 //  1. Program order: consecutive non-link spans on one (txn, track),
 //     ordered by (Start, End, ID), are chained.
@@ -41,7 +42,10 @@ func InferEdges(spans []Span) []Edge {
 	var links []*Span
 	for i := range spans {
 		s := &spans[i]
-		if s.Kind == KindLink {
+		switch s.Kind {
+		case KindEvent:
+			continue
+		case KindLink:
 			links = append(links, s)
 			continue
 		}

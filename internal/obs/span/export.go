@@ -10,8 +10,8 @@ import (
 )
 
 // GraphFormat identifies a span-graph JSON export; cmd/tracedump and
-// GET /debug/spans stamp it so consumers can sniff the document kind the
-// same way they sniff live traces.
+// GET /debug/spans stamp it so consumers can sniff the document kind (a
+// flight dump is stamped "flight", a simulator trace not at all).
 const GraphFormat = "span-graph"
 
 // graphJSON is the export envelope.

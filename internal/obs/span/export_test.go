@@ -34,13 +34,13 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 func TestReadJSONRejects(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader(`{"format":"live-trace"}`)); err == nil {
+	if _, err := ReadJSON(strings.NewReader(`{"format":"flight"}`)); err == nil {
 		t.Error("foreign format accepted")
 	}
 	if _, err := ReadJSON(strings.NewReader(`nope`)); err == nil {
 		t.Error("garbage accepted")
 	}
-	if IsGraphJSON([]byte(`{"format":"live-trace"}`)) || IsGraphJSON([]byte(`nope`)) {
+	if IsGraphJSON([]byte(`{"format":"flight"}`)) || IsGraphJSON([]byte(`nope`)) {
 		t.Error("sniffer accepted a non-graph document")
 	}
 }

@@ -3,26 +3,27 @@
 // of spans — service pipeline stages, per-processor asynchronous rounds,
 // and message links — and computes the critical path of a decision: the
 // causal chain whose last-arriving step determined the end-to-end
-// latency, attributed per stage, round, and link.
+// latency, attributed per stage, round, and link. The same ring holds the
+// live stack's protocol milestones (GO sent, vote cast, stage entered,
+// crash, ...) as zero-length event records, so one transaction's whole
+// story is one filter away.
 //
 // The model follows the paper's own time measure: an asynchronous round
 // (§2.2) is defined per processor and driven by last-message receipt, so
 // the natural explanation of "why did this decision take 9 rounds" is a
 // chain of spans connected by the messages whose arrival extended each
-// round. The package has three producers:
+// round. The package has two producers:
 //
-//   - Collector: live instrumentation (service stages, manager rounds,
-//     transport links) stamped with one shared clock — wall-clock
-//     microseconds in live mode, a caller-supplied logical clock in
-//     tests.
+//   - Collector: live instrumentation (service stages, manager rounds and
+//     milestones, transport links, crashes) stamped with one shared clock
+//     — wall-clock microseconds in live mode, a caller-supplied logical
+//     clock in tests.
 //   - FromTrace: the offline simulator's trace.Trace, timestamped in
 //     global event indices — fully deterministic, byte-identical across
 //     runs of one seed at any GOMAXPROCS.
-//   - FromEvents: the obs tracer's live protocol event stream,
-//     timestamped in per-node manager ticks.
 //
 // Everything downstream (edge inference, critical path, exporters) is a
-// pure function of the span set, so any producer feeds any consumer.
+// pure function of the span set, so either producer feeds any consumer.
 // The package depends only on the standard library plus the repo's own
 // trace/rounds/obs packages.
 package span
@@ -30,6 +31,7 @@ package span
 import (
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -40,11 +42,33 @@ import (
 type Kind string
 
 // Span kinds: a service pipeline stage, one per-processor asynchronous
-// round of a protocol instance, or one message's network flight.
+// round of a protocol instance, one message's network flight, or a
+// zero-length protocol milestone. Event records take no part in the
+// causal graph: InferEdges gives them no edges and no critical path
+// targets one.
 const (
 	KindStage Kind = "stage"
 	KindRound Kind = "round"
 	KindLink  Kind = "link"
+	KindEvent Kind = "event"
+)
+
+// Milestone names: the KindEvent records of the live stack. The
+// transaction manager lays down the protocol's (§3.2: the coordinator
+// floods GO, participants relay it and cast votes, every processor runs
+// Protocol 1 stage by stage) and an instance's end (retired to a
+// tombstone, or abandoned undecided at MaxAge); the runtime lays down
+// fail-stop crashes and restarts. A decision is the zero-length
+// "decided" stage span, not an event: critical paths end there.
+const (
+	EventGoSent    = "go_sent"   // this node broadcast/relayed GO
+	EventGoRecv    = "go_recv"   // first GO (or piggyback) received
+	EventVoteCast  = "vote_cast" // this node broadcast its vote
+	EventStage     = "stage"     // Protocol 1 entered a new stage
+	EventRetired   = "retired"   // decided instance retired to tombstone
+	EventAbandoned = "abandoned" // undecided instance hit MaxAge
+	EventCrash     = "crash"     // node fail-stopped
+	EventRecover   = "recover"   // node rejoined
 )
 
 // Service pipeline stage names, in causal order. The service records one
@@ -87,6 +111,12 @@ type Span struct {
 
 // Duration is End - Start.
 func (s *Span) Duration() int64 { return s.End - s.Start }
+
+// Milestone reports whether s is one of a node's protocol milestones: an
+// event record or the decided marker, on a processor track.
+func (s *Span) Milestone() bool {
+	return strings.HasPrefix(s.Track, "proc ") && (s.Kind == KindEvent || s.Name == StageDecided)
+}
 
 // Edge is one happens-before edge: the From span is a causal predecessor
 // of the To span (ids, not indices).
@@ -219,6 +249,17 @@ func (c *Collector) Add(s Span) int {
 		c.next = (c.next + 1) % len(c.buf)
 	}
 	return s.ID
+}
+
+// Mark records a protocol milestone: a zero-length KindEvent span at the
+// collector's current time. A no-op on a nil collector.
+func (c *Collector) Mark(txn, track, name, detail string) {
+	if c == nil {
+		return
+	}
+	now := c.clock()
+	c.Add(Span{Txn: txn, Track: track, Name: name, Kind: KindEvent,
+		Start: now, End: now, From: -1, To: -1, Detail: detail})
 }
 
 // Dropped reports how many spans have been evicted since creation.

@@ -158,19 +158,13 @@ func (c *Client) Decision() (types.Value, bool) { return c.decision, c.decided }
 // Halted implements types.Machine.
 func (c *Client) Halted() bool { return c.halted }
 
-// Step implements types.Machine.
-func (c *Client) Step(received []types.Message, _ types.Rand) []types.Message {
+// Step implements types.Machine: adopt a reply, else poll on a timer —
+// the first poll happens on the first step.
+func (c *Client) Step(received []types.Message, rnd types.Rand) []types.Message {
 	c.clock++
-	if c.halted {
+	if c.Deliver(received, rnd); c.halted {
 		return nil
 	}
-	for i := range received {
-		if rep, ok := received[i].Payload.(ReplyMsg); ok {
-			c.decided, c.decision, c.halted = true, rep.Val, true
-			return nil
-		}
-	}
-	// Poll on a timer; the first poll happens on the first step.
 	if (c.clock-1)%c.cfg.QueryEvery == 0 {
 		var out []types.Message
 		for p := 0; p < c.cfg.N; p++ {
@@ -180,6 +174,17 @@ func (c *Client) Step(received []types.Message, _ types.Rand) []types.Message {
 			out = append(out, types.Message{From: c.cfg.ID, To: types.ProcID(p), Payload: QueryMsg{Txn: SoleTxn}})
 		}
 		return out
+	}
+	return nil
+}
+
+// Deliver hands the client messages between ticks: a reply is adopted the
+// moment it arrives, and the poll clock stands still. It sends nothing.
+func (c *Client) Deliver(received []types.Message, _ types.Rand) []types.Message {
+	for i := range received {
+		if rep, ok := received[i].Payload.(ReplyMsg); ok && !c.halted {
+			c.decided, c.decision, c.halted = true, rep.Val, true
+		}
 	}
 	return nil
 }

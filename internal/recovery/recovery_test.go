@@ -124,6 +124,34 @@ func TestClientAdoptsFirstReply(t *testing.T) {
 	}
 }
 
+// TestClientDeliverAdoptsWithoutTicking: a reply handed over between ticks
+// is adopted at once and leaves the poll clock where it was; a delivery
+// without one changes nothing, and neither ever sends.
+func TestClientDeliverAdoptsWithoutTicking(t *testing.T) {
+	client, err := recovery.NewClient(recovery.ClientConfig{ID: 0, N: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rng.NewStream(3)
+	client.Step(nil, st) // poll
+	if out := client.Deliver([]types.Message{{From: 2, To: 0, Payload: recovery.QueryMsg{}}}, st); len(out) != 0 || client.Halted() {
+		t.Fatalf("a delivery without a reply sent %d msgs, halted=%v", len(out), client.Halted())
+	}
+	out := client.Deliver([]types.Message{
+		{From: 1, To: 0, Payload: recovery.ReplyMsg{Val: types.V1}},
+		{From: 2, To: 0, Payload: recovery.ReplyMsg{Val: types.V0}},
+	}, st)
+	if len(out) != 0 {
+		t.Fatalf("a delivery sent %d msgs", len(out))
+	}
+	if v, ok := client.Decision(); !ok || v != types.V1 || !client.Halted() {
+		t.Fatalf("decision = %v %v halted=%v, want the first reply's value, halted", v, ok, client.Halted())
+	}
+	if client.Clock() != 1 {
+		t.Fatalf("clock = %d after one step and two deliveries, want 1", client.Clock())
+	}
+}
+
 func TestResponderAnswersOnlyAfterDecision(t *testing.T) {
 	m, err := core.New(core.Config{ID: 0, N: 3, T: 1, K: 2, Vote: types.V1, Gadget: true})
 	if err != nil {

@@ -18,8 +18,9 @@ import (
 	"repro/internal/types"
 )
 
-// counter is a machine with Step alone: it counts its ticks and what they
-// brought, and can be made slow (stall) or wedged (block) inside Step.
+// counter counts its ticks and what they brought, and can be made slow
+// (stall) or wedged (block) inside Step. It has Step alone, so a node
+// refuses it; arrivals and chatter add Deliver.
 type counter struct {
 	id       types.ProcID
 	ticks    atomic.Int64
@@ -134,19 +135,15 @@ func TestIdleClusterTicksAndNothingElseContentOblivious(t *testing.T) {
 
 // TestArrivalAndWakeRunTheMachineAtOnceContentOblivious: the clock is an
 // hour away, so whatever runs, runs because something arrived. Wake runs
-// node 0, whose answer reaches node 1 and runs it — and the same wake and
-// the same kind of arrival leave a machine without Deliver alone until its
-// tick, as before this runtime had arrivals.
+// node 0, whose answer reaches node 1 and runs it; a wake of node 1 runs
+// it again, and its answer runs node 2.
 func TestArrivalAndWakeRunTheMachineAtOnceContentOblivious(t *testing.T) {
-	as, ms := newArrivals(2)
-	plain := &counter{id: 2}
-	as[1].n = 3 // node 1's answer to a wake goes to the Step-only node
-	c := startCluster(t, append(ms, plain), time.Hour, nil)
+	as, ms := newArrivals(3)
+	c := startCluster(t, ms, time.Hour, nil)
 	c.Node(0).Wake()
 	waitFor(t, "node 0's message to arrive at node 1", func() bool { return as[1].received.Load() == 1 })
 	c.Node(1).Wake()
-	c.Node(2).Wake()
-	waitFor(t, "node 1's wake", func() bool { return as[1].deliveries.Load() == 2 })
+	waitFor(t, "node 1's answer to arrive at node 2", func() bool { return as[2].received.Load() == 1 })
 	time.Sleep(20 * time.Millisecond)
 	if d, r := as[0].deliveries.Load(), as[0].received.Load(); d != 1 || r != 0 {
 		t.Errorf("node 0: %d deliveries, %d messages; want the one wake", d, r)
@@ -159,8 +156,8 @@ func TestArrivalAndWakeRunTheMachineAtOnceContentOblivious(t *testing.T) {
 	if d, r := as[1].deliveries.Load(), as[1].received.Load(); d != 2 || r != 1 {
 		t.Errorf("node 1: %d deliveries, %d messages; want one arrival and one wake", d, r)
 	}
-	if plain.ticks.Load() != 0 || plain.received.Load() != 0 {
-		t.Errorf("the Step-only node ran between ticks: %d ticks, %d messages", plain.ticks.Load(), plain.received.Load())
+	if d, r := as[2].deliveries.Load(), as[2].received.Load(); d != 1 || r != 1 {
+		t.Errorf("node 2: %d deliveries, %d messages; want the one arrival", d, r)
 	}
 }
 

@@ -5,17 +5,13 @@
 // an adversary.
 //
 // An event of the formal model hands a processor some messages (§2.1); here
-// a node whose machine can take a delivery without advancing its clock
-// (txn.Manager, the machine every live path hosts) is handed its messages
-// the moment they arrive, and every TickEvery its clock ticks once — the
-// Step that timeouts are counted in. A machine with Step alone is stepped on
-// ticks only and receives its messages then; the one such machine run live
-// is the recovery client of a restarted node, which polls on a timer
-// anyway. A machine's messages to itself never reach the transport: the
-// node hands them back, to a deliverer at once and to any other machine at
-// its next tick. The timing constant K of the protocol configs is
-// K*TickEvery of wall time; it bounds how late a message may be, not how
-// soon one is acted on.
+// a node's machine takes a delivery without advancing its clock — both live
+// machines do: txn.Manager, and the recovery client of a restarted node — so
+// it is handed its messages the moment they arrive, and every TickEvery its
+// clock ticks once: the Step that timeouts are counted in. A machine's
+// messages to itself never reach the transport: the node hands them straight
+// back. The timing constant K of the protocol configs is K*TickEvery of wall
+// time; it bounds how late a message may be, not how soon one is acted on.
 //
 // The nodes of a Cluster share one clock, which ticks no faster than its
 // slowest live node takes the ticks: co-hosted processors starved of CPU
@@ -32,6 +28,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/span"
 	"repro/internal/rng"
 	"repro/internal/transport"
 	"repro/internal/types"
@@ -43,6 +40,8 @@ const lingerTicks = 8
 
 // NodeConfig configures one live node.
 type NodeConfig struct {
+	// Machine is what the node runs; it must also take deliveries
+	// between ticks (a Deliver method, see deliverer).
 	Machine   types.Machine
 	Transport transport.Transport
 	Rand      types.Rand
@@ -87,15 +86,17 @@ func newNodeMetrics(reg *obs.Registry, p types.ProcID) nodeMetrics {
 // deliverer is a machine that can be handed messages between clock ticks:
 // Deliver is Step without the tick.
 type deliverer interface {
+	types.Machine
 	Deliver(received []types.Message, rnd types.Rand) []types.Message
 }
 
 // Node runs one machine.
 type Node struct {
-	cfg  NodeConfig
-	m    nodeMetrics
-	done chan struct{}
-	stop chan struct{}
+	cfg     NodeConfig
+	machine deliverer // cfg.Machine
+	m       nodeMetrics
+	done    chan struct{}
+	stop    chan struct{}
 	// wake asks for a delivery with no message behind it (see Wake); one
 	// slot, because one pending request covers any number of callers.
 	wake chan struct{}
@@ -123,6 +124,10 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Rand == nil {
 		return nil, errors.New("runtime: nil rand")
 	}
+	d, ok := cfg.Machine.(deliverer)
+	if !ok {
+		return nil, fmt.Errorf("runtime: a %T takes no deliveries between ticks (no Deliver method)", cfg.Machine)
+	}
 	if cfg.TickEvery <= 0 {
 		cfg.TickEvery = 2 * time.Millisecond
 	}
@@ -133,7 +138,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			cfg.MaxTicks = 10_000
 		}
 	}
-	return &Node{cfg: cfg, m: newNodeMetrics(cfg.Registry, cfg.Machine.ID()),
+	return &Node{cfg: cfg, machine: d, m: newNodeMetrics(cfg.Registry, cfg.Machine.ID()),
 		done: make(chan struct{}), stop: make(chan struct{}), wake: make(chan struct{}, 1)}, nil
 }
 
@@ -151,8 +156,7 @@ func (n *Node) Stop() { n.stopOnce.Do(func() { close(n.stop) }) }
 
 // Wake makes the node run its machine now rather than at the next tick —
 // for work handed to the machine from outside the transport (a batch begun
-// on a txn.Manager). It never blocks, and does nothing for a machine
-// without Deliver, whose every step is a tick.
+// on a txn.Manager). It never blocks.
 func (n *Node) Wake() {
 	select {
 	case n.wake <- struct{}{}:
@@ -189,27 +193,18 @@ func (n *Node) run(ctx context.Context) {
 		defer ticker.Stop()
 		ticks = ticker.C
 	}
-	// Arrivals are armed only for a machine that can take one between
-	// ticks; for any other the two cases below never fire and the loop is
-	// tick, drain, Step.
-	d, _ := n.cfg.Machine.(deliverer)
-	var recv <-chan types.Message
-	var wake <-chan struct{}
-	if d != nil {
-		recv, wake = n.cfg.Transport.Recv(), n.wake
-	}
-
-	id := n.cfg.Machine.ID()
+	recv := n.cfg.Transport.Recv()
+	id := n.machine.ID()
 	linger := -1
 	for tick := 0; n.cfg.MaxTicks <= 0 || tick < n.cfg.MaxTicks; {
 		var out []types.Message
 		ticked := false
 		n.buf = n.buf[:0]
-		// A machine with Deliver gets its own messages back at once — but
-		// through the select, so one that answers itself on every delivery
-		// still yields to a stop, a cancellation or a tick.
+		// The machine gets its own messages back at once — but through the
+		// select, so one that answers itself on every delivery still yields
+		// to a stop, a cancellation or a tick.
 		var own <-chan struct{}
-		if d != nil && len(n.self) > 0 {
+		if len(n.self) > 0 {
 			own = ready
 		}
 		select {
@@ -220,18 +215,18 @@ func (n *Node) run(ctx context.Context) {
 			return
 		case <-ticks:
 			tick, ticked = tick+1, true
-			out = n.cfg.Machine.Step(n.inbox(), n.cfg.Rand)
+			out = n.machine.Step(n.inbox(), n.cfg.Rand)
 		case m, ok := <-recv:
 			if !ok {
 				recv = nil // transport closed; the stop follows
 				continue
 			}
 			n.buf = append(n.buf, m)
-			out = d.Deliver(n.inbox(), n.cfg.Rand)
-		case <-wake:
-			out = d.Deliver(n.inbox(), n.cfg.Rand)
+			out = n.machine.Deliver(n.inbox(), n.cfg.Rand)
+		case <-n.wake:
+			out = n.machine.Deliver(n.inbox(), n.cfg.Rand)
 		case <-own:
-			out = d.Deliver(n.inbox(), n.cfg.Rand)
+			out = n.machine.Deliver(n.inbox(), n.cfg.Rand)
 		}
 		n.m.steps.Inc()
 		n.m.msgsIn.Add(uint64(len(n.buf)))
@@ -248,7 +243,7 @@ func (n *Node) run(ctx context.Context) {
 				return
 			}
 		}
-		if ticked && !n.cfg.Persistent && n.cfg.Machine.Halted() {
+		if ticked && !n.cfg.Persistent && n.machine.Halted() {
 			if linger < 0 {
 				linger = lingerTicks
 			}
@@ -310,7 +305,7 @@ type Cluster struct {
 	nodes   []*Node
 	crashed []atomic.Bool
 	crashes *obs.CounterVec
-	tracer  *obs.Tracer
+	spans   *span.Collector
 
 	// The one clock every node reads (see clock): its period, the signal
 	// that ends it, and the signal that it has ended.
@@ -341,8 +336,10 @@ type ClusterOptions struct {
 	// Registry, if non-nil, receives every node's runtime metrics and the
 	// hub's transport metrics (unless Hub.Registry is already set).
 	Registry *obs.Registry
-	// Tracer, if non-nil, records crash events injected via Crash.
-	Tracer *obs.Tracer
+	// Spans, if non-nil, receives a crash milestone per Crash and a
+	// recover milestone per Restart, and the hub's link spans (unless
+	// Hub.Spans is already set).
+	Spans *span.Collector
 }
 
 // NewLocalCluster wires one node per machine through a fresh hub.
@@ -363,13 +360,16 @@ func NewCluster(machines []types.Machine, trs []transport.Transport, opts Cluste
 		crashed: make([]atomic.Bool, len(machines)),
 		crashes: opts.Registry.CounterVec("runtime_node_crashes_total",
 			"Fail-stop crashes injected, by node.", "node"),
-		tracer:    opts.Tracer,
+		spans:     opts.Spans,
 		clockStop: make(chan struct{}),
 		clockDone: make(chan struct{}),
 	}
 	if trs == nil {
 		if opts.Hub.Registry == nil {
 			opts.Hub.Registry = opts.Registry
+		}
+		if opts.Hub.Spans == nil {
+			opts.Hub.Spans = opts.Spans
 		}
 		c.hub = transport.NewHub(len(machines), opts.Hub)
 		c.trs = make([]transport.Transport, len(machines))
@@ -539,11 +539,11 @@ func (c *Cluster) Crash(p types.ProcID) {
 	c.trs[p].Close() //nolint:errcheck // best-effort fail-stop
 	c.nodes[p].Stop()
 	c.crashes.With(strconv.Itoa(int(p))).Inc()
-	c.tracer.Record(obs.Event{Node: int(p), Type: obs.EventCrash})
+	c.spans.Mark("", span.ProcTrack(int(p)), span.EventCrash, "")
 }
 
 // Restart reconnects a previously crashed node p's traffic at the hub and
-// records the recovery event. The stopped node goroutine is NOT revived —
+// records the recover milestone. The stopped node goroutine is NOT revived —
 // the caller runs a replacement machine (typically a recovery client) on
 // Endpoint(p); see internal/chaos. No-op after the cluster closed, and
 // over supplied transports, which Crash closed for good.
@@ -552,7 +552,7 @@ func (c *Cluster) Restart(p types.ProcID) {
 		return
 	}
 	c.hub.Restart(p)
-	c.tracer.Record(obs.Event{Node: int(p), Type: obs.EventRecover})
+	c.spans.Mark("", span.ProcTrack(int(p)), span.EventRecover, "")
 }
 
 // CrashAfter schedules node p to stop and disconnect after d. It models a

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/span"
 	"repro/internal/rng"
 	"repro/internal/runtime"
 	"repro/internal/transport"
@@ -213,6 +214,8 @@ func TestNodeConfigValidation(t *testing.T) {
 		{Transport: hub.Endpoint(0), Rand: rng.NewStream(1)},
 		{Machine: m, Rand: rng.NewStream(1)},
 		{Machine: m, Transport: hub.Endpoint(0)},
+		// Every live machine takes deliveries; one with Step alone is refused.
+		{Machine: &counter{}, Transport: hub.Endpoint(0), Rand: rng.NewStream(1)},
 	}
 	for i, cfg := range bad {
 		if _, err := runtime.NewNode(cfg); err == nil {
@@ -293,14 +296,14 @@ func TestPersistentClusterStopDrain(t *testing.T) {
 
 // TestCrashAfterClusterClose: a CrashAfter whose timer would fire after
 // the cluster has been waited out must be a no-op — no touching the
-// closed hub, no phantom crash metrics or trace events (regression: the
+// closed hub, no phantom crash metrics or milestones (regression: the
 // timer used to be unguarded).
 func TestCrashAfterClusterClose(t *testing.T) {
 	n := 3
 	reg := obs.NewRegistry()
-	tr := obs.NewTracer(64)
+	spans := span.NewCollector(0)
 	c, err := runtime.NewLocalCluster(types.Machines(managers(t, n, 6, votesOf(n, types.V1))), runtime.ClusterOptions{
-		TickEvery: time.Millisecond, Seed: 11, Registry: reg, Tracer: tr,
+		TickEvery: time.Millisecond, Seed: 11, Registry: reg, Spans: spans,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -321,9 +324,9 @@ func TestCrashAfterClusterClose(t *testing.T) {
 	if crashes := crashCount("1") + crashCount("0"); crashes != 0 {
 		t.Errorf("crash fired after cluster close (count=%d)", crashes)
 	}
-	for _, e := range tr.Recent(0) {
-		if e.Type == obs.EventCrash && (e.Node == 0 || e.Node == 1) {
-			t.Errorf("phantom crash trace event for node %d", e.Node)
+	for _, s := range spans.Graph().Spans {
+		if s.Name == span.EventCrash && (s.Track == span.ProcTrack(0) || s.Track == span.ProcTrack(1)) {
+			t.Errorf("phantom crash milestone on %s", s.Track)
 		}
 	}
 	// And a direct Crash after close is a guarded no-op too.
@@ -343,9 +346,9 @@ func TestRestartOverSuppliedTransportsIsNoop(t *testing.T) {
 	for p := range trs {
 		trs[p] = hub.Endpoint(types.ProcID(p))
 	}
-	tr := obs.NewTracer(64)
+	spans := span.NewCollector(0)
 	c, err := runtime.NewCluster(types.Machines(managers(t, n, 6, votesOf(n, types.V1))), trs, runtime.ClusterOptions{
-		TickEvery: time.Millisecond, Seed: 12, Persistent: true, Tracer: tr,
+		TickEvery: time.Millisecond, Seed: 12, Persistent: true, Spans: spans,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -357,9 +360,9 @@ func TestRestartOverSuppliedTransportsIsNoop(t *testing.T) {
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range tr.Recent(0) {
-		if e.Type == obs.EventRecover {
-			t.Fatalf("Restart recorded a recovery it cannot perform: %+v", e)
+	for _, s := range spans.Graph().Spans {
+		if s.Name == span.EventRecover {
+			t.Fatalf("Restart recorded a recovery it cannot perform: %+v", s)
 		}
 	}
 }

@@ -35,11 +35,13 @@ func (c *countingTransport) Send(msg types.Message) error {
 	return c.Transport.Send(msg)
 }
 
-// hello is a Step-only machine that broadcasts once, at its first run, and
-// counts what comes back from itself and from its peers.
+// hello broadcasts once and counts what comes back from itself and from
+// its peers. It comes in two kinds: one speaks at its first delivery (a
+// wake), the other at its first tick (onTick).
 type hello struct {
 	id       types.ProcID
 	n        int
+	onTick   bool
 	said     bool
 	ticks    atomic.Int64
 	fromSelf atomic.Int64
@@ -53,10 +55,14 @@ func (h *hello) Halted() bool                  { return false }
 
 func (h *hello) Step(received []types.Message, _ types.Rand) []types.Message {
 	h.ticks.Add(1)
-	return h.run(received)
+	return h.run(received, h.onTick)
 }
 
-func (h *hello) run(received []types.Message) []types.Message {
+func (h *hello) Deliver(received []types.Message, _ types.Rand) []types.Message {
+	return h.run(received, !h.onTick)
+}
+
+func (h *hello) run(received []types.Message, speak bool) []types.Message {
 	for _, m := range received {
 		if m.From == h.id {
 			h.fromSelf.Add(1)
@@ -64,18 +70,11 @@ func (h *hello) run(received []types.Message) []types.Message {
 			h.fromPeer.Add(1)
 		}
 	}
-	if h.said {
+	if h.said || !speak {
 		return nil
 	}
 	h.said = true
 	return types.Broadcast(h.id, h.n, core.GoMsg{}) // a payload the wire carries
-}
-
-// helloDeliverer is hello with Deliver: a wake makes it broadcast.
-type helloDeliverer struct{ hello }
-
-func (h *helloDeliverer) Deliver(received []types.Message, _ types.Rand) []types.Message {
-	return h.run(received)
 }
 
 // chatter answers itself on every run, Step or Deliver: left alone, a node
@@ -144,24 +143,22 @@ func TestSelfDeliveryBypassesTransportContentOblivious(t *testing.T) {
 	for _, backend := range []string{"hub", "tcp"} {
 		t.Run("both kinds of machine hear themselves, the transport never carries it/"+backend, func(t *testing.T) {
 			trs := pair(t, backend)
-			// Node 0 can take deliveries and its clock is an hour away: its
-			// own message comes back in a re-delivery. Node 1 is Step-only:
-			// its own message waits for its next tick, as an arrival would.
-			d := &helloDeliverer{hello{id: 0, n: 2}}
-			s := &hello{id: 1, n: 2}
+			// Node 0 speaks when woken, its clock an hour away; node 1 speaks
+			// at its first tick, its next a long way off. Either way its own
+			// message comes back in a re-delivery, not at a later tick.
+			d := &hello{id: 0, n: 2}
+			s := &hello{id: 1, n: 2, onTick: true}
 			dn := startNode(t, context.Background(), d, trs[0], time.Hour)
-			startNode(t, context.Background(), s, trs[1], time.Millisecond)
+			startNode(t, context.Background(), s, trs[1], 100*time.Millisecond)
 			dn.Wake()
 			waitFor(t, "both machines to hear from themselves and each other", func() bool {
 				return d.fromSelf.Load() == 1 && d.fromPeer.Load() == 1 && s.fromSelf.Load() == 1 && s.fromPeer.Load() == 1
 			})
 			if d.ticks.Load() != 0 {
-				t.Errorf("the deliverer ticked %d times an hour early", d.ticks.Load())
+				t.Errorf("the woken node ticked %d times an hour early", d.ticks.Load())
 			}
-			// The Step-only node spoke at its first tick and heard itself at
-			// a later one.
-			if s.ticks.Load() < 2 {
-				t.Errorf("the Step-only node heard itself after %d ticks, want a tick after the one it spoke in", s.ticks.Load())
+			if s.ticks.Load() != 1 {
+				t.Errorf("the ticked node heard itself after %d ticks, want within the tick it spoke in", s.ticks.Load())
 			}
 			for p, tr := range trs {
 				if own, sent := tr.own.Load(), tr.sent.Load(); own != 0 || sent != 1 {

@@ -3,6 +3,7 @@ package service_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -169,7 +170,11 @@ func TestMemberCriticalPathLive(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	g := s.Spans().Graph()
+	// Submit returns once the first node decides. A round is recorded when
+	// it closes, and another node's round — the coordinator's, which sent
+	// GO — may still be open then, leaving the GO link without a recorded
+	// sender. The path is read once every manager has reported every member.
+	g := reportedGraph(t, s, "cp-", clients)
 	for i := 0; i < clients; i++ {
 		id := fmt.Sprintf("cp-%02d", i)
 		p, err := g.CriticalPathTxn(id)
@@ -196,6 +201,59 @@ func TestMemberCriticalPathLive(t *testing.T) {
 		}
 		if p.ByKind[span.KindRound] <= 0 || links == 0 {
 			t.Fatalf("%s: no round time or no link step on the path:\n%s", id, p.Render())
+		}
+	}
+}
+
+// decidedMarkers counts, per member and processor track, the records in
+// the ring that report the member's decision: the zero-length "decided"
+// markers the managers lay down, and anything else naming the decision.
+func decidedMarkers(g *span.Graph, prefix string) map[[2]string]int {
+	out := map[[2]string]int{}
+	for _, sp := range g.Spans {
+		if strings.HasPrefix(sp.Txn, prefix) && sp.Track != span.ServiceTrack &&
+			(sp.Name == span.StageDecided || strings.Contains(sp.Detail, "decision=")) {
+			out[[2]string{sp.Txn, sp.Track}]++
+		}
+	}
+	return out
+}
+
+// reportedGraph snapshots the span ring once every one of the service's
+// managers has reported each of the members prefix00..prefix(members-1).
+func reportedGraph(t *testing.T, s *service.Service, prefix string, members int) *span.Graph {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		g := s.Spans().Graph()
+		if got := len(decidedMarkers(g, prefix)); got == members*s.N() {
+			return g
+		} else if time.Now().After(deadline) {
+			t.Fatalf("%d of %d (member, node) decisions recorded", got, members*s.N())
+		}
+	}
+}
+
+// TestOneDecidedRecordPerMemberAndNode: a node's decision on a member is
+// one record in the one ring — the processor track's "decided" marker —
+// not a marker plus an event twin.
+func TestOneDecidedRecordPerMemberAndNode(t *testing.T) {
+	s := newService(t, service.Config{N: 3, Seed: 16, BatchMax: 4})
+	const clients = 8
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Submit(context.Background(), service.Request{ID: fmt.Sprintf("one-%02d", i)}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for key, n := range decidedMarkers(reportedGraph(t, s, "one-", clients), "one-") {
+		if n != 1 {
+			t.Errorf("%s on %s: %d records of its decision, want 1", key[0], key[1], n)
 		}
 	}
 }

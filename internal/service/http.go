@@ -135,7 +135,6 @@ type Backend interface {
 	// MetricsJSON is the GET /metrics body.
 	MetricsJSON() any
 	Registry() *obs.Registry
-	Tracer() *obs.Tracer
 	Spans() *span.Collector
 	// SpanFamily reports whether span key belongs to txn's ?txn= view.
 	SpanFamily(txn, key string) bool
@@ -170,8 +169,8 @@ func NewHTTPHandler(s *Service) http.Handler { return NewHandler(unsharded{s}) }
 //	GET  /status/{txn}  query a known transaction
 //	GET  /metrics       instrumentation snapshot (JSON)
 //	GET  /metrics.prom  full shared registry, Prometheus text format
-//	GET  /debug/trace   recent protocol events (?txn=<id>&n=<count>)
-//	GET  /debug/spans   causal span graph (?txn=<id> filters)
+//	GET  /debug/spans   span ring as a causal graph, milestones included
+//	                    (?txn=<id> filters)
 //	GET  /healthz       liveness + cluster size (+ shard count)
 //	GET  /readyz        readiness: 503 while starting or draining
 //	POST /crash/{node}  fault injection: fail-stop one processor
@@ -223,19 +222,6 @@ func NewHandler(b Backend) *http.ServeMux {
 	mux.HandleFunc("GET /metrics.prom", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", obs.ContentType)
 		b.Registry().WritePrometheus(w) //nolint:errcheck // client gone is fine
-	})
-	mux.HandleFunc("GET /debug/trace", func(w http.ResponseWriter, r *http.Request) {
-		n := 256
-		if raw := r.URL.Query().Get("n"); raw != "" {
-			v, err := strconv.Atoi(raw)
-			if err != nil || v < 0 {
-				writeJSON(w, http.StatusBadRequest, ErrorJSON{Error: "bad n: want a non-negative integer"})
-				return
-			}
-			n = v
-		}
-		w.Header().Set("Content-Type", "application/json")
-		b.Tracer().WriteJSON(w, r.URL.Query().Get("txn"), n) //nolint:errcheck // client gone is fine
 	})
 	mux.HandleFunc("GET /debug/spans", func(w http.ResponseWriter, r *http.Request) {
 		g := b.Spans().Graph()

@@ -110,8 +110,8 @@ func TestHTTPCommitRoundTrip(t *testing.T) {
 }
 
 // TestHTTPMetricsPromAndTrace: after real traffic, /metrics.prom serves
-// every layer's metrics in Prometheus text format and /debug/trace serves
-// the protocol event timeline, filterable by transaction.
+// every layer's metrics in Prometheus text format and /debug/spans serves
+// the protocol milestones, filterable by transaction.
 func TestHTTPMetricsPromAndTrace(t *testing.T) {
 	_, ts := newHTTPService(t, service.Config{N: 3, Seed: 31})
 
@@ -160,72 +160,66 @@ func TestHTTPMetricsPromAndTrace(t *testing.T) {
 		}
 	}
 
-	// Unfiltered trace: events from both transactions.
+	// The one ring carries the protocol milestones beside the spans, and a
+	// per-transaction view carries the milestones of that transaction and
+	// of the one batch that decided it (its GO, votes and stages), and
+	// nobody else's.
+	milestones := func(query string) (map[string]bool, []span.Span) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/debug/spans" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		g, err := span.ReadJSON(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for _, sp := range g.Spans {
+			if sp.Milestone() {
+				seen[sp.Name] = true
+			}
+		}
+		return seen, g.Spans
+	}
+	seen, _ := milestones("")
+	for _, want := range []string{span.EventGoSent, span.EventGoRecv, span.EventVoteCast, span.StageDecided} {
+		if !seen[want] {
+			t.Errorf("span ring missing %s milestone", want)
+		}
+	}
+	seen, spans := milestones("?txn=pm2")
+	batch := ""
+	for _, sp := range spans {
+		switch {
+		case sp.Txn == "pm2":
+			if k := obs.BatchKeyOf(sp.Detail); k != "" {
+				batch = k
+			}
+		case strings.HasPrefix(sp.Txn, "batch:") && (batch == "" || sp.Txn == batch):
+			batch = sp.Txn
+		default:
+			t.Fatalf("filter leaked span %+v", sp)
+		}
+		if sp.Kind == span.KindEvent && !strings.HasPrefix(sp.Detail, "tick=") {
+			t.Errorf("milestone %s without its manager tick: %q", sp.Name, sp.Detail)
+		}
+	}
+	for _, want := range []string{span.EventGoSent, span.EventVoteCast, span.StageDecided} {
+		if !seen[want] {
+			t.Errorf("pm2's view missing %s milestone", want)
+		}
+	}
+
+	// The tracer's route is gone.
 	resp, err = http.Get(ts.URL + "/debug/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp := decode[obs.TraceExport](t, resp)
-	if exp.Format != obs.TraceFormat {
-		t.Fatalf("format = %q", exp.Format)
-	}
-	if len(exp.Events) == 0 {
-		t.Fatal("no trace events")
-	}
-	seen := map[obs.EventType]bool{}
-	for _, e := range exp.Events {
-		seen[e.Type] = true
-	}
-	for _, want := range []obs.EventType{obs.EventGoSent, obs.EventGoRecv, obs.EventVoteCast, obs.EventDecided} {
-		if !seen[want] {
-			t.Errorf("trace missing %s event", want)
-		}
-	}
-
-	// Filtered trace: pm2's events plus those of the one batch that
-	// decided it (its GO, votes and stages), and nobody else's.
-	resp, err = http.Get(ts.URL + "/debug/trace?txn=pm2&n=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp = decode[obs.TraceExport](t, resp)
-	batch := ""
-	seen = map[obs.EventType]bool{}
-	for _, e := range exp.Events {
-		seen[e.Type] = true
-		switch {
-		case e.Txn == "pm2":
-			if k := obs.BatchKeyOf(e.Detail); k != "" {
-				batch = k
-			}
-		case strings.HasPrefix(e.Txn, "batch:") && (batch == "" || e.Txn == batch):
-			batch = e.Txn
-		default:
-			t.Fatalf("filter leaked event %+v", e)
-		}
-	}
-	for _, want := range []obs.EventType{obs.EventGoSent, obs.EventVoteCast, obs.EventDecided} {
-		if !seen[want] {
-			t.Errorf("filtered trace missing %s event", want)
-		}
-	}
-	// The cap still applies to the filtered view.
-	resp, err = http.Get(ts.URL + "/debug/trace?txn=pm2&n=10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exp = decode[obs.TraceExport](t, resp); len(exp.Events) == 0 || len(exp.Events) > 10 {
-		t.Fatalf("capped filtered trace has %d events", len(exp.Events))
-	}
-
-	// Bad n is a 400, not a panic.
-	resp, err = http.Get(ts.URL + "/debug/trace?n=bogus")
-	if err != nil {
-		t.Fatal(err)
-	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad n status = %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /debug/trace = %d, want 404", resp.StatusCode)
 	}
 }
 

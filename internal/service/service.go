@@ -282,7 +282,6 @@ func New(cfg Config) (*Service, error) {
 			RetireAfter: cfg.RetireAfterTicks,
 			MaxAge:      cfg.MaxAgeTicks,
 			Registry:    cfg.Registry,
-			Tracer:      cfg.Tracer,
 			Spans:       cfg.Spans,
 		})
 		if err != nil {
@@ -292,16 +291,15 @@ func New(cfg Config) (*Service, error) {
 		machines[p] = mgr
 	}
 
-	// The hub's link spans land in the same collector as the service's
-	// stages and the managers' rounds — one causal graph.
-	cfg.Hub.Spans = cfg.Spans
+	// The hub's link spans and the crash milestones land in the same ring
+	// as the service's stages and the managers' rounds — one causal graph.
 	s.cluster, err = runtime.NewCluster(machines, cfg.Transports, runtime.ClusterOptions{
 		TickEvery:  cfg.TickEvery,
 		Seed:       cfg.Seed,
 		Hub:        cfg.Hub,
 		Persistent: true,
 		Registry:   cfg.Registry,
-		Tracer:     cfg.Tracer,
+		Spans:      cfg.Spans,
 	})
 	if err != nil {
 		return nil, err
@@ -316,9 +314,6 @@ func New(cfg Config) (*Service, error) {
 // Registry returns the shared metrics registry every layer of this
 // service emits into (never nil).
 func (s *Service) Registry() *obs.Registry { return s.cfg.Registry }
-
-// Tracer returns the protocol event tracer (never nil).
-func (s *Service) Tracer() *obs.Tracer { return s.cfg.Tracer }
 
 // Spans returns the causal span collector (never nil).
 func (s *Service) Spans() *span.Collector { return s.cfg.Spans }
@@ -493,7 +488,7 @@ func (s *Service) dispatchBatch(batch []*pending) {
 		return
 	}
 	s.nextBatch++
-	// Batch ids key the shared tracer and span collector, so groups
+	// Batch ids key the shared span collector, so groups
 	// hosted in one daemon qualify theirs with their shard label.
 	name := "batch-" + strconv.FormatUint(s.nextBatch, 10)
 	if s.cfg.Shard != "" {

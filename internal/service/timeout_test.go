@@ -2,10 +2,11 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/obs/span"
 	"repro/internal/transport"
 )
 
@@ -46,22 +47,29 @@ func TestCrashedParticipantIsTimedOutInClockTime(t *testing.T) {
 			t.Errorf("answered after %v, before the two 2K-tick waits (%v) could have run", res.Latency, least)
 		}
 		// Every node that has decided did so 2K of its own ticks after its
-		// own vote broadcast (the first to decide resolved the Submit).
-		voted, decided := map[int]int{}, map[int]int{}
-		for _, e := range s.Tracer().ByTxn("waits", 0) {
-			switch e.Type {
-			case obs.EventVoteCast:
-				voted[e.Node] = e.Tick
-			case obs.EventDecided:
-				decided[e.Node] = e.Tick
+		// own vote broadcast (the first to decide resolved the Submit). A
+		// node's vote_cast milestone leads with its tick; its decision
+		// closes its last round, whose Detail ends at the decision tick.
+		voted, closed, decided := map[string]int{}, map[string]int{}, map[string]bool{}
+		for _, sp := range s.Spans().Graph().ByTxn("waits").Spans {
+			var from, to int
+			switch {
+			case sp.Name == span.EventVoteCast:
+				fmt.Sscanf(sp.Detail, "tick=%d", &to) //nolint:errcheck // a miss leaves 0, caught below
+				voted[sp.Track] = to
+			case sp.Kind == span.KindRound:
+				fmt.Sscanf(sp.Detail, "ticks %d..%d", &from, &to) //nolint:errcheck // as above
+				closed[sp.Track] = to
+			case sp.Name == span.StageDecided && sp.Track != span.ServiceTrack:
+				decided[sp.Track] = true
 			}
 		}
 		if len(decided) == 0 {
-			t.Fatal("no node traced the decision")
+			t.Fatal("no node recorded the decision")
 		}
-		for node, at := range decided {
-			if vote, ok := voted[node]; !ok || at-vote < 2*k {
-				t.Errorf("node %d decided at tick %d, voted at %d (%v): want 2K = %d ticks between", node, at, vote, ok, 2*k)
+		for node := range decided {
+			if vote, ok := voted[node]; !ok || closed[node]-vote < 2*k {
+				t.Errorf("%s decided at tick %d, voted at %d (%v): want 2K = %d ticks between", node, closed[node], vote, ok, 2*k)
 			}
 		}
 	})

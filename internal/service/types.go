@@ -103,13 +103,10 @@ type Config struct {
 	// (runtime, transport, txn, service) emits into. Nil creates a fresh
 	// one, exposed via Service.Registry.
 	Registry *obs.Registry
-	// Tracer records per-transaction protocol events. Nil creates one of
-	// obs.DefaultTraceCapacity, exposed via Service.Tracer.
-	Tracer *obs.Tracer
-	// Spans collects per-transaction causal spans across every layer
-	// (service stages, manager rounds, hub links). Nil creates one of
-	// span.DefaultCollectorCapacity, exposed via Service.Spans and GET
-	// /debug/spans.
+	// Spans is the one ring every layer records into: service stages,
+	// manager rounds and protocol milestones, hub links, crashes. Nil
+	// creates one of span.DefaultCollectorCapacity, exposed via
+	// Service.Spans and GET /debug/spans.
 	Spans *span.Collector
 	// Logger receives structured operational log records (decisions,
 	// crashes, rescues) with txn/shard/node correlation fields. Nil
@@ -183,9 +180,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
-	}
-	if c.Tracer == nil {
-		c.Tracer = obs.NewTracer(obs.DefaultTraceCapacity)
 	}
 	if c.Spans == nil {
 		c.Spans = span.NewCollector(span.DefaultCollectorCapacity)

@@ -35,10 +35,10 @@ type Config struct {
 	// Shards is the number of independent commit groups (default 1).
 	Shards int
 	// Group is the template configuration for each shard's Protocol-2
-	// group. Its Shard label is overridden per shard; its Registry,
-	// Tracer, and Spans are created once here (if nil) and shared by
-	// every group so one daemon exposes one observability surface. Its
-	// Seed is offset per shard so groups do not run in lockstep.
+	// group. Its Shard label is overridden per shard; its Registry and
+	// Spans are created once here (if nil) and shared by every group so
+	// one daemon exposes one observability surface. Its Seed is offset per
+	// shard so groups do not run in lockstep.
 	Group service.Config
 	// ConfigureGroup, when non-nil, runs on each group's final config
 	// (Shard and Seed already set) just before that group starts — the
@@ -177,16 +177,13 @@ type Coordinator struct {
 }
 
 // New builds and starts a sharded deployment: Shards independent commit
-// groups sharing one registry, tracer, and span collector.
+// groups sharing one registry and one span collector.
 func New(cfg Config) (*Coordinator, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
 	if cfg.Group.Registry == nil {
 		cfg.Group.Registry = obs.NewRegistry()
-	}
-	if cfg.Group.Tracer == nil {
-		cfg.Group.Tracer = obs.NewTracer(obs.DefaultTraceCapacity)
 	}
 	if cfg.Group.Spans == nil {
 		cfg.Group.Spans = span.NewCollector(span.DefaultCollectorCapacity)
@@ -267,9 +264,6 @@ func (c *Coordinator) Group(k int) *service.Service { return c.groups[k] }
 
 // Registry returns the shared metrics registry (never nil).
 func (c *Coordinator) Registry() *obs.Registry { return c.cfg.Group.Registry }
-
-// Tracer returns the shared protocol event tracer (never nil).
-func (c *Coordinator) Tracer() *obs.Tracer { return c.cfg.Group.Tracer }
 
 // Spans returns the shared causal span collector (never nil).
 func (c *Coordinator) Spans() *span.Collector { return c.cfg.Group.Spans }

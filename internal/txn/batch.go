@@ -69,7 +69,7 @@ func (e BatchEnvelope) SizeBits() int {
 }
 
 // binstance tracks one batched commit machine plus the lifecycle
-// metadata the retirement policy needs, the tracer's edge-detection
+// metadata the retirement policy needs, the milestones' edge-detection
 // state (each protocol milestone is recorded once per instance), and the
 // per-element reporting bitmap that fans batch decisions back out to
 // transactions.
@@ -88,10 +88,10 @@ type binstance struct {
 	born     int // manager clock at spawn
 	haltedAt int // manager clock when first seen halted; -1 while running
 
-	goRecv    bool // explicit GO received (traced)
-	goSent    bool // GO broadcast/relayed (traced)
-	voteSent  bool // vote vector broadcast (traced)
-	lastStage int  // last Protocol 1 stage seen (stage transitions traced)
+	goRecv    bool // explicit GO received (marked)
+	goSent    bool // GO broadcast/relayed (marked)
+	voteSent  bool // vote vector broadcast (marked)
+	lastStage int  // last Protocol 1 stage seen (stage transitions marked)
 
 	round           int   // current asynchronous round (1-based, span-tracked)
 	roundStartClock int   // manager clock when the current round began
@@ -189,10 +189,10 @@ func (m *Manager) joinBatchLocked(env BatchEnvelope, coordinator types.ProcID, t
 	return m.spawnBatchLocked(env.Batch, env.Txns, votes, coordinator, tick)
 }
 
-// traceBatchOutputsLocked records protocol milestones visible in an
+// markBatchOutputsLocked records protocol milestones visible in an
 // instance's outgoing burst: the GO broadcast/relay and the vote-vector
 // broadcast, each once per instance under the batch key.
-func (m *Manager) traceBatchOutputsLocked(bi *binstance, sub []types.Message, tick int) {
+func (m *Manager) markBatchOutputsLocked(bi *binstance, sub []types.Message, tick int) {
 	if bi.goSent && bi.voteSent {
 		return
 	}
@@ -202,12 +202,12 @@ func (m *Manager) traceBatchOutputsLocked(bi *binstance, sub []types.Message, ti
 		case core.GoMsg:
 			if !bi.goSent {
 				bi.goSent = true
-				m.trace(bi.key, obs.EventGoSent, tick, fmt.Sprintf("coins=%d fanout=%d", len(p.Coins), m.cfg.N))
+				m.mark(bi.key, span.EventGoSent, tick, fmt.Sprintf("coins=%d fanout=%d", len(p.Coins), m.cfg.N))
 			}
 		case core.BatchVoteMsg:
 			if !bi.voteSent {
 				bi.voteSent = true
-				m.trace(bi.key, obs.EventVoteCast, tick, "votes="+strconv.Itoa(len(p.Vals)))
+				m.mark(bi.key, span.EventVoteCast, tick, "votes="+strconv.Itoa(len(p.Vals)))
 			}
 		}
 		if bi.goSent && bi.voteSent {
@@ -239,7 +239,7 @@ func (m *Manager) spanBatchRoundLocked(bi *binstance, tick int, force bool) {
 	detail = append(detail, ".."...)
 	detail = strconv.AppendInt(detail, int64(tick), 10)
 	m.cfg.Spans.Add(span.Span{
-		Txn: bi.key, Track: span.ProcTrack(int(m.cfg.ID)),
+		Txn: bi.key, Track: m.track,
 		Name: "round " + strconv.Itoa(bi.round), Kind: span.KindRound,
 		Start: bi.roundStartU, End: now, From: -1, To: -1,
 		Detail: string(detail),
@@ -313,12 +313,12 @@ func (m *Manager) advanceLocked(bi *binstance, tick int, ticked bool, rnd types.
 	} else {
 		sub = bi.c.Deliver(bi.inbox, rnd)
 	}
-	if m.cfg.Tracer != nil {
-		m.traceBatchOutputsLocked(bi, sub, tick)
+	if m.cfg.Spans != nil {
+		m.markBatchOutputsLocked(bi, sub, tick)
 		if ag := bi.c.Agreement(); ag != nil {
 			if st := ag.Stage(); st != bi.lastStage {
 				bi.lastStage = st
-				m.trace(bi.key, obs.EventStage, tick, "stage="+strconv.Itoa(st))
+				m.mark(bi.key, span.EventStage, tick, "stage="+strconv.Itoa(st))
 			}
 		}
 	}
@@ -352,23 +352,19 @@ func (m *Manager) advanceLocked(bi *binstance, tick int, ticked bool, rnd types.
 			m.met.aborted.Inc()
 		}
 		m.met.rounds.Observe(float64(tick - bi.born))
-		if m.cfg.Tracer != nil || m.cfg.Spans != nil {
-			// The member's records name its batch so a per-transaction
-			// view can follow it to the rounds and links that decided it.
-			detail := "decision=" + d.String() + " " + obs.BatchDetail(string(bi.id))
-			m.trace(string(txn), obs.EventDecided, tick, detail)
-			if m.cfg.Spans != nil {
-				if !roundClosed {
-					m.spanBatchRoundLocked(bi, tick, true)
-					roundClosed = true
-				}
-				now := m.cfg.Spans.Now()
-				m.cfg.Spans.Add(span.Span{
-					Txn: string(txn), Track: span.ProcTrack(int(m.cfg.ID)),
-					Name: "decided", Kind: span.KindStage, Start: now, End: now,
-					From: -1, To: -1, Detail: detail,
-				})
+		if m.cfg.Spans != nil {
+			if !roundClosed {
+				m.spanBatchRoundLocked(bi, tick, true)
+				roundClosed = true
 			}
+			// The member's marker names its batch so a per-transaction
+			// view can follow it to the rounds and links that decided it.
+			now := m.cfg.Spans.Now()
+			m.cfg.Spans.Add(span.Span{
+				Txn: string(txn), Track: m.track,
+				Name: "decided", Kind: span.KindStage, Start: now, End: now,
+				From: -1, To: -1, Detail: "decision=" + d.String() + " " + obs.BatchDetail(string(bi.id)),
+			})
 		}
 		decidedNow = append(decidedNow, Outcome{Txn: txn, Decision: d})
 	}
@@ -390,14 +386,14 @@ func (m *Manager) retireLocked(tick int, gone []*binstance) {
 			d, decided := bi.c.OutcomeAt(i)
 			if decided {
 				m.met.retired.Inc()
-				if m.cfg.Tracer != nil {
-					m.trace(string(txn), obs.EventRetired, tick, "")
+				if m.cfg.Spans != nil {
+					m.mark(string(txn), span.EventRetired, tick, "")
 				}
 			} else {
 				d = types.DecisionNone
 				m.met.abandoned.Inc()
-				if m.cfg.Tracer != nil {
-					m.trace(string(txn), obs.EventAbandoned, tick, "")
+				if m.cfg.Spans != nil {
+					m.mark(string(txn), span.EventAbandoned, tick, "")
 				}
 			}
 			m.retired[txn] = d

@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/agreement"
 	"repro/internal/core"
-	"repro/internal/obs"
+	"repro/internal/obs/span"
 	"repro/internal/rng"
 	"repro/internal/txn"
 	"repro/internal/types"
@@ -46,11 +46,11 @@ func TestTickVisitsOnlyRunningContentOblivious(t *testing.T) {
 		maxAge   = 73
 		hotBegun = 12
 	)
-	tracer := obs.NewTracer(1 << 14)
+	spans := span.NewCollectorClock(1<<16, func() int64 { return 0 })
 	decidedAt := map[txn.ID]int{}
 	var mgr *txn.Manager
 	mgr, err := txn.NewManager(txn.Config{
-		ID: 1, N: 3, K: 1, RetireAfter: retireAfter, MaxAge: maxAge, Tracer: tracer,
+		ID: 1, N: 3, K: 1, RetireAfter: retireAfter, MaxAge: maxAge, Spans: spans,
 		OnOutcome: func(o txn.Outcome) {
 			if o.Decision != types.DecisionCommit {
 				t.Errorf("%s decided %v, want the adopted COMMIT", o.Txn, o.Decision)
@@ -67,27 +67,12 @@ func TestTickVisitsOnlyRunningContentOblivious(t *testing.T) {
 	if err := mgr.Begin("early-m", true); err != nil {
 		t.Fatal(err)
 	}
-	abandonedAt := map[txn.ID]int{}
-	var retiredOrder []obs.Event // retired and abandoned, as laid down
-	seen := 0
 	step := func(in []types.Message) (visited int) {
 		before := mgr.Ticked()
 		mgr.Step(in, rnd)
-		all := tracer.Recent(tracer.Len())
-		for _, e := range all[seen:] {
-			switch e.Type {
-			case obs.EventRetired:
-				retiredOrder = append(retiredOrder, e)
-			case obs.EventAbandoned:
-				retiredOrder = append(retiredOrder, e)
-				abandonedAt[txn.ID(e.Txn)] = e.Tick
-			}
-		}
-		seen = len(all)
 		return mgr.Ticked() - before
 	}
 
-	lastRetire := 0
 	for tick := 1; mgr.Active() > 0; tick++ {
 		if tick > 200 {
 			t.Fatalf("still holding %d instances after %d ticks", mgr.Active(), tick)
@@ -126,8 +111,27 @@ func TestTickVisitsOnlyRunningContentOblivious(t *testing.T) {
 		if tick == hotBegun+1 && mgr.Active() != waves*perWave+2 {
 			t.Fatalf("holding %d instances, want %d halted and 2 running", mgr.Active(), waves*perWave)
 		}
-		if n := len(retiredOrder); n > 0 {
-			lastRetire = retiredOrder[n-1].Tick
+	}
+
+	// The retired and abandoned milestones, as laid down, with the tick
+	// their Detail leads with.
+	type tombstone struct {
+		txn  string
+		tick int
+	}
+	var retiredOrder []tombstone
+	abandonedAt := map[txn.ID]int{}
+	for _, s := range spans.Graph().Spans {
+		if s.Kind != span.KindEvent || (s.Name != span.EventRetired && s.Name != span.EventAbandoned) {
+			continue
+		}
+		var at int
+		if _, err := fmt.Sscanf(s.Detail, "tick=%d", &at); err != nil {
+			t.Fatalf("%s milestone without a tick: %q", s.Name, s.Detail)
+		}
+		retiredOrder = append(retiredOrder, tombstone{s.Txn, at})
+		if s.Name == span.EventAbandoned {
+			abandonedAt[txn.ID(s.Txn)] = at
 		}
 	}
 
@@ -153,14 +157,14 @@ func TestTickVisitsOnlyRunningContentOblivious(t *testing.T) {
 		t.Fatalf("%d tombstones laid, want %d", len(retiredOrder), len(want))
 	}
 	for k, e := range retiredOrder {
-		if e.Txn != want[k] {
-			t.Fatalf("tombstone %d is %s's, want %s's: not creation order", k, e.Txn, want[k])
+		if e.txn != want[k] {
+			t.Fatalf("tombstone %d is %s's, want %s's: not creation order", k, e.txn, want[k])
 		}
-		if at, held := decidedAt[txn.ID(e.Txn)]; held && e.Tick != at+foundHalted+retireAfter {
-			t.Fatalf("%s decided on tick %d and retired on %d, want %d", e.Txn, at, e.Tick, at+foundHalted+retireAfter)
+		if at, held := decidedAt[txn.ID(e.txn)]; held && e.tick != at+foundHalted+retireAfter {
+			t.Fatalf("%s decided on tick %d and retired on %d, want %d", e.txn, at, e.tick, at+foundHalted+retireAfter)
 		}
 	}
-	if lastRetire != hotBegun-1+maxAge {
+	if lastRetire := retiredOrder[len(retiredOrder)-1].tick; lastRetire != hotBegun-1+maxAge {
 		t.Fatalf("last tombstone on tick %d, want hot-m's at %d", lastRetire, hotBegun-1+maxAge)
 	}
 	for i := 0; i < waves*perWave; i++ {

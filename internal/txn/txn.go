@@ -130,17 +130,15 @@ type Config struct {
 	// Shard, when set, qualifies the node metric label ("<shard>/<id>")
 	// so several groups sharing one registry keep distinct series.
 	Shard string
-	// Tracer, if non-nil, records protocol events: GO sent/received, vote
-	// cast and Protocol 1 stage transitions under the batch's key
-	// ("batch:<id>"), and one decided/retired/abandoned event per member
-	// under the member's id, its Detail naming the batch.
-	Tracer *obs.Tracer
-	// Spans, if non-nil, receives causal spans: one span per
-	// asynchronous round of each instance under the batch's key (closed
-	// by the live approximation of the paper's §2.2 rule — a round ends
-	// K ticks after the later of its start and the last message receipt)
-	// and, per member, a zero-length "decided" marker at its decision
-	// tick whose Detail names the batch.
+	// Spans, if non-nil, receives this node's records, all on its
+	// processor track. Under the batch's key ("batch:<id>"): one span per
+	// asynchronous round of each instance (closed by the live
+	// approximation of the paper's §2.2 rule — a round ends K ticks after
+	// the later of its start and the last message receipt) and the GO
+	// sent/received, vote cast and Protocol 1 stage milestones. Under each
+	// member's id: a zero-length "decided" marker whose Detail names the
+	// batch, and a retired or abandoned milestone. A milestone's Detail
+	// starts with the manager tick ("tick=<n>").
 	Spans *span.Collector
 }
 
@@ -185,8 +183,9 @@ const TombstoneCap = 1 << 16
 
 // Manager runs all of one node's commit instances.
 type Manager struct {
-	cfg Config
-	met mmetrics
+	cfg   Config
+	met   mmetrics
+	track string // span.ProcTrack of this node
 
 	clock atomic.Int64
 
@@ -265,6 +264,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	return &Manager{
 		cfg:            cfg,
 		met:            newMMetrics(cfg.Registry, node),
+		track:          span.ProcTrack(int(cfg.ID)),
 		batches:        make(map[BatchID]*binstance),
 		members:        make(map[ID]BatchID),
 		retired:        make(map[ID]types.Decision),
@@ -279,12 +279,14 @@ func (m *Manager) Begin(txn ID, vote bool) error {
 	return m.BeginBatch(BatchID(txn), []ID{txn}, []bool{vote})
 }
 
-// trace records one event for a trace key at the given tick; nil
-// tracers are no-ops.
-func (m *Manager) trace(key string, t obs.EventType, tick int, detail string) {
-	m.cfg.Tracer.Record(obs.Event{
-		Node: int(m.cfg.ID), Txn: key, Type: t, Tick: tick, Detail: detail,
-	})
+// mark records one protocol milestone under a trace key, the manager tick
+// first in its Detail. Caller holds mu and has checked cfg.Spans.
+func (m *Manager) mark(key, name string, tick int, detail string) {
+	d := "tick=" + strconv.Itoa(tick)
+	if detail != "" {
+		d += " " + detail
+	}
+	m.cfg.Spans.Mark(key, m.track, name, d)
 }
 
 // ID implements types.Machine.
@@ -459,11 +461,11 @@ func (m *Manager) demuxLocked(received []types.Message, tick int, out []types.Me
 			}
 			bi = m.batches[env.Batch]
 		}
-		if m.cfg.Tracer != nil && !bi.goRecv {
+		if m.cfg.Spans != nil && !bi.goRecv {
 			if inner, _ := core.Unwrap(env.Inner); inner != nil {
 				if _, isGo := inner.(core.GoMsg); isGo {
 					bi.goRecv = true
-					m.trace(bi.key, obs.EventGoRecv, tick, "from="+strconv.Itoa(int(received[i].From)))
+					m.mark(bi.key, span.EventGoRecv, tick, "from="+strconv.Itoa(int(received[i].From)))
 				}
 			}
 		}
