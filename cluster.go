@@ -107,7 +107,7 @@ func newCluster(cfg Config, vote func(p ProcID, id txn.ID) bool, opts []ClusterO
 		}
 		c.managers[i] = mgr
 	}
-	inner, err := runtime.NewLocalCluster(types.Machines(c.managers), runtime.ClusterOptions{
+	inner, err := runtime.NewCluster(types.Machines(c.managers), nil, runtime.ClusterOptions{
 		TickEvery: settings.tickEvery,
 		MaxTicks:  settings.maxTicks,
 		Seed:      cfg.Seed,

@@ -185,7 +185,7 @@ func RunCluster(p *Plan, o RunOptions) (*Report, *ClusterRunData, error) {
 	}
 
 	inj := NewInjector(p, o.TickEvery)
-	cl, err := runtime.NewLocalCluster(types.Machines(managers), runtime.ClusterOptions{
+	cl, err := runtime.NewCluster(types.Machines(managers), nil, runtime.ClusterOptions{
 		TickEvery:  o.TickEvery,
 		MaxTicks:   o.BudgetTicks,
 		Seed:       p.Cfg.Seed ^ 0xa5a5a5a5deadbeef,

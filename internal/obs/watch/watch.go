@@ -112,9 +112,6 @@ type Config struct {
 	// FsyncP99Max: windowed WAL fsync p99 above this is a spike. Zero
 	// disables the rule.
 	FsyncP99Max time.Duration
-	// MinSamples is the per-window observation floor below which the
-	// percentile rules stay quiet (a single slow op is not a burn).
-	MinSamples uint64
 	// RescueBurst: rescues in one tick at or above this is a storm.
 	// Zero disables the rule.
 	RescueBurst uint64
@@ -125,8 +122,6 @@ type Config struct {
 	// ImbalanceMin is the hot-shard admission floor for the imbalance
 	// rule.
 	ImbalanceMin uint64
-	// Recent bounds the in-memory anomaly ring served by /debug/health.
-	Recent int
 	// Registry receives watch_ticks_total and watch_anomalies_total.
 	Registry *obs.Registry
 	// OnAnomaly, if set, is called (outside the watchdog lock) for each
@@ -145,14 +140,16 @@ func (c Config) withDefaults() Config {
 	if c.StallAge <= 0 {
 		c.StallAge = 10 * time.Second
 	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 20
-	}
-	if c.Recent <= 0 {
-		c.Recent = 64
-	}
 	return c
 }
+
+const (
+	// minSamples is the per-window observation floor below which the
+	// percentile rules stay quiet (a single slow op is not a burn).
+	minSamples = 20
+	// maxRecent bounds the in-memory anomaly ring served by /debug/health.
+	maxRecent = 64
+)
 
 // Rule names, as they appear in anomalies, counters, and health output.
 const (
@@ -201,7 +198,7 @@ type Watchdog struct {
 	seq     uint64
 	total   uint64
 	byRule  map[string]uint64
-	recent  []Anomaly // ring, newest last, capped at cfg.Recent
+	recent  []Anomaly // ring, newest last, capped at maxRecent
 	prev    map[string]ShardSample
 	first   map[string]bool // no prev sample yet → skip delta rules
 	seen    map[string]bool // edge-trigger dedup keys
@@ -280,7 +277,7 @@ func (w *Watchdog) Tick() []Anomaly {
 		w.total++
 		w.byRule[a.Rule]++
 		w.recent = append(w.recent, a)
-		if over := len(w.recent) - w.cfg.Recent; over > 0 {
+		if over := len(w.recent) - maxRecent; over > 0 {
 			w.recent = w.recent[over:]
 		}
 		found = append(found, a)
@@ -368,7 +365,7 @@ func (w *Watchdog) evalRates(st Stats, emit func(Anomaly)) {
 
 		if w.cfg.SLOTargetP99 > 0 {
 			p99, n := quantileDelta(prev.Latency, s.Latency, 0.99)
-			w.transition("slo|"+s.Shard, n >= w.cfg.MinSamples && p99 > w.cfg.SLOTargetP99.Seconds(),
+			w.transition("slo|"+s.Shard, n >= minSamples && p99 > w.cfg.SLOTargetP99.Seconds(),
 				func() {
 					emit(Anomaly{Rule: RuleSLOBurn, Shard: s.Shard,
 						Detail: "windowed p99 " + ms(p99) + " > target " + ms(w.cfg.SLOTargetP99.Seconds())})
@@ -376,7 +373,7 @@ func (w *Watchdog) evalRates(st Stats, emit func(Anomaly)) {
 		}
 		if w.cfg.FsyncP99Max > 0 {
 			p99, n := quantileDelta(prev.Fsync, s.Fsync, 0.99)
-			w.transition("fsync|"+s.Shard, n >= w.cfg.MinSamples && p99 > w.cfg.FsyncP99Max.Seconds(),
+			w.transition("fsync|"+s.Shard, n >= minSamples && p99 > w.cfg.FsyncP99Max.Seconds(),
 				func() {
 					emit(Anomaly{Rule: RuleFsyncSpike, Shard: s.Shard,
 						Detail: "windowed fsync p99 " + ms(p99) + " > ceiling " + ms(w.cfg.FsyncP99Max.Seconds())})

@@ -108,7 +108,7 @@ func TestSLOBurnTransition(t *testing.T) {
 		{Shards: []ShardSample{recovered}},                                 // window healthy again
 		{Shards: []ShardSample{{Shard: "0", Latency: mk(300, 0, 300, 0)}}}, // burns again
 	}}
-	w := New(src, Config{SLOTargetP99: 50 * time.Millisecond, MinSamples: 10})
+	w := New(src, Config{SLOTargetP99: 50 * time.Millisecond})
 
 	if got := w.Tick(); len(got) != 0 {
 		t.Fatalf("first tick has no window: %+v", got)
@@ -130,12 +130,16 @@ func TestSLOBurnTransition(t *testing.T) {
 func TestSLOBurnMinSamplesFloor(t *testing.T) {
 	bounds := []float64{0.01, 1}
 	s0 := ShardSample{Shard: "0", Latency: buckets(bounds, []uint64{0, 0, 0})}
-	s1 := ShardSample{Shard: "0", Latency: buckets(bounds, []uint64{0, 3, 0})}
-	src := &fakeSource{seq: []Stats{{Shards: []ShardSample{s0}}, {Shards: []ShardSample{s1}}}}
-	w := New(src, Config{SLOTargetP99: 50 * time.Millisecond, MinSamples: 10})
+	s1 := ShardSample{Shard: "0", Latency: buckets(bounds, []uint64{0, 19, 0})}
+	s2 := ShardSample{Shard: "0", Latency: buckets(bounds, []uint64{0, 39, 0})}
+	src := &fakeSource{seq: []Stats{{Shards: []ShardSample{s0}}, {Shards: []ShardSample{s1}}, {Shards: []ShardSample{s2}}}}
+	w := New(src, Config{SLOTargetP99: 50 * time.Millisecond})
 	w.Tick()
 	if got := w.Tick(); len(got) != 0 {
-		t.Fatalf("3 slow samples under a 10-sample floor must stay quiet: %+v", got)
+		t.Fatalf("19 slow samples under the 20-sample floor must stay quiet: %+v", got)
+	}
+	if got := w.Tick(); len(got) != 1 || got[0].Rule != RuleSLOBurn {
+		t.Fatalf("20 slow samples reach the floor and burn: %+v", got)
 	}
 }
 
@@ -144,7 +148,7 @@ func TestFsyncSpike(t *testing.T) {
 	s0 := ShardSample{Shard: "0", Fsync: buckets(bounds, []uint64{50, 0, 0, 0})}
 	s1 := ShardSample{Shard: "0", Fsync: buckets(bounds, []uint64{50, 0, 40, 0})}
 	src := &fakeSource{seq: []Stats{{Shards: []ShardSample{s0}}, {Shards: []ShardSample{s1}}}}
-	w := New(src, Config{FsyncP99Max: 10 * time.Millisecond, MinSamples: 10})
+	w := New(src, Config{FsyncP99Max: 10 * time.Millisecond})
 	w.Tick()
 	got := w.Tick()
 	if len(got) != 1 || got[0].Rule != RuleFsyncSpike {

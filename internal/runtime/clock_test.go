@@ -2,12 +2,13 @@ package runtime_test
 
 // The runtime's two promises, checked on machines that only count: a node
 // runs its machine when something arrives and otherwise once per TickEvery
-// (no spin), and the nodes of a cluster share one clock that runs no faster
-// than its slowest live node takes the ticks. The schedules here are wall
-// time and a sleep — nothing reads a message: content-oblivious.
+// (no spin), and a node of a cluster ticks no faster than its slowest live
+// peer. The schedules here are wall time and a sleep — nothing reads a
+// message: content-oblivious.
 
 import (
 	"context"
+	goruntime "runtime"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -67,7 +68,7 @@ func (ping) Kind() string { return "test.ping" }
 // startCluster runs machines as a persistent cluster until the test ends.
 func startCluster(t *testing.T, machines []types.Machine, tick time.Duration, reg *obs.Registry) *runtime.Cluster {
 	t.Helper()
-	c, err := runtime.NewLocalCluster(machines, runtime.ClusterOptions{
+	c, err := runtime.NewCluster(machines, nil, runtime.ClusterOptions{
 		TickEvery: tick, Seed: 1, Persistent: true, Registry: reg,
 	})
 	if err != nil {
@@ -100,6 +101,26 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
+	}
+}
+
+// TestClusterRunsOneGoroutinePerNodeContentOblivious: each node keeps its
+// own ticker and gate, so a running cluster is its nodes' goroutines and
+// nothing else — no clock beside them.
+func TestClusterRunsOneGoroutinePerNodeContentOblivious(t *testing.T) {
+	_, ms := newArrivals(3)
+	// An earlier test's node closes Done just before its goroutine returns,
+	// so count once the number has held still for a few milliseconds.
+	before := goruntime.NumGoroutine()
+	for prev := -1; prev != before; {
+		prev = before
+		time.Sleep(5 * time.Millisecond)
+		before = goruntime.NumGoroutine()
+	}
+	startCluster(t, ms, time.Millisecond, nil)
+	time.Sleep(20 * time.Millisecond)
+	if got := goruntime.NumGoroutine() - before; got != len(ms) {
+		t.Errorf("a running %d-node cluster added %d goroutines, want %d", len(ms), got, len(ms))
 	}
 }
 

@@ -1,4 +1,4 @@
 package runtime
 
-// MaxClockSkips exposes the cluster clock's skip bound to the tests.
+// MaxClockSkips exposes the tick gate's skip bound to the tests.
 const MaxClockSkips = maxClockSkips

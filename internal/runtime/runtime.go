@@ -13,9 +13,10 @@
 // back. The timing constant K of the protocol configs is K*TickEvery of wall
 // time; it bounds how late a message may be, not how soon one is acted on.
 //
-// The nodes of a Cluster share one clock, which ticks no faster than its
-// slowest live node takes the ticks: co-hosted processors starved of CPU
-// fall behind together instead of timing each other out (DESIGN §13).
+// Every node runs its own ticker, and a node of a Cluster takes a tick no
+// sooner than its slowest live peer has taken the previous one: co-hosted
+// processors starved of CPU fall behind together instead of timing each
+// other out (DESIGN §13). A standalone node is the same rule with no peers.
 package runtime
 
 import (
@@ -100,10 +101,13 @@ type Node struct {
 	// wake asks for a delivery with no message behind it (see Wake); one
 	// slot, because one pending request covers any number of callers.
 	wake chan struct{}
-	// ticks is the clock: one slot filled by the cluster's shared clock,
-	// or nil for a standalone node, which then runs its own ticker.
-	ticks chan time.Time
-	buf   []types.Message // drain scratch
+	// taken counts the ticks the node has taken, and its peers read it;
+	// peers is its cluster (itself included), nil for a standalone node;
+	// skipped counts the periods in a row it let pass (see takeTick).
+	taken   atomic.Int64
+	peers   []*Node
+	skipped int
+	buf     []types.Message // drain scratch
 	// self holds the machine's messages to itself until its next run; they
 	// never reach the transport.
 	self []types.Message
@@ -187,16 +191,12 @@ func (n *Node) Wait() error {
 
 func (n *Node) run(ctx context.Context) {
 	defer close(n.done)
-	var ticks <-chan time.Time = n.ticks
-	if n.ticks == nil {
-		ticker := time.NewTicker(n.cfg.TickEvery)
-		defer ticker.Stop()
-		ticks = ticker.C
-	}
+	ticker := time.NewTicker(n.cfg.TickEvery)
+	defer ticker.Stop()
 	recv := n.cfg.Transport.Recv()
 	id := n.machine.ID()
 	linger := -1
-	for tick := 0; n.cfg.MaxTicks <= 0 || tick < n.cfg.MaxTicks; {
+	for n.cfg.MaxTicks <= 0 || n.taken.Load() < int64(n.cfg.MaxTicks) {
 		var out []types.Message
 		ticked := false
 		n.buf = n.buf[:0]
@@ -213,8 +213,11 @@ func (n *Node) run(ctx context.Context) {
 			return
 		case <-n.stop:
 			return
-		case <-ticks:
-			tick, ticked = tick+1, true
+		case <-ticker.C:
+			if !n.takeTick() {
+				continue
+			}
+			ticked = true
 			out = n.machine.Step(n.inbox(), n.cfg.Rand)
 		case m, ok := <-recv:
 			if !ok {
@@ -253,6 +256,37 @@ func (n *Node) run(ctx context.Context) {
 			}
 		}
 	}
+}
+
+// maxClockSkips bounds how many periods in a row a node lets pass waiting
+// for a peer: a peer that is wedged but not crashed stretches the node's
+// timeouts by at most this factor plus one instead of freezing them.
+const maxClockSkips = 4
+
+// takeTick reports whether the node takes this period's tick, and counts
+// it if so. The node lets the period pass while some live peer has taken
+// fewer ticks than it has, at most maxClockSkips periods in a row. Node
+// goroutines sharing a machine are scheduled unevenly: ticking freely, a
+// node that was runnable but not running for a few periods is seen by its
+// peers, whose clocks ran on, as a late voter, and all-YES transactions
+// abort on the 2K timeout. Gated, the nodes fall behind together, which is
+// a legal schedule of the paper's model (K relates message delay to steps
+// of the processors, not to wall time). A crashed, stopped or finished
+// peer is not live and never holds the node, so a real crash is still
+// timed out after 2K*TickEvery.
+func (n *Node) takeTick() bool {
+	if n.skipped < maxClockSkips {
+		taken := n.taken.Load()
+		for _, p := range n.peers {
+			if p.taken.Load() < taken && p.live() {
+				n.skipped++
+				return false
+			}
+		}
+	}
+	n.skipped = 0
+	n.taken.Add(1)
+	return true
 }
 
 // ready is always ready to receive from: the select case that hands a
@@ -307,12 +341,6 @@ type Cluster struct {
 	crashes *obs.CounterVec
 	spans   *span.Collector
 
-	// The one clock every node reads (see clock): its period, the signal
-	// that ends it, and the signal that it has ended.
-	tickEvery time.Duration
-	clockStop chan struct{}
-	clockDone chan struct{}
-
 	// timerMu guards timers; closed gates timer callbacks so a CrashAfter
 	// firing late cannot touch a hub that Wait has already closed.
 	timerMu sync.Mutex
@@ -322,7 +350,7 @@ type Cluster struct {
 
 // ClusterOptions configures NewCluster.
 type ClusterOptions struct {
-	// TickEvery is the period of the cluster's timeout clock — see
+	// TickEvery is the period of every node's timeout clock — see
 	// NodeConfig.TickEvery.
 	TickEvery time.Duration
 	MaxTicks  int
@@ -342,11 +370,6 @@ type ClusterOptions struct {
 	Spans *span.Collector
 }
 
-// NewLocalCluster wires one node per machine through a fresh hub.
-func NewLocalCluster(machines []types.Machine, opts ClusterOptions) (*Cluster, error) {
-	return NewCluster(machines, nil, opts)
-}
-
 // NewCluster wires one node per machine over trs, machine p on trs[p].
 // Nil trs builds a fresh hub from opts.Hub and uses its endpoints. Either
 // way the cluster owns the transports from here on: Crash closes one,
@@ -360,9 +383,7 @@ func NewCluster(machines []types.Machine, trs []transport.Transport, opts Cluste
 		crashed: make([]atomic.Bool, len(machines)),
 		crashes: opts.Registry.CounterVec("runtime_node_crashes_total",
 			"Fail-stop crashes injected, by node.", "node"),
-		spans:     opts.Spans,
-		clockStop: make(chan struct{}),
-		clockDone: make(chan struct{}),
+		spans: opts.Spans,
 	}
 	if trs == nil {
 		if opts.Hub.Registry == nil {
@@ -393,9 +414,10 @@ func NewCluster(machines []types.Machine, trs []transport.Transport, opts Cluste
 		if err != nil {
 			return nil, err
 		}
-		node.ticks = make(chan time.Time, 1)
-		c.tickEvery = node.cfg.TickEvery // defaulted by NewNode
 		c.nodes = append(c.nodes, node)
+	}
+	for _, node := range c.nodes {
+		node.peers = c.nodes
 	}
 	return c, nil
 }
@@ -414,74 +436,18 @@ func (c *Cluster) Start(ctx context.Context) {
 	for _, n := range c.nodes {
 		n.Start(ctx)
 	}
-	go c.clock()
-}
-
-// maxClockSkips bounds how many consecutive periods the cluster clock
-// gives up waiting for a node that has not taken its last tick: a node
-// that is wedged but not crashed stretches its peers' timeouts by at most
-// this factor plus one instead of freezing them.
-const maxClockSkips = 4
-
-// clock is the cluster's one timeout clock. Every TickEvery it offers a
-// tick to every live node — unless some live node has not yet taken the
-// previous one, in which case the period is skipped for everybody. Node
-// goroutines sharing a machine are scheduled unevenly: with a ticker each,
-// a node that was runnable but not running for a few periods is seen by
-// its peers, whose clocks ran on, as a late voter, and all-YES
-// transactions abort on the 2K timeout. Ticking together, the nodes fall
-// behind together, which is a legal schedule of the paper's model (K
-// relates message delay to steps of the processors, not to wall time). A
-// crashed or stopped node is not live and never holds the clock, so a real
-// crash is still timed out after 2K*TickEvery.
-func (c *Cluster) clock() {
-	defer close(c.clockDone)
-	ticker := time.NewTicker(c.tickEvery)
-	defer ticker.Stop()
-	skipped := 0
-	for {
-		var now time.Time
-		select {
-		case <-c.clockStop:
-			return
-		case now = <-ticker.C:
-		}
-		if skipped < maxClockSkips && c.tickPending() {
-			skipped++
-			continue
-		}
-		skipped = 0
-		for _, n := range c.nodes {
-			if n.live() {
-				select {
-				case n.ticks <- now:
-				default: // wedged past the skip bound: it keeps the one it has
-				}
-			}
-		}
-	}
-}
-
-// tickPending reports whether a live node still has the last tick waiting.
-func (c *Cluster) tickPending() bool {
-	for _, n := range c.nodes {
-		if len(n.ticks) > 0 && n.live() {
-			return true
-		}
-	}
-	return false
 }
 
 // Stop asks every node to stop after its current step. Wait still must be
-// called to join the goroutines and the clock and release the hub.
+// called to join the goroutines and release the hub.
 func (c *Cluster) Stop() {
 	for _, n := range c.nodes {
 		n.Stop()
 	}
 }
 
-// Wait joins every node goroutine and then the clock, closes the
-// transports, and returns the first error. A deliberately crashed node dies mid-send and its
+// Wait joins every node goroutine, closes the transports, and returns the
+// first error. A deliberately crashed node dies mid-send and its
 // transport is closed twice; those errors are the fault model at work,
 // not a shutdown failure, and are ignored. The cluster's own hub closes
 // as a whole, after in-flight delayed messages settle, so a Stop/Wait
@@ -498,10 +464,7 @@ func (c *Cluster) Wait() error {
 	for p, n := range c.nodes {
 		keep(p, n.Wait())
 	}
-	if !c.closed.Swap(true) {
-		close(c.clockStop)
-	}
-	<-c.clockDone
+	c.closed.Store(true)
 	c.timerMu.Lock()
 	for _, t := range c.timers {
 		t.Stop()

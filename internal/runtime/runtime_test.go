@@ -71,7 +71,7 @@ func votesOf(n int, v types.Value) []types.Value {
 func TestClusterAllCommit(t *testing.T) {
 	n := 5
 	ms := managers(t, n, 8, votesOf(n, types.V1))
-	c, err := runtime.NewLocalCluster(types.Machines(ms), runtime.ClusterOptions{
+	c, err := runtime.NewCluster(types.Machines(ms), nil, runtime.ClusterOptions{
 		TickEvery: time.Millisecond, Seed: 1,
 	})
 	if err != nil {
@@ -90,7 +90,7 @@ func TestClusterAbortVote(t *testing.T) {
 	votes := votesOf(n, types.V1)
 	votes[3] = types.V0
 	ms := managers(t, n, 8, votes)
-	c, err := runtime.NewLocalCluster(types.Machines(ms), runtime.ClusterOptions{
+	c, err := runtime.NewCluster(types.Machines(ms), nil, runtime.ClusterOptions{
 		TickEvery: time.Millisecond, Seed: 2,
 	})
 	if err != nil {
@@ -126,7 +126,7 @@ func agreed(t *testing.T, ds []types.Decision, mustDecide int) {
 func TestClusterSurvivesMinorityCrash(t *testing.T) {
 	n := 5 // t = 2
 	ms := managers(t, n, 10, votesOf(n, types.V1))
-	c, err := runtime.NewLocalCluster(types.Machines(ms), runtime.ClusterOptions{
+	c, err := runtime.NewCluster(types.Machines(ms), nil, runtime.ClusterOptions{
 		TickEvery: time.Millisecond, Seed: 3, MaxTicks: 4000,
 	})
 	if err != nil {
@@ -147,7 +147,7 @@ func TestClusterSlowNetworkStaysSafe(t *testing.T) {
 	// guaranteed — but whatever happens must be unanimous among deciders.
 	n := 3
 	ms := managers(t, n, 2, votesOf(n, types.V1))
-	c, err := runtime.NewLocalCluster(types.Machines(ms), runtime.ClusterOptions{
+	c, err := runtime.NewCluster(types.Machines(ms), nil, runtime.ClusterOptions{
 		TickEvery: time.Millisecond, Seed: 4, MaxTicks: 3000,
 		Hub: transport.HubOptions{
 			Inject: func(types.Message) transport.Fault { return transport.Fault{Delay: 15 * time.Millisecond} },
@@ -222,7 +222,7 @@ func TestNodeConfigValidation(t *testing.T) {
 			t.Errorf("config %d accepted", i)
 		}
 	}
-	if _, err := runtime.NewLocalCluster(nil, runtime.ClusterOptions{}); err == nil {
+	if _, err := runtime.NewCluster(nil, nil, runtime.ClusterOptions{}); err == nil {
 		t.Error("empty cluster accepted")
 	}
 }
@@ -250,7 +250,7 @@ func TestNodeStop(t *testing.T) {
 
 func TestClusterContextCancellation(t *testing.T) {
 	n := 3
-	c, err := runtime.NewLocalCluster(types.Machines(managers(t, n, 1000, votesOf(n, types.V1))), runtime.ClusterOptions{
+	c, err := runtime.NewCluster(types.Machines(managers(t, n, 1000, votesOf(n, types.V1))), nil, runtime.ClusterOptions{
 		TickEvery: time.Millisecond, Seed: 5, MaxTicks: 1_000_000,
 		Hub: transport.HubOptions{Inject: func(types.Message) transport.Fault { return transport.Fault{Drop: true} }},
 	})
@@ -269,7 +269,7 @@ func TestClusterContextCancellation(t *testing.T) {
 func TestPersistentClusterStopDrain(t *testing.T) {
 	n := 3
 	ms := managers(t, n, 6, votesOf(n, types.V1))
-	c, err := runtime.NewLocalCluster(types.Machines(ms), runtime.ClusterOptions{
+	c, err := runtime.NewCluster(types.Machines(ms), nil, runtime.ClusterOptions{
 		TickEvery: time.Millisecond, Seed: 4, Persistent: true,
 	})
 	if err != nil {
@@ -302,7 +302,7 @@ func TestCrashAfterClusterClose(t *testing.T) {
 	n := 3
 	reg := obs.NewRegistry()
 	spans := span.NewCollector(0)
-	c, err := runtime.NewLocalCluster(types.Machines(managers(t, n, 6, votesOf(n, types.V1))), runtime.ClusterOptions{
+	c, err := runtime.NewCluster(types.Machines(managers(t, n, 6, votesOf(n, types.V1))), nil, runtime.ClusterOptions{
 		TickEvery: time.Millisecond, Seed: 11, Registry: reg, Spans: spans,
 	})
 	if err != nil {

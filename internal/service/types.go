@@ -34,7 +34,7 @@ type Config struct {
 	// Seed makes the cluster's randomness reproducible (0 is a valid
 	// fixed seed; vary it across deployments).
 	Seed uint64
-	// TickEvery is the period of the cluster's timeout clock (default
+	// TickEvery is the period of every node's timeout clock (default
 	// 1ms): the 2K vote timeouts and MaxAgeTicks/RetireAfterTicks count it.
 	// It does not pace the protocol — nodes act on messages as they arrive.
 	TickEvery time.Duration

@@ -32,8 +32,8 @@ const (
 	// before deliveries existed.
 	ticksOnly schedMode = iota
 	// onTime: deliveries mixed in, every clock ticking together (the
-	// cluster clock), no frame in flight longer than K−1 receiver ticks, so
-	// none waits more than K; no loss, no crash.
+	// runtime's tick gate), no frame in flight longer than K−1 receiver
+	// ticks, so none waits more than K; no loss, no crash.
 	onTime
 	// free: clocks tick independently, frames may be lost or held for up to
 	// 3K receiver ticks, and one processor may crash.

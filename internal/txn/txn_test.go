@@ -268,7 +268,7 @@ func TestOnOutcomeConcurrentCoordinators(t *testing.T) {
 		managers[p] = mgr
 		machines[p] = mgr
 	}
-	cluster, err := runtime.NewLocalCluster(machines, runtime.ClusterOptions{
+	cluster, err := runtime.NewCluster(machines, nil, runtime.ClusterOptions{
 		TickEvery: time.Millisecond, MaxTicks: 30_000, Seed: 11,
 	})
 	if err != nil {
