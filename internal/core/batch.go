@@ -190,9 +190,10 @@ func (c *BatchCommit) Violation() error {
 }
 
 // Step implements types.Machine: one tick of the timeout clock, then the
-// transition. The control flow is Protocol 2's, unchanged: GO flood →
-// 2K-tick GO wait → vectored vote exchange with a 2K-tick timeout → vector
-// agreement, with GO piggybacked on everything.
+// transition. The control flow is Protocol 2's: GO flood → 2K-tick GO wait
+// → vectored vote exchange with a 2K-tick timeout, cut short once an abort
+// vote covers every element → vector agreement, with GO piggybacked on
+// everything.
 func (c *BatchCommit) Step(received []types.Message, rnd types.Rand) []types.Message {
 	c.clock++
 	return c.transition(received, rnd, c.clock)
@@ -215,6 +216,10 @@ func (c *BatchCommit) transition(received []types.Message, rnd types.Rand, now i
 	}
 
 	forSub := c.forSub[:0]
+	// votesChanged: a vote vector — a received one, or this processor's own
+	// as it votes — joined those in hand during this transition. Only then
+	// can the vote wait's forced exit newly hold.
+	votesChanged := false
 	for i := range received {
 		inner, pbCoins := Unwrap(received[i].Payload)
 		if pbCoins != nil && c.coins == nil {
@@ -233,6 +238,7 @@ func (c *BatchCommit) transition(received []types.Message, rnd types.Rand, now i
 			}
 			if _, dup := c.voteVecs[received[i].From]; !dup {
 				c.voteVecs[received[i].From] = p.Vals
+				votesChanged = true
 			}
 		case agreement.VecReportMsg, agreement.VecProposalMsg, agreement.VecDecidedMsg:
 			m := received[i]
@@ -284,12 +290,16 @@ func (c *BatchCommit) transition(received []types.Message, rnd types.Rand, now i
 				out = c.broadcast(out, BatchVoteMsg{Vals: c.votes}, true)
 				c.waitClock = now
 				c.st = stWaitVotes
-				progress = true
+				progress, votesChanged = true, true
 			}
 		case stWaitVotes:
 			// Instruction 8–12, element-wise: with all n vote vectors,
 			// input[i] = 1 iff every vector commits at i; on timeout the
-			// whole input vector is 0.
+			// whole input vector is 0. A third exit is a content event, not
+			// a timeout, so it may fire in a Deliver: once every element
+			// holds an abort vote, no vector still to come can lift an
+			// input[i] to 1, and agreement starts at once with the all-zero
+			// input either other exit would have produced.
 			var input []types.Value
 			done := false
 			if len(c.voteVecs) >= c.cfg.N {
@@ -305,7 +315,7 @@ func (c *BatchCommit) transition(received []types.Message, rnd types.Rand, now i
 					}
 				}
 				done = true
-			} else if c.clock-c.waitClock >= 2*c.cfg.K {
+			} else if c.clock-c.waitClock >= 2*c.cfg.K || votesChanged && c.inputForced() {
 				input = make([]types.Value, c.b)
 				done = true
 			}
@@ -325,6 +335,24 @@ func (c *BatchCommit) transition(received []types.Message, rnd types.Rand, now i
 	c.out = out
 	c.forSub = forSub[:0]
 	return out
+}
+
+// inputForced reports whether every element holds an abort vote, in this
+// processor's own vector or in a received one.
+func (c *BatchCommit) inputForced() bool {
+next:
+	for i, v := range c.votes {
+		if v != types.V1 {
+			continue
+		}
+		for _, vec := range c.voteVecs {
+			if vec[i] != types.V1 {
+				continue next
+			}
+		}
+		return false
+	}
+	return true
 }
 
 // startAgreement builds the vector agreement machine and feeds it any

@@ -111,10 +111,11 @@ func TestDeliverNilIsInertContentOblivious(t *testing.T) {
 
 // TestTimeoutFiresOnATickNeverInDeliverContentOblivious: processor 1 of 3
 // (K = 2) hears from processor 0 and itself but never from processor 2.
-// Its GO wait and then its vote wait each end on the tick that completes
-// 2K ticks of waiting — whether the wait began on a tick or in a delivery
-// between two — and never inside a Deliver, however many deliveries (empty,
-// or repeating what it already holds) come between the ticks.
+// Its GO wait, and the vote wait of a processor that heard all n GOs, each
+// end on the tick that completes 2K ticks of waiting — whether the wait
+// began on a tick or in a delivery between two — and never inside a
+// Deliver, however many deliveries (empty, or repeating what it already
+// holds) come between the ticks.
 func TestTimeoutFiresOnATickNeverInDeliverContentOblivious(t *testing.T) {
 	const k = 2
 	coins := []types.Value{1, 0, 1}
@@ -127,14 +128,18 @@ func TestTimeoutFiresOnATickNeverInDeliverContentOblivious(t *testing.T) {
 			name = "wait begins in a delivery"
 		}
 		t.Run(name, func(t *testing.T) {
-			m := newBatchSet(t, 3, k, []types.Value{types.V1})[1]
+			var m *BatchCommit
 			rnd := rng.NewStream(5)
-			// hand is how the waits below are begun; pester is the traffic
-			// between ticks that must not end them.
-			hand := m.Step
-			if startInDeliver {
-				m.Step(nil, rnd) // a tick with nothing in it: still waiting for GO
-				hand = m.Deliver
+			// begin hands a fresh machine the messages that begin a wait;
+			// pester is the traffic between ticks that must not end it.
+			begin := func(received []types.Message) {
+				m = newBatchSet(t, 3, k, []types.Value{types.V1})[1]
+				if startInDeliver {
+					m.Step(nil, rnd) // a tick with nothing in it: still waiting for GO
+					m.Deliver(received, rnd)
+				} else {
+					m.Step(received, rnd)
+				}
 			}
 			pester := func(wantSt state) {
 				t.Helper()
@@ -146,7 +151,7 @@ func TestTimeoutFiresOnATickNeverInDeliverContentOblivious(t *testing.T) {
 					}
 				}
 			}
-			// awaitTimeout ticks until the wait that hand just began has run
+			// awaitTimeout ticks until the wait that begin just began has run
 			// 2K full ticks, and checks it ended on exactly that tick.
 			awaitTimeout := func(during, after state) []types.Message {
 				t.Helper()
@@ -169,25 +174,26 @@ func TestTimeoutFiresOnATickNeverInDeliverContentOblivious(t *testing.T) {
 				return out
 			}
 
-			hand([]types.Message{msg(0, GoMsg{Coins: coins})}, rnd) // first contact: relay GO
+			begin([]types.Message{msg(0, GoMsg{Coins: coins})}) // first contact: relay GO
 			if m.st != stWaitAllGo {
 				t.Fatalf("after GO: state %d", m.st)
 			}
-			out := awaitTimeout(stWaitAllGo, stWaitVotes)
+			// The demoted vote forces the input, so the tick that broadcasts
+			// it also starts agreement.
+			out := awaitTimeout(stWaitAllGo, stAgreement)
 			if v, ok := unwrapTo[BatchVoteMsg](out); !ok || v.Vals[0] != types.V0 {
 				t.Fatalf("GO timeout broadcast %v, want the vote demoted to abort", out)
 			}
+			if r, ok := unwrapTo[agreement.VecReportMsg](out); !ok || r.Vals[0] != types.V0 {
+				t.Fatalf("GO timeout started agreement with %v, want input 0", out)
+			}
 
-			if startInDeliver {
-				// The vote wait began on the timeout's tick; begin it afresh
-				// from a delivery by replaying the run up to a machine whose
-				// GO wait completes between ticks.
-				m = newBatchSet(t, 3, k, []types.Value{types.V1})[1]
-				m.Step(nil, rnd)
-				m.Deliver([]types.Message{msg(0, GoMsg{Coins: coins}), msg(1, GoMsg{Coins: coins}), msg(2, GoMsg{Coins: coins})}, rnd)
-				if m.st != stWaitVotes {
-					t.Fatalf("after n GOs: state %d", m.st)
-				}
+			// A machine that heard all n GOs keeps its commit vote, so
+			// nothing forces its input and only the timeout ends its vote
+			// wait.
+			begin([]types.Message{msg(0, GoMsg{Coins: coins}), msg(1, GoMsg{Coins: coins}), msg(2, GoMsg{Coins: coins})})
+			if m.st != stWaitVotes {
+				t.Fatalf("after n GOs: state %d", m.st)
 			}
 			out = awaitTimeout(stWaitVotes, stAgreement)
 			if r, ok := unwrapTo[agreement.VecReportMsg](out); !ok || r.Vals[0] != types.V0 {
@@ -195,6 +201,95 @@ func TestTimeoutFiresOnATickNeverInDeliverContentOblivious(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestForcedInputEndsTheVoteWaitContentOblivious: processor 1 of 3 (K = 2)
+// ends its vote wait the moment every element holds an abort vote, in its
+// own vector or in a received one, and starts agreement with the all-zero
+// input — on a tick or inside a delivery, since the exit is a content
+// event. An element with no abort vote in hand leaves the wait to its 2K
+// ticks.
+func TestForcedInputEndsTheVoteWaitContentOblivious(t *testing.T) {
+	const k = 2
+	coins := []types.Value{1, 0, 1}
+	gos := func(from ...types.ProcID) []types.Message {
+		var ms []types.Message
+		for _, p := range from {
+			ms = append(ms, types.Message{From: p, To: 1, Payload: GoMsg{Coins: coins}})
+		}
+		return ms
+	}
+	vote := func(from types.ProcID, vals ...types.Value) []types.Message {
+		return []types.Message{{From: from, To: 1, Payload: BatchVoteMsg{Vals: vals}}}
+	}
+	wantZeroInput := func(t *testing.T, out []types.Message) {
+		t.Helper()
+		r, ok := unwrapTo[agreement.VecReportMsg](out)
+		if !ok {
+			t.Fatalf("agreement did not start: sent %v", out)
+		}
+		for i, v := range r.Vals {
+			if v != types.V0 {
+				t.Fatalf("agreement input %v, want 0 at element %d", r.Vals, i)
+			}
+		}
+	}
+
+	t.Run("own vector demoted by the GO timeout", func(t *testing.T) {
+		m := newBatchSet(t, 3, k, []types.Value{types.V1, types.V1})[1]
+		rnd := rng.NewStream(5)
+		m.Step(gos(0), rnd) // relay GO; processor 2's never comes
+		for i := 1; i < 2*k; i++ {
+			m.Step(nil, rnd)
+		}
+		if m.st != stWaitAllGo {
+			t.Fatalf("before the GO timeout: state %d", m.st)
+		}
+		out := m.Step(nil, rnd)
+		if m.st != stAgreement {
+			t.Fatalf("the GO timeout left state %d, want agreement on the same tick", m.st)
+		}
+		if v, ok := unwrapTo[BatchVoteMsg](out); !ok || v.Vals[0] != types.V0 || v.Vals[1] != types.V0 {
+			t.Fatalf("GO timeout broadcast %v, want the vote vector demoted to abort", out)
+		}
+		wantZeroInput(t, out)
+	})
+
+	t.Run("own and received aborts cover the batch", func(t *testing.T) {
+		m := newBatchSet(t, 3, k, []types.Value{types.V0, types.V1})[1]
+		rnd := rng.NewStream(5)
+		m.Step(gos(0, 1, 2), rnd)
+		if m.st != stWaitVotes {
+			t.Fatalf("after n GOs: state %d", m.st)
+		}
+		m.Deliver(vote(0, types.V1, types.V1), rnd)
+		if m.st != stWaitVotes {
+			t.Fatalf("element 1 holds no abort vote yet, but the wait ended (state %d)", m.st)
+		}
+		out := m.Deliver(vote(2, types.V1, types.V0), rnd)
+		if m.st != stAgreement || m.clock != 1 {
+			t.Fatalf("after the covering vector: state %d clock %d, want agreement inside the delivery", m.st, m.clock)
+		}
+		wantZeroInput(t, out)
+	})
+
+	t.Run("an element without an abort vote waits 2K ticks", func(t *testing.T) {
+		m := newBatchSet(t, 3, k, []types.Value{types.V0, types.V1})[1]
+		rnd := rng.NewStream(5)
+		m.Step(gos(0, 1, 2), rnd)
+		m.Deliver(append(vote(0, types.V0, types.V1), vote(1, types.V0, types.V1)...), rnd)
+		for i := 1; i < 2*k; i++ {
+			m.Step(nil, rnd)
+			if m.st != stWaitVotes {
+				t.Fatalf("the wait ended on tick %d, want tick %d", i, 2*k)
+			}
+		}
+		out := m.Step(nil, rnd)
+		if m.st != stAgreement {
+			t.Fatalf("tick %d of the wait left state %d", 2*k, m.st)
+		}
+		wantZeroInput(t, out)
+	})
 }
 
 // unwrapTo finds the first payload of type T in out, under any piggyback.

@@ -93,12 +93,52 @@ func newDiffCase(seed uint64) *diffCase {
 	return c
 }
 
-// diffRun is one simulated run reduced to what Theorem 11 speaks about.
+// diffRun is one simulated run reduced to what Theorem 11 speaks about,
+// plus, for a batch run, whether some processor's vote wait ended on the
+// forced exit.
 type diffRun struct {
 	outcomes    [][]trace.Outcome // per element, per processor
 	failureFree bool
 	onTime      bool
 	exhausted   bool
+	forcedExit  bool
+}
+
+// exitWatch is a batch machine seen from outside: it records whether the
+// vote wait ended because the input was forced — agreement started with
+// fewer than n vote vectors in hand, less than 2K ticks after the
+// processor's own vote left.
+type exitWatch struct {
+	*core.BatchCommit
+	n, k    int
+	voters  map[types.ProcID]bool
+	votedAt int // clock of the vote broadcast; -1 before it
+	forced  bool
+}
+
+func (w *exitWatch) Step(received []types.Message, rnd types.Rand) []types.Message {
+	for _, m := range received {
+		if isVote(m) {
+			w.voters[m.From] = true
+		}
+	}
+	started := w.Agreement() != nil
+	out := w.BatchCommit.Step(received, rnd)
+	for _, m := range out {
+		if w.votedAt < 0 && isVote(m) {
+			w.votedAt = w.Clock()
+		}
+	}
+	if !started && w.Agreement() != nil && len(w.voters) < w.n && w.Clock()-w.votedAt < 2*w.k {
+		w.forced = true
+	}
+	return out
+}
+
+func isVote(m types.Message) bool {
+	inner, _ := core.Unwrap(m.Payload)
+	_, ok := inner.(core.BatchVoteMsg)
+	return ok
 }
 
 const diffMaxSteps = 20_000
@@ -106,7 +146,7 @@ const diffMaxSteps = 20_000
 func (c *diffCase) runBatch(t *testing.T) diffRun {
 	t.Helper()
 	machines := make([]types.Machine, c.n)
-	bms := make([]*core.BatchCommit, c.n)
+	ws := make([]*exitWatch, c.n)
 	for p := range machines {
 		m, err := core.NewBatch(core.BatchConfig{
 			ID: types.ProcID(p), N: c.n, T: (c.n - 1) / 2, K: c.k,
@@ -115,13 +155,17 @@ func (c *diffCase) runBatch(t *testing.T) diffRun {
 		if err != nil {
 			t.Fatal(err)
 		}
-		machines[p], bms[p] = m, m
+		ws[p] = &exitWatch{BatchCommit: m, n: c.n, k: c.k, voters: map[types.ProcID]bool{}, votedAt: -1}
+		machines[p] = ws[p]
 	}
 	res := c.simulate(t, machines)
 	run := c.reduce(res)
+	for _, w := range ws {
+		run.forcedExit = run.forcedExit || w.forced
+	}
 	for e := range c.votes[0] {
 		out := make([]trace.Outcome, c.n)
-		for p, m := range bms {
+		for p, m := range ws {
 			d, ok := m.OutcomeAt(e)
 			out[p] = trace.Outcome{Decided: ok, Crashed: res.Crashed[p]}
 			if d == types.DecisionCommit {
@@ -193,17 +237,22 @@ func (c *diffCase) column(e int) []types.Value {
 // where the adversary decides; wherever the inputs force the answer they
 // must be equal: any abort vote, or a coordinator silenced before its
 // vote, forces ABORT; unanimous commit votes on a failure-free on-time
-// run force COMMIT.
+// run force COMMIT. The sweep also counts the seeds where some batch
+// processor's vote wait ended on the forced exit (an abort vote in hand at
+// every element), which the scalar oracle does not have.
 func TestBatchVersusScalarDifferential(t *testing.T) {
 	seeds := 90
 	if testing.Short() {
 		seeds = 18
 	}
-	forcedAborts, forcedCommits, free := 0, 0, 0
+	forcedAborts, forcedCommits, free, forcedExits := 0, 0, 0, 0
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
 		c := newDiffCase(seed)
 		name := fmt.Sprintf("seed %d (%s n=%d width=%d)", seed, c.kind, c.n, len(c.votes[0]))
 		batch := c.runBatch(t)
+		if batch.forcedExit {
+			forcedExits++
+		}
 		for e := range c.votes[0] {
 			scalar := c.runScalar(t, e)
 			col := c.column(e)
@@ -249,10 +298,12 @@ func TestBatchVersusScalarDifferential(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("elements: forced abort %d, forced commit %d, adversary's choice %d", forcedAborts, forcedCommits, free)
-	// The sweep must actually visit all three regimes.
-	if forcedAborts == 0 || forcedCommits == 0 || free == 0 {
-		t.Fatalf("regimes visited: forced abort %d, forced commit %d, adversary's choice %d",
-			forcedAborts, forcedCommits, free)
+	t.Logf("elements: forced abort %d, forced commit %d, adversary's choice %d; seeds with a forced vote-wait exit %d",
+		forcedAborts, forcedCommits, free, forcedExits)
+	// The sweep must actually visit all three regimes, and the batch
+	// machine's forced exit from the vote wait.
+	if forcedAborts == 0 || forcedCommits == 0 || free == 0 || forcedExits == 0 {
+		t.Fatalf("regimes visited: forced abort %d, forced commit %d, adversary's choice %d; forced vote-wait exits %d",
+			forcedAborts, forcedCommits, free, forcedExits)
 	}
 }

@@ -307,8 +307,11 @@ func TestSeededTickAndDeliverySchedulesContentOblivious(t *testing.T) {
 	// what the managers send shows up here first. Re-pinned for
 	// decide-and-stop: a processor whose last element decides at stage s
 	// sends one DECIDED broadcast where its stage-s+1 report and proposal
-	// rounds (and the DECIDED after them) used to go.
-	const transcriptSum = 0x565d52b1194dcdd7
+	// rounds (and the DECIDED after them) used to go. Re-pinned for the
+	// forced vote-wait exit: a processor holding an abort vote at every
+	// element starts agreement at once instead of waiting for the rest of
+	// the vote vectors.
+	const transcriptSum = 0xcc40ee7391a714ce
 	if got := transcript.Sum64(); got != transcriptSum {
 		t.Errorf("tick-only transcripts hash to %#x, pinned %#x", got, uint64(transcriptSum))
 	}
@@ -328,7 +331,8 @@ func BenchmarkDeliverOneFrame(b *testing.B) {
 			}
 			rnd := rng.NewStream(9)
 			// Halted instances: each joins on a peer's DECIDED frame, times
-			// out its GO and vote waits (2K ticks each), adopts and halts.
+			// out its GO wait (2K ticks), starts agreement on the forced
+			// input at once, adopts and halts.
 			for i := 0; i < held; i++ {
 				joinDecided(mgr, fmt.Sprintf("old%d", i), rnd)
 			}

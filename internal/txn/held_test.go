@@ -22,8 +22,9 @@ func batchFrame(batch string, from types.ProcID, inner types.Payload) types.Mess
 }
 
 // joinDecided makes mgr join batch on a peer's DECIDED frame: with no other
-// peer heard from it times out its GO and vote waits (2K ticks each), adopts
-// the decision and halts — a held instance made from one frame.
+// peer heard from it times out its GO wait (2K ticks), and the demoted vote
+// forces its input, so agreement starts on that tick; it adopts the decision
+// and halts — a held instance made from one frame.
 func joinDecided(mgr *txn.Manager, batch string, rnd types.Rand) {
 	mgr.Deliver([]types.Message{batchFrame(batch, 0, agreement.VecDecidedMsg{Vals: []types.Value{1}})}, rnd)
 }
@@ -43,7 +44,7 @@ func TestTickVisitsOnlyRunningContentOblivious(t *testing.T) {
 		waves, perWave = 4, 250
 		retireAfter    = 64
 		// The tick wave 2 retires on (see the geometry check below).
-		maxAge   = 73
+		maxAge   = 71
 		hotBegun = 12
 	)
 	spans := span.NewCollectorClock(1<<16, func() int64 { return 0 })
