@@ -230,7 +230,7 @@ type rule struct {
 	caught    string            // the one violation it must yield
 }
 
-const wantRules = 21
+const wantRules = 22
 
 // changes is the change log; its newest entry is bounded in lines and
 // bytes (ROADMAP 11b).
@@ -682,6 +682,27 @@ var rules = []rule{
 			"internal/runtime/z.go":       "package runtime\nimport \"time\"\nvar c = time.NewTicker(1)",
 		},
 		caught: "internal/runtime/z.go:3: uses time.NewTicker: the runtime's ticker number 2, want at most 1",
+	},
+
+	// One service harness.
+	{
+		name: "chaos builds the service stack through shard.New alone",
+		why: "A chaos service run is the one-group case of the sharded run: RunService builds every deployment " +
+			"with shard.New, and a second harness over service.New would fork the workload loop and the auditor.",
+		check: func(tr *tree) []string {
+			files := tr.in(nonTest, within("internal/chaos"))
+			out := tr.users("repro/internal/service", "New", files)
+			if len(tr.users("repro/internal/shard", "New", files)) == 0 {
+				out = append(out, "internal/chaos: never calls shard.New; if the harness moved, move this rule with it")
+			}
+			return out
+		},
+		planted: map[string]string{
+			"internal/chaos/service.go":    "package chaos\nimport \"repro/internal/shard\"\nvar _, _ = shard.New(shard.Config{})",
+			"internal/chaos/sharded.go":    "package chaos\nimport \"repro/internal/service\"\n// service.New( in a comment is not a call\nvar _, _ = service.New(service.Config{})",
+			"internal/chaos/chaos_test.go": "package chaos\nimport \"repro/internal/service\"\nvar _, _ = service.New(service.Config{})",
+		},
+		caught: "internal/chaos/sharded.go:4: uses service.New",
 	},
 
 	// One label lookup.

@@ -2,10 +2,10 @@
 // stack and audits it — the repro tool for any failing seed a randomized
 // sweep prints.
 //
-//	chaos -seed 3000523 -shape partition -n 5        # replay a cluster run
-//	chaos -seed 17 -shape lossy -n 5 -mode service   # replay a service run
-//	chaos -seed 7 -mode sharded -shards 4 -n 3       # sharded cross-shard run
-//	chaos -seed 42 -n 5 -shape churn -plan           # print the plan only
+//	chaos -seed 3000523 -shape partition -n 5             # replay a cluster run
+//	chaos -seed 17 -shape lossy -n 5 -mode service        # replay a service run
+//	chaos -seed 7 -mode service -shards 4 -n 3            # cross-shard service run
+//	chaos -seed 42 -n 5 -shape churn -plan                # print the plan only
 //
 // The plan is a pure function of its flags, so the same invocation
 // always exercises the same crash schedule, partition windows, and
@@ -13,12 +13,13 @@
 // after printing the audit log and the failing seed; -spans-out
 // additionally dumps the run's span ring — rounds, links and protocol
 // milestones — as a causal span graph for post-mortem (feed it to
-// `tracedump`, `tracedump critpath` or `tracedump chrome`). Service runs also print the
-// critical path of the slowest transaction — after the audit log, so the
-// log itself stays a pure function of the seed. -watch attaches the live
-// watchdog (service and sharded modes), which adds detection-coverage
-// checks to the audit; -flight-out then archives a flight dump of the
-// watched run (feed it to `tracedump flight`).
+// `tracedump`, `tracedump critpath` or `tracedump chrome`). Service runs
+// also print the critical path of the slowest transaction — after the
+// audit log, so the log itself stays a pure function of the seed. The
+// service-only flags — -shards, -cross-fraction, -watch (the live
+// watchdog, which adds detection-coverage checks to the audit) and
+// -flight-out (a flight dump of the watched run, for `tracedump flight`)
+// — are refused in cluster mode.
 package main
 
 import (
@@ -27,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/chaos"
@@ -47,24 +49,34 @@ func run(args []string, stdout, stderr *os.File) int {
 		n        = fs.Int("n", 5, "processor count")
 		t        = fs.Int("t", 0, "crash budget (default (n-1)/2)")
 		shape    = fs.String("shape", "churn", "fault shape: clean|lossy|churn|partition|crash|crash-restart")
-		mode     = fs.String("mode", "cluster", "what to drive: cluster|service|sharded")
-		shards   = fs.Int("shards", 0, "commit groups for -mode sharded (default 2)")
-		crossFr  = fs.Float64("cross-fraction", 0, "fraction of sharded txns spanning two groups (default 0.3)")
+		mode     = fs.String("mode", "cluster", "what to drive: cluster|service")
+		shards   = fs.Int("shards", 1, "commit groups for -mode service; 2 or more runs cross-shard transactions")
+		crossFr  = fs.Float64("cross-fraction", 0, "fraction of txns spanning two groups when -shards >= 2 (default 0.3)")
 		horizon  = fs.Int("horizon", 0, "fault window in ticks (default 32)")
 		tick     = fs.Duration("tick", time.Millisecond, "protocol tick length")
 		budget   = fs.Int("budget", 0, "run budget in ticks (default 8*horizon+512)")
 		planOnly = fs.Bool("plan", false, "print the canonical plan and exit")
 		spansOut = fs.String("spans-out", "", "write the run's span ring (rounds, links, milestones) as span-graph JSON to this file")
-		watched  = fs.Bool("watch", false, "attach the live watchdog (-mode service|sharded); the audit gains detection-coverage checks")
+		watched  = fs.Bool("watch", false, "attach the live watchdog (-mode service); the audit gains detection-coverage checks")
 		flOut    = fs.String("flight-out", "", "write a flight dump of the watched run to this file (requires -watch)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	if *mode == "sharded" && *shards < 2 {
-		*shards = 2
+	if *mode == "cluster" {
+		var serviceOnly []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "shards", "cross-fraction", "watch", "flight-out":
+				serviceOnly = append(serviceOnly, "-"+f.Name)
+			}
+		})
+		if len(serviceOnly) > 0 {
+			fmt.Fprintf(stderr, "%s: -mode service only\n", strings.Join(serviceOnly, ", "))
+			return 2
+		}
 	}
+
 	plan, err := chaos.NewPlan(chaos.PlanConfig{
 		Seed:          *seed,
 		N:             *n,
@@ -94,17 +106,14 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 
 	var report *chaos.Report
-	var svcData *chaos.ServiceRunData
-	var shardedData *chaos.ShardedRunData
+	var data *chaos.ServiceRunData
 	switch *mode {
 	case "cluster":
 		report, _, err = chaos.RunCluster(plan, opts)
 	case "service":
-		report, svcData, err = chaos.RunService(plan, opts)
-	case "sharded":
-		report, shardedData, err = chaos.RunShardedService(plan, opts)
+		report, data, err = chaos.RunService(plan, opts)
 	default:
-		fmt.Fprintf(stderr, "unknown -mode %q (want cluster, service, or sharded)\n", *mode)
+		fmt.Fprintf(stderr, "unknown -mode %q (want cluster or service)\n", *mode)
 		return 2
 	}
 	if err != nil {
@@ -116,31 +125,24 @@ func run(args []string, stdout, stderr *os.File) int {
 	// Latency attribution rides after the audit log, never inside it:
 	// Report.Log() must stay byte-reproducible from the seed alone, and
 	// wall-clock span durations are not.
-	if svcData != nil {
-		printSlowest(stdout, spans, svcData)
-	}
-	if shardedData != nil {
-		fmt.Fprintf(stdout, "cross layer: submitted=%d committed=%d aborted=%d in_doubt_settled=%d\n",
-			shardedData.Metrics.Cross.Submitted, shardedData.Metrics.Cross.Committed,
-			shardedData.Metrics.Cross.Aborted, shardedData.EchoSettled)
+	if data != nil {
+		printSlowest(stdout, spans, data)
+		if plan.Cfg.Shards > 1 {
+			fmt.Fprintf(stdout, "cross layer: submitted=%d committed=%d aborted=%d in_doubt_settled=%d\n",
+				data.Metrics.Cross.Submitted, data.Metrics.Cross.Committed,
+				data.Metrics.Cross.Aborted, data.EchoSettled)
+		}
 	}
 	if opts.Watch != nil {
-		var health watch.Health
-		switch {
-		case svcData != nil:
-			health = svcData.Health
-		case shardedData != nil:
-			health = shardedData.Health
-		}
 		// After the audit log for the same reason as the critical path:
 		// tick counts are wall-clock-dependent, the log is not.
 		fmt.Fprintf(stdout, "watchdog: status=%s ticks=%d anomalies=%d\n",
-			health.Status, health.Ticks, health.Anomalies)
+			data.Health.Status, data.Health.Ticks, data.Health.Anomalies)
 		if *flOut != "" {
 			d := &flight.Dump{
 				Format: flight.DumpFormat,
 				Reason: "chaos",
-				Health: health,
+				Health: data.Health,
 				Spans:  spans.Graph(),
 			}
 			raw, err := json.MarshalIndent(d, "", " ")
@@ -171,8 +173,11 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintf(stdout, "spans written to %s\n", *spansOut)
 	}
 	if !report.Pass() {
-		fmt.Fprintf(stderr, "AUDIT FAILED — failing seed: %d (replay: go run ./cmd/chaos -seed %d -shape %s -n %d -mode %s)\n",
-			*seed, *seed, *shape, *n, *mode)
+		replay := fmt.Sprintf("go run ./cmd/chaos -seed %d -shape %s -n %d -mode %s", *seed, *shape, *n, *mode)
+		if data != nil {
+			replay += fmt.Sprintf(" -shards %d", max(plan.Cfg.Shards, 1))
+		}
+		fmt.Fprintf(stderr, "AUDIT FAILED — failing seed: %d (replay: %s)\n", *seed, replay)
 		return 1
 	}
 	return 0

@@ -170,12 +170,13 @@ func TestWatchedServiceWritesFlightDump(t *testing.T) {
 	}
 }
 
-// TestReplayShardedSeed: -mode sharded replays a cross-shard plan, the
-// audit log carries the shard assignments (so the log alone reproduces
-// the workload), and the cross-layer summary prints after the log.
+// TestReplayShardedSeed: -mode service -shards 3 replays a cross-shard
+// plan, the audit log carries the shard assignments (so the log alone
+// reproduces the workload), and the cross-layer summary prints after the
+// log.
 func TestReplayShardedSeed(t *testing.T) {
 	code, out := capture(t, []string{
-		"-seed", "7", "-n", "3", "-shape", "crash", "-mode", "sharded",
+		"-seed", "7", "-n", "3", "-shape", "crash", "-mode", "service",
 		"-shards", "3", "-tick", "500us",
 	})
 	if code != 0 {
@@ -195,9 +196,33 @@ func TestReplayShardedSeed(t *testing.T) {
 	}
 }
 
+// TestClusterRefusesServiceFlags: the service-only flags exit 2 under
+// -mode cluster instead of being dropped in silence.
+func TestClusterRefusesServiceFlags(t *testing.T) {
+	base := []string{"-seed", "3", "-shape", "crash", "-n", "3", "-mode", "cluster", "-tick", "500us"}
+	flight := filepath.Join(t.TempDir(), "flight.json")
+	for _, extra := range [][]string{
+		{"-watch"},
+		{"-watch", "-flight-out", flight},
+		{"-shards", "3"},
+		{"-cross-fraction", "0.5"},
+		{"-shards", "3", "-plan"},
+	} {
+		code, out := capture(t, append(append([]string(nil), base...), extra...))
+		if code != 2 || !strings.Contains(out, "-mode service only") {
+			t.Errorf("cluster mode with %v exited %d, want 2 naming the flag:\n%s", extra, code, out)
+		}
+	}
+	if _, err := os.Stat(flight); !os.IsNotExist(err) {
+		t.Errorf("a refused run wrote a flight dump (stat: %v)", err)
+	}
+}
+
 func TestBadFlagsRejected(t *testing.T) {
-	if code, _ := capture(t, []string{"-mode", "nonsense"}); code != 2 {
-		t.Fatalf("bad mode exited %d, want 2", code)
+	for _, mode := range []string{"nonsense", "sharded"} {
+		if code, _ := capture(t, []string{"-mode", mode}); code != 2 {
+			t.Fatalf("-mode %s exited %d, want 2", mode, code)
+		}
 	}
 	if code, _ := capture(t, []string{"-n", "0"}); code != 2 {
 		t.Fatalf("n=0 exited %d, want 2", code)

@@ -296,14 +296,8 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		StallAge:     *stallAge,
 		SLOTargetP99: *sloP99,
 		FsyncP99Max:  *fsyncP99,
-		// Storm/imbalance thresholds are fixed: bursts this size within
-		// one sampling interval indicate injected faults or a routing
-		// pathology, not normal load.
-		RescueBurst:     8,
-		ImbalanceFactor: 8,
-		ImbalanceMin:    256,
-		Registry:        reg,
-		OnTick:          sampler.Sample,
+		Registry:     reg,
+		OnTick:       sampler.Sample,
 		OnAnomaly: func(a watch.Anomaly) {
 			logger.Warn("anomaly detected", "rule", a.Rule,
 				olog.Txn(a.Txn), olog.Shard(a.Shard), olog.Node(a.Node),

@@ -93,11 +93,6 @@ func runArena(args []string, w, stderr io.Writer) error {
 
 	fmt.Fprintln(w, res.Table)
 	lines := strings.Split(strings.TrimRight(res.Log, "\n"), "\n")
-	// Surface the detection-coverage line alongside the summary: CI gates
-	// on "missed=0 false=0" without parsing the full log.
-	if len(lines) >= 2 && strings.HasPrefix(lines[len(lines)-2], "watchdog ") {
-		fmt.Fprintln(w, lines[len(lines)-2])
-	}
 	fmt.Fprintln(w, lines[len(lines)-1]) // the summary line
 
 	if *out != "" {

@@ -210,8 +210,8 @@ func loadGraph(path string) (*span.Graph, error) {
 
 // renderFlight prints a flight-recorder dump for a human: the capture
 // header, the watchdog health document, per-shard state, cross-shard
-// in-doubt transactions, blocked-protocol reports, and what telemetry
-// the dump carries for the other subcommands to chew on.
+// in-doubt transactions, and what telemetry the dump carries for the
+// other subcommands to chew on.
 func renderFlight(w io.Writer, d *flight.Dump) error {
 	fmt.Fprintf(w, "flight dump: seq=%d reason=%s", d.Seq, d.Reason)
 	if d.CapturedS > 0 {
@@ -241,9 +241,6 @@ func renderFlight(w io.Writer, d *flight.Dump) error {
 	}
 	for _, c := range d.Cross {
 		fmt.Fprintf(w, "cross in-doubt txn=%s state=%s age=%dms\n", c.Txn, c.State, c.AgeMs)
-	}
-	for _, b := range d.Blocked {
-		fmt.Fprintf(w, "blocked protocol=%s txn=%s %s\n", b.Protocol, b.Txn, b.Detail)
 	}
 	if len(d.Health.Recent) > 0 {
 		fmt.Fprintln(w, "recent anomalies:")

@@ -299,9 +299,8 @@ func writeFlightDump(t *testing.T) string {
 			Stalled:   []watch.TxnAge{{Txn: "t9", Shard: "s0", AgeMs: 1500, State: "running"}},
 			Submitted: 10, Decided: 8, TimedOut: 1, Rescues: 1,
 		}},
-		Cross:   []watch.TxnAge{{Txn: "x1", AgeMs: 900, State: "preparing"}},
-		Blocked: []watch.BlockedReport{{Protocol: "2pc", Txn: "b1", Detail: "coordinator dead"}},
-		Spans:   g,
+		Cross: []watch.TxnAge{{Txn: "x1", AgeMs: 900, State: "preparing"}},
+		Spans: g,
 	}
 	raw, err := json.Marshal(d)
 	if err != nil {
@@ -330,7 +329,6 @@ func TestFlightRender(t *testing.T) {
 		"crashed nodes: [2]",
 		"stalled txn=t9 state=running age=1500ms",
 		"cross in-doubt txn=x1 state=preparing age=900ms",
-		"blocked protocol=2pc txn=b1 coordinator dead",
 		"node=2",
 		"telemetry: spans=7 milestones=6 dropped=4",
 	} {

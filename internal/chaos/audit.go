@@ -8,6 +8,7 @@ import (
 	"repro/internal/obs/span"
 	"repro/internal/obs/watch"
 	"repro/internal/service"
+	"repro/internal/shard"
 	"repro/internal/types"
 )
 
@@ -275,22 +276,42 @@ func auditTrace(crashed []bool, recovered map[int]types.Value, spans []span.Span
 	return ""
 }
 
-// TxnResult is one service submission's terminal answer plus its inputs.
+// TxnResult is one service submission's terminal answer plus its planned
+// inputs.
 type TxnResult struct {
-	ID     string
-	Votes  []bool
+	ID    string
+	Votes []bool
+	// Shards is the plan-assigned participant set (len 1: one group's
+	// fast path; len 2: cross-shard commit-of-commits).
+	Shards []int
 	State  service.State
-	Status service.TxnStatus
-	// StatusKnown is false when the service no longer retains the id.
+	Status shard.TxnStatus
+	// StatusKnown is false when the deployment no longer retains the id.
 	StatusKnown bool
+	// ChildStates snapshots each participating group's record of a cross
+	// transaction's child (nil for single-group txns).
+	ChildStates map[int]service.State
 }
 
-// ServiceRunData is everything a service-mode run hands the auditor.
+// ServiceRunData is everything a service run hands the auditor.
 type ServiceRunData struct {
 	Results []TxnResult
-	Metrics service.Metrics
+	Metrics shard.Metrics
 	Spans   []span.Span
 	Crashed []bool
+	// Records is the cross-shard WAL as written during the workload
+	// (snapshotted before the recovery echo appends to it).
+	Records []shard.CrossRecord
+	// EchoOutcomes maps cross transactions to the outcome re-derived by
+	// the recovery echo (sharded plans only): the run's WAL with every
+	// outcome record stripped — a crashed coordinator's view — replayed
+	// through Recover on the live groups.
+	EchoOutcomes map[string]service.State
+	// EchoSettled is Recover's count of in-doubt transactions it settled
+	// during the echo.
+	EchoSettled int
+	// EchoErr is non-empty if the recovery echo failed outright.
+	EchoErr string
 	// Watched is true when RunOptions.Watch attached a live watchdog;
 	// Anomalies and Health are its findings (the workload's periodic
 	// ticks plus one final synchronous evaluation).
@@ -300,14 +321,16 @@ type ServiceRunData struct {
 }
 
 // AuditService checks a commit-service run end to end: client responses,
-// status queries, the metrics surface, and the protocol event trace must
-// tell one consistent story.
+// status queries, the metrics surface, and the protocol span ring must
+// tell one consistent story. A sharded plan adds the two-layer protocol's
+// own contract: cross-shard atomicity and recovery agreement.
 func AuditService(p *Plan, d *ServiceRunData) *Report {
 	r := &Report{Plan: p}
 
 	// Response consistency: every submission reached a terminal state;
-	// COMMIT/ABORT answers respect abort validity; the queried status
-	// agrees with the returned result.
+	// COMMIT answers respect abort validity (a dissent anywhere forbids
+	// COMMIT — the cross combine only strengthens this); the queried
+	// status agrees with the returned result.
 	respOK, respDetail := true, ""
 	var committed, aborted, timedOut, failed uint64
 	for _, res := range d.Results {
@@ -343,27 +366,47 @@ func AuditService(p *Plan, d *ServiceRunData) *Report {
 	}
 	r.add("response-consistency", respOK, respDetail)
 
-	// Agreement at the service: the cross-node decision checker counted
-	// zero conflicts.
-	r.add("agreement", d.Metrics.SafetyViolations == 0,
-		fmt.Sprintf("%d safety violations", d.Metrics.SafetyViolations))
+	// Agreement within every group: the per-node decision checkers
+	// counted zero conflicts across all shards.
+	r.add("agreement", d.Metrics.Aggregate.SafetyViolations == 0,
+		fmt.Sprintf("%d safety violations", d.Metrics.Aggregate.SafetyViolations))
 
-	// Metric consistency: the service's own counters must account for
-	// every admitted submission, and not disagree with the client's
-	// tallies. (TIMEOUT results can later flip the status, but counters
-	// are terminal-once.)
-	m := d.Metrics
-	sumOK := m.Submitted == m.Committed+m.Aborted+m.TimedOut+m.Failed
-	clientOK := m.Committed >= committed && m.Aborted >= aborted && m.Failed >= failed
-	r.add("metric-consistency", sumOK && clientOK,
-		fmt.Sprintf("submitted=%d committed=%d aborted=%d timed_out=%d failed=%d client saw %d/%d/%d",
-			m.Submitted, m.Committed, m.Aborted, m.TimedOut, m.Failed, committed, aborted, failed))
+	if p.Cfg.Shards > 1 {
+		auditCross(r, d)
+	}
+
+	// Metric consistency: the cross layer accounts for every cross
+	// submission exactly; the aggregate accounts for every single-group
+	// txn plus every cross child; the counters never fall short of the
+	// client's tallies. (TIMEOUT results can later flip the status, but
+	// counters are terminal-once.)
+	m, agg := d.Metrics, d.Metrics.Aggregate
+	var cross, children uint64
+	for _, res := range d.Results {
+		if len(res.Shards) > 1 {
+			cross++
+			children += uint64(len(res.Shards))
+		}
+	}
+	singles := uint64(len(d.Results)) - cross
+	crossSum := m.Cross.Committed + m.Cross.Aborted + m.Cross.TimedOut + m.Cross.Failed
+	aggOK := agg.Submitted == singles+children &&
+		agg.Submitted == agg.Committed+agg.Aborted+agg.TimedOut+agg.Failed
+	crossOK := m.Cross.Submitted == cross && crossSum == cross
+	clientOK := agg.Committed >= committed && agg.Aborted >= aborted &&
+		agg.TimedOut >= timedOut && agg.Failed >= failed
+	r.add("metric-consistency", aggOK && crossOK && clientOK,
+		fmt.Sprintf("submitted=%d (want %d singles + %d children) committed=%d aborted=%d timed_out=%d failed=%d "+
+			"client saw %d/%d/%d/%d; cross submitted=%d outcomes=%d (want %d)",
+			agg.Submitted, singles, children, agg.Committed, agg.Aborted, agg.TimedOut, agg.Failed,
+			committed, aborted, timedOut, failed, m.Cross.Submitted, crossSum, cross))
 
 	// Trace causal sanity: span ids strictly increasing; per (txn, node)
 	// the protocol milestones appear in causal order at non-decreasing
-	// times; decided markers for one txn never disagree. The ring may have
-	// evicted early records, so order is only checked among the records
-	// present.
+	// times; decided markers for one txn never disagree. One shared ring
+	// serves every group, and txn ids are disjoint across groups
+	// (children carry their shard suffix). The ring may have evicted
+	// early records, so order is only checked among the records present.
 	trace := auditServiceTrace(d.Spans)
 	r.add("trace-sanity", trace == "", trace)
 
@@ -373,7 +416,86 @@ func AuditService(p *Plan, d *ServiceRunData) *Report {
 	return r
 }
 
-// auditServiceTrace checks the causal sanity of a service-mode span ring:
+// auditCross appends the two-layer checks of a sharded run. Cross-shard
+// atomicity: a COMMIT answer means every participating group committed
+// its child and the WAL logged a commit; an ABORT answer is grounded in
+// at least one aborted child (the combine rule's witness) and a logged
+// abort. A committed child under a top-level ABORT is legal — that group
+// prepared, the transaction aborted globally — but a TIMEOUT answer must
+// not hide a logged decision. Recovery agreement: the echo succeeded and
+// re-derived the very outcome each decided cross transaction reported —
+// a coordinator crash between decision and response never flips a
+// verdict.
+func auditCross(r *Report, d *ServiceRunData) {
+	wal := shard.ReconstructCross(d.Records)
+	atomOK, atomDetail := true, ""
+	for _, res := range d.Results {
+		if len(res.Shards) < 2 || !atomOK {
+			continue
+		}
+		st := wal[res.ID]
+		switch res.State {
+		case service.StateCommit:
+			for _, s := range res.Shards {
+				if cs, ok := res.ChildStates[s]; !ok || cs != service.StateCommit {
+					atomOK = false
+					atomDetail = fmt.Sprintf("txn %s committed but shard %d child is %v", res.ID, s, cs)
+				}
+			}
+			if st == nil || !st.Decided || st.Outcome != types.DecisionCommit {
+				atomOK = false
+				atomDetail = fmt.Sprintf("txn %s committed but WAL disagrees (%+v)", res.ID, st)
+			}
+		case service.StateAbort:
+			witness := false
+			for _, cs := range res.ChildStates {
+				if cs == service.StateAbort {
+					witness = true
+				}
+			}
+			if !witness {
+				atomOK = false
+				atomDetail = fmt.Sprintf("txn %s aborted with no aborted child (%v)", res.ID, res.ChildStates)
+			}
+			if st == nil || !st.Decided || st.Outcome != types.DecisionAbort {
+				atomOK = false
+				atomDetail = fmt.Sprintf("txn %s aborted but WAL disagrees (%+v)", res.ID, st)
+			}
+		case service.StateTimeout:
+			if st != nil && st.Decided {
+				atomOK = false
+				atomDetail = fmt.Sprintf("txn %s answered TIMEOUT but WAL holds decided outcome %v", res.ID, st.Outcome)
+			}
+		}
+	}
+	r.add("cross-atomicity", atomOK, atomDetail)
+
+	recOK, recDetail := true, ""
+	if d.EchoErr != "" {
+		recOK = false
+		recDetail = "recovery echo failed: " + d.EchoErr
+	}
+	for _, res := range d.Results {
+		if !recOK || len(res.Shards) < 2 {
+			continue
+		}
+		if res.State != service.StateCommit && res.State != service.StateAbort {
+			continue
+		}
+		got, ok := d.EchoOutcomes[res.ID]
+		switch {
+		case !ok:
+			recOK = false
+			recDetail = fmt.Sprintf("txn %s decided %s but recovery lost it", res.ID, res.State)
+		case got != res.State:
+			recOK = false
+			recDetail = fmt.Sprintf("txn %s decided %s but recovery re-derived %s", res.ID, res.State, got)
+		}
+	}
+	r.add("recovery-agreement", recOK, recDetail)
+}
+
+// auditServiceTrace checks the causal sanity of a service run's span ring:
 // ids strictly increase; per (txn, node) the milestones — a processor
 // track's event records and decided markers — are recorded at most once
 // each, their times never run backwards, and nothing follows

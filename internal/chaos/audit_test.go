@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/obs/span"
 	"repro/internal/service"
+	"repro/internal/shard"
 	"repro/internal/types"
 )
 
@@ -170,7 +171,8 @@ func TestAuditTraceSanity(t *testing.T) {
 
 func cleanServiceData(p *Plan) *ServiceRunData {
 	d := &ServiceRunData{Crashed: make([]bool, p.Cfg.N)}
-	for i, votes := range p.TxnVotes {
+	agg := &d.Metrics.Aggregate
+	for _, votes := range p.TxnVotes {
 		state := service.StateCommit
 		for _, v := range votes {
 			if !v {
@@ -178,18 +180,18 @@ func cleanServiceData(p *Plan) *ServiceRunData {
 			}
 		}
 		d.Results = append(d.Results, TxnResult{
-			ID: "t", Votes: votes, State: state,
-			Status: service.TxnStatus{State: state}, StatusKnown: true,
+			ID: "t", Votes: votes, Shards: []int{0}, State: state,
+			Status:      shard.TxnStatus{TxnStatus: service.TxnStatus{State: state}},
+			StatusKnown: true,
 		})
 		switch state {
 		case service.StateCommit:
-			d.Metrics.Committed++
+			agg.Committed++
 		default:
-			d.Metrics.Aborted++
+			agg.Aborted++
 		}
-		_ = i
 	}
-	d.Metrics.Submitted = uint64(len(p.TxnVotes))
+	agg.Submitted = uint64(len(p.TxnVotes))
 	return d
 }
 
@@ -211,15 +213,21 @@ func TestAuditServiceCatchesViolations(t *testing.T) {
 	}
 
 	d = cleanServiceData(p)
-	d.Metrics.SafetyViolations = 1
+	d.Metrics.Aggregate.SafetyViolations = 1
 	if r := AuditService(p, d); !failed(r, "agreement") {
 		t.Fatal("safety violation counter not surfaced")
 	}
 
 	d = cleanServiceData(p)
-	d.Metrics.Submitted++ // a submission unaccounted for
+	d.Metrics.Aggregate.Submitted++ // a submission unaccounted for
 	if r := AuditService(p, d); !failed(r, "metric-consistency") {
 		t.Fatal("counter mismatch not caught")
+	}
+
+	d = cleanServiceData(p)
+	d.Results[0].State = service.StateTimeout // a TIMEOUT the counters never saw
+	if r := AuditService(p, d); !failed(r, "metric-consistency") {
+		t.Fatal("client TIMEOUT missing from the counters not caught")
 	}
 
 	decided := func(id, node int, detail string) span.Span {

@@ -3,9 +3,12 @@ package chaos
 import (
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/obs/watch"
 )
 
 // sweepTick is the protocol tick used by the live sweeps: fast enough to
@@ -77,23 +80,24 @@ func TestClusterSweepVotePatterns(t *testing.T) {
 
 // runServiceOne executes one service plan and fails the test with the
 // replay command on any audit violation.
-func runServiceOne(t *testing.T, cfg PlanConfig) {
+func runServiceOne(t *testing.T, cfg PlanConfig) (*Report, *ServiceRunData) {
 	t.Helper()
 	p, err := NewPlan(cfg)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("seed=%d: %v", cfg.Seed, err)
 	}
 	rep, data, err := RunService(p, RunOptions{TickEvery: sweepTick})
 	if err != nil {
-		t.Fatalf("FAILING SEED %d: run error: %v", cfg.Seed, err)
+		t.Fatalf("FAILING SEED %d (shape=%s shards=%d): run error: %v", cfg.Seed, cfg.Shape, cfg.Shards, err)
 	}
 	if !rep.Pass() {
-		t.Fatalf("FAILING SEED %d (replay: go run ./cmd/chaos -seed %d -shape %s -n %d -mode service)\n%s",
-			cfg.Seed, cfg.Seed, cfg.Shape, cfg.N, rep.Log())
+		t.Fatalf("FAILING SEED %d (replay: go run ./cmd/chaos -seed %d -shape %s -n %d -mode service -shards %d)\n%s",
+			cfg.Seed, cfg.Seed, cfg.Shape, cfg.N, max(cfg.Shards, 1), rep.Log())
 	}
-	if data.Metrics.SafetyViolations != 0 {
-		t.Fatalf("FAILING SEED %d: %d safety violations", cfg.Seed, data.Metrics.SafetyViolations)
+	if v := data.Metrics.Aggregate.SafetyViolations; v != 0 {
+		t.Fatalf("FAILING SEED %d: %d safety violations", cfg.Seed, v)
 	}
+	return rep, data
 }
 
 // TestServiceSweep runs the plan's transaction workload through the full
@@ -124,6 +128,52 @@ func TestServiceSweep(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestServiceCheckLists pins each service-run shape's check list: a
+// one-shard log lists the four service checks, a two-shard log inserts
+// the two cross-layer checks after agreement, and a watched run appends
+// the three watchdog checks (watchdog-clean because the plan is clean).
+func TestServiceCheckLists(t *testing.T) {
+	one := []string{"response-consistency", "agreement", "metric-consistency", "trace-sanity"}
+	two := []string{"response-consistency", "agreement", "cross-atomicity", "recovery-agreement",
+		"metric-consistency", "trace-sanity"}
+	watched := []string{"watchdog-crash-detection", "watchdog-no-false-node-down", "watchdog-clean"}
+	for _, tc := range []struct {
+		shards int
+		watch  bool
+		want   []string
+	}{
+		{1, false, one},
+		{1, true, append(one[:len(one):len(one)], watched...)},
+		{2, false, two},
+		{2, true, append(two[:len(two):len(two)], watched...)},
+	} {
+		t.Run(fmt.Sprintf("shards%d/watch=%v", tc.shards, tc.watch), func(t *testing.T) {
+			p, err := NewPlan(PlanConfig{Seed: 21, N: 3, Shape: ShapeClean, Shards: tc.shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := RunOptions{TickEvery: sweepTick}
+			if tc.watch {
+				o.Watch = &watch.Config{}
+			}
+			rep, _, err := RunService(p, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Pass() {
+				t.Fatalf("audit failed:\n%s", rep.Log())
+			}
+			var got []string
+			for _, c := range rep.Checks {
+				got = append(got, c.Name)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("checks %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 

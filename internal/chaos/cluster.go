@@ -38,17 +38,16 @@ type RunOptions struct {
 	// its timings.
 	Registry *obs.Registry
 	Spans    *span.Collector
-	// Watch attaches a live watchdog to service-mode runs (RunService,
-	// RunShardedService): it is ticked while the workload executes plus
-	// once synchronously after the last crash timer settles, and the
-	// auditor gains detection-coverage checks — every fired crash must
-	// raise a node-down anomaly, node-down must never name a live node,
-	// and a fault-free plan must raise nothing. The config is copied;
-	// Interval defaults to 2*TickEvery and OnAnomaly/OnTick are owned by
-	// the harness. Keep StallAge at its default (or above the run budget)
-	// unless the plan is built to stall transactions, or the clean check
-	// turns load-dependent. Nil disables watching; cluster mode ignores
-	// it.
+	// Watch attaches a live watchdog to service runs (RunService): it is
+	// ticked while the workload executes plus once synchronously after the
+	// last crash timer settles, and the auditor gains detection-coverage
+	// checks — every fired crash must raise a node-down anomaly, node-down
+	// must never name a live node, and a fault-free plan must raise
+	// nothing. The config is copied; Interval defaults to 2*TickEvery and
+	// OnAnomaly/OnTick are owned by the harness. Keep StallAge at its
+	// default (or above the run budget) unless the plan is built to stall
+	// transactions, or the clean check turns load-dependent. Nil disables
+	// watching; cluster mode ignores it.
 	Watch *watch.Config
 }
 

@@ -8,25 +8,6 @@ import (
 	"repro/internal/service"
 )
 
-// runSharded executes one sharded plan and fails with the replay seed on
-// any audit violation.
-func runSharded(t *testing.T, cfg PlanConfig) (*Report, *ShardedRunData) {
-	t.Helper()
-	p, err := NewPlan(cfg)
-	if err != nil {
-		t.Fatalf("seed=%d: %v", cfg.Seed, err)
-	}
-	rep, data, err := RunShardedService(p, RunOptions{TickEvery: sweepTick})
-	if err != nil {
-		t.Fatalf("FAILING SEED %d (shape=%s shards=%d): run error: %v", cfg.Seed, cfg.Shape, cfg.Shards, err)
-	}
-	if !rep.Pass() {
-		t.Fatalf("FAILING SEED %d (replay: go run ./cmd/chaos -seed %d -shape %s -n %d -mode sharded -shards %d)\n%s",
-			cfg.Seed, cfg.Seed, cfg.Shape, cfg.N, cfg.Shards, rep.Log())
-	}
-	return rep, data
-}
-
 // TestShardedPlanDeterminism: shard assignments are a pure function of
 // the seed, draw from their own stream (unsharded plan bytes unchanged),
 // and respect the cross fraction's shape (sets of size 1 or 2, sorted,
@@ -112,7 +93,7 @@ func TestShardedServiceSweep(t *testing.T) {
 					CrossFraction: 0.5,
 				}
 				t.Run(fmt.Sprintf("%s/shards%d/seed%d", shape, shards, cfg.Seed), func(t *testing.T) {
-					_, data := runSharded(t, cfg)
+					_, data := runServiceOne(t, cfg)
 					// The plan's cross fraction is 0.3 over 12 txns; make
 					// sure the sweep actually exercised the two-layer path.
 					if data.Metrics.Cross.Submitted == 0 {
@@ -129,7 +110,7 @@ func TestShardedServiceSweep(t *testing.T) {
 // auditor's recovery-agreement check sees the echo data.
 func TestShardedRecoveryEcho(t *testing.T) {
 	cfg := PlanConfig{Seed: 99, N: 3, Shape: ShapeClean, Shards: 3, Txns: 16, CrossFraction: 0.8}
-	_, data := runSharded(t, cfg)
+	_, data := runServiceOne(t, cfg)
 	decided := 0
 	for _, res := range data.Results {
 		if len(res.Shards) > 1 && (res.State == service.StateCommit || res.State == service.StateAbort) {
@@ -153,22 +134,10 @@ func TestShardedAuditLogReproducible(t *testing.T) {
 	cfg := PlanConfig{Seed: 0x5eed, N: 3, Shape: ShapeLossy, Shards: 2, Txns: 10}
 	var logs [2]string
 	for i := range logs {
-		rep, _ := runSharded(t, cfg)
+		rep, _ := runServiceOne(t, cfg)
 		logs[i] = rep.Log()
 	}
 	if logs[0] != logs[1] {
 		t.Fatalf("sharded audit logs differ across runs:\n--- a\n%s\n--- b\n%s", logs[0], logs[1])
-	}
-}
-
-// TestShardedRejectsUnshardedPlan: the runner refuses a plan that has no
-// shard assignments instead of silently degrading.
-func TestShardedRejectsUnshardedPlan(t *testing.T) {
-	p, err := NewPlan(PlanConfig{Seed: 1, N: 3, Shape: ShapeClean})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := RunShardedService(p, RunOptions{TickEvery: sweepTick}); err == nil {
-		t.Fatal("unsharded plan accepted")
 	}
 }

@@ -4,22 +4,20 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/obs/watch"
 )
 
-// watchRun drives a live watchdog alongside a service-mode run: one
-// goroutine ticks it at the configured interval while the workload
-// executes, and finish takes a final synchronous tick after every crash
-// timer has settled — so a crash firing in the run's last instants is
-// still observed, bounding detection latency at one tick past the run.
+// watchRun drives a live watchdog alongside a service run: the
+// watchdog's own Start ticks it at the configured interval while the
+// workload executes, and finish stops it and takes a final synchronous
+// tick after every crash timer has settled — so a crash firing in the
+// run's last instants is still observed, bounding detection latency at
+// one tick past the run.
 type watchRun struct {
 	wd        *watch.Watchdog
 	mu        sync.Mutex
 	anomalies []watch.Anomaly
-	stop      chan struct{}
-	done      chan struct{}
 }
 
 // startWatch attaches a watchdog to src when o.Watch is set. The
@@ -37,49 +35,36 @@ func startWatch(o *RunOptions, src watch.Source) *watchRun {
 		cfg.Registry = o.Registry
 	}
 	cfg.OnTick = nil
-	w := &watchRun{stop: make(chan struct{}), done: make(chan struct{})}
+	w := &watchRun{}
 	cfg.OnAnomaly = func(a watch.Anomaly) {
 		w.mu.Lock()
 		w.anomalies = append(w.anomalies, a)
 		w.mu.Unlock()
 	}
 	w.wd = watch.New(src, cfg)
-	go func() {
-		defer close(w.done)
-		t := time.NewTicker(cfg.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-w.stop:
-				return
-			case <-t.C:
-				w.wd.Tick()
-			}
-		}
-	}()
+	w.wd.Start()
 	return w
 }
 
-// finish joins the ticker goroutine, takes the final synchronous tick,
-// and returns everything the watchdog saw. Nil-safe: an unwatched run
-// yields zero values.
+// finish stops the watchdog, takes the final synchronous tick, and
+// returns everything the watchdog saw. Nil-safe: an unwatched run yields
+// zero values.
 func (w *watchRun) finish() ([]watch.Anomaly, watch.Health) {
 	if w == nil {
 		return nil, watch.Health{}
 	}
-	close(w.stop)
-	<-w.done
+	w.wd.Stop()
 	w.wd.Tick()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.anomalies, w.wd.Health()
 }
 
-// auditWatch appends the detection-coverage checks to a service-mode
-// audit. The contract mirrors what an operator needs from the live
-// watchdog: every injected crash is reported (by the final tick at the
-// latest), node-down is never reported for a live node, and a fault-free
-// plan raises no anomalies at all.
+// auditWatch appends the detection-coverage checks to a service audit.
+// The contract mirrors what an operator needs from the live watchdog:
+// every injected crash is reported (by the final tick at the latest),
+// node-down is never reported for a live node, and a fault-free plan
+// raises no anomalies at all.
 func auditWatch(r *Report, p *Plan, crashed []bool, anomalies []watch.Anomaly, watched bool) {
 	if !watched {
 		return

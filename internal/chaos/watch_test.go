@@ -129,9 +129,8 @@ func TestWatchServiceCleanSweep(t *testing.T) {
 	}
 }
 
-// TestWatchShardedCrashDetection: the same coverage contract holds for
-// the sharded runner, where a fail-stop takes the node down in every
-// group and the watchdog samples the shard coordinator.
+// TestWatchShardedCrashDetection: the same coverage contract holds on a
+// sharded plan, where a fail-stop takes the node down in every group.
 func TestWatchShardedCrashDetection(t *testing.T) {
 	fired := 0
 	for seed := uint64(1); seed <= 4; seed++ {
@@ -145,7 +144,7 @@ func TestWatchShardedCrashDetection(t *testing.T) {
 		for i, first := 0, p.Crashes[0].Tick; i < len(p.Crashes); i++ {
 			p.Crashes[i].Tick -= first
 		}
-		rep, data, err := RunShardedService(p, RunOptions{Watch: &watch.Config{}})
+		rep, data, err := RunService(p, RunOptions{Watch: &watch.Config{}})
 		if err != nil {
 			t.Fatal(err)
 		}

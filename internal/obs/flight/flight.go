@@ -46,15 +46,14 @@ const DumpFormat = "flight"
 
 // Dump is one flight-recorder capture.
 type Dump struct {
-	Format    string                `json:"format"` // always DumpFormat
-	Seq       uint64                `json:"seq"`
-	Reason    string                `json:"reason"`
-	CapturedS float64               `json:"captured_unix,omitempty"`
-	Health    watch.Health          `json:"health"`
-	Shards    []watch.ShardSample   `json:"shards,omitempty"`
-	Cross     []watch.TxnAge        `json:"cross,omitempty"`
-	Blocked   []watch.BlockedReport `json:"blocked,omitempty"`
-	Spans     *span.Graph           `json:"spans,omitempty"`
+	Format    string              `json:"format"` // always DumpFormat
+	Seq       uint64              `json:"seq"`
+	Reason    string              `json:"reason"`
+	CapturedS float64             `json:"captured_unix,omitempty"`
+	Health    watch.Health        `json:"health"`
+	Shards    []watch.ShardSample `json:"shards,omitempty"`
+	Cross     []watch.TxnAge      `json:"cross,omitempty"`
+	Spans     *span.Graph         `json:"spans,omitempty"`
 }
 
 // Config wires a Recorder to its sources. All sources are optional;
@@ -135,7 +134,6 @@ func (r *Recorder) Snapshot(reason string) *Dump {
 		st := s.WatchStats(r.cfg.StallAge)
 		d.Shards = st.Shards
 		d.Cross = st.Cross
-		d.Blocked = st.Blocked
 	}
 	if c := r.cfg.Spans; c != nil {
 		d.Spans = c.Graph()

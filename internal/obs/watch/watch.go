@@ -8,9 +8,8 @@
 //	cross-in-doubt    an undecided cross-shard verdict past its age bound
 //	slo-burn          windowed decision-latency p99 above the SLO target
 //	fsync-spike       windowed WAL fsync p99 above its ceiling
-//	rescue-storm      coordinator rescues in one tick above the burst cap
-//	shard-imbalance   per-tick admission skew across shards
-//	protocol-blocked  an arena protocol run ended blocked (2PC-style)
+//	rescue-storm      8 or more coordinator rescues in one tick
+//	shard-imbalance   one tick's admissions skewed 8× across shards
 //
 // Each detection is an Anomaly: a structured event counted in the obs
 // registry (watch_anomalies_total by rule), kept in a bounded recent
@@ -51,16 +50,6 @@ type TxnAge struct {
 	State string `json:"state"`
 }
 
-// BlockedReport describes a protocol-arena run that terminated blocked:
-// a correct participant held locks forever waiting on a dead
-// coordinator. This is the condition Protocol 2 and Paxos Commit exist
-// to avoid; the watchdog surfaces it when the arena injects it.
-type BlockedReport struct {
-	Protocol string `json:"protocol"`
-	Txn      string `json:"txn"`
-	Detail   string `json:"detail,omitempty"`
-}
-
 // ShardSample is one shard-group's state at a sampling instant.
 // Counter fields are cumulative; the watchdog differences successive
 // samples itself.
@@ -80,9 +69,8 @@ type ShardSample struct {
 
 // Stats is everything one watchdog tick sees.
 type Stats struct {
-	Shards  []ShardSample
-	Cross   []TxnAge
-	Blocked []BlockedReport
+	Shards []ShardSample
+	Cross  []TxnAge
 }
 
 // Source supplies samples. stall is the age past which a live
@@ -91,13 +79,6 @@ type Stats struct {
 type Source interface {
 	WatchStats(stall time.Duration) Stats
 }
-
-// StaticSource adapts a precomputed Stats value to Source — used by the
-// protocol arena, whose runs are over before the watchdog ever ticks.
-type StaticSource struct{ Stats Stats }
-
-// WatchStats returns the fixed stats.
-func (s StaticSource) WatchStats(time.Duration) Stats { return s.Stats }
 
 // Config tunes the watchdog. Zero values get conservative defaults.
 type Config struct {
@@ -112,16 +93,6 @@ type Config struct {
 	// FsyncP99Max: windowed WAL fsync p99 above this is a spike. Zero
 	// disables the rule.
 	FsyncP99Max time.Duration
-	// RescueBurst: rescues in one tick at or above this is a storm.
-	// Zero disables the rule.
-	RescueBurst uint64
-	// ImbalanceFactor: max/min per-tick admissions across shards at or
-	// above this is an imbalance (needs ≥2 shards and ImbalanceMin on
-	// the hot shard). Zero disables the rule.
-	ImbalanceFactor float64
-	// ImbalanceMin is the hot-shard admission floor for the imbalance
-	// rule.
-	ImbalanceMin uint64
 	// Registry receives watch_ticks_total and watch_anomalies_total.
 	Registry *obs.Registry
 	// OnAnomaly, if set, is called (outside the watchdog lock) for each
@@ -149,18 +120,26 @@ const (
 	minSamples = 20
 	// maxRecent bounds the in-memory anomaly ring served by /debug/health.
 	maxRecent = 64
+	// rescueBurst coordinator rescues in one tick are a storm. Bursts of
+	// this size within one sampling interval indicate injected faults, not
+	// normal load.
+	rescueBurst = 8
+	// imbalanceFactor: one tick's max/min admissions across shards at or
+	// above it is an imbalance, once the hot shard admitted at least
+	// imbalanceMin — a routing pathology, not normal skew.
+	imbalanceFactor = 8
+	imbalanceMin    = 256
 )
 
 // Rule names, as they appear in anomalies, counters, and health output.
 const (
-	RuleNodeDown        = "node-down"
-	RuleTxnStall        = "txn-stall"
-	RuleCrossInDoubt    = "cross-in-doubt"
-	RuleSLOBurn         = "slo-burn"
-	RuleFsyncSpike      = "fsync-spike"
-	RuleRescueStorm     = "rescue-storm"
-	RuleShardImbalance  = "shard-imbalance"
-	RuleProtocolBlocked = "protocol-blocked"
+	RuleNodeDown       = "node-down"
+	RuleTxnStall       = "txn-stall"
+	RuleCrossInDoubt   = "cross-in-doubt"
+	RuleSLOBurn        = "slo-burn"
+	RuleFsyncSpike     = "fsync-spike"
+	RuleRescueStorm    = "rescue-storm"
+	RuleShardImbalance = "shard-imbalance"
 )
 
 // Anomaly is one detection.
@@ -285,7 +264,6 @@ func (w *Watchdog) Tick() []Anomaly {
 
 	w.evalLiveness(st, emit)
 	w.evalRates(st, emit)
-	w.evalBlocked(st, emit)
 
 	// Retain this tick's samples for next tick's deltas.
 	for _, s := range st.Shards {
@@ -379,20 +357,18 @@ func (w *Watchdog) evalRates(st Stats, emit func(Anomaly)) {
 						Detail: "windowed fsync p99 " + ms(p99) + " > ceiling " + ms(w.cfg.FsyncP99Max.Seconds())})
 				})
 		}
-		if w.cfg.RescueBurst > 0 {
-			d := s.Rescues - prev.Rescues
-			w.transition("rescue|"+s.Shard, d >= w.cfg.RescueBurst, func() {
-				emit(Anomaly{Rule: RuleRescueStorm, Shard: s.Shard,
-					Detail: itoa64(int64(d)) + " coordinator rescues in one tick"})
-			})
-		}
+		d := s.Rescues - prev.Rescues
+		w.transition("rescue|"+s.Shard, d >= rescueBurst, func() {
+			emit(Anomaly{Rule: RuleRescueStorm, Shard: s.Shard,
+				Detail: itoa64(int64(d)) + " coordinator rescues in one tick"})
+		})
 		admitted = append(admitted, struct {
 			shard string
 			delta uint64
 		}{s.Shard, s.Submitted - prev.Submitted})
 	}
 
-	if w.cfg.ImbalanceFactor > 0 && len(admitted) >= 2 {
+	if len(admitted) >= 2 {
 		sort.Slice(admitted, func(i, j int) bool { return admitted[i].shard < admitted[j].shard })
 		hi, lo := admitted[0], admitted[0]
 		for _, a := range admitted[1:] {
@@ -403,30 +379,12 @@ func (w *Watchdog) evalRates(st Stats, emit func(Anomaly)) {
 				lo = a
 			}
 		}
-		skewed := hi.delta >= w.cfg.ImbalanceMin &&
-			float64(hi.delta) >= w.cfg.ImbalanceFactor*float64(max64(lo.delta, 1))
+		skewed := hi.delta >= imbalanceMin && hi.delta >= imbalanceFactor*max64(lo.delta, 1)
 		w.transition("imbalance", skewed, func() {
 			emit(Anomaly{Rule: RuleShardImbalance, Shard: hi.shard,
 				Detail: "shard " + hi.shard + " admitted " + itoa64(int64(hi.delta)) +
 					" vs " + itoa64(int64(lo.delta)) + " on shard " + lo.shard})
 		})
-	}
-}
-
-// evalBlocked reports arena protocol runs that ended blocked, deduped
-// per (protocol, txn).
-func (w *Watchdog) evalBlocked(st Stats, emit func(Anomaly)) {
-	for _, b := range st.Blocked {
-		k := "blocked|" + b.Protocol + "|" + b.Txn
-		if w.seen[k] {
-			continue
-		}
-		w.seen[k] = true
-		d := b.Detail
-		if d == "" {
-			d = "protocol run terminated blocked"
-		}
-		emit(Anomaly{Rule: RuleProtocolBlocked, Txn: b.Txn, Detail: b.Protocol + ": " + d})
 	}
 }
 

@@ -159,13 +159,13 @@ func TestFsyncSpike(t *testing.T) {
 func TestRescueStorm(t *testing.T) {
 	src := &fakeSource{seq: []Stats{
 		{Shards: []ShardSample{{Shard: "0", Rescues: 0}}},
-		{Shards: []ShardSample{{Shard: "0", Rescues: 2}}},
-		{Shards: []ShardSample{{Shard: "0", Rescues: 12}}},
+		{Shards: []ShardSample{{Shard: "0", Rescues: rescueBurst - 1}}},
+		{Shards: []ShardSample{{Shard: "0", Rescues: 2*rescueBurst - 1}}},
 	}}
-	w := New(src, Config{RescueBurst: 5})
+	w := New(src, Config{})
 	w.Tick()
 	if got := w.Tick(); len(got) != 0 {
-		t.Fatalf("2 rescues under burst of 5: %+v", got)
+		t.Fatalf("%d rescues under the burst of %d: %+v", rescueBurst-1, rescueBurst, got)
 	}
 	got := w.Tick()
 	if len(got) != 1 || got[0].Rule != RuleRescueStorm {
@@ -179,27 +179,28 @@ func TestShardImbalance(t *testing.T) {
 			{Shard: "0", Submitted: a}, {Shard: "1", Submitted: b},
 		}}
 	}
-	src := &fakeSource{seq: []Stats{mk(0, 0), mk(100, 95), mk(1100, 100)}}
-	w := New(src, Config{ImbalanceFactor: 4, ImbalanceMin: 50})
+	// Tick 2 admits imbalanceMin-1 vs 1: skewed, but under the hot-shard
+	// floor. Tick 3 admits 2*imbalanceMin vs imbalanceMin: above the floor
+	// but well under the factor. Tick 4 admits imbalanceMin vs
+	// imbalanceMin/imbalanceFactor: at the floor and exactly the factor apart.
+	lo := uint64(imbalanceMin / imbalanceFactor)
+	src := &fakeSource{seq: []Stats{
+		mk(0, 0),
+		mk(imbalanceMin-1, 1),
+		mk(3*imbalanceMin-1, 1+imbalanceMin),
+		mk(4*imbalanceMin-1, 1+imbalanceMin+lo),
+	}}
+	w := New(src, Config{})
 	w.Tick()
 	if got := w.Tick(); len(got) != 0 {
-		t.Fatalf("balanced tick flagged: %+v", got)
+		t.Fatalf("tick under the admission floor flagged: %+v", got)
+	}
+	if got := w.Tick(); len(got) != 0 {
+		t.Fatalf("balanced tick above the floor flagged: %+v", got)
 	}
 	got := w.Tick()
 	if len(got) != 1 || got[0].Rule != RuleShardImbalance || got[0].Shard != "0" {
 		t.Fatalf("imbalance not detected: %+v", got)
-	}
-}
-
-func TestProtocolBlocked(t *testing.T) {
-	st := Stats{Blocked: []BlockedReport{{Protocol: "2pc", Txn: "arena-3"}}}
-	w := New(&fakeSource{seq: []Stats{st, st}}, Config{})
-	got := w.Tick()
-	if len(got) != 1 || got[0].Rule != RuleProtocolBlocked || got[0].Txn != "arena-3" {
-		t.Fatalf("blocked not detected: %+v", got)
-	}
-	if got := w.Tick(); len(got) != 0 {
-		t.Fatalf("blocked report should dedup: %+v", got)
 	}
 }
 
@@ -212,10 +213,7 @@ func TestCleanRunZeroAnomalies(t *testing.T) {
 		}}}
 	}
 	src := &fakeSource{seq: []Stats{mk(0), mk(1), mk(2), mk(3), mk(4)}}
-	w := New(src, Config{
-		SLOTargetP99: 100 * time.Millisecond, FsyncP99Max: 100 * time.Millisecond,
-		RescueBurst: 5, ImbalanceFactor: 4, ImbalanceMin: 50,
-	})
+	w := New(src, Config{SLOTargetP99: 100 * time.Millisecond, FsyncP99Max: 100 * time.Millisecond})
 	for i := 0; i < 5; i++ {
 		if got := w.Tick(); len(got) != 0 {
 			t.Fatalf("clean tick %d produced anomalies: %+v", i, got)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/chaos"
-	"repro/internal/obs/watch"
 	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -228,13 +227,6 @@ type Result struct {
 	Wrong int
 	// Blocked counts blocked runs per protocol name.
 	Blocked map[string]int
-	// WatchDetected / WatchMissed / WatchFalse close the observability
-	// loop: every blocked run is replayed through the live watchdog's
-	// protocol-blocked rule, which must fire exactly for blocked runs.
-	// Missed detections and false positives are both coverage failures.
-	WatchDetected int
-	WatchMissed   int
-	WatchFalse    int
 }
 
 // Sweep races the protocols across shapes × seeds × adversaries under
@@ -284,27 +276,6 @@ func Sweep(opts Options) (*Result, error) {
 		}
 		if r.Class == "blocked" {
 			res.Blocked[r.Protocol]++
-		}
-		// Detection coverage: replay the run's classification through the
-		// watchdog a live deployment runs. A blocked run must trip the
-		// protocol-blocked rule in one tick; any other class must not.
-		var st watch.Stats
-		if r.Class == "blocked" {
-			st.Blocked = []watch.BlockedReport{{
-				Protocol: r.Protocol,
-				Txn:      fmt.Sprintf("%s/%s/%d", r.Shape, r.Adv, r.Seed),
-				Detail:   fmt.Sprintf("indoubt=%d", r.InDoubt),
-			}}
-		}
-		wd := watch.New(&watch.StaticSource{Stats: st}, watch.Config{})
-		anomalies := wd.Tick()
-		switch {
-		case r.Class == "blocked" && len(anomalies) == 1 && anomalies[0].Rule == watch.RuleProtocolBlocked:
-			res.WatchDetected++
-		case r.Class == "blocked":
-			res.WatchMissed++
-		case len(anomalies) != 0:
-			res.WatchFalse++
 		}
 	}
 
@@ -356,8 +327,6 @@ func Sweep(opts Options) (*Result, error) {
 	}
 	res.Table = table
 
-	fmt.Fprintf(&log, "watchdog detected=%d missed=%d false=%d\n",
-		res.WatchDetected, res.WatchMissed, res.WatchFalse)
 	fmt.Fprintf(&log, "summary runs=%d wrong=%d blocked=%s\n", len(runs), res.Wrong, blockedSummary(opts.Protocols, res.Blocked))
 	res.Log = log.String()
 	return res, nil
