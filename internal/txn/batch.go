@@ -77,7 +77,6 @@ type binstance struct {
 	id   BatchID
 	c    *core.BatchCommit
 	txns []ID
-	idx  map[ID]int
 	key  string // trace/span key: "batch:<id>"
 
 	// inbox is the frames demultiplexed to this instance since it last
@@ -152,20 +151,16 @@ func (m *Manager) spawnBatchLocked(batch BatchID, txns []ID, votes []types.Value
 	}
 	members := make([]ID, len(txns))
 	copy(members, txns)
-	idx := make(map[ID]int, len(members))
-	for i, id := range members {
-		idx[id] = i
-	}
 	bi := &binstance{
-		id: batch, c: c, txns: members, idx: idx, key: obs.BatchKey(string(batch)),
+		id: batch, c: c, txns: members, key: obs.BatchKey(string(batch)),
 		seq: m.spawned, born: tick, haltedAt: -1,
 		round: 1, roundStartClock: tick, roundStartU: m.cfg.Spans.Now(),
 		reportedElems: make([]bool, len(members)),
 	}
 	m.batches[batch] = bi
 	m.running = append(m.running, bi)
-	for _, id := range members {
-		m.members[id] = batch
+	for i, id := range members {
+		m.members[id] = member{batch, i}
 	}
 	m.spawned++
 	m.met.started.Add(uint64(len(members)))
@@ -376,29 +371,37 @@ func (m *Manager) advanceLocked(bi *binstance, tick int, ticked bool, rnd types.
 	return out, decidedNow
 }
 
-// retireLocked removes finished (or abandoned) instances, leaving a
-// per-member decision tombstone — DecisionOf keeps answering through the
-// members index — and evicts the oldest batches' tombstones past
-// TombstoneCap members. The caller has already unlisted them and holds mu.
+// retireLocked removes finished (or abandoned) instances, leaving one
+// tombstone per batch — DecisionOf keeps answering through the members
+// index — and evicts the oldest batches' tombstones past TombstoneCap
+// members. The caller has already unlisted them and holds mu.
 func (m *Manager) retireLocked(tick int, gone []*binstance) {
+	if len(gone) == 0 {
+		return
+	}
+	var detail string // the milestones' Detail, one string per call
+	if m.cfg.Spans != nil {
+		detail = "tick=" + strconv.Itoa(tick)
+	}
 	for _, bi := range gone {
+		ts := &tombstone{txns: bi.txns, decisions: make([]types.Decision, len(bi.txns))}
+		retired := 0
 		for i, txn := range bi.txns {
 			d, decided := bi.c.OutcomeAt(i)
+			name := span.EventRetired
 			if decided {
-				m.met.retired.Inc()
-				if m.cfg.Spans != nil {
-					m.mark(string(txn), span.EventRetired, tick, "")
-				}
+				ts.decisions[i] = d
+				retired++
 			} else {
-				d = types.DecisionNone
-				m.met.abandoned.Inc()
-				if m.cfg.Spans != nil {
-					m.mark(string(txn), span.EventAbandoned, tick, "")
-				}
+				name = span.EventAbandoned
 			}
-			m.retired[txn] = d
+			if m.cfg.Spans != nil {
+				m.cfg.Spans.Mark(string(txn), m.track, name, detail)
+			}
 		}
-		m.retiredBatches[bi.id] = bi.txns
+		m.met.retired.Add(uint64(retired))
+		m.met.abandoned.Add(uint64(len(bi.txns) - retired))
+		m.retiredBatches[bi.id] = ts
 		m.retiredOrder = append(m.retiredOrder, bi.id)
 		m.retiredMembers += len(bi.txns)
 		delete(m.batches, bi.id)
@@ -407,12 +410,12 @@ func (m *Manager) retireLocked(tick int, gone []*binstance) {
 	for m.retiredMembers > TombstoneCap {
 		old := m.retiredOrder[0]
 		m.retiredOrder = m.retiredOrder[1:] // append reallocates past the popped prefix
-		m.retiredMembers -= len(m.retiredBatches[old])
-		for _, txn := range m.retiredBatches[old] {
-			// A member a later batch reused keeps that batch's entries.
-			if m.members[txn] == old {
+		txns := m.retiredBatches[old].txns
+		m.retiredMembers -= len(txns)
+		for _, txn := range txns {
+			// A member a later batch reused keeps that batch's entry.
+			if m.members[txn].batch == old {
 				delete(m.members, txn)
-				delete(m.retired, txn)
 			}
 		}
 		delete(m.retiredBatches, old)

@@ -1,10 +1,14 @@
 package txn
 
-// TombstoneSizes reports the sizes of the three maps retirement feeds.
+// TombstoneSizes reports what retirement feeds: the members index, the
+// members the tombstones hold, and the tombstones.
 func (m *Manager) TombstoneSizes() (members, retired, retiredBatches int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.members), len(m.retired), len(m.retiredBatches)
+	for _, ts := range m.retiredBatches {
+		retired += len(ts.txns)
+	}
+	return len(m.members), retired, len(m.retiredBatches)
 }
 
 // Ticked reports how many machines Step has advanced so far, over all ticks.

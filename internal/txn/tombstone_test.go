@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/txn"
 	"repro/internal/types"
 )
@@ -121,4 +122,59 @@ func TestManagerTombstonesBounded(t *testing.T) {
 	l.quiesce(t)
 	checkAnswers("after the straggler")
 	t.Logf("respawned batch 0: node 1 reported m0.0 %v ×%d", reported[1][0], firings[1][0])
+}
+
+// TestTombstoneAnswersEachMemberContentOblivious retires a width-4 batch
+// whose members decide COMMIT, ABORT, COMMIT, ABORT (a participant vetoes
+// the second and the fourth) over a lock-step network: every node answers
+// each member with that member's own decision while the instance is held
+// and again from the tombstone, so a wrong vector index shows.
+func TestTombstoneAnswersEachMemberContentOblivious(t *testing.T) {
+	const n = 3
+	ids := []txn.ID{"w0", "w1", "w2", "w3"}
+	veto := map[txn.ID]int{"w1": 1, "w3": 2} // member → the node voting no
+	want := []types.Decision{types.DecisionCommit, types.DecisionAbort, types.DecisionCommit, types.DecisionAbort}
+	l := &lockstep{inbox: make([][]types.Message, n), seeds: rng.NewCollection(31, n)}
+	for p := 0; p < n; p++ {
+		mgr, err := txn.NewManager(txn.Config{
+			ID: types.ProcID(p), N: n, K: 3, RetireAfter: 4,
+			Vote: func(id txn.ID) bool { v, ok := veto[id]; return !ok || v != p },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.managers = append(l.managers, mgr)
+	}
+	if err := l.managers[0].BeginBatch("mixed", ids, []bool{true, true, true, true}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		for p, mgr := range l.managers {
+			for i, id := range ids {
+				if d, ok := mgr.DecisionOf(id); !ok || d != want[i] {
+					t.Fatalf("%s: node %d answers %s with (%v, %v), want %v", when, p, id, d, ok, want[i])
+				}
+			}
+		}
+	}
+	for decided := false; !decided; {
+		l.tick()
+		decided = true
+		for _, mgr := range l.managers {
+			for _, id := range ids {
+				if _, ok := mgr.DecisionOf(id); !ok {
+					decided = false
+				}
+			}
+		}
+	}
+	check("held")
+	l.quiesce(t)
+	check("retired")
+	for p, mgr := range l.managers {
+		if members, retired, tombstones := mgr.TombstoneSizes(); members != 4 || retired != 4 || tombstones != 1 {
+			t.Fatalf("node %d holds members=%d retired=%d tombstones=%d, want 4, 4 and 1", p, members, retired, tombstones)
+		}
+	}
 }

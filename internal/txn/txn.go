@@ -174,6 +174,19 @@ func newMMetrics(reg *obs.Registry, node string) mmetrics {
 	}
 }
 
+// member locates a transaction in its batch's outcome vector.
+type member struct {
+	batch BatchID
+	idx   int
+}
+
+// tombstone is what a retired batch leaves: its members in vector order
+// and their decisions (DecisionNone for a member abandoned undecided).
+type tombstone struct {
+	txns      []ID
+	decisions []types.Decision
+}
+
 // TombstoneCap bounds how many retired transactions a manager remembers.
 // Past it the oldest batch's tombstones are evicted; DESIGN §10 argues why
 // no answer changes as long as nothing above the manager remembers a
@@ -206,15 +219,13 @@ type Manager struct {
 	// creation) order — the order they retire in, so only its front is
 	// ever compared with RetireAfter.
 	halted []*binstance
-	// members maps a transaction's id to its batch for as long as the
-	// batch or its tombstone lives.
-	members map[ID]BatchID
-	// retired maps members of finished-and-removed batches to their
-	// decision (DecisionNone for members abandoned undecided).
-	retired map[ID]types.Decision
-	// retiredBatches drops stragglers for finished batches; the value is
-	// the batch's members, which its eviction forgets with it.
-	retiredBatches map[BatchID][]ID
+	// members maps a transaction's id to its batch and its position in the
+	// batch's vector for as long as the batch or its tombstone lives.
+	members map[ID]member
+	// retiredBatches holds one tombstone per finished-and-removed batch: it
+	// drops stragglers for the batch and answers DecisionOf for its
+	// members, and its eviction forgets the members with it.
+	retiredBatches map[BatchID]*tombstone
 	// retiredOrder is the FIFO of tombstoned batches; it holds at most
 	// TombstoneCap members, counted in retiredMembers.
 	retiredOrder   []BatchID
@@ -266,9 +277,8 @@ func NewManager(cfg Config) (*Manager, error) {
 		met:            newMMetrics(cfg.Registry, node),
 		track:          span.ProcTrack(int(cfg.ID)),
 		batches:        make(map[BatchID]*binstance),
-		members:        make(map[ID]BatchID),
-		retired:        make(map[ID]types.Decision),
-		retiredBatches: make(map[BatchID][]ID),
+		members:        make(map[ID]member),
+		retiredBatches: make(map[BatchID]*tombstone),
 	}, nil
 }
 
@@ -331,14 +341,14 @@ func (m *Manager) DecisionOf(txn ID) (types.Decision, bool) {
 
 // decisionOfLocked is DecisionOf for a caller holding mu.
 func (m *Manager) decisionOfLocked(txn ID) (types.Decision, bool) {
-	b, ok := m.members[txn]
+	mb, ok := m.members[txn]
 	if !ok {
 		return types.DecisionNone, false
 	}
-	if bi, ok := m.batches[b]; ok {
-		return bi.c.OutcomeAt(bi.idx[txn])
+	if bi, ok := m.batches[mb.batch]; ok {
+		return bi.c.OutcomeAt(mb.idx)
 	}
-	d := m.retired[txn]
+	d := m.retiredBatches[mb.batch].decisions[mb.idx]
 	return d, d != types.DecisionNone
 }
 
