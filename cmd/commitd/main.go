@@ -99,7 +99,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		tick      = fs.Duration("tick", time.Millisecond, "period of the timeout clock (nodes act on messages as they arrive)")
 		seed      = fs.Uint64("seed", 0, "randomness seed (0: derived from time)")
 		queue     = fs.Int("queue", 1024, "admission queue depth (per shard)")
-		inflight  = fs.Int("inflight", 128, "max concurrent commit instances (per shard)")
+		inflight  = fs.Int("inflight", 128, "max member transactions in flight (per shard); agreement instances are bounded by -n")
 		batch     = fs.Int("batch", 64, "max submissions coalesced per dispatch (clamped to -inflight)")
 		timeout   = fs.Duration("timeout", 10*time.Second, "default per-request deadline")
 		backend   = fs.String("backend", "channel", "cluster transport: channel or tcp")

@@ -11,12 +11,15 @@
 //     an explicit TIMEOUT result, never a hang. (TIMEOUT means unknown —
 //     the cluster may still commit the transaction; Status keeps
 //     answering afterward.)
-//   - Batching: each dispatcher wake coalesces the queued submissions
-//     into ONE batched Protocol 2 instance deciding their outcome vector
-//     (a lone submission is a batch of width 1), on a coordinator picked
-//     round-robin, so many protocol instances interleave on the same
-//     processors — the paper's distributed-database setting under real
-//     goroutine concurrency.
+//   - Batching: the dispatcher coalesces the queued submissions into ONE
+//     batched Protocol 2 instance deciding their outcome vector (a lone
+//     submission is a batch of width 1), on a coordinator picked
+//     round-robin. At most N batches are unresolved at once, one place
+//     per coordinator: while all N are taken, submissions wait in the
+//     queue and the next batch takes them all, so batches widen with
+//     load. The N instances interleave on the same processors — the
+//     paper's distributed-database setting under real goroutine
+//     concurrency.
 //   - Lifecycle: Close drains gracefully — queued work still dispatches,
 //     in-flight transactions finish or time out, then the cluster stops.
 //   - Instrumentation: counters plus a bounded latency recorder
@@ -121,7 +124,7 @@ func newSvcMetrics(reg *obs.Registry, shard string) svcMetrics {
 		rejectedFull:     rejected.With(shard, "full"),
 		rejectedDraining: rejected.With(shard, "draining"),
 		batches: reg.CounterVec("service_batches_total",
-			"Dispatcher wakeups that dispatched at least one submission.", "shard").With(shard),
+			"Agreement batches dispatched (each with at least one live member).", "shard").With(shard),
 		violations: reg.CounterVec("service_safety_violations_total",
 			"Conflicting decisions observed for one transaction (Agreement violations).", "shard").With(shard),
 		latency: reg.HistogramVec("service_latency_seconds",
@@ -144,7 +147,7 @@ func newGaugeMetrics(reg *obs.Registry, shard string, s *Service) {
 		"Submissions waiting in the admission queue.", "shard").
 		With(func() float64 { return float64(len(s.queue)) }, shard)
 	reg.GaugeFuncVec("service_in_flight",
-		"Commit instances currently holding an in-flight slot.", "shard").
+		"Member transactions holding an in-flight slot (instances are bounded by N).", "shard").
 		With(func() float64 { return float64(len(s.slots)) }, shard)
 	reg.GaugeFuncVec("service_active_instances",
 		"Instances still held by the transaction managers (all nodes).", "shard").
@@ -169,8 +172,13 @@ type Service struct {
 	managers []*txn.Manager
 	cluster  *runtime.Cluster
 
-	queue          chan *pending
+	queue chan *pending
+	// slots meters member transactions (MaxInFlight); places meter
+	// batches, one per coordinator: the dispatcher takes a place before it
+	// dequeues a batch's first submission and the batch frees it when its
+	// last member resolves, so at most N batches are unresolved at once.
 	slots          chan struct{}
+	places         chan struct{}
 	abort          chan struct{} // closed on hard stop: unresolved → TIMEOUT
 	dispatcherDone chan struct{}
 	outstanding    sync.WaitGroup
@@ -235,6 +243,7 @@ func New(cfg Config) (*Service, error) {
 		cfg:            cfg,
 		queue:          make(chan *pending, cfg.QueueDepth),
 		slots:          make(chan struct{}, cfg.MaxInFlight),
+		places:         make(chan struct{}, cfg.N),
 		abort:          make(chan struct{}),
 		dispatcherDone: make(chan struct{}),
 		lat:            stats.NewRecorder(LatencyWindow),
@@ -419,10 +428,22 @@ func (s *Service) Submit(ctx context.Context, req Request) (Result, error) {
 
 // dispatch is the admission-queue consumer: it coalesces queued
 // submissions into batches and begins each as one agreement instance on
-// the next live coordinator.
+// the next live coordinator. It takes a batch's place before dequeuing
+// its first submission, so the wait for a place is part of the admit
+// stage, and everything queued meanwhile rides the next batch.
 func (s *Service) dispatch() {
 	defer close(s.dispatcherDone)
-	for first := range s.queue {
+	for {
+		select {
+		case s.places <- struct{}{}:
+		case <-s.abort:
+			return
+		}
+		first, ok := <-s.queue
+		if !ok {
+			<-s.places
+			return
+		}
 		first.dequeueU = s.cfg.Spans.Now()
 		batch := []*pending{first}
 	collect:
@@ -438,12 +459,6 @@ func (s *Service) dispatch() {
 				break collect
 			}
 		}
-		s.met.batches.Inc()
-		s.mu.Lock()
-		if len(batch) > s.maxBatch {
-			s.maxBatch = len(batch)
-		}
-		s.mu.Unlock()
 		s.dispatchBatch(batch)
 	}
 }
@@ -451,8 +466,8 @@ func (s *Service) dispatch() {
 // dispatchBatch begins ONE batched agreement instance for a coalesced
 // batch: the members' votes are packed into one vote vector and the
 // whole vector is decided by a single Protocol 2 run. Each member holds
-// its own in-flight slot, so MaxInFlight bounds transactions, not
-// instances.
+// its own in-flight slot, so MaxInFlight bounds transactions; the batch
+// holds the place dispatch took, and an exit that begins nothing frees it.
 func (s *Service) dispatchBatch(batch []*pending) {
 	entryU := s.cfg.Spans.Now()
 	for _, p := range batch {
@@ -469,6 +484,7 @@ func (s *Service) dispatchBatch(batch []*pending) {
 			for ; i > 0; i-- {
 				<-s.slots
 			}
+			<-s.places
 			return
 		}
 	}
@@ -485,8 +501,11 @@ func (s *Service) dispatchBatch(batch []*pending) {
 		for range batch {
 			<-s.slots
 		}
+		<-s.places
 		return
 	}
+	s.met.batches.Inc()
+	s.maxBatch = max(s.maxBatch, len(live))
 	s.nextBatch++
 	// Batch ids key the shared span collector, so groups
 	// hosted in one daemon qualify theirs with their shard label.
@@ -645,7 +664,8 @@ func (s *Service) publishLocked(id string, state State, d types.Decision) {
 
 // resolve finishes a pending submission exactly once; later callers are
 // no-ops. It updates the status record, records metrics, frees the
-// in-flight slot, and delivers the result.
+// in-flight slot (and, for its batch's last member, the batch's place),
+// and delivers the result.
 func (s *Service) resolve(p *pending, state State, d types.Decision) {
 	s.mu.Lock()
 	if _, live := s.pendings[p.id]; !live {
@@ -673,6 +693,7 @@ func (s *Service) resolve(p *pending, state State, d types.Decision) {
 	s.mu.Unlock()
 	if batchDone {
 		s.met.batchesDecided.Inc()
+		<-s.places // the batch's last member: its place goes back
 	}
 
 	// The decided stage runs from dispatch (or admission, for

@@ -42,15 +42,20 @@ type Config struct {
 	// queue rejects new submissions with an OverloadError carrying a
 	// retry hint — the queue never grows without bound.
 	QueueDepth int
-	// MaxInFlight bounds concurrently running commit instances (default
-	// 128). Admitted submissions beyond it wait in the queue.
+	// MaxInFlight bounds the member transactions in flight, dispatched
+	// and not yet resolved (default 128): each holds one slot. Admitted
+	// submissions beyond it wait in the queue. Agreement instances are
+	// bounded apart from it, by N: at most N batches are unresolved at
+	// once, one place per round-robin coordinator.
 	MaxInFlight int
-	// BatchMax bounds how many queued submissions one dispatcher wake
-	// coalesces (default 64): the widest outcome vector one batched
-	// Protocol 2 instance decides — one coin flood, one vote exchange,
-	// one agreement run per batch. A lone submission is a batch of one.
-	// Clamped to MaxInFlight: every member holds a slot before its batch
-	// begins, so a wider batch could never collect them all.
+	// BatchMax bounds how many queued submissions one batch takes
+	// (default 64): the widest outcome vector one batched Protocol 2
+	// instance decides — one coin flood, one vote exchange, one agreement
+	// run per batch. A lone submission is a batch of one. While N batches
+	// are unresolved the queue gathers, and the next batch takes up to
+	// BatchMax of what waits, so batches widen with load. Clamped to
+	// MaxInFlight: every member holds a slot before its batch begins, so a
+	// wider batch could never collect them all.
 	BatchMax int
 	// BatchAgreement is ignored (deprecated): every dispatch is a batch,
 	// so there is no per-transaction mode left to switch away from. The
@@ -265,9 +270,12 @@ type Metrics struct {
 	Failed           uint64 `json:"failed"`
 	RejectedFull     uint64 `json:"rejected_full"`
 	RejectedDraining uint64 `json:"rejected_draining"`
-	Batches          uint64 `json:"batches"`
+	// Batches counts dispatched batches: one whose members all expired in
+	// the queue dispatches nothing and is not counted. MaxBatch is the
+	// most members one dispatched batch carried.
+	Batches uint64 `json:"batches"`
 	// BatchesDecided counts dispatched batches whose every member has
-	// reached a terminal state (only nonzero in batched agreement mode).
+	// reached a terminal state.
 	BatchesDecided   uint64  `json:"batches_decided"`
 	MaxBatch         int     `json:"max_batch"`
 	SafetyViolations uint64  `json:"safety_violations"`
