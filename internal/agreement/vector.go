@@ -125,6 +125,24 @@ type vecProposal struct {
 	bots []bool
 }
 
+// vecSender is one sender's entries on a stage's bulletin board: its
+// report and its proposal, each nil until it arrives.
+type vecSender struct {
+	report   []types.Value
+	proposal vecProposal
+}
+
+// vecBoard is one stage's bulletin board, indexed by sender id, with the
+// number of senders that reported and proposed.
+type vecBoard struct {
+	senders            []vecSender
+	reports, proposals int
+}
+
+// undecided fills the decision vector's undecided elements; it is no
+// valid Value.
+const undecided types.Value = 2
+
 // VectorMachine executes element-wise Protocol 1 over a value vector
 // with shared stage progression. It follows the same step contract as
 // Machine (the returned slice is scratch, reused on the next Step).
@@ -137,14 +155,17 @@ type VectorMachine struct {
 	started bool
 	clock   int
 
-	decided      []bool
+	// decision holds element i's decision once made, undecided before.
 	decision     []types.Value
 	decidedCount int
 	halted       bool
 
-	// Bulletin board, stage -> sender -> vector.
-	reports   map[int]map[types.ProcID][]types.Value
-	proposals map[int]map[types.ProcID]vecProposal
+	// board is the bulletin board of the current stage. A peer can be any
+	// number of stages ahead, so the boards of later stages stay keyed by
+	// stage until the machine gets there; earlier stages are never read
+	// again and keep none.
+	board vecBoard
+	ahead map[int]*vecBoard
 	// adoptDecided holds a received DECIDED vector awaiting adoption.
 	adoptDecided []types.Value
 
@@ -154,23 +175,44 @@ type VectorMachine struct {
 	out []types.Message
 }
 
-// NewVector builds a vector agreement machine.
+// NewVector builds a vector agreement machine: Prepare and Start on a new
+// one.
 func NewVector(cfg VectorConfig) (*VectorMachine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	b := len(cfg.Initial)
-	return &VectorMachine{
-		cfg:       cfg,
-		b:         b,
-		x:         append([]types.Value(nil), cfg.Initial...),
-		stage:     1,
-		ph:        phaseReports,
-		decided:   make([]bool, b),
-		decision:  make([]types.Value, b),
-		reports:   make(map[int]map[types.ProcID][]types.Value),
-		proposals: make(map[int]map[types.ProcID]vecProposal),
-	}, nil
+	m := new(VectorMachine)
+	m.Prepare(cfg.ID, cfg.N, cfg.T, len(cfg.Initial))
+	m.cfg.Unsafe = cfg.Unsafe
+	m.Start(cfg.Initial, cfg.Coins)
+	return m, nil
+}
+
+// Prepare readies m in place, so a caller may embed the machine by value,
+// for a width-b run whose input is not known yet: Post records on the
+// bulletin board at once, and Start supplies the input. The caller has
+// checked what VectorConfig.Validate checks of id, n and t.
+func (m *VectorMachine) Prepare(id types.ProcID, n, t, b int) {
+	vals := make([]types.Value, 2*b)
+	*m = VectorMachine{
+		cfg:      VectorConfig{ID: id, N: n, T: t},
+		b:        b,
+		x:        vals[:b:b],
+		decision: vals[b:],
+		stage:    1,
+		ph:       phaseReports,
+		board:    vecBoard{senders: make([]vecSender, n)},
+	}
+	for i := range m.decision {
+		m.decision[i] = undecided
+	}
+}
+
+// Start supplies the input vector, copied and of the width Prepare fixed,
+// and the coin source. The first Step after it broadcasts (1, 1, x).
+func (m *VectorMachine) Start(initial []types.Value, coins CoinSource) {
+	copy(m.x, initial)
+	m.cfg.Coins = coins
 }
 
 // ID returns the processor id.
@@ -194,7 +236,7 @@ func (m *VectorMachine) StagesCompleted() int { return m.stagesCompleted }
 
 // DecidedAt reports element i's decision, if made.
 func (m *VectorMachine) DecidedAt(i int) (types.Value, bool) {
-	if i < 0 || i >= m.b || !m.decided[i] {
+	if i < 0 || i >= m.b || m.decision[i] == undecided {
 		return 0, false
 	}
 	return m.decision[i], true
@@ -208,62 +250,97 @@ func (m *VectorMachine) Violation() error { return m.violation }
 
 // Step advances the machine one tick with the given received messages.
 func (m *VectorMachine) Step(received []types.Message, rnd types.Rand) []types.Message {
+	m.out = m.AppendStep(m.out[:0], received, rnd)
+	return m.out
+}
+
+// AppendStep is Step appending the sent messages to dst instead of the
+// machine's own scratch, so one caller stepping many machines keeps one
+// buffer for all of them (see types.Machine).
+func (m *VectorMachine) AppendStep(dst, received []types.Message, rnd types.Rand) []types.Message {
 	m.clock++
 	if m.halted {
-		return nil
+		return dst
 	}
-	m.post(received)
-
-	out := m.out[:0]
+	for i := range received {
+		m.Post(received[i])
+	}
 	if !m.started {
 		m.started = true
 		// Instruction 1: broadcast (1, 1, x), the whole vector at once.
-		out = m.broadcast(out, VecReportMsg{Stage: m.stage, Vals: m.snapshotX()})
+		dst = m.broadcast(dst, VecReportMsg{Stage: m.stage, Vals: m.snapshotX()})
 	}
-	out = m.progress(out, rnd)
-	m.out = out
-	return out
+	return m.progress(dst, rnd)
 }
 
-// post records received messages on the bulletin board. Vectors of the
-// wrong width are ignored outright: counting such a sender toward an
-// n−t wait would leave some element short of evidence.
-func (m *VectorMachine) post(received []types.Message) {
-	for i := range received {
-		switch p := received[i].Payload.(type) {
-		case VecReportMsg:
-			if len(p.Vals) != m.b {
-				continue
-			}
-			mm := m.reports[p.Stage]
-			if mm == nil {
-				mm = make(map[types.ProcID][]types.Value)
-				m.reports[p.Stage] = mm
-			}
-			if _, dup := mm[received[i].From]; !dup {
-				mm[received[i].From] = p.Vals
-			}
-		case VecProposalMsg:
-			if len(p.Vals) != m.b || len(p.Bots) != m.b {
-				continue
-			}
-			mm := m.proposals[p.Stage]
-			if mm == nil {
-				mm = make(map[types.ProcID]vecProposal)
-				m.proposals[p.Stage] = mm
-			}
-			if _, dup := mm[received[i].From]; !dup {
-				mm[received[i].From] = vecProposal{vals: p.Vals, bots: p.Bots}
-			}
-		case VecDecidedMsg:
-			if len(p.Vals) != m.b {
-				continue
-			}
-			if m.adoptDecided == nil {
-				m.adoptDecided = p.Vals
-			}
+// Post records one received message on the bulletin board without
+// taking a step; the next Step acts on it. Vectors of the wrong width
+// are ignored outright: counting such a sender toward an n−t wait would
+// leave some element short of evidence. So are senders outside [0, n)
+// and stages already left behind.
+func (m *VectorMachine) Post(msg types.Message) {
+	if int(msg.From) < 0 || int(msg.From) >= m.cfg.N {
+		return
+	}
+	switch p := msg.Payload.(type) {
+	case VecReportMsg:
+		if len(p.Vals) != m.b {
+			return
+		}
+		if bd := m.boardAt(p.Stage); bd != nil && bd.senders[msg.From].report == nil {
+			bd.senders[msg.From].report = p.Vals
+			bd.reports++
+		}
+	case VecProposalMsg:
+		if len(p.Vals) != m.b || len(p.Bots) != m.b {
+			return
+		}
+		if bd := m.boardAt(p.Stage); bd != nil && bd.senders[msg.From].proposal.vals == nil {
+			bd.senders[msg.From].proposal = vecProposal{vals: p.Vals, bots: p.Bots}
+			bd.proposals++
+		}
+	case VecDecidedMsg:
+		if len(p.Vals) != m.b {
+			return
+		}
+		if m.adoptDecided == nil {
+			m.adoptDecided = p.Vals
 		}
 	}
+}
+
+// boardAt returns stage s's bulletin board, creating a later stage's on
+// first use, or nil for a stage already left behind.
+func (m *VectorMachine) boardAt(s int) *vecBoard {
+	switch {
+	case s == m.stage:
+		return &m.board
+	case s < m.stage:
+		return nil
+	}
+	bd := m.ahead[s]
+	if bd == nil {
+		if m.ahead == nil {
+			m.ahead = make(map[int]*vecBoard)
+		}
+		bd = &vecBoard{senders: make([]vecSender, m.cfg.N)}
+		m.ahead[s] = bd
+	}
+	return bd
+}
+
+// nextStage advances to stage s+1, whose board is the one a faster peer
+// already started or the emptied current one.
+func (m *VectorMachine) nextStage() {
+	m.stage++
+	m.ph = phaseReports
+	if bd, ok := m.ahead[m.stage]; ok {
+		delete(m.ahead, m.stage)
+		m.board = *bd
+		return
+	}
+	clear(m.board.senders)
+	m.board.reports, m.board.proposals = 0, 0
 }
 
 // progress cascades through the protocol until a wait is unsatisfied or
@@ -296,16 +373,17 @@ func (m *VectorMachine) progress(out []types.Message, rnd types.Rand) []types.Me
 // vector reports arrived: per element, propose the >n/2 majority value
 // or ⊥.
 func (m *VectorMachine) tryFinishReports(out []types.Message) ([]types.Message, bool) {
-	mm := m.reports[m.stage]
-	if len(mm) < m.cfg.N-m.cfg.T {
+	if m.board.reports < m.cfg.N-m.cfg.T {
 		return out, false
 	}
 	vals := make([]types.Value, m.b)
 	bots := make([]bool, m.b)
 	for i := 0; i < m.b; i++ {
 		counts := [2]int{}
-		for _, vec := range mm {
-			counts[vec[i]]++
+		for _, sd := range m.board.senders {
+			if sd.report != nil {
+				counts[sd.report[i]]++
+			}
 		}
 		switch {
 		case 2*counts[types.V0] > m.cfg.N:
@@ -326,8 +404,7 @@ func (m *VectorMachine) tryFinishReports(out []types.Message) ([]types.Message, 
 // soon as every element has decided, and until then it advances to the
 // next stage.
 func (m *VectorMachine) tryFinishProposals(out []types.Message, rnd types.Rand) ([]types.Message, bool) {
-	mm := m.proposals[m.stage]
-	if len(mm) < m.cfg.N-m.cfg.T {
+	if m.board.proposals < m.cfg.N-m.cfg.T {
 		return out, false
 	}
 	// One coin flip covers the whole stage: elements left without an
@@ -340,8 +417,9 @@ func (m *VectorMachine) tryFinishProposals(out []types.Message, rnd types.Rand) 
 		sawVal := false
 		var sVal types.Value
 		both := false
-		for _, pr := range mm {
-			if pr.bots[i] {
+		for _, sd := range m.board.senders {
+			pr := sd.proposal
+			if pr.vals == nil || pr.bots[i] {
 				continue
 			}
 			v := pr.vals[i]
@@ -390,30 +468,29 @@ func (m *VectorMachine) tryFinishProposals(out []types.Message, rnd types.Rand) 
 	}
 
 	// Advance to stage s+1 and broadcast (1, s+1, x).
-	m.stage++
-	m.ph = phaseReports
+	m.nextStage()
 	return m.broadcast(out, VecReportMsg{Stage: m.stage, Vals: m.snapshotX()}), true
 }
 
 // decideAt enters the decision state for element i. Decisions are
 // absorbing; a conflicting re-decision records a violation.
 func (m *VectorMachine) decideAt(i int, v types.Value) {
-	if m.decided[i] {
+	if m.decision[i] != undecided {
 		if m.decision[i] != v {
 			m.violation = fmt.Errorf("agreement: decision flip from %v to %v at element %d", m.decision[i], v, i)
 		}
 		return
 	}
-	m.decided[i] = true
 	m.decision[i] = v
 	m.decidedCount++
 }
 
 // ret halts the machine and broadcasts the decided vector — once, since
-// a halted machine takes no further step.
+// a halted machine takes no further step. The vector goes out uncopied:
+// a halted machine never writes it again.
 func (m *VectorMachine) ret(out []types.Message) []types.Message {
 	m.halted = true
-	return m.broadcast(out, VecDecidedMsg{Vals: append([]types.Value(nil), m.decision...)})
+	return m.broadcast(out, VecDecidedMsg{Vals: m.decision})
 }
 
 // snapshotX copies the local vector for a broadcast (the live x keeps

@@ -186,19 +186,20 @@ func recoveryEcho(coord *shard.Coordinator, d *ServiceRunData) {
 }
 
 // armCrashes schedules the plan's crashes on the wall clock: at each
-// event's tick it marks the node crashed and calls crash. The returned
-// disarm stops the schedule and reports which crashes fired. A crash runs
-// inside the critical section disarm takes: once disarm has returned,
-// every crash it reports has reached the system under test, so the
-// watchdog's final tick cannot miss one.
+// event's tick it marks the node crashed and calls crash. A crash at tick
+// 0 or before fires before armCrashes returns, so no workload, however
+// short, can finish first and have disarm cancel it. The returned disarm
+// stops the schedule and reports which crashes fired. A crash runs inside
+// the critical section disarm takes: once disarm has returned, every
+// crash it reports has reached the system under test, so the watchdog's
+// final tick cannot miss one.
 func armCrashes(p *Plan, tick time.Duration, crash func(types.ProcID)) (disarm func() []bool) {
 	var mu sync.Mutex
 	crashed := make([]bool, p.Cfg.N)
 	stopped := false
 	timers := make([]*time.Timer, 0, len(p.Crashes))
 	for _, ev := range p.Crashes {
-		ev := ev
-		timers = append(timers, time.AfterFunc(time.Duration(ev.Tick)*tick, func() {
+		fire := func() {
 			mu.Lock()
 			defer mu.Unlock()
 			if stopped {
@@ -206,7 +207,12 @@ func armCrashes(p *Plan, tick time.Duration, crash func(types.ProcID)) (disarm f
 			}
 			crashed[ev.Node] = true
 			crash(types.ProcID(ev.Node))
-		}))
+		}
+		if ev.Tick <= 0 {
+			fire()
+			continue
+		}
+		timers = append(timers, time.AfterFunc(time.Duration(ev.Tick)*tick, fire))
 	}
 	return func() []bool {
 		mu.Lock()

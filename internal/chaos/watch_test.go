@@ -189,8 +189,8 @@ func TestWatchUnwatchedRunsUnchanged(t *testing.T) {
 // TestWatchFlightSummaryStable is the byte-stability acceptance: the
 // canonical flight summary of a watched run — the artifact chaos CI
 // compares across reruns — is identical for repeated executions of the
-// same plan. The plan is handcrafted with both crashes at tick 0 so the
-// fired-crash set is not racy.
+// same plan. The plan is handcrafted with both crashes at tick 0, which
+// fire before the workload starts, so the fired-crash set is not racy.
 func TestWatchFlightSummaryStable(t *testing.T) {
 	votes := [][]bool{
 		{true, true, true, true, true},

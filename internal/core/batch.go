@@ -89,39 +89,72 @@ type BatchCommit struct {
 	st    state
 	clock int
 
-	votes []types.Value // current vote vector (GO timeout demotes all)
+	// votes is the own vote vector (a GO timeout demotes all of it); it is
+	// sent as is, so nothing writes it once voted. input is the agreement
+	// input computed from the vote vectors.
+	votes []types.Value
+	input []types.Value
 	coins []types.Value
+	coin  agreement.ListCoin // the agreement's coin source, over coins
 
-	goSenders map[types.ProcID]bool
-	voteVecs  map[types.ProcID][]types.Value
+	// peers[p] is what processor p sent: its explicit GO and its vote
+	// vector. goes and voted count the peers that sent each.
+	peers     []peer
+	goes      int
+	voted     int
 	waitClock int
 
-	sub          *agreement.VectorMachine
-	preAgreement []types.Message
+	// ag is prepared at construction, so Protocol 1 frames that arrive
+	// before this processor's input is known wait on its bulletin board;
+	// it runs once agreeing.
+	ag       agreement.VectorMachine
+	agreeing bool
 
 	halted bool
 
-	out    []types.Message
-	forSub []types.Message
+	out []types.Message
+}
+
+// peer is what one processor sent a batch machine: its explicit GO and
+// its vote vector (nil until received).
+type peer struct {
+	goSeen bool
+	vote   []types.Value
 }
 
 var _ types.Machine = (*BatchCommit)(nil)
 
 // NewBatch builds a batched Protocol 2 machine.
 func NewBatch(cfg BatchConfig) (*BatchCommit, error) {
-	if err := cfg.Validate(); err != nil {
+	c := new(BatchCommit)
+	if err := c.Init(cfg); err != nil {
 		return nil, err
+	}
+	return c, nil
+}
+
+// Init builds the machine in place, so a caller may embed it by value.
+// cfg.Votes is copied, not kept.
+func (c *BatchCommit) Init(cfg BatchConfig) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	if cfg.CoinFactor == 0 {
 		cfg.CoinFactor = 1
 	}
-	return &BatchCommit{
-		cfg:       cfg,
-		b:         len(cfg.Votes),
-		votes:     append([]types.Value(nil), cfg.Votes...),
-		goSenders: make(map[types.ProcID]bool),
-		voteVecs:  make(map[types.ProcID][]types.Value),
-	}, nil
+	b := len(cfg.Votes)
+	vals := make([]types.Value, 2*b)
+	*c = BatchCommit{
+		cfg:   cfg,
+		b:     b,
+		votes: vals[:b:b],
+		input: vals[b:],
+		peers: make([]peer, cfg.N),
+	}
+	copy(c.votes, cfg.Votes)
+	c.cfg.Votes = nil
+	c.ag.Prepare(cfg.ID, cfg.N, cfg.T, b)
+	return nil
 }
 
 // ID implements types.Machine.
@@ -138,12 +171,12 @@ func (c *BatchCommit) Width() int { return c.b }
 // Engines with decision-based stop conditions treat the batch as one
 // unit; per-transaction outcomes come from OutcomeAt.
 func (c *BatchCommit) Decision() (types.Value, bool) {
-	if c.sub == nil || c.sub.DecidedCount() < c.b {
+	if c.ag.DecidedCount() < c.b {
 		return 0, false
 	}
 	all := types.V1
 	for i := 0; i < c.b; i++ {
-		if v, _ := c.sub.DecidedAt(i); v != types.V1 {
+		if v, _ := c.ag.DecidedAt(i); v != types.V1 {
 			all = types.V0
 		}
 	}
@@ -153,10 +186,7 @@ func (c *BatchCommit) Decision() (types.Value, bool) {
 // OutcomeAt returns element i's transaction decision, if decided.
 // Elements decide individually; callers poll as the batch progresses.
 func (c *BatchCommit) OutcomeAt(i int) (types.Decision, bool) {
-	if c.sub == nil {
-		return types.DecisionNone, false
-	}
-	v, ok := c.sub.DecidedAt(i)
+	v, ok := c.ag.DecidedAt(i)
 	if !ok {
 		return types.DecisionNone, false
 	}
@@ -164,12 +194,7 @@ func (c *BatchCommit) OutcomeAt(i int) (types.Decision, bool) {
 }
 
 // DecidedCount returns how many elements have decided.
-func (c *BatchCommit) DecidedCount() int {
-	if c.sub == nil {
-		return 0
-	}
-	return c.sub.DecidedCount()
-}
+func (c *BatchCommit) DecidedCount() int { return c.ag.DecidedCount() }
 
 // Halted implements types.Machine.
 func (c *BatchCommit) Halted() bool { return c.halted }
@@ -178,16 +203,16 @@ func (c *BatchCommit) Halted() bool { return c.halted }
 func (c *BatchCommit) Coins() []types.Value { return c.coins }
 
 // Agreement exposes the embedded vector agreement once started.
-func (c *BatchCommit) Agreement() *agreement.VectorMachine { return c.sub }
+func (c *BatchCommit) Agreement() *agreement.VectorMachine {
+	if !c.agreeing {
+		return nil
+	}
+	return &c.ag
+}
 
 // Violation reports a fault-model violation recorded by the embedded
 // agreement machine, if any.
-func (c *BatchCommit) Violation() error {
-	if c.sub == nil {
-		return nil
-	}
-	return c.sub.Violation()
-}
+func (c *BatchCommit) Violation() error { return c.ag.Violation() }
 
 // Step implements types.Machine: one tick of the timeout clock, then the
 // transition. The control flow is Protocol 2's: GO flood → 2K-tick GO wait
@@ -195,8 +220,16 @@ func (c *BatchCommit) Violation() error {
 // vote covers every element → vector agreement, with GO piggybacked on
 // everything.
 func (c *BatchCommit) Step(received []types.Message, rnd types.Rand) []types.Message {
+	c.out = c.AppendStep(c.out[:0], received, rnd)
+	return c.out
+}
+
+// AppendStep is Step appending the sent messages to dst instead of the
+// machine's own scratch, so one caller stepping many machines keeps one
+// buffer for all of them (see types.Machine).
+func (c *BatchCommit) AppendStep(dst, received []types.Message, rnd types.Rand) []types.Message {
 	c.clock++
-	return c.transition(received, rnd, c.clock)
+	return c.transition(dst, received, rnd, c.clock)
 }
 
 // Deliver hands the machine messages between ticks: the same transition
@@ -205,17 +238,22 @@ func (c *BatchCommit) Step(received []types.Message, rnd types.Rand) []types.Mes
 // stamped with the next tick, so it runs its 2K ticks in full whatever
 // fraction of the current one has already passed.
 func (c *BatchCommit) Deliver(received []types.Message, rnd types.Rand) []types.Message {
-	return c.transition(received, rnd, c.clock+1)
+	c.out = c.AppendDeliver(c.out[:0], received, rnd)
+	return c.out
 }
 
-// transition is the one protocol body behind Step and Deliver; now stamps
-// the waits it starts.
-func (c *BatchCommit) transition(received []types.Message, rnd types.Rand, now int) []types.Message {
+// AppendDeliver is Deliver appending to dst, as AppendStep is Step.
+func (c *BatchCommit) AppendDeliver(dst, received []types.Message, rnd types.Rand) []types.Message {
+	return c.transition(dst, received, rnd, c.clock+1)
+}
+
+// transition is the one protocol body behind Step and Deliver: it appends
+// what it sends to out. now stamps the waits it starts.
+func (c *BatchCommit) transition(out, received []types.Message, rnd types.Rand, now int) []types.Message {
 	if c.halted {
-		return nil
+		return out
 	}
 
-	forSub := c.forSub[:0]
 	// votesChanged: a vote vector — a received one, or this processor's own
 	// as it votes — joined those in hand during this transition. Only then
 	// can the vote wait's forced exit newly hold.
@@ -225,33 +263,37 @@ func (c *BatchCommit) transition(received []types.Message, rnd types.Rand, now i
 		if pbCoins != nil && c.coins == nil {
 			c.coins = pbCoins
 		}
+		from := received[i].From
+		if int(from) < 0 || int(from) >= c.cfg.N {
+			continue
+		}
 		switch p := inner.(type) {
 		case GoMsg:
 			if c.coins == nil {
 				c.coins = p.Coins
 			}
-			c.goSenders[received[i].From] = true
+			if !c.peers[from].goSeen {
+				c.peers[from].goSeen = true
+				c.goes++
+			}
 		case BatchVoteMsg:
 			// A wrong-width vector carries no evidence for this batch.
 			if len(p.Vals) != c.b {
 				continue
 			}
-			if _, dup := c.voteVecs[received[i].From]; !dup {
-				c.voteVecs[received[i].From] = p.Vals
+			if c.peers[from].vote == nil {
+				c.peers[from].vote = p.Vals
+				c.voted++
 				votesChanged = true
 			}
 		case agreement.VecReportMsg, agreement.VecProposalMsg, agreement.VecDecidedMsg:
+			// Before agreement starts the frame waits on its board.
 			m := received[i]
 			m.Payload = inner
-			if c.sub == nil {
-				c.preAgreement = append(c.preAgreement, m)
-			} else {
-				forSub = append(forSub, m)
-			}
+			c.ag.Post(m)
 		}
 	}
 
-	out := c.out[:0]
 	for progress := true; progress; {
 		progress = false
 		switch c.st {
@@ -279,7 +321,7 @@ func (c *BatchCommit) transition(received []types.Message, rnd types.Rand, now i
 			// Instruction 4–7: n GOs, or 2K ticks then demote every vote
 			// in the vector to abort (the timed-out processor cannot tell
 			// which transactions its silent peers know about).
-			done := len(c.goSenders) >= c.cfg.N
+			done := c.goes >= c.cfg.N
 			if !done && c.clock-c.waitClock >= 2*c.cfg.K {
 				for i := range c.votes {
 					c.votes[i] = types.V0
@@ -300,40 +342,35 @@ func (c *BatchCommit) transition(received []types.Message, rnd types.Rand, now i
 			// holds an abort vote, no vector still to come can lift an
 			// input[i] to 1, and agreement starts at once with the all-zero
 			// input either other exit would have produced.
-			var input []types.Value
 			done := false
-			if len(c.voteVecs) >= c.cfg.N {
-				input = make([]types.Value, c.b)
-				for i := range input {
-					input[i] = types.V1
+			if c.voted >= c.cfg.N {
+				for i := range c.input {
+					c.input[i] = types.V1
 				}
-				for _, vec := range c.voteVecs {
-					for i, v := range vec {
+				for _, pr := range c.peers {
+					for i, v := range pr.vote {
 						if v != types.V1 {
-							input[i] = types.V0
+							c.input[i] = types.V0
 						}
 					}
 				}
 				done = true
 			} else if c.clock-c.waitClock >= 2*c.cfg.K || votesChanged && c.inputForced() {
-				input = make([]types.Value, c.b)
-				done = true
+				done = true // input stays all zero
 			}
 			if done {
-				out = c.startAgreement(out, input, rnd)
+				out = c.startAgreement(out, rnd)
 				c.st = stAgreement
 			}
 		case stAgreement:
-			subOut := c.sub.Step(forSub, rnd)
-			forSub = forSub[:0]
-			out = append(out, c.wrapAllBatch(subOut)...)
-			if c.sub.Halted() {
+			start := len(out)
+			out = c.ag.AppendStep(out, nil, rnd)
+			c.wrapAllBatch(out[start:])
+			if c.ag.Halted() {
 				c.halted = true
 			}
 		}
 	}
-	c.out = out
-	c.forSub = forSub[:0]
 	return out
 }
 
@@ -345,8 +382,8 @@ next:
 		if v != types.V1 {
 			continue
 		}
-		for _, vec := range c.voteVecs {
-			if vec[i] != types.V1 {
+		for _, pr := range c.peers {
+			if pr.vote != nil && pr.vote[i] != types.V1 {
 				continue next
 			}
 		}
@@ -355,33 +392,23 @@ next:
 	return true
 }
 
-// startAgreement builds the vector agreement machine and feeds it any
-// buffered early messages.
-func (c *BatchCommit) startAgreement(out []types.Message, input []types.Value, rnd types.Rand) []types.Message {
-	sub, err := agreement.NewVector(agreement.VectorConfig{
-		ID:      c.cfg.ID,
-		N:       c.cfg.N,
-		T:       c.cfg.T,
-		Initial: input,
-		Coins:   agreement.ListCoin{Coins: c.coins},
-	})
-	if err != nil {
-		// Config was validated at NewBatch; an error here is a programming
-		// bug, surfaced by halting without deciding (visible to tests).
-		c.halted = true
-		return out
-	}
-	c.sub = sub
-	first := sub.Step(c.preAgreement, rnd)
-	c.preAgreement = nil
-	return append(out, c.wrapAllBatch(first)...)
+// startAgreement starts the vector agreement on the input vector and
+// takes its first step, on whatever early frames its board holds.
+func (c *BatchCommit) startAgreement(out []types.Message, rnd types.Rand) []types.Message {
+	c.coin = agreement.ListCoin{Coins: c.coins}
+	c.ag.Start(c.input, &c.coin)
+	c.agreeing = true
+	start := len(out)
+	out = c.ag.AppendStep(out, nil, rnd)
+	c.wrapAllBatch(out[start:])
+	return out
 }
 
-// wrapAllBatch applies GO piggybacking to outgoing agreement messages,
-// allocating one Piggyback box per distinct broadcast payload.
-func (c *BatchCommit) wrapAllBatch(msgs []types.Message) []types.Message {
+// wrapAllBatch applies GO piggybacking to outgoing agreement messages in
+// place, allocating one Piggyback box per distinct broadcast payload.
+func (c *BatchCommit) wrapAllBatch(msgs []types.Message) {
 	if c.coins == nil {
-		return msgs
+		return
 	}
 	var lastInner, lastWrapped types.Payload
 	for i := range msgs {
@@ -394,7 +421,6 @@ func (c *BatchCommit) wrapAllBatch(msgs []types.Message) []types.Message {
 		lastWrapped = Piggyback{Inner: p, Coins: c.coins}
 		msgs[i].Payload = lastWrapped
 	}
-	return msgs
 }
 
 // SamePayload reports whether a and b are the same broadcast payload of a

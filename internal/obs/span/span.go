@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/types"
 )
 
 // Kind classifies a span for attribution.
@@ -187,6 +188,61 @@ func (g *Graph) index() map[int]*Span {
 // DefaultCollectorCapacity bounds a collector created with capacity <= 0.
 const DefaultCollectorCapacity = 1 << 14
 
+// Fig names how Graph formats a record's figures into its Name and
+// Detail. A manager milestone's Detail is its tick and, per Fig, one or
+// two named figures (MarkTick); rounds and decided markers have forms of
+// their own (AddRound, MarkDecided).
+type Fig uint8
+
+// The forms. figPlain records keep the Name and Detail they were given.
+const (
+	figPlain   Fig = iota
+	FigTick        // Detail "tick=<t>"
+	FigFrom        // "tick=<t> from=<x>"
+	FigVotes       // "tick=<t> votes=<x>"
+	FigStage       // "tick=<t> stage=<x>"
+	FigCoins       // "tick=<t> coins=<x> fanout=<y>"
+	figRound       // Name "round <r>", Detail "ticks <a>..<b>"
+	figDecided     // Detail "decision=<d> batch=<id>", the id held in Detail
+)
+
+// record is one ring entry: a span and the figures Graph formats into it,
+// so recording builds no string; only a snapshot does.
+type record struct {
+	Span
+	fig Fig
+	n   [3]int64
+}
+
+// span formats the record's figures into its Name and Detail.
+func (r *record) span() Span {
+	s := r.Span
+	switch r.fig {
+	case figPlain:
+	case figRound:
+		s.Name = "round " + strconv.FormatInt(r.n[0], 10)
+		d := strconv.AppendInt(append(make([]byte, 0, 32), "ticks "...), r.n[1], 10)
+		s.Detail = string(strconv.AppendInt(append(d, ".."...), r.n[2], 10))
+	case figDecided:
+		s.Detail = "decision=" + types.Decision(r.n[0]).String() + " " + obs.BatchDetail(r.Detail)
+	default:
+		d := strconv.AppendInt(append(make([]byte, 0, 48), "tick="...), r.n[0], 10)
+		switch r.fig {
+		case FigFrom:
+			d = strconv.AppendInt(append(d, " from="...), r.n[1], 10)
+		case FigVotes:
+			d = strconv.AppendInt(append(d, " votes="...), r.n[1], 10)
+		case FigStage:
+			d = strconv.AppendInt(append(d, " stage="...), r.n[1], 10)
+		case FigCoins:
+			d = strconv.AppendInt(append(d, " coins="...), r.n[1], 10)
+			d = strconv.AppendInt(append(d, " fanout="...), r.n[2], 10)
+		}
+		s.Detail = string(d)
+	}
+	return s
+}
+
 // Collector gathers spans from the live stack into a bounded buffer:
 // constant memory under unbounded traffic, always holding the most
 // recent spans. All methods are safe for concurrent use and nil-receiver
@@ -199,7 +255,7 @@ type Collector struct {
 	clock func() int64
 
 	mu      sync.Mutex
-	buf     []Span
+	buf     []record
 	next    int
 	seq     int
 	dropped uint64
@@ -219,7 +275,7 @@ func NewCollectorClock(capacity int, clock func() int64) *Collector {
 	if capacity <= 0 {
 		capacity = DefaultCollectorCapacity
 	}
-	return &Collector{clock: clock, buf: make([]Span, 0, capacity)}
+	return &Collector{clock: clock, buf: make([]record, 0, capacity)}
 }
 
 // Now reads the collector's clock (0 on a nil collector).
@@ -237,18 +293,23 @@ func (c *Collector) Add(s Span) int {
 	if c == nil {
 		return 0
 	}
+	return c.add(record{Span: s})
+}
+
+// add stores one record, assigning its id.
+func (c *Collector) add(r record) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.seq++
-	s.ID = c.seq
+	r.ID = c.seq
 	if len(c.buf) < cap(c.buf) {
-		c.buf = append(c.buf, s)
+		c.buf = append(c.buf, r)
 	} else {
 		c.dropped++
-		c.buf[c.next] = s
+		c.buf[c.next] = r
 		c.next = (c.next + 1) % len(c.buf)
 	}
-	return s.ID
+	return r.ID
 }
 
 // Mark records a protocol milestone: a zero-length KindEvent span at the
@@ -260,6 +321,48 @@ func (c *Collector) Mark(txn, track, name, detail string) {
 	now := c.clock()
 	c.Add(Span{Txn: txn, Track: track, Name: name, Kind: KindEvent,
 		Start: now, End: now, From: -1, To: -1, Detail: detail})
+}
+
+// MarkTick records a manager milestone as Mark does, its Detail the
+// manager tick followed by fig's figures x and y (see Fig).
+func (c *Collector) MarkTick(txn, track, name string, tick int, fig Fig, x, y int) {
+	if c == nil {
+		return
+	}
+	now := c.clock()
+	c.add(record{
+		Span: Span{Txn: txn, Track: track, Name: name, Kind: KindEvent,
+			Start: now, End: now, From: -1, To: -1},
+		fig: fig, n: [3]int64{int64(tick), int64(x), int64(y)},
+	})
+}
+
+// AddRound records asynchronous round number round of an instance, from
+// start to end on the collector clock and from manager tick fromTick to
+// toTick: Name "round <round>", Detail "ticks <fromTick>..<toTick>".
+func (c *Collector) AddRound(txn, track string, round, fromTick, toTick int, start, end int64) {
+	if c == nil {
+		return
+	}
+	c.add(record{
+		Span: Span{Txn: txn, Track: track, Kind: KindRound, Start: start, End: end, From: -1, To: -1},
+		fig:  figRound, n: [3]int64{int64(round), int64(fromTick), int64(toTick)},
+	})
+}
+
+// MarkDecided records a member's zero-length decided marker, its Detail
+// "decision=<d> " plus obs.BatchDetail(batch), so a per-transaction view
+// follows it to its batch.
+func (c *Collector) MarkDecided(txn, track string, d types.Decision, batch string) {
+	if c == nil {
+		return
+	}
+	now := c.clock()
+	c.add(record{
+		Span: Span{Txn: txn, Track: track, Name: StageDecided, Kind: KindStage,
+			Start: now, End: now, From: -1, To: -1, Detail: batch},
+		fig: figDecided, n: [3]int64{int64(d)},
+	})
 }
 
 // Dropped reports how many spans have been evicted since creation.
@@ -282,8 +385,9 @@ func (c *Collector) Len() int {
 	return len(c.buf)
 }
 
-// Graph snapshots the retained spans (sorted by id) and infers their
-// happens-before edges. A nil collector yields an empty graph.
+// Graph snapshots the retained spans (sorted by id), formatting their
+// figures, and infers their happens-before edges. A nil collector yields
+// an empty graph.
 func (c *Collector) Graph() *Graph {
 	g := &Graph{Unit: "us"}
 	if c == nil {
@@ -291,9 +395,16 @@ func (c *Collector) Graph() *Graph {
 		return g
 	}
 	c.mu.Lock()
-	spans := append([]Span(nil), c.buf...)
+	recs := append([]record(nil), c.buf...)
 	g.Dropped = c.dropped
 	c.mu.Unlock()
+	var spans []Span
+	if len(recs) > 0 {
+		spans = make([]Span, len(recs))
+		for i := range recs {
+			spans[i] = recs[i].span()
+		}
+	}
 	sort.Slice(spans, func(i, j int) bool { return spans[i].ID < spans[j].ID })
 	g.Spans = spans
 	g.Edges = InferEdges(spans)

@@ -3,7 +3,6 @@ package txn
 import (
 	"fmt"
 	"sort"
-	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -71,17 +70,23 @@ func (e BatchEnvelope) SizeBits() int {
 // binstance tracks one batched commit machine plus the lifecycle
 // metadata the retirement policy needs, the milestones' edge-detection
 // state (each protocol milestone is recorded once per instance), and the
-// per-element reporting bitmap that fans batch decisions back out to
-// transactions.
+// members' decisions as they fan out to transactions. The machine is held
+// by value, so spawning an instance allocates the instance and a few
+// vectors, not a machine apiece.
 type binstance struct {
-	id   BatchID
-	c    *core.BatchCommit
-	txns []ID
-	key  string // trace/span key: "batch:<id>"
+	id BatchID
+	c  core.BatchCommit
+	// tombstone holds the members in vector order and decisions[i], member
+	// i's decision once fanned out (DecisionNone before); retiring the
+	// batch keeps it.
+	tombstone
+	key string // trace/span key: "batch:<id>"
 
-	// inbox is the frames demultiplexed to this instance since it last
-	// advanced.
-	inbox []types.Message
+	// inbox is the frames demultiplexed to this instance in the current
+	// Step or Deliver: a window of the manager's inbox buffer, nil between
+	// calls. routed counts them while demux lays the windows out.
+	inbox  []types.Message
+	routed int
 
 	seq      int // creation order among this manager's instances
 	born     int // manager clock at spawn
@@ -100,9 +105,7 @@ type binstance struct {
 
 	fresh bool // queued in Manager.fresh
 
-	// reportedElems[i] marks member i's outcome as already fanned out.
-	reportedElems []bool
-	doneCounted   bool // txn_batches_decided_total incremented
+	doneCounted bool // txn_batches_decided_total incremented
 }
 
 // BeginBatch starts one batched agreement instance deciding all of txns
@@ -116,12 +119,6 @@ func (m *Manager) BeginBatch(batch BatchID, txns []ID, votes []bool) error {
 	if len(votes) != len(txns) {
 		return fmt.Errorf("txn: batch %q has %d members but %d votes", batch, len(txns), len(votes))
 	}
-	vals := make([]types.Value, len(txns))
-	for i, v := range votes {
-		if v {
-			vals[i] = types.V1
-		}
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, exists := m.batches[batch]; exists {
@@ -130,7 +127,15 @@ func (m *Manager) BeginBatch(batch BatchID, txns []ID, votes []bool) error {
 	if _, done := m.retiredBatches[batch]; done {
 		return fmt.Errorf("txn: batch %q already finished", batch)
 	}
-	if err := m.spawnBatchLocked(batch, txns, vals, m.cfg.ID, m.Clock()); err != nil {
+	vals := m.voteScratchLocked(len(txns))
+	for i, v := range votes {
+		if v {
+			vals[i] = types.V1
+		}
+	}
+	// The caller may reuse txns; the instance's copy goes out on every frame.
+	members := append([]ID(nil), txns...)
+	if err := m.spawnBatchLocked(batch, members, vals, m.cfg.ID, m.Clock(), obs.BatchKey(string(batch))); err != nil {
 		return err
 	}
 	// The GO flood need not wait for a tick.
@@ -139,9 +144,16 @@ func (m *Manager) BeginBatch(batch BatchID, txns []ID, votes []bool) error {
 }
 
 // spawnBatchLocked creates the batched commit instance and registers its
-// members for id-keyed lookups. Caller holds mu.
-func (m *Manager) spawnBatchLocked(batch BatchID, txns []ID, votes []types.Value, coordinator types.ProcID, tick int) error {
-	c, err := core.NewBatch(core.BatchConfig{
+// members for id-keyed lookups. The instance keeps txns, which nothing
+// writes again; votes is copied. Caller holds mu.
+func (m *Manager) spawnBatchLocked(batch BatchID, txns []ID, votes []types.Value, coordinator types.ProcID, tick int, key string) error {
+	bi := &binstance{
+		id: batch, key: key,
+		tombstone: tombstone{txns: txns, decisions: make([]types.Decision, len(txns))},
+		seq:       m.spawned, born: tick, haltedAt: -1,
+		round: 1, roundStartClock: tick, roundStartU: m.cfg.Spans.Now(),
+	}
+	err := bi.c.Init(core.BatchConfig{
 		ID: m.cfg.ID, N: m.cfg.N, T: m.cfg.T, K: m.cfg.K,
 		Votes: votes, CoinFactor: m.cfg.CoinFactor,
 		Coordinator: coordinator,
@@ -149,39 +161,48 @@ func (m *Manager) spawnBatchLocked(batch BatchID, txns []ID, votes []types.Value
 	if err != nil {
 		return err
 	}
-	members := make([]ID, len(txns))
-	copy(members, txns)
-	bi := &binstance{
-		id: batch, c: c, txns: members, key: obs.BatchKey(string(batch)),
-		seq: m.spawned, born: tick, haltedAt: -1,
-		round: 1, roundStartClock: tick, roundStartU: m.cfg.Spans.Now(),
-		reportedElems: make([]bool, len(members)),
-	}
 	m.batches[batch] = bi
 	m.running = append(m.running, bi)
-	for i, id := range members {
+	for i, id := range txns {
 		m.members[id] = member{batch, i}
 	}
 	m.spawned++
-	m.met.started.Add(uint64(len(members)))
+	m.met.started.Add(uint64(len(txns)))
 	return nil
 }
 
 // joinBatchLocked spawns the participant side of a batch first heard of
-// from the wire, computing this node's vote vector from cfg.Vote. Caller
+// from the wire, computing this node's vote vector from cfg.Vote. A sent
+// frame is never written again, so the instance shares its member list
+// and, for a frame that never left the process, its trace key. Caller
 // holds mu.
 func (m *Manager) joinBatchLocked(env BatchEnvelope, coordinator types.ProcID, tick int) error {
 	if len(env.Txns) == 0 {
 		return fmt.Errorf("txn: batch %q frame carries no members", env.Batch)
 	}
-	votes := make([]types.Value, len(env.Txns))
+	votes := m.voteScratchLocked(len(env.Txns))
 	for i, id := range env.Txns {
 		votes[i] = types.V1
 		if m.cfg.Vote != nil && !m.cfg.Vote(id) {
 			votes[i] = types.V0
 		}
 	}
-	return m.spawnBatchLocked(env.Batch, env.Txns, votes, coordinator, tick)
+	key := env.key
+	if key == "" {
+		key = obs.BatchKey(string(env.Batch))
+	}
+	return m.spawnBatchLocked(env.Batch, env.Txns, votes, coordinator, tick, key)
+}
+
+// voteScratchLocked returns the manager's vote-vector scratch, zeroed at
+// width b; spawning copies it into the instance. Caller holds mu.
+func (m *Manager) voteScratchLocked(b int) []types.Value {
+	if cap(m.votes) < b {
+		m.votes = make([]types.Value, b)
+	}
+	m.votes = m.votes[:b]
+	clear(m.votes)
+	return m.votes
 }
 
 // markBatchOutputsLocked records protocol milestones visible in an
@@ -197,12 +218,12 @@ func (m *Manager) markBatchOutputsLocked(bi *binstance, sub []types.Message, tic
 		case core.GoMsg:
 			if !bi.goSent {
 				bi.goSent = true
-				m.mark(bi.key, span.EventGoSent, tick, fmt.Sprintf("coins=%d fanout=%d", len(p.Coins), m.cfg.N))
+				m.cfg.Spans.MarkTick(bi.key, m.track, span.EventGoSent, tick, span.FigCoins, len(p.Coins), m.cfg.N)
 			}
 		case core.BatchVoteMsg:
 			if !bi.voteSent {
 				bi.voteSent = true
-				m.mark(bi.key, span.EventVoteCast, tick, "votes="+strconv.Itoa(len(p.Vals)))
+				m.cfg.Spans.MarkTick(bi.key, m.track, span.EventVoteCast, tick, span.FigVotes, len(p.Vals), 0)
 			}
 		}
 		if bi.goSent && bi.voteSent {
@@ -229,16 +250,7 @@ func (m *Manager) spanBatchRoundLocked(bi *binstance, tick int, force bool) {
 		return
 	}
 	now := m.cfg.Spans.Now()
-	detail := append(make([]byte, 0, 32), "ticks "...)
-	detail = strconv.AppendInt(detail, int64(bi.roundStartClock), 10)
-	detail = append(detail, ".."...)
-	detail = strconv.AppendInt(detail, int64(tick), 10)
-	m.cfg.Spans.Add(span.Span{
-		Txn: bi.key, Track: m.track,
-		Name: "round " + strconv.Itoa(bi.round), Kind: span.KindRound,
-		Start: bi.roundStartU, End: now, From: -1, To: -1,
-		Detail: string(detail),
-	})
+	m.cfg.Spans.AddRound(bi.key, m.track, bi.round, bi.roundStartClock, tick, bi.roundStartU, now)
 	bi.round++
 	bi.roundStartClock = tick
 	bi.roundStartU = now
@@ -252,7 +264,7 @@ func (m *Manager) spanBatchRoundLocked(bi *binstance, tick int, force bool) {
 // halted is stamped and moved to the FIFO's back without being advanced: its
 // members were all reported by the call that halted it. Caller holds mu.
 func (m *Manager) stepRunningLocked(tick int, rnd types.Rand, out []types.Message, decidedNow []Outcome) ([]types.Message, []Outcome) {
-	var retire []*binstance
+	retire := m.retire[:0]
 	if m.cfg.RetireAfter > 0 {
 		// haltedAt never decreases along the FIFO: behind the first
 		// instance not yet due, none is.
@@ -269,7 +281,6 @@ func (m *Manager) stepRunningLocked(tick int, rnd types.Rand, out []types.Messag
 		// haltedAt is the first tick that finds the machine already halted.
 		if bi.c.Halted() {
 			bi.haltedAt = tick
-			bi.inbox = nil // emptied by its last advance; demux adds no more
 			m.halted = append(m.halted, bi)
 			continue
 		}
@@ -291,29 +302,33 @@ func (m *Manager) stepRunningLocked(tick int, rnd types.Rand, out []types.Messag
 		sort.Slice(retire, func(i, j int) bool { return retire[i].seq < retire[j].seq })
 	}
 	m.retireLocked(tick, retire)
+	clear(retire)
+	m.retire = retire[:0]
 	return out, decidedNow
 }
 
 // advanceLocked is the one per-instance transition, behind both Step
 // (ticked: the instance's clock advances) and Deliver (it does not): run
-// the machine on its inbox, wrap its output in BatchEnvelope frames, and
-// fan member outcomes out individually as their elements decide. Caller
-// holds mu.
+// the machine on its inbox, appending what it sends to out, wrap that in
+// BatchEnvelope frames, and fan member outcomes out individually as their
+// elements decide. Caller holds mu.
 func (m *Manager) advanceLocked(bi *binstance, tick int, ticked bool, rnd types.Rand, out []types.Message, decidedNow []Outcome) ([]types.Message, []Outcome) {
 	// Only a running machine gets here: a tick skips the halted and demux
 	// drops their frames.
-	var sub []types.Message
+	start := len(out)
 	if ticked {
-		sub = bi.c.Step(bi.inbox, rnd)
+		out = bi.c.AppendStep(out, bi.inbox, rnd)
 	} else {
-		sub = bi.c.Deliver(bi.inbox, rnd)
+		out = bi.c.AppendDeliver(out, bi.inbox, rnd)
 	}
+	bi.inbox = nil // consumed; its window of the manager's buffer is reused
+	sub := out[start:]
 	if m.cfg.Spans != nil {
 		m.markBatchOutputsLocked(bi, sub, tick)
 		if ag := bi.c.Agreement(); ag != nil {
 			if st := ag.Stage(); st != bi.lastStage {
 				bi.lastStage = st
-				m.mark(bi.key, span.EventStage, tick, "stage="+strconv.Itoa(st))
+				m.cfg.Spans.MarkTick(bi.key, m.track, span.EventStage, tick, span.FigStage, st, 0)
 			}
 		}
 	}
@@ -327,20 +342,17 @@ func (m *Manager) advanceLocked(bi *binstance, tick int, ticked bool, rnd types.
 		}
 		sub[j].Payload = lastEnv
 	}
-	out = append(out, sub...)
-	// The inbox is consumed (its slice is reused).
-	bi.inbox = bi.inbox[:0]
 
 	roundClosed := false
 	for i, txn := range bi.txns {
-		if bi.reportedElems[i] {
+		if bi.decisions[i] != types.DecisionNone {
 			continue
 		}
 		d, ok := bi.c.OutcomeAt(i)
 		if !ok {
 			continue
 		}
-		bi.reportedElems[i] = true
+		bi.decisions[i] = d
 		if d == types.DecisionCommit {
 			m.met.committed.Inc()
 		} else {
@@ -354,12 +366,7 @@ func (m *Manager) advanceLocked(bi *binstance, tick int, ticked bool, rnd types.
 			}
 			// The member's marker names its batch so a per-transaction
 			// view can follow it to the rounds and links that decided it.
-			now := m.cfg.Spans.Now()
-			m.cfg.Spans.Add(span.Span{
-				Txn: string(txn), Track: m.track,
-				Name: "decided", Kind: span.KindStage, Start: now, End: now,
-				From: -1, To: -1, Detail: "decision=" + d.String() + " " + obs.BatchDetail(string(bi.id)),
-			})
+			m.cfg.Spans.MarkDecided(string(txn), m.track, d, string(bi.id))
 		}
 		decidedNow = append(decidedNow, Outcome{Txn: txn, Decision: d})
 	}
@@ -376,32 +383,24 @@ func (m *Manager) advanceLocked(bi *binstance, tick int, ticked bool, rnd types.
 // index — and evicts the oldest batches' tombstones past TombstoneCap
 // members. The caller has already unlisted them and holds mu.
 func (m *Manager) retireLocked(tick int, gone []*binstance) {
-	if len(gone) == 0 {
-		return
-	}
-	var detail string // the milestones' Detail, one string per call
-	if m.cfg.Spans != nil {
-		detail = "tick=" + strconv.Itoa(tick)
-	}
 	for _, bi := range gone {
-		ts := &tombstone{txns: bi.txns, decisions: make([]types.Decision, len(bi.txns))}
+		// Every decided member was fanned out by the advance that decided
+		// it, so decisions is the machine's outcome vector.
 		retired := 0
 		for i, txn := range bi.txns {
-			d, decided := bi.c.OutcomeAt(i)
 			name := span.EventRetired
-			if decided {
-				ts.decisions[i] = d
+			if bi.decisions[i] != types.DecisionNone {
 				retired++
 			} else {
 				name = span.EventAbandoned
 			}
 			if m.cfg.Spans != nil {
-				m.cfg.Spans.Mark(string(txn), m.track, name, detail)
+				m.cfg.Spans.MarkTick(string(txn), m.track, name, tick, span.FigTick, 0, 0)
 			}
 		}
 		m.met.retired.Add(uint64(retired))
 		m.met.abandoned.Add(uint64(len(bi.txns) - retired))
-		m.retiredBatches[bi.id] = ts
+		m.retiredBatches[bi.id] = bi.tombstone
 		m.retiredOrder = append(m.retiredOrder, bi.id)
 		m.retiredMembers += len(bi.txns)
 		delete(m.batches, bi.id)

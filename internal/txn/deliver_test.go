@@ -54,8 +54,9 @@ type schedRun struct {
 	arrived  [][]types.Message // arrived, not yet handed over, by receiver
 	crashed  []bool
 	ticks    []int
-	reported []map[txn.ID]types.Decision // by node: what OnOutcome said
-	hash     io.Writer                   // tick-only runs: the transcript's checksum
+	reported []map[txn.ID]types.Decision      // by node: what OnOutcome said
+	hash     io.Writer                        // tick-only runs: the transcript's checksum
+	observe  func(p int, out []types.Message) // if set, sees every output
 }
 
 func newSchedRun(t *testing.T, seed uint64, mode schedMode, votes map[txn.ID][]bool) *schedRun {
@@ -91,6 +92,9 @@ func newSchedRun(t *testing.T, seed uint64, mode schedMode, votes map[txn.ID][]b
 
 // send puts p's output on the network.
 func (r *schedRun) send(p int, out []types.Message) {
+	if r.observe != nil {
+		r.observe(p, out)
+	}
 	for _, msg := range out {
 		msg.From = types.ProcID(p)
 		if r.hash != nil {

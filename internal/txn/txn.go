@@ -225,7 +225,7 @@ type Manager struct {
 	// retiredBatches holds one tombstone per finished-and-removed batch: it
 	// drops stragglers for the batch and answers DecisionOf for its
 	// members, and its eviction forgets the members with it.
-	retiredBatches map[BatchID]*tombstone
+	retiredBatches map[BatchID]tombstone
 	// retiredOrder is the FIFO of tombstoned batches; it holds at most
 	// TombstoneCap members, counted in retiredMembers.
 	retiredOrder   []BatchID
@@ -236,8 +236,17 @@ type Manager struct {
 	// all Deliver walks.
 	fresh []*binstance
 
-	// Step scratch, reused across steps.
+	// Step scratch, reused across steps under mu and never sent: every
+	// instance appends its frames to out and its frames in to inbox
+	// (routed collects them while demux sorts them), votes is a joining or
+	// beginning instance's vote vector before the instance copies it, and
+	// retire lists what a tick removes. Only the payloads that out carries
+	// leave the manager, and no buffer here is one of them.
 	out        []types.Message
+	inbox      []types.Message
+	routed     []routedFrame
+	votes      []types.Value
+	retire     []*binstance
 	decidedNow []Outcome
 
 	ticked int // machines advanced by Step so far (tests read it)
@@ -278,7 +287,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		track:          span.ProcTrack(int(cfg.ID)),
 		batches:        make(map[BatchID]*binstance),
 		members:        make(map[ID]member),
-		retiredBatches: make(map[BatchID]*tombstone),
+		retiredBatches: make(map[BatchID]tombstone),
 	}, nil
 }
 
@@ -287,16 +296,6 @@ func NewManager(cfg Config) (*Manager, error) {
 // manager is being stepped. vote is this node's own vote.
 func (m *Manager) Begin(txn ID, vote bool) error {
 	return m.BeginBatch(BatchID(txn), []ID{txn}, []bool{vote})
-}
-
-// mark records one protocol milestone under a trace key, the manager tick
-// first in its Detail. Caller holds mu and has checked cfg.Spans.
-func (m *Manager) mark(key, name string, tick int, detail string) {
-	d := "tick=" + strconv.Itoa(tick)
-	if detail != "" {
-		d += " " + detail
-	}
-	m.cfg.Spans.Mark(key, m.track, name, d)
 }
 
 // ID implements types.Machine.
@@ -475,7 +474,7 @@ func (m *Manager) demuxLocked(received []types.Message, tick int, out []types.Me
 			if inner, _ := core.Unwrap(env.Inner); inner != nil {
 				if _, isGo := inner.(core.GoMsg); isGo {
 					bi.goRecv = true
-					m.mark(bi.key, span.EventGoRecv, tick, "from="+strconv.Itoa(int(received[i].From)))
+					m.cfg.Spans.MarkTick(bi.key, m.track, span.EventGoRecv, tick, span.FigFrom, int(received[i].From), 0)
 				}
 			}
 		}
@@ -488,7 +487,39 @@ func (m *Manager) demuxLocked(received []types.Message, tick int, out []types.Me
 		bi.lastRecvClock = tick
 		inner := received[i]
 		inner.Payload = env.Inner
-		bi.inbox = append(bi.inbox, inner)
+		m.routed = append(m.routed, routedFrame{bi, inner})
+		bi.routed++
 	}
+	m.fillInboxesLocked()
 	return out
+}
+
+// routedFrame is one received frame, unwrapped, and the instance it is for.
+type routedFrame struct {
+	bi  *binstance
+	msg types.Message
+}
+
+// fillInboxesLocked lays the routed frames out in the manager's inbox
+// buffer, each instance's in arrival order in a window of its own. Every
+// instance with frames is fresh, and advances before the call returns.
+// Caller holds mu.
+func (m *Manager) fillInboxesLocked() {
+	if len(m.routed) == 0 {
+		return
+	}
+	if cap(m.inbox) < len(m.routed) {
+		m.inbox = make([]types.Message, len(m.routed))
+	}
+	off := 0
+	for _, bi := range m.fresh {
+		bi.inbox = m.inbox[off : off : off+bi.routed]
+		off += bi.routed
+		bi.routed = 0
+	}
+	for _, r := range m.routed {
+		r.bi.inbox = append(r.bi.inbox, r.msg)
+	}
+	clear(m.routed)
+	m.routed = m.routed[:0]
 }

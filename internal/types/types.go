@@ -156,9 +156,13 @@ type Machine interface {
 	// Step applies one event. received may be empty (a processor may take
 	// a step with no message deliveries, which is how timeouts advance).
 	// The returned messages must have From set to the machine's own ID.
-	// The returned slice is scratch that the machine may overwrite on its
-	// next Step: callers must consume (copy or send) it before stepping
-	// the same machine again, and must not retain it.
+	// The returned slice is scratch, the machine's or its host's (the
+	// transaction manager has every instance it hosts append into one
+	// buffer it owns): callers must consume (copy or send) it before
+	// stepping the same machine again, and must not retain it. The
+	// payloads in it are not scratch: once returned, a payload and every
+	// slice it carries are never written again, so a receiver may keep
+	// them, and no buffer is ever reused as one.
 	Step(received []Message, rnd Rand) []Message
 
 	// Clock returns the number of steps taken so far (the paper's clock).
