@@ -183,7 +183,6 @@ func NewVector(cfg VectorConfig) (*VectorMachine, error) {
 	}
 	m := new(VectorMachine)
 	m.Prepare(cfg.ID, cfg.N, cfg.T, len(cfg.Initial))
-	m.cfg.Unsafe = cfg.Unsafe
 	m.Start(cfg.Initial, cfg.Coins)
 	return m, nil
 }

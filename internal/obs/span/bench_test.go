@@ -34,3 +34,22 @@ func BenchmarkCollectorAdd(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMilestoneRecord is a manager milestone's record cost: figures
+// formatted at snapshot (MarkTick) beside the Detail string the manager
+// used to build as it recorded.
+func BenchmarkMilestoneRecord(b *testing.B) {
+	c := NewCollector(DefaultCollectorCapacity)
+	b.Run("figures", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c.MarkTick("batch:s0-batch-1", "proc 0", EventStage, i, FigStage, 2, 0)
+		}
+	})
+	b.Run("eager", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c.Mark("batch:s0-batch-1", "proc 0", EventStage, "tick="+strconv.Itoa(i)+" "+"stage="+strconv.Itoa(2))
+		}
+	})
+}

@@ -293,23 +293,37 @@ func (c *Collector) Add(s Span) int {
 	if c == nil {
 		return 0
 	}
-	return c.add(record{Span: s})
+	c.mu.Lock()
+	r := c.claimLocked()
+	r.Span, r.fig = s, figPlain // a plain record's figures are never read
+	r.ID = c.seq
+	id := c.seq
+	c.mu.Unlock()
+	return id
 }
 
 // add stores one record, assigning its id.
-func (c *Collector) add(r record) int {
+func (c *Collector) add(rec *record) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.seq++
+	r := c.claimLocked()
+	*r = *rec
 	r.ID = c.seq
+	c.mu.Unlock()
+}
+
+// claimLocked returns the ring slot the next record goes in, evicting the
+// oldest once the ring is full, and counts the record in seq. Caller
+// holds mu.
+func (c *Collector) claimLocked() *record {
+	c.seq++
 	if len(c.buf) < cap(c.buf) {
-		c.buf = append(c.buf, r)
-	} else {
-		c.dropped++
-		c.buf[c.next] = r
-		c.next = (c.next + 1) % len(c.buf)
+		c.buf = c.buf[:len(c.buf)+1]
+		return &c.buf[len(c.buf)-1]
 	}
-	return r.ID
+	c.dropped++
+	r := &c.buf[c.next]
+	c.next = (c.next + 1) % len(c.buf)
+	return r
 }
 
 // Mark records a protocol milestone: a zero-length KindEvent span at the
@@ -330,7 +344,7 @@ func (c *Collector) MarkTick(txn, track, name string, tick int, fig Fig, x, y in
 		return
 	}
 	now := c.clock()
-	c.add(record{
+	c.add(&record{
 		Span: Span{Txn: txn, Track: track, Name: name, Kind: KindEvent,
 			Start: now, End: now, From: -1, To: -1},
 		fig: fig, n: [3]int64{int64(tick), int64(x), int64(y)},
@@ -344,7 +358,7 @@ func (c *Collector) AddRound(txn, track string, round, fromTick, toTick int, sta
 	if c == nil {
 		return
 	}
-	c.add(record{
+	c.add(&record{
 		Span: Span{Txn: txn, Track: track, Kind: KindRound, Start: start, End: end, From: -1, To: -1},
 		fig:  figRound, n: [3]int64{int64(round), int64(fromTick), int64(toTick)},
 	})
@@ -358,7 +372,7 @@ func (c *Collector) MarkDecided(txn, track string, d types.Decision, batch strin
 		return
 	}
 	now := c.clock()
-	c.add(record{
+	c.add(&record{
 		Span: Span{Txn: txn, Track: track, Name: StageDecided, Kind: KindStage,
 			Start: now, End: now, From: -1, To: -1, Detail: batch},
 		fig: figDecided, n: [3]int64{int64(d)},

@@ -10,15 +10,15 @@ import (
 )
 
 // TestShardedSubmitAllocBudget is the alloc-regression guard for the
-// sharding layer (ci.yml's "Alloc regression" step runs every test
-// matching Alloc). AllocsPerRun counts process-wide mallocs, so each
-// figure includes the groups' own protocol work — a sequential submit is
-// a width-1 batch on three managers — and the budgets carry about 3x
+// sharding layer; CI's Test step runs it, and -short (the race step)
+// skips it. AllocsPerRun counts process-wide mallocs, so each figure
+// includes the groups' own protocol work — a sequential submit is a
+// width-1 batch on three managers — and the budgets carry about 3x
 // headroom for scheduler timing and toolchain variation: they exist to
 // catch order-of-magnitude regressions (per-message allocations creeping
 // into the submit path), not single-alloc drift. Measured on the 2-core
-// bench box: ~670 allocs per single-shard submit, ~1360 per two-shard
-// cross submit (the deleted scalar path read ~535 and ~1105 there).
+// bench box: ~89 allocs per single-shard submit, ~210 per two-shard cross
+// submit (~226 and ~481 before the step path stopped allocating per step).
 //
 // The submits must COMMIT, so the tick is one a loaded 2-core box can
 // keep: at 5 ms the protocol's 2K-tick timeouts are 30 ms, and the test
@@ -77,10 +77,10 @@ func TestShardedSubmitAllocBudget(t *testing.T) {
 	single := testing.AllocsPerRun(20, func() { submit(shard.Request{}) })
 	cross := testing.AllocsPerRun(20, func() { submit(shard.Request{Keys: keys}) })
 	t.Logf("allocs per submit: single-shard %.0f, cross-shard %.0f", single, cross)
-	if single > 2000 {
-		t.Errorf("single-shard submit allocates %.0f, budget 2000", single)
+	if single > 270 {
+		t.Errorf("single-shard submit allocates %.0f, budget 270", single)
 	}
-	if cross > 4500 {
-		t.Errorf("cross-shard submit allocates %.0f, budget 4500", cross)
+	if cross > 640 {
+		t.Errorf("cross-shard submit allocates %.0f, budget 640", cross)
 	}
 }

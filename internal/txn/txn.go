@@ -344,10 +344,15 @@ func (m *Manager) decisionOfLocked(txn ID) (types.Decision, bool) {
 	if !ok {
 		return types.DecisionNone, false
 	}
+	// A live instance's decisions are its machine's outcomes: the advance
+	// that decides a member records it before releasing mu.
+	var ts tombstone
 	if bi, ok := m.batches[mb.batch]; ok {
-		return bi.c.OutcomeAt(mb.idx)
+		ts = bi.tombstone
+	} else {
+		ts = m.retiredBatches[mb.batch]
 	}
-	d := m.retiredBatches[mb.batch].decisions[mb.idx]
+	d := ts.decisions[mb.idx]
 	return d, d != types.DecisionNone
 }
 
