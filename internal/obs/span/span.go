@@ -217,28 +217,23 @@ type record struct {
 // span formats the record's figures into its Name and Detail.
 func (r *record) span() Span {
 	s := r.Span
+	n := func(i int) string { return strconv.FormatInt(r.n[i], 10) }
 	switch r.fig {
-	case figPlain:
+	case FigTick:
+		s.Detail = "tick=" + n(0)
+	case FigFrom:
+		s.Detail = "tick=" + n(0) + " from=" + n(1)
+	case FigVotes:
+		s.Detail = "tick=" + n(0) + " votes=" + n(1)
+	case FigStage:
+		s.Detail = "tick=" + n(0) + " stage=" + n(1)
+	case FigCoins:
+		s.Detail = "tick=" + n(0) + " coins=" + n(1) + " fanout=" + n(2)
 	case figRound:
-		s.Name = "round " + strconv.FormatInt(r.n[0], 10)
-		d := strconv.AppendInt(append(make([]byte, 0, 32), "ticks "...), r.n[1], 10)
-		s.Detail = string(strconv.AppendInt(append(d, ".."...), r.n[2], 10))
+		s.Name = "round " + n(0)
+		s.Detail = "ticks " + n(1) + ".." + n(2)
 	case figDecided:
 		s.Detail = "decision=" + types.Decision(r.n[0]).String() + " " + obs.BatchDetail(r.Detail)
-	default:
-		d := strconv.AppendInt(append(make([]byte, 0, 48), "tick="...), r.n[0], 10)
-		switch r.fig {
-		case FigFrom:
-			d = strconv.AppendInt(append(d, " from="...), r.n[1], 10)
-		case FigVotes:
-			d = strconv.AppendInt(append(d, " votes="...), r.n[1], 10)
-		case FigStage:
-			d = strconv.AppendInt(append(d, " stage="...), r.n[1], 10)
-		case FigCoins:
-			d = strconv.AppendInt(append(d, " coins="...), r.n[1], 10)
-			d = strconv.AppendInt(append(d, " fanout="...), r.n[2], 10)
-		}
-		s.Detail = string(d)
 	}
 	return s
 }
