@@ -230,7 +230,7 @@ type rule struct {
 	caught    string            // the one violation it must yield
 }
 
-const wantRules = 22
+const wantRules = 23
 
 // changes is the change log; its newest entry is bounded in lines and
 // bytes (ROADMAP 11b).
@@ -468,6 +468,34 @@ var rules = []rule{
 			"internal/transport/hub.go":    "package transport\n// WithFaults is gone; see Inject.\nconst note = \"WithFaults\"",
 		},
 		caught: "internal/transport/faults.go:2: names WithFaults",
+	},
+	{
+		name: "the places are the one bound on in-flight work",
+		why: "At most N batches are unresolved, one place per coordinator, and each takes at most BatchMax members, " +
+			"so the places bound dispatched members at N × BatchMax. A member-slot bound (MaxInFlight, commitd -inflight) " +
+			"counted them a second time and wedged the service when BatchMax exceeded it; it must not come back.",
+		check: func(tr *tree) []string {
+			out := tr.namers("MaxInFlight", tr.in(), nil)
+			for _, f := range tr.in(within("cmd/commitd")) {
+				ast.Inspect(f.File, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok {
+						for _, arg := range call.Args {
+							if lit, ok := arg.(*ast.BasicLit); ok && lit.Value == `"inflight"` {
+								out = append(out, tr.at(lit.Pos(), "defines an inflight flag"))
+							}
+						}
+					}
+					return true
+				})
+			}
+			return out
+		},
+		planted: map[string]string{
+			"cmd/commitd/main.go": "package main\nimport \"flag\"\n// MaxInFlight and -inflight in a comment are not names\n" +
+				"var _ = flag.Int(\"inflight\", 128, \"MaxInFlight\")",
+			"internal/service/types.go": "package service\ntype Config struct{ BatchMax int }\nconst help = \"MaxInFlight\"",
+		},
+		caught: "cmd/commitd/main.go:4: defines an inflight flag",
 	},
 
 	// One log of changes, kept short.

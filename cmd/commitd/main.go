@@ -33,12 +33,16 @@
 // D/cross, so a restarted daemon answers every acked id and settles
 // in-doubt cross-shard transactions before serving. Start-up refuses a D
 // laid out for another shard count, because the router would send ids to
-// the wrong group's journal.
+// the wrong group's journal, and it checks the cluster shape before it
+// creates anything in D.
+//
+// Each group holds at most n batches in flight, one per round-robin
+// coordinator, and each batch takes at most -batch queued submissions.
 //
 // The cluster backend is either the in-process channel hub (default) or
-// real TCP nodes on loopback (-backend tcp, single-shard only) — same
-// machines, same protocol, heavier transport. -pprof additionally mounts
-// net/http/pprof under /debug/pprof/ (off by default).
+// real TCP nodes on loopback (-backend tcp, n peered nodes per group) —
+// same machines, same protocol, heavier transport. -pprof additionally
+// mounts net/http/pprof under /debug/pprof/ (off by default).
 //
 // Live ops: an anomaly watchdog (internal/obs/watch) samples the
 // deployment every -watch-interval, detecting stalled transactions
@@ -99,8 +103,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		tick      = fs.Duration("tick", time.Millisecond, "period of the timeout clock (nodes act on messages as they arrive)")
 		seed      = fs.Uint64("seed", 0, "randomness seed (0: derived from time)")
 		queue     = fs.Int("queue", 1024, "admission queue depth (per shard)")
-		inflight  = fs.Int("inflight", 128, "max member transactions in flight (per shard); agreement instances are bounded by -n")
-		batch     = fs.Int("batch", 64, "max submissions coalesced per dispatch (clamped to -inflight)")
+		batch     = fs.Int("batch", 64, "max submissions coalesced per dispatch")
 		timeout   = fs.Duration("timeout", 10*time.Second, "default per-request deadline")
 		backend   = fs.String("backend", "channel", "cluster transport: channel or tcp")
 		shards    = fs.Int("shards", 1, "independent commit groups behind the consistent-hash router")
@@ -146,28 +149,36 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		TickEvery:      *tick,
 		Seed:           *seed,
 		QueueDepth:     *queue,
-		MaxInFlight:    *inflight,
 		BatchMax:       *batch,
 		DefaultTimeout: *timeout,
 		Registry:       reg,
 		Logger:         logger,
 	}
+	// A shape the groups would refuse is refused before anything exists.
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	tcp := make([][]transport.Transport, *shards) // group k's transports; nil runs it on a hub
+	closeTCP := func() {
+		for _, nodes := range tcp {
+			for _, tr := range nodes {
+				tr.Close() //nolint:errcheck // already failing
+			}
+		}
+	}
 	switch *backend {
 	case "channel":
 	case "tcp":
-		if *shards != 1 {
-			return errors.New("-backend tcp supports -shards 1 only (each group needs its own peered listeners)")
+		for k := range tcp {
+			if tcp[k], err = loopbackTCP(*n, reg); err != nil {
+				closeTCP()
+				return err
+			}
 		}
-		transports, err := loopbackTCP(*n, reg)
-		if err != nil {
-			return err
-		}
-		cfg.Transports = transports
 	default:
 		return fmt.Errorf("unknown backend %q (want channel or tcp)", *backend)
 	}
 
-	scfg := shard.Config{Shards: *shards, Group: cfg}
 	var logs journals
 	if *walDir != "" {
 		logs, err = openJournals(*walDir, *shards, wal.SegmentedOptions{
@@ -177,15 +188,22 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 			Registry:      reg,
 		}, out)
 		if err != nil {
+			closeTCP()
 			return err
 		}
-		scfg.ConfigureGroup = func(k int, g *service.Config) { g.Journal = logs.groups[k] }
-		if logs.cross != nil {
-			scfg.Log = logs.cross.CrossLog
+	}
+	scfg := shard.Config{Shards: *shards, Group: cfg, ConfigureGroup: func(k int, g *service.Config) {
+		if logs.groups != nil {
+			g.Journal = logs.groups[k]
 		}
+		g.Transports = tcp[k]
+	}}
+	if logs.cross != nil {
+		scfg.Log = logs.cross.CrossLog
 	}
 	coord, err := shard.New(scfg)
 	if err != nil {
+		closeTCP()
 		logs.close() //nolint:errcheck // already failing
 		return err
 	}

@@ -136,6 +136,21 @@ func TestDaemonChannelBackend(t *testing.T) {
 	stop()
 }
 
+// keyOn returns a key the router of a deployment of shards groups places
+// on group k.
+func keyOn(t *testing.T, shards, k int) string {
+	t.Helper()
+	router, err := shard.NewRouter(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; ; i++ {
+		if key := fmt.Sprintf("key-%d", i); router.Route(key) == k {
+			return key
+		}
+	}
+}
+
 func TestDaemonTCPBackend(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tcp backend round trip in -short mode")
@@ -156,6 +171,28 @@ func TestDaemonTCPBackend(t *testing.T) {
 		}
 	}
 	stop()
+
+	// Each group runs over its own peered loopback nodes, so a cross-shard
+	// transaction crosses sockets in both groups and no group builds a hub.
+	base, stop = startDaemon(t, "-backend", "tcp", "-tick", "2ms", "-shards", "2")
+	defer stop()
+	code, out := postCommit(t, base, service.CommitRequestJSON{ID: "tcp-x", Keys: []string{keyOn(t, 2, 0), keyOn(t, 2, 1)}})
+	if code != http.StatusOK || out.State != service.StateCommit || len(out.Shards) != 2 {
+		t.Fatalf("cross-shard commit over tcp = %d %+v", code, out)
+	}
+	resp, err := http.Get(base + "/metrics.prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(prom), `transport_messages_delivered_total{transport="tcp"}`) ||
+		strings.Contains(string(prom), `transport="channel"`) {
+		t.Fatalf("a group did not run over tcp:\n%s", prom)
+	}
 }
 
 func TestDaemonBadFlags(t *testing.T) {
@@ -281,7 +318,8 @@ func TestDaemonShardedBadFlags(t *testing.T) {
 		want string // substring of the start-up error
 	}{
 		{"zero shards", []string{"-shards", "0"}, "-shards"},
-		{"tcp backend with multiple shards", []string{"-shards", "2", "-backend", "tcp", "-wal-dir", unused}, "-backend tcp"},
+		// A shape the groups refuse is refused before -wal-dir is created.
+		{"cluster shape", []string{"-n", "4", "-t", "2", "-wal-dir", unused}, "need N > 2T"},
 		// A journal in the retired single-file format is refused by name,
 		// never shadowed by an empty log.
 		{"single-file journal, one shard", []string{"-wal-dir", oldJournal}, "single-file journals are no longer read: " + oldJournal},
@@ -324,23 +362,13 @@ func TestDaemonShardedJournalSurvivesRestart(t *testing.T) {
 	args := []string{"-shards", "3", "-tick", "500us", "-wal-dir", dir}
 	base, stop := startDaemon(t, args...)
 
-	router, err := shard.NewRouter(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keyOn := func(k int) string {
-		for i := 0; ; i++ {
-			if key := fmt.Sprintf("key-%d", i); router.Route(key) == k {
-				return key
-			}
-		}
-	}
+	keys := []string{keyOn(t, 3, 0), keyOn(t, 3, 1), keyOn(t, 3, 2)}
 	no := []bool{true, false, true}
 	var singles []string
 	reqs := []service.CommitRequestJSON{
-		{ID: "x-commit", Keys: []string{keyOn(0), keyOn(1)}},
-		{ID: "x-abort", Keys: []string{keyOn(1), keyOn(2)}, Votes: no},
-		{ID: "x-wide", Keys: []string{keyOn(0), keyOn(1), keyOn(2)}},
+		{ID: "x-commit", Keys: keys[:2]},
+		{ID: "x-abort", Keys: keys[1:], Votes: no},
+		{ID: "x-wide", Keys: keys},
 	}
 	for i := 0; i < 6; i++ {
 		req := service.CommitRequestJSON{ID: fmt.Sprintf("s-%d", i)}

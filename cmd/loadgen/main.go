@@ -279,11 +279,7 @@ func drive(cfg genConfig, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("healthz: %w", err)
 	}
-	n := health.N
-	// A daemon served by shard.NewHTTPHandler reports its shard count, one
-	// included, and answers /metrics with the sharded snapshot.
-	sharded := health.Shards > 0
-	shards := max(health.Shards, 1)
+	n, shards := health.N, health.Shards
 	if cfg.crossFraction > 0 && shards < 2 {
 		return fmt.Errorf("-cross-fraction %.2f needs a sharded daemon, but %s runs 1 shard", cfg.crossFraction, cfg.addr)
 	}
@@ -304,7 +300,7 @@ func drive(cfg genConfig, out io.Writer) error {
 	// Snapshot the daemon's counters before the run so the end-of-run
 	// numbers (decisions/sec, batch occupancy) are deltas attributable to
 	// this run, not the daemon's lifetime totals.
-	before, _, err := fetchMetrics(client, base, sharded, n)
+	before, _, err := fetchMetrics(client, base, n)
 	if err != nil {
 		return fmt.Errorf("metrics (pre-run): %w", err)
 	}
@@ -420,11 +416,7 @@ func drive(cfg genConfig, out io.Writer) error {
 			// cross-shard alike (the dissenting vote reaches every
 			// participating group).
 			violation := wantAbort && cr.State == service.StateCommit
-			txnShards := cr.Shards
-			if len(txnShards) == 0 {
-				txnShards = []int{0} // unsharded daemon
-			}
-			g.record(cr.State, cr.LatencyMs, violation, txnShards)
+			g.record(cr.State, cr.LatencyMs, violation, cr.Shards)
 			return
 		}
 	}
@@ -500,7 +492,7 @@ func drive(cfg genConfig, out io.Writer) error {
 	}
 
 	// Pull the daemon's own view: safety violations detected server-side.
-	m, sm, err := fetchMetrics(client, base, sharded, n)
+	m, sm, err := fetchMetrics(client, base, n)
 	if err != nil {
 		return fmt.Errorf("metrics: %w", err)
 	}
@@ -522,34 +514,27 @@ func drive(cfg genConfig, out io.Writer) error {
 	return nil
 }
 
-// fetchMetrics pulls the daemon's /metrics snapshot. A sharded daemon
-// answers with the sharded snapshot, which slots into the same
-// service.Metrics shape: at one shard its group's snapshot, which keeps
-// the stage table, batch occupancy and crash list in the report; at
-// several, the aggregate of their counters.
-func fetchMetrics(client *http.Client, base string, sharded bool, n int) (service.Metrics, *shard.Metrics, error) {
+// fetchMetrics pulls the daemon's /metrics snapshot, the sharded one at
+// every shard count. It slots into the service.Metrics shape: at one shard
+// its group's snapshot, which keeps the stage table, batch occupancy and
+// crash list in the report; at several, the aggregate of their counters.
+func fetchMetrics(client *http.Client, base string, n int) (service.Metrics, *shard.Metrics, error) {
 	var m service.Metrics
 	resp, err := client.Get(base + "/metrics")
 	if err != nil {
 		return m, nil, err
 	}
 	defer resp.Body.Close()
-	if sharded {
-		var sm shard.Metrics
-		if err := json.NewDecoder(resp.Body).Decode(&sm); err != nil {
-			return m, nil, err
-		}
-		m = sm.Aggregate
-		if len(sm.PerShard) == 1 {
-			m = sm.PerShard[0]
-		}
-		m.N = n
-		return m, &sm, nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+	var sm shard.Metrics
+	if err := json.NewDecoder(resp.Body).Decode(&sm); err != nil {
 		return m, nil, err
 	}
-	return m, nil, nil
+	m = sm.Aggregate
+	if len(sm.PerShard) == 1 {
+		m = sm.PerShard[0]
+	}
+	m.N = n
+	return m, &sm, nil
 }
 
 // occupancyDelta subtracts the pre-run occupancy snapshot from the
@@ -589,8 +574,6 @@ type OutcomeJSON struct {
 
 // SummaryJSON is the single end-of-run object emitted by -json, for
 // scripted sweeps that post-process runs without scraping the table.
-// Shards, PerShard, CrossShard, SingleShard, and DaemonSharded appear
-// only against sharded daemons.
 type SummaryJSON struct {
 	Mode             string                  `json:"mode"`
 	N                int                     `json:"n"`
@@ -656,18 +639,16 @@ func summarize(cfg genConfig, g *genStats, m, before service.Metrics, sharded *s
 	}
 	s.BatchesDecided = m.BatchesDecided - before.BatchesDecided
 	s.BatchOccupancy = occupancyDelta(m.BatchOccupancy, before.BatchOccupancy)
-	if sharded != nil {
-		s.Shards = sharded.Shards
-		s.DaemonSharded = sharded
-		s.PerShard = make(map[string]OutcomeJSON, len(g.byShard))
-		for sh, rec := range g.byShard {
-			s.PerShard[strconv.Itoa(sh)] = outcomeOf(rec)
-		}
-		cross := outcomeOf(g.cross)
-		single := outcomeOf(g.single)
-		s.CrossShard = &cross
-		s.SingleShard = &single
+	s.Shards = sharded.Shards
+	s.DaemonSharded = sharded
+	s.PerShard = make(map[string]OutcomeJSON, len(g.byShard))
+	for sh, rec := range g.byShard {
+		s.PerShard[strconv.Itoa(sh)] = outcomeOf(rec)
 	}
+	cross := outcomeOf(g.cross)
+	single := outcomeOf(g.single)
+	s.CrossShard = &cross
+	s.SingleShard = &single
 	return s
 }
 
@@ -716,15 +697,12 @@ func report(out io.Writer, cfg genConfig, s SummaryJSON, elapsed time.Duration) 
 			sht.AddRow(id, o.Count, fmt.Sprintf("%.2f", o.P50Ms), fmt.Sprintf("%.2f", o.P99Ms))
 		}
 		fmt.Fprint(out, "per-shard latency:\n"+sht.String())
-		if s.CrossShard != nil && s.SingleShard != nil {
-			fmt.Fprintf(out, "cross-shard: count=%d p50=%.2fms p99=%.2fms | single-shard: count=%d p50=%.2fms p99=%.2fms\n",
-				s.CrossShard.Count, s.CrossShard.P50Ms, s.CrossShard.P99Ms,
-				s.SingleShard.Count, s.SingleShard.P50Ms, s.SingleShard.P99Ms)
-		}
-		if ds := s.DaemonSharded; ds != nil {
-			fmt.Fprintf(out, "daemon cross layer: submitted=%d committed=%d aborted=%d in_doubt=%d p99=%.2fms\n",
-				ds.Cross.Submitted, ds.Cross.Committed, ds.Cross.Aborted, ds.Cross.InDoubt, ds.Cross.LatencyP99Ms)
-		}
+		fmt.Fprintf(out, "cross-shard: count=%d p50=%.2fms p99=%.2fms | single-shard: count=%d p50=%.2fms p99=%.2fms\n",
+			s.CrossShard.Count, s.CrossShard.P50Ms, s.CrossShard.P99Ms,
+			s.SingleShard.Count, s.SingleShard.P50Ms, s.SingleShard.P99Ms)
+		ds := s.DaemonSharded
+		fmt.Fprintf(out, "daemon cross layer: submitted=%d committed=%d aborted=%d in_doubt=%d p99=%.2fms\n",
+			ds.Cross.Submitted, ds.Cross.Committed, ds.Cross.Aborted, ds.Cross.InDoubt, ds.Cross.LatencyP99Ms)
 	}
 	if len(m.Stages) > 0 {
 		st := stats.NewTable("stage", "count", "p50 ms", "p99 ms")
@@ -824,7 +802,7 @@ func fetchWatchdog(client *http.Client, base string) *watch.Health {
 }
 
 // clusterInfo fetches /healthz: cluster size per group plus the shard
-// count (absent on unsharded daemons).
+// count.
 func clusterInfo(client *http.Client, base string) (service.HealthJSON, error) {
 	resp, err := client.Get(base + "/healthz")
 	if err != nil {
@@ -835,8 +813,8 @@ func clusterInfo(client *http.Client, base string) (service.HealthJSON, error) {
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		return service.HealthJSON{}, err
 	}
-	if h.N <= 0 {
-		return service.HealthJSON{}, fmt.Errorf("daemon reports cluster size %d", h.N)
+	if h.N <= 0 || h.Shards <= 0 {
+		return service.HealthJSON{}, fmt.Errorf("daemon reports cluster size %d and %d shards", h.N, h.Shards)
 	}
 	return h, nil
 }

@@ -17,24 +17,13 @@ import (
 	"repro/internal/shard"
 )
 
-// newTarget stands up a real service behind the real HTTP handler and
-// returns a host:port address for loadgen to hit.
+// newTarget stands up what commitd serves by default, one group behind
+// the sharded HTTP handler, and returns that group's service and a
+// host:port address for loadgen to hit.
 func newTarget(t *testing.T, cfg service.Config) (*service.Service, string) {
 	t.Helper()
-	s, err := service.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(service.NewHTTPHandler(s))
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := s.Close(ctx); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	})
-	return s, strings.TrimPrefix(ts.URL, "http://")
+	c, addr := newShardedTarget(t, shard.Config{Shards: 1, Group: cfg})
+	return c.Group(0), addr
 }
 
 // TestLoadgenE2EClosedLoopWithCrash is the headline end-to-end run: a
@@ -126,7 +115,7 @@ func TestLoadgenOpenLoop(t *testing.T) {
 func TestLoadgenRetriesOverload(t *testing.T) {
 	s, addr := newTarget(t, service.Config{
 		N: 3, K: 3, Seed: 13,
-		QueueDepth: 2, MaxInFlight: 2, BatchMax: 1,
+		QueueDepth: 2, BatchMax: 1,
 		RetryHint: 5 * time.Millisecond,
 	})
 	var out bytes.Buffer
@@ -205,21 +194,21 @@ func TestLoadgenJSONOutput(t *testing.T) {
 // other end-to-end tests cover the opposite path: their targets have no
 // /debug/health, and the report must simply omit the section.
 func TestLoadgenWatchdogReport(t *testing.T) {
-	s, err := service.New(service.Config{N: 3, K: 3, Seed: 21})
+	c, err := shard.New(shard.Config{Shards: 1, Group: service.Config{N: 3, K: 3, Seed: 21}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wd := watch.New(s, watch.Config{})
+	wd := watch.New(c, watch.Config{})
 	wd.Tick() // at least one evaluation so ticks > 0 in the report
 	mux := http.NewServeMux()
 	mux.Handle("/debug/health", wd.Handler())
-	mux.Handle("/", service.NewHTTPHandler(s))
+	mux.Handle("/", shard.NewHTTPHandler(c))
 	ts := httptest.NewServer(mux)
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		if err := s.Close(ctx); err != nil {
+		if err := c.Close(ctx); err != nil {
 			t.Errorf("close: %v", err)
 		}
 	})
@@ -266,9 +255,8 @@ func TestLoadgenWatchdogReport(t *testing.T) {
 func TestLoadgenBatchedOccupancy(t *testing.T) {
 	s, addr := newTarget(t, service.Config{
 		N: 3, K: 3, Seed: 31,
-		TickEvery:   500 * time.Microsecond,
-		BatchMax:    16,
-		MaxInFlight: 256,
+		TickEvery: 500 * time.Microsecond,
+		BatchMax:  16,
 	})
 	var out bytes.Buffer
 	err := drive(genConfig{
@@ -564,7 +552,8 @@ func TestLoadgenHotShard(t *testing.T) {
 }
 
 // TestLoadgenShardFlagsAgainstUnshardedDaemon: shard-shaping flags are
-// rejected up front when the daemon runs a single group.
+// rejected up front when the daemon runs a single group (commitd's
+// default, one shard).
 func TestLoadgenShardFlagsAgainstUnshardedDaemon(t *testing.T) {
 	_, addr := newTarget(t, service.Config{N: 3, K: 3, Seed: 29})
 	var out bytes.Buffer

@@ -18,7 +18,7 @@ import (
 // answer — including the one abort voter.
 func TestBatchedEndToEnd(t *testing.T) {
 	s := newService(t, service.Config{
-		N: 3, Seed: 11, BatchMax: 32, MaxInFlight: 256,
+		N: 3, Seed: 11, BatchMax: 32,
 	})
 	const clients = 40
 	var wg sync.WaitGroup
@@ -84,40 +84,13 @@ func TestBatchedSingleton(t *testing.T) {
 	}
 }
 
-// TestMoreSubmitsThanSlots: with fewer in-flight slots than queued
-// submissions (and than the default BatchMax) the dispatcher still makes
-// progress — a batch never needs more slots than exist.
-func TestMoreSubmitsThanSlots(t *testing.T) {
-	s := newService(t, service.Config{N: 3, Seed: 15, MaxInFlight: 2, DefaultTimeout: 5 * time.Second})
-	const clients = 16
-	var wg sync.WaitGroup
-	results := make([]service.Result, clients)
-	for i := 0; i < clients; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], _ = s.Submit(context.Background(), service.Request{ID: fmt.Sprintf("slot-%02d", i)})
-		}()
-	}
-	wg.Wait()
-	for i, r := range results {
-		if r.State != service.StateCommit {
-			t.Fatalf("client %d resolved %+v, want COMMIT", i, r)
-		}
-	}
-	if m := s.Metrics(); m.MaxBatch > 2 {
-		t.Fatalf("a batch of %d outgrew MaxInFlight=2", m.MaxBatch)
-	}
-}
-
 // TestBatchedUnderCrash: batches dispatched before a minority
 // crash commit; batches racing or following the crash still resolve
 // (abort is the correct on-time answer when a voter is dead — the vote
 // exchange times out) and no node ever disagrees with another.
 func TestBatchedUnderCrash(t *testing.T) {
 	s := newService(t, service.Config{
-		N: 5, Seed: 13, BatchMax: 16, MaxInFlight: 128,
+		N: 5, Seed: 13, BatchMax: 16,
 		DefaultTimeout: 5 * time.Second,
 	})
 	submitWave := func(prefix string, k int) {
@@ -156,7 +129,7 @@ func TestBatchedUnderCrash(t *testing.T) {
 // through the rounds and links of the batch that decided it, and its
 // contributions sum exactly to that end-to-end latency.
 func TestMemberCriticalPathLive(t *testing.T) {
-	s := newService(t, service.Config{N: 3, Seed: 14, BatchMax: 8, MaxInFlight: 64})
+	s := newService(t, service.Config{N: 3, Seed: 14, BatchMax: 8})
 	const clients = 24
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {

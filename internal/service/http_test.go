@@ -14,8 +14,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/service"
-	"repro/internal/transport"
-	"repro/internal/types"
 )
 
 func newHTTPService(t *testing.T, cfg service.Config) (*service.Service, *httptest.Server) {
@@ -224,22 +222,26 @@ func TestHTTPMetricsPromAndTrace(t *testing.T) {
 }
 
 func TestHTTPOverloadAndRetryAfter(t *testing.T) {
-	_, ts := newHTTPService(t, service.Config{
+	_, trs := service.NewGate(3, nil)
+	s, ts := newHTTPService(t, service.Config{
 		N: 3, Seed: 22,
-		QueueDepth: 1, MaxInFlight: 1, BatchMax: 1,
+		QueueDepth: 1, BatchMax: 1,
 		DefaultTimeout: 400 * time.Millisecond,
 		RetryHint:      30 * time.Millisecond,
-		Hub:            transport.HubOptions{Inject: func(types.Message) transport.Fault { return transport.Fault{Drop: true} }},
+		Transports:     trs,
 	})
-	// Fill slot + dispatcher + queue with doomed submissions.
-	for i := 0; i < 3; i++ {
+	// With the network held, doomed submissions take the N places and
+	// fill the queue, one at a time.
+	for i := 1; i <= 4; i++ {
 		go func() {
 			resp, err := http.Post(ts.URL+"/commit", "application/json", bytes.NewReader([]byte("{}")))
 			if err == nil {
 				resp.Body.Close()
 			}
 		}()
-		time.Sleep(30 * time.Millisecond)
+		waitMetric(t, s, "the submission to hold a place or the queue", func(m service.Metrics) bool {
+			return m.InFlight+m.Queued == i
+		})
 	}
 	resp := postJSON(t, ts.URL+"/commit", service.CommitRequestJSON{})
 	if resp.StatusCode != http.StatusTooManyRequests {

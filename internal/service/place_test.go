@@ -7,7 +7,9 @@ package service
 // decided by the test, not by how fast the protocol runs.
 
 import (
+	"bytes"
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -124,47 +126,41 @@ func TestEveryBatchExitFreesItsPlaceContentOblivious(t *testing.T) {
 		}
 		waitIdle(t, s)
 	})
-	// A hard Close finds the dispatcher waiting for a place (every place
-	// held) or, with fewer slots than places, for a member's slot.
-	for _, tc := range []struct {
-		name        string
-		maxInFlight int
-		queued      int // where the waiting submission sits: the queue, or the dispatcher's batch
-	}{{"hard close while waiting for a place", 3, 1}, {"hard close while waiting for a slot", 2, 0}} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := frozenService(t, Config{N: 3, Seed: 47, MaxInFlight: tc.maxInFlight})
-			for _, id := range []string{"held-a", "held-b", "held-c"}[:tc.maxInFlight] {
-				submitFrozen(t, s, id)
-			}
-			queued := make(chan Result, 1)
-			go func() {
-				res, _ := s.Submit(context.Background(), Request{ID: "waiting"})
-				queued <- res
-			}()
-			waitFor(t, "the dispatcher to block", func() bool {
-				_, known := s.Status("waiting")
-				return known && len(s.places) == 3 && s.Metrics().Queued == tc.queued
-			})
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-			defer cancel()
-			done := make(chan struct{})
-			go func() {
-				s.Close(ctx) //nolint:errcheck // a hard stop of a frozen cluster
-				close(done)
-			}()
-			select {
-			case <-done:
-			case <-time.After(5 * time.Second):
-				t.Fatal("Close hung on a dispatcher waiting for a place or slot")
-			}
-			if res := recv(t, queued); res.State != StateTimeout {
-				t.Fatalf("the waiting submission resolved %s, want TIMEOUT", res.State)
-			}
-			if got := len(s.places); got != 0 {
-				t.Fatalf("%d places held after a hard Close", got)
-			}
+	// A hard Close finds the dispatcher waiting for a place: every place
+	// is held.
+	t.Run("hard close while waiting for a place", func(t *testing.T) {
+		s := frozenService(t, Config{N: 3, Seed: 47})
+		for _, id := range []string{"held-a", "held-b", "held-c"} {
+			submitFrozen(t, s, id)
+		}
+		queued := make(chan Result, 1)
+		go func() {
+			res, _ := s.Submit(context.Background(), Request{ID: "waiting"})
+			queued <- res
+		}()
+		waitFor(t, "the dispatcher to block", func() bool {
+			_, known := s.Status("waiting")
+			return known && len(s.places) == 3 && s.Metrics().Queued == 1
 		})
-	}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		defer cancel()
+		done := make(chan struct{})
+		go func() {
+			s.Close(ctx) //nolint:errcheck // a hard stop of a frozen cluster
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Close hung on a dispatcher waiting for a place")
+		}
+		if res := recv(t, queued); res.State != StateTimeout {
+			t.Fatalf("the waiting submission resolved %s, want TIMEOUT", res.State)
+		}
+		if got := len(s.places); got != 0 {
+			t.Fatalf("%d places held after a hard Close", got)
+		}
+	})
 	t.Run("BeginBatch fails", func(t *testing.T) {
 		s := frozenService(t, Config{N: 3, Seed: 53})
 		// The first batch is batch-1 on coordinator 0; taking its name
@@ -218,11 +214,10 @@ func TestRescueKeepsItsPlaceContentOblivious(t *testing.T) {
 
 // TestBatchesCountOnlyDispatchedMembersContentOblivious: submissions that
 // expire in the queue never dispatch, so they count toward no batch, no
-// occupancy and no MaxBatch. Three held submissions fill the places and
-// slots; two more expire behind them and leave the queue together once a
-// place frees.
+// occupancy and no MaxBatch. Three held submissions fill the places; two
+// more expire behind them and leave the queue together once a place frees.
 func TestBatchesCountOnlyDispatchedMembersContentOblivious(t *testing.T) {
-	s := frozenService(t, Config{N: 3, Seed: 61, MaxInFlight: 3})
+	s := frozenService(t, Config{N: 3, Seed: 61})
 	results := make(chan Result, 5)
 	submit := func(id string, timeout time.Duration) {
 		go func() {
@@ -255,5 +250,75 @@ func TestBatchesCountOnlyDispatchedMembersContentOblivious(t *testing.T) {
 	}
 	if got := len(s.places); got != 0 {
 		t.Fatalf("%d places held after the drain", got)
+	}
+}
+
+// inFlightGauge is the service_in_flight sample a scrape of s reads.
+func inFlightGauge(t *testing.T, s *Service) string {
+	t.Helper()
+	var prom bytes.Buffer
+	if err := s.Registry().WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(prom.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, `service_in_flight{shard="0"} `); ok {
+			return v
+		}
+	}
+	t.Fatal("no service_in_flight sample")
+	return ""
+}
+
+// TestInFlightCountsHeldMembersContentOblivious: the places are the one
+// bound on in-flight work, and the in-flight readings count the members of
+// the batches that hold them. With the network held, three lone
+// submissions take the three places and two more wait in the queue; after
+// the gate opens every submission resolves and nothing is in flight.
+func TestInFlightCountsHeldMembersContentOblivious(t *testing.T) {
+	const n = 3
+	gate, trs := NewGate(n, nil)
+	s, err := New(Config{N: n, Seed: 67, Transports: trs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { closeWithin(s, 5*time.Second) })
+	results := make(chan Result, n+2)
+	submit := func(id string) {
+		go func() {
+			res, _ := s.Submit(context.Background(), Request{ID: id})
+			results <- res
+		}()
+	}
+	for _, id := range []string{"held-a", "held-b", "held-c"} {
+		submit(id)
+		waitFor(t, id+" to dispatch", func() bool {
+			st, _ := s.Status(id)
+			return st.State == StateRunning
+		})
+	}
+	submit("waits-a")
+	submit("waits-b")
+	waitFor(t, "two submissions to queue", func() bool { return s.Metrics().Queued == 2 })
+	if m := s.Metrics(); m.InFlight != n || m.Queued != 2 {
+		t.Fatalf("in flight %d, queued %d with the network held, want %d and 2", m.InFlight, m.Queued, n)
+	}
+	if got := inFlightGauge(t, s); got != "3" {
+		t.Fatalf("service_in_flight reads %s, want 3", got)
+	}
+	if got := s.WatchSample(time.Hour).InFlight; got != n {
+		t.Fatalf("the watchdog sample reads %d in flight, want %d", got, n)
+	}
+
+	gate.Release()
+	for i := 0; i < n+2; i++ {
+		if res := recv(t, results); !decided(res) {
+			t.Fatalf("%s resolved %s, want a decision", res.ID, res.State)
+		}
+	}
+	if m := s.Metrics(); m.InFlight != 0 {
+		t.Fatalf("%d in flight once every submission resolved", m.InFlight)
+	}
+	if got := inFlightGauge(t, s); got != "0" {
+		t.Fatalf("service_in_flight reads %s once every submission resolved", got)
 	}
 }

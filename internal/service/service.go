@@ -61,9 +61,7 @@ type pending struct {
 	// dequeueU is set by the dispatcher goroutine when the submission
 	// leaves the queue and read only on that goroutine (dispatchBatch).
 	dequeueU int64
-	// dispatched, coordinator, dispatchU, and batch are written under
-	// Service.mu.
-	dispatched  bool
+	// coordinator, dispatchU, and batch are written under Service.mu.
 	coordinator types.ProcID
 	dispatchU   int64
 	// batch names the agreement batch the submission dispatched in
@@ -147,8 +145,12 @@ func newGaugeMetrics(reg *obs.Registry, shard string, s *Service) {
 		"Submissions waiting in the admission queue.", "shard").
 		With(func() float64 { return float64(len(s.queue)) }, shard)
 	reg.GaugeFuncVec("service_in_flight",
-		"Member transactions holding an in-flight slot (instances are bounded by N).", "shard").
-		With(func() float64 { return float64(len(s.slots)) }, shard)
+		"Member transactions dispatched and not yet resolved (at most N batches of BatchMax).", "shard").
+		With(func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(s.inFlightLocked())
+		}, shard)
 	reg.GaugeFuncVec("service_active_instances",
 		"Instances still held by the transaction managers (all nodes).", "shard").
 		With(func() float64 {
@@ -173,11 +175,10 @@ type Service struct {
 	cluster  *runtime.Cluster
 
 	queue chan *pending
-	// slots meters member transactions (MaxInFlight); places meter
-	// batches, one per coordinator: the dispatcher takes a place before it
-	// dequeues a batch's first submission and the batch frees it when its
-	// last member resolves, so at most N batches are unresolved at once.
-	slots          chan struct{}
+	// places meter batches, one per coordinator: the dispatcher takes a
+	// place before it dequeues a batch's first submission and the batch
+	// frees it when its last member resolves, so at most N batches, and N ×
+	// BatchMax members, are unresolved at once.
 	places         chan struct{}
 	abort          chan struct{} // closed on hard stop: unresolved → TIMEOUT
 	dispatcherDone chan struct{}
@@ -239,10 +240,15 @@ func New(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Registry == nil {
+		cfg.Registry = obs.NewRegistry()
+	}
+	if cfg.Spans == nil {
+		cfg.Spans = span.NewCollector(span.DefaultCollectorCapacity)
+	}
 	s := &Service{
 		cfg:            cfg,
 		queue:          make(chan *pending, cfg.QueueDepth),
-		slots:          make(chan struct{}, cfg.MaxInFlight),
 		places:         make(chan struct{}, cfg.N),
 		abort:          make(chan struct{}),
 		dispatcherDone: make(chan struct{}),
@@ -465,28 +471,13 @@ func (s *Service) dispatch() {
 
 // dispatchBatch begins ONE batched agreement instance for a coalesced
 // batch: the members' votes are packed into one vote vector and the
-// whole vector is decided by a single Protocol 2 run. Each member holds
-// its own in-flight slot, so MaxInFlight bounds transactions; the batch
-// holds the place dispatch took, and an exit that begins nothing frees it.
+// whole vector is decided by a single Protocol 2 run. The batch holds the
+// place dispatch took, and an exit that begins nothing frees it.
 func (s *Service) dispatchBatch(batch []*pending) {
 	entryU := s.cfg.Spans.Now()
 	for _, p := range batch {
 		s.recordStage(p.id, span.StageAdmit, p.admitU, p.dequeueU, "")
 		s.recordStage(p.id, span.StageBatch, p.dequeueU, entryU, "")
-	}
-	for i := range batch {
-		select {
-		case s.slots <- struct{}{}:
-		case <-s.abort:
-			for _, p := range batch {
-				s.resolve(p, StateTimeout, types.DecisionNone)
-			}
-			for ; i > 0; i-- {
-				<-s.slots
-			}
-			<-s.places
-			return
-		}
 	}
 
 	s.mu.Lock()
@@ -498,9 +489,6 @@ func (s *Service) dispatchBatch(batch []*pending) {
 	}
 	if len(live) == 0 {
 		s.mu.Unlock()
-		for range batch {
-			<-s.slots
-		}
 		<-s.places
 		return
 	}
@@ -521,7 +509,6 @@ func (s *Service) dispatchBatch(batch []*pending) {
 	for i, p := range live {
 		ids[i] = p.id
 		votes[i] = p.votes[coord]
-		p.dispatched = true
 		p.coordinator = coord
 		p.dispatchU = dispatchU
 		p.batch = string(bid)
@@ -533,11 +520,6 @@ func (s *Service) dispatchBatch(batch []*pending) {
 	}
 	s.batches[string(bid)] = &batchState{members: ids, unresolved: len(live), undecided: len(live)}
 	s.mu.Unlock()
-	// Members that resolved while queued (deadline hit) never dispatch;
-	// their slots go straight back.
-	for i := len(live); i < len(batch); i++ {
-		<-s.slots
-	}
 	s.met.occupancy.Observe(float64(len(live)))
 	detail := "coordinator=" + strconv.Itoa(int(coord)) + " " + obs.BatchDetail(string(bid))
 	for _, p := range live {
@@ -625,6 +607,15 @@ func (s *Service) onOutcome(p types.ProcID, o txn.Outcome) {
 	}
 }
 
+// inFlightLocked counts the members dispatched and not yet resolved.
+// Caller holds mu.
+func (s *Service) inFlightLocked() (n int) {
+	for _, b := range s.batches {
+		n += b.unresolved
+	}
+	return n
+}
+
 // dropBatchLocked forgets a batch with nothing left to resolve, decide
 // or rescue. Caller holds mu.
 func (s *Service) dropBatchLocked(bid string, b *batchState) {
@@ -664,8 +655,7 @@ func (s *Service) publishLocked(id string, state State, d types.Decision) {
 
 // resolve finishes a pending submission exactly once; later callers are
 // no-ops. It updates the status record, records metrics, frees the
-// in-flight slot (and, for its batch's last member, the batch's place),
-// and delivers the result.
+// batch's place with its last member, and delivers the result.
 func (s *Service) resolve(p *pending, state State, d types.Decision) {
 	s.mu.Lock()
 	if _, live := s.pendings[p.id]; !live {
@@ -681,7 +671,6 @@ func (s *Service) resolve(p *pending, state State, d types.Decision) {
 			s.publishLocked(string(p.id), state, d)
 		}
 	}
-	dispatched := p.dispatched
 	coord := p.coordinator
 	dispatchU := p.dispatchU
 	batchDone := false
@@ -722,9 +711,6 @@ func (s *Service) resolve(p *pending, state State, d types.Decision) {
 	if decision {
 		s.lat.Add(float64(latency) / float64(time.Millisecond))
 		s.met.latency.Observe(latency.Seconds())
-	}
-	if dispatched {
-		<-s.slots
 	}
 	res := Result{
 		ID:          string(p.id),
@@ -939,7 +925,7 @@ func (s *Service) Metrics() Metrics {
 		MaxBatch:         s.maxBatch,
 		SafetyViolations: s.met.violations.Value(),
 		Queued:           len(s.queue),
-		InFlight:         len(s.slots),
+		InFlight:         s.inFlightLocked(),
 	}
 	for p, c := range s.crashed {
 		if c {
@@ -999,7 +985,7 @@ func (s *Service) WatchSample(stall time.Duration) watch.ShardSample {
 	sm := watch.ShardSample{Shard: s.cfg.shardLabel()}
 	s.mu.Lock()
 	sm.Queued = len(s.queue)
-	sm.InFlight = len(s.slots)
+	sm.InFlight = s.inFlightLocked()
 	for p, c := range s.crashed {
 		if c {
 			sm.CrashedNodes = append(sm.CrashedNodes, p)
@@ -1030,11 +1016,6 @@ func (s *Service) WatchSample(stall time.Duration) watch.ShardSample {
 		sm.Fsync = s.cfg.Journal.FsyncLatency()
 	}
 	return sm
-}
-
-// WatchStats implements watch.Source for an unsharded service.
-func (s *Service) WatchStats(stall time.Duration) watch.Stats {
-	return watch.Stats{Shards: []watch.ShardSample{s.WatchSample(stall)}}
 }
 
 // Close drains and stops the service. New submissions are rejected with

@@ -102,21 +102,21 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestQueueFullTypedRejection: with one slot, batch size one, and a
-// network that never delivers, the bounded queue fills and the next
-// submission is rejected with a retry hint — the queue never grows.
+// TestQueueFullTypedRejection: with the network held, N batches of one
+// hold the N places and one more submission fills the one-deep queue; the
+// next is rejected with a retry hint — the queue never grows.
 func TestQueueFullTypedRejection(t *testing.T) {
+	_, trs := service.NewGate(3, nil)
 	s := newService(t, service.Config{
 		N: 3, Seed: 3,
-		QueueDepth: 1, MaxInFlight: 1, BatchMax: 1,
+		QueueDepth: 1, BatchMax: 1,
 		DefaultTimeout: 500 * time.Millisecond,
 		RetryHint:      40 * time.Millisecond,
-		Hub: transport.HubOptions{
-			Inject: func(types.Message) transport.Fault { return transport.Fault{Drop: true} },
-		},
+		Transports:     trs,
 	})
-	results := make(chan service.Result, 3)
-	for i := 0; i < 3; i++ {
+	const admitted = 4 // three held batches and one queued submission
+	results := make(chan service.Result, admitted)
+	for i := 1; i <= admitted; i++ {
 		go func() {
 			res, err := s.Submit(context.Background(), service.Request{})
 			if err != nil {
@@ -124,7 +124,14 @@ func TestQueueFullTypedRejection(t *testing.T) {
 			}
 			results <- res
 		}()
-		time.Sleep(30 * time.Millisecond) // let it occupy slot / batch / queue
+		// One at a time: the queue holds one submission the dispatcher has
+		// not yet taken.
+		waitMetric(t, s, "the submission to hold a place or the queue", func(m service.Metrics) bool {
+			return m.InFlight+m.Queued == i
+		})
+	}
+	if m := s.Metrics(); m.InFlight != 3 || m.Queued != 1 {
+		t.Fatalf("in flight %d, queued %d, want 3 and 1", m.InFlight, m.Queued)
 	}
 	_, err := s.Submit(context.Background(), service.Request{})
 	var oe *service.OverloadError
@@ -134,8 +141,8 @@ func TestQueueFullTypedRejection(t *testing.T) {
 	if oe.RetryAfter != 40*time.Millisecond {
 		t.Fatalf("retry hint = %v", oe.RetryAfter)
 	}
-	// Nothing hangs: the three admitted submissions all time out.
-	for i := 0; i < 3; i++ {
+	// Nothing hangs: the admitted submissions all time out.
+	for i := 0; i < admitted; i++ {
 		select {
 		case res := <-results:
 			if res.State != service.StateTimeout {
@@ -146,7 +153,7 @@ func TestQueueFullTypedRejection(t *testing.T) {
 		}
 	}
 	m := s.Metrics()
-	if m.TimedOut != 3 || m.RejectedFull != 1 {
+	if m.TimedOut != admitted || m.RejectedFull != 1 {
 		t.Fatalf("metrics = %+v", m)
 	}
 }

@@ -42,20 +42,14 @@ type Config struct {
 	// queue rejects new submissions with an OverloadError carrying a
 	// retry hint — the queue never grows without bound.
 	QueueDepth int
-	// MaxInFlight bounds the member transactions in flight, dispatched
-	// and not yet resolved (default 128): each holds one slot. Admitted
-	// submissions beyond it wait in the queue. Agreement instances are
-	// bounded apart from it, by N: at most N batches are unresolved at
-	// once, one place per round-robin coordinator.
-	MaxInFlight int
 	// BatchMax bounds how many queued submissions one batch takes
 	// (default 64): the widest outcome vector one batched Protocol 2
 	// instance decides — one coin flood, one vote exchange, one agreement
-	// run per batch. A lone submission is a batch of one. While N batches
-	// are unresolved the queue gathers, and the next batch takes up to
-	// BatchMax of what waits, so batches widen with load. Clamped to
-	// MaxInFlight: every member holds a slot before its batch begins, so a
-	// wider batch could never collect them all.
+	// run per batch. A lone submission is a batch of one. At most N
+	// batches are unresolved at once, one place per round-robin
+	// coordinator, so at most N × BatchMax members are in flight; while
+	// all N places are taken the queue gathers, and the next batch takes
+	// up to BatchMax of what waits, so batches widen with load.
 	BatchMax int
 	// BatchAgreement is ignored (deprecated): every dispatch is a batch,
 	// so there is no per-transaction mode left to switch away from. The
@@ -128,7 +122,8 @@ func (c Config) shardLabel() string {
 	return c.Shard
 }
 
-// withDefaults validates and fills defaults.
+// withDefaults validates c and fills its defaults, the shared registry
+// and span ring aside: New creates those.
 func (c Config) withDefaults() (Config, error) {
 	if c.N < 1 {
 		return c, fmt.Errorf("service: N must be >= 1, got %d", c.N)
@@ -148,14 +143,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
 	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 128
-	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 64
-	}
-	if c.BatchMax > c.MaxInFlight {
-		c.BatchMax = c.MaxInFlight
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 10 * time.Second
@@ -183,13 +172,15 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Transports != nil && len(c.Transports) != c.N {
 		return c, fmt.Errorf("service: %d transports for %d processors", len(c.Transports), c.N)
 	}
-	if c.Registry == nil {
-		c.Registry = obs.NewRegistry()
-	}
-	if c.Spans == nil {
-		c.Spans = span.NewCollector(span.DefaultCollectorCapacity)
-	}
 	return c, nil
+}
+
+// Validate runs the checks New runs on c, and builds nothing: a caller
+// that creates state for a service, such as its journal directory, checks
+// c first, so a start-up refused for its config leaves nothing behind.
+func (c Config) Validate() error {
+	_, err := c.withDefaults()
+	return err
 }
 
 // State is the lifecycle state of a submitted transaction.
