@@ -692,24 +692,50 @@ var rules = []rule{
 		caught: "internal/transport/tcp.go:3: compares a message's To with its own id",
 	},
 
-	// One ticker.
+	// One time source per node.
 	{
-		name: "the runtime owns one ticker",
-		why: "A node steps when a message arrives and its ticker ticks only for timeouts. Every node, in a " +
-			"cluster or alone, runs the one ticker in its own loop and takes a tick no sooner than its " +
-			"slowest live peer took the last; a second ticker is a clock goroutine or a poll come back.",
+		name: "a node keeps one time source",
+		why: "A node steps when a message arrives, and its one ticker only tells it when another tick is owed. " +
+			"Every node, in a cluster or alone, takes its owed ticks in its own loop, no sooner than its slowest " +
+			"live peer took the last; a second ticker, timer, AfterFunc, After or Tick in the runtime is a clock " +
+			"goroutine or a poll come back. Cluster.CrashAfter's fault timer schedules a crash, not a tick, and is exempt.",
 		check: func(tr *tree) []string {
-			tickers := tr.users("time", "NewTicker", tr.in(nonTest, within("internal/runtime")))
-			if len(tickers) <= 1 {
+			var sources []string
+			for _, f := range tr.in(nonTest, within("internal/runtime")) {
+				pkg := importName(f, "time")
+				for _, d := range f.Decls {
+					if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.Name == "CrashAfter" && fn.Recv != nil {
+						if star, ok := fn.Recv.List[0].Type.(*ast.StarExpr); ok {
+							if id, ok := star.X.(*ast.Ident); ok && id.Name == "Cluster" {
+								continue
+							}
+						}
+					}
+					ast.Inspect(d, func(n ast.Node) bool {
+						if sel, ok := n.(*ast.SelectorExpr); ok {
+							switch sel.Sel.Name {
+							case "NewTicker", "NewTimer", "AfterFunc", "After", "Tick":
+								if x, ok := sel.X.(*ast.Ident); ok && pkg != "" && x.Name == pkg {
+									sources = append(sources, tr.at(sel.Pos(), "uses time."+sel.Sel.Name))
+								}
+							}
+						}
+						return true
+					})
+				}
+			}
+			if len(sources) <= 1 {
 				return nil
 			}
-			return []string{fmt.Sprintf("%s: the runtime's ticker number %d, want at most 1", tickers[1], len(tickers))}
+			return []string{fmt.Sprintf("%s: the runtime's time source number %d, want at most 1", sources[1], len(sources))}
 		},
 		planted: map[string]string{
-			"internal/runtime/runtime.go": "package runtime\nimport \"time\"\nvar a = time.NewTicker(1)",
-			"internal/runtime/z.go":       "package runtime\nimport \"time\"\nvar c = time.NewTicker(1)",
+			"internal/runtime/runtime.go": "package runtime\nimport \"time\"\ntype Cluster struct{}\n" +
+				"func (c *Cluster) CrashAfter(d time.Duration) { time.AfterFunc(d, nil) }\n" +
+				"func (n *Node) run() {\n\tt := time.NewTicker(1) // time.After( in a comment is not a use\n\t<-t.C\n\t<-time.After(1)\n}",
+			"internal/runtime/clock_test.go": "package runtime\nimport \"time\"\nvar c = time.Tick(1)",
 		},
-		caught: "internal/runtime/z.go:3: uses time.NewTicker: the runtime's ticker number 2, want at most 1",
+		caught: "internal/runtime/runtime.go:8: uses time.After: the runtime's time source number 2, want at most 1",
 	},
 
 	// One service harness, one daemon.

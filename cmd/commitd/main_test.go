@@ -307,7 +307,8 @@ func TestDaemonShardedBadFlags(t *testing.T) {
 	if err := os.WriteFile(oldJournal, []byte("single-file journal"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	unused := filepath.Join(dir, "unused")
+	// Refused start-ups with -wal-dir on a fresh path each: none may create it.
+	unused, negK, negTick := filepath.Join(dir, "unused"), filepath.Join(dir, "neg-k"), filepath.Join(dir, "neg-tick")
 	// Journal directories laid out for another shard count.
 	flat := layoutDir(t, "wal-00000001.seg", "snap-00000001.snap")
 	wider := layoutDir(t, "shard-0/", "shard-1/", "shard-2/", "cross/")
@@ -320,6 +321,9 @@ func TestDaemonShardedBadFlags(t *testing.T) {
 		{"zero shards", []string{"-shards", "0"}, "-shards"},
 		// A shape the groups refuse is refused before -wal-dir is created.
 		{"cluster shape", []string{"-n", "4", "-t", "2", "-wal-dir", unused}, "need N > 2T"},
+		// A negative value is refused, never read as the default.
+		{"negative K", []string{"-k", "-1", "-n", "3", "-wal-dir", negK}, "K must be >= 1, got -1"},
+		{"negative tick", []string{"-tick", "-1ms", "-n", "3", "-wal-dir", negTick}, "must not be negative, got -1ms"},
 		// A journal in the retired single-file format is refused by name,
 		// never shadowed by an empty log.
 		{"single-file journal, one shard", []string{"-wal-dir", oldJournal}, "single-file journals are no longer read: " + oldJournal},
@@ -331,13 +335,25 @@ func TestDaemonShardedBadFlags(t *testing.T) {
 		{"a group missing", []string{"-shards", "3", "-wal-dir", narrower}, "holds 1 of the journals shard-0 to shard-2"},
 	} {
 		var out bytes.Buffer
-		err := run(append([]string{"-addr", "127.0.0.1:0"}, c.args...), &out, nil)
+		ready, done := make(chan string, 1), make(chan error, 1)
+		go func() { done <- run(append([]string{"-addr", "127.0.0.1:0"}, c.args...), &out, ready) }()
+		var err error
+		select {
+		case err = <-done:
+		case <-ready: // it serves: stop it, and the row fails
+			if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+				t.Fatal(err)
+			}
+			<-done
+		}
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want one naming %q", c.name, err, c.want)
 		}
 	}
-	if _, err := os.Stat(unused); !os.IsNotExist(err) {
-		t.Errorf("a refused start-up still created %s (stat err %v)", unused, err)
+	for _, p := range []string{unused, negK, negTick} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("a refused start-up still created %s (stat err %v)", p, err)
+		}
 	}
 	if got, _ := os.ReadFile(oldJournal); string(got) != "single-file journal" {
 		t.Errorf("refused journal was modified: %q", got)

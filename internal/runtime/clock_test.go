@@ -1,10 +1,11 @@
 package runtime_test
 
-// The runtime's two promises, checked on machines that only count: a node
-// runs its machine when something arrives and otherwise once per TickEvery
-// (no spin), and a node of a cluster ticks no faster than its slowest live
-// peer. The schedules here are wall time and a sleep — nothing reads a
-// message: content-oblivious.
+// The runtime's three promises, checked on machines that only count: a
+// node runs its machine when something arrives and otherwise once per
+// TickEvery (no spin), it takes every tick it owes and none before, and a
+// node of a cluster ticks no faster than its slowest live peer. The
+// schedules here are wall time and a sleep — nothing reads a message:
+// content-oblivious.
 
 import (
 	"context"
@@ -16,18 +17,24 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/runtime"
+	"repro/internal/transport"
 	"repro/internal/types"
 )
 
 // counter counts its ticks and what they brought, and can be made slow
-// (stall) or wedged (block) inside Step. It has Step alone, so a node
-// refuses it; arrivals and chatter add Deliver.
+// (stall), wedged (block) or late once (pause) inside Step. It has Step
+// alone, so a node refuses it; arrivals and chatter add Deliver.
 type counter struct {
 	id       types.ProcID
 	ticks    atomic.Int64
 	received atomic.Int64
 	stall    time.Duration
 	block    chan struct{} // non-nil: every Step waits for it to close
+	// The first Step sleeps pause and then calls resumed, if set; every
+	// Step calls onTick with its tick.
+	pause   time.Duration
+	resumed func()
+	onTick  func(tick int64)
 }
 
 func (c *counter) ID() types.ProcID              { return c.id }
@@ -35,8 +42,17 @@ func (c *counter) Clock() int                    { return int(c.ticks.Load()) }
 func (c *counter) Decision() (types.Value, bool) { return 0, false }
 func (c *counter) Halted() bool                  { return false }
 func (c *counter) Step(received []types.Message, _ types.Rand) []types.Message {
-	c.ticks.Add(1)
+	tick := c.ticks.Add(1)
 	c.received.Add(int64(len(received)))
+	if c.onTick != nil {
+		c.onTick(tick)
+	}
+	if tick == 1 && c.pause > 0 {
+		time.Sleep(c.pause)
+		if c.resumed != nil {
+			c.resumed()
+		}
+	}
 	if c.block != nil {
 		<-c.block
 	}
@@ -241,5 +257,98 @@ func TestWedgedNodeHoldsTheClockOnlyToTheSkipBoundContentOblivious(t *testing.T)
 	}
 	if least := periods / (runtime.MaxClockSkips + 1) / 4; got < least {
 		t.Errorf("%d ticks in %d periods beside a wedged node, want at least %d", got, periods, least)
+	}
+}
+
+// TestLateNodeRepaysItsTicksContentOblivious: a node owes one tick per
+// period since it started. Its first Step takes ten periods; within three
+// more its clock has repaid what the wait cost, and at no time does it read
+// a tick that was not yet owed.
+func TestLateNodeRepaysItsTicksContentOblivious(t *testing.T) {
+	const tick = 5 * time.Millisecond
+	var resumed atomic.Int64
+	a := &arrivals{counter: counter{pause: 10 * tick, resumed: func() { resumed.Store(time.Now().UnixNano()) }}, n: 1}
+	hub := transport.NewHub(1, transport.HubOptions{})
+	t.Cleanup(func() { hub.Close() }) //nolint:errcheck
+	// The periods are counted from no later than the node's own start.
+	start := time.Now()
+	startNode(t, context.Background(), a, hub.Endpoint(0), tick)
+	for deadline := start.Add(5 * time.Second); ; time.Sleep(200 * time.Microsecond) {
+		before := int64(time.Since(start) / tick)
+		clock := a.ticks.Load()
+		if after := int64(time.Since(start) / tick); clock > after {
+			t.Fatalf("clock %d after %d periods: a tick taken before it was owed", clock, after)
+		}
+		if r := resumed.Load(); r != 0 && time.Since(time.Unix(0, r)) >= 3*tick {
+			if clock < before-2 {
+				t.Errorf("clock %d three periods after a ten-period Step, %d periods in: the wait's ticks were lost", clock, before)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for the long Step to return")
+		}
+	}
+}
+
+// TestClusterRepaysHeldTicksTogetherContentOblivious: node 0's first Step
+// takes ten periods, and its peers, held by the gate, let most of them
+// pass. Once it returns, the three repay the periods together: no node
+// takes a tick more than one ahead of its slowest live peer, and then each
+// reads the elapsed periods to within two.
+func TestClusterRepaysHeldTicksTogetherContentOblivious(t *testing.T) {
+	const tick = 5 * time.Millisecond
+	var (
+		cluster   atomic.Pointer[runtime.Cluster]
+		from, bad atomic.Int64 // the gate is checked from tick from on; a lead over 1 seen
+	)
+	as, ms := newArrivals(3)
+	for p := range as {
+		id := types.ProcID(p)
+		as[p].onTick = func(at int64) {
+			c, f := cluster.Load(), from.Load()
+			if c == nil || f == 0 || at < f {
+				return
+			}
+			slowest := at
+			for q := types.ProcID(0); q < 3; q++ {
+				if q != id {
+					slowest = min(slowest, c.Node(q).Taken())
+				}
+			}
+			if lead := at - slowest; lead > 1 {
+				bad.Store(lead)
+			}
+		}
+	}
+	// The gate is checked on the ticks past where the peers stood when
+	// node 0 returned: the ones below were taken past the skip bound.
+	as[0].pause = 10 * tick
+	as[0].resumed = func() {
+		c := cluster.Load()
+		from.Store(max(c.Node(1).Taken(), c.Node(2).Taken()) + 1)
+	}
+	start := time.Now()
+	cluster.Store(startCluster(t, ms, tick, nil))
+	waitFor(t, "node 0's long Step to return", func() bool { return from.Load() != 0 })
+	// A debt of several ticks is repaid at the pace of the nodes' tickers,
+	// so the three catch up over some periods, not at once.
+	waitFor(t, "the held periods to be repaid", func() bool {
+		before := int64(time.Since(start) / tick)
+		for _, a := range as {
+			if a.ticks.Load() < before-2 {
+				return false
+			}
+		}
+		return true
+	})
+	for p, a := range as {
+		clock := a.ticks.Load()
+		if after := int64(time.Since(start) / tick); clock > after {
+			t.Errorf("node %d reads %d after %d periods: a tick taken before it was owed", p, clock, after)
+		}
+	}
+	if lead := bad.Load(); lead != 0 {
+		t.Errorf("a node took a tick %d ahead of its slowest peer while they caught up", lead)
 	}
 }

@@ -7,16 +7,19 @@
 // An event of the formal model hands a processor some messages (§2.1); here
 // a node's machine takes a delivery without advancing its clock — both live
 // machines do: txn.Manager, and the recovery client of a restarted node — so
-// it is handed its messages the moment they arrive, and every TickEvery its
-// clock ticks once: the Step that timeouts are counted in. A machine's
+// it is handed its messages the moment they arrive, and its clock ticks once
+// per TickEvery elapsed: the Step that timeouts are counted in. A machine's
 // messages to itself never reach the transport: the node hands them straight
 // back. The timing constant K of the protocol configs is K*TickEvery of wall
 // time; it bounds how late a message may be, not how soon one is acted on.
 //
-// Every node runs its own ticker, and a node of a Cluster takes a tick no
-// sooner than its slowest live peer has taken the previous one: co-hosted
-// processors starved of CPU fall behind together instead of timing each
-// other out (DESIGN §13). A standalone node is the same rule with no peers.
+// A node owes itself one tick per TickEvery elapsed since its epoch (its
+// Cluster's Start, or its own) and takes what it owes, one loop pass at a
+// time, when its ticker fires or while it is still behind. A node of a
+// Cluster takes a tick no sooner than its slowest live peer has taken the
+// previous one: co-hosted processors starved of CPU fall behind together
+// instead of timing each other out, and repay the periods together once
+// they run (DESIGN §13). A standalone node is the same rule with no peers.
 package runtime
 
 import (
@@ -98,14 +101,20 @@ type Node struct {
 	m       nodeMetrics
 	done    chan struct{}
 	stop    chan struct{}
-	// wake asks for a delivery with no message behind it (see Wake); one
-	// slot, because one pending request covers any number of callers.
-	wake chan struct{}
-	// taken counts the ticks the node has taken, and its peers read it;
-	// peers is its cluster (itself included), nil for a standalone node;
-	// skipped counts the periods in a row it let pass (see takeTick).
+	// wake asks for a delivery with no message behind it (see Wake), and
+	// nudge for a try at an owed tick: the node sends it itself while still
+	// behind, and a peer that released the last tick it owes sends it too.
+	// One slot each, because one pending request covers any number.
+	wake, nudge chan struct{}
+	// taken counts the ticks the node has taken, and its peers read it; it
+	// owes one per TickEvery since epoch. peers is its cluster (itself
+	// included), nil for a standalone node; held says the gate refused it
+	// an owed tick, and skipped counts the ticker fires in a row it let
+	// pass so (see takeTick).
 	taken   atomic.Int64
+	epoch   time.Time
 	peers   []*Node
+	held    atomic.Bool
 	skipped int
 	buf     []types.Message // drain scratch
 	// self holds the machine's messages to itself until its next run; they
@@ -143,12 +152,15 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		}
 	}
 	return &Node{cfg: cfg, machine: d, m: newNodeMetrics(cfg.Registry, cfg.Machine.ID()),
-		done: make(chan struct{}), stop: make(chan struct{}), wake: make(chan struct{}, 1)}, nil
+		done: make(chan struct{}), stop: make(chan struct{}), wake: make(chan struct{}, 1), nudge: make(chan struct{}, 1)}, nil
 }
 
-// Start launches the node's goroutine. Call Wait (or receive on Done) to
-// join it.
+// Start launches the node's goroutine; a node not started by its Cluster
+// counts its ticks from now. Call Wait (or receive on Done) to join it.
 func (n *Node) Start(ctx context.Context) {
+	if n.epoch.IsZero() {
+		n.epoch = time.Now()
+	}
 	go n.run(ctx)
 }
 
@@ -161,12 +173,7 @@ func (n *Node) Stop() { n.stopOnce.Do(func() { close(n.stop) }) }
 // Wake makes the node run its machine now rather than at the next tick —
 // for work handed to the machine from outside the transport (a batch begun
 // on a txn.Manager). It never blocks.
-func (n *Node) Wake() {
-	select {
-	case n.wake <- struct{}{}:
-	default:
-	}
-}
+func (n *Node) Wake() { signal(n.wake) }
 
 // live reports whether the node still takes clock ticks: neither stopped
 // (a crash stops it) nor finished.
@@ -198,7 +205,7 @@ func (n *Node) run(ctx context.Context) {
 	linger := -1
 	for n.cfg.MaxTicks <= 0 || n.taken.Load() < int64(n.cfg.MaxTicks) {
 		var out []types.Message
-		ticked := false
+		tick, fired := false, false
 		n.buf = n.buf[:0]
 		// The machine gets its own messages back at once — but through the
 		// select, so one that answers itself on every delivery still yields
@@ -214,11 +221,9 @@ func (n *Node) run(ctx context.Context) {
 		case <-n.stop:
 			return
 		case <-ticker.C:
-			if !n.takeTick() {
-				continue
-			}
-			ticked = true
-			out = n.machine.Step(n.inbox(), n.cfg.Rand)
+			tick, fired = true, true
+		case <-n.nudge:
+			tick = true
 		case m, ok := <-recv:
 			if !ok {
 				recv = nil // transport closed; the stop follows
@@ -230,6 +235,12 @@ func (n *Node) run(ctx context.Context) {
 			out = n.machine.Deliver(n.inbox(), n.cfg.Rand)
 		case <-own:
 			out = n.machine.Deliver(n.inbox(), n.cfg.Rand)
+		}
+		if tick {
+			if !n.takeTick(fired) {
+				continue
+			}
+			out = n.machine.Step(n.inbox(), n.cfg.Rand)
 		}
 		n.m.steps.Inc()
 		n.m.msgsIn.Add(uint64(len(n.buf)))
@@ -246,7 +257,7 @@ func (n *Node) run(ctx context.Context) {
 				return
 			}
 		}
-		if ticked && !n.cfg.Persistent && n.machine.Halted() {
+		if tick && !n.cfg.Persistent && n.machine.Halted() {
 			if linger < 0 {
 				linger = lingerTicks
 			}
@@ -258,35 +269,66 @@ func (n *Node) run(ctx context.Context) {
 	}
 }
 
-// maxClockSkips bounds how many periods in a row a node lets pass waiting
-// for a peer: a peer that is wedged but not crashed stretches the node's
-// timeouts by at most this factor plus one instead of freezing them.
+// maxClockSkips bounds how many ticker fires in a row a node lets pass
+// waiting for a peer: a peer that is wedged but not crashed stretches the
+// node's timeouts by at most this factor plus one instead of freezing them.
 const maxClockSkips = 4
 
-// takeTick reports whether the node takes this period's tick, and counts
-// it if so. The node lets the period pass while some live peer has taken
-// fewer ticks than it has, at most maxClockSkips periods in a row. Node
-// goroutines sharing a machine are scheduled unevenly: ticking freely, a
-// node that was runnable but not running for a few periods is seen by its
-// peers, whose clocks ran on, as a late voter, and all-YES transactions
-// abort on the 2K timeout. Gated, the nodes fall behind together, which is
-// a legal schedule of the paper's model (K relates message delay to steps
-// of the processors, not to wall time). A crashed, stopped or finished
-// peer is not live and never holds the node, so a real crash is still
-// timed out after 2K*TickEvery.
-func (n *Node) takeTick() bool {
+// takeTick takes one owed tick if the gate lets it and reports whether it
+// did. A node owes one tick per TickEvery elapsed since its epoch and never
+// takes one before it is owed; while more are owed it nudges itself, so it
+// repays them one loop pass at a time. The gate lets a tick wait while some
+// live peer has taken fewer ticks than the node has, at most maxClockSkips
+// ticker fires in a row; the period stays owed. If it is the last one owed,
+// the peer whose tick releases it nudges the node, which takes it at once;
+// a longer debt is repaid at the pace of the node's own ticker, so nodes
+// that were starved together never race their clocks past messages still
+// on their way. Node goroutines sharing a machine are scheduled unevenly:
+// ticking freely, a node that was runnable but not running for a few
+// periods is seen by its peers, whose clocks ran on, as a late voter, and
+// all-YES transactions abort on the 2K timeout. Gated, the nodes fall
+// behind together, which is a legal schedule of the paper's model (K
+// relates message delay to steps of the processors, not to wall time). A
+// crashed, stopped or finished peer is not live and never holds the node,
+// so a real crash is still timed out after 2K*TickEvery.
+func (n *Node) takeTick(fired bool) bool {
+	taken, owed := n.taken.Load(), int64(time.Since(n.epoch)/n.cfg.TickEvery)
+	if taken >= owed {
+		return false
+	}
+	// held is set before the peers are read and a peer reads it after its
+	// tick counts, so one of the two sees the other: no nudge is lost.
+	n.held.Store(true)
 	if n.skipped < maxClockSkips {
-		taken := n.taken.Load()
 		for _, p := range n.peers {
 			if p.taken.Load() < taken && p.live() {
-				n.skipped++
+				if fired {
+					n.skipped++
+				}
 				return false
 			}
 		}
 	}
+	n.held.Store(false)
 	n.skipped = 0
 	n.taken.Add(1)
+	for _, p := range n.peers {
+		if p.held.Load() && p.taken.Load()+1 == owed {
+			signal(p.nudge)
+		}
+	}
+	if taken+1 < owed {
+		signal(n.nudge)
+	}
 	return true
+}
+
+// signal leaves a request in a one-slot channel without blocking.
+func signal(c chan struct{}) {
+	select {
+	case c <- struct{}{}:
+	default:
+	}
 }
 
 // ready is always ready to receive from: the select case that hands a
@@ -433,7 +475,9 @@ func (c *Cluster) Node(p types.ProcID) *Node { return c.nodes[p] }
 // optionally, Stop) — the long-running service lifecycle. Run bundles the
 // three for batch workloads.
 func (c *Cluster) Start(ctx context.Context) {
+	epoch := time.Now() // the nodes owe their ticks from one instant
 	for _, n := range c.nodes {
+		n.epoch = epoch
 		n.Start(ctx)
 	}
 }

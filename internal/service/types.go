@@ -134,19 +134,26 @@ func (c Config) withDefaults() (Config, error) {
 	if c.T < 0 || c.N <= 2*c.T {
 		return c, fmt.Errorf("service: need N > 2T, got N=%d T=%d", c.N, c.T)
 	}
-	if c.K == 0 {
-		c.K = 4
+	k, err := txn.ResolveK(c.K)
+	if err != nil {
+		return c, fmt.Errorf("service: %w", err)
 	}
-	if c.TickEvery <= 0 {
+	c.K = k
+	// Zero means the default; a negative value is a mistake, not a default.
+	if c.TickEvery < 0 || c.QueueDepth < 0 || c.BatchMax < 0 || c.DefaultTimeout < 0 {
+		return c, fmt.Errorf("service: TickEvery, QueueDepth, BatchMax and DefaultTimeout must not be negative, got %v, %d, %d and %v",
+			c.TickEvery, c.QueueDepth, c.BatchMax, c.DefaultTimeout)
+	}
+	if c.TickEvery == 0 {
 		c.TickEvery = time.Millisecond
 	}
-	if c.QueueDepth <= 0 {
+	if c.QueueDepth == 0 {
 		c.QueueDepth = 1024
 	}
-	if c.BatchMax <= 0 {
+	if c.BatchMax == 0 {
 		c.BatchMax = 64
 	}
-	if c.DefaultTimeout <= 0 {
+	if c.DefaultTimeout == 0 {
 		c.DefaultTimeout = 10 * time.Second
 	}
 	if c.RetryHint <= 0 {

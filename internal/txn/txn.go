@@ -254,6 +254,19 @@ type Manager struct {
 
 var _ types.Machine = (*Manager)(nil)
 
+// ResolveK reads a configured timing constant: zero means the default, 4,
+// and a negative K is refused. The service checks its K with it before it
+// builds anything.
+func ResolveK(k int) (int, error) {
+	switch {
+	case k == 0:
+		return 4, nil
+	case k < 0:
+		return 0, fmt.Errorf("K must be >= 1, got %d", k)
+	}
+	return k, nil
+}
+
 // NewManager validates the configuration and builds a Manager.
 func NewManager(cfg Config) (*Manager, error) {
 	if cfg.N <= 0 {
@@ -268,12 +281,11 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.T < 0 || cfg.N <= 2*cfg.T {
 		return nil, fmt.Errorf("txn: need N > 2T, got N=%d T=%d", cfg.N, cfg.T)
 	}
-	if cfg.K == 0 {
-		cfg.K = 4
+	k, err := ResolveK(cfg.K)
+	if err != nil {
+		return nil, fmt.Errorf("txn: %w", err)
 	}
-	if cfg.K < 1 {
-		return nil, fmt.Errorf("txn: K must be >= 1, got %d", cfg.K)
-	}
+	cfg.K = k
 	if cfg.RetireAfter < 0 || cfg.MaxAge < 0 {
 		return nil, fmt.Errorf("txn: RetireAfter/MaxAge must be >= 0")
 	}
