@@ -192,6 +192,23 @@ func (tr *tree) users(importPath, name string, files []file) []string {
 	return out
 }
 
+// withoutFunc returns files with every function or method named name left
+// out, so a rule can exempt one declaration by name.
+func withoutFunc(files []file, name string) []file {
+	out := make([]file, len(files))
+	for i, f := range files {
+		g := *f.File
+		g.Decls = nil
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); !ok || fn.Name.Name != name {
+				g.Decls = append(g.Decls, d)
+			}
+		}
+		out[i] = file{f.path, &g}
+	}
+	return out
+}
+
 // namers reports every identifier name in files, except the ones in decl.
 func (tr *tree) namers(name string, files []file, decl map[*ast.Ident]bool) []string {
 	var out []string
@@ -700,29 +717,10 @@ var rules = []rule{
 			"live peer took the last; a second ticker, timer, AfterFunc, After or Tick in the runtime is a clock " +
 			"goroutine or a poll come back. Cluster.CrashAfter's fault timer schedules a crash, not a tick, and is exempt.",
 		check: func(tr *tree) []string {
+			files := withoutFunc(tr.in(nonTest, within("internal/runtime")), "CrashAfter")
 			var sources []string
-			for _, f := range tr.in(nonTest, within("internal/runtime")) {
-				pkg := importName(f, "time")
-				for _, d := range f.Decls {
-					if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.Name == "CrashAfter" && fn.Recv != nil {
-						if star, ok := fn.Recv.List[0].Type.(*ast.StarExpr); ok {
-							if id, ok := star.X.(*ast.Ident); ok && id.Name == "Cluster" {
-								continue
-							}
-						}
-					}
-					ast.Inspect(d, func(n ast.Node) bool {
-						if sel, ok := n.(*ast.SelectorExpr); ok {
-							switch sel.Sel.Name {
-							case "NewTicker", "NewTimer", "AfterFunc", "After", "Tick":
-								if x, ok := sel.X.(*ast.Ident); ok && pkg != "" && x.Name == pkg {
-									sources = append(sources, tr.at(sel.Pos(), "uses time."+sel.Sel.Name))
-								}
-							}
-						}
-						return true
-					})
-				}
+			for _, name := range []string{"NewTicker", "NewTimer", "AfterFunc", "After", "Tick"} {
+				sources = append(sources, tr.users("time", name, files)...)
 			}
 			if len(sources) <= 1 {
 				return nil

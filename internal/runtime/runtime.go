@@ -14,12 +14,12 @@
 // time; it bounds how late a message may be, not how soon one is acted on.
 //
 // A node owes itself one tick per TickEvery elapsed since its epoch (its
-// Cluster's Start, or its own) and takes what it owes, one loop pass at a
-// time, when its ticker fires or while it is still behind. A node of a
-// Cluster takes a tick no sooner than its slowest live peer has taken the
-// previous one: co-hosted processors starved of CPU fall behind together
-// instead of timing each other out, and repay the periods together once
-// they run (DESIGN §13). A standalone node is the same rule with no peers.
+// Cluster's Start, or its own) — alone or beside a crashed peer up to one
+// fire's lateness, else only the tick due — and takes what it owes, one
+// loop pass at a time, when its ticker fires or while it is still behind. A node of a Cluster takes a tick no sooner than its slowest
+// live peer has taken the previous one: co-hosted processors starved of CPU
+// fall behind together instead of timing each other out (DESIGN §13). A
+// standalone node is the same rule with no peers.
 package runtime
 
 import (
@@ -102,19 +102,19 @@ type Node struct {
 	done    chan struct{}
 	stop    chan struct{}
 	// wake asks for a delivery with no message behind it (see Wake), and
-	// nudge for a try at an owed tick: the node sends it itself while still
-	// behind, and a peer that released the last tick it owes sends it too.
-	// One slot each, because one pending request covers any number.
+	// nudge for a try at an owed tick, which the node sends itself while
+	// still behind. One slot each, because one pending request covers any
+	// number.
 	wake, nudge chan struct{}
 	// taken counts the ticks the node has taken, and its peers read it; it
-	// owes one per TickEvery since epoch. peers is its cluster (itself
-	// included), nil for a standalone node; held says the gate refused it
-	// an owed tick, and skipped counts the ticker fires in a row it let
-	// pass so (see takeTick).
+	// owes one per TickEvery since epoch, less passed, the periods it let
+	// pass. peers is its cluster (itself included), nil for a standalone
+	// node; skipped counts the ticker fires in a row the gate let pass (see
+	// takeTick).
 	taken   atomic.Int64
 	epoch   time.Time
+	passed  int64
 	peers   []*Node
-	held    atomic.Bool
 	skipped int
 	buf     []types.Message // drain scratch
 	// self holds the machine's messages to itself until its next run; they
@@ -274,31 +274,47 @@ func (n *Node) run(ctx context.Context) {
 // node's timeouts by at most this factor plus one instead of freezing them.
 const maxClockSkips = 4
 
+// maxOwed bounds the debt of a node alone or beside a crashed peer: the
+// tick owed now and the one a ticker fire that came a period late dropped.
+const maxOwed = 2
+
 // takeTick takes one owed tick if the gate lets it and reports whether it
-// did. A node owes one tick per TickEvery elapsed since its epoch and never
-// takes one before it is owed; while more are owed it nudges itself, so it
-// repays them one loop pass at a time. The gate lets a tick wait while some
-// live peer has taken fewer ticks than the node has, at most maxClockSkips
-// ticker fires in a row; the period stays owed. If it is the last one owed,
-// the peer whose tick releases it nudges the node, which takes it at once;
-// a longer debt is repaid at the pace of the node's own ticker, so nodes
-// that were starved together never race their clocks past messages still
-// on their way. Node goroutines sharing a machine are scheduled unevenly:
-// ticking freely, a node that was runnable but not running for a few
-// periods is seen by its peers, whose clocks ran on, as a late voter, and
-// all-YES transactions abort on the 2K timeout. Gated, the nodes fall
-// behind together, which is a legal schedule of the paper's model (K
-// relates message delay to steps of the processors, not to wall time). A
-// crashed, stopped or finished peer is not live and never holds the node,
-// so a real crash is still timed out after 2K*TickEvery.
+// did. A node owes one tick per TickEvery elapsed since its epoch, less the
+// periods it let pass, and never takes one before it is owed; while more
+// are owed it nudges itself, so it takes them one loop pass at a time.
+//
+// Alone or beside a crashed peer it owes up to maxOwed, so a crash is timed
+// out after 2K*TickEvery of wall time: an idle timer fires up to a period
+// late, and the tick of the fire that lateness dropped is not lost. While
+// every peer is live it owes only the tick due now, and lets a period it
+// was late for pass. Then a timeout that runs can only be a spurious abort
+// in the making, and the periods a starved node misses are slack for a
+// frame held in a goroutine starved beside it; with a peer down, every
+// transaction waiting on that peer aborts anyway. A stall is never
+// replayed.
+//
+// The gate lets a tick wait while some live peer has taken fewer ticks than
+// the node has, at most maxClockSkips ticker fires in a row. Node
+// goroutines sharing a machine are scheduled unevenly: ticking freely, a
+// node that was runnable but not running for a few periods is seen by its
+// peers, whose clocks ran on, as a late voter, and all-YES transactions
+// abort on the 2K timeout. Gated, the nodes fall behind together, which is
+// a legal schedule of the paper's model (K relates message delay to steps
+// of the processors, not to wall time). A crashed, stopped or finished
+// peer is not live and never holds the node.
 func (n *Node) takeTick(fired bool) bool {
-	taken, owed := n.taken.Load(), int64(time.Since(n.epoch)/n.cfg.TickEvery)
+	most := int64(1)
+	if n.peers == nil || n.peerDown() {
+		most = maxOwed
+	}
+	taken, owed := n.taken.Load(), int64(time.Since(n.epoch)/n.cfg.TickEvery)-n.passed
+	if owed > taken+most {
+		n.passed += owed - taken - most
+		owed = taken + most
+	}
 	if taken >= owed {
 		return false
 	}
-	// held is set before the peers are read and a peer reads it after its
-	// tick counts, so one of the two sees the other: no nudge is lost.
-	n.held.Store(true)
 	if n.skipped < maxClockSkips {
 		for _, p := range n.peers {
 			if p.taken.Load() < taken && p.live() {
@@ -309,18 +325,22 @@ func (n *Node) takeTick(fired bool) bool {
 			}
 		}
 	}
-	n.held.Store(false)
 	n.skipped = 0
 	n.taken.Add(1)
-	for _, p := range n.peers {
-		if p.held.Load() && p.taken.Load()+1 == owed {
-			signal(p.nudge)
-		}
-	}
 	if taken+1 < owed {
 		signal(n.nudge)
 	}
 	return true
+}
+
+// peerDown reports whether some member of the node's cluster is not live.
+func (n *Node) peerDown() bool {
+	for _, p := range n.peers {
+		if !p.live() {
+			return true
+		}
+	}
+	return false
 }
 
 // signal leaves a request in a one-slot channel without blocking.
