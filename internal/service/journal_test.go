@@ -6,10 +6,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/service"
+	"repro/internal/txn"
+	"repro/internal/types"
 	"repro/internal/wal"
 )
 
@@ -49,9 +52,10 @@ func (f *stallFile) Sync() error {
 // TestStatusWaitsForJournal: GET /status never reports COMMIT/ABORT
 // before the journal's covering fsync has resolved — so a restart can
 // never forget a decision a status poller already saw — and agrees with
-// the POST's answer afterwards. A failed flush fails the ack but keeps
-// the protocol's decision; a decision adopted after a client TIMEOUT is
-// journaled before the status flips, like any other.
+// the POST's answer afterwards. A failed flush fails the ack and the
+// status alike: no status shows a decision without its fsync. A decision
+// adopted after a client TIMEOUT is journaled before the status flips,
+// like any other.
 func TestStatusWaitsForJournal(t *testing.T) {
 	// FaultFS counts mutating operations; opening the journal costs a
 	// fixed number, after which the first append is one write and one
@@ -80,7 +84,7 @@ func TestStatusWaitsForJournal(t *testing.T) {
 		{name: "abort", votes: []bool{true, false, true}, stalled: service.StateRunning,
 			wantResult: service.StateAbort, wantStatus: service.StateAbort},
 		{name: "flush fails", failSync: true, stalled: service.StateRunning,
-			wantResult: service.StateFailed, wantStatus: service.StateCommit},
+			wantResult: service.StateFailed, wantStatus: service.StateFailed},
 		{name: "late decision after timeout", timeout: 50 * time.Millisecond, stalled: service.StateTimeout,
 			wantResult: service.StateTimeout, wantStatus: service.StateCommit},
 	} {
@@ -183,8 +187,12 @@ func TestStatusWaitsForJournal(t *testing.T) {
 				time.Sleep(time.Millisecond)
 				st = status()
 			}
-			if st.State != tc.wantStatus || st.Decision != string(tc.wantStatus) {
-				t.Fatalf("status after the fsync resolved = %s %q, want %s", st.State, st.Decision, tc.wantStatus)
+			wantDecision := string(tc.wantStatus)
+			if tc.wantStatus == service.StateFailed {
+				wantDecision = ""
+			}
+			if st.State != tc.wantStatus || st.Decision != wantDecision {
+				t.Fatalf("status after the fsync resolved = %s %q, want %s %q", st.State, st.Decision, tc.wantStatus, wantDecision)
 			}
 
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -199,114 +207,137 @@ func TestStatusWaitsForJournal(t *testing.T) {
 	}
 }
 
-// TestStatusEvictionRetiresFromJournal: with StatusRetention 4 every
-// finished transaction but the newest four is evicted from the status
-// table and retired from the journal, so a reopened journal recovers
-// exactly the four that were still answerable. The journal's queue holds
-// two records, so Retire blocks behind decisions all the time: it has to
-// run outside Service.mu, which the journal's writer takes to publish a
-// decision — under mu the first full queue would wedge the service.
-func TestStatusEvictionRetiresFromJournal(t *testing.T) {
-	const retention, concurrent, total = 4, 48, 64
+// TestRestartKeepsNewestDecisions: a journal holding txn.TombstoneCap + 3
+// decisions, the newest three under ids that sort first, seeds a
+// restarted service with the newest window: the newest three answer and
+// the oldest is gone.
+func TestRestartKeepsNewestDecisions(t *testing.T) {
 	fs := wal.NewMemFS()
-	journal, err := wal.OpenDecisionLog(wal.SegmentedOptions{FS: fs, QueueDepth: 2})
+	journal, err := wal.OpenDecisionLog(wal.SegmentedOptions{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := service.New(service.Config{
-		N: 3, K: 3, Seed: 43, TickEvery: time.Millisecond,
-		StatusRetention: retention, Journal: journal,
-	})
-	if err != nil {
+	for i := 0; i < txn.TombstoneCap; i++ {
+		if err := journal.Append(fmt.Sprintf("m-%06d", i), types.DecisionCommit, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newest := []string{"a-0", "a-1", "a-2"}
+	for _, id := range newest {
+		if err := journal.Append(id, types.DecisionAbort, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := journal.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(service.NewHTTPHandler(s))
-	defer ts.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	reopened, err := wal.OpenDecisionLog(wal.SegmentedOptions{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close() //nolint:errcheck
+	s := newService(t, service.Config{N: 3, Seed: 43, Journal: reopened})
+	for _, id := range newest {
+		if st, ok := s.Status(id); !ok || st.State != service.StateAbort {
+			t.Errorf("newest %s after the restart: %+v, %v; want ABORT", id, st, ok)
+		}
+	}
+	if st, ok := s.Status("m-000000"); ok {
+		t.Errorf("oldest m-000000 still answers %s after the restart", st.State)
+	}
+	if st, ok := s.Status("m-000003"); !ok || st.State != service.StateCommit {
+		t.Errorf("m-000003, the oldest inside the window: %+v, %v; want COMMIT", st, ok)
+	}
+}
+
+// TestRestartAtTheWindowEdgeKeepsEveryAnswer pushes more than
+// wal.DecisionWindow members through a journaled service from 16 callers,
+// so the status table has evicted, then restarts on the same disk: every
+// id /status answered before the restart — the oldest and newest retained
+// among them — answers the same after it, and nothing evicted comes back.
+func TestRestartAtTheWindowEdgeKeepsEveryAnswer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("commits more than 65 536 transactions")
+	}
+	const callers = 16
+	total := wal.DecisionWindow + 4096
+	fs := wal.NewMemFS()
+	journal, err := wal.OpenDecisionLog(wal.SegmentedOptions{FS: fs, SnapshotEvery: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := service.New(service.Config{N: 3, Seed: 44, TickEvery: time.Millisecond, Journal: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ids := make([]string, total)
-	states := make([]service.State, total)
-	submit := func(i int) {
-		ids[i] = fmt.Sprintf("ev-%02d", i)
-		req, want := service.Request{ID: ids[i]}, service.StateCommit
-		if i%3 == 0 {
-			req.Votes, want = []bool{true, false, true}, service.StateAbort
-		}
-		res, err := s.Submit(ctx, req)
-		if err != nil {
-			t.Errorf("%s: %v (a wedged journal queue shows up here as a context error)", ids[i], err)
-			return
-		}
-		if res.State != want {
-			t.Errorf("%s answered %s, want %s", ids[i], res.State, want)
-		}
-		states[i] = res.State
-	}
-	// Eight callers at a time share batches and group commits; the tail
-	// runs one by one so the four survivors are known by name.
-	submitted := make(chan struct{})
-	go func() {
-		defer close(submitted)
-		var wg sync.WaitGroup
-		for c := 0; c < 8; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				for i := c; i < concurrent; i += 8 {
-					submit(i)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < total && !t.Failed(); i = int(next.Add(1)) - 1 {
+				ids[i] = fmt.Sprintf("edge-%06d", i)
+				req := service.Request{ID: ids[i]}
+				if i%7 == 0 {
+					req.Votes = []bool{true, false, true}
 				}
-			}(c)
-		}
-		wg.Wait()
-		for i := concurrent; i < total; i++ {
-			submit(i)
-		}
-	}()
-	select {
-	case <-submitted:
-	case <-ctx.Done():
-		t.Fatal("service wedged: a Retire blocked on the full journal queue while holding a lock its writer needs")
+				res, err := s.Submit(context.Background(), req)
+				if err != nil || (res.State != service.StateCommit && res.State != service.StateAbort) {
+					t.Errorf("%s: %+v, %v", ids[i], res, err)
+				}
+			}
+		}()
 	}
+	wg.Wait()
 	if t.Failed() {
 		t.FailNow()
 	}
 
-	for i, id := range ids {
-		resp, err := http.Get(ts.URL + "/status/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i < total-retention {
-			resp.Body.Close() //nolint:errcheck
-			if resp.StatusCode != http.StatusNotFound {
-				t.Errorf("evicted %s: /status = %d, want 404", id, resp.StatusCode)
-			}
-			continue
-		}
-		if st := decode[service.TxnStatus](t, resp); st.State != states[i] || st.Decision != string(states[i]) {
-			t.Errorf("surviving %s: /status = %s %q, want %s", id, st.State, st.Decision, states[i])
+	before := make(map[string]service.TxnStatus)
+	for _, id := range ids {
+		if st, ok := s.Status(id); ok {
+			before[id] = st
 		}
 	}
-
+	if len(before) != wal.DecisionWindow {
+		t.Fatalf("the status table answers %d ids, want the full window of %d", len(before), wal.DecisionWindow)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 	if err := s.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if err := journal.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := wal.OpenDecisionLog(wal.SegmentedOptions{FS: fs})
+
+	reopened, err := wal.OpenDecisionLog(wal.SegmentedOptions{FS: fs, SnapshotEvery: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reopened.Close() //nolint:errcheck
-	got := reopened.Recovered()
-	for i := total - retention; i < total; i++ {
-		if d, ok := got[ids[i]]; !ok || d.String() != string(states[i]) {
-			t.Errorf("surviving %s: reopened journal holds %v,%v, want %s", ids[i], d, ok, states[i])
+	order := reopened.RecoveredOrder()
+	if len(order) == 0 {
+		t.Fatal("the reopened journal recovered nothing")
+	}
+	oldest, newest := order[0], order[len(order)-1]
+	restarted := newService(t, service.Config{N: 3, Seed: 45, Journal: reopened})
+	for _, id := range ids {
+		was, answered := before[id]
+		st, ok := restarted.Status(id)
+		switch {
+		case answered && (!ok || st.State != was.State || st.Decision != was.Decision):
+			t.Errorf("%s answered %s %q before the restart and %s %q (%v) after", id, was.State, was.Decision, st.State, st.Decision, ok)
+		case !answered && ok:
+			t.Errorf("%s, evicted before the restart, answers %s after it", id, st.State)
 		}
 	}
-	if len(got) != retention {
-		t.Errorf("reopened journal recovered %d decisions, want only the %d un-retired ones: %v", len(got), retention, got)
+	for _, id := range []string{oldest, newest} {
+		if _, ok := before[id]; !ok {
+			t.Errorf("the journal's window holds %s, which the status table had evicted", id)
+		}
 	}
 }

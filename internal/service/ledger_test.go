@@ -15,9 +15,11 @@ import (
 
 // The allocation ledger: what one member transaction costs the in-process
 // stack in heap objects and bytes (allocs/op and B/op, process-wide, so
-// the node goroutines' protocol work is counted), wire frames and journal
-// fsyncs, beside the mean batch width that amortizes them. Serial callers
-// pay for width-1 batches; 16 parallel callers let batches widen. The
+// the node goroutines' protocol work is counted), wire frames, journal
+// fsyncs, records and bytes, beside the mean batch width that amortizes
+// them. Serial callers pay for width-1 batches; 16 parallel callers let
+// batches widen; the w rows fix the width, BatchMax members per batch,
+// with twice as many callers as n batches of that width hold. The
 // parent-versus-change tables live in ledger.txt beside this file.
 //
 //	go test ./internal/service/ -run '^$' -bench Ledger -benchmem
@@ -29,12 +31,16 @@ type ledgerConfig struct {
 	n       int
 	journal bool
 	callers int // 1 submits serially
+	width   int // BatchMax, when the row fixes the width (0: default)
 }
 
 func (c ledgerConfig) name() string {
 	j := "nojournal"
 	if c.journal {
 		j = "memfs"
+	}
+	if c.width > 0 {
+		return fmt.Sprintf("n%d_%s_w%d", c.n, j, c.width)
 	}
 	return fmt.Sprintf("n%d_%s_c%d", c.n, j, c.callers)
 }
@@ -48,21 +54,53 @@ var ledgerConfigs = func() []ledgerConfig {
 			}
 		}
 	}
+	for _, width := range []int{8, 32} {
+		cs = append(cs, ledgerConfig{n: 3, journal: true, callers: 2 * 3 * width, width: width})
+	}
 	return cs
 }()
 
 // ledgerCounts are the cumulative counters a ledger run differences.
 type ledgerCounts struct {
-	frames, fsyncs, batches uint64
-	members                 float64
+	frames, fsyncs, records, batches uint64
+	journalBytes                     int64
+	members                          float64
 }
 
 // ledgerRig is one service under ledger measurement.
 type ledgerRig struct {
 	svc     *service.Service
 	journal *wal.DecisionLog
+	disk    *byteFS
 	frames  *obs.Counter
 	fsyncs  *obs.Counter
+	records *obs.Counter
+}
+
+// byteFS counts the bytes written to the files it opens.
+type byteFS struct {
+	wal.FS
+	n atomic.Int64
+}
+
+type byteFile struct {
+	wal.File
+	n *atomic.Int64
+}
+
+func (f *byteFS) Create(name string) (wal.File, error) {
+	inner, err := f.FS.Create(name)
+	return &byteFile{inner, &f.n}, err
+}
+
+func (f *byteFS) OpenAppend(name string) (wal.File, error) {
+	inner, err := f.FS.OpenAppend(name)
+	return &byteFile{inner, &f.n}, err
+}
+
+func (f *byteFile) Write(p []byte) (int, error) {
+	f.n.Add(int64(len(p)))
+	return f.File.Write(p)
 }
 
 func newLedgerRig(tb testing.TB, c ledgerConfig) *ledgerRig {
@@ -71,10 +109,11 @@ func newLedgerRig(tb testing.TB, c ledgerConfig) *ledgerRig {
 	r := &ledgerRig{}
 	cfg := service.Config{
 		N: c.n, K: 4, Seed: 0x1ed6e5, TickEvery: time.Millisecond,
-		DefaultTimeout: time.Minute, Registry: reg,
+		DefaultTimeout: time.Minute, Registry: reg, BatchMax: c.width,
 	}
 	if c.journal {
-		j, err := wal.OpenDecisionLog(wal.SegmentedOptions{FS: wal.NewMemFS(), Registry: reg, Name: "ledger"})
+		r.disk = &byteFS{FS: wal.NewMemFS()}
+		j, err := wal.OpenDecisionLog(wal.SegmentedOptions{FS: r.disk, Registry: reg, Name: "ledger"})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -87,6 +126,7 @@ func newLedgerRig(tb testing.TB, c ledgerConfig) *ledgerRig {
 	r.svc = s
 	r.frames = reg.CounterVec("transport_messages_sent_total", "", "transport").With("channel")
 	r.fsyncs = reg.CounterVec("wal_fsyncs_total", "", "log").With("ledger")
+	r.records = reg.CounterVec("wal_appends_total", "", "log").With("ledger")
 	return r
 }
 
@@ -104,7 +144,10 @@ func (r *ledgerRig) close(tb testing.TB) {
 }
 
 func (r *ledgerRig) counts() ledgerCounts {
-	c := ledgerCounts{frames: r.frames.Value(), fsyncs: r.fsyncs.Value()}
+	c := ledgerCounts{frames: r.frames.Value(), fsyncs: r.fsyncs.Value(), records: r.records.Value()}
+	if r.disk != nil {
+		c.journalBytes = r.disk.n.Load()
+	}
 	if occ := r.svc.Metrics().BatchOccupancy; occ != nil {
 		c.batches, c.members = occ.Count, occ.Sum
 	}
@@ -153,6 +196,8 @@ func BenchmarkLedger(b *testing.B) {
 			members := float64(b.N)
 			b.ReportMetric(float64(after.frames-before.frames)/members, "frames/op")
 			b.ReportMetric(float64(after.fsyncs-before.fsyncs)/members, "fsyncs/op")
+			b.ReportMetric(float64(after.records-before.records)/members, "records/op")
+			b.ReportMetric(float64(after.journalBytes-before.journalBytes)/members, "journalB/op")
 			if batches := after.batches - before.batches; batches > 0 {
 				b.ReportMetric((after.members-before.members)/float64(batches), "width")
 			}
@@ -164,7 +209,7 @@ func BenchmarkLedger(b *testing.B) {
 // configuration builds, commits a few submissions and counts frames.
 func TestLedgerConfigurationsRun(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spins up eight services")
+		t.Skip("spins up ten services")
 	}
 	for _, c := range ledgerConfigs {
 		t.Run(c.name(), func(t *testing.T) {
@@ -175,8 +220,8 @@ func TestLedgerConfigurationsRun(t *testing.T) {
 			if got.frames == 0 || got.batches == 0 {
 				t.Errorf("counted %+v", got)
 			}
-			if c.journal && got.fsyncs == 0 {
-				t.Errorf("journal run counted no fsync: %+v", got)
+			if c.journal && (got.fsyncs == 0 || got.records == 0 || got.journalBytes == 0) {
+				t.Errorf("journal run counted no fsync, record or byte: %+v", got)
 			}
 		})
 	}

@@ -46,6 +46,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/txn"
 	"repro/internal/types"
+	"repro/internal/wal"
 )
 
 // pending is one admitted, unresolved submission.
@@ -67,6 +68,11 @@ type pending struct {
 	// batch names the agreement batch the submission dispatched in
 	// (empty until then).
 	batch string
+	// latency and lastOfBatch are set by the path that claims the
+	// submission (claimLocked): lastOfBatch says it was its batch's last
+	// unresolved member.
+	latency     time.Duration
+	lastOfBatch bool
 }
 
 // svcMetrics bundles the service's handles into the shared registry.
@@ -201,7 +207,8 @@ type Service struct {
 	maxBatch int
 	pendings map[txn.ID]*pending
 	statuses map[string]*status
-	// finished is the FIFO of terminal status ids for bounded retention.
+	// finished is the FIFO of terminal status ids for bounded retention
+	// (retainLocked).
 	finished     []string
 	finishedHead int
 }
@@ -231,6 +238,8 @@ type status struct {
 	// votes is the submission's vote vector, one per processor (nil for a
 	// status recovered from the journal: it never dispatches again).
 	votes []bool
+	// entries counts the retention FIFO's entries naming this status.
+	entries int
 }
 
 // New builds and starts a commit service: the cluster nodes begin
@@ -264,23 +273,14 @@ func New(cfg Config) (*Service, error) {
 		s.stageLat[st] = stats.NewRecorder(LatencyWindow)
 	}
 	if cfg.Journal != nil {
-		// Seed the status table with the journal's recovered decisions:
-		// a restarted service keeps answering — and can never contradict —
-		// transactions it acked before dying. Nothing else runs yet, so
-		// the maps are safe to fill without mu.
+		// Seed the status table with the journal's window, oldest first,
+		// so it evicts in the journal's order: a restarted service keeps
+		// answering — and can never contradict — transactions it acked
+		// before dying. Nothing else runs yet, so the maps are safe to
+		// fill without mu.
 		rec := cfg.Journal.Recovered()
-		ids := make([]string, 0, len(rec))
-		for id := range rec {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			d := rec[id]
-			s.statuses[id] = &status{
-				TxnStatus: TxnStatus{ID: id, State: stateOf(d), Decision: d.String()},
-				first:     d,
-			}
-			s.retain(id)
+		for _, id := range cfg.Journal.RecoveredOrder() {
+			s.settleLocked(id, rec[id], nil)
 		}
 	}
 	newGaugeMetrics(cfg.Registry, cfg.shardLabel(), s)
@@ -419,9 +419,7 @@ func (s *Service) Submit(ctx context.Context, req Request) (Result, error) {
 		votes:     votes,
 	}
 	s.outstanding.Add(1)
-	p.timer = time.AfterFunc(timeout, func() {
-		s.resolve(p, StateTimeout, types.DecisionNone)
-	})
+	p.timer = time.AfterFunc(timeout, func() { s.resolve(p, StateTimeout) })
 	s.mu.Unlock()
 
 	select {
@@ -527,7 +525,7 @@ func (s *Service) dispatchBatch(batch []*pending) {
 	}
 	if err := s.managers[coord].BeginBatch(bid, ids, votes); err != nil {
 		for _, p := range live {
-			s.resolve(p, StateFailed, types.DecisionNone)
+			s.resolve(p, StateFailed)
 		}
 		return
 	}
@@ -566,9 +564,11 @@ func (s *Service) nextCoordinatorLocked() types.ProcID {
 }
 
 // onOutcome receives every node's per-transaction decision: the first
-// report resolves the pending submission; every later report is
-// cross-checked against it (Agreement says they can never differ — the
-// violations counter proves we looked).
+// report decides the member; every later report is cross-checked against
+// it (Agreement says they can never differ — the violations counter proves
+// we looked). One node's report loop carries a batch's whole decision
+// vector, so its last booked member decides at once, and then the batch
+// journals, as one record.
 func (s *Service) onOutcome(p types.ProcID, o txn.Outcome) {
 	s.mu.Lock()
 	st := s.statuses[string(o.Txn)]
@@ -584,27 +584,114 @@ func (s *Service) onOutcome(p types.ProcID, o txn.Outcome) {
 		return
 	}
 	st.first = o.Decision
-	if b := s.batches[st.batch]; b != nil {
-		b.undecided--
-		s.dropBatchLocked(st.batch, b)
-	}
-	pd := s.pendings[o.Txn]
-	late := pd == nil && st.State == StateTimeout
-	s.mu.Unlock()
-	switch {
-	case pd != nil:
-		s.resolve(pd, stateOf(o.Decision), o.Decision)
-	case late:
-		// The submission already resolved as TIMEOUT (unknown) but the
-		// cluster has now decided; decisions are absorbing, so the status
-		// table adopts it — recovery clients poll exactly for this — once
-		// the journal holds it, like any acked decision.
-		s.durably(string(o.Txn), o.Decision, func(error) {
-			s.mu.Lock()
-			s.publishLocked(string(o.Txn), stateOf(o.Decision), o.Decision)
+	// A member decided after its batch left the book journals alone.
+	members := []txn.ID{o.Txn}
+	b := s.batches[st.batch]
+	if b != nil {
+		if b.undecided--; b.undecided > 0 {
 			s.mu.Unlock()
-		})
+			return // the rest of the vector is on its way
+		}
+		members = b.members
 	}
+	ids := make([]string, 0, len(members))
+	decs := make([]types.Decision, 0, len(members))
+	subs := make([]*pending, 0, len(members)) // ids[i]'s submission, claimed here; nil if it already resolved (a TIMEOUT)
+	var last *pending                         // the batch's last unresolved member, if claimed here
+	for _, id := range members {
+		if m := s.statuses[string(id)]; m != nil && m.first != types.DecisionNone {
+			pd := s.pendings[id]
+			if pd != nil && s.claimLocked(pd) && pd.lastOfBatch {
+				last = pd
+			}
+			ids, decs, subs = append(ids, string(id)), append(decs, m.first), append(subs, pd)
+		}
+	}
+	s.dropBatchLocked(st.batch, b)
+	s.mu.Unlock()
+	delivers := make([]func(error), 0, len(subs))
+	for i, pd := range subs {
+		if pd != nil {
+			delivers = append(delivers, s.finish(pd, stateOf(decs[i]), decs[i]))
+		}
+	}
+	// The batch's place goes back before a journaled record's fsync, so
+	// the next batch overlaps it, and without a journal once Record has
+	// answered the clients, so what they submit next can ride the next
+	// batch: either way batches stay as wide as when each member resolved
+	// on its own.
+	if s.cfg.Journal != nil {
+		s.freePlace(last)
+	}
+	s.Record(ids, decs, delivers...)
+	if s.cfg.Journal == nil {
+		s.freePlace(last)
+	}
+}
+
+// freePlace gives p's batch its place back if p (nil: none) was the
+// batch's last unresolved member.
+func (s *Service) freePlace(p *pending) {
+	if p != nil && p.lastOfBatch {
+		s.met.batchesDecided.Inc()
+		<-s.places
+	}
+}
+
+// claimLocked takes p out of the pending set, so exactly one path
+// resolves it — false if another got there first — and counts it
+// resolved in its batch. Caller holds mu.
+func (s *Service) claimLocked(p *pending) bool {
+	if _, live := s.pendings[p.id]; !live {
+		return false
+	}
+	delete(s.pendings, p.id)
+	p.latency = time.Since(p.submitted)
+	if st := s.statuses[string(p.id)]; st != nil {
+		st.Latency = p.latency
+	}
+	if b := s.batches[p.batch]; b != nil {
+		b.unresolved--
+		p.lastOfBatch = b.unresolved == 0
+		s.dropBatchLocked(p.batch, b)
+	}
+	return true
+}
+
+// Record journals ids[i] deciding decs[i] as one record — a batch's
+// decided members, or a decision reached outside this group: a
+// cross-shard outcome whose id routes here. Once the covering fsync has
+// resolved (at once without a journal) its done callback publishes and
+// retains every member in journal order, then runs each of then: Status
+// never reports, and no client is acked, a decision the disk may not
+// hold, and the status table evicts in the journal's order. then runs on
+// the journal writer's goroutine and must not call back into the journal.
+func (s *Service) Record(ids []string, decs []types.Decision, then ...func(jerr error)) {
+	settle := func(jerr error) {
+		s.mu.Lock()
+		for i, id := range ids {
+			s.settleLocked(id, decs[i], jerr)
+		}
+		s.mu.Unlock()
+		for _, f := range then {
+			f(jerr)
+		}
+	}
+	if s.cfg.Journal == nil {
+		settle(nil)
+	} else if err := s.cfg.Journal.AppendBatch(ids, decs, settle); err != nil {
+		settle(err)
+	}
+}
+
+// crashedLocked lists the fail-stopped processors. Caller holds mu.
+func (s *Service) crashedLocked() (out []int) {
+	for p, c := range s.crashed {
+		if c {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // inFlightLocked counts the members dispatched and not yet resolved.
@@ -616,80 +703,60 @@ func (s *Service) inFlightLocked() (n int) {
 	return n
 }
 
-// dropBatchLocked forgets a batch with nothing left to resolve, decide
-// or rescue. Caller holds mu.
+// dropBatchLocked forgets a batch (nil: none) with nothing left to
+// resolve, decide or rescue. Caller holds mu.
 func (s *Service) dropBatchLocked(bid string, b *batchState) {
-	if b.unresolved == 0 && b.undecided == 0 {
+	if b != nil && b.unresolved == 0 && b.undecided == 0 {
 		delete(s.batches, bid)
 	}
 }
 
-// durably runs then once the journal, if one is configured, has resolved
-// the fsync covering id's decision: with nil when the decision is
-// durable, with the error when the flush failed or the journal refused
-// the append. then runs on the journal writer's goroutine and must not
-// call back into the journal.
-func (s *Service) durably(id string, d types.Decision, then func(error)) {
-	if s.cfg.Journal == nil {
-		then(nil)
-		return
+// settleLocked publishes a journaled decision — FAILED instead when its
+// record's flush failed, so no status outruns its fsync — and retains it.
+// An id the table no longer (or never) held enters it. Caller holds mu.
+func (s *Service) settleLocked(id string, d types.Decision, jerr error) {
+	st := s.statuses[id]
+	if st == nil {
+		st = &status{TxnStatus: TxnStatus{ID: id}, first: d}
+		s.statuses[id] = st
 	}
-	if err := s.cfg.Journal.Append(id, d, then); err != nil {
-		then(err)
+	st.State, st.Decision = stateOf(d), d.String()
+	if jerr != nil {
+		st.State, st.Decision = StateFailed, ""
 	}
+	s.retainLocked(id)
 }
 
-// publishLocked makes a transaction's terminal state and decision
-// visible to Status. For a COMMIT/ABORT under a journal the caller is
-// durably's callback, so Status never reports a decision the disk may
-// not hold; a failed flush still publishes, keeping the protocol's
-// decision. Caller holds mu.
-func (s *Service) publishLocked(id string, state State, d types.Decision) {
-	if st := s.statuses[id]; st != nil {
-		st.State = state
-		if d != types.DecisionNone {
-			st.Decision = d.String()
-		}
-	}
-}
-
-// resolve finishes a pending submission exactly once; later callers are
-// no-ops. It updates the status record, records metrics, frees the
-// batch's place with its last member, and delivers the result.
-func (s *Service) resolve(p *pending, state State, d types.Decision) {
+// resolve ends a submission without a decision — TIMEOUT at its deadline
+// or on a hard stop, FAILED when its batch could not begin — exactly
+// once; later callers are no-ops. If its batch decides later, the member
+// rides the batch's record all the same and its status adopts the
+// decision: decisions are absorbing, and recovery clients poll for it.
+func (s *Service) resolve(p *pending, state State) {
 	s.mu.Lock()
-	if _, live := s.pendings[p.id]; !live {
+	if !s.claimLocked(p) {
 		s.mu.Unlock()
 		return
 	}
-	delete(s.pendings, p.id)
-	latency := time.Since(p.submitted)
-	decision := state == StateCommit || state == StateAbort
 	if st := s.statuses[string(p.id)]; st != nil {
-		st.Latency = latency
-		if !decision {
-			s.publishLocked(string(p.id), state, d)
-		}
-	}
-	coord := p.coordinator
-	dispatchU := p.dispatchU
-	batchDone := false
-	if b := s.batches[p.batch]; b != nil {
-		b.unresolved--
-		batchDone = b.unresolved == 0
-		s.dropBatchLocked(p.batch, b)
+		st.State = state
+		s.retainLocked(string(p.id))
 	}
 	s.mu.Unlock()
-	if batchDone {
-		s.met.batchesDecided.Inc()
-		<-s.places // the batch's last member: its place goes back
-	}
+	s.finish(p, state, types.DecisionNone)(nil)
+	s.freePlace(p)
+}
 
+// finish does a claimed submission's bookkeeping — the decided stage,
+// the outcome counters — and returns its delivery, which hands the
+// submission its result (FAILED when jerr says the decision is not
+// durable) and releases Close's wait on it.
+func (s *Service) finish(p *pending, state State, d types.Decision) (deliver func(jerr error)) {
 	// The decided stage runs from dispatch (or admission, for
 	// submissions that never dispatched) to now; Detail names the
 	// terminal state so timeouts are distinguishable in the span graph.
 	decidedU := s.cfg.Spans.Now()
-	startU := dispatchU
+	startU := p.dispatchU
 	if startU == 0 {
 		startU = p.admitU
 	}
@@ -708,31 +775,17 @@ func (s *Service) resolve(p *pending, state State, d types.Decision) {
 	if p.timer != nil {
 		p.timer.Stop()
 	}
-	if decision {
-		s.lat.Add(float64(latency) / float64(time.Millisecond))
-		s.met.latency.Observe(latency.Seconds())
+	if d != types.DecisionNone {
+		s.lat.Add(float64(p.latency) / float64(time.Millisecond))
+		s.met.latency.Observe(p.latency.Seconds())
 	}
-	res := Result{
-		ID:          string(p.id),
-		State:       state,
-		Decision:    d,
-		Coordinator: coord,
-		Latency:     latency,
-	}
-	deliver := func(jerr error) {
-		if decision {
-			// Status stays RUNNING until here: it reports COMMIT/ABORT
-			// only once the journal's covering fsync has resolved.
-			s.mu.Lock()
-			s.publishLocked(string(p.id), state, d)
-			s.mu.Unlock()
-		}
+	res := Result{ID: string(p.id), State: state, Decision: d, Coordinator: p.coordinator, Latency: p.latency}
+	return func(jerr error) {
 		if jerr != nil {
 			// The decision was reached but its durability could not be
 			// confirmed (a failed group flush poisons the journal); the
 			// client must not be told COMMIT/ABORT that a restarted
-			// service might not remember. The status table keeps the
-			// protocol decision.
+			// service might not remember.
 			res.State = StateFailed
 		}
 		// The notify span is recorded before the caller is released, so
@@ -744,55 +797,29 @@ func (s *Service) resolve(p *pending, state State, d types.Decision) {
 			"state", string(res.State), "latency_ms", res.Latency.Milliseconds())
 		s.outstanding.Done()
 	}
-	// deliver releases Close; hold it back until retain below has queued
-	// its retirements, or they would race the caller closing the journal.
-	s.outstanding.Add(1)
-	defer s.outstanding.Done()
-	if decision {
-		// Durable ack: the journal's group-commit writer fires deliver
-		// (on its goroutine) once an fsync covers this decision, so
-		// concurrent decisions amortize one flush and no client is ever
-		// acked a decision the disk does not hold.
-		s.durably(string(p.id), d, deliver)
-	} else {
-		deliver(nil)
-	}
-	s.retain(string(p.id))
 }
 
-// retain enters a finished transaction into the bounded status table
-// and tells the journal that the statuses this evicts no longer need to
-// be recoverable: their tombstones go, which is what shrinks future
-// snapshots and lets compaction reclaim segments. resolve calls it only
-// after queueing the transaction's own decision, so no concurrent
-// eviction can journal a Retire ahead of the decision it retires (which
-// would leave that tombstone in the journal for good). Retire runs
-// without mu — a full journal queue blocks, and the journal's writer
-// takes mu to publish decisions.
-func (s *Service) retain(id string) {
-	s.mu.Lock()
-	if s.statuses[id] == nil {
-		s.mu.Unlock()
-		return
-	}
-	var evicted []string
+// retainLocked enters a finished transaction into the bounded status
+// table, which keeps the newest wal.DecisionWindow entries. A decided
+// member enters from its record's done callback, in journal order, so the
+// table drops nothing the journal's window keeps later than it would;
+// a member that ends without a decision enters at once, and again if its
+// batch decides later. An undecided member of a batch still in the book
+// stays past its turn: the batch's record waits for it. Caller holds mu.
+func (s *Service) retainLocked(id string) {
+	s.statuses[id].entries++
 	s.finished = append(s.finished, id)
-	for len(s.finished)-s.finishedHead > s.cfg.StatusRetention {
-		old := s.finished[s.finishedHead]
+	for len(s.finished)-s.finishedHead > wal.DecisionWindow {
+		old := s.statuses[s.finished[s.finishedHead]]
 		s.finished[s.finishedHead] = ""
 		s.finishedHead++
-		delete(s.statuses, old)
-		evicted = append(evicted, old)
+		if old.entries--; old.entries == 0 && (old.first != types.DecisionNone || s.batches[old.batch] == nil) {
+			delete(s.statuses, old.ID)
+		}
 	}
 	if s.finishedHead > 0 && s.finishedHead*2 > len(s.finished) {
 		s.finished = append(s.finished[:0:0], s.finished[s.finishedHead:]...)
 		s.finishedHead = 0
-	}
-	s.mu.Unlock()
-	if s.cfg.Journal != nil {
-		for _, old := range evicted {
-			s.cfg.Journal.Retire(old) //nolint:errcheck // best-effort; a poisoned journal already fails acks
-		}
 	}
 }
 
@@ -927,11 +954,7 @@ func (s *Service) Metrics() Metrics {
 		Queued:           len(s.queue),
 		InFlight:         s.inFlightLocked(),
 	}
-	for p, c := range s.crashed {
-		if c {
-			m.Crashed = append(m.Crashed, p)
-		}
-	}
+	m.Crashed = s.crashedLocked()
 	s.mu.Unlock()
 	for _, mgr := range s.managers {
 		m.ActiveInstances += mgr.Active()
@@ -986,11 +1009,7 @@ func (s *Service) WatchSample(stall time.Duration) watch.ShardSample {
 	s.mu.Lock()
 	sm.Queued = len(s.queue)
 	sm.InFlight = s.inFlightLocked()
-	for p, c := range s.crashed {
-		if c {
-			sm.CrashedNodes = append(sm.CrashedNodes, p)
-		}
-	}
+	sm.CrashedNodes = s.crashedLocked()
 	for id, pd := range s.pendings {
 		age := now.Sub(pd.submitted)
 		if age < stall {
@@ -1074,6 +1093,6 @@ func (s *Service) hardAbort() {
 	}
 	s.mu.Unlock()
 	for _, p := range left {
-		s.resolve(p, StateTimeout, types.DecisionNone)
+		s.resolve(p, StateTimeout)
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/service"
 	"repro/internal/transport"
-	"repro/internal/txn"
 	"repro/internal/types"
 )
 
@@ -354,7 +353,6 @@ func TestConfigValidation(t *testing.T) {
 		{N: 0},
 		{N: 4, T: 2},
 		{N: 3, Transports: make([]transport.Transport, 2)},
-		{N: 3, StatusRetention: txn.TombstoneCap + 1}, // a status would outlive its tombstones
 	}
 	for i, cfg := range bad {
 		if _, err := service.New(cfg); err == nil {

@@ -71,11 +71,6 @@ type Config struct {
 	// ticks (default 2 * DefaultTimeout/TickEvery) so nodes do not
 	// accrete blocked instances past the request deadline.
 	MaxAgeTicks int
-	// StatusRetention caps how many finished transactions keep status
-	// entries for GET /status queries (FIFO eviction). Default and upper
-	// limit are txn.TombstoneCap, 65536: the managers forget a transaction
-	// after that many later ones, and a status must not outlive them.
-	StatusRetention int
 	// Transports, when non-nil, supplies one transport per processor
 	// (e.g. TCP nodes already listening and peered) for the cluster to run
 	// over and own, instead of the endpoints of a hub it builds itself.
@@ -84,19 +79,18 @@ type Config struct {
 	// Hub configures fault injection (delay, loss) on the hub the cluster
 	// builds when Transports is nil.
 	Hub transport.HubOptions
-	// Journal, when non-nil, is the segmented decision journal. Every
-	// COMMIT/ABORT result is appended and the client ack is withheld
-	// until the covering group-commit fsync succeeds — concurrent
-	// decisions share one flush, so the disk sees ~1 fsync per batch of
-	// decisions, not per decision. On restart the journal's recovered
-	// decisions seed the status table, so a restarted service still
-	// answers (and never contradicts) transactions it acked before
-	// dying. Statuses evicted by retention are retired from the journal,
-	// which is what lets its snapshots, and hence the compacted log,
-	// stay bounded. The caller owns the journal's lifecycle; close it
-	// after Service.Close returns. If a journal flush fails the log
-	// poisons itself and affected submissions resolve as FAILED (the
-	// decision is never acked as durable when it is not).
+	// Journal, when non-nil, is the segmented decision journal. Each
+	// decided batch is appended as one record, and its members' acks and
+	// statuses are withheld until the covering group-commit fsync
+	// succeeds — concurrent records share one flush. The status table
+	// evicts in the journal's order and keeps as many finished
+	// transactions (wal.DecisionWindow) as the journal's window, so on
+	// restart the recovered window seeds the table and a restarted
+	// service still answers (and never contradicts) every transaction it
+	// answered before dying. The caller owns the journal's lifecycle;
+	// close it after Service.Close returns. If a journal flush fails the
+	// log poisons itself and the affected members resolve, and publish,
+	// FAILED (a decision is never acked or shown when it is not durable).
 	Journal *wal.DecisionLog
 	// Registry is the shared metrics registry every layer of the service
 	// (runtime, transport, txn, service) emits into. Nil creates a fresh
@@ -167,14 +161,6 @@ func (c Config) withDefaults() (Config, error) {
 		if c.MaxAgeTicks < 1000 {
 			c.MaxAgeTicks = 1000
 		}
-	}
-	if c.StatusRetention <= 0 {
-		c.StatusRetention = txn.TombstoneCap
-	}
-	// A status that outlived its members' tombstones could meet the report
-	// of a respawned batch (DESIGN §10 "Bounded tombstones").
-	if c.StatusRetention > txn.TombstoneCap {
-		return c, fmt.Errorf("service: StatusRetention %d exceeds the managers' tombstone horizon %d", c.StatusRetention, txn.TombstoneCap)
 	}
 	if c.Transports != nil && len(c.Transports) != c.N {
 		return c, fmt.Errorf("service: %d transports for %d processors", len(c.Transports), c.N)

@@ -51,10 +51,6 @@ type Config struct {
 	Log CrossAppender
 }
 
-// crossRetention caps how many finished cross-shard transactions keep
-// status entries (FIFO eviction), the groups' default status horizon.
-const crossRetention = 1 << 16
-
 // MaxKeys caps the key set of one submission, matching the HTTP decode
 // bound; a transaction touching more keys than this is malformed.
 const MaxKeys = service.MaxCommitKeys
@@ -141,6 +137,9 @@ type crossEntry struct {
 	state     *CrossState
 	submitted time.Time
 	topState  service.State
+	// adopted: the group its id routes to holds the outcome in its
+	// status table, and journal if it has one (journalOutcome).
+	adopted bool
 }
 
 // coordMetrics bundles the coordinator's registry handles.
@@ -168,10 +167,6 @@ type Coordinator struct {
 	router *Router
 	groups []*service.Service
 	log    CrossAppender
-	// journals[k] is group k's decision journal, nil when it has none. A
-	// decided cross transaction's outcome is journaled by the group its id
-	// routes to, so a restarted deployment answers its status from there.
-	journals []*wal.DecisionLog
 
 	lat *stats.Recorder
 	met coordMetrics
@@ -180,7 +175,8 @@ type Coordinator struct {
 	stopped bool
 	nextID  uint64
 	cross   map[string]*crossEntry
-	// finished is the FIFO of terminal cross txn ids for retention.
+	// finished is the FIFO of terminal cross txn ids; it keeps the newest
+	// wal.DecisionWindow.
 	finished     []string
 	finishedHead int
 	inFlight     sync.WaitGroup
@@ -241,7 +237,6 @@ func New(cfg Config) (*Coordinator, error) {
 		})
 
 	c.groups = make([]*service.Service, cfg.Shards)
-	c.journals = make([]*wal.DecisionLog, cfg.Shards)
 	for k := 0; k < cfg.Shards; k++ {
 		gcfg := cfg.Group
 		gcfg.Shard = strconv.Itoa(k)
@@ -249,7 +244,6 @@ func New(cfg Config) (*Coordinator, error) {
 		if cfg.ConfigureGroup != nil {
 			cfg.ConfigureGroup(k, &gcfg)
 		}
-		c.journals[k] = gcfg.Journal
 		g, err := service.New(gcfg)
 		if err != nil {
 			for _, prev := range c.groups[:k] {
@@ -452,20 +446,14 @@ func (c *Coordinator) submitCross(ctx context.Context, id string, shards []int, 
 	}, nil
 }
 
-// journalOutcome starts journaling a decided cross outcome in the journal
-// of the group id routes to — where Status looks for an id the coordinator
-// does not hold, so a restarted deployment still answers it — and returns
-// a wait that blocks until the record is durable. Without journals it is a
-// no-op.
+// journalOutcome hands a decided cross outcome to the group id routes
+// to (service.Record), which journals it, if it keeps a journal, and
+// holds it in its status table — where Status looks for an id the
+// coordinator does not hold, so a restarted deployment still answers it
+// — and returns a wait that blocks until the record is durable.
 func (c *Coordinator) journalOutcome(id string, d types.Decision) (wait func() error) {
-	j := c.journals[c.router.Route(id)]
-	if j == nil {
-		return func() error { return nil }
-	}
 	done := make(chan error, 1)
-	if err := j.Append(id, d, func(err error) { done <- err }); err != nil {
-		done <- err
-	}
+	c.groups[c.router.Route(id)].Record([]string{id}, []types.Decision{d}, func(err error) { done <- err })
 	return func() error { return <-done }
 }
 
@@ -521,13 +509,10 @@ func (c *Coordinator) finishCross(entry *crossEntry, state service.State, d type
 	entry.topState = state
 	if d != types.DecisionNone {
 		entry.state.Decided, entry.state.Outcome = true, d
+		entry.adopted = true
 	}
-	retire := c.retainLocked(entry.state.Txn)
+	c.retainLocked(entry.state.Txn)
 	c.mu.Unlock()
-	for _, old := range retire {
-		// Outside mu: a full journal queue blocks.
-		c.journals[c.router.Route(old)].Retire(old) //nolint:errcheck // best-effort, as in the groups
-	}
 	switch state {
 	case service.StateCommit:
 		c.met.outcomes.With("committed").Inc()
@@ -544,26 +529,19 @@ func (c *Coordinator) finishCross(entry *crossEntry, state service.State, d type
 	}
 }
 
-// retainLocked enforces bounded retention of finished cross statuses. It
-// returns the evicted decided outcomes that journalOutcome journaled, for
-// the caller to retire from their journals as a group retires its own.
+// retainLocked enforces bounded retention of finished cross statuses.
 // Caller holds mu.
-func (c *Coordinator) retainLocked(id string) (retire []string) {
+func (c *Coordinator) retainLocked(id string) {
 	c.finished = append(c.finished, id)
-	for len(c.finished)-c.finishedHead > crossRetention {
-		old := c.finished[c.finishedHead]
+	for len(c.finished)-c.finishedHead > wal.DecisionWindow {
+		delete(c.cross, c.finished[c.finishedHead])
 		c.finished[c.finishedHead] = ""
 		c.finishedHead++
-		if e := c.cross[old]; e != nil && e.state.Decided && c.journals[c.router.Route(old)] != nil {
-			retire = append(retire, old)
-		}
-		delete(c.cross, old)
 	}
 	if c.finishedHead > 0 && c.finishedHead*2 > len(c.finished) {
 		c.finished = append(c.finished[:0:0], c.finished[c.finishedHead:]...)
 		c.finishedHead = 0
 	}
-	return retire
 }
 
 // fmtShards renders a shard set compactly ("0+2+5").
@@ -583,11 +561,16 @@ func fmtShards(shards []int) string {
 // routes to its shard's group (child ids route to their shard too,
 // since "#s<k>" names the shard explicitly). A cross outcome decided
 // before a restart answers from the group its id routes to, whose
-// journal holds it (journalOutcome).
+// journal holds it (journalOutcome); so an adopted outcome answers here
+// only while that group's status table still holds it, which keeps it
+// inside the journal's window (wal.DecisionWindow).
 func (c *Coordinator) Status(id string) (TxnStatus, bool) {
 	c.mu.Lock()
-	if e, ok := c.cross[id]; ok {
-		st := TxnStatus{
+	e, cross := c.cross[id]
+	var st TxnStatus
+	adopted := cross && e.adopted
+	if cross {
+		st = TxnStatus{
 			TxnStatus: service.TxnStatus{
 				ID: id, State: e.topState, Submitted: e.submitted,
 			},
@@ -597,16 +580,21 @@ func (c *Coordinator) Status(id string) (TxnStatus, bool) {
 		if e.state.Decided {
 			st.Decision = e.state.Outcome.String()
 		}
-		c.mu.Unlock()
-		return st, true
 	}
 	c.mu.Unlock()
+	if cross && !adopted {
+		return st, true
+	}
 
 	k := c.shardOf(id)
-	if st, ok := c.groups[k].Status(id); ok {
-		return TxnStatus{TxnStatus: st, Shard: k}, true
+	gst, ok := c.groups[k].Status(id)
+	if !ok {
+		return TxnStatus{}, false
 	}
-	return TxnStatus{}, false
+	if !adopted {
+		st = TxnStatus{TxnStatus: gst, Shard: k}
+	}
+	return st, true
 }
 
 // shardOf routes an id, honoring an explicit child suffix.

@@ -52,6 +52,7 @@ import (
 	"repro/internal/obs/span"
 	"repro/internal/recovery"
 	"repro/internal/types"
+	"repro/internal/wal"
 )
 
 // ID names a transaction.
@@ -187,12 +188,12 @@ type tombstone struct {
 	decisions []types.Decision
 }
 
-// TombstoneCap bounds how many retired transactions a manager remembers.
-// Past it the oldest batch's tombstones are evicted; DESIGN §10 argues why
-// no answer changes as long as nothing above the manager remembers a
-// transaction longer, which is why internal/service takes its status
-// horizon from this constant and refuses a larger one.
-const TombstoneCap = 1 << 16
+// TombstoneCap bounds how many retired transactions a manager remembers:
+// the one retention window, wal.DecisionWindow. Past it the oldest batch's
+// tombstones are evicted; DESIGN §10 argues why no answer changes as long
+// as nothing above the manager remembers a transaction longer, and the
+// service's status table keeps the same window.
+const TombstoneCap = wal.DecisionWindow
 
 // Manager runs all of one node's commit instances.
 type Manager struct {

@@ -25,8 +25,9 @@ import (
 // The decision journal's invariant, at every boundary and under every
 // assumption, is the group-commit durability contract:
 //
-//	acked    ⊆ recovered  (modulo explicit retirement): no decision whose
-//	                      AppendSync returned nil may be missing or changed
+//	acked    ⊆ recovered  (inside the window): no decision whose append
+//	                      was acked and which is among the newest W appended
+//	                      may be missing or changed
 //	recovered ⊆ appended: recovery never invents or flips a decision
 //
 // plus liveness: the recovered journal accepts new appends and survives
@@ -61,82 +62,106 @@ func openFailed(err error, check func(t *testing.T, tag string, disk *wal.MemFS)
 	return crashRun{close: func() error { return err }, kill: func() {}, check: check}
 }
 
-// decisionWorkload is the decision journal's crashWorkload.
-func decisionWorkload(txns int, withRetire bool) crashWorkload {
+// decisionWorkload is the decision journal's crashWorkload: txns
+// decisions in batch records of the given width, each appended once the
+// last is durable. window 0 keeps every member (DecisionWindow); a
+// smaller one pushes members out of the window as the sweep runs.
+func decisionWorkload(txns, width, window int) crashWorkload {
+	open := func(fs wal.FS) (*wal.DecisionLog, error) {
+		if window == 0 {
+			return wal.OpenDecisionLog(crashOpts(fs))
+		}
+		return wal.OpenDecisionLogWindow(crashOpts(fs), window)
+	}
 	return func(t *testing.T, fs wal.FS) crashRun {
-		dl, err := wal.OpenDecisionLog(crashOpts(fs))
+		dl, err := open(fs)
 		if err != nil {
-			none := map[string]types.Decision{}
 			return openFailed(err, func(t *testing.T, tag string, disk *wal.MemFS) {
-				checkRecovery(t, tag, disk, none, none, nil)
+				checkRecovery(t, tag, open, disk, nil, nil, window)
 			})
 		}
-		acked, appended, retired := driveDecisions(dl, txns, withRetire)
+		acked, appended := driveDecisions(dl, txns, width)
 		return crashRun{
 			close: dl.Close,
 			kill:  dl.Kill,
 			check: func(t *testing.T, tag string, disk *wal.MemFS) {
-				checkRecovery(t, tag, disk, acked, appended, retired)
+				checkRecovery(t, tag, open, disk, acked, appended, window)
 			},
 		}
 	}
 }
 
 // driveDecisions drives a journal until the injected fault kills it (or
-// to completion), returning what was acked (AppendSync returned nil),
-// what was ever appended, and which ids had retirement requested.
-func driveDecisions(dl *wal.DecisionLog, txns int, withRetire bool) (acked, appended map[string]types.Decision, retired map[string]bool) {
-	acked = make(map[string]types.Decision)
-	appended = make(map[string]types.Decision)
-	retired = make(map[string]bool)
-	for i := 0; i < txns; i++ {
-		id, d := txnID(i), decisionFor(i)
-		appended[id] = d
-		if err := dl.AppendSync(id, d); err != nil {
-			return acked, appended, retired // crashed
+// to completion), returning what was acked (its batch's done reported
+// nil) and every decision ever appended, in journal order.
+func driveDecisions(dl *wal.DecisionLog, txns, width int) (acked map[string]bool, appended []decision) {
+	acked = make(map[string]bool)
+	for i := 0; i < txns; i += width {
+		var ids []string
+		var decs []types.Decision
+		for j := i; j < min(i+width, txns); j++ {
+			ids = append(ids, txnID(j))
+			decs = append(decs, decisionFor(j))
+			appended = append(appended, decision{txnID(j), decisionFor(j)})
 		}
-		acked[id] = d
-		if withRetire && i >= 10 && i%5 == 0 {
-			old := txnID(i - 10)
-			retired[old] = true
-			if err := dl.Retire(old); err != nil {
-				return acked, appended, retired
-			}
+		done := make(chan error, 1)
+		if err := dl.AppendBatch(ids, decs, func(err error) { done <- err }); err != nil {
+			return acked, appended // crashed
+		}
+		if err := <-done; err != nil {
+			return acked, appended
+		}
+		for _, id := range ids {
+			acked[id] = true
 		}
 	}
-	return acked, appended, retired
+	return acked, appended
 }
 
 // checkRecovery opens the journal on a crash copy and asserts the
 // durability invariant, then proves the recovered journal is still
 // usable (appendable and restartable).
-func checkRecovery(t *testing.T, tag string, disk *wal.MemFS, acked, appended map[string]types.Decision, retired map[string]bool) {
+func checkRecovery(t *testing.T, tag string, open func(wal.FS) (*wal.DecisionLog, error), disk *wal.MemFS,
+	acked map[string]bool, appended []decision, window int) {
 	t.Helper()
-	dl, err := wal.OpenDecisionLog(crashOpts(disk))
+	dl, err := open(disk)
 	if err != nil {
 		t.Fatalf("%s: recovery failed: %v", tag, err)
 	}
 	rec := dl.Recovered()
-	for id, d := range acked {
-		if retired[id] {
-			continue // retirement explicitly released the obligation
+	// No more than the appended members can be on disk, so the newest
+	// `window` of them bound what the recovered window may have dropped.
+	inside := appended
+	if window > 0 && len(inside) > window {
+		inside = inside[len(inside)-window:]
+	}
+	for _, x := range inside {
+		if !acked[x.id] {
+			continue
 		}
-		got, ok := rec[id]
+		got, ok := rec[x.id]
 		if !ok {
-			t.Fatalf("%s: acked decision %s lost in recovery", tag, id)
+			t.Fatalf("%s: acked decision %s lost in recovery", tag, x.id)
 		}
-		if got != d {
-			t.Fatalf("%s: acked decision %s recovered as %v, want %v", tag, id, got, d)
+		if got != x.d {
+			t.Fatalf("%s: acked decision %s recovered as %v, want %v", tag, x.id, got, x.d)
 		}
 	}
+	want := make(map[string]types.Decision, len(appended))
+	for _, x := range appended {
+		want[x.id] = x.d
+	}
 	for id, got := range rec {
-		want, ok := appended[id]
+		d, ok := want[id]
 		if !ok {
 			t.Fatalf("%s: recovery invented decision for %s", tag, id)
 		}
-		if got != want {
+		if got != d {
 			t.Fatalf("%s: %s recovered as %v, never appended as that", tag, id, got)
 		}
+	}
+	if window > 0 && len(rec) > window {
+		t.Fatalf("%s: recovered %d decisions, more than the window of %d", tag, len(rec), window)
 	}
 	// Liveness: the recovered journal takes new work and survives
 	// another clean restart.
@@ -146,7 +171,7 @@ func checkRecovery(t *testing.T, tag string, disk *wal.MemFS, acked, appended ma
 	if err := dl.Close(); err != nil {
 		t.Fatalf("%s: close after recovery: %v", tag, err)
 	}
-	dl2, err := wal.OpenDecisionLog(crashOpts(disk))
+	dl2, err := open(disk)
 	if err != nil {
 		t.Fatalf("%s: second recovery failed: %v", tag, err)
 	}
@@ -199,21 +224,21 @@ func opCount(t *testing.T, workload crashWorkload) int {
 
 // TestCrashPointSweep sweeps both record codecs over the segmented log.
 //
-// decision is the deterministic sweep: a pure AppendSync workload (every
-// append is its own single-record group) makes the operation sequence
-// identical run to run, so failAt k kills the same boundary every time.
+// decision is the deterministic sweep: each batch record is appended once
+// the last is durable (every append is its own single-record group), so
+// the operation sequence is identical run to run and failAt k kills the
+// same boundary every time.
 //
 // cross is the cross-shard log's begin → verdicts → outcome workload
 // (crash_cross_test.go). Its begin and verdict appends are asynchronous,
-// so op counts can vary slightly between runs, as they do with
-// retirement below.
+// so op counts can vary slightly between runs.
 func TestCrashPointSweep(t *testing.T) {
 	txns := 40
 	if testing.Short() {
 		txns = 12
 	}
 	t.Run("decision", func(t *testing.T) {
-		workload := decisionWorkload(txns, false)
+		workload := decisionWorkload(txns, 1, 0)
 		// Determinism check: two fault-free runs execute the same op count.
 		if a, b := opCount(t, workload), opCount(t, workload); a != b {
 			t.Fatalf("workload not deterministic: %d vs %d ops", a, b)
@@ -225,15 +250,15 @@ func TestCrashPointSweep(t *testing.T) {
 	})
 }
 
-// TestCrashPointSweepWithRetirement mixes asynchronous retire records
-// into the stream. Retires ride the writer's natural batching, so op
-// counts can vary slightly between runs — the sweep still visits every
-// boundary of its own counting run, and the durability invariant must
-// hold at all of them.
-func TestCrashPointSweepWithRetirement(t *testing.T) {
-	txns := 40
+// TestCrashPointSweepWithWindowEviction journals batches of three into a
+// window of eight members, so members leave the window (and snapshots
+// hold a full one) at crash points all through the sweep: every acked
+// decision inside the window recovers exactly, and nothing recovers with
+// a wrong value.
+func TestCrashPointSweepWithWindowEviction(t *testing.T) {
+	txns := 120
 	if testing.Short() {
-		txns = 12
+		txns = 36
 	}
-	sweepCrashPoints(t, decisionWorkload(txns, true), txns*2)
+	sweepCrashPoints(t, decisionWorkload(txns, 3, 8), txns/3*2)
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -172,22 +173,7 @@ func (m *MemFS) Open(name string) (io.ReadCloser, error) {
 	if !ok {
 		return nil, fmt.Errorf("wal: memfs open %s: %w", name, ErrNotExist)
 	}
-	data := append([]byte(nil), f.data...)
-	return io.NopCloser(&memReader{data: data}), nil
-}
-
-type memReader struct {
-	data []byte
-	off  int
-}
-
-func (r *memReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data[r.off:])
-	r.off += n
-	return n, nil
+	return io.NopCloser(bytes.NewReader(append([]byte(nil), f.data...))), nil
 }
 
 // List implements FS.

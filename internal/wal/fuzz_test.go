@@ -13,12 +13,16 @@ import (
 // never panic and must either replay decisions or return a clean error, and
 // bytes holding no whole frame replay nothing.
 func FuzzReplay(f *testing.F) {
-	// Seed with a valid log, a truncated log, and garbage.
-	valid := append(wal.Frame(wal.EncodeDecision("txn-1", types.DecisionCommit)), wal.Frame(wal.EncodeRetire("txn-1"))...)
+	// Seed with a valid log in the older per-member format (a decide and a
+	// retire record), a truncated log, garbage, and batch records.
+	valid := append(wal.Frame(parentDecide), wal.Frame(parentRetire)...)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])
 	f.Add([]byte{0xde, 0xad, 0xbe, 0xef})
 	f.Add([]byte{})
+	for _, seed := range batchSeeds(f) {
+		f.Add(wal.Frame(seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := replaySegment(t, data)
 		if err == nil && len(data) < 8 && len(got) > 0 {
@@ -35,10 +39,13 @@ func FuzzReplay(f *testing.F) {
 // appended to it must survive a clean restart.
 func FuzzSegmentedOpen(f *testing.F) {
 	f.Add([]byte{}, []byte{})
-	f.Add(wal.Frame(wal.EncodeDecision("txn-1", types.DecisionCommit)), []byte{})
-	f.Add(wal.Frame(wal.EncodeRetire("txn-1")), []byte{0, 0, 0, 0})
+	f.Add(wal.Frame(parentDecide), []byte{})
+	f.Add(wal.Frame(parentRetire), []byte{0, 0, 0, 0})
 	// A one-entry snapshot: [u32 count=1][u8 decision][u16 len][id].
 	f.Add([]byte{0xde, 0xad}, []byte{1, 0, 0, 0, 2, 5, 0, 't', 'x', 'n', '-', '1'})
+	for _, seed := range batchSeeds(f) {
+		f.Add(wal.Frame(seed), []byte{})
+	}
 	f.Fuzz(func(t *testing.T, seg, snap []byte) {
 		fs := wal.NewMemFS()
 		if sf, err := fs.Create("wal-00000001.seg"); err == nil {
@@ -79,6 +86,35 @@ func FuzzSegmentedOpen(f *testing.F) {
 	})
 }
 
+// parentDecide and parentRetire are the two record payloads of the older
+// per-member format, byte for byte: [u8 1][u8 decision][id] decides txn-1
+// COMMIT, [u8 2][id] retires it.
+var (
+	parentDecide = []byte{1, 2, 't', 'x', 'n', '-', '1'}
+	parentRetire = []byte{2, 't', 'x', 'n', '-', '1'}
+)
+
+// batchSeeds are batch record payloads: width 1, width 64, and a header
+// claiming more members than the payload can hold.
+func batchSeeds(f *testing.F) [][]byte {
+	one, err := wal.EncodeBatch([]string{"txn-1"}, []types.Decision{types.DecisionCommit})
+	if err != nil {
+		f.Fatal(err)
+	}
+	ids := make([]string, 64)
+	decs := make([]types.Decision, 64)
+	for i := range ids {
+		ids[i], decs[i] = txnID(i), decisionFor(i)
+	}
+	wide, err := wal.EncodeBatch(ids, decs)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// [u8 3][u16 count=1000] and one member.
+	overclaimed := append([]byte{3, 0xe8, 0x03}, one[3:]...)
+	return [][]byte{one, wide, overclaimed}
+}
+
 // FuzzAppendReplayRoundTrip: any decision record the encoder writes must
 // survive a replay, even with trailing garbage after it: the frame scanner
 // hands back its payload, and the decision codec folds that payload back
@@ -90,9 +126,13 @@ func FuzzAppendReplayRoundTrip(f *testing.F) {
 		if commit {
 			d = types.DecisionCommit
 		}
+		record, err := wal.EncodeBatch([]string{id}, []types.Decision{d})
+		if err != nil {
+			return // an id longer than a record's u16 length: refused, not written
+		}
 		var first []byte
 		//nolint:errcheck // the garbage may be corrupt; the record before it must still come back
-		wal.ScanFrames(bytes.NewReader(append(wal.Frame(wal.EncodeDecision(id, d)), garbage...)), func(p []byte) error {
+		wal.ScanFrames(bytes.NewReader(append(wal.Frame(record), garbage...)), func(p []byte) error {
 			if first == nil {
 				first = append([]byte{}, p...)
 			}

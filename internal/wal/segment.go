@@ -60,6 +60,14 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 
 const headerSize = 8
 
+// maxPayload bounds one record: a longer length field is corruption to
+// the scanner, so Append refuses what replay could not read back.
+const maxPayload = 1 << 20
+
+// queueDepth bounds the append queue and so one group: a full queue
+// blocks appenders (backpressure).
+const queueDepth = 4096
+
 // Frame wraps payload in the [u32 len][u32 crc][payload] record framing —
 // the only framing in the repository. It is exported for codecs whose
 // snapshot payload is itself a run of frames (the cross-shard log).
@@ -92,7 +100,7 @@ func ScanFrames(r io.Reader, fn func(payload []byte) error) (int64, error) {
 		}
 		payloadLen := binary.LittleEndian.Uint32(header[0:4])
 		wantCRC := binary.LittleEndian.Uint32(header[4:8])
-		if payloadLen > 1<<20 {
+		if payloadLen > maxPayload {
 			return off, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, payloadLen)
 		}
 		payload := make([]byte, payloadLen)
@@ -150,9 +158,6 @@ type SegmentedOptions struct {
 	// however large the state; segments below the snapshot are compacted
 	// away. Zero disables snapshots (replay covers the whole history).
 	SnapshotEvery int
-	// QueueDepth bounds the append queue (default 4096); a full queue
-	// applies backpressure to appenders.
-	QueueDepth int
 	// Name labels this log's metrics ("log" label; default "wal") so
 	// several logs (decisions, cross-shard) share one registry.
 	Name string
@@ -168,9 +173,6 @@ func (o SegmentedOptions) withDefaults() (SegmentedOptions, error) {
 	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 1 << 20
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 4096
 	}
 	if o.Name == "" {
 		o.Name = "wal"
@@ -305,7 +307,7 @@ func OpenSegmented(codec SnapshotCodec, opts SegmentedOptions) (*SegmentedLog, e
 	s := &SegmentedLog{
 		opts:       opts,
 		codec:      codec,
-		queue:      make(chan segAppend, opts.QueueDepth),
+		queue:      make(chan segAppend, queueDepth),
 		kill:       make(chan struct{}),
 		writerDone: make(chan struct{}),
 	}
@@ -500,6 +502,9 @@ func (s *SegmentedLog) Append(payload []byte, done func(error)) error {
 	if err := s.Err(); err != nil {
 		return err
 	}
+	if len(payload) > maxPayload {
+		return fmt.Errorf("wal: record of %d bytes exceeds %d", len(payload), maxPayload)
+	}
 	s.sendMu.RLock()
 	defer s.sendMu.RUnlock()
 	if s.closed {
@@ -587,11 +592,10 @@ func (s *SegmentedLog) writer() {
 // up to the GroupCommit deadline for more arrivals.
 func (s *SegmentedLog) gather(first segAppend) []segAppend {
 	batch := append(make([]segAppend, 0, 16), first)
-	max := s.opts.QueueDepth
 	if s.opts.GroupCommit > 0 {
 		t := time.NewTimer(s.opts.GroupCommit)
 		defer t.Stop()
-		for len(batch) < max {
+		for len(batch) < queueDepth {
 			select {
 			case a, ok := <-s.queue:
 				if !ok {
@@ -606,7 +610,7 @@ func (s *SegmentedLog) gather(first segAppend) []segAppend {
 		}
 		return batch
 	}
-	for len(batch) < max {
+	for len(batch) < queueDepth {
 		select {
 		case a, ok := <-s.queue:
 			if !ok {
@@ -770,9 +774,9 @@ func (s *SegmentedLog) maybeSnapshot() {
 }
 
 // compact removes segments fully covered by the newest snapshot, and
-// snapshots older than it. Tombstone retirement drives this end to end:
-// retire records shrink the snapshot state, and each new snapshot lets
-// the whole covered segment range go.
+// snapshots older than it. A codec whose state is bounded (the decision
+// journal's window) keeps each new snapshot small, and each lets the
+// whole covered segment range go.
 func (s *SegmentedLog) compact() {
 	names, err := s.opts.FS.List()
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -26,12 +27,14 @@ func decisionFor(i int) types.Decision {
 func txnID(i int) string { return fmt.Sprintf("txn-%04d", i) }
 
 // TestDecisionLogRoundTrip: decisions appended and synced survive a
-// close/reopen; retired decisions are dropped from the recovered map.
+// close/reopen; those that fell out of the window are dropped from the
+// recovered map.
 func TestDecisionLogRoundTrip(t *testing.T) {
 	fs := wal.NewMemFS()
+	const txns, window = 50, 40
 	open := func() *wal.DecisionLog {
 		t.Helper()
-		dl, err := wal.OpenDecisionLog(wal.SegmentedOptions{FS: fs, SegmentBytes: 256, SnapshotEvery: 8})
+		dl, err := wal.OpenDecisionLogWindow(wal.SegmentedOptions{FS: fs, SegmentBytes: 256, SnapshotEvery: 8}, window)
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
@@ -42,15 +45,9 @@ func TestDecisionLogRoundTrip(t *testing.T) {
 	if n := len(dl.Recovered()); n != 0 {
 		t.Fatalf("fresh log recovered %d decisions", n)
 	}
-	const txns = 50
 	for i := 0; i < txns; i++ {
 		if err := dl.AppendSync(txnID(i), decisionFor(i)); err != nil {
 			t.Fatalf("append %d: %v", i, err)
-		}
-	}
-	for i := 0; i < 10; i++ {
-		if err := dl.Retire(txnID(i)); err != nil {
-			t.Fatalf("retire %d: %v", i, err)
 		}
 	}
 	if err := dl.Close(); err != nil {
@@ -60,18 +57,18 @@ func TestDecisionLogRoundTrip(t *testing.T) {
 	dl2 := open()
 	defer dl2.Close() //nolint:errcheck
 	rec := dl2.Recovered()
-	for i := 0; i < 10; i++ {
+	for i := 0; i < txns-window; i++ {
 		if _, ok := rec[txnID(i)]; ok {
-			t.Errorf("retired %s survived recovery", txnID(i))
+			t.Errorf("%s survived recovery outside the window", txnID(i))
 		}
 	}
-	for i := 10; i < txns; i++ {
+	for i := txns - window; i < txns; i++ {
 		if got := rec[txnID(i)]; got != decisionFor(i) {
 			t.Errorf("%s: recovered %v, want %v", txnID(i), got, decisionFor(i))
 		}
 	}
-	if len(rec) != txns-10 {
-		t.Errorf("recovered %d decisions, want %d", len(rec), txns-10)
+	if len(rec) != window {
+		t.Errorf("recovered %d decisions, want %d", len(rec), window)
 	}
 }
 
@@ -123,30 +120,31 @@ func TestSegmentedRotation(t *testing.T) {
 
 // TestSnapshotBoundsReplay: a snapshot is due once SnapshotEvery records
 // and as many bytes as the last one weighed have been appended since it.
-// With retire records holding the state at S entries, the records replayed
-// at open stay within S + SnapshotEvery + one group however long the log has
-// lived, and compaction keeps the directory small. With no retirement the
-// state grows with the log, and N records cost O(log N) snapshots — each is
-// paid for by the log growing as much again — not N/SnapshotEvery.
+// With the window holding the state at S members, the records replayed at
+// open stay within S + SnapshotEvery + one group however long the log has
+// lived, and compaction keeps the directory small. With a window wider
+// than the log the state grows with it, and N records cost O(log N)
+// snapshots — each is paid for by the log growing as much again — not
+// N/SnapshotEvery.
 func TestSnapshotBoundsReplay(t *testing.T) {
 	const every = 16
-	// run journals txns decisions, retiring each once `window` newer ones
-	// exist (0: never), and reopens the log.
+	// run journals txns decisions into a window of that many members (0:
+	// DecisionWindow, wider than any run here) and reopens the log.
 	run := func(txns, window int) (replayed, recovered int, st wal.SegStats, files int) {
 		t.Helper()
 		fs := wal.NewMemFS()
 		opts := wal.SegmentedOptions{FS: fs, SegmentBytes: 512, SnapshotEvery: every}
-		dl, err := wal.OpenDecisionLog(opts)
+		open := func() (*wal.DecisionLog, error) {
+			if window == 0 {
+				return wal.OpenDecisionLog(opts)
+			}
+			return wal.OpenDecisionLogWindow(opts, window)
+		}
+		dl, err := open()
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
 		for i := 0; i < txns; i++ {
-			if window > 0 && i >= window {
-				// Asynchronous: it rides in the next decision's group.
-				if err := dl.Retire(txnID(i - window)); err != nil {
-					t.Fatalf("retire %d: %v", i-window, err)
-				}
-			}
 			if err := dl.AppendSync(txnID(i), decisionFor(i)); err != nil {
 				t.Fatalf("append %d: %v", i, err)
 			}
@@ -155,7 +153,7 @@ func TestSnapshotBoundsReplay(t *testing.T) {
 		if err := dl.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
-		dl2, err := wal.OpenDecisionLog(opts)
+		dl2, err := open()
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}
@@ -172,7 +170,7 @@ func TestSnapshotBoundsReplay(t *testing.T) {
 	}
 
 	t.Run("bounded state", func(t *testing.T) {
-		const state, group = 32, 2 // a group is a decision and the retire it carries
+		const state, group = 32, 1 // a group is one decision
 		small, _, _, _ := run(10*state, state)
 		big, _, st, files := run(1000*state, state)
 		if bound := state + every + group; small > bound || big > bound {
@@ -438,13 +436,16 @@ func TestSegmentedFlushErrorReachesEveryWaiter(t *testing.T) {
 	dl.Close() //nolint:errcheck // already poisoned
 }
 
-// TestDifferentialSegmentedVsReconstruct: a decide/retire stream journaled
-// through the segmented decision journal on disk (with rotation and
-// snapshots forced) and replayed must reconstruct the SAME decisions as
-// folding the stream in memory — the fold is the oracle.
+// TestDifferentialSegmentedVsReconstruct: a stream of batches, ids
+// repeating, journaled through the segmented decision journal on disk
+// (with rotation and snapshots forced) and replayed must reconstruct the
+// SAME window as folding the stream in memory — the fold is the oracle:
+// an id answers with its newest member while that member is among the
+// newest `window` journaled.
 func TestDifferentialSegmentedVsReconstruct(t *testing.T) {
+	const window = 48
 	rng := rand.New(rand.NewSource(1))
-	want := make(map[string]types.Decision)
+	var stream []decision
 	opts := func() wal.SegmentedOptions {
 		fs, err := wal.NewDirFS(filepath.Join(t.TempDir(), "journal"))
 		if err != nil {
@@ -452,32 +453,38 @@ func TestDifferentialSegmentedVsReconstruct(t *testing.T) {
 		}
 		return wal.SegmentedOptions{FS: fs, SegmentBytes: 128, SnapshotEvery: 64}
 	}()
-	dl, err := wal.OpenDecisionLog(opts)
+	dl, err := wal.OpenDecisionLogWindow(opts, window)
 	if err != nil {
 		t.Fatalf("segmented open: %v", err)
 	}
 	if len(dl.Recovered()) != 0 {
 		t.Fatalf("fresh segmented journal recovered %v", dl.Recovered())
 	}
-	for i := 0; i < 300; i++ {
-		id := txnID(rng.Intn(40))
-		if rng.Intn(4) == 0 {
-			delete(want, id)
-			if err := dl.Retire(id); err != nil {
-				t.Fatalf("segmented retire: %v", err)
-			}
-			continue
+	for records := 0; records < 300; records++ {
+		var ids []string
+		var decs []types.Decision
+		for w := 1 + rng.Intn(4); w > 0; w-- {
+			x := decision{txnID(rng.Intn(80)), decisionFor(rng.Intn(3))}
+			stream = append(stream, x)
+			ids, decs = append(ids, x.id), append(decs, x.d)
 		}
-		want[id] = decisionFor(rng.Intn(3))
-		if err := dl.AppendSync(id, want[id]); err != nil {
+		done := make(chan error, 1)
+		if err := dl.AppendBatch(ids, decs, func(err error) { done <- err }); err != nil {
+			t.Fatalf("segmented append: %v", err)
+		}
+		if err := <-done; err != nil {
 			t.Fatalf("segmented append: %v", err)
 		}
 	}
 	if err := dl.Close(); err != nil {
 		t.Fatalf("segmented close: %v", err)
 	}
+	want := make(map[string]types.Decision)
+	for _, x := range stream[len(stream)-window:] {
+		want[x.id] = x.d
+	}
 
-	dl2, err := wal.OpenDecisionLog(opts)
+	dl2, err := wal.OpenDecisionLogWindow(opts, window)
 	if err != nil {
 		t.Fatalf("segmented reopen: %v", err)
 	}
@@ -485,7 +492,119 @@ func TestDifferentialSegmentedVsReconstruct(t *testing.T) {
 	if got := dl2.Recovered(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("segmented replay diverged from the fold:\n got %v\nwant %v", got, want)
 	}
+	if got := dl2.RecoveredOrder(); len(got) != window {
+		t.Errorf("recovered a window of %d members, want %d", len(got), window)
+	}
 	if rs := dl2.ReplayStats(); rs.SnapshotSeq == 0 || rs.Records == 300 {
 		t.Errorf("differential run never exercised a snapshot (stats %+v)", rs)
+	}
+}
+
+// TestAppendBlocksOnFullQueue: with the writer held inside an fsync, one
+// goroutine appending without waiting fills the queue and then blocks —
+// an append is never dropped — and every append completes once the fsync
+// is released.
+func TestAppendBlocksOnFullQueue(t *testing.T) {
+	cfs := &countFS{FS: wal.NewMemFS(), parked: make(chan struct{}), release: make(chan struct{})}
+	dl, err := wal.OpenDecisionLog(wal.SegmentedOptions{FS: cfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfs.hold.Store(true)
+	limit := 2*wal.QueueDepth + 2
+	var issued, acked atomic.Int64
+	finished := make(chan error, 1)
+	go func() {
+		for i := 0; i < limit; i++ {
+			if err := dl.Append(txnID(i), decisionFor(i), func(err error) {
+				if err == nil {
+					acked.Add(1)
+				}
+			}); err != nil {
+				finished <- err
+				return
+			}
+			issued.Add(1)
+		}
+		finished <- nil
+	}()
+	<-cfs.parked
+	// Wait until the appender stops making progress: it is blocked.
+	for last := int64(-1); issued.Load() != last; time.Sleep(50 * time.Millisecond) {
+		last = issued.Load()
+	}
+	select {
+	case err := <-finished:
+		t.Fatalf("all %d appends returned (%v) while the writer was held: the queue dropped or grew", limit, err)
+	default:
+	}
+	if n := issued.Load(); n < wal.QueueDepth || n >= int64(limit) {
+		t.Fatalf("the appender blocked after %d appends, want a full queue of %d", n, wal.QueueDepth)
+	}
+	close(cfs.release)
+	if err := <-finished; err != nil {
+		t.Fatalf("a blocked append failed after the release: %v", err)
+	}
+	if err := dl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := acked.Load(); got != int64(limit) {
+		t.Fatalf("%d of %d appends acked", got, limit)
+	}
+}
+
+// TestParentJournalStillOpens: a journal written by the per-member
+// format — a snapshot sorted by id, then decide and retire records —
+// opens, recovers every decision it holds (a retire record is read and
+// ignored: the window drops old members by itself), and takes batch
+// records after it.
+func TestParentJournalStillOpens(t *testing.T) {
+	files := make(map[string][]byte)
+	for _, name := range []string{"snap-00000002.snap", "wal-00000002.seg"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "parent-journal", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[name] = raw
+	}
+	fs := memWith(t, files)
+	// Written as p-00..p-15, p-i ABORT when i%3 == 0, retiring p-01, p-05,
+	// p-09 and p-13: the snapshot covers p-00..p-09 without the first two
+	// retired, the suffix holds the rest, its two retires included.
+	order := []string{"p-00", "p-02", "p-03", "p-04", "p-06", "p-07", "p-08", "p-09",
+		"p-10", "p-11", "p-12", "p-13", "p-14", "p-15"}
+	want := make(map[string]types.Decision)
+	for _, id := range order {
+		var i int
+		fmt.Sscanf(id, "p-%d", &i) //nolint:errcheck // the ids above
+		want[id] = decisionFor(i)
+	}
+	opts := wal.SegmentedOptions{FS: fs, SegmentBytes: 1024, SnapshotEvery: 12}
+	dl, err := wal.OpenDecisionLog(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dl.Recovered(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %v, want %v", got, want)
+	}
+	if got := dl.RecoveredOrder(); !reflect.DeepEqual(got, order) {
+		t.Fatalf("recovered order %q, want %q", got, order)
+	}
+	for i := 16; i < 40; i++ {
+		if err := dl.AppendSync(fmt.Sprintf("p-%02d", i), decisionFor(i)); err != nil {
+			t.Fatal(err)
+		}
+		want[fmt.Sprintf("p-%02d", i)] = decisionFor(i)
+	}
+	if err := dl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dl, err = wal.OpenDecisionLog(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dl.Close() //nolint:errcheck
+	if got := dl.Recovered(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after batch records: recovered %v, want %v", got, want)
 	}
 }

@@ -8,9 +8,10 @@
 // There is one log: SegmentedLog (segment.go) is the only code that
 // frames, checksums, fsyncs or replays a record; its file comment gives
 // the on-disk layout. The journals built on it — DecisionLog (decision.go),
-// which every live node and the commit service keep, and the cross-shard
-// log in internal/shard — are record codecs: they encode a payload, hand it
-// to the log, and fold replayed payloads back into state.
+// which every live node and the commit service keep, one record per
+// decided batch and a window of the newest DecisionWindow decisions, and
+// the cross-shard log in internal/shard — are record codecs: they encode a
+// payload, hand it to the log, and fold replayed payloads back into state.
 //
 // This file holds the formal machine's journal, which the simulator keeps
 // in memory: the protocol-relevant transitions of a Protocol 2 processor —

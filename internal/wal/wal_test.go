@@ -85,21 +85,18 @@ func replaySegment(t testing.TB, seg []byte) (map[string]types.Decision, error) 
 	return dl.Recovered(), dl.Close()
 }
 
-// TestRoundTrip: decide and retire records replay to their fold, the
-// last decide of an id winning until a retire drops it.
+// TestRoundTrip: decisions replay to their fold in journal order, an id
+// journaled again answering with its newest decision.
 func TestRoundTrip(t *testing.T) {
 	fs := wal.NewMemFS()
 	dl, err := wal.OpenDecisionLog(wal.SegmentedOptions{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range []decision{{"a", types.DecisionCommit}, {"b", types.DecisionAbort}, {"", types.DecisionCommit}, {"c", types.DecisionCommit}} {
+	for _, x := range []decision{{"a", types.DecisionAbort}, {"b", types.DecisionAbort}, {"", types.DecisionCommit}, {"c", types.DecisionCommit}, {"a", types.DecisionCommit}} {
 		if err := dl.AppendSync(x.id, x.d); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := dl.Retire("c"); err != nil {
-		t.Fatal(err)
 	}
 	if err := dl.Close(); err != nil {
 		t.Fatal(err)
@@ -109,9 +106,12 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dl.Close() //nolint:errcheck
-	want := map[string]types.Decision{"a": types.DecisionCommit, "b": types.DecisionAbort, "": types.DecisionCommit}
+	want := map[string]types.Decision{"a": types.DecisionCommit, "b": types.DecisionAbort, "": types.DecisionCommit, "c": types.DecisionCommit}
 	if got := dl.Recovered(); !reflect.DeepEqual(got, want) {
 		t.Errorf("replayed %v, want %v", got, want)
+	}
+	if got, want := dl.RecoveredOrder(), []string{"a", "b", "", "c", "a"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("replayed order %q, want %q", got, want)
 	}
 }
 

@@ -96,7 +96,8 @@ func soakDecision(id string) types.Decision {
 // simulated disk truncated past its fsync frontier under rotating
 // torn-tail assumptions). Every restart runs the chaos-auditor checks:
 //
-//	every acked, unretired decision is recovered with its exact value
+//	every acked decision inside the journal's window is recovered with
+//	its exact value
 //	every recovered decision matches what was appended (none invented)
 //
 // and the run logs recovery time and fsync amortization per epoch.
@@ -121,9 +122,16 @@ func TestSoakWALMillionTxnRestarts(t *testing.T) {
 	}
 
 	disk := wal.NewMemFS()
-	live := make(map[string]struct{}) // acked and not yet retired
-	var mu sync.Mutex                 // guards live and ackedTotal during an epoch
-	var ackedTotal, retiredTotal, kills int
+	// acked lists acked ids in the order their AppendSync returned. An id
+	// is inside the window while fewer than DecisionWindow members follow
+	// it in the journal; margin covers the members journaled after it but
+	// acked first (its own group: at most one per client) and the unacked
+	// ones a kill left on disk (at most one per client per kill) over the
+	// epoch or two an id stays inside.
+	var acked []string
+	const margin = 4 * clients
+	var mu sync.Mutex // guards acked and ackedTotal during an epoch
+	var ackedTotal, kills int
 	var appendsTotal, fsyncsTotal uint64
 	var slowestReplay time.Duration
 
@@ -142,11 +150,11 @@ func TestSoakWALMillionTxnRestarts(t *testing.T) {
 			slowestReplay = rs.Duration
 		}
 
-		// The auditor: recovery must hold every acked unretired decision
-		// with its exact value, and nothing it holds may contradict what
-		// was appended.
+		// The auditor: recovery must hold every acked decision inside the
+		// window with its exact value, and nothing it holds may contradict
+		// what was appended.
 		rec := dl.Recovered()
-		for id := range live {
+		for _, id := range acked[max(0, len(acked)-(wal.DecisionWindow-margin)):] {
 			d, ok := rec[id]
 			if !ok {
 				t.Fatalf("epoch %d: acked decision %s lost in recovery", epoch, id)
@@ -160,23 +168,13 @@ func TestSoakWALMillionTxnRestarts(t *testing.T) {
 				t.Fatalf("epoch %d: recovery invented/flipped %s = %v", epoch, id, d)
 			}
 		}
-		t.Logf("epoch %3d: replayed %6d records in %8v (snap %d, %6d live) — %d/%d acked",
+		if len(rec) > wal.DecisionWindow {
+			t.Fatalf("epoch %d: recovered %d decisions, more than the window", epoch, len(rec))
+		}
+		t.Logf("epoch %3d: replayed %6d records in %8v (snap %d, %6d in the window) — %d/%d acked",
 			epoch, rs.Records, rs.Duration.Round(time.Microsecond), rs.SnapshotSeq, len(rec), ackedTotal, target)
-
-		// Retire roughly half the live set, keeping the journal's state —
-		// and therefore its snapshots and replay — bounded for the whole
-		// million-transaction run.
-		toRetire := len(live) / 2
-		for id := range live {
-			if toRetire == 0 {
-				break
-			}
-			if err := dl.Retire(id); err != nil {
-				break // killed logs refuse retires; that's fine
-			}
-			delete(live, id)
-			retiredTotal++
-			toRetire--
+		if len(acked) > 2*wal.DecisionWindow {
+			acked = append([]string(nil), acked[len(acked)-wal.DecisionWindow:]...)
 		}
 
 		// Load phase: concurrent clients journaling decisions; on kill
@@ -198,7 +196,7 @@ func TestSoakWALMillionTxnRestarts(t *testing.T) {
 						return // killed mid-epoch: everything unacked stays unacked
 					}
 					mu.Lock()
-					live[id] = struct{}{}
+					acked = append(acked, id)
 					ackedTotal++
 					mu.Unlock()
 				}
@@ -234,7 +232,7 @@ func TestSoakWALMillionTxnRestarts(t *testing.T) {
 	}
 
 	amort := float64(appendsTotal) / float64(fsyncsTotal)
-	t.Logf("soak: %d decisions acked (%d retired) across %d epochs, %d kill -9 restarts", ackedTotal, retiredTotal, epoch, kills)
+	t.Logf("soak: %d decisions acked across %d epochs, %d kill -9 restarts", ackedTotal, epoch, kills)
 	t.Logf("soak: %d appends / %d fsyncs = %.1f records per fsync; slowest recovery %v", appendsTotal, fsyncsTotal, amort, slowestReplay)
 	if fsyncsTotal*5 > appendsTotal {
 		t.Errorf("group-commit amortization collapsed: %d fsyncs for %d appends (%.1fx)", fsyncsTotal, appendsTotal, amort)
