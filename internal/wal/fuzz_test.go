@@ -15,7 +15,7 @@ import (
 func FuzzReplay(f *testing.F) {
 	// Seed with a valid log in the older per-member format (a decide and a
 	// retire record), a truncated log, garbage, and batch records.
-	valid := append(wal.Frame(parentDecide), wal.Frame(parentRetire)...)
+	valid := append(wal.Frame(perMemberDecide), wal.Frame(perMemberRetire)...)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])
 	f.Add([]byte{0xde, 0xad, 0xbe, 0xef})
@@ -39,8 +39,8 @@ func FuzzReplay(f *testing.F) {
 // appended to it must survive a clean restart.
 func FuzzSegmentedOpen(f *testing.F) {
 	f.Add([]byte{}, []byte{})
-	f.Add(wal.Frame(parentDecide), []byte{})
-	f.Add(wal.Frame(parentRetire), []byte{0, 0, 0, 0})
+	f.Add(wal.Frame(perMemberDecide), []byte{})
+	f.Add(wal.Frame(perMemberRetire), []byte{0, 0, 0, 0})
 	// A one-entry snapshot: [u32 count=1][u8 decision][u16 len][id].
 	f.Add([]byte{0xde, 0xad}, []byte{1, 0, 0, 0, 2, 5, 0, 't', 'x', 'n', '-', '1'})
 	for _, seed := range batchSeeds(f) {
@@ -86,12 +86,12 @@ func FuzzSegmentedOpen(f *testing.F) {
 	})
 }
 
-// parentDecide and parentRetire are the two record payloads of the older
+// perMemberDecide and perMemberRetire are the two record payloads of the older
 // per-member format, byte for byte: [u8 1][u8 decision][id] decides txn-1
 // COMMIT, [u8 2][id] retires it.
 var (
-	parentDecide = []byte{1, 2, 't', 'x', 'n', '-', '1'}
-	parentRetire = []byte{2, 't', 'x', 'n', '-', '1'}
+	perMemberDecide = []byte{1, 2, 't', 'x', 'n', '-', '1'}
+	perMemberRetire = []byte{2, 't', 'x', 'n', '-', '1'}
 )
 
 // batchSeeds are batch record payloads: width 1, width 64, and a header

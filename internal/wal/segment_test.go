@@ -553,15 +553,15 @@ func TestAppendBlocksOnFullQueue(t *testing.T) {
 	}
 }
 
-// TestParentJournalStillOpens: a journal written by the per-member
+// TestPerMemberJournalStillOpens: a journal written by the per-member
 // format — a snapshot sorted by id, then decide and retire records —
 // opens, recovers every decision it holds (a retire record is read and
 // ignored: the window drops old members by itself), and takes batch
 // records after it.
-func TestParentJournalStillOpens(t *testing.T) {
+func TestPerMemberJournalStillOpens(t *testing.T) {
 	files := make(map[string][]byte)
 	for _, name := range []string{"snap-00000002.snap", "wal-00000002.seg"} {
-		raw, err := os.ReadFile(filepath.Join("testdata", "parent-journal", name))
+		raw, err := os.ReadFile(filepath.Join("testdata", "per-member-journal", name))
 		if err != nil {
 			t.Fatal(err)
 		}
