@@ -529,8 +529,13 @@ func TestAppendBlocksOnFullQueue(t *testing.T) {
 		finished <- nil
 	}()
 	<-cfs.parked
-	// Wait until the appender stops making progress: it is blocked.
-	for last := int64(-1); issued.Load() != last; time.Sleep(50 * time.Millisecond) {
+	// Wait until the appender has filled the queue and stops making
+	// progress: it is blocked.
+	deadline := time.Now().Add(10 * time.Second)
+	for last := int64(-1); issued.Load() != last || last < wal.QueueDepth; time.Sleep(50 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the appender issued %d appends in 10 s, want a full queue of %d", issued.Load(), wal.QueueDepth)
+		}
 		last = issued.Load()
 	}
 	select {
