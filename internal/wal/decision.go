@@ -60,7 +60,8 @@ func encodeBatch(ids []string, decs []types.Decision) ([]byte, error) {
 	if len(ids) != len(decs) || len(ids) > 1<<16-1 {
 		return nil, fmt.Errorf("wal: a batch of %d ids and %d decisions does not fit a record", len(ids), len(decs))
 	}
-	out := binary.LittleEndian.AppendUint16([]byte{opBatch}, uint16(len(ids)))
+	// One allocation for ids up to 29 bytes, which service ids are.
+	out := binary.LittleEndian.AppendUint16(append(make([]byte, 0, 3+32*len(ids)), opBatch), uint16(len(ids)))
 	for i, id := range ids {
 		if len(id) > 1<<16-1 || !decided(decs[i]) {
 			return nil, fmt.Errorf("wal: member %q deciding %v does not fit a record", id, decs[i])
