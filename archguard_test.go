@@ -751,13 +751,14 @@ var rules = []rule{
 		caught: "internal/transport/tcp.go:3: compares a message's To with its own id",
 	},
 
-	// One time source per node.
+	// One time source per driver.
 	{
-		name: "a node keeps one time source",
-		why: "A node steps when a message arrives, and its one ticker only tells it when another tick is owed. " +
-			"Every node, in a cluster or alone, takes its owed ticks in its own loop, no sooner than its slowest " +
-			"live peer took the last; a second ticker, timer, AfterFunc, After or Tick in the runtime is a clock " +
-			"goroutine or a poll come back. Cluster.CrashAfter's fault timer schedules a crash, not a tick, and is exempt.",
+		name: "a driver keeps one time source",
+		why: "A machine steps when a message arrives, and the one ticker of the loop hosting it only tells the loop " +
+			"when another tick is owed. A group's driver takes its owed ticks for every machine it hosts, and a node " +
+			"on its own loop no sooner than its slowest live peer took the last; a second ticker, timer, AfterFunc, " +
+			"After or Tick in the runtime is a clock goroutine or a poll come back. Cluster.CrashAfter's fault timer " +
+			"schedules a crash, not a tick, and is exempt.",
 		check: func(tr *tree) []string {
 			files := withoutFunc(tr.in(nonTest, within("internal/runtime")), "CrashAfter")
 			var sources []string
@@ -772,7 +773,7 @@ var rules = []rule{
 		planted: map[string]string{
 			"internal/runtime/runtime.go": "package runtime\nimport \"time\"\ntype Cluster struct{}\n" +
 				"func (c *Cluster) CrashAfter(d time.Duration) { time.AfterFunc(d, nil) }\n" +
-				"func (n *Node) run() {\n\tt := time.NewTicker(1) // time.After( in a comment is not a use\n\t<-t.C\n\t<-time.After(1)\n}",
+				"func (l *loop) run() {\n\tt := time.NewTicker(1) // time.After( in a comment is not a use\n\t<-t.C\n\t<-time.After(1)\n}",
 			"internal/runtime/clock_test.go": "package runtime\nimport \"time\"\nvar c = time.Tick(1)",
 		},
 		caught: "internal/runtime/runtime.go:8: uses time.After: the runtime's time source number 2, want at most 1",

@@ -19,7 +19,7 @@
 //	GET  /debug/flight  on-demand flight-recorder dump (render with
 //	                    `tracedump flight`)
 //	GET  /healthz       liveness + cluster size (+ shard count)
-//	GET  /readyz        readiness: 503 while starting or draining
+//	GET  /readyz        readiness: 503 while starting, draining or a group's journal has failed
 //	POST /crash/{node}  fault injection: fail-stop one processor in
 //	                    EVERY group (the correlated case)
 //	POST /crash/{shard}/{node}  fail-stop one processor in one group

@@ -11,7 +11,6 @@ import (
 	"repro/internal/obs/span"
 	"repro/internal/obs/watch"
 	"repro/internal/recovery"
-	"repro/internal/rng"
 	"repro/internal/runtime"
 	"repro/internal/transport"
 	"repro/internal/txn"
@@ -223,7 +222,7 @@ func RunCluster(p *Plan, o RunOptions) (*Report, *ClusterRunData, error) {
 		go func() {
 			defer restarts.Done()
 			v, ok := restartNode(ctx, cl, types.ProcID(ev.Node), fss[ev.Node],
-				time.Duration(ev.RestartTick)*o.TickEvery, p, o)
+				time.Duration(ev.RestartTick)*o.TickEvery, p)
 			h.setRecovered(ev.Node, v, ok)
 		}()
 	}
@@ -301,11 +300,12 @@ func journaled(fs *wal.MemFS) (types.Decision, bool) {
 }
 
 // restartNode brings crashed processor pid back after the given delay,
-// once its goroutine has stopped: it reconnects the processor at the hub
+// once its machine has stopped: it reconnects the processor at the hub
 // and answers from its journal, or, when the journal holds no decision,
-// runs the recovery client over the processor's endpoint and journals what
-// the client learns. ok is false if nothing was learned before ctx ended.
-func restartNode(ctx context.Context, cl *runtime.Cluster, pid types.ProcID, fs *wal.MemFS, after time.Duration, p *Plan, o RunOptions) (types.Value, bool) {
+// restarts it in the cluster running the recovery client (the group's
+// driver hosts it, when the group is driven) and journals what the client
+// learns. ok is false if nothing was learned before ctx ended.
+func restartNode(ctx context.Context, cl *runtime.Cluster, pid types.ProcID, fs *wal.MemFS, after time.Duration, p *Plan) (types.Value, bool) {
 	timer := time.NewTimer(after)
 	defer timer.Stop()
 	select {
@@ -323,26 +323,18 @@ func restartNode(ctx context.Context, cl *runtime.Cluster, pid types.ProcID, fs 
 		return 0, false
 	}
 	defer dl.Close() //nolint:errcheck // the harness reads it back after the run
-	cl.Restart(pid)
 	if d, ok := dl.Recovered()[recovery.SoleTxn]; ok {
+		cl.Restart(pid, nil) //nolint:errcheck // reconnects only; fails only once the run closed the cluster
 		return d.Value(), true
 	}
 	client, err := recovery.NewClient(recovery.ClientConfig{ID: pid, N: p.Cfg.N, QueryEvery: 4})
 	if err != nil {
 		return 0, false
 	}
-	node, err := runtime.NewNode(runtime.NodeConfig{
-		Machine:   client,
-		Transport: cl.Hub().Endpoint(pid),
-		Rand:      rng.NewStream(p.Cfg.Seed ^ 0x5bd1e995*(uint64(pid)+1)),
-		TickEvery: o.TickEvery,
-		MaxTicks:  o.BudgetTicks,
-		Registry:  o.Registry,
-	})
+	node, err := cl.Restart(pid, client)
 	if err != nil {
 		return 0, false
 	}
-	node.Start(ctx)
 	select {
 	case <-node.Done():
 	case <-ctx.Done():

@@ -3,9 +3,10 @@ package runtime_test
 // The runtime's three promises, checked on machines that only count: a
 // node runs its machine when something arrives and otherwise once per
 // TickEvery (no spin), it takes the ticks it owes and none before, and a
-// node of a cluster ticks no faster than its slowest live peer. The
-// schedules here are wall time and a sleep — nothing reads a message:
-// content-oblivious.
+// node of a cluster ticks no faster than its slowest live peer — inside a
+// group driver because it ticks with them, over supplied transports
+// because its loop's gate holds it. The schedules here are wall time and a
+// sleep — nothing reads a message: content-oblivious.
 
 import (
 	"context"
@@ -81,14 +82,44 @@ type ping struct{}
 
 func (ping) Kind() string { return "test.ping" }
 
-// startCluster runs machines as a persistent cluster until the test ends.
+// startCluster runs machines as a persistent cluster until the test ends,
+// over the hub it builds for itself, driven: one driver steps them all.
 func startCluster(t *testing.T, machines []types.Machine, tick time.Duration, reg *obs.Registry) *runtime.Cluster {
 	t.Helper()
-	c, err := runtime.NewCluster(machines, nil, runtime.ClusterOptions{
+	return startShaped(t, machines, tick, reg, false)
+}
+
+// startShaped is startCluster, or, supplied, the cluster over hub endpoints
+// it is handed: then each node runs its own loop, gated by its peers.
+func startShaped(t *testing.T, machines []types.Machine, tick time.Duration, reg *obs.Registry, supplied bool) *runtime.Cluster {
+	t.Helper()
+	return startAt(t, machines, tick, reg, supplied, 0)
+}
+
+// startAt builds the cluster startShaped does and starts it. With procs 0
+// a cluster over its own hub is made driven first; else it is started at
+// procs GOMAXPROCS and left to the rule: driven once the process holds at
+// least GOMAXPROCS such groups, and at least two.
+func startAt(t *testing.T, machines []types.Machine, tick time.Duration, reg *obs.Registry, supplied bool, procs int) *runtime.Cluster {
+	t.Helper()
+	var trs []transport.Transport
+	if supplied {
+		hub := transport.NewHub(len(machines), transport.HubOptions{Registry: reg})
+		for p := range machines {
+			trs = append(trs, hub.Endpoint(types.ProcID(p)))
+		}
+	}
+	c, err := runtime.NewCluster(machines, trs, runtime.ClusterOptions{
 		TickEvery: tick, Seed: 1, Persistent: true, Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	switch {
+	case procs > 0:
+		defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(procs))
+	case !supplied:
+		c.Drive()
 	}
 	c.Start(context.Background())
 	t.Cleanup(func() {
@@ -99,6 +130,12 @@ func startCluster(t *testing.T, machines []types.Machine, tick time.Duration, re
 	})
 	return c
 }
+
+// shapes are the two ways a cluster hosts its nodes.
+var shapes = []struct {
+	name     string
+	supplied bool
+}{{"driver", false}, {"per-node", true}}
 
 func newArrivals(n int) ([]*arrivals, []types.Machine) {
 	as := make([]*arrivals, n)
@@ -120,23 +157,71 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestClusterRunsOneGoroutinePerNodeContentOblivious: each node keeps its
-// own ticker and gate, so a running cluster is its nodes' goroutines and
-// nothing else — no clock beside them.
-func TestClusterRunsOneGoroutinePerNodeContentOblivious(t *testing.T) {
-	_, ms := newArrivals(3)
-	// An earlier test's node closes Done just before its goroutine returns,
-	// so count once the number has held still for a few milliseconds.
-	before := goruntime.NumGoroutine()
-	for prev := -1; prev != before; {
-		prev = before
+// settledGoroutines counts the goroutines once the number has held still
+// for a few milliseconds: an earlier cluster's loop closes its channels
+// just before its goroutine returns.
+func settledGoroutines() int {
+	n := goruntime.NumGoroutine()
+	for prev := -1; prev != n; {
+		prev = n
 		time.Sleep(5 * time.Millisecond)
-		before = goruntime.NumGoroutine()
+		n = goruntime.NumGoroutine()
 	}
-	startCluster(t, ms, time.Millisecond, nil)
+	return n
+}
+
+// TestClusterRunsOneGoroutinePerLoopContentOblivious: a running cluster is
+// its loops' goroutines and nothing else — no clock beside them. A driven
+// group is one driver; over supplied transports it is one loop per node.
+func TestClusterRunsOneGoroutinePerLoopContentOblivious(t *testing.T) {
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			_, ms := newArrivals(3)
+			before := settledGoroutines()
+			startShaped(t, ms, time.Millisecond, nil, shape.supplied)
+			want := 1
+			if shape.supplied {
+				want = len(ms)
+			}
+			if got := settledGoroutines() - before; got != want {
+				t.Errorf("a running %d-node cluster added %d goroutines, want %d", len(ms), got, want)
+			}
+		})
+	}
+}
+
+// TestFewerGroupsThanProcsRunPerNodeContentOblivious: at two Ps, one
+// cluster over its own hub would leave a core idle on one driver, so its
+// nodes run their own loops. A second cluster's start brings the process to
+// GOMAXPROCS groups: both are driven from then on — the first one moved
+// onto a driver mid-run, its clock running on, a wake and a delivery
+// served.
+func TestFewerGroupsThanProcsRunPerNodeContentOblivious(t *testing.T) {
+	as, ms := newArrivals(3)
+	bs, more := newArrivals(3)
+	before := settledGoroutines()
+	first := startAt(t, ms, time.Millisecond, nil, false, 2)
+	if got := settledGoroutines() - before; got != len(ms) {
+		t.Fatalf("one group at two Ps added %d goroutines, want one per node (%d)", got, len(ms))
+	}
+	first.Node(0).Wake()
+	waitFor(t, "node 0's message to arrive at node 1", func() bool { return as[1].received.Load() == 1 })
+	startAt(t, more, time.Millisecond, nil, false, 2)
+	if got := settledGoroutines() - before; got != 2 {
+		t.Fatalf("two groups at two Ps run on %d goroutines, want one driver each", got)
+	}
+	from := as[0].ticks.Load()
+	first.Node(1).Wake()
+	waitFor(t, "node 1's answer to arrive at node 2 through the driver", func() bool { return as[2].received.Load() == 1 })
+	waitFor(t, "the converted group's clock to run on", func() bool { return as[0].ticks.Load() >= from+5 })
+	waitFor(t, "the second group's clock to run", func() bool { return bs[0].ticks.Load() >= 5 })
 	time.Sleep(20 * time.Millisecond)
-	if got := goruntime.NumGoroutine() - before; got != len(ms) {
-		t.Errorf("a running %d-node cluster added %d goroutines, want %d", len(ms), got, len(ms))
+	for p, a := range as {
+		// A tick may take a frame before a delivery does; either way each
+		// arrives once.
+		if got := a.received.Load(); got != []int64{0, 1, 1}[p] {
+			t.Errorf("node %d received %d messages, want %d", p, got, []int64{0, 1, 1}[p])
+		}
 	}
 }
 
@@ -144,29 +229,33 @@ func TestClusterRunsOneGoroutinePerNodeContentOblivious(t *testing.T) {
 // deliver a node runs its machine once per TickEvery — never more (no
 // spin), and the step counter counts exactly those runs.
 func TestIdleClusterTicksAndNothingElseContentOblivious(t *testing.T) {
-	const tick = 2 * time.Millisecond
-	as, ms := newArrivals(3)
-	reg := obs.NewRegistry()
-	start := time.Now()
-	startCluster(t, ms, tick, reg)
-	time.Sleep(200 * time.Millisecond)
-	var ticks [3]int64
-	for p, a := range as {
-		ticks[p] = a.ticks.Load()
-	}
-	periods := int64(time.Since(start)/tick) + 1
-	for p, a := range as {
-		if got := a.deliveries.Load(); got != 0 {
-			t.Errorf("node %d: %d deliveries with nothing sent", p, got)
-		}
-		// A busy box may lose periods; it can never add any.
-		if ticks[p] > periods || ticks[p] < periods/4 {
-			t.Errorf("node %d: %d ticks in %d periods", p, ticks[p], periods)
-		}
-		steps := reg.CounterVec("runtime_node_steps_total", "", "node").With(strconv.Itoa(p)).Value()
-		if now := a.ticks.Load(); int64(steps) < ticks[p] || int64(steps) > now {
-			t.Errorf("node %d: runtime_node_steps_total = %d, machine ran %d..%d times", p, steps, ticks[p], now)
-		}
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			const tick = 2 * time.Millisecond
+			as, ms := newArrivals(3)
+			reg := obs.NewRegistry()
+			start := time.Now()
+			startShaped(t, ms, tick, reg, shape.supplied)
+			time.Sleep(200 * time.Millisecond)
+			var ticks [3]int64
+			for p, a := range as {
+				ticks[p] = a.ticks.Load()
+			}
+			periods := int64(time.Since(start)/tick) + 1
+			for p, a := range as {
+				if got := a.deliveries.Load(); got != 0 {
+					t.Errorf("node %d: %d deliveries with nothing sent", p, got)
+				}
+				// A busy box may lose periods; it can never add any.
+				if ticks[p] > periods || ticks[p] < periods/4 {
+					t.Errorf("node %d: %d ticks in %d periods", p, ticks[p], periods)
+				}
+				steps := reg.CounterVec("runtime_node_steps_total", "", "node").With(strconv.Itoa(p)).Value()
+				if now := a.ticks.Load(); int64(steps) < ticks[p] || int64(steps) > now {
+					t.Errorf("node %d: runtime_node_steps_total = %d, machine ran %d..%d times", p, steps, ticks[p], now)
+				}
+			}
+		})
 	}
 }
 
@@ -175,26 +264,30 @@ func TestIdleClusterTicksAndNothingElseContentOblivious(t *testing.T) {
 // node 0, whose answer reaches node 1 and runs it; a wake of node 1 runs
 // it again, and its answer runs node 2.
 func TestArrivalAndWakeRunTheMachineAtOnceContentOblivious(t *testing.T) {
-	as, ms := newArrivals(3)
-	c := startCluster(t, ms, time.Hour, nil)
-	c.Node(0).Wake()
-	waitFor(t, "node 0's message to arrive at node 1", func() bool { return as[1].received.Load() == 1 })
-	c.Node(1).Wake()
-	waitFor(t, "node 1's answer to arrive at node 2", func() bool { return as[2].received.Load() == 1 })
-	time.Sleep(20 * time.Millisecond)
-	if d, r := as[0].deliveries.Load(), as[0].received.Load(); d != 1 || r != 0 {
-		t.Errorf("node 0: %d deliveries, %d messages; want the one wake", d, r)
-	}
-	for p, a := range as {
-		if a.ticks.Load() != 0 {
-			t.Errorf("node %d ticked %d times an hour early", p, a.ticks.Load())
-		}
-	}
-	if d, r := as[1].deliveries.Load(), as[1].received.Load(); d != 2 || r != 1 {
-		t.Errorf("node 1: %d deliveries, %d messages; want one arrival and one wake", d, r)
-	}
-	if d, r := as[2].deliveries.Load(), as[2].received.Load(); d != 1 || r != 1 {
-		t.Errorf("node 2: %d deliveries, %d messages; want the one arrival", d, r)
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			as, ms := newArrivals(3)
+			c := startShaped(t, ms, time.Hour, nil, shape.supplied)
+			c.Node(0).Wake()
+			waitFor(t, "node 0's message to arrive at node 1", func() bool { return as[1].received.Load() == 1 })
+			c.Node(1).Wake()
+			waitFor(t, "node 1's answer to arrive at node 2", func() bool { return as[2].received.Load() == 1 })
+			time.Sleep(20 * time.Millisecond)
+			if d, r := as[0].deliveries.Load(), as[0].received.Load(); d != 1 || r != 0 {
+				t.Errorf("node 0: %d deliveries, %d messages; want the one wake", d, r)
+			}
+			for p, a := range as {
+				if a.ticks.Load() != 0 {
+					t.Errorf("node %d ticked %d times an hour early", p, a.ticks.Load())
+				}
+			}
+			if d, r := as[1].deliveries.Load(), as[1].received.Load(); d != 2 || r != 1 {
+				t.Errorf("node 1: %d deliveries, %d messages; want one arrival and one wake", d, r)
+			}
+			if d, r := as[2].deliveries.Load(), as[2].received.Load(); d != 1 || r != 1 {
+				t.Errorf("node 2: %d deliveries, %d messages; want the one arrival", d, r)
+			}
+		})
 	}
 }
 
@@ -202,23 +295,29 @@ func TestArrivalAndWakeRunTheMachineAtOnceContentOblivious(t *testing.T) {
 // periods in every Step. Its peers' clocks keep its pace instead of running
 // three times as fast and counting it late.
 func TestSlowNodeHoldsThePeersClocksContentOblivious(t *testing.T) {
-	const tick = 2 * time.Millisecond
-	as, ms := newArrivals(3)
-	as[0].stall = 3 * tick
-	startCluster(t, ms, tick, nil)
-	waitFor(t, "the slow node's 20th tick", func() bool { return as[0].ticks.Load() >= 20 })
-	slow := as[0].ticks.Load()
-	for p := 1; p < 3; p++ {
-		// A peer may hold the tick the slow node has yet to take, no more.
-		if got := as[p].ticks.Load(); got > slow+2 {
-			t.Errorf("node %d is at tick %d, the slow node at %d", p, got, slow)
-		}
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			const tick = 2 * time.Millisecond
+			as, ms := newArrivals(3)
+			as[0].stall = 3 * tick
+			startShaped(t, ms, tick, nil, shape.supplied)
+			waitFor(t, "the slow node's 20th tick", func() bool { return as[0].ticks.Load() >= 20 })
+			slow := as[0].ticks.Load()
+			for p := 1; p < 3; p++ {
+				// A peer may hold the tick the slow node has yet to take, no more.
+				if got := as[p].ticks.Load(); got > slow+2 {
+					t.Errorf("node %d is at tick %d, the slow node at %d", p, got, slow)
+				}
+			}
+		})
 	}
 }
 
 // TestCrashedNodeNeverHoldsTheClockContentOblivious: a crashed node is not
 // slow, it is gone: its peers reach tick 2K — time out on it — within 2K
-// periods plus slack, not 2K times the skip bound.
+// periods plus slack, not 2K times the skip bound. The nodes run their own
+// loops: a machine wedged in a driver would wedge its whole group, whose
+// machines share one goroutine.
 func TestCrashedNodeNeverHoldsTheClockContentOblivious(t *testing.T) {
 	const (
 		tick = 5 * time.Millisecond
@@ -227,7 +326,7 @@ func TestCrashedNodeNeverHoldsTheClockContentOblivious(t *testing.T) {
 	as, ms := newArrivals(3)
 	as[0].block = make(chan struct{}) // were it still counted, it would hold every tick
 	defer close(as[0].block)
-	c := startCluster(t, ms, tick, nil)
+	c := startShaped(t, ms, tick, nil, true)
 	waitFor(t, "node 0 to wedge in its first tick", func() bool { return as[0].ticks.Load() == 1 })
 	c.Crash(0)
 	start, from := time.Now(), as[1].ticks.Load()
@@ -239,13 +338,14 @@ func TestCrashedNodeNeverHoldsTheClockContentOblivious(t *testing.T) {
 
 // TestWedgedNodeHoldsTheClockOnlyToTheSkipBoundContentOblivious: a node
 // stuck in Step but not crashed cannot be told from a slow one, so it
-// stretches its peers' ticks — by the skip bound, not for ever.
+// stretches its peers' ticks — by the skip bound, not for ever. The gate
+// belongs to nodes that run their own loops.
 func TestWedgedNodeHoldsTheClockOnlyToTheSkipBoundContentOblivious(t *testing.T) {
 	const tick = 2 * time.Millisecond
 	as, ms := newArrivals(3)
 	as[0].block = make(chan struct{})
 	defer close(as[0].block)
-	startCluster(t, ms, tick, nil)
+	startShaped(t, ms, tick, nil, true)
 	waitFor(t, "node 0 to wedge in its first tick", func() bool { return as[0].ticks.Load() == 1 })
 	start, from := time.Now(), as[1].ticks.Load()
 	time.Sleep(150 * time.Millisecond)
@@ -301,51 +401,55 @@ func TestLateNodeOwesOneFiresLatenessContentOblivious(t *testing.T) {
 // lost one for good. No node ever takes a tick more than one ahead of its
 // slowest live peer.
 func TestClusterBesideACrashRepaysAHeldPeriodContentOblivious(t *testing.T) {
-	const tick = 20 * time.Millisecond
-	var (
-		cluster atomic.Pointer[runtime.Cluster]
-		bad     atomic.Int64 // a lead over 1 seen
-	)
-	as, ms := newArrivals(3)
-	for p := 1; p < 3; p++ {
-		other := types.ProcID(3 - p) // the one live peer
-		as[p].onTick = func(at int64) {
-			if c := cluster.Load(); c != nil {
-				if lead := at - c.Node(other).Taken(); lead > 1 {
-					bad.Store(lead)
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			const tick = 20 * time.Millisecond
+			var (
+				cluster atomic.Pointer[runtime.Cluster]
+				bad     atomic.Int64 // a lead over 1 seen
+			)
+			as, ms := newArrivals(3)
+			for p := 1; p < 3; p++ {
+				other := types.ProcID(3 - p) // the one live peer
+				as[p].onTick = func(at int64) {
+					if c := cluster.Load(); c != nil {
+						if lead := at - c.Node(other).Taken(); lead > 1 {
+							bad.Store(lead)
+						}
+					}
 				}
 			}
-		}
-	}
-	var resumed atomic.Bool
-	as[1].pause = 5 * tick / 2
-	as[1].resumed = func() { resumed.Store(true) }
-	start := time.Now()
-	c := startCluster(t, ms, tick, nil)
-	c.Crash(0)
-	cluster.Store(c)
-	waitFor(t, "node 1's long Step to return", resumed.Load)
-	// Sample each live clock half a period past each boundary, for ten
-	// periods.
-	caught := make([]bool, len(as))
-	for range 10 {
-		time.Sleep(tick - time.Since(start)%tick + tick/2)
-		elapsed := int64(time.Since(start) / tick)
-		for p := 1; p < 3; p++ {
-			clock := as[p].ticks.Load()
-			if clock > elapsed {
-				t.Fatalf("node %d reads %d after %d periods: a tick taken before it was owed", p, clock, elapsed)
+			var resumed atomic.Bool
+			as[1].pause = 5 * tick / 2
+			as[1].resumed = func() { resumed.Store(true) }
+			start := time.Now()
+			c := startShaped(t, ms, tick, nil, shape.supplied)
+			c.Crash(0)
+			cluster.Store(c)
+			waitFor(t, "node 1's long Step to return", resumed.Load)
+			// Sample each live clock half a period past each boundary, for ten
+			// periods.
+			caught := make([]bool, len(as))
+			for range 10 {
+				time.Sleep(tick - time.Since(start)%tick + tick/2)
+				elapsed := int64(time.Since(start) / tick)
+				for p := 1; p < 3; p++ {
+					clock := as[p].ticks.Load()
+					if clock > elapsed {
+						t.Fatalf("node %d reads %d after %d periods: a tick taken before it was owed", p, clock, elapsed)
+					}
+					caught[p] = caught[p] || clock == elapsed
+				}
 			}
-			caught[p] = caught[p] || clock == elapsed
-		}
-	}
-	for p := 1; p < 3; p++ {
-		if !caught[p] {
-			t.Errorf("node %d never read the elapsed periods after the stall: a held period was lost", p)
-		}
-	}
-	if lead := bad.Load(); lead != 0 {
-		t.Errorf("a node took a tick %d ahead of its slowest live peer", lead)
+			for p := 1; p < 3; p++ {
+				if !caught[p] {
+					t.Errorf("node %d never read the elapsed periods after the stall: a held period was lost", p)
+				}
+			}
+			if lead := bad.Load(); lead != 0 {
+				t.Errorf("a node took a tick %d ahead of its slowest live peer", lead)
+			}
+		})
 	}
 }
 
@@ -355,18 +459,22 @@ func TestClusterBesideACrashRepaysAHeldPeriodContentOblivious(t *testing.T) {
 // late for pass and never reads the elapsed periods again: a frame parked
 // beside a starved node keeps that period as slack.
 func TestLiveClusterLetsALatePeriodPassContentOblivious(t *testing.T) {
-	const tick = 20 * time.Millisecond
-	as, ms := newArrivals(3)
-	var resumed atomic.Bool
-	as[0].pause = 5 * tick / 2
-	as[0].resumed = func() { resumed.Store(true) }
-	start := time.Now()
-	startCluster(t, ms, tick, nil)
-	waitFor(t, "node 0's long Step to return", resumed.Load)
-	for range 10 {
-		time.Sleep(tick - time.Since(start)%tick + tick/2)
-		if clock, elapsed := as[0].ticks.Load(), int64(time.Since(start)/tick); clock >= elapsed {
-			t.Fatalf("node 0 reads %d after %d periods: the period it was late for was replayed", clock, elapsed)
-		}
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			const tick = 20 * time.Millisecond
+			as, ms := newArrivals(3)
+			var resumed atomic.Bool
+			as[0].pause = 5 * tick / 2
+			as[0].resumed = func() { resumed.Store(true) }
+			start := time.Now()
+			startShaped(t, ms, tick, nil, shape.supplied)
+			waitFor(t, "node 0's long Step to return", resumed.Load)
+			for range 10 {
+				time.Sleep(tick - time.Since(start)%tick + tick/2)
+				if clock, elapsed := as[0].ticks.Load(), int64(time.Since(start)/tick); clock >= elapsed {
+					t.Fatalf("node 0 reads %d after %d periods: the period it was late for was replayed", clock, elapsed)
+				}
+			}
+		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/span"
+	"repro/internal/recovery"
 	"repro/internal/rng"
 	"repro/internal/runtime"
 	"repro/internal/transport"
@@ -14,8 +15,9 @@ import (
 	"repro/internal/types"
 )
 
-// theTxn is the one transaction the cluster tests commit.
-const theTxn txn.ID = "t"
+// theTxn is the one transaction the cluster tests commit, the one a
+// recovery client asks about.
+const theTxn txn.ID = recovery.SoleTxn
 
 // managers builds the machine every live path hosts, one transaction
 // manager per processor, with processor 0 having begun theTxn and
@@ -338,7 +340,7 @@ func TestCrashAfterClusterClose(t *testing.T) {
 
 // TestRestartOverSuppliedTransportsIsNoop: a cluster over transports it
 // was handed has no hub to reconnect a crashed node at; Restart must
-// leave it crashed, not dereference the missing hub.
+// refuse and leave it crashed, not dereference the missing hub.
 func TestRestartOverSuppliedTransportsIsNoop(t *testing.T) {
 	n := 3
 	hub := transport.NewHub(n, transport.HubOptions{})
@@ -355,7 +357,9 @@ func TestRestartOverSuppliedTransportsIsNoop(t *testing.T) {
 	}
 	c.Start(context.Background())
 	c.Crash(2)
-	c.Restart(2)
+	if node, err := c.Restart(2, nil); err == nil || node != nil {
+		t.Errorf("Restart over supplied transports = %v, %v; want a refusal", node, err)
+	}
 	c.Stop()
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)

@@ -143,6 +143,9 @@ type Backend interface {
 	Shards() int
 	Ready() bool
 	Draining() bool
+	// JournalErr is non-nil once a group's journal has failed: that group
+	// is fail-stopped.
+	JournalErr() error
 	// Crash fail-stops processor node (in every group, when sharded).
 	Crash(node types.ProcID) error
 }
@@ -172,7 +175,8 @@ func NewHTTPHandler(s *Service) http.Handler { return NewHandler(unsharded{s}) }
 //	GET  /debug/spans   span ring as a causal graph, milestones included
 //	                    (?txn=<id> filters)
 //	GET  /healthz       liveness + cluster size (+ shard count)
-//	GET  /readyz        readiness: 503 while starting or draining
+//	GET  /readyz        readiness: 503 while starting, draining or a
+//	                    group's journal has failed
 //	POST /crash/{node}  fault injection: fail-stop one processor
 func NewHandler(b Backend) *http.ServeMux {
 	health := func(status string) HealthJSON {
@@ -244,6 +248,8 @@ func NewHandler(b Backend) *http.ServeMux {
 			writeJSON(w, http.StatusOK, health("ok"))
 		case b.Draining():
 			writeJSON(w, http.StatusServiceUnavailable, health("draining"))
+		case b.JournalErr() != nil:
+			writeJSON(w, http.StatusServiceUnavailable, health("journal-failed"))
 		default:
 			writeJSON(w, http.StatusServiceUnavailable, health("starting"))
 		}
@@ -277,11 +283,13 @@ func CrashHandler(crash func(ids []int) error, names ...string) http.HandlerFunc
 }
 
 // writeSubmitError maps Submit's typed errors to HTTP statuses: overload
-// is 429 with a Retry-After hint, draining is 503, duplicate ids are 409,
+// is 429 with a Retry-After hint, draining and a failed journal are 503
+// (the error names the shard), duplicate ids are 409,
 // context expiry is 499-style client timeout, the rest are 400.
 func writeSubmitError(w http.ResponseWriter, err error) {
 	var oe *OverloadError
 	var de *DuplicateError
+	var je *JournalError
 	switch {
 	case errors.As(err, &oe):
 		secs := int64(oe.RetryAfter / time.Second)
@@ -293,7 +301,7 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 			Error:        err.Error(),
 			RetryAfterMs: oe.RetryAfter.Milliseconds(),
 		})
-	case errors.Is(err, ErrDraining):
+	case errors.Is(err, ErrDraining), errors.As(err, &je):
 		writeJSON(w, http.StatusServiceUnavailable, ErrorJSON{Error: err.Error()})
 	case errors.As(err, &de):
 		writeJSON(w, http.StatusConflict, ErrorJSON{Error: err.Error()})

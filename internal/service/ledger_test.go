@@ -1,8 +1,12 @@
 package service_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"regexp"
+	"runtime/pprof"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,9 +19,11 @@ import (
 
 // The allocation ledger: what one member transaction costs the in-process
 // stack in heap objects and bytes (allocs/op and B/op, process-wide, so
-// the node goroutines' protocol work is counted), wire frames, journal
-// fsyncs, records and bytes, beside the mean batch width that amortizes
-// them. Serial callers pay for width-1 batches; 16 parallel callers let
+// the runtime goroutines' protocol work is counted), wire frames, journal
+// fsyncs, records and bytes, and the frames a runtime goroutine took from
+// a channel another goroutine filled (handoffs/op), beside the mean batch
+// width that amortizes them and the runtime goroutines per group
+// (goroutines/group). Serial callers pay for width-1 batches; 16 parallel callers let
 // batches widen; the w rows fix the width, BatchMax members per batch,
 // with twice as many callers as n batches of that width hold. The
 // parent-versus-change tables live in ledger.txt beside this file.
@@ -32,6 +38,10 @@ type ledgerConfig struct {
 	journal bool
 	callers int // 1 submits serially
 	width   int // BatchMax, when the row fixes the width (0: default)
+	// groups, when above 1, runs the measured service beside groups-1 idle
+	// ones in the process, as shard_cross_c16's four groups share it: at
+	// GOMAXPROCS up to groups every group is driven (runtime.Cluster).
+	groups int
 }
 
 func (c ledgerConfig) name() string {
@@ -39,10 +49,14 @@ func (c ledgerConfig) name() string {
 	if c.journal {
 		j = "memfs"
 	}
+	name := fmt.Sprintf("n%d_%s_c%d", c.n, j, c.callers)
 	if c.width > 0 {
-		return fmt.Sprintf("n%d_%s_w%d", c.n, j, c.width)
+		name = fmt.Sprintf("n%d_%s_w%d", c.n, j, c.width)
 	}
-	return fmt.Sprintf("n%d_%s_c%d", c.n, j, c.callers)
+	if c.groups > 1 {
+		name += fmt.Sprintf("_g%d", c.groups)
+	}
+	return name
 }
 
 var ledgerConfigs = func() []ledgerConfig {
@@ -57,24 +71,31 @@ var ledgerConfigs = func() []ledgerConfig {
 	for _, width := range []int{8, 32} {
 		cs = append(cs, ledgerConfig{n: 3, journal: true, callers: 2 * 3 * width, width: width})
 	}
+	for _, callers := range []int{1, 16} {
+		for _, n := range []int{3, 5} {
+			cs = append(cs, ledgerConfig{n: n, callers: callers, groups: 4})
+		}
+	}
 	return cs
 }()
 
 // ledgerCounts are the cumulative counters a ledger run differences.
 type ledgerCounts struct {
-	frames, fsyncs, records, batches uint64
-	journalBytes                     int64
-	members                          float64
+	frames, handoffs, fsyncs, records, batches uint64
+	journalBytes                               int64
+	members                                    float64
 }
 
 // ledgerRig is one service under ledger measurement.
 type ledgerRig struct {
-	svc     *service.Service
-	journal *wal.DecisionLog
-	disk    *byteFS
-	frames  *obs.Counter
-	fsyncs  *obs.Counter
-	records *obs.Counter
+	svc      *service.Service
+	siblings []*service.Service // idle groups beside it
+	journal  *wal.DecisionLog
+	disk     *byteFS
+	frames   *obs.Counter
+	handoffs []*obs.Counter // per node
+	fsyncs   *obs.Counter
+	records  *obs.Counter
 }
 
 // byteFS counts the bytes written to the files it opens.
@@ -105,8 +126,15 @@ func (f *byteFile) Write(p []byte) (int, error) {
 
 func newLedgerRig(tb testing.TB, c ledgerConfig) *ledgerRig {
 	tb.Helper()
-	reg := obs.NewRegistry()
 	r := &ledgerRig{}
+	for g := 1; g < c.groups; g++ {
+		sib, err := service.New(service.Config{N: c.n, K: 4, TickEvery: time.Millisecond})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		r.siblings = append(r.siblings, sib)
+	}
+	reg := obs.NewRegistry()
 	cfg := service.Config{
 		N: c.n, K: 4, Seed: 0x1ed6e5, TickEvery: time.Millisecond,
 		DefaultTimeout: time.Minute, Registry: reg, BatchMax: c.width,
@@ -125,6 +153,9 @@ func newLedgerRig(tb testing.TB, c ledgerConfig) *ledgerRig {
 	}
 	r.svc = s
 	r.frames = reg.CounterVec("transport_messages_sent_total", "", "transport").With("channel")
+	for p := 0; p < c.n; p++ {
+		r.handoffs = append(r.handoffs, reg.CounterVec("runtime_node_channel_handoffs_total", "", "node").With(strconv.Itoa(p)))
+	}
 	r.fsyncs = reg.CounterVec("wal_fsyncs_total", "", "log").With("ledger")
 	r.records = reg.CounterVec("wal_appends_total", "", "log").With("ledger")
 	return r
@@ -133,8 +164,10 @@ func newLedgerRig(tb testing.TB, c ledgerConfig) *ledgerRig {
 func (r *ledgerRig) close(tb testing.TB) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := r.svc.Close(ctx); err != nil {
-		tb.Errorf("close: %v", err)
+	for _, s := range append(r.siblings, r.svc) {
+		if err := s.Close(ctx); err != nil {
+			tb.Errorf("close: %v", err)
+		}
 	}
 	if r.journal != nil {
 		if err := r.journal.Close(); err != nil {
@@ -145,6 +178,9 @@ func (r *ledgerRig) close(tb testing.TB) {
 
 func (r *ledgerRig) counts() ledgerCounts {
 	c := ledgerCounts{frames: r.frames.Value(), fsyncs: r.fsyncs.Value(), records: r.records.Value()}
+	for _, h := range r.handoffs {
+		c.handoffs += h.Value()
+	}
 	if r.disk != nil {
 		c.journalBytes = r.disk.n.Load()
 	}
@@ -152,6 +188,30 @@ func (r *ledgerRig) counts() ledgerCounts {
 		c.batches, c.members = occ.Count, occ.Sum
 	}
 	return c
+}
+
+// runtimeLoop matches a goroutine profile frame of a runtime goroutine
+// that steps machines.
+var runtimeLoop = regexp.MustCompile(`repro/internal/runtime\.\(\*\w+\)\.run\+`)
+
+// runtimeGoroutines counts the goroutines stepping machines now: in the
+// goroutine profile, the stacks with a runtime run loop on them.
+func runtimeGoroutines(tb testing.TB) int {
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+		tb.Fatal(err)
+	}
+	// debug=1 groups identical stacks: "<count> @ <pcs>" heads each group,
+	// after a one-line header.
+	_, groups, _ := bytes.Cut(buf.Bytes(), []byte("\n"))
+	n := 0
+	for _, group := range bytes.Split(groups, []byte("\n\n")) {
+		var count int
+		if _, err := fmt.Sscanf(string(group), "%d @", &count); err == nil && runtimeLoop.Match(group) {
+			n += count
+		}
+	}
+	return n
 }
 
 // submit runs ops fault-free submissions over callers goroutines, each
@@ -195,6 +255,8 @@ func BenchmarkLedger(b *testing.B) {
 			after := r.counts()
 			members := float64(b.N)
 			b.ReportMetric(float64(after.frames-before.frames)/members, "frames/op")
+			b.ReportMetric(float64(after.handoffs-before.handoffs)/members, "handoffs/op")
+			b.ReportMetric(float64(runtimeGoroutines(b))/float64(max(1, c.groups)), "goroutines/group")
 			b.ReportMetric(float64(after.fsyncs-before.fsyncs)/members, "fsyncs/op")
 			b.ReportMetric(float64(after.records-before.records)/members, "records/op")
 			b.ReportMetric(float64(after.journalBytes-before.journalBytes)/members, "journalB/op")
@@ -219,6 +281,9 @@ func TestLedgerConfigurationsRun(t *testing.T) {
 			got := r.counts()
 			if got.frames == 0 || got.batches == 0 {
 				t.Errorf("counted %+v", got)
+			}
+			if g, groups := runtimeGoroutines(t), max(1, c.groups); g < groups || g > groups*c.n {
+				t.Errorf("%d runtime goroutines for %d groups of %d", g, groups, c.n)
 			}
 			if c.journal && (got.fsyncs == 0 || got.records == 0 || got.journalBytes == 0) {
 				t.Errorf("journal run counted no fsync, record or byte: %+v", got)

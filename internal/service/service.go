@@ -334,8 +334,23 @@ func (s *Service) Registry() *obs.Registry { return s.cfg.Registry }
 func (s *Service) Spans() *span.Collector { return s.cfg.Spans }
 
 // Ready reports whether the service accepts new submissions: the
-// cluster has started and the service is not draining.
-func (s *Service) Ready() bool { return s.ready.Load() && !s.Draining() }
+// cluster has started, the service is not draining and its journal has
+// not failed.
+func (s *Service) Ready() bool { return s.ready.Load() && !s.Draining() && s.JournalErr() == nil }
+
+// JournalErr is a *JournalError once the group's journal has failed a
+// flush, nil while it is sound (or there is none). From then on the group
+// is fail-stopped: Submit refuses with it, Ready is false, and queued
+// members resolve FAILED without being dispatched.
+func (s *Service) JournalErr() error {
+	if s.cfg.Journal == nil {
+		return nil
+	}
+	if err := s.cfg.Journal.Err(); err != nil {
+		return &JournalError{Shard: s.cfg.shardLabel(), Err: err}
+	}
+	return nil
+}
 
 // N reports the cluster size.
 func (s *Service) N() int { return s.cfg.N }
@@ -361,9 +376,9 @@ func (s *Service) voteFor(p types.ProcID, id txn.ID) bool {
 // Submit runs one transaction to a terminal result. It blocks until the
 // transaction commits, aborts, or times out — or returns a typed error
 // when the submission is rejected at admission (OverloadError,
-// ErrDraining, DuplicateError, validation). If ctx ends first, Submit
-// returns ctx's error while the transaction continues server-side
-// (query it later via Status).
+// ErrDraining, JournalError, DuplicateError, validation). If ctx ends
+// first, Submit returns ctx's error while the transaction continues
+// server-side (query it later via Status).
 func (s *Service) Submit(ctx context.Context, req Request) (Result, error) {
 	if req.Votes != nil && len(req.Votes) != s.cfg.N {
 		return Result{}, fmt.Errorf("service: %d votes for %d processors", len(req.Votes), s.cfg.N)
@@ -392,6 +407,10 @@ func (s *Service) Submit(ctx context.Context, req Request) (Result, error) {
 		s.mu.Unlock()
 		s.met.rejectedDraining.Inc()
 		return Result{}, ErrDraining
+	}
+	if err := s.JournalErr(); err != nil {
+		s.mu.Unlock()
+		return Result{}, err
 	}
 	id := req.ID
 	if id == "" {
@@ -470,12 +489,20 @@ func (s *Service) dispatch() {
 // dispatchBatch begins ONE batched agreement instance for a coalesced
 // batch: the members' votes are packed into one vote vector and the
 // whole vector is decided by a single Protocol 2 run. The batch holds the
-// place dispatch took, and an exit that begins nothing frees it.
+// place dispatch took, and an exit that begins nothing frees it. A group
+// whose journal has failed begins nothing: its members resolve FAILED.
 func (s *Service) dispatchBatch(batch []*pending) {
 	entryU := s.cfg.Spans.Now()
 	for _, p := range batch {
 		s.recordStage(p.id, span.StageAdmit, p.admitU, p.dequeueU, "")
 		s.recordStage(p.id, span.StageBatch, p.dequeueU, entryU, "")
+	}
+	if s.JournalErr() != nil {
+		for _, p := range batch {
+			s.resolve(p, StateFailed)
+		}
+		<-s.places
+		return
 	}
 
 	s.mu.Lock()

@@ -309,6 +309,23 @@ type StageLatency struct {
 // ErrDraining rejects submissions while the service shuts down.
 var ErrDraining = errors.New("service: draining, not accepting transactions")
 
+// JournalError is the typed rejection of a group whose decision journal
+// failed a flush. The group is fail-stopped: a resource manager without
+// stable storage cannot take part in commit, so it admits nothing more and
+// resolves what it had queued FAILED. Other groups keep serving.
+type JournalError struct {
+	Shard string // the group's shard label
+	Err   error  // the journal's poison
+}
+
+// Error implements error.
+func (e *JournalError) Error() string {
+	return fmt.Sprintf("service: shard %s stopped, its journal failed: %v", e.Shard, e.Err)
+}
+
+// Unwrap exposes the journal's poison.
+func (e *JournalError) Unwrap() error { return e.Err }
+
 // OverloadError is the typed rejection for a full admission queue. The
 // client should retry after RetryAfter.
 type OverloadError struct {

@@ -290,6 +290,20 @@ func (c *Coordinator) Ready() bool {
 	return true
 }
 
+// JournalErr is the first group's *service.JournalError, nil while every
+// group's journal is sound. A failed group is fail-stopped; the others
+// keep serving, and a cross transaction touching the failed one is never
+// acked COMMIT: its child there is refused or answers FAILED, so its
+// verdict stays unknown.
+func (c *Coordinator) JournalErr() error {
+	for _, g := range c.groups {
+		if err := g.JournalErr(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Draining reports whether Close has begun.
 func (c *Coordinator) Draining() bool {
 	c.mu.Lock()
@@ -300,7 +314,8 @@ func (c *Coordinator) Draining() bool {
 // Submit runs one transaction to a terminal result. Single-shard
 // transactions go straight to their group; multi-shard ones run the
 // two-layer protocol. Typed admission errors (service.OverloadError,
-// service.ErrDraining, service.DuplicateError) pass through unchanged.
+// service.ErrDraining, service.JournalError, service.DuplicateError) pass
+// through unchanged.
 func (c *Coordinator) Submit(ctx context.Context, req Request) (Result, error) {
 	if strings.Contains(req.ID, childSep) {
 		return Result{}, fmt.Errorf("shard: id %q contains reserved %q", req.ID, childSep)

@@ -23,8 +23,9 @@ type metrics struct {
 
 // newMetrics builds the transport metric families, labeled by transport
 // kind ("channel" or "tcp"). The delay histogram is per-link: for the
-// channel hub it records the injected artificial latency, for TCP the
-// wall-clock duration of the send path (dial + encode).
+// channel hub it records the latency an injector added, for the frames it
+// delayed only; for TCP the wall-clock duration of every send path (dial +
+// encode).
 func newMetrics(reg *obs.Registry, kind string) metrics {
 	return metrics{
 		sent: reg.CounterVec("transport_messages_sent_total",
@@ -36,7 +37,7 @@ func newMetrics(reg *obs.Registry, kind string) metrics {
 		bytesSent: reg.CounterVec("transport_bytes_sent_total",
 			"Payload bytes handed to the transport (protocol wire size, framing excluded).", "transport").With(kind),
 		delay: reg.HistogramVec("transport_delay_seconds",
-			"Per-link delivery delay: injected latency (channel) or send-path duration (tcp).",
+			"Per-link delivery delay: injected latency of delayed frames (channel) or send-path duration (tcp).",
 			obs.DefBuckets, "transport", "link"),
 		kind:  kind,
 		links: &linkCache{},

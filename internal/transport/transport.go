@@ -81,6 +81,10 @@ type Hub struct {
 	crashed []atomic.Bool
 	closing atomic.Bool
 
+	// sink, once set, takes every message instead of the per-node queues
+	// (Divert).
+	sink atomic.Pointer[func(types.Message) bool]
+
 	mu     sync.Mutex
 	queues []chan types.Message
 	closed bool
@@ -98,6 +102,23 @@ func NewHub(n int, opts HubOptions) *Hub {
 		h.queues[i] = make(chan types.Message, opts.QueueSize)
 	}
 	return h
+}
+
+// QueueSize is the per-node inbound bound the hub was built with.
+func (h *Hub) QueueSize() int { return h.opts.QueueSize }
+
+// Divert hands every message delivered from now on to sink, once per
+// copy, instead of to the per-node queues: the runtime's group driver,
+// which steps every node on one goroutine, takes them into its own queue.
+// The crash, drop, duplicate and delay rules stay the hub's. Once Divert
+// returns no message enters a per-node queue again, so what is queued
+// there can be drained for good. sink runs on the sender's goroutine, or on
+// a timer's for a delayed message; it must not block, and reports false for
+// a message it dropped (an overflow).
+func (h *Hub) Divert(sink func(types.Message) bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.sink.Store(&sink)
 }
 
 // Endpoint returns node p's transport.
@@ -166,7 +187,9 @@ func (h *Hub) deliver(msg types.Message) error {
 		return nil
 	}
 	delay := fault.Delay
-	h.m.observeDelay(msg.From, msg.To, delay.Seconds())
+	if delay > 0 {
+		h.m.observeDelay(msg.From, msg.To, delay.Seconds())
+	}
 	if h.opts.Spans != nil {
 		txnID := ""
 		if tp, ok := msg.Payload.(interface{ TxnID() string }); ok {
@@ -201,10 +224,20 @@ func (h *Hub) deliver(msg types.Message) error {
 }
 
 func (h *Hub) enqueue(msg types.Message) {
+	// A diverted hub's sink needs no lock: no channel is sent on, and a
+	// message that races Close lands in a queue nobody reads any more.
+	if sink := h.sink.Load(); sink != nil {
+		h.divert(*sink, msg)
+		return
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed || h.crashed[msg.To].Load() {
 		h.m.dropped.Inc()
+		return
+	}
+	if sink := h.sink.Load(); sink != nil { // diverted while this waited
+		h.divert(*sink, msg)
 		return
 	}
 	select {
@@ -215,6 +248,14 @@ func (h *Hub) enqueue(msg types.Message) {
 		// tolerate loss exactly like lateness (timeout then abort).
 		h.m.dropped.Inc()
 	}
+}
+
+func (h *Hub) divert(sink func(types.Message) bool, msg types.Message) {
+	if h.closing.Load() || h.crashed[msg.To].Load() || !sink(msg) {
+		h.m.dropped.Inc()
+		return
+	}
+	h.m.delivered.Inc()
 }
 
 type hubEndpoint struct {
@@ -230,7 +271,8 @@ func (e *hubEndpoint) Send(msg types.Message) error {
 	return e.hub.deliver(msg)
 }
 
-// Recv implements Transport.
+// Recv implements Transport. Nothing arrives on it once the hub is
+// diverted.
 func (e *hubEndpoint) Recv() <-chan types.Message { return e.hub.queues[e.id] }
 
 // Close implements Transport. Hub endpoints are closed collectively via
