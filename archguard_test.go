@@ -247,7 +247,7 @@ type rule struct {
 	caught    string            // the one violation it must yield
 }
 
-const wantRules = 24
+const wantRules = 25
 
 // changes is the change log; its newest entry is bounded in lines and
 // bytes.
@@ -777,6 +777,41 @@ var rules = []rule{
 			"internal/runtime/clock_test.go": "package runtime\nimport \"time\"\nvar c = time.Tick(1)",
 		},
 		caught: "internal/runtime/runtime.go:8: uses time.After: the runtime's time source number 2, want at most 1",
+	},
+
+	// No process-wide runtime state.
+	{
+		name: "the runtime keeps no state shared across clusters",
+		why: "A group's shape — one driver, or one loop per node — is decided by the call that starts it " +
+			"(runtime.StartGroups), from its arguments alone: a package-level variable in internal/runtime is " +
+			"state every cluster in the process shares, as the set of started groups once was. The closed ready " +
+			"channel, which is never written, is exempt.",
+		check: func(tr *tree) []string {
+			var out []string
+			for _, f := range tr.in(nonTest, within("internal/runtime")) {
+				for _, d := range f.Decls {
+					gd, ok := d.(*ast.GenDecl)
+					if !ok || gd.Tok != token.VAR {
+						continue
+					}
+					for _, spec := range gd.Specs {
+						for _, id := range spec.(*ast.ValueSpec).Names {
+							if id.Name != "ready" && id.Name != "_" {
+								out = append(out, tr.at(id.Pos(), "declares package-level var "+id.Name))
+							}
+						}
+					}
+				}
+			}
+			return out
+		},
+		planted: map[string]string{
+			"internal/runtime/runtime.go": "package runtime\n// var groups in a comment is not a declaration\n" +
+				"var ready = make(chan struct{})\nfunc f() { var local int; _ = local }\n" +
+				"var groups struct{ set map[*Cluster]struct{} }",
+			"internal/runtime/clock_test.go": "package runtime\nvar shapes = 2",
+		},
+		caught: "internal/runtime/runtime.go:5: declares package-level var groups",
 	},
 
 	// One service harness, one daemon.

@@ -48,6 +48,10 @@ type RunOptions struct {
 	// transactions, or the clean check turns load-dependent. Nil disables
 	// watching; cluster mode ignores it.
 	Watch *watch.Config
+	// startWith are started together with a cluster run's cluster
+	// (runtime.StartGroups), so that tests can make its group one of
+	// several started at once.
+	startWith []*runtime.Cluster
 }
 
 func (o *RunOptions) defaults(p *Plan) {
@@ -201,7 +205,7 @@ func RunCluster(p *Plan, o RunOptions) (*Report, *ClusterRunData, error) {
 	defer cancel()
 
 	inj.Arm()
-	cl.Start(ctx)
+	runtime.StartGroups(ctx, append([]*runtime.Cluster{cl}, o.startWith...)...)
 	disarm := armCrashes(p, o.TickEvery, func(node types.ProcID) {
 		h.mu.Lock()
 		h.crashFired[node] = true

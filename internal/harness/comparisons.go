@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/adversary"
 	"repro/internal/core"
@@ -354,13 +353,6 @@ func E12RoundDefinition(opt Options) (*Report, error) {
 	}, nil
 }
 
-// BeaconTrace synthesizes the §2.2 degenerate scenario as a trace: every
-// processor broadcasts at each round's first tick; messages arrive at the
-// recipients' round-end tick. Exported for the E12 bench.
-func BeaconTrace(n, k, numRounds int) *trace.Trace {
-	return buildBeaconTrace(n, k, numRounds)
-}
-
 // buildBeaconTrace synthesizes the §2.2 degenerate scenario as a trace:
 // every processor broadcasts at each round's first tick; messages arrive
 // at the recipients' round-end tick.
@@ -392,49 +384,4 @@ func buildBeaconTrace(n, k, numRounds int) *trace.Trace {
 		}
 	}
 	return tr
-}
-
-// experiments is the one experiment table, in report order (there is no
-// E14: the service-throughput measurement it named is bench/'s job).
-var experiments = []struct {
-	id  string
-	run func(Options) (*Report, error)
-}{
-	{"E1", E1ExpectedRounds}, {"E2", E2AgreementStages}, {"E3", E3SharedVsLocalCoins},
-	{"E4", E4FaultSweep}, {"E5", E5AbortValidity}, {"E6", E6CommitValidity8K},
-	{"E7", E7BaselineComparison}, {"E8", E8LowerBoundProcessors}, {"E9", E9DelayScaling},
-	{"E10", E10ExtraCoins}, {"E11", E11MessageComplexity}, {"E12", E12RoundDefinition},
-	{"E13", E13Recovery}, {"E15", E15Arena},
-}
-
-// All runs every experiment in order.
-func All(opt Options) ([]*Report, error) {
-	var out []*Report
-	for _, e := range experiments {
-		r, err := e.run(opt)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// ByID returns the experiment runner for an id like "E4".
-func ByID(id string) (func(Options) (*Report, error), bool) {
-	for _, e := range experiments {
-		if e.id == id {
-			return e.run, true
-		}
-	}
-	return nil, false
-}
-
-// IDs lists the experiment ids in order, for help and error text.
-func IDs() string {
-	ids := make([]string, len(experiments))
-	for i, e := range experiments {
-		ids[i] = e.id
-	}
-	return strings.Join(ids, ",")
 }

@@ -1,12 +1,14 @@
 // Package harness drives the paper-reproduction experiments (E1–E13 and
 // E15) cataloged in DESIGN.md and renders their tables. Each experiment
-// regenerates one quantitative claim of Coan & Lundelius (PODC '86); the
-// bench targets in bench_test.go and `lab experiments` are thin wrappers
-// over this package.
+// regenerates one quantitative claim of Coan & Lundelius (PODC '86);
+// `lab experiments` is a thin wrapper over this package. guarantees.go
+// holds the protocol's own theorems (E1–E6), comparisons.go the baselines,
+// the lower bound and the costs (E7–E12), recovery.go E13 and arena.go E15.
 package harness
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/adversary"
 	"repro/internal/agreement"
@@ -231,4 +233,49 @@ func checkRun(votes []types.Value, res *sim.Result) error {
 		onTime = res.Trace.OnTime()
 	}
 	return trace.CheckAll(votes, res.Outcomes(), res.FailureFree(), onTime)
+}
+
+// experiments is the one experiment table, in report order (there is no
+// E14: the service-throughput measurement it named is bench/'s job).
+var experiments = []struct {
+	id  string
+	run func(Options) (*Report, error)
+}{
+	{"E1", E1ExpectedRounds}, {"E2", E2AgreementStages}, {"E3", E3SharedVsLocalCoins},
+	{"E4", E4FaultSweep}, {"E5", E5AbortValidity}, {"E6", E6CommitValidity8K},
+	{"E7", E7BaselineComparison}, {"E8", E8LowerBoundProcessors}, {"E9", E9DelayScaling},
+	{"E10", E10ExtraCoins}, {"E11", E11MessageComplexity}, {"E12", E12RoundDefinition},
+	{"E13", E13Recovery}, {"E15", E15Arena},
+}
+
+// All runs every experiment in order.
+func All(opt Options) ([]*Report, error) {
+	var out []*Report
+	for _, e := range experiments {
+		r, err := e.run(opt)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, r)
+	}
+	return out, nil
+}
+
+// ByID returns the experiment runner for an id like "E4".
+func ByID(id string) (func(Options) (*Report, error), bool) {
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run, true
+		}
+	}
+	return nil, false
+}
+
+// IDs lists the experiment ids in order, for help and error text.
+func IDs() string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return strings.Join(ids, ",")
 }

@@ -74,10 +74,6 @@ func ParseLevel(level string) (slog.Level, error) {
 	return 0, fmt.Errorf("olog: unknown log level %q (want debug, info, warn, or error)", level)
 }
 
-// Nop returns a logger that discards everything. Equivalent to using a
-// nil *Logger; exists for call sites that want a non-nil value.
-func Nop() *Logger { return nil }
-
 // Slog exposes the underlying slog.Logger, or nil on a nop logger.
 func (l *Logger) Slog() *slog.Logger {
 	if l == nil {

@@ -20,9 +20,6 @@ func TestNilLoggerIsSafe(t *testing.T) {
 	if l.Slog() != nil {
 		t.Fatalf("Slog on nil should be nil")
 	}
-	if Nop() != nil {
-		t.Fatalf("Nop should be nil")
-	}
 }
 
 func TestJSONFormatAndCorrelationFields(t *testing.T) {

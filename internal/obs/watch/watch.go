@@ -10,6 +10,7 @@
 //	fsync-spike       windowed WAL fsync p99 above its ceiling
 //	rescue-storm      8 or more coordinator rescues in one tick
 //	shard-imbalance   one tick's admissions skewed 8× across shards
+//	journal-failed    a shard's journal failed a flush: the group is fail-stopped
 //
 // Each detection is an Anomaly: a structured event counted in the obs
 // registry (watch_anomalies_total by rule), kept in a bounded recent
@@ -54,17 +55,20 @@ type TxnAge struct {
 // Counter fields are cumulative; the watchdog differences successive
 // samples itself.
 type ShardSample struct {
-	Shard        string       `json:"shard"`
-	Queued       int          `json:"queued"`
-	InFlight     int          `json:"in_flight"`
-	CrashedNodes []int        `json:"crashed_nodes,omitempty"`
-	Stalled      []TxnAge     `json:"stalled,omitempty"`
-	Submitted    uint64       `json:"submitted"`
-	Decided      uint64       `json:"decided"`
-	TimedOut     uint64       `json:"timed_out"`
-	Rescues      uint64       `json:"rescues"`
-	Latency      []obs.Bucket `json:"-"`
-	Fsync        []obs.Bucket `json:"-"`
+	Shard        string   `json:"shard"`
+	Queued       int      `json:"queued"`
+	InFlight     int      `json:"in_flight"`
+	CrashedNodes []int    `json:"crashed_nodes,omitempty"`
+	Stalled      []TxnAge `json:"stalled,omitempty"`
+	Submitted    uint64   `json:"submitted"`
+	Decided      uint64   `json:"decided"`
+	TimedOut     uint64   `json:"timed_out"`
+	Rescues      uint64   `json:"rescues"`
+	// JournalErr is the error that fail-stopped the shard's journal, ""
+	// while it is sound.
+	JournalErr string       `json:"journal_err,omitempty"`
+	Latency    []obs.Bucket `json:"-"`
+	Fsync      []obs.Bucket `json:"-"`
 }
 
 // Stats is everything one watchdog tick sees.
@@ -140,6 +144,7 @@ const (
 	RuleFsyncSpike     = "fsync-spike"
 	RuleRescueStorm    = "rescue-storm"
 	RuleShardImbalance = "shard-imbalance"
+	RuleJournalFailed  = "journal-failed"
 )
 
 // Anomaly is one detection.
@@ -283,12 +288,17 @@ func (w *Watchdog) Tick() []Anomaly {
 }
 
 // evalLiveness covers the per-entity edge-triggered rules: node-down,
-// txn-stall, cross-in-doubt. Dedup keys clear when the condition
-// clears, so a node that crashes, restarts, and crashes again is
-// reported twice — matching the injected fault count.
+// txn-stall, cross-in-doubt, journal-failed. Dedup keys clear when the
+// condition clears, so a node that crashes, restarts, and crashes again is
+// reported twice — matching the injected fault count. A failed journal
+// stays failed (fail-stop), so its key never clears: once per shard.
 func (w *Watchdog) evalLiveness(st Stats, emit func(Anomaly)) {
 	live := map[string]bool{}
 	for _, s := range st.Shards {
+		if k := "journal|" + s.Shard; s.JournalErr != "" && !w.seen[k] {
+			w.seen[k] = true
+			emit(Anomaly{Rule: RuleJournalFailed, Shard: s.Shard, Detail: s.JournalErr})
+		}
 		for _, n := range s.CrashedNodes {
 			k := "node|" + s.Shard + "|" + itoa(n)
 			live[k] = true

@@ -70,6 +70,23 @@ func TestNodeDownEdgeTriggered(t *testing.T) {
 	}
 }
 
+// TestJournalFailedOncePerShard: a failed journal is a fail-stopped group
+// for good, so the rule fires once per shard however many samples carry
+// the failure, and a second shard's failure is a second anomaly.
+func TestJournalFailedOncePerShard(t *testing.T) {
+	one := Stats{Shards: []ShardSample{{Shard: "0", JournalErr: "disk gone"}, {Shard: "1"}}}
+	both := Stats{Shards: []ShardSample{{Shard: "0", JournalErr: "disk gone"}, {Shard: "1", JournalErr: "disk gone"}}}
+	w := New(&fakeSource{seq: []Stats{{Shards: []ShardSample{{Shard: "0"}, {Shard: "1"}}}, one, one, both, both}}, Config{})
+	var got []Anomaly
+	for range 5 {
+		got = append(got, w.Tick()...)
+	}
+	if len(got) != 2 || got[0].Rule != RuleJournalFailed || got[0].Shard != "0" || got[0].Tick != 2 ||
+		got[1].Shard != "1" || got[1].Tick != 4 || got[1].Detail != "disk gone" {
+		t.Fatalf("anomalies %+v, want journal-failed on shard 0 at tick 2 and shard 1 at tick 4", got)
+	}
+}
+
 func TestStallAndInDoubtDedupPerTxn(t *testing.T) {
 	st := Stats{
 		Shards: []ShardSample{{Shard: "1", Stalled: []TxnAge{

@@ -93,14 +93,17 @@ func startCluster(t *testing.T, machines []types.Machine, tick time.Duration, re
 // it is handed: then each node runs its own loop, gated by its peers.
 func startShaped(t *testing.T, machines []types.Machine, tick time.Duration, reg *obs.Registry, supplied bool) *runtime.Cluster {
 	t.Helper()
-	return startAt(t, machines, tick, reg, supplied, 0)
+	c := newCluster(t, machines, tick, reg, supplied)
+	if !supplied {
+		c.Drive()
+	}
+	startGroups(t, c)
+	return c
 }
 
-// startAt builds the cluster startShaped does and starts it. With procs 0
-// a cluster over its own hub is made driven first; else it is started at
-// procs GOMAXPROCS and left to the rule: driven once the process holds at
-// least GOMAXPROCS such groups, and at least two.
-func startAt(t *testing.T, machines []types.Machine, tick time.Duration, reg *obs.Registry, supplied bool, procs int) *runtime.Cluster {
+// newCluster builds the persistent cluster startShaped starts, and leaves
+// its shape to the start.
+func newCluster(t *testing.T, machines []types.Machine, tick time.Duration, reg *obs.Registry, supplied bool) *runtime.Cluster {
 	t.Helper()
 	var trs []transport.Transport
 	if supplied {
@@ -115,20 +118,22 @@ func startAt(t *testing.T, machines []types.Machine, tick time.Duration, reg *ob
 	if err != nil {
 		t.Fatal(err)
 	}
-	switch {
-	case procs > 0:
-		defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(procs))
-	case !supplied:
-		c.Drive()
-	}
-	c.Start(context.Background())
+	return c
+}
+
+// startGroups starts clusters together, and stops and joins them when the
+// test ends.
+func startGroups(t *testing.T, clusters ...*runtime.Cluster) {
+	t.Helper()
+	runtime.StartGroups(context.Background(), clusters...)
 	t.Cleanup(func() {
-		c.Stop()
-		if err := c.Wait(); err != nil {
-			t.Errorf("cluster wait: %v", err)
+		for _, c := range clusters {
+			c.Stop()
+			if err := c.Wait(); err != nil {
+				t.Errorf("cluster wait: %v", err)
+			}
 		}
 	})
-	return c
 }
 
 // shapes are the two ways a cluster hosts its nodes.
@@ -192,35 +197,59 @@ func TestClusterRunsOneGoroutinePerLoopContentOblivious(t *testing.T) {
 
 // TestFewerGroupsThanProcsRunPerNodeContentOblivious: at two Ps, one
 // cluster over its own hub would leave a core idle on one driver, so its
-// nodes run their own loops. A second cluster's start brings the process to
-// GOMAXPROCS groups: both are driven from then on — the first one moved
-// onto a driver mid-run, its clock running on, a wake and a delivery
-// served.
+// nodes run their own loops. Two clusters started together are two groups
+// at two Ps: one driver goroutine each. A cluster started later, alone, is
+// counted alone — per-node loops — and the running clusters keep their
+// shape: a driven group's frames never pass a node's channel, a per-node
+// group's do.
 func TestFewerGroupsThanProcsRunPerNodeContentOblivious(t *testing.T) {
-	as, ms := newArrivals(3)
-	bs, more := newArrivals(3)
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(2))
+	type group struct {
+		name    string
+		as      []*arrivals
+		c       *runtime.Cluster
+		reg     *obs.Registry
+		perNode bool
+	}
+	groups := make([]*group, 4)
+	for i, name := range []string{"first alone", "pair 1", "pair 2", "later alone"} {
+		g := &group{name: name, reg: obs.NewRegistry(), perNode: i == 0 || i == 3}
+		var ms []types.Machine
+		g.as, ms = newArrivals(3)
+		g.c = newCluster(t, ms, time.Millisecond, g.reg, false)
+		groups[i] = g
+	}
 	before := settledGoroutines()
-	first := startAt(t, ms, time.Millisecond, nil, false, 2)
-	if got := settledGoroutines() - before; got != len(ms) {
-		t.Fatalf("one group at two Ps added %d goroutines, want one per node (%d)", got, len(ms))
+	for _, step := range []struct {
+		start []*group
+		added int
+	}{
+		{groups[:1], 3},         // one loop per node
+		{groups[1:3], 3 + 2},    // one driver each
+		{groups[3:], 3 + 2 + 3}, // one loop per node, the others unchanged
+	} {
+		var cs []*runtime.Cluster
+		for _, g := range step.start {
+			cs = append(cs, g.c)
+		}
+		startGroups(t, cs...)
+		if got := settledGoroutines() - before; got != step.added {
+			t.Fatalf("after starting %q: %d goroutines added, want %d", step.start[0].name, got, step.added)
+		}
 	}
-	first.Node(0).Wake()
-	waitFor(t, "node 0's message to arrive at node 1", func() bool { return as[1].received.Load() == 1 })
-	startAt(t, more, time.Millisecond, nil, false, 2)
-	if got := settledGoroutines() - before; got != 2 {
-		t.Fatalf("two groups at two Ps run on %d goroutines, want one driver each", got)
+	// A Wake of node 0 sends one frame to node 1, through node 1's channel
+	// only in a per-node group.
+	for _, g := range groups {
+		g.c.Node(0).Wake()
 	}
-	from := as[0].ticks.Load()
-	first.Node(1).Wake()
-	waitFor(t, "node 1's answer to arrive at node 2 through the driver", func() bool { return as[2].received.Load() == 1 })
-	waitFor(t, "the converted group's clock to run on", func() bool { return as[0].ticks.Load() >= from+5 })
-	waitFor(t, "the second group's clock to run", func() bool { return bs[0].ticks.Load() >= 5 })
-	time.Sleep(20 * time.Millisecond)
-	for p, a := range as {
-		// A tick may take a frame before a delivery does; either way each
-		// arrives once.
-		if got := a.received.Load(); got != []int64{0, 1, 1}[p] {
-			t.Errorf("node %d received %d messages, want %d", p, got, []int64{0, 1, 1}[p])
+	for _, g := range groups {
+		waitFor(t, g.name+"'s frame to arrive", func() bool { return g.as[1].received.Load() == 1 })
+		want := uint64(0)
+		if g.perNode {
+			want = 1
+		}
+		if got := g.reg.CounterVec("runtime_node_channel_handoffs_total", "", "node").With("1").Value(); got != want {
+			t.Errorf("%s: node 1 took %d frames from its channel, want %d", g.name, got, want)
 		}
 	}
 }

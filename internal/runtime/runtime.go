@@ -14,16 +14,17 @@
 // time; it bounds how late a message may be, not how soon one is acted on.
 //
 // A loop is one goroutine stepping machines with one time source. A Cluster
-// over the in-memory hub it owns is driven once the process hosts at least
-// GOMAXPROCS such groups, and at least two: one loop, its group's driver,
-// steps all n
-// machines, their frames go through the hub's crash and fault rules into
-// the driver's one queue, and the driver ticks every live machine together.
-// Any such interleaving is a schedule of §2.1, in which the adversary may
-// step any processor at any time (DESIGN §13). A standalone node, each node
-// of a Cluster over supplied transports (TCP), and each node of a group
+// over the in-memory hub it owns is driven when StartGroups starts it
+// together with enough such clusters: at least GOMAXPROCS of them, and at
+// least two. Then one loop, its group's driver, steps all n machines, their
+// frames go through the hub's crash and fault rules into the driver's one
+// queue, and the driver ticks every live machine together. Any such
+// interleaving is a schedule of §2.1, in which the adversary may step any
+// processor at any time (DESIGN §13). A standalone node, each node of a
+// Cluster over supplied transports (TCP), and each node of a group started
 // with cores to spare runs its own loop instead, reading its transport's
-// channel.
+// channel. The shape is fixed when the cluster starts and holds for its
+// lifetime; the package keeps no state shared across clusters.
 //
 // A loop owes one tick per TickEvery elapsed since its epoch (its Cluster's
 // Start, or its node's) — alone or beside a crashed peer up to one fire's
@@ -119,7 +120,7 @@ type Node struct {
 	machine deliverer // cfg.Machine
 	m       nodeMetrics
 	// host is the loop stepping the node: its own, or its group's driver
-	// once the group is driven.
+	// when the group is driven.
 	host atomic.Pointer[loop]
 	// recv is the transport's channel, which the node's own loop reads;
 	// nil for a node its group's driver feeds from the driver's queue.
@@ -276,10 +277,9 @@ type loop struct {
 	// because one pending request covers any number.
 	wake, nudge chan struct{}
 	// dirty is set when a hosted node stopped or a restart joined: the next
-	// pass sweeps. halted is the cluster's Stop. yield ends a node's own
-	// loop, its node left as it is, when its group becomes driven.
-	dirty, halted, yield atomic.Bool
-	done                 chan struct{}
+	// pass sweeps. halted is the cluster's Stop.
+	dirty, halted atomic.Bool
+	done          chan struct{}
 
 	mu     sync.Mutex
 	joins  []*Node // restarted nodes for the driver to host
@@ -311,7 +311,7 @@ func (l *loop) run(ctx context.Context) {
 		recv = l.nodes[0].recv
 	}
 	for {
-		if l.dirty.Swap(false) && !l.sweep() || l.yield.Load() {
+		if l.dirty.Swap(false) && !l.sweep() {
 			return
 		}
 		// Pending work — a machine's own messages, queued frames — runs at
@@ -655,14 +655,11 @@ var ready = func() chan struct{} {
 
 // Cluster runs a set of machines as one group. Over the in-memory hub it
 // owns, the group is driven — one driver goroutine steps every machine —
-// while the process hosts at least GOMAXPROCS such groups, and at least
-// two. With fewer than GOMAXPROCS a driven group would leave cores idle;
-// alone on one P it would decide each batch in one burst before its
-// callers could queue the next, so batches would stay one wide. Then each
-// machine's node runs its own loop over the hub's channels instead, gated
-// by its peers' clocks, until a later group's start makes it driven. Over
-// transports the caller supplied (TCP nodes already listening and peered,
-// say), each node always runs its own loop.
+// when it starts together with enough such groups (StartGroups); else each
+// machine's node runs its own loop over the hub's channels, gated by its
+// peers' clocks. Over transports the caller supplied (TCP nodes already
+// listening and peered, say), each node always runs its own loop. The shape
+// is decided once, at start.
 type Cluster struct {
 	hub     *transport.Hub // nil over supplied transports
 	trs     []transport.Transport
@@ -672,27 +669,18 @@ type Cluster struct {
 	crashes *obs.CounterVec
 	spans   *span.Collector
 
-	// mu guards the cluster's shape and lifecycle: driver (nil until the
-	// group is driven), restarted (the node a Restart runs for each
-	// processor), the Start arguments and timers. closed gates timer
-	// callbacks so a CrashAfter firing late cannot touch a hub that Wait has
-	// already closed.
+	// mu guards the cluster's lifecycle: driver (nil unless the group is
+	// driven), restarted (the node a Restart runs for each processor), the
+	// start context and timers. closed gates timer callbacks so a CrashAfter
+	// firing late cannot touch a hub that Wait has already closed.
 	mu        sync.Mutex
 	driver    *loop
 	restarted []*Node
 	ctx       context.Context
-	epoch     time.Time
 	started   bool
 	stopped   bool
 	timers    []*time.Timer
 	closed    atomic.Bool
-}
-
-// groups holds the started clusters over their own hubs in this process,
-// which Start counts against GOMAXPROCS.
-var groups struct {
-	mu  sync.Mutex
-	set map[*Cluster]struct{}
 }
 
 // ClusterOptions configures NewCluster.
@@ -802,91 +790,60 @@ func (c *Cluster) loopsLocked() []*loop {
 	return out
 }
 
-// Start launches the cluster's goroutines without waiting. Pair with Wait
-// (and, optionally, Stop) — the long-running service lifecycle. Run
-// bundles the three for batch workloads. A cluster over its own hub whose
-// start brings the process to GOMAXPROCS such groups (and at least two) is
-// driven from the start, and makes every other one driven too.
-func (c *Cluster) Start(ctx context.Context) {
-	var others []*Cluster
-	if c.hub != nil {
-		groups.mu.Lock()
-		defer groups.mu.Unlock()
-		if groups.set == nil {
-			groups.set = make(map[*Cluster]struct{})
+// Start launches the cluster's goroutines without waiting: StartGroups
+// with this one cluster, which over its own hub is then never driven. Pair
+// with Wait (and, optionally, Stop) — the long-running service lifecycle.
+// Run bundles the three for batch workloads.
+func (c *Cluster) Start(ctx context.Context) { StartGroups(ctx, c) }
+
+// StartGroups launches the clusters' goroutines without waiting, and fixes
+// each one's shape for its lifetime. The clusters over their own hubs are
+// driven when they number at least GOMAXPROCS, and at least two. With fewer
+// a driven group would leave cores idle; alone on one P it would decide
+// each batch in one burst before its callers could queue the next, so
+// batches would stay one wide. A cluster started by another call never
+// counts: the shape is a function of this call's arguments.
+func StartGroups(ctx context.Context, clusters ...*Cluster) {
+	own := 0
+	for _, c := range clusters {
+		if c.hub != nil {
+			own++
 		}
-		groups.set[c] = struct{}{}
-		if len(groups.set) >= max(2, goruntime.GOMAXPROCS(0)) {
-			for o := range groups.set {
-				others = append(others, o)
-			}
+	}
+	drive := own >= max(2, goruntime.GOMAXPROCS(0))
+	for _, c := range clusters {
+		c.mu.Lock()
+		if drive {
+			c.driveLocked()
 		}
-	}
-	c.mu.Lock()
-	if others != nil {
-		c.driveLocked()
-	}
-	c.ctx, c.epoch, c.started = ctx, time.Now(), true // the loops owe their ticks from one instant
-	for _, l := range c.loopsLocked() {
-		l.start(ctx, c.epoch)
-	}
-	c.mu.Unlock()
-	for _, o := range others {
-		o.mu.Lock()
-		o.driveLocked()
-		o.mu.Unlock()
+		c.ctx, c.started = ctx, true
+		epoch := time.Now() // the loops owe their ticks from one instant
+		for _, l := range c.loopsLocked() {
+			l.start(ctx, epoch)
+		}
+		c.mu.Unlock()
 	}
 }
 
-// driveLocked makes the group driven, if it is not yet: the hub hands
-// every frame to the driver's queue from now on, each node's own loop
-// yields after its current pass, what waits on a node's channel moves to
-// its inbox, and the driver hosts every node. Caller holds mu.
+// driveLocked makes the group driven before it starts: the hub hands every
+// frame to the driver's queue, and the driver hosts every node. The first
+// pass sweeps what was stopped and serves what was woken before the start.
+// Caller holds mu.
 func (c *Cluster) driveLocked() {
-	if c.hub == nil || c.driver != nil || c.closed.Load() {
+	if c.hub == nil || c.driver != nil {
 		return
 	}
 	q := &queue{max: len(c.nodes) * c.hub.QueueSize()}
-	d := newLoop(append([]*Node(nil), c.nodes...), c.nodes[0].cfg.TickEvery)
+	d := newLoop(slices.Clone(c.nodes), c.nodes[0].cfg.TickEvery) // a restart replaces its entry
 	d.queue, d.keep, q.wake = q, c.opts.Persistent, d.wake
-	for p, r := range c.restarted {
-		if r != nil {
-			d.nodes[p] = r
-		}
-	}
 	c.hub.Divert(q.push)
-	for _, l := range c.loopsLocked() {
-		if c.started {
-			l.yield.Store(true)
-			signal(l.wake)
-			<-l.done
-		}
-		d.taken = max(d.taken, l.taken)
-	}
-	for _, n := range d.nodes {
-		for n.recv != nil {
-			select {
-			case m := <-n.recv:
-				n.buf = append(n.buf, m)
-			default:
-				n.recv = nil
-			}
-		}
+	for _, n := range c.nodes {
+		n.recv = nil
 		n.host.Store(d)
-		if n.ended {
-			d.live--
-		}
 	}
 	c.driver = d
-	// The first pass sweeps what stopped on its own loop and serves what
-	// was woken there.
 	d.halted.Store(c.stopped)
 	d.poke()
-	if c.started {
-		// The driver owes its next tick at the next period.
-		d.passed = max(0, int64(time.Since(c.epoch)/d.every)-d.taken)
-		d.start(c.ctx, c.epoch)
-	}
 }
 
 // Stop asks every node to stop after its current step, a restarted one
@@ -917,12 +874,6 @@ func (c *Cluster) Stop() {
 // Pending CrashAfter timers are disarmed first: a crash scheduled for after
 // the cluster's lifetime must not fire into a closed hub.
 func (c *Cluster) Wait() error {
-	if c.hub != nil {
-		// Out of the count, the group's shape is final.
-		groups.mu.Lock()
-		delete(groups.set, c)
-		groups.mu.Unlock()
-	}
 	c.mu.Lock()
 	loops := c.loopsLocked()
 	c.mu.Unlock()
@@ -993,12 +944,14 @@ func (c *Cluster) Crash(p types.ProcID) {
 // it ends once m has halted and lingered, or after MaxTicks. With m nil
 // the processor is only reconnected and the node is nil. Restart fails for
 // a processor that is not down (never crashed, or restarted since it last
-// crashed), after the cluster closed, and over supplied transports, which
-// Crash closed for good.
+// crashed), before the cluster started, after it closed, and over supplied
+// transports, which Crash closed for good.
 func (c *Cluster) Restart(p types.ProcID, m types.Machine) (*Node, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	switch {
+	case !c.started:
+		return nil, errors.New("runtime: restart before the cluster started")
 	case c.closed.Load():
 		return nil, errors.New("runtime: restart after the cluster closed")
 	case c.hub == nil:
@@ -1014,15 +967,14 @@ func (c *Cluster) Restart(p types.ProcID, m types.Machine) (*Node, error) {
 		if node, err = c.newNode(m, rng.NewStream(c.opts.Seed^0x5bd1e995*(uint64(p)+1)), false); err != nil {
 			return nil, err
 		}
-		switch {
-		case c.driver != nil:
+		if c.driver == nil {
+			node.host.Load().start(c.ctx, time.Now())
+		} else {
 			node.recv = nil
 			node.host.Store(c.driver)
 			if !c.driver.join(node) {
 				return nil, errors.New("runtime: the cluster's driver has ended")
 			}
-		case c.started:
-			node.host.Load().start(c.ctx, time.Now())
 		}
 	}
 	c.crashed[p].Store(false)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"regexp"
+	goruntime "runtime"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -38,9 +39,10 @@ type ledgerConfig struct {
 	journal bool
 	callers int // 1 submits serially
 	width   int // BatchMax, when the row fixes the width (0: default)
-	// groups, when above 1, runs the measured service beside groups-1 idle
-	// ones in the process, as shard_cross_c16's four groups share it: at
-	// GOMAXPROCS up to groups every group is driven (runtime.Cluster).
+	// groups, when above 1, starts the measured service together with
+	// groups-1 idle ones (service.NewGroups), as shard_cross_c16's four
+	// groups start: at GOMAXPROCS up to groups every group is driven
+	// (runtime.StartGroups).
 	groups int
 }
 
@@ -127,13 +129,6 @@ func (f *byteFile) Write(p []byte) (int, error) {
 func newLedgerRig(tb testing.TB, c ledgerConfig) *ledgerRig {
 	tb.Helper()
 	r := &ledgerRig{}
-	for g := 1; g < c.groups; g++ {
-		sib, err := service.New(service.Config{N: c.n, K: 4, TickEvery: time.Millisecond})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		r.siblings = append(r.siblings, sib)
-	}
 	reg := obs.NewRegistry()
 	cfg := service.Config{
 		N: c.n, K: 4, Seed: 0x1ed6e5, TickEvery: time.Millisecond,
@@ -147,11 +142,15 @@ func newLedgerRig(tb testing.TB, c ledgerConfig) *ledgerRig {
 		}
 		r.journal, cfg.Journal = j, j
 	}
-	s, err := service.New(cfg)
+	cfgs := []service.Config{cfg}
+	for g := 1; g < c.groups; g++ {
+		cfgs = append(cfgs, service.Config{N: c.n, K: 4, TickEvery: time.Millisecond})
+	}
+	ss, err := service.NewGroups(cfgs)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	r.svc = s
+	r.svc, r.siblings = ss[0], ss[1:]
 	r.frames = reg.CounterVec("transport_messages_sent_total", "", "transport").With("channel")
 	for p := 0; p < c.n; p++ {
 		r.handoffs = append(r.handoffs, reg.CounterVec("runtime_node_channel_handoffs_total", "", "node").With(strconv.Itoa(p)))
@@ -282,8 +281,15 @@ func TestLedgerConfigurationsRun(t *testing.T) {
 			if got.frames == 0 || got.batches == 0 {
 				t.Errorf("counted %+v", got)
 			}
-			if g, groups := runtimeGoroutines(t), max(1, c.groups); g < groups || g > groups*c.n {
-				t.Errorf("%d runtime goroutines for %d groups of %d", g, groups, c.n)
+			// Groups started together are driven once they number
+			// GOMAXPROCS, and at least two; else each node runs its own loop.
+			groups := max(1, c.groups)
+			want := groups * c.n
+			if groups >= max(2, goruntime.GOMAXPROCS(0)) {
+				want = groups
+			}
+			if g := runtimeGoroutines(t); g != want {
+				t.Errorf("%d runtime goroutines for %d groups of %d started together, want %d", g, groups, c.n, want)
 			}
 			if c.journal && (got.fsyncs == 0 || got.records == 0 || got.journalBytes == 0) {
 				t.Errorf("journal run counted no fsync, record or byte: %+v", got)

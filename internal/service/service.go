@@ -32,6 +32,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -243,12 +244,49 @@ type status struct {
 }
 
 // New builds and starts a commit service: the cluster nodes begin
-// ticking and the dispatcher begins draining the admission queue.
+// ticking and the dispatcher begins draining the admission queue. It is
+// NewGroups of one, so its group runs one loop per node.
 func New(cfg Config) (*Service, error) {
-	cfg, err := cfg.withDefaults()
+	ss, err := NewGroups([]Config{cfg})
 	if err != nil {
 		return nil, err
 	}
+	return ss[0], nil
+}
+
+// NewGroups builds and starts one commit service per config. It validates
+// every config before it builds anything, builds each group, then starts
+// their clusters together (runtime.StartGroups), so a group's shape — one
+// driver, or one loop per node — follows from the groups started with it
+// and from nothing else in the process.
+func NewGroups(cfgs []Config) ([]*Service, error) {
+	cfgs = slices.Clone(cfgs)
+	for k, cfg := range cfgs {
+		var err error
+		if cfgs[k], err = cfg.withDefaults(); err != nil {
+			return nil, err
+		}
+	}
+	ss := make([]*Service, len(cfgs))
+	clusters := make([]*runtime.Cluster, len(cfgs))
+	for k, cfg := range cfgs {
+		s, err := build(cfg)
+		if err != nil {
+			return nil, err
+		}
+		ss[k], clusters[k] = s, s.cluster
+	}
+	runtime.StartGroups(context.Background(), clusters...)
+	for _, s := range ss {
+		go s.dispatch()
+		s.ready.Store(true)
+	}
+	return ss, nil
+}
+
+// build builds a service over a validated config, its cluster not yet
+// started.
+func build(cfg Config) (*Service, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
 	}
@@ -308,6 +346,7 @@ func New(cfg Config) (*Service, error) {
 
 	// The hub's link spans and the crash milestones land in the same ring
 	// as the service's stages and the managers' rounds — one causal graph.
+	var err error
 	s.cluster, err = runtime.NewCluster(machines, cfg.Transports, runtime.ClusterOptions{
 		TickEvery:  cfg.TickEvery,
 		Seed:       cfg.Seed,
@@ -319,10 +358,6 @@ func New(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.cluster.Start(context.Background())
-
-	go s.dispatch()
-	s.ready.Store(true)
 	return s, nil
 }
 
@@ -1028,8 +1063,9 @@ func (s *Service) Metrics() Metrics {
 // WatchSample snapshots this service for the anomaly watchdog: crashed
 // processors, queue/in-flight occupancy, transactions in flight longer
 // than stall (sorted by id for deterministic anomaly ordering), the
-// cumulative outcome counters, and the decision-latency and WAL-fsync
-// histograms the watchdog differences into windowed percentiles.
+// cumulative outcome counters, the decision-latency and WAL-fsync
+// histograms the watchdog differences into windowed percentiles, and the
+// journal's failure, if any.
 func (s *Service) WatchSample(stall time.Duration) watch.ShardSample {
 	now := time.Now()
 	sm := watch.ShardSample{Shard: s.cfg.shardLabel()}
@@ -1060,6 +1096,9 @@ func (s *Service) WatchSample(stall time.Duration) watch.ShardSample {
 	sm.Latency = s.met.latency.Buckets()
 	if s.cfg.Journal != nil {
 		sm.Fsync = s.cfg.Journal.FsyncLatency()
+	}
+	if err := s.JournalErr(); err != nil {
+		sm.JournalErr = err.Error()
 	}
 	return sm
 }

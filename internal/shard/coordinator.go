@@ -183,7 +183,8 @@ type Coordinator struct {
 }
 
 // New builds and starts a sharded deployment: Shards independent commit
-// groups sharing one registry and one span collector.
+// groups sharing one registry and one span collector, started together
+// (service.NewGroups).
 func New(cfg Config) (*Coordinator, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
@@ -236,22 +237,18 @@ func New(cfg Config) (*Coordinator, error) {
 			return float64(n)
 		})
 
-	c.groups = make([]*service.Service, cfg.Shards)
-	for k := 0; k < cfg.Shards; k++ {
+	gcfgs := make([]service.Config, cfg.Shards)
+	for k := range gcfgs {
 		gcfg := cfg.Group
 		gcfg.Shard = strconv.Itoa(k)
 		gcfg.Seed = cfg.Group.Seed + uint64(k)*0x9e3779b97f4a7c15
 		if cfg.ConfigureGroup != nil {
 			cfg.ConfigureGroup(k, &gcfg)
 		}
-		g, err := service.New(gcfg)
-		if err != nil {
-			for _, prev := range c.groups[:k] {
-				prev.Close(context.Background()) //nolint:errcheck // best-effort unwind
-			}
-			return nil, fmt.Errorf("shard: starting group %d: %w", k, err)
-		}
-		c.groups[k] = g
+		gcfgs[k] = gcfg
+	}
+	if c.groups, err = service.NewGroups(gcfgs); err != nil {
+		return nil, fmt.Errorf("shard: starting groups: %w", err)
 	}
 	return c, nil
 }

@@ -2,13 +2,18 @@ package shard_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
+	"repro/internal/obs/flight"
+	"repro/internal/obs/watch"
 	"repro/internal/service"
 	"repro/internal/shard"
+	"repro/internal/types"
 	"repro/internal/wal"
 )
 
@@ -149,5 +154,102 @@ func TestOneFailedJournalStopsOneGroup(t *testing.T) {
 		if !ok || after.State != before.State || after.Decision != before.Decision {
 			t.Errorf("%s: acked %s/%s, after restart %+v (known %v)", id, before.State, before.Decision, after, ok)
 		}
+	}
+}
+
+// TestFailedJournalIsDetectedWithinOneWatchInterval: the watchdog over a
+// two-group deployment whose group 1 disk fails from its first record on.
+// Its time to detect the failed journal is at most one watch interval:
+// the first tick that samples after the failed flush raises journal-failed
+// naming shard 1, and the OnAnomaly hook cuts a flight dump whose shard
+// sample carries the error. The rule fires once, however many ticks follow.
+func TestFailedJournalIsDetectedWithinOneWatchInterval(t *testing.T) {
+	const interval = 100 * time.Millisecond
+	probe := wal.NewFaultFS(wal.NewMemFS(), 0)
+	pj, err := wal.OpenDecisionLog(wal.SegmentedOptions{FS: probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opsAtOpen := probe.Ops()
+	pj.Close() //nolint:errcheck // a probe
+	journals := make([]*wal.DecisionLog, 2)
+	for k := range journals {
+		fs := wal.FS(wal.NewMemFS())
+		if k == 1 {
+			fs = wal.NewFaultFS(fs, opsAtOpen+1)
+		}
+		if journals[k], err = wal.OpenDecisionLog(wal.SegmentedOptions{FS: fs}); err != nil {
+			t.Fatal(err)
+		}
+		defer journals[k].Close() //nolint:errcheck // the failed one reports its poison
+	}
+	c, err := shard.New(shard.Config{
+		Shards:         2,
+		Group:          service.Config{N: 3, K: 3, Seed: 9, TickEvery: time.Millisecond},
+		ConfigureGroup: func(k int, g *service.Config) { g.Journal = journals[k] },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	defer c.Close(ctx) //nolint:errcheck // group 1 is fail-stopped
+
+	type detection struct {
+		at   time.Time
+		a    watch.Anomaly
+		dump string
+	}
+	detected := make(chan detection, 1)
+	var rec *flight.Recorder
+	wd := watch.New(c, watch.Config{Interval: interval, OnAnomaly: func(a watch.Anomaly) {
+		at := time.Now()
+		path, err := rec.TriggerDump(a.Rule)
+		if err != nil {
+			t.Error(err)
+		}
+		detected <- detection{at, a, path}
+	}})
+	rec = flight.New(flight.Config{Source: c, Watchdog: wd, Dir: t.TempDir()})
+	wd.Start()
+	defer wd.Stop()
+
+	flushed := make(chan error, 1)
+	c.Group(1).Record([]string{"outside"}, []types.Decision{types.DecisionCommit}, func(err error) { flushed <- err })
+	if err := <-flushed; err == nil {
+		t.Fatal("the record's flush succeeded on a failing disk")
+	}
+	failed := time.Now()
+	var d detection
+	select {
+	case d = <-detected:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the failed journal was never detected")
+	}
+	// A ticker fire on a busy machine may come late; half an interval of
+	// slack keeps the bound about the rule, not the scheduler.
+	took := d.at.Sub(failed)
+	t.Logf("time to detect %v at a %v watch interval", took, interval)
+	if took > interval+interval/2 {
+		t.Errorf("journal-failed raised %v after the failed flush, want within one %v interval", took, interval)
+	}
+	if d.a.Rule != watch.RuleJournalFailed || d.a.Shard != "1" {
+		t.Errorf("detected %+v, want journal-failed on shard 1", d.a)
+	}
+	raw, err := os.ReadFile(d.dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dump flight.Dump
+	if err := json.Unmarshal(raw, &dump); err != nil {
+		t.Fatal(err)
+	}
+	if dump.Reason != watch.RuleJournalFailed || len(dump.Shards) != 2 ||
+		dump.Shards[0].JournalErr != "" || dump.Shards[1].JournalErr == "" {
+		t.Errorf("flight dump %s: reason %q, shards %+v; want journal-failed with shard 1's error alone", d.dump, dump.Reason, dump.Shards)
+	}
+	time.Sleep(3 * interval)
+	if n := wd.Counts()[watch.RuleJournalFailed]; n != 1 {
+		t.Errorf("journal-failed raised %d times over %d ticks, want once", n, wd.Health().Ticks)
 	}
 }

@@ -110,14 +110,12 @@ func (h *Hub) QueueSize() int { return h.opts.QueueSize }
 // Divert hands every message delivered from now on to sink, once per
 // copy, instead of to the per-node queues: the runtime's group driver,
 // which steps every node on one goroutine, takes them into its own queue.
-// The crash, drop, duplicate and delay rules stay the hub's. Once Divert
-// returns no message enters a per-node queue again, so what is queued
-// there can be drained for good. sink runs on the sender's goroutine, or on
-// a timer's for a delayed message; it must not block, and reports false for
-// a message it dropped (an overflow).
+// The crash, drop, duplicate and delay rules stay the hub's. Call it before
+// any message is sent: a message that races it may still land in a per-node
+// queue nobody reads. sink runs on the sender's goroutine, or on a timer's
+// for a delayed message; it must not block, and reports false for a message
+// it dropped (an overflow).
 func (h *Hub) Divert(sink func(types.Message) bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.sink.Store(&sink)
 }
 
@@ -234,10 +232,6 @@ func (h *Hub) enqueue(msg types.Message) {
 	defer h.mu.Unlock()
 	if h.closed || h.crashed[msg.To].Load() {
 		h.m.dropped.Inc()
-		return
-	}
-	if sink := h.sink.Load(); sink != nil { // diverted while this waited
-		h.divert(*sink, msg)
 		return
 	}
 	select {
