@@ -30,6 +30,22 @@ func getAll(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
+// tracedID is the first writer id, dbg-<w>-<i>, that the daemon's sampled
+// span ring traces: the per-transaction view of any other answers 404.
+func tracedID(t *testing.T, writers, perW int) string {
+	t.Helper()
+	ring := span.NewSampledCollector(1)
+	for i := 0; i < perW; i++ {
+		for w := 0; w < writers; w++ {
+			if id := fmt.Sprintf("dbg-%d-%d", w, i); ring.Traced(id) {
+				return id
+			}
+		}
+	}
+	t.Fatalf("no writer id among %d×%d is traced", writers, perW)
+	return ""
+}
+
 // TestDebugHandlersUnderConcurrency hammers every debug surface —
 // /debug/spans (whole and per transaction), /readyz, /debug/health,
 // /debug/flight — in parallel with live commit traffic. Run under -race
@@ -47,7 +63,7 @@ func TestDebugHandlersUnderConcurrency(t *testing.T) {
 		perR    = 30
 	)
 	paths := []string{
-		"/debug/spans?txn=dbg-0-3",
+		"/debug/spans?txn=" + tracedID(t, writers, perW),
 		"/debug/spans",
 		"/readyz",
 		"/debug/health",

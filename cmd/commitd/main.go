@@ -14,7 +14,9 @@
 //	GET  /debug/spans   the span ring as a causal graph: stages, rounds,
 //	                    links and protocol milestones (?txn=<id> filters
 //	                    to the txn and its batch; sharded deployments
-//	                    include the txn's per-shard children)
+//	                    include the txn's per-shard children). The ring
+//	                    records 1 transaction id in 64 and every crash
+//	                    and restart; ?txn= of another id is a 404
 //	GET  /debug/health  watchdog anomaly report (stalls, crashes, SLO burn)
 //	GET  /debug/flight  on-demand flight-recorder dump (render with
 //	                    `tracedump flight`)

@@ -39,7 +39,7 @@
 //     tracedump -rounds -late run.json
 //     tracedump critpath run.json
 //     tracedump chrome -o run.chrome.json run.json
-//     curl -s localhost:8080/debug/spans?txn=t1 > live.json && tracedump live.json
+//     curl -s localhost:8080/debug/spans?txn=t19 > live.json && tracedump live.json
 package main
 
 import (

@@ -243,11 +243,17 @@ func (r *record) span() Span {
 // recent spans. All methods are safe for concurrent use and nil-receiver
 // safe, so uninstrumented components pay only a nil check.
 //
+// A collector records every transaction, or, built by NewSampledCollector,
+// only the sampled ones (Traced). Its producers ask Traced once per
+// transaction and lay down nothing for one it does not trace; records
+// that name no transaction (crash, recover) are always kept.
+//
 // Timestamps come from the collector's own clock — microseconds since
 // the collector's creation by default, or a caller-supplied clock (tests
 // use a manual one; determinism then is the caller's property).
 type Collector struct {
-	clock func() int64
+	clock   func() int64
+	sampled bool // Traced keeps one id in SampleEvery
 
 	mu      sync.Mutex
 	buf     []record
@@ -271,6 +277,53 @@ func NewCollectorClock(capacity int, clock func() int64) *Collector {
 		capacity = DefaultCollectorCapacity
 	}
 	return &Collector{clock: clock, buf: make([]record, 0, capacity)}
+}
+
+// SampleEvery is a sampled collector's rate: it traces one transaction
+// id in SampleEvery.
+const SampleEvery = 64
+
+// ChildSep joins a cross-shard transaction's id to a shard number in the
+// ids of its per-shard children ("pay-42#s0"); Traced decides a child on
+// its parent's id, so a sampled cross transaction is traced in every
+// group it touches.
+const ChildSep = "#s"
+
+// NewSampledCollector creates a collector as NewCollector does that
+// traces one transaction id in SampleEvery (Traced). A service or sharded
+// deployment that is given no collector builds one: its ring then costs
+// an untraced transaction one flag test per layer and holds 64 times the
+// history.
+func NewSampledCollector(capacity int) *Collector {
+	c := NewCollector(capacity)
+	c.sampled = true
+	return c
+}
+
+// Traced reports whether the collector records the transaction keyed id:
+// always, unless it samples; then for one id in SampleEvery, by a hash
+// of the id up to any ChildSep. False on a nil collector.
+func (c *Collector) Traced(id string) bool {
+	if c == nil {
+		return false
+	}
+	if !c.sampled {
+		return true
+	}
+	if i := strings.Index(id, ChildSep); i >= 0 {
+		id = id[:i]
+	}
+	// FNV-1a, then a 64-bit finalizer: FNV's low bits follow the id's
+	// last byte alone, and sequential ids differ only there.
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(id); i++ {
+		h ^= uint64(id[i])
+		h *= 1099511628211
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h%SampleEvery == 0
 }
 
 // Now reads the collector's clock (0 on a nil collector).

@@ -191,3 +191,30 @@ func TestCollectorHoldsNoPerKeyState(t *testing.T) {
 	}
 	runtime.KeepAlive(txn) // freeing the keys before the second reading would hide that much growth
 }
+
+// TestTracedSamplesOneIDIn64: a sampled collector traces close to one id
+// in SampleEvery, sequential ids included, and a cross transaction's
+// children exactly when it traces the parent; any other collector traces
+// every id, and a nil one none.
+func TestTracedSamplesOneIDIn64(t *testing.T) {
+	var none *Collector
+	all, some := NewCollector(1), NewSampledCollector(1)
+	const ids = 64 * 1024
+	traced := 0
+	for i := 0; i < ids; i++ {
+		id := "txn-" + strconv.Itoa(i)
+		if none.Traced(id) || !all.Traced(id) {
+			t.Fatalf("%s: nil collector traces %v, full one %v", id, none.Traced(id), all.Traced(id))
+		}
+		if some.Traced(id) {
+			traced++
+		}
+		if child := id + ChildSep + strconv.Itoa(i%4); some.Traced(child) != some.Traced(id) {
+			t.Fatalf("%s traced %v, its child %s %v", id, some.Traced(id), child, some.Traced(child))
+		}
+	}
+	// 1024 expected; a binomial's standard deviation here is about 32.
+	if want := ids / SampleEvery; traced < want*7/8 || traced > want*9/8 {
+		t.Errorf("%d of %d sequential ids traced, want about %d", traced, ids, want)
+	}
+}

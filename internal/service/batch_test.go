@@ -129,7 +129,7 @@ func TestBatchedUnderCrash(t *testing.T) {
 // through the rounds and links of the batch that decided it, and its
 // contributions sum exactly to that end-to-end latency.
 func TestMemberCriticalPathLive(t *testing.T) {
-	s := newService(t, service.Config{N: 3, Seed: 14, BatchMax: 8})
+	s := newService(t, service.Config{N: 3, Seed: 14, BatchMax: 8, Spans: span.NewCollector(0)})
 	const clients = 24
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
@@ -210,7 +210,7 @@ func reportedGraph(t *testing.T, s *service.Service, prefix string, members int)
 // one record in the one ring — the processor track's "decided" marker —
 // not a marker plus an event twin.
 func TestOneDecidedRecordPerMemberAndNode(t *testing.T) {
-	s := newService(t, service.Config{N: 3, Seed: 16, BatchMax: 4})
+	s := newService(t, service.Config{N: 3, Seed: 16, BatchMax: 4, Spans: span.NewCollector(0)})
 	const clients = 8
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {

@@ -173,7 +173,8 @@ func NewHTTPHandler(s *Service) http.Handler { return NewHandler(unsharded{s}) }
 //	GET  /metrics       instrumentation snapshot (JSON)
 //	GET  /metrics.prom  full shared registry, Prometheus text format
 //	GET  /debug/spans   span ring as a causal graph, milestones included
-//	                    (?txn=<id> filters)
+//	                    (?txn=<id> filters; 404 for an id the ring does
+//	                    not trace, span.Collector.Traced)
 //	GET  /healthz       liveness + cluster size (+ shard count)
 //	GET  /readyz        readiness: 503 while starting, draining or a
 //	                    group's journal has failed
@@ -228,8 +229,15 @@ func NewHandler(b Backend) *http.ServeMux {
 		b.Registry().WritePrometheus(w) //nolint:errcheck // client gone is fine
 	})
 	mux.HandleFunc("GET /debug/spans", func(w http.ResponseWriter, r *http.Request) {
+		id := r.URL.Query().Get("txn")
+		if id != "" && !b.Spans().Traced(id) {
+			writeJSON(w, http.StatusNotFound, ErrorJSON{Error: fmt.Sprintf(
+				"transaction %q is not traced: the ring records 1 transaction id in %d, chosen by a hash of the id (a cross transaction's children go with it)",
+				id, span.SampleEvery)})
+			return
+		}
 		g := b.Spans().Graph()
-		if id := r.URL.Query().Get("txn"); id != "" {
+		if id != "" {
 			g = g.Filter(func(key string) bool { return b.SpanFamily(id, key) })
 		}
 		w.Header().Set("Content-Type", "application/json")

@@ -111,7 +111,7 @@ func TestHTTPCommitRoundTrip(t *testing.T) {
 // every layer's metrics in Prometheus text format and /debug/spans serves
 // the protocol milestones, filterable by transaction.
 func TestHTTPMetricsPromAndTrace(t *testing.T) {
-	_, ts := newHTTPService(t, service.Config{N: 3, Seed: 31})
+	_, ts := newHTTPService(t, service.Config{N: 3, Seed: 31, Spans: span.NewCollector(0)})
 
 	resp := postJSON(t, ts.URL+"/commit", service.CommitRequestJSON{ID: "pm1"})
 	if out := decode[service.CommitResponseJSON](t, resp); out.State != service.StateCommit {
@@ -295,7 +295,7 @@ func TestHTTPCrashAndDrain(t *testing.T) {
 // draining; /debug/spans serves the causal span graph with all three
 // layers represented, filterable by transaction.
 func TestHTTPReadyzAndSpans(t *testing.T) {
-	s, ts := newHTTPService(t, service.Config{N: 3, Seed: 41})
+	s, ts := newHTTPService(t, service.Config{N: 3, Seed: 41, Spans: span.NewCollector(0)})
 
 	resp, err := http.Get(ts.URL + "/readyz")
 	if err != nil {

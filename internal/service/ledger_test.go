@@ -22,9 +22,10 @@ import (
 // stack in heap objects and bytes (allocs/op and B/op, process-wide, so
 // the runtime goroutines' protocol work is counted), wire frames, journal
 // fsyncs, records and bytes, and the frames a runtime goroutine took from
-// a channel another goroutine filled (handoffs/op), beside the mean batch
-// width that amortizes them and the runtime goroutines per group
-// (goroutines/group). Serial callers pay for width-1 batches; 16 parallel callers let
+// a channel another goroutine filled (handoffs/op) and span ring records
+// (ring/op), beside the mean batch width that amortizes them, the share of
+// batches one member wide (width1/batch) and the runtime goroutines per
+// group (goroutines/group). Serial callers pay for width-1 batches; 16 parallel callers let
 // batches widen; the w rows fix the width, BatchMax members per batch,
 // with twice as many callers as n batches of that width hold. The
 // parent-versus-change tables live in ledger.txt beside this file.
@@ -83,9 +84,9 @@ var ledgerConfigs = func() []ledgerConfig {
 
 // ledgerCounts are the cumulative counters a ledger run differences.
 type ledgerCounts struct {
-	frames, handoffs, fsyncs, records, batches uint64
-	journalBytes                               int64
-	members                                    float64
+	frames, handoffs, fsyncs, records, batches, oneWide, ring uint64
+	journalBytes                                              int64
+	members                                                   float64
 }
 
 // ledgerRig is one service under ledger measurement.
@@ -176,7 +177,10 @@ func (r *ledgerRig) close(tb testing.TB) {
 }
 
 func (r *ledgerRig) counts() ledgerCounts {
-	c := ledgerCounts{frames: r.frames.Value(), fsyncs: r.fsyncs.Value(), records: r.records.Value()}
+	// The ring's total: what it holds plus what it has evicted.
+	spans := r.svc.Spans()
+	c := ledgerCounts{frames: r.frames.Value(), fsyncs: r.fsyncs.Value(), records: r.records.Value(),
+		ring: uint64(spans.Len()) + spans.Dropped()}
 	for _, h := range r.handoffs {
 		c.handoffs += h.Value()
 	}
@@ -184,7 +188,8 @@ func (r *ledgerRig) counts() ledgerCounts {
 		c.journalBytes = r.disk.n.Load()
 	}
 	if occ := r.svc.Metrics().BatchOccupancy; occ != nil {
-		c.batches, c.members = occ.Count, occ.Sum
+		// Buckets are cumulative; the first holds the batches of one.
+		c.batches, c.members, c.oneWide = occ.Count, occ.Sum, occ.Buckets[0].Count
 	}
 	return c
 }
@@ -192,6 +197,29 @@ func (r *ledgerRig) counts() ledgerCounts {
 // runtimeLoop matches a goroutine profile frame of a runtime goroutine
 // that steps machines.
 var runtimeLoop = regexp.MustCompile(`repro/internal/runtime\.\(\*\w+\)\.run\+`)
+
+// loops is how many runtime goroutines c's groups run: groups started
+// together are driven once they number GOMAXPROCS, and at least two, one
+// goroutine each; else each node runs its own loop.
+func (c ledgerConfig) loops() int {
+	groups := max(1, c.groups)
+	if groups >= max(2, goruntime.GOMAXPROCS(0)) {
+		return groups
+	}
+	return groups * c.n
+}
+
+// startedGoroutines counts the runtime goroutines once at least want of
+// them have started, or at a deadline. A goroutine that has been created
+// but has not yet run shows no run loop in the profile, and a group that
+// gets no traffic may not have been scheduled yet.
+func startedGoroutines(tb testing.TB, want int) int {
+	g := runtimeGoroutines(tb)
+	for deadline := time.Now().Add(5 * time.Second); g < want && time.Now().Before(deadline); g = runtimeGoroutines(tb) {
+		time.Sleep(time.Millisecond)
+	}
+	return g
+}
 
 // runtimeGoroutines counts the goroutines stepping machines now: in the
 // goroutine profile, the stacks with a runtime run loop on them.
@@ -255,12 +283,14 @@ func BenchmarkLedger(b *testing.B) {
 			members := float64(b.N)
 			b.ReportMetric(float64(after.frames-before.frames)/members, "frames/op")
 			b.ReportMetric(float64(after.handoffs-before.handoffs)/members, "handoffs/op")
-			b.ReportMetric(float64(runtimeGoroutines(b))/float64(max(1, c.groups)), "goroutines/group")
+			b.ReportMetric(float64(startedGoroutines(b, c.loops()))/float64(max(1, c.groups)), "goroutines/group")
 			b.ReportMetric(float64(after.fsyncs-before.fsyncs)/members, "fsyncs/op")
 			b.ReportMetric(float64(after.records-before.records)/members, "records/op")
 			b.ReportMetric(float64(after.journalBytes-before.journalBytes)/members, "journalB/op")
+			b.ReportMetric(float64(after.ring-before.ring)/members, "ring/op")
 			if batches := after.batches - before.batches; batches > 0 {
 				b.ReportMetric((after.members-before.members)/float64(batches), "width")
+				b.ReportMetric(float64(after.oneWide-before.oneWide)/float64(batches), "width1/batch")
 			}
 		})
 	}
@@ -281,15 +311,8 @@ func TestLedgerConfigurationsRun(t *testing.T) {
 			if got.frames == 0 || got.batches == 0 {
 				t.Errorf("counted %+v", got)
 			}
-			// Groups started together are driven once they number
-			// GOMAXPROCS, and at least two; else each node runs its own loop.
-			groups := max(1, c.groups)
-			want := groups * c.n
-			if groups >= max(2, goruntime.GOMAXPROCS(0)) {
-				want = groups
-			}
-			if g := runtimeGoroutines(t); g != want {
-				t.Errorf("%d runtime goroutines for %d groups of %d started together, want %d", g, groups, c.n, want)
+			if g, want := startedGoroutines(t, c.loops()), c.loops(); g != want {
+				t.Errorf("%d runtime goroutines for %d groups of %d started together, want %d", g, max(1, c.groups), c.n, want)
 			}
 			if c.journal && (got.fsyncs == 0 || got.records == 0 || got.journalBytes == 0) {
 				t.Errorf("journal run counted no fsync, record or byte: %+v", got)

@@ -57,9 +57,11 @@ type pending struct {
 	submitted time.Time
 	timer     *time.Timer
 	done      chan Result
-	// admitU is the span-collector clock at admission; set before the
-	// pending is published, so the mu handoff makes it visible.
+	// admitU is the span-collector clock at admission and traced whether
+	// the collector traces id; both are set before the pending is
+	// published, so the mu handoff makes them visible.
 	admitU int64
+	traced bool
 	// dequeueU is set by the dispatcher goroutine when the submission
 	// leaves the queue and read only on that goroutine (dispatchBatch).
 	dequeueU int64
@@ -291,7 +293,7 @@ func build(cfg Config) (*Service, error) {
 		cfg.Registry = obs.NewRegistry()
 	}
 	if cfg.Spans == nil {
-		cfg.Spans = span.NewCollector(span.DefaultCollectorCapacity)
+		cfg.Spans = span.NewSampledCollector(span.DefaultCollectorCapacity)
 	}
 	s := &Service{
 		cfg:            cfg,
@@ -457,6 +459,7 @@ func (s *Service) Submit(ctx context.Context, req Request) (Result, error) {
 		return Result{}, &DuplicateError{ID: id}
 	}
 	p.id = txn.ID(id)
+	p.traced = s.cfg.Spans.Traced(id)
 	// Admission: enqueue or reject — never block, never grow unbounded.
 	select {
 	case s.queue <- p:
@@ -529,8 +532,8 @@ func (s *Service) dispatch() {
 func (s *Service) dispatchBatch(batch []*pending) {
 	entryU := s.cfg.Spans.Now()
 	for _, p := range batch {
-		s.recordStage(p.id, span.StageAdmit, p.admitU, p.dequeueU, "")
-		s.recordStage(p.id, span.StageBatch, p.dequeueU, entryU, "")
+		s.recordStage(p, span.StageAdmit, p.admitU, p.dequeueU, "")
+		s.recordStage(p, span.StageBatch, p.dequeueU, entryU, "")
 	}
 	if s.JournalErr() != nil {
 		for _, p := range batch {
@@ -581,9 +584,12 @@ func (s *Service) dispatchBatch(batch []*pending) {
 	s.batches[string(bid)] = &batchState{members: ids, unresolved: len(live), undecided: len(live)}
 	s.mu.Unlock()
 	s.met.occupancy.Observe(float64(len(live)))
-	detail := "coordinator=" + strconv.Itoa(int(coord)) + " " + obs.BatchDetail(string(bid))
+	detail := ""
 	for _, p := range live {
-		s.recordStage(p.id, span.StageDispatch, entryU, dispatchU, detail)
+		if p.traced && detail == "" {
+			detail = "coordinator=" + strconv.Itoa(int(coord)) + " " + obs.BatchDetail(string(bid))
+		}
+		s.recordStage(p, span.StageDispatch, entryU, dispatchU, detail)
 	}
 	if err := s.managers[coord].BeginBatch(bid, ids, votes); err != nil {
 		for _, p := range live {
@@ -594,17 +600,20 @@ func (s *Service) dispatchBatch(batch []*pending) {
 	s.cluster.Node(coord).Wake() // flood the GO now, not at the next tick
 }
 
-// recordStage emits one service pipeline stage as a span, a histogram
-// observation, and a latency-recorder sample. Zero or backwards
-// intervals (a stage the submission never reached) are skipped.
-func (s *Service) recordStage(id txn.ID, stage string, start, end int64, detail string) {
+// recordStage emits one service pipeline stage as a histogram
+// observation, a latency-recorder sample and, for a traced submission, a
+// span. Zero or backwards intervals (a stage the submission never
+// reached) are skipped.
+func (s *Service) recordStage(p *pending, stage string, start, end int64, detail string) {
 	if end < start || (start == 0 && end == 0) {
 		return
 	}
-	s.cfg.Spans.Add(span.Span{
-		Txn: string(id), Track: span.ServiceTrack, Name: stage, Kind: span.KindStage,
-		Start: start, End: end, From: -1, To: -1, Detail: detail,
-	})
+	if p.traced {
+		s.cfg.Spans.Add(span.Span{
+			Txn: string(p.id), Track: span.ServiceTrack, Name: stage, Kind: span.KindStage,
+			Start: start, End: end, From: -1, To: -1, Detail: detail,
+		})
+	}
 	d := float64(end-start) / 1e6 // collector clock is microseconds
 	s.met.stage[stage].Observe(d)
 	if rec := s.stageLat[stage]; rec != nil {
@@ -822,7 +831,11 @@ func (s *Service) finish(p *pending, state State, d types.Decision) (deliver fun
 	if startU == 0 {
 		startU = p.admitU
 	}
-	s.recordStage(p.id, span.StageDecided, startU, decidedU, "state="+string(state))
+	detail := ""
+	if p.traced {
+		detail = "state=" + string(state)
+	}
+	s.recordStage(p, span.StageDecided, startU, decidedU, detail)
 
 	switch state {
 	case StateCommit:
@@ -852,7 +865,7 @@ func (s *Service) finish(p *pending, state State, d types.Decision) (deliver fun
 		}
 		// The notify span is recorded before the caller is released, so
 		// whoever Submit returns to finds the transaction's graph whole.
-		s.recordStage(p.id, span.StageNotify, decidedU, s.cfg.Spans.Now(), "")
+		s.recordStage(p, span.StageNotify, decidedU, s.cfg.Spans.Now(), "")
 		p.done <- res
 		s.cfg.Logger.Debug("transaction resolved",
 			olog.Txn(string(p.id)), olog.Shard(s.cfg.shardLabel()),

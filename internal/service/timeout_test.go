@@ -22,7 +22,8 @@ func TestCrashedParticipantIsTimedOutInClockTime(t *testing.T) {
 			k    = 2
 			tick = 10 * time.Millisecond
 		)
-		s, err := New(Config{N: 3, K: k, Seed: 47, TickEvery: tick, Transports: trs})
+		s, err := New(Config{N: 3, K: k, Seed: 47, TickEvery: tick, Transports: trs,
+			Spans: span.NewCollector(0)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -97,9 +97,13 @@ type Config struct {
 	// one, exposed via Service.Registry.
 	Registry *obs.Registry
 	// Spans is the one ring every layer records into: service stages,
-	// manager rounds and protocol milestones, hub links, crashes. Nil
-	// creates one of span.DefaultCollectorCapacity, exposed via
-	// Service.Spans and GET /debug/spans.
+	// manager rounds and protocol milestones, hub links, crashes. A
+	// supplied collector records every transaction. Nil creates a sampled
+	// one (span.NewSampledCollector) of span.DefaultCollectorCapacity,
+	// which records the transactions whose ids it traces, one in
+	// span.SampleEvery, and every crash and recovery; stage histograms
+	// and latencies observe every transaction either way. It is exposed
+	// via Service.Spans and GET /debug/spans.
 	Spans *span.Collector
 	// Logger receives structured operational log records (decisions,
 	// crashes, rescues) with txn/shard/node correlation fields. Nil

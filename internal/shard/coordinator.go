@@ -25,8 +25,9 @@ const CrossTrack = "cross"
 // childSep joins a cross-shard transaction id with a shard number to
 // name that shard's child transaction ("pay-42" spanning shards 0 and 2
 // runs as children "pay-42#s0" and "pay-42#s2"). Top-level ids may not
-// contain it.
-const childSep = "#s"
+// contain it. The span ring traces a child exactly when it traces the
+// parent (span.Collector.Traced).
+const childSep = span.ChildSep
 
 // ChildID names shard s's child of cross-shard transaction id.
 func ChildID(id string, s int) string { return id + childSep + strconv.Itoa(s) }
@@ -37,8 +38,9 @@ type Config struct {
 	Shards int
 	// Group is the template configuration for each shard's Protocol-2
 	// group. Its Shard label is overridden per shard; its Registry and
-	// Spans are created once here (if nil) and shared by every group so
-	// one daemon exposes one observability surface. Its Seed is offset per
+	// Spans are created once here (if nil; the collector a sampled one,
+	// as service.Config.Spans says) and shared by every group so one
+	// daemon exposes one observability surface. Its Seed is offset per
 	// shard so groups do not run in lockstep.
 	Group service.Config
 	// ConfigureGroup, when non-nil, runs on each group's final config
@@ -193,7 +195,7 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg.Group.Registry = obs.NewRegistry()
 	}
 	if cfg.Group.Spans == nil {
-		cfg.Group.Spans = span.NewCollector(span.DefaultCollectorCapacity)
+		cfg.Group.Spans = span.NewSampledCollector(span.DefaultCollectorCapacity)
 	}
 	if cfg.Group.Transports != nil && cfg.Shards != 1 {
 		return nil, errors.New("shard: external transports require wiring per group; use Shards=1 or the channel backend")
@@ -379,7 +381,11 @@ func (c *Coordinator) submitCross(ctx context.Context, id string, shards []int, 
 		return Result{}, fmt.Errorf("shard: logging begin: %w", err)
 	}
 
+	// The cross spans go to the ring only for a traced id.
 	spans := c.cfg.Group.Spans
+	if !spans.Traced(id) {
+		spans = nil
+	}
 	prepU := spans.Now()
 
 	// Prepare layer: every participating shard decides its child through

@@ -39,7 +39,7 @@ func postJSON(t *testing.T, url string, body any) *http.Response {
 }
 
 func TestShardedHTTPSurface(t *testing.T) {
-	c := newCoordinator(t, shard.Config{Shards: 2, Group: service.Config{Seed: 11}})
+	c := newCoordinator(t, shard.Config{Shards: 2, Group: service.Config{Seed: 11, Spans: span.NewCollector(0)}})
 	ts := httptest.NewServer(shard.NewHTTPHandler(c))
 	defer ts.Close()
 
@@ -242,4 +242,61 @@ func readAll(t *testing.T, resp *http.Response) string {
 		}
 	}
 	return sb.String()
+}
+
+// TestShardedSpansOfAnUntracedIDAre404: a deployment given no collector
+// traces a cross transaction and its children together. The ?txn= view of
+// a traced id holds its cross stages and both children's records; an
+// untraced id, or one of its children, answers 404 naming the sampling
+// rule, and the ring holds nothing of it.
+func TestShardedSpansOfAnUntracedIDAre404(t *testing.T) {
+	c := newCoordinator(t, shard.Config{Shards: 2})
+	ts := httptest.NewServer(shard.NewHTTPHandler(c))
+	defer ts.Close()
+	var traced, untraced string
+	for i := 0; traced == "" || untraced == ""; i++ {
+		switch id := fmt.Sprintf("x-%d", i); {
+		case c.Spans().Traced(id) && traced == "":
+			traced = id
+		case !c.Spans().Traced(id) && untraced == "":
+			untraced = id
+		}
+	}
+	keys := crossKeys(t, c, 0, 1)
+	for _, id := range []string{untraced, traced} {
+		resp := postJSON(t, ts.URL+"/commit", service.CommitRequestJSON{ID: id, Keys: keys})
+		if res := decode[service.CommitResponseJSON](t, resp); res.State != service.StateCommit || len(res.Shards) != 2 {
+			t.Fatalf("cross commit %s = %+v", id, res)
+		}
+	}
+
+	for _, id := range []string{untraced, shard.ChildID(untraced, 1)} {
+		resp, err := http.Get(ts.URL + "/debug/spans?txn=" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := decode[service.ErrorJSON](t, resp)
+		if want := fmt.Sprintf("1 transaction id in %d", span.SampleEvery); resp.StatusCode != http.StatusNotFound || !strings.Contains(e.Error, want) {
+			t.Errorf("?txn=%s: status %d, %q; want 404 naming %q", id, resp.StatusCode, e.Error, want)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/debug/spans?txn=" + traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := decode[span.Graph](t, resp)
+	seen := map[string]bool{}
+	for _, s := range g.Spans {
+		seen[s.Txn+" "+s.Track] = true
+	}
+	for _, want := range []string{traced + " " + shard.CrossTrack, shard.ChildID(traced, 0) + " " + span.ServiceTrack, shard.ChildID(traced, 1) + " " + span.ServiceTrack} {
+		if !seen[want] {
+			t.Errorf("?txn=%s lacks %q: %v", traced, want, seen)
+		}
+	}
+	for _, s := range c.Spans().Graph().Spans {
+		if s.Txn == untraced || strings.HasPrefix(s.Txn, untraced+"#s") {
+			t.Fatalf("ring holds a record of untraced %s: %+v", untraced, s)
+		}
+	}
 }

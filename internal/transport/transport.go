@@ -62,9 +62,12 @@ type HubOptions struct {
 	// (messages/bytes sent, delivered, dropped, per-link delay).
 	Registry *obs.Registry
 	// Spans, if non-nil, receives one link span per non-dropped message
-	// (send time to scheduled delivery). Payloads carrying a transaction
-	// id (anything with a TxnID() string method, e.g. txn.Envelope) are
-	// attributed to that transaction.
+	// of a traced transaction (send time to scheduled delivery). Payloads
+	// carrying a transaction id (anything with a TxnID() string method,
+	// e.g. txn.BatchEnvelope) are attributed to that transaction; one
+	// whose Untraced() bool method reports true, a frame of an instance
+	// the collector does not trace (span.Collector.Traced), gets no span,
+	// so the hub neither hashes nor reads the clock for it.
 	Spans *span.Collector
 }
 
@@ -189,20 +192,9 @@ func (h *Hub) deliver(msg types.Message) error {
 		h.m.observeDelay(msg.From, msg.To, delay.Seconds())
 	}
 	if h.opts.Spans != nil {
-		txnID := ""
-		if tp, ok := msg.Payload.(interface{ TxnID() string }); ok {
-			txnID = tp.TxnID()
+		if u, ok := msg.Payload.(interface{ Untraced() bool }); !ok || !u.Untraced() {
+			h.linkSpan(msg, delay)
 		}
-		name := "msg"
-		if msg.Payload != nil {
-			name = msg.Payload.Kind()
-		}
-		now := h.opts.Spans.Now()
-		h.opts.Spans.Add(span.Span{
-			Txn: txnID, Track: span.NetTrack, Name: name, Kind: span.KindLink,
-			Start: now, End: now + delay.Microseconds(),
-			From: int(msg.From), To: int(msg.To),
-		})
 	}
 	copies := 1 + fault.Duplicates
 	if delay <= 0 {
@@ -219,6 +211,25 @@ func (h *Hub) deliver(msg types.Message) error {
 		}
 	})
 	return nil
+}
+
+// linkSpan records msg's flight, from now to its scheduled delivery,
+// under the transaction its payload names (a TxnID() string method).
+func (h *Hub) linkSpan(msg types.Message, delay time.Duration) {
+	txnID := ""
+	if tp, ok := msg.Payload.(interface{ TxnID() string }); ok {
+		txnID = tp.TxnID()
+	}
+	name := "msg"
+	if msg.Payload != nil {
+		name = msg.Payload.Kind()
+	}
+	now := h.opts.Spans.Now()
+	h.opts.Spans.Add(span.Span{
+		Txn: txnID, Track: span.NetTrack, Name: name, Kind: span.KindLink,
+		Start: now, End: now + delay.Microseconds(),
+		From: int(msg.From), To: int(msg.To),
+	})
 }
 
 func (h *Hub) enqueue(msg types.Message) {

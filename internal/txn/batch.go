@@ -25,9 +25,12 @@ type BatchEnvelope struct {
 	Inner types.Payload
 
 	// key is the sending instance's trace key, so a frame built here names
-	// its batch to the link span without building a string; it never
-	// reaches the wire, and a decoded frame has none.
-	key string
+	// its batch to the link span without building a string, and untraced
+	// marks a frame of an instance the collector does not trace, so the
+	// hub lays down no link span for it. Neither reaches the wire: a
+	// decoded frame has no key and counts as traced.
+	key      string
+	untraced bool
 }
 
 // Kind implements types.Payload. The five payloads a batch instance sends
@@ -61,6 +64,10 @@ func (e BatchEnvelope) TxnID() string {
 	return obs.BatchKey(string(e.Batch))
 }
 
+// Untraced reports that the frame's instance is not traced
+// (span.Collector.Traced): the hub skips its link span.
+func (e BatchEnvelope) Untraced() bool { return e.untraced }
+
 // SizeBits implements types.Sized: inner payload, a 64-bit batch id
 // hash, and a 64-bit id hash per member.
 func (e BatchEnvelope) SizeBits() int {
@@ -80,7 +87,12 @@ type binstance struct {
 	// i's decision once fanned out (DecisionNone before); retiring the
 	// batch keeps it.
 	tombstone
-	key string // trace/span key: "batch:<id>"
+	// traced is decided once, at spawn: the instance is traced if the
+	// collector traces any member, which every node computes alike from
+	// the member list. An untraced instance records nothing and has no
+	// key; a traced one records under key, "batch:<id>".
+	traced bool
+	key    string
 
 	// inbox is the frames demultiplexed to this instance in the current
 	// Step or Deliver: a window of the manager's inbox buffer, nil between
@@ -135,7 +147,7 @@ func (m *Manager) BeginBatch(batch BatchID, txns []ID, votes []bool) error {
 	}
 	// The caller may reuse txns; the instance's copy goes out on every frame.
 	members := append([]ID(nil), txns...)
-	if err := m.spawnBatchLocked(batch, members, vals, m.cfg.ID, m.Clock(), obs.BatchKey(string(batch))); err != nil {
+	if err := m.spawnBatchLocked(batch, members, vals, m.cfg.ID, m.Clock(), ""); err != nil {
 		return err
 	}
 	// The GO flood need not wait for a tick.
@@ -145,13 +157,26 @@ func (m *Manager) BeginBatch(batch BatchID, txns []ID, votes []bool) error {
 
 // spawnBatchLocked creates the batched commit instance and registers its
 // members for id-keyed lookups. The instance keeps txns, which nothing
-// writes again; votes is copied. Caller holds mu.
+// writes again; votes is copied. key is the trace key a frame brought, or
+// "" to build one if the instance is traced. Caller holds mu.
 func (m *Manager) spawnBatchLocked(batch BatchID, txns []ID, votes []types.Value, coordinator types.ProcID, tick int, key string) error {
 	bi := &binstance{
-		id: batch, key: key,
+		id:        batch,
 		tombstone: tombstone{txns: txns, decisions: make([]types.Decision, len(txns))},
 		seq:       m.spawned, born: tick, haltedAt: -1,
-		round: 1, roundStartClock: tick, roundStartU: m.cfg.Spans.Now(),
+		round: 1, roundStartClock: tick,
+	}
+	for _, id := range txns {
+		if m.cfg.Spans.Traced(string(id)) {
+			bi.traced = true
+			break
+		}
+	}
+	if bi.traced {
+		if key == "" {
+			key = obs.BatchKey(string(batch))
+		}
+		bi.key, bi.roundStartU = key, m.cfg.Spans.Now()
 	}
 	err := bi.c.Init(core.BatchConfig{
 		ID: m.cfg.ID, N: m.cfg.N, T: m.cfg.T, K: m.cfg.K,
@@ -187,11 +212,7 @@ func (m *Manager) joinBatchLocked(env BatchEnvelope, coordinator types.ProcID, t
 			votes[i] = types.V0
 		}
 	}
-	key := env.key
-	if key == "" {
-		key = obs.BatchKey(string(env.Batch))
-	}
-	return m.spawnBatchLocked(env.Batch, env.Txns, votes, coordinator, tick, key)
+	return m.spawnBatchLocked(env.Batch, env.Txns, votes, coordinator, tick, env.key)
 }
 
 // voteScratchLocked returns the manager's vote-vector scratch, zeroed at
@@ -239,7 +260,7 @@ func (m *Manager) markBatchOutputsLocked(bi *binstance, sub []types.Message, tic
 // round regardless (used when a member decides, so the member's decided
 // marker has a finished round to follow). Caller holds mu.
 func (m *Manager) spanBatchRoundLocked(bi *binstance, tick int, force bool) {
-	if m.cfg.Spans == nil || bi.spanDone {
+	if !bi.traced || bi.spanDone {
 		return
 	}
 	deadline := bi.roundStartClock
@@ -323,7 +344,7 @@ func (m *Manager) advanceLocked(bi *binstance, tick int, ticked bool, rnd types.
 	}
 	bi.inbox = nil // consumed; its window of the manager's buffer is reused
 	sub := out[start:]
-	if m.cfg.Spans != nil {
+	if bi.traced {
 		m.markBatchOutputsLocked(bi, sub, tick)
 		if ag := bi.c.Agreement(); ag != nil {
 			if st := ag.Stage(); st != bi.lastStage {
@@ -338,7 +359,7 @@ func (m *Manager) advanceLocked(bi *binstance, tick int, ticked bool, rnd types.
 	for j := range sub {
 		if p := sub[j].Payload; lastInner == nil || !core.SamePayload(p, lastInner) {
 			lastInner = p
-			lastEnv = BatchEnvelope{Batch: bi.id, Txns: bi.txns, Inner: p, key: bi.key}
+			lastEnv = BatchEnvelope{Batch: bi.id, Txns: bi.txns, Inner: p, key: bi.key, untraced: !bi.traced}
 		}
 		sub[j].Payload = lastEnv
 	}
@@ -359,14 +380,18 @@ func (m *Manager) advanceLocked(bi *binstance, tick int, ticked bool, rnd types.
 			m.met.aborted.Inc()
 		}
 		m.met.rounds.Observe(float64(tick - bi.born))
-		if m.cfg.Spans != nil {
+		if bi.traced {
 			if !roundClosed {
 				m.spanBatchRoundLocked(bi, tick, true)
 				roundClosed = true
 			}
 			// The member's marker names its batch so a per-transaction
 			// view can follow it to the rounds and links that decided it.
-			m.cfg.Spans.MarkDecided(string(txn), m.track, d, string(bi.id))
+			// Only a traced member gets a marker of its own, though its
+			// batch is traced for the sake of another member.
+			if m.cfg.Spans.Traced(string(txn)) {
+				m.cfg.Spans.MarkDecided(string(txn), m.track, d, string(bi.id))
+			}
 		}
 		decidedNow = append(decidedNow, Outcome{Txn: txn, Decision: d})
 	}
@@ -394,7 +419,7 @@ func (m *Manager) retireLocked(tick int, gone []*binstance) {
 			} else {
 				name = span.EventAbandoned
 			}
-			if m.cfg.Spans != nil {
+			if bi.traced && m.cfg.Spans.Traced(string(txn)) {
 				m.cfg.Spans.MarkTick(string(txn), m.track, name, tick, span.FigTick, 0, 0)
 			}
 		}

@@ -139,7 +139,11 @@ type Config struct {
 	// sent/received, vote cast and Protocol 1 stage milestones. Under each
 	// member's id: a zero-length "decided" marker whose Detail names the
 	// batch, and a retired or abandoned milestone. A milestone's Detail
-	// starts with the manager tick ("tick=<n>").
+	// starts with the manager tick ("tick=<n>"). An instance records
+	// only if the collector traces one of its members
+	// (span.Collector.Traced, decided at spawn, alike on every node), and
+	// a member's own markers only if it traces that member; an untraced
+	// instance reads no clock and builds no key.
 	Spans *span.Collector
 }
 
@@ -488,7 +492,7 @@ func (m *Manager) demuxLocked(received []types.Message, tick int, out []types.Me
 			}
 			bi = m.batches[env.Batch]
 		}
-		if m.cfg.Spans != nil && !bi.goRecv {
+		if bi.traced && !bi.goRecv {
 			if inner, _ := core.Unwrap(env.Inner); inner != nil {
 				if _, isGo := inner.(core.GoMsg); isGo {
 					bi.goRecv = true
