@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -109,17 +110,17 @@ func (f *family) get(values []string, mk func() any) any {
 // joinValues builds the child map key. \x1f never appears in sane label
 // values; escaping handles the pathological case.
 func joinValues(values []string) string {
-	out := ""
+	var out strings.Builder
 	for _, v := range values {
 		for i := 0; i < len(v); i++ {
 			if v[i] == '\x1f' || v[i] == '\\' {
-				out += "\\"
+				out.WriteByte('\\')
 			}
-			out += string(v[i])
+			out.WriteByte(v[i])
 		}
-		out += "\x1f"
+		out.WriteByte('\x1f')
 	}
-	return out
+	return out.String()
 }
 
 // Counter is a monotonically increasing count. Nil counters are no-ops.

@@ -114,6 +114,13 @@ func TestVecIdentity(t *testing.T) {
 	if c1.Value() != 1 {
 		t.Error("re-registered family does not share children")
 	}
+	// A separator or escape byte inside a value cannot alias two children.
+	if vec.With("x\x1f", "y") == vec.With("x", "\x1fy") || vec.With("x\\", "y") == vec.With("x", "\\y") {
+		t.Error("values differing only around a separator share a counter")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { vec.With("x", "y") }); allocs > 2 {
+		t.Errorf("With of an existing child allocates %.0f times, want at most 2", allocs)
+	}
 }
 
 func TestRegisterConflictPanics(t *testing.T) {

@@ -94,7 +94,7 @@ type svcMetrics struct {
 	batches        *obs.Counter
 	violations     *obs.Counter
 	latency        *obs.Histogram            // seconds, decided (COMMIT/ABORT) submissions
-	stage          map[string]*obs.Histogram // seconds per pipeline stage, by stage name
+	stage          [numStages]*obs.Histogram // seconds per pipeline stage
 	occupancy      *obs.Histogram            // members per dispatched agreement batch
 	batchesDecided *obs.Counter              // batches whose every member resolved
 	rescues        *obs.Counter              // orphaned batches re-dispatched after a coordinator crash
@@ -117,9 +117,9 @@ func newSvcMetrics(reg *obs.Registry, shard string) svcMetrics {
 	stages := reg.HistogramVec("service_stage_seconds",
 		"Per-stage latency of the submission pipeline (admit, batch, dispatch, decided, notify).",
 		obs.DefBuckets, "shard", "stage")
-	stage := make(map[string]*obs.Histogram, len(stageNames))
-	for _, st := range stageNames {
-		stage[st] = stages.With(shard, st)
+	var stage [numStages]*obs.Histogram
+	for st, name := range stageNames {
+		stage[st] = stages.With(shard, name)
 	}
 	return svcMetrics{
 		submitted: reg.CounterVec("service_submitted_total",
@@ -171,8 +171,21 @@ func newGaugeMetrics(reg *obs.Registry, shard string, s *Service) {
 		}, shard)
 }
 
-// stageNames lists the pipeline stages in causal order.
-var stageNames = []string{
+// stage indexes the pipeline stages, in causal order.
+type stage int
+
+const (
+	stageAdmit stage = iota
+	stageBatch
+	stageDispatch
+	stageDecided
+	stageNotify
+	numStages
+)
+
+// stageNames names each stage in spans, in histogram labels and in
+// Metrics.Stages.
+var stageNames = [numStages]string{
 	span.StageAdmit, span.StageBatch, span.StageDispatch, span.StageDecided, span.StageNotify,
 }
 
@@ -194,7 +207,7 @@ type Service struct {
 	outstanding    sync.WaitGroup
 
 	lat      *stats.Recorder
-	stageLat map[string]*stats.Recorder
+	stageLat [numStages]*stats.Recorder
 	met      svcMetrics
 	ready    atomic.Bool
 
@@ -302,14 +315,13 @@ func build(cfg Config) (*Service, error) {
 		abort:          make(chan struct{}),
 		dispatcherDone: make(chan struct{}),
 		lat:            stats.NewRecorder(LatencyWindow),
-		stageLat:       make(map[string]*stats.Recorder, len(stageNames)),
 		met:            newSvcMetrics(cfg.Registry, cfg.shardLabel()),
 		crashed:        make([]bool, cfg.N),
 		batches:        make(map[string]*batchState),
 		pendings:       make(map[txn.ID]*pending),
 		statuses:       make(map[string]*status),
 	}
-	for _, st := range stageNames {
+	for st := range s.stageLat {
 		s.stageLat[st] = stats.NewRecorder(LatencyWindow)
 	}
 	if cfg.Journal != nil {
@@ -532,8 +544,8 @@ func (s *Service) dispatch() {
 func (s *Service) dispatchBatch(batch []*pending) {
 	entryU := s.cfg.Spans.Now()
 	for _, p := range batch {
-		s.recordStage(p, span.StageAdmit, p.admitU, p.dequeueU, "")
-		s.recordStage(p, span.StageBatch, p.dequeueU, entryU, "")
+		s.recordStage(p, stageAdmit, p.admitU, p.dequeueU, "")
+		s.recordStage(p, stageBatch, p.dequeueU, entryU, "")
 	}
 	if s.JournalErr() != nil {
 		for _, p := range batch {
@@ -589,7 +601,7 @@ func (s *Service) dispatchBatch(batch []*pending) {
 		if p.traced && detail == "" {
 			detail = "coordinator=" + strconv.Itoa(int(coord)) + " " + obs.BatchDetail(string(bid))
 		}
-		s.recordStage(p, span.StageDispatch, entryU, dispatchU, detail)
+		s.recordStage(p, stageDispatch, entryU, dispatchU, detail)
 	}
 	if err := s.managers[coord].BeginBatch(bid, ids, votes); err != nil {
 		for _, p := range live {
@@ -604,21 +616,19 @@ func (s *Service) dispatchBatch(batch []*pending) {
 // observation, a latency-recorder sample and, for a traced submission, a
 // span. Zero or backwards intervals (a stage the submission never
 // reached) are skipped.
-func (s *Service) recordStage(p *pending, stage string, start, end int64, detail string) {
+func (s *Service) recordStage(p *pending, st stage, start, end int64, detail string) {
 	if end < start || (start == 0 && end == 0) {
 		return
 	}
 	if p.traced {
 		s.cfg.Spans.Add(span.Span{
-			Txn: string(p.id), Track: span.ServiceTrack, Name: stage, Kind: span.KindStage,
+			Txn: string(p.id), Track: span.ServiceTrack, Name: stageNames[st], Kind: span.KindStage,
 			Start: start, End: end, From: -1, To: -1, Detail: detail,
 		})
 	}
 	d := float64(end-start) / 1e6 // collector clock is microseconds
-	s.met.stage[stage].Observe(d)
-	if rec := s.stageLat[stage]; rec != nil {
-		rec.Add(d * 1e3) // recorders hold milliseconds
-	}
+	s.met.stage[st].Observe(d)
+	s.stageLat[st].Add(d * 1e3) // recorders hold milliseconds
 }
 
 // nextCoordinatorLocked picks the next round-robin coordinator, skipping
@@ -835,7 +845,7 @@ func (s *Service) finish(p *pending, state State, d types.Decision) (deliver fun
 	if p.traced {
 		detail = "state=" + string(state)
 	}
-	s.recordStage(p, span.StageDecided, startU, decidedU, detail)
+	s.recordStage(p, stageDecided, startU, decidedU, detail)
 
 	switch state {
 	case StateCommit:
@@ -865,7 +875,7 @@ func (s *Service) finish(p *pending, state State, d types.Decision) (deliver fun
 		}
 		// The notify span is recorded before the caller is released, so
 		// whoever Submit returns to finds the transaction's graph whole.
-		s.recordStage(p, span.StageNotify, decidedU, s.cfg.Spans.Now(), "")
+		s.recordStage(p, stageNotify, decidedU, s.cfg.Spans.Now(), "")
 		p.done <- res
 		s.cfg.Logger.Debug("transaction resolved",
 			olog.Txn(string(p.id)), olog.Shard(s.cfg.shardLabel()),
@@ -1054,8 +1064,8 @@ func (s *Service) Metrics() Metrics {
 	m.LatencyP50Ms = snap.Percentiles[0]
 	m.LatencyP95Ms = snap.Percentiles[1]
 	m.LatencyP99Ms = snap.Percentiles[2]
-	for _, name := range stageNames {
-		ss := s.stageLat[name].Snapshot(50, 95, 99)
+	for st, name := range stageNames {
+		ss := s.stageLat[st].Snapshot(50, 95, 99)
 		if ss.Total == 0 {
 			continue
 		}

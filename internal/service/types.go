@@ -64,8 +64,9 @@ type Config struct {
 	// rejections (default 25ms).
 	RetryHint time.Duration
 	// RetireAfterTicks removes a decided instance from its manager that
-	// many ticks after it halts, leaving a decision tombstone (default
-	// 64). Keeps per-tick cost proportional to active transactions.
+	// many ticks after it halts, leaving only its batch id in the
+	// manager's straggler guard (default 64). Keeps per-tick cost
+	// proportional to active transactions.
 	RetireAfterTicks int
 	// MaxAgeTicks abandons an instance still undecided after that many
 	// ticks (default 2 * DefaultTimeout/TickEvery) so nodes do not

@@ -144,12 +144,14 @@ type crossEntry struct {
 	adopted bool
 }
 
-// coordMetrics bundles the coordinator's registry handles.
+// coordMetrics bundles the coordinator's registry handles, each resolved
+// once in New.
 type coordMetrics struct {
 	submitted *obs.Counter
-	outcomes  *obs.CounterVec // label: outcome
-	recovered *obs.Counter
-	latency   *obs.Histogram
+	// cross_outcomes_total by outcome.
+	committed, aborted, timedOut, failed *obs.Counter
+	recovered                            *obs.Counter
+	latency                              *obs.Histogram
 }
 
 // Coordinator fronts N independent Protocol-2 commit groups behind one
@@ -216,11 +218,15 @@ func New(cfg Config) (*Coordinator, error) {
 		cross:  make(map[string]*crossEntry),
 	}
 	reg := cfg.Group.Registry
+	outcomes := reg.CounterVec("cross_outcomes_total",
+		"Terminal cross-shard outcomes.", "outcome")
 	c.met = coordMetrics{
 		submitted: reg.Counter("cross_submitted_total",
 			"Cross-shard (multi-participant) transactions submitted."),
-		outcomes: reg.CounterVec("cross_outcomes_total",
-			"Terminal cross-shard outcomes.", "outcome"),
+		committed: outcomes.With("committed"),
+		aborted:   outcomes.With("aborted"),
+		timedOut:  outcomes.With("timed_out"),
+		failed:    outcomes.With("failed"),
 		recovered: reg.Counter("cross_recovered_total",
 			"In-doubt cross-shard transactions settled by recovery."),
 		latency: reg.Histogram("cross_latency_seconds",
@@ -533,13 +539,13 @@ func (c *Coordinator) finishCross(entry *crossEntry, state service.State, d type
 	c.mu.Unlock()
 	switch state {
 	case service.StateCommit:
-		c.met.outcomes.With("committed").Inc()
+		c.met.committed.Inc()
 	case service.StateAbort:
-		c.met.outcomes.With("aborted").Inc()
+		c.met.aborted.Inc()
 	case service.StateTimeout:
-		c.met.outcomes.With("timed_out").Inc()
+		c.met.timedOut.Inc()
 	case service.StateFailed:
-		c.met.outcomes.With("failed").Inc()
+		c.met.failed.Inc()
 	}
 	if state == service.StateCommit || state == service.StateAbort {
 		c.lat.Add(float64(latency) / float64(time.Millisecond))
@@ -674,10 +680,10 @@ func (c *Coordinator) Metrics() Metrics {
 
 	m.Cross = CrossMetrics{
 		Submitted: c.met.submitted.Value(),
-		Committed: c.met.outcomes.With("committed").Value(),
-		Aborted:   c.met.outcomes.With("aborted").Value(),
-		TimedOut:  c.met.outcomes.With("timed_out").Value(),
-		Failed:    c.met.outcomes.With("failed").Value(),
+		Committed: c.met.committed.Value(),
+		Aborted:   c.met.aborted.Value(),
+		TimedOut:  c.met.timedOut.Value(),
+		Failed:    c.met.failed.Value(),
 		Recovered: c.met.recovered.Value(),
 	}
 	c.mu.Lock()

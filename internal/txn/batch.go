@@ -83,10 +83,10 @@ func (e BatchEnvelope) SizeBits() int {
 type binstance struct {
 	id BatchID
 	c  core.BatchCommit
-	// tombstone holds the members in vector order and decisions[i], member
-	// i's decision once fanned out (DecisionNone before); retiring the
-	// batch keeps it.
-	tombstone
+	// txns holds the members in vector order and decisions[i] member i's
+	// decision once fanned out (DecisionNone before).
+	txns      []ID
+	decisions []types.Decision
 	// traced is decided once, at spawn: the instance is traced if the
 	// collector traces any member, which every node computes alike from
 	// the member list. An untraced instance records nothing and has no
@@ -136,7 +136,7 @@ func (m *Manager) BeginBatch(batch BatchID, txns []ID, votes []bool) error {
 	if _, exists := m.batches[batch]; exists {
 		return fmt.Errorf("txn: batch %q already known", batch)
 	}
-	if _, done := m.retiredBatches[batch]; done {
+	if m.retired.has(batch) {
 		return fmt.Errorf("txn: batch %q already finished", batch)
 	}
 	vals := m.voteScratchLocked(len(txns))
@@ -147,23 +147,22 @@ func (m *Manager) BeginBatch(batch BatchID, txns []ID, votes []bool) error {
 	}
 	// The caller may reuse txns; the instance's copy goes out on every frame.
 	members := append([]ID(nil), txns...)
-	if err := m.spawnBatchLocked(batch, members, vals, m.cfg.ID, m.Clock(), ""); err != nil {
-		return err
+	bi, err := m.spawnBatchLocked(batch, members, vals, m.cfg.ID, m.Clock(), "")
+	if err == nil {
+		m.markFreshLocked(bi) // the GO flood need not wait for a tick
 	}
-	// The GO flood need not wait for a tick.
-	m.markFreshLocked(m.batches[batch])
-	return nil
+	return err
 }
 
-// spawnBatchLocked creates the batched commit instance and registers its
-// members for id-keyed lookups. The instance keeps txns, which nothing
+// spawnBatchLocked creates the batched commit instance and, once the index
+// is built, enters its members there. The instance keeps txns, which nothing
 // writes again; votes is copied. key is the trace key a frame brought, or
 // "" to build one if the instance is traced. Caller holds mu.
-func (m *Manager) spawnBatchLocked(batch BatchID, txns []ID, votes []types.Value, coordinator types.ProcID, tick int, key string) error {
+func (m *Manager) spawnBatchLocked(batch BatchID, txns []ID, votes []types.Value, coordinator types.ProcID, tick int, key string) (*binstance, error) {
 	bi := &binstance{
-		id:        batch,
-		tombstone: tombstone{txns: txns, decisions: make([]types.Decision, len(txns))},
-		seq:       m.spawned, born: tick, haltedAt: -1,
+		id:   batch,
+		txns: txns, decisions: make([]types.Decision, len(txns)),
+		seq: m.spawned, born: tick, haltedAt: -1,
 		round: 1, roundStartClock: tick,
 	}
 	for _, id := range txns {
@@ -184,16 +183,16 @@ func (m *Manager) spawnBatchLocked(batch BatchID, txns []ID, votes []types.Value
 		Coordinator: coordinator,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	m.batches[batch] = bi
 	m.running = append(m.running, bi)
-	for i, id := range txns {
-		m.members[id] = member{batch, i}
+	if m.index != nil {
+		m.indexLocked(bi)
 	}
 	m.spawned++
 	m.met.started.Add(uint64(len(txns)))
-	return nil
+	return bi, nil
 }
 
 // joinBatchLocked spawns the participant side of a batch first heard of
@@ -201,9 +200,9 @@ func (m *Manager) spawnBatchLocked(batch BatchID, txns []ID, votes []types.Value
 // frame is never written again, so the instance shares its member list
 // and, for a frame that never left the process, its trace key. Caller
 // holds mu.
-func (m *Manager) joinBatchLocked(env BatchEnvelope, coordinator types.ProcID, tick int) error {
+func (m *Manager) joinBatchLocked(env BatchEnvelope, coordinator types.ProcID, tick int) (*binstance, error) {
 	if len(env.Txns) == 0 {
-		return fmt.Errorf("txn: batch %q frame carries no members", env.Batch)
+		return nil, fmt.Errorf("txn: batch %q frame carries no members", env.Batch)
 	}
 	votes := m.voteScratchLocked(len(env.Txns))
 	for i, id := range env.Txns {
@@ -403,10 +402,9 @@ func (m *Manager) advanceLocked(bi *binstance, tick int, ticked bool, rnd types.
 	return out, decidedNow
 }
 
-// retireLocked removes finished (or abandoned) instances, leaving one
-// tombstone per batch — DecisionOf keeps answering through the members
-// index — and evicts the oldest batches' tombstones past TombstoneCap
-// members. The caller has already unlisted them and holds mu.
+// retireLocked removes finished (or abandoned) instances, leaving only
+// their batch ids in the guard, and takes their members out of the index
+// if one is built. The caller has already unlisted them and holds mu.
 func (m *Manager) retireLocked(tick int, gone []*binstance) {
 	for _, bi := range gone {
 		// Every decided member was fanned out by the advance that decided
@@ -425,23 +423,14 @@ func (m *Manager) retireLocked(tick int, gone []*binstance) {
 		}
 		m.met.retired.Add(uint64(retired))
 		m.met.abandoned.Add(uint64(len(bi.txns) - retired))
-		m.retiredBatches[bi.id] = bi.tombstone
-		m.retiredOrder = append(m.retiredOrder, bi.id)
-		m.retiredMembers += len(bi.txns)
 		delete(m.batches, bi.id)
-	}
-
-	for m.retiredMembers > TombstoneCap {
-		old := m.retiredOrder[0]
-		m.retiredOrder = m.retiredOrder[1:] // append reallocates past the popped prefix
-		txns := m.retiredBatches[old].txns
-		m.retiredMembers -= len(txns)
-		for _, txn := range txns {
-			// A member a later batch reused keeps that batch's entry.
-			if m.members[txn].batch == old {
-				delete(m.members, txn)
+		m.retired.add(bi.id, len(bi.txns))
+		if m.index != nil {
+			for _, txn := range bi.txns {
+				if m.index[txn].bi == bi {
+					delete(m.index, txn)
+				}
 			}
 		}
-		delete(m.retiredBatches, old)
 	}
 }

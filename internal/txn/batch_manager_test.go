@@ -215,8 +215,8 @@ func TestBatchManagerCrashAgreement(t *testing.T) {
 }
 
 // TestBatchManagerRetirement: after RetireAfter ticks the batch leaves
-// only tombstones — DecisionOf still answers, Active drops to zero, and
-// a straggler frame does not respawn the batch.
+// only its id — every member reported COMMIT once, DecisionOf answers for
+// none of them, Active drops to zero, and the id cannot be begun again.
 func TestBatchManagerRetirement(t *testing.T) {
 	const n, b = 3, 4
 	ids := batchIDs(b)
@@ -226,10 +226,14 @@ func TestBatchManagerRetirement(t *testing.T) {
 	}
 	managers := make([]*txn.Manager, n)
 	machines := make([]types.Machine, n)
+	reported := make([]map[txn.ID][]types.Decision, n)
 	for p := 0; p < n; p++ {
+		p := p
+		reported[p] = map[txn.ID][]types.Decision{}
 		mgr, err := txn.NewManager(txn.Config{
 			ID: types.ProcID(p), N: n, K: 3, RetireAfter: 8,
-			Vote: func(txn.ID) bool { return true },
+			Vote:      func(txn.ID) bool { return true },
+			OnOutcome: func(o txn.Outcome) { reported[p][o.Txn] = append(reported[p][o.Txn], o.Decision) },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -263,9 +267,11 @@ func TestBatchManagerRetirement(t *testing.T) {
 			t.Fatalf("node %d still holds %d instances after retirement", p, mgr.Active())
 		}
 		for _, id := range ids {
-			d, ok := mgr.DecisionOf(id)
-			if !ok || d != types.DecisionCommit {
-				t.Fatalf("node %d txn %s tombstone (%v,%v)", p, id, d, ok)
+			if ds := reported[p][id]; len(ds) != 1 || ds[0] != types.DecisionCommit {
+				t.Fatalf("node %d txn %s reported %v, want one COMMIT", p, id, ds)
+			}
+			if d, ok := mgr.DecisionOf(id); ok {
+				t.Fatalf("node %d txn %s answers %v once retired", p, id, d)
 			}
 		}
 	}

@@ -1,14 +1,13 @@
 package txn
 
-// TombstoneSizes reports what retirement feeds: the members index, the
-// members the tombstones hold, and the tombstones.
-func (m *Manager) TombstoneSizes() (members, retired, retiredBatches int) {
+// Retained reports what retirement leaves: the members and batches the
+// straggler guard holds, and the per-member index's entries (0 while
+// nothing has asked).
+func (m *Manager) Retained() (guardMembers, guardBatches, indexed int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, ts := range m.retiredBatches {
-		retired += len(ts.txns)
-	}
-	return len(m.members), retired, len(m.retiredBatches)
+	g := &m.retired
+	return g.curSize + g.prevSize, len(g.cur) + len(g.prev), len(m.index)
 }
 
 // Ticked reports how many machines Step has advanced so far, over all ticks.

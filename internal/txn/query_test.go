@@ -11,9 +11,9 @@ import (
 
 // TestManagerAnswersOutcomeQueriesContentOblivious: a restarted peer's
 // outcome query is answered from what DecisionOf knows — a held instance's
-// decision or a retired batch's tombstone — and from nothing else: an
-// undecided or unknown transaction gets no reply. The managers run in
-// lockstep; no scheduler reads a payload.
+// decision — and from nothing else: a retired, an undecided or an unknown
+// transaction gets no reply. The managers run in lockstep; no scheduler
+// reads a payload.
 func TestManagerAnswersOutcomeQueriesContentOblivious(t *testing.T) {
 	const asker = types.ProcID(2)
 	l := newLockstep(t, 3, txn.Config{K: 3, RetireAfter: 8}, nil)
@@ -38,7 +38,7 @@ func TestManagerAnswersOutcomeQueriesContentOblivious(t *testing.T) {
 			replies[0].Payload.(recovery.ReplyMsg).Val == want
 	}
 
-	// "gone" commits and retires everywhere: only tombstones are left.
+	// "gone" commits and retires everywhere: only its batch id is left.
 	if err := l.managers[0].Begin("gone", true); err != nil {
 		t.Fatal(err)
 	}
@@ -54,12 +54,12 @@ func TestManagerAnswersOutcomeQueriesContentOblivious(t *testing.T) {
 		}
 		l.tick()
 	}
-	if _, _, tombs := node.TombstoneSizes(); node.Active() != 1 || tombs != 1 {
-		t.Fatalf("node 1 holds %d instances and %d tombstoned batches, want one of each", node.Active(), tombs)
+	if _, guarded, _ := node.Retained(); node.Active() != 1 || guarded != 1 {
+		t.Fatalf("node 1 holds %d instances and guards %d retired batches, want one of each", node.Active(), guarded)
 	}
 
-	if r := ask(node, "gone", false); !answered(r, 1, types.V1) {
-		t.Errorf("query for a tombstoned COMMIT got %v, want one reply of 1", r)
+	if r := ask(node, "gone", false); len(r) != 0 {
+		t.Errorf("query for a retired COMMIT got %v, want silence", r)
 	}
 	if r := ask(node, "held", true); !answered(r, 1, types.V0) {
 		t.Errorf("query for a held ABORT got %v, want one reply of 0", r)

@@ -11,17 +11,18 @@ import (
 	"repro/internal/types"
 )
 
-// TestManagerTombstonesBounded retires 200 000 width-4 members (73 728,
-// just past the bound, under -short) through three managers: the maps
-// retirement feeds stop growing at TombstoneCap members, DecisionOf keeps answering every id not yet evicted with the
-// outcome OnOutcome reported, and a straggler frame for an evicted batch —
-// which respawns it — changes no other transaction's answer and leaves
-// nothing behind.
+// TestManagerTombstonesBounded retires 200 000 width-4 members (139 264,
+// past two generations, under -short) through three managers: the straggler
+// guard holds at least TombstoneCap and at most 2·TombstoneCap + width
+// members once the first generation fills, OnOutcome reports every member
+// once, and a straggler frame for a batch the guard has dropped — which
+// respawns it — reports no other transaction, answers for no other id and
+// leaves nothing behind.
 func TestManagerTombstonesBounded(t *testing.T) {
 	const n, width, capBatches = 3, 4, txn.TombstoneCap / 4
 	batches := 50_000
 	if testing.Short() {
-		batches = capBatches + capBatches/8
+		batches = 2*capBatches + capBatches/8
 	}
 	memberID := func(b, i int) txn.ID { return txn.ID(fmt.Sprintf("m%d.%d", b, i)) }
 	indexOf := func(id txn.ID) int {
@@ -43,8 +44,15 @@ func TestManagerTombstonesBounded(t *testing.T) {
 		reported[p][k] = o.Decision
 		firings[p][k]++
 	})
+	checkGuard := func(when string) {
+		t.Helper()
+		for p, mgr := range l.managers {
+			if members, _, _ := mgr.Retained(); members < txn.TombstoneCap || members > 2*txn.TombstoneCap+width {
+				t.Fatalf("%s: node %d's guard holds %d members, want [%d, %d]", when, p, members, txn.TombstoneCap, 2*txn.TombstoneCap+width)
+			}
+		}
+	}
 	var straggler *types.Message // batch 0's first frame to node 1
-	var sizeAtHalf int
 	ids, votes := make([]txn.ID, width), make([]bool, width)
 	for b := 0; b < batches; b++ {
 		for i := range ids {
@@ -61,8 +69,9 @@ func TestManagerTombstonesBounded(t *testing.T) {
 			msg := l.inbox[1][0]
 			straggler = &msg
 		}
-		if b == capBatches+(batches-capBatches)/2 {
-			sizeAtHalf, _, _ = l.managers[0].TombstoneSizes()
+		// A few batches are in flight: past them, the first generation is full.
+		if b > capBatches+64 && b%1024 == 0 {
+			checkGuard(fmt.Sprintf("batch %d", b))
 		}
 	}
 	l.quiesce(t)
@@ -70,65 +79,57 @@ func TestManagerTombstonesBounded(t *testing.T) {
 	if env := straggler.Payload.(txn.BatchEnvelope); env.Batch != "b0" {
 		t.Fatalf("captured a frame of %s, want b0", env.Batch)
 	}
-	checkAnswers := func(when string) {
+	checkReports := func(when string) {
 		t.Helper()
-		for p, mgr := range l.managers {
-			members, retired, retiredBatches := mgr.TombstoneSizes()
-			if retiredBatches != capBatches || members != txn.TombstoneCap || retired != txn.TombstoneCap {
-				t.Fatalf("%s: node %d holds members=%d retired=%d retiredBatches=%d, want %d in %d batches",
-					when, p, members, retired, retiredBatches, txn.TombstoneCap, capBatches)
-			}
-			answered := 0
+		for p := range l.managers {
 			for k := width; k < batches*width; k++ { // batch 0 is checked apart
-				if firings[p][k] != 1 {
-					t.Fatalf("%s: node %d reported %s %d times", when, p, memberID(k/width, k%width), firings[p][k])
+				if firings[p][k] != 1 || reported[p][k] != types.DecisionCommit {
+					t.Fatalf("%s: node %d reported %s %v ×%d, want COMMIT once", when, p, memberID(k/width, k%width), reported[p][k], firings[p][k])
 				}
-				d, ok := mgr.DecisionOf(memberID(k/width, k%width))
-				if !ok {
-					continue
-				}
-				answered++
-				if d != reported[p][k] || d != types.DecisionCommit {
-					t.Fatalf("%s: node %d answers %v for %s, reported %v", when, p, d, memberID(k/width, k%width), reported[p][k])
-				}
-			}
-			if answered < txn.TombstoneCap-width {
-				t.Fatalf("%s: node %d answers %d ids, want the %d not evicted", when, p, answered, txn.TombstoneCap)
 			}
 		}
 	}
-	checkAnswers("after the run")
-	// Half-way past the bound the map already sat at it, plus the few
-	// batches in flight: flat, not growing.
-	if sizeAtHalf < txn.TombstoneCap || sizeAtHalf > txn.TombstoneCap+64*width {
-		t.Fatalf("members map held %d half-way past the bound, want %d plus batches in flight", sizeAtHalf, txn.TombstoneCap)
-	}
+	checkReports("after the run")
+	checkGuard("after the run")
 	for p := range l.managers {
 		if reported[p][0] != types.DecisionAbort || firings[p][0] != 1 {
 			t.Fatalf("node %d reported m0.0 %v ×%d, want ABORT once", p, reported[p][0], firings[p][0])
 		}
 	}
 
-	// Batch 0 was evicted long ago, so its straggler respawns it on node
-	// 1, whose frames respawn it on the peers that evicted it too. Their
-	// fresh run may decide, and decide differently — which is why the
-	// service drops reports for ids it no longer tracks (DESIGN §10) —
-	// but it touches no other transaction and retires like any batch.
+	// The guard dropped batch 0 long ago, so its straggler respawns it on
+	// node 1, whose frames respawn it on the peers that dropped it too.
+	// Their fresh run may decide, and decide differently — which is why the
+	// service drops reports for ids it no longer tracks (DESIGN §10) — but
+	// it touches no other transaction and retires like any batch.
 	l.inbox[1] = append(l.inbox[1], *straggler)
 	l.tick()
-	if l.managers[1].Active() != 1 {
-		t.Fatalf("straggler for an evicted batch left %d instances on node 1, want the respawn", l.managers[1].Active())
+	node := l.managers[1]
+	if node.Active() != 1 {
+		t.Fatalf("straggler for a dropped batch left %d instances on node 1, want the respawn", node.Active())
+	}
+	for _, id := range []txn.ID{memberID(1, 0), memberID(batches-1, width-1)} {
+		if d, ok := node.DecisionOf(id); ok {
+			t.Fatalf("beside the respawn, node 1 answers %v for retired %s", d, id)
+		}
+	}
+	if _, _, indexed := node.Retained(); indexed != width {
+		t.Fatalf("node 1 indexed %d members beside the respawn, want its %d", indexed, width)
 	}
 	l.quiesce(t)
-	checkAnswers("after the straggler")
+	checkReports("after the straggler")
+	checkGuard("after the straggler")
+	if _, _, indexed := node.Retained(); indexed != 0 {
+		t.Fatalf("node 1 keeps %d index entries once the respawn retired", indexed)
+	}
 	t.Logf("respawned batch 0: node 1 reported m0.0 %v ×%d", reported[1][0], firings[1][0])
 }
 
 // TestTombstoneAnswersEachMemberContentOblivious retires a width-4 batch
 // whose members decide COMMIT, ABORT, COMMIT, ABORT (a participant vetoes
 // the second and the fourth) over a lock-step network: every node answers
-// each member with that member's own decision while the instance is held
-// and again from the tombstone, so a wrong vector index shows.
+// each member with that member's own decision while the instance is held,
+// so a wrong vector index shows, and no member once the batch retired.
 func TestTombstoneAnswersEachMemberContentOblivious(t *testing.T) {
 	const n = 3
 	ids := []txn.ID{"w0", "w1", "w2", "w3"}
@@ -171,10 +172,14 @@ func TestTombstoneAnswersEachMemberContentOblivious(t *testing.T) {
 	}
 	check("held")
 	l.quiesce(t)
-	check("retired")
 	for p, mgr := range l.managers {
-		if members, retired, tombstones := mgr.TombstoneSizes(); members != 4 || retired != 4 || tombstones != 1 {
-			t.Fatalf("node %d holds members=%d retired=%d tombstones=%d, want 4, 4 and 1", p, members, retired, tombstones)
+		for _, id := range ids {
+			if d, ok := mgr.DecisionOf(id); ok {
+				t.Fatalf("node %d answers retired %s with %v", p, id, d)
+			}
+		}
+		if members, batches, indexed := mgr.Retained(); members != 4 || batches != 1 || indexed != 0 {
+			t.Fatalf("node %d keeps guard members=%d batches=%d and %d index entries, want 4, 1 and 0", p, members, batches, indexed)
 		}
 	}
 }

@@ -26,19 +26,22 @@
 //
 // One mutex guards the manager's state. The stepping goroutine holds it
 // for the body of Step and Deliver; the only other callers a serving
-// manager has are BeginBatch (once per batch), Active (once per scrape)
-// and DecisionOf, which take it briefly. OnOutcome callbacks run with it
-// released.
+// manager has are BeginBatch (once per batch) and Active (once per scrape),
+// which take it briefly; DecisionOf takes it too, and its first call
+// builds the index under it. OnOutcome callbacks run with it released.
 //
 // What the manager holds is split in two. The running list, in creation
 // order, is all a tick walks; the first tick that finds an instance halted
 // moves it to a FIFO where it costs nothing until the front's RetireAfter
 // ticks are up (long-lived deployments, internal/service, configure it),
-// when it is popped and leaves only a tombstone with its decisions. A tick
-// therefore costs what is running plus what retires, not what is held, and
-// the tombstones themselves are a FIFO bounded at TombstoneCap transactions.
-// Completion is observable without polling via OnOutcome (a callback
-// invoked from the stepping goroutine).
+// when it is popped and leaves only its batch id in a straggler guard. A
+// tick therefore costs what is running plus what retires, not what is
+// held, and the guard keeps two generations of TombstoneCap retired members,
+// dropping the older whole when the newer fills. Outcomes are pushed
+// through OnOutcome (a callback invoked from the stepping goroutine) and
+// pulled from held instances only: the per-member index DecisionOf reads is
+// built by the first call that needs it, so a manager nothing asks keeps
+// none.
 package txn
 
 import (
@@ -108,18 +111,18 @@ type Config struct {
 	// into the manager).
 	OnOutcome func(Outcome)
 	// RetireAfter, when positive, removes an instance that many ticks
-	// after it halts, keeping only decision tombstones: later frames for
-	// the batch are dropped instead of respawning a fresh instance (which
-	// could disagree with the recorded decisions), and DecisionOf keeps
-	// answering from the tombstones. Zero keeps every instance forever
-	// (right for bounded runs).
+	// after it halts, keeping only its batch id: later frames for the batch
+	// are dropped instead of respawning a fresh instance (which could
+	// disagree with the decisions already reported) while the guard holds
+	// the id, and DecisionOf no longer answers for its members. Zero keeps
+	// every instance forever (right for bounded runs).
 	RetireAfter int
 	// MaxAge, when positive, abandons an instance that has run that many
 	// ticks without halting — the availability valve for instances that
 	// can never finish (e.g. a batch joined from a coordinator that then
-	// crashed along with too many peers). An abandoned instance leaves a
-	// DecisionNone tombstone for each undecided member. Zero never
-	// abandons.
+	// crashed along with too many peers). An abandoned instance retires
+	// like a halted one; its undecided members were never reported. Zero
+	// never abandons.
 	MaxAge int
 	// InboxShards is ignored: the manager has one lock. The field remains
 	// only because bench/ sets it; delete it when bench/ next changes.
@@ -179,25 +182,45 @@ func newMMetrics(reg *obs.Registry, node string) mmetrics {
 	}
 }
 
-// member locates a transaction in its batch's outcome vector.
+// member locates a held transaction: its instance and its position in the
+// instance's outcome vector.
 type member struct {
-	batch BatchID
-	idx   int
+	bi  *binstance
+	idx int
 }
 
-// tombstone is what a retired batch leaves: its members in vector order
-// and their decisions (DecisionNone for a member abandoned undecided).
-type tombstone struct {
-	txns      []ID
-	decisions []types.Decision
-}
-
-// TombstoneCap bounds how many retired transactions a manager remembers:
-// the one retention window, wal.DecisionWindow. Past it the oldest batch's
-// tombstones are evicted; DESIGN §10 argues why no answer changes as long
-// as nothing above the manager remembers a transaction longer, and the
+// TombstoneCap is W, the serving stack's one retention window
+// (wal.DecisionWindow), and the size of each of the straggler guard's two
+// generations: a retired batch's id stays in the guard for at least W
+// later retired members. DESIGN §10 argues why no answer changes as long as
+// nothing above the manager remembers a transaction longer, and the
 // service's status table keeps the same window.
 const TombstoneCap = wal.DecisionWindow
+
+// guard is what retired batches leave: their ids, in two generations. A
+// retiring batch joins cur; once cur holds TombstoneCap members it becomes
+// prev and the old prev is dropped whole, so nothing is evicted one entry
+// at a time. Once the first generation has filled, the guard holds the
+// batches of between W and 2W plus the widest batch's members.
+type guard struct {
+	cur, prev         map[BatchID]struct{}
+	curSize, prevSize int // members per generation
+}
+
+func (g *guard) has(b BatchID) bool {
+	_, cur := g.cur[b]
+	_, prev := g.prev[b]
+	return cur || prev
+}
+
+func (g *guard) add(b BatchID, width int) {
+	g.cur[b] = struct{}{}
+	if g.curSize += width; g.curSize >= TombstoneCap {
+		clear(g.prev)
+		g.cur, g.prev = g.prev, g.cur
+		g.curSize, g.prevSize = 0, g.curSize
+	}
+}
 
 // Manager runs all of one node's commit instances.
 type Manager struct {
@@ -224,17 +247,13 @@ type Manager struct {
 	// creation) order — the order they retire in, so only its front is
 	// ever compared with RetireAfter.
 	halted []*binstance
-	// members maps a transaction's id to its batch and its position in the
-	// batch's vector for as long as the batch or its tombstone lives.
-	members map[ID]member
-	// retiredBatches holds one tombstone per finished-and-removed batch: it
-	// drops stragglers for the batch and answers DecisionOf for its
-	// members, and its eviction forgets the members with it.
-	retiredBatches map[BatchID]tombstone
-	// retiredOrder is the FIFO of tombstoned batches; it holds at most
-	// TombstoneCap members, counted in retiredMembers.
-	retiredOrder   []BatchID
-	retiredMembers int
+	// retired guards against stragglers for batches no longer held.
+	retired guard
+	// index maps a held member's id to the newest instance naming it. It is
+	// nil until the first DecisionOf or outcome query builds it over what is
+	// held; spawns enter their members after that, and a retirement removes
+	// the entries its instance holds.
+	index map[ID]member
 
 	// fresh lists the instances with something to act on before the next
 	// tick — frames in their inbox, or just begun — in arrival order; it is
@@ -299,12 +318,11 @@ func NewManager(cfg Config) (*Manager, error) {
 		node = cfg.Shard + "/" + node
 	}
 	return &Manager{
-		cfg:            cfg,
-		met:            newMMetrics(cfg.Registry, node),
-		track:          span.ProcTrack(int(cfg.ID)),
-		batches:        make(map[BatchID]*binstance),
-		members:        make(map[ID]member),
-		retiredBatches: make(map[BatchID]tombstone),
+		cfg:     cfg,
+		met:     newMMetrics(cfg.Registry, node),
+		track:   span.ProcTrack(int(cfg.ID)),
+		batches: make(map[BatchID]*binstance),
+		retired: guard{cur: make(map[BatchID]struct{}), prev: make(map[BatchID]struct{})},
 	}, nil
 }
 
@@ -347,30 +365,41 @@ func (m *Manager) Halted() bool {
 	return true
 }
 
-// DecisionOf reports a transaction's decision at this node: from its
-// batch's live instance, else from the tombstone the retired batch left.
+// DecisionOf reports a transaction's decision at this node, from the
+// newest held instance naming it; a retired batch answers for no member.
 func (m *Manager) DecisionOf(txn ID) (types.Decision, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.decisionOfLocked(txn)
 }
 
-// decisionOfLocked is DecisionOf for a caller holding mu.
+// decisionOfLocked is DecisionOf for a caller holding mu. The first call
+// builds the index.
 func (m *Manager) decisionOfLocked(txn ID) (types.Decision, bool) {
-	mb, ok := m.members[txn]
+	if m.index == nil {
+		m.index = make(map[ID]member)
+		for _, bi := range m.batches {
+			m.indexLocked(bi)
+		}
+	}
+	mb, ok := m.index[txn]
 	if !ok {
 		return types.DecisionNone, false
 	}
-	// A live instance's decisions are its machine's outcomes: the advance
-	// that decides a member records it before releasing mu.
-	var ts tombstone
-	if bi, ok := m.batches[mb.batch]; ok {
-		ts = bi.tombstone
-	} else {
-		ts = m.retiredBatches[mb.batch]
-	}
-	d := ts.decisions[mb.idx]
+	// The advance that decides a member records it before releasing mu.
+	d := mb.bi.decisions[mb.idx]
 	return d, d != types.DecisionNone
+}
+
+// indexLocked enters a held instance's members in the index, the newer
+// instance winning an id two of them name. Caller holds mu and has built
+// the index.
+func (m *Manager) indexLocked(bi *binstance) {
+	for i, id := range bi.txns {
+		if old, ok := m.index[id]; !ok || old.bi.seq < bi.seq {
+			m.index[id] = member{bi, i}
+		}
+	}
 }
 
 // Active reports how many instances the manager is still holding
@@ -453,10 +482,10 @@ func (m *Manager) clearFreshLocked() {
 }
 
 // demuxLocked sorts the received batch frames into per-instance inboxes,
-// joining batches first heard of from the wire, and appends to out a reply
-// to every outcome query for a transaction this node has decided — from a
-// live instance or a tombstone; a query it cannot answer gets none. Caller
-// holds mu.
+// joining batches first heard of from the wire unless the guard names
+// them, and appends to out a reply to every outcome query for a
+// transaction a held instance has decided; a query it cannot answer gets
+// none. Caller holds mu.
 func (m *Manager) demuxLocked(received []types.Message, tick int, out []types.Message) []types.Message {
 	for i := range received {
 		env, ok := received[i].Payload.(BatchEnvelope)
@@ -468,13 +497,13 @@ func (m *Manager) demuxLocked(received []types.Message, tick int, out []types.Me
 			}
 			continue
 		}
-		if _, done := m.retiredBatches[env.Batch]; done {
-			// Straggler for a finished batch: the tombstones answer
-			// queries; respawning could contradict a recorded decision.
-			continue
-		}
 		bi := m.batches[env.Batch]
 		if bi == nil {
+			if m.retired.has(env.Batch) {
+				// Straggler for a retired batch: respawning could contradict
+				// a reported decision.
+				continue
+			}
 			// First contact with this batch: join as a participant. Only
 			// the coordinator's GO starts it, but every frame carries the
 			// member list and the piggybacked GO, so the vote vector is
@@ -487,10 +516,10 @@ func (m *Manager) demuxLocked(received []types.Message, tick int, out []types.Me
 			if coord == m.cfg.ID {
 				coord = types.ProcID((int(m.cfg.ID) + 1) % m.cfg.N)
 			}
-			if err := m.joinBatchLocked(env, coord, tick); err != nil {
+			var err error
+			if bi, err = m.joinBatchLocked(env, coord, tick); err != nil {
 				continue
 			}
-			bi = m.batches[env.Batch]
 		}
 		if bi.traced && !bi.goRecv {
 			if inner, _ := core.Unwrap(env.Inner); inner != nil {

@@ -324,16 +324,20 @@ func TestOnOutcomeConcurrentCoordinators(t *testing.T) {
 }
 
 // TestRetirementTombstones checks that decided instances leave the step
-// loop after RetireAfter ticks, their decisions stay queryable, and
-// straggler envelopes are dropped instead of respawning an instance that
-// could contradict the recorded decision.
+// loop after RetireAfter ticks, having reported once, that a retired
+// member is no longer answered for, and that straggler envelopes are
+// dropped instead of respawning an instance that could contradict the
+// reported decision.
 func TestRetirementTombstones(t *testing.T) {
 	n := 3
 	managers := make([]*txn.Manager, n)
 	machines := make([]types.Machine, n)
+	reported := make([][]types.Decision, n)
 	for p := 0; p < n; p++ {
+		p := p
 		mgr, err := txn.NewManager(txn.Config{
 			ID: types.ProcID(p), N: n, K: 3, RetireAfter: 4,
+			OnOutcome: func(o txn.Outcome) { reported[p] = append(reported[p], o.Decision) },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -367,9 +371,11 @@ func TestRetirementTombstones(t *testing.T) {
 		if got := mgr.Active(); got != 0 {
 			t.Fatalf("node %d still holds %d instances", p, got)
 		}
-		d, ok := mgr.DecisionOf("r")
-		if !ok || d != types.DecisionCommit {
-			t.Fatalf("node %d tombstone decision = %v %v", p, d, ok)
+		if len(reported[p]) != 1 || reported[p][0] != types.DecisionCommit {
+			t.Fatalf("node %d reported %v, want one COMMIT", p, reported[p])
+		}
+		if d, ok := mgr.DecisionOf("r"); ok {
+			t.Fatalf("node %d answers %v for a retired transaction", p, d)
 		}
 	}
 	// A straggler frame must not respawn the retired transaction (Begin

@@ -35,8 +35,9 @@ import (
 // DecisionWindow is W, the one retention window of the serving stack:
 // the decision journal keeps its newest W members, the service's status
 // table answers for at most W finished transactions, the coordinator keeps
-// W finished cross-shard transactions, and a transaction manager keeps W
-// tombstones (txn.TombstoneCap).
+// W finished cross-shard transactions, and a transaction manager's
+// straggler guard keeps each retired batch's id for at least W later
+// retired members (txn.TombstoneCap).
 //
 // W is large enough for the journal because every answer given from it
 // is among its newest W members. A group appends each of its batches
