@@ -240,6 +240,73 @@ func structFields(typeName string, files []file) []*ast.Field {
 	return out
 }
 
+// servingOptions are the configuration structs of the serving stack: the
+// package directory that declares each, and its name.
+var servingOptions = []struct{ dir, name string }{
+	{"internal/service", "Config"}, {"internal/shard", "Config"}, {"internal/txn", "Config"},
+	{"internal/runtime", "NodeConfig"}, {"internal/runtime", "ClusterOptions"},
+	{"internal/transport", "HubOptions"}, {"internal/wal", "SegmentedOptions"},
+	{"internal/obs/watch", "Config"}, {"internal/obs/flight", "Config"},
+}
+
+// optionExempt names the serving options no program sets, each with its
+// reason.
+var optionExempt = map[string]string{
+	"service.Config.BatchAgreement": "ROADMAP 5f: only bench/ sets it; it goes with the bench/ revision",
+	"txn.Config.InboxShards":        "ROADMAP 5f: only bench/ sets it; it goes with the bench/ revision",
+	"flight.Config.Clock":           "ROADMAP 8a: the test time seam, until one clock is injected everywhere",
+}
+
+// optionSetters returns the fields of the struct name, declared in the
+// package at dir, that files set: as a key of a composite literal of that
+// type, or by assigning to a selector of that name in a file outside dir
+// that imports the package. A selector is matched by name alone; the
+// declaring package's own assignments are its defaults, not callers.
+func optionSetters(dir, name string, files []file) map[string]bool {
+	set := make(map[string]bool)
+	for _, f := range files {
+		local := path.Dir(f.path) == dir
+		pkg := importName(f, "repro/"+dir)
+		if !local && pkg == "" {
+			continue
+		}
+		// ofType reports whether a composite literal's type is the struct.
+		ofType := func(e ast.Expr) bool {
+			switch t := e.(type) {
+			case *ast.Ident:
+				return local && t.Name == name
+			case *ast.SelectorExpr:
+				x, ok := t.X.(*ast.Ident)
+				return ok && x.Name == pkg && t.Sel.Name == name
+			}
+			return false
+		}
+		ast.Inspect(f.File, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				if !ofType(n.Type) {
+					break
+				}
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if key, ok := kv.Key.(*ast.Ident); ok {
+							set[key.Name] = true
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok && !local {
+						set[sel.Sel.Name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	return set
+}
+
 type rule struct {
 	name, why string
 	check     func(*tree) []string
@@ -247,7 +314,7 @@ type rule struct {
 	caught    string            // the one violation it must yield
 }
 
-const wantRules = 25
+const wantRules = 26
 
 // changes is the change log; its newest entry is bounded in lines and
 // bytes.
@@ -873,6 +940,52 @@ var rules = []rule{
 			"internal/shard/coordinator.go": "package shard\nfunc (c *Coordinator) done() { c.met.outcomes.With(\"committed\").Inc() }",
 		},
 		caught: "internal/txn/txn.go:4: calls With outside a new*Metrics constructor",
+	},
+	// Every option has a caller.
+	{
+		name: "a serving option has a production caller",
+		why: "The paper's protocol has three parameters, n, t and K; every other setting is ours to justify. Each exported " +
+			"field of the serving stack's config structs is set by some program file outside bench/, as a composite-literal " +
+			"key or by assignment; an option only tests set is a constant with extra steps.",
+		check: func(tr *tree) []string {
+			files := tr.in(nonTest, outside("bench"))
+			var out []string
+			for _, o := range servingOptions {
+				fields := structFields(o.name, tr.in(nonTest, func(p string) bool { return path.Dir(p) == o.dir }))
+				if len(fields) == 0 {
+					out = append(out, o.dir+": declares no "+o.name+"; if the options moved, move this rule with them")
+					continue
+				}
+				set := optionSetters(o.dir, o.name, files)
+				for _, field := range fields {
+					for _, id := range field.Names {
+						qualified := path.Base(o.dir) + "." + o.name + "." + id.Name
+						if id.IsExported() && !set[id.Name] && optionExempt[qualified] == "" {
+							out = append(out, tr.at(id.Pos(), qualified+" is set by no program file outside bench/"))
+						}
+					}
+				}
+			}
+			return out
+		},
+		planted: map[string]string{
+			"internal/service/types.go": "package service\ntype Config struct{ N int }",
+			"internal/shard/coordinator.go": "package shard\nimport \"repro/internal/service\"\n" +
+				"type Config struct{ Group service.Config }\nvar _ = Config{Group: service.Config{N: 3}}",
+			"internal/txn/txn.go":         "package txn\ntype Config struct{ InboxShards int }",
+			"internal/runtime/runtime.go": "package runtime\ntype NodeConfig struct{ id int }\ntype ClusterOptions struct{ n int }",
+			"internal/transport/transport.go": "package transport\ntype HubOptions struct {\n\tRegistry  int\n\tQueueSize int\n}\n" +
+				"func NewHub(o HubOptions) { o.QueueSize = 4096 }",
+			"internal/transport/bench_test.go": "package transport_test\nimport \"repro/internal/transport\"\n" +
+				"var _ = transport.HubOptions{QueueSize: 1 << 16}",
+			"bench/drivers.go": "package main\nimport \"repro/internal/transport\"\nvar _ = transport.HubOptions{QueueSize: 1}",
+			"cmd/commitd/main.go": "package main\nimport \"repro/internal/transport\"\n" +
+				"// QueueSize: in a comment is not a key\nfunc f(h *transport.HubOptions) { h.Registry = 1 }",
+			"internal/wal/segment.go":       "package wal\ntype SegmentedOptions struct{ fs int }",
+			"internal/obs/watch/watch.go":   "package watch\ntype Config struct{ every int }",
+			"internal/obs/flight/flight.go": "package flight\ntype Config struct{ Clock func() }",
+		},
+		caught: "internal/transport/transport.go:4: transport.HubOptions.QueueSize is set by no program file outside bench/",
 	},
 }
 

@@ -38,8 +38,16 @@
 // the wrong group's journal, and it checks the cluster shape before it
 // creates anything in D.
 //
+// A journaled decision is acked once the fsync covering it returns; each
+// journal's writer forces whatever has queued when it gets to the queue,
+// so the journal's only settings are -wal-segment-bytes and
+// -snapshot-every.
+//
 // Each group holds at most n batches in flight, one per round-robin
 // coordinator, and each batch takes at most -batch queued submissions.
+// Overload rejections carry a fixed 25 ms Retry-After, and a request's
+// timeout_ms is capped at its instance's abandonment age (twice -timeout,
+// and at least 1000 ticks).
 //
 // The cluster backend is either the in-process channel hub (default) or
 // real TCP nodes on loopback (-backend tcp, n peered nodes per group) —
@@ -112,7 +120,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		_         = fs.Bool("batch-agreement", false, "ignored: every dispatch batch is decided by one vector-outcome agreement instance (accepted because bench/ passes it)")
 		walDir    = fs.String("wal-dir", "", "journal directory: group k's decisions in shard-<k>, the cross log in cross (replayed on start, client acks wait for group-commit fsync)")
 		walSeg    = fs.Int("wal-segment-bytes", 1<<20, "WAL segment rotation threshold in bytes")
-		walGroup  = fs.Duration("wal-group-commit", 0, "max extra latency the WAL writer waits to coalesce decision fsyncs (0: flush whatever has queued)")
 		snapEvery = fs.Int("snapshot-every", 4096, "at least this many WAL records between state snapshots; one also waits until the log has grown by as much as the last weighed (0: never snapshot; replay covers the whole log)")
 		withPprof = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 
@@ -185,7 +192,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	if *walDir != "" {
 		logs, err = openJournals(*walDir, *shards, wal.SegmentedOptions{
 			SegmentBytes:  *walSeg,
-			GroupCommit:   *walGroup,
 			SnapshotEvery: *snapEvery,
 			Registry:      reg,
 		}, out)

@@ -116,9 +116,9 @@ func TestLoadgenRetriesOverload(t *testing.T) {
 	s, addr := newTarget(t, service.Config{
 		N: 3, K: 3, Seed: 13,
 		QueueDepth: 2, BatchMax: 1,
-		RetryHint: 5 * time.Millisecond,
 	})
 	var out bytes.Buffer
+	start := time.Now()
 	err := drive(genConfig{
 		addr:          addr,
 		mode:          "closed",
@@ -137,6 +137,11 @@ func TestLoadgenRetriesOverload(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "overload retries") {
 		t.Fatalf("report missing retry count:\n%s", out.String())
+	}
+	// A worker that was turned away waited out the server's hint before
+	// it tried again.
+	if m := s.Metrics(); m.RejectedFull > 0 && time.Since(start) < service.RetryHint {
+		t.Fatalf("%d rejections, yet the run took %v, less than one %v retry hint", m.RejectedFull, time.Since(start), service.RetryHint)
 	}
 }
 

@@ -833,7 +833,7 @@ func (c *Cluster) driveLocked() {
 	if c.hub == nil || c.driver != nil {
 		return
 	}
-	q := &queue{max: len(c.nodes) * c.hub.QueueSize()}
+	q := &queue{max: len(c.nodes) * transport.HubQueueSize}
 	d := newLoop(slices.Clone(c.nodes), c.nodes[0].cfg.TickEvery) // a restart replaces its entry
 	d.queue, d.keep, q.wake = q, c.opts.Persistent, d.wake
 	c.hub.Divert(q.push)

@@ -227,7 +227,6 @@ func TestHTTPOverloadAndRetryAfter(t *testing.T) {
 		N: 3, Seed: 22,
 		QueueDepth: 1, BatchMax: 1,
 		DefaultTimeout: 400 * time.Millisecond,
-		RetryHint:      30 * time.Millisecond,
 		Transports:     trs,
 	})
 	// With the network held, doomed submissions take the N places and
@@ -250,7 +249,7 @@ func TestHTTPOverloadAndRetryAfter(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("no Retry-After header")
 	}
-	if e := decode[service.ErrorJSON](t, resp); e.RetryAfterMs != 30 {
+	if e := decode[service.ErrorJSON](t, resp); e.RetryAfterMs != service.RetryHint.Milliseconds() {
 		t.Fatalf("error body = %+v", e)
 	}
 }

@@ -346,8 +346,8 @@ func build(cfg Config) (*Service, error) {
 			Shard:       cfg.Shard,
 			Vote:        func(id txn.ID) bool { return s.voteFor(proc, id) },
 			OnOutcome:   func(o txn.Outcome) { s.onOutcome(proc, o) },
-			RetireAfter: cfg.RetireAfterTicks,
-			MaxAge:      cfg.MaxAgeTicks,
+			RetireAfter: retireAfterTicks,
+			MaxAge:      cfg.maxAgeTicks(),
 			Registry:    cfg.Registry,
 			Spans:       cfg.Spans,
 		})
@@ -443,6 +443,9 @@ func (s *Service) Submit(ctx context.Context, req Request) (Result, error) {
 	if timeout <= 0 {
 		timeout = s.cfg.DefaultTimeout
 	}
+	// No decision can arrive once every node has abandoned the instance,
+	// so no request waits past the abandonment age.
+	timeout = min(timeout, time.Duration(s.cfg.maxAgeTicks())*s.cfg.TickEvery)
 
 	p := &pending{
 		votes:     votes,
@@ -476,10 +479,9 @@ func (s *Service) Submit(ctx context.Context, req Request) (Result, error) {
 	select {
 	case s.queue <- p:
 	default:
-		hint := s.cfg.RetryHint
 		s.mu.Unlock()
 		s.met.rejectedFull.Inc()
-		return Result{}, &OverloadError{RetryAfter: hint}
+		return Result{}, &OverloadError{RetryAfter: RetryHint}
 	}
 	s.met.submitted.Inc()
 	s.pendings[p.id] = p

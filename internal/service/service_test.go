@@ -110,7 +110,6 @@ func TestQueueFullTypedRejection(t *testing.T) {
 		N: 3, Seed: 3,
 		QueueDepth: 1, BatchMax: 1,
 		DefaultTimeout: 500 * time.Millisecond,
-		RetryHint:      40 * time.Millisecond,
 		Transports:     trs,
 	})
 	const admitted = 4 // three held batches and one queued submission
@@ -137,7 +136,7 @@ func TestQueueFullTypedRejection(t *testing.T) {
 	if !errors.As(err, &oe) {
 		t.Fatalf("queue-full error = %v", err)
 	}
-	if oe.RetryAfter != 40*time.Millisecond {
+	if oe.RetryAfter != service.RetryHint {
 		t.Fatalf("retry hint = %v", oe.RetryAfter)
 	}
 	// Nothing hangs: the admitted submissions all time out.
@@ -159,18 +158,17 @@ func TestQueueFullTypedRejection(t *testing.T) {
 
 // TestDeadlineTimeoutDoesNotLeak: a request that misses its deadline
 // resolves as TIMEOUT, frees its in-flight slot, and the abandoned
-// protocol instance is eventually retired from every manager.
+// protocol instance is eventually retired from every manager (1000 ticks,
+// the least abandonment age, and 64 more).
 func TestDeadlineTimeoutDoesNotLeak(t *testing.T) {
 	s := newService(t, service.Config{
 		N: 3, Seed: 4,
-		MaxAgeTicks: 80, RetireAfterTicks: 10,
+		DefaultTimeout: 150 * time.Millisecond,
 		Hub: transport.HubOptions{
 			Inject: func(types.Message) transport.Fault { return transport.Fault{Drop: true} },
 		},
 	})
-	res, err := s.Submit(context.Background(), service.Request{
-		ID: "doomed", Timeout: 150 * time.Millisecond,
-	})
+	res, err := s.Submit(context.Background(), service.Request{ID: "doomed"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +182,36 @@ func TestDeadlineTimeoutDoesNotLeak(t *testing.T) {
 	waitMetric(t, s, "slot and instance release", func(m service.Metrics) bool {
 		return m.InFlight == 0 && m.ActiveInstances == 0
 	})
+}
+
+// TestLongDeadlineUnderTotalLossResolvesAtAbandonment: under a hub that
+// drops every message no instance can decide, and every node abandons it
+// at its age. A request whose own deadline is far longer than that age is
+// capped at it: it resolves TIMEOUT once nothing can answer it, not at
+// its own deadline, and Close's drain does not wait for it.
+func TestLongDeadlineUnderTotalLossResolvesAtAbandonment(t *testing.T) {
+	s := newService(t, service.Config{
+		N: 3, Seed: 4,
+		DefaultTimeout: 50 * time.Millisecond, // abandonment at the 1000-tick floor: 1 s
+		Hub: transport.HubOptions{
+			Inject: func(types.Message) transport.Fault { return transport.Fault{Drop: true} },
+		},
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	res, err := s.Submit(ctx, service.Request{ID: "patient", Timeout: 30 * time.Second})
+	if err != nil {
+		t.Fatalf("a 30 s request under total loss was still waiting after %v: %v", time.Since(start), err)
+	}
+	if res.State != service.StateTimeout {
+		t.Fatalf("resolved %+v, want TIMEOUT", res)
+	}
+	closeCtx, cancelClose := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancelClose()
+	if err := s.Close(closeCtx); err != nil {
+		t.Fatalf("close: %v", err)
+	}
 }
 
 // TestGracefulDrain: Close lets already-queued submissions dispatch and

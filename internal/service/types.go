@@ -18,7 +18,19 @@ import (
 // end, per stage, cross-shard): the most recent decided transactions.
 const LatencyWindow = 1 << 16
 
-// Config parameterizes a commit service.
+// RetryHint is the Retry-After suggestion attached to every overload
+// rejection.
+const RetryHint = 25 * time.Millisecond
+
+// retireAfterTicks removes a decided instance from its manager that many
+// ticks after it halts, leaving only its batch id in the manager's
+// straggler guard, so per-tick cost stays proportional to active
+// transactions.
+const retireAfterTicks = 64
+
+// Config parameterizes a commit service. What no deployment chooses is
+// fixed: RetryHint, retireAfterTicks, the abandonment age (maxAgeTicks)
+// and the hub's inbound bound (transport.HubQueueSize).
 type Config struct {
 	// N is the number of processors in the fronted cluster (required).
 	N int
@@ -35,7 +47,8 @@ type Config struct {
 	// fixed seed; vary it across deployments).
 	Seed uint64
 	// TickEvery is the period of every node's timeout clock (default
-	// 1ms): the 2K vote timeouts and MaxAgeTicks/RetireAfterTicks count it.
+	// 1ms): the 2K vote timeouts, the abandonment age and retirement count
+	// it.
 	// It does not pace the protocol — nodes act on messages as they arrive.
 	TickEvery time.Duration
 	// QueueDepth bounds the admission queue (default 1024). A full
@@ -58,20 +71,9 @@ type Config struct {
 	BatchAgreement bool
 	// DefaultTimeout is the per-request deadline when the request does
 	// not set one (default 10s). A request that misses its deadline
-	// resolves as TIMEOUT; it never hangs.
+	// resolves as TIMEOUT; it never hangs. It also sets how long an
+	// undecided instance lives (maxAgeTicks).
 	DefaultTimeout time.Duration
-	// RetryHint is the Retry-After suggestion attached to overload
-	// rejections (default 25ms).
-	RetryHint time.Duration
-	// RetireAfterTicks removes a decided instance from its manager that
-	// many ticks after it halts, leaving only its batch id in the
-	// manager's straggler guard (default 64). Keeps per-tick cost
-	// proportional to active transactions.
-	RetireAfterTicks int
-	// MaxAgeTicks abandons an instance still undecided after that many
-	// ticks (default 2 * DefaultTimeout/TickEvery) so nodes do not
-	// accrete blocked instances past the request deadline.
-	MaxAgeTicks int
 	// Transports, when non-nil, supplies one transport per processor
 	// (e.g. TCP nodes already listening and peered) for the cluster to run
 	// over and own, instead of the endpoints of a hub it builds itself.
@@ -155,22 +157,17 @@ func (c Config) withDefaults() (Config, error) {
 	if c.DefaultTimeout == 0 {
 		c.DefaultTimeout = 10 * time.Second
 	}
-	if c.RetryHint <= 0 {
-		c.RetryHint = 25 * time.Millisecond
-	}
-	if c.RetireAfterTicks <= 0 {
-		c.RetireAfterTicks = 64
-	}
-	if c.MaxAgeTicks <= 0 {
-		c.MaxAgeTicks = 2 * int(c.DefaultTimeout/c.TickEvery)
-		if c.MaxAgeTicks < 1000 {
-			c.MaxAgeTicks = 1000
-		}
-	}
 	if c.Transports != nil && len(c.Transports) != c.N {
 		return c, fmt.Errorf("service: %d transports for %d processors", len(c.Transports), c.N)
 	}
 	return c, nil
+}
+
+// maxAgeTicks is how many ticks an instance may run undecided before its
+// managers abandon it, so nodes do not accrete blocked instances past the
+// request deadline: twice DefaultTimeout, and at least 1000 ticks.
+func (c Config) maxAgeTicks() int {
+	return max(2*int(c.DefaultTimeout/c.TickEvery), 1000)
 }
 
 // Validate runs the checks New runs on c, and builds nothing: a caller
@@ -220,7 +217,11 @@ type Request struct {
 	// Votes[p] is processor p's vote (true = commit). Nil means every
 	// processor votes commit.
 	Votes []bool
-	// Timeout overrides the service's DefaultTimeout when positive.
+	// Timeout overrides the service's DefaultTimeout when positive. It is
+	// capped at the instance's abandonment age, twice DefaultTimeout and
+	// at least 1000 ticks: past it no node holds the instance, so no
+	// decision can arrive. A member decided after its deadline still
+	// reaches Status.
 	Timeout time.Duration
 }
 

@@ -356,8 +356,5 @@ func OpenCrossSegmented(dir string, opts wal.SegmentedOptions) (*CrossSegLog, []
 	return &CrossSegLog{CrossLog: &CrossLog{seg: seg}}, records, nil
 }
 
-// Stats exposes the underlying segmented log's counters.
-func (l *CrossSegLog) Stats() wal.SegStats { return l.seg.Stats() }
-
 // Close drains, seals, and closes the segmented log.
 func (l *CrossSegLog) Close() error { return l.seg.Close() }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/types"
 	"repro/internal/wal"
 )
@@ -308,7 +309,10 @@ func TestDifferentialCrossSegmentedVsReconstruct(t *testing.T) {
 		t.Fatal("workload left nothing in doubt")
 	}
 
-	seg2, recovered, err := OpenCrossSegmented("", opts)
+	reg := obs.NewRegistry()
+	reopen := opts
+	reopen.Registry = reg
+	seg2, recovered, err := OpenCrossSegmented("", reopen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,8 +320,19 @@ func TestDifferentialCrossSegmentedVsReconstruct(t *testing.T) {
 	if got := ReconstructCross(recovered); !reflect.DeepEqual(got, want) {
 		t.Fatalf("segmented replay diverged from ReconstructCross:\n got %d open %v\nwant %d open %v", len(got), got, len(want), want)
 	}
-	if rs := seg2.Stats().Replay; rs.SnapshotSeq == 0 || rs.Records >= len(stream) {
-		t.Errorf("differential run never exercised a snapshot (replay %+v)", rs)
+	names, err := fs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps := 0
+	for _, name := range names {
+		if strings.HasSuffix(name, ".snap") {
+			snaps++
+		}
+	}
+	replayed := reg.GaugeVec("wal_replay_records", "", "log").With("cross").Value()
+	if snaps == 0 || replayed >= float64(len(stream)) {
+		t.Errorf("differential run never exercised a snapshot (%d snapshot files, %v records replayed of %d)", snaps, replayed, len(stream))
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // BenchmarkHubSendRecv measures the in-memory hub's message path.
 func BenchmarkHubSendRecv(b *testing.B) {
-	hub := transport.NewHub(2, transport.HubOptions{QueueSize: 1 << 16})
+	hub := transport.NewHub(2, transport.HubOptions{})
 	defer hub.Close() //nolint:errcheck
 	a, c := hub.Endpoint(0), hub.Endpoint(1)
 	msg := types.Message{To: 1, Payload: core.VoteMsg{Val: types.V1}}

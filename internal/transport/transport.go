@@ -49,15 +49,17 @@ type Fault struct {
 	Delay time.Duration
 }
 
-// HubOptions configures fault injection on an in-memory hub.
+// HubQueueSize is every hub's per-node inbound bound.
+const HubQueueSize = 4096
+
+// HubOptions configures an in-memory hub's fault injection and
+// instrumentation; its inbound bound is HubQueueSize.
 type HubOptions struct {
 	// Inject, if non-nil, is consulted once per message with the full
 	// fault vocabulary (drop, duplicate, delay). A runtime node's messages
 	// to itself never reach the hub (DESIGN §13), so faults act on real
 	// links only.
 	Inject func(msg types.Message) Fault
-	// QueueSize is the per-node inbound buffer (default 4096).
-	QueueSize int
 	// Registry, if non-nil, receives the hub's transport metrics
 	// (messages/bytes sent, delivered, dropped, per-link delay).
 	Registry *obs.Registry
@@ -96,19 +98,13 @@ type Hub struct {
 
 // NewHub creates a hub for n nodes.
 func NewHub(n int, opts HubOptions) *Hub {
-	if opts.QueueSize <= 0 {
-		opts.QueueSize = 4096
-	}
 	h := &Hub{opts: opts, m: newMetrics(opts.Registry, "channel"),
 		queues: make([]chan types.Message, n), crashed: make([]atomic.Bool, n)}
 	for i := range h.queues {
-		h.queues[i] = make(chan types.Message, opts.QueueSize)
+		h.queues[i] = make(chan types.Message, HubQueueSize)
 	}
 	return h
 }
-
-// QueueSize is the per-node inbound bound the hub was built with.
-func (h *Hub) QueueSize() int { return h.opts.QueueSize }
 
 // Divert hands every message delivered from now on to sink, once per
 // copy, instead of to the per-node queues: the runtime's group driver,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -155,11 +156,20 @@ func driveCross(l *shard.CrossSegLog, txns int, begun map[string]crossTxn, acked
 func checkCrossRecovery(t *testing.T, tag string, disk *wal.MemFS, coord *shard.Coordinator, log *swapLog,
 	begun map[string]crossTxn, acked map[string]bool) (int, bool) {
 	t.Helper()
+	// A visible snapshot is complete (it is renamed into place), so the
+	// replay starts from one when the disk holds one.
+	names, err := disk.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromSnapshot := false
+	for _, name := range names {
+		fromSnapshot = fromSnapshot || strings.HasSuffix(name, ".snap")
+	}
 	l, recs, err := shard.OpenCrossSegmented("", crashOpts(disk))
 	if err != nil {
 		t.Fatalf("%s: recovery failed: %v", tag, err)
 	}
-	fromSnapshot := l.Stats().Replay.SnapshotSeq > 0
 	states := shard.ReconstructCross(recs)
 	for id, st := range states {
 		tx, ok := begun[id]

@@ -184,8 +184,8 @@ func (c *decisionCodec) RestoreSnapshot(data []byte) error {
 }
 
 // DecisionLog is a segmented journal of transaction decisions; the
-// segmented log's Stats, ReplayStats, FsyncLatency, Err, Close and Kill
-// are its own.
+// segmented log's ReplayStats, FsyncLatency, Err, Close and Kill are its
+// own.
 type DecisionLog struct {
 	*SegmentedLog
 	recovered map[string]types.Decision

@@ -8,7 +8,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -138,7 +137,9 @@ type SnapshotCodec interface {
 	RestoreSnapshot(data []byte) error
 }
 
-// SegmentedOptions parameterizes a segmented log.
+// SegmentedOptions parameterizes a segmented log. There is one gathering
+// policy and no setting for it: the writer takes whatever has queued when
+// it gets to the queue, writes it and forces it with one fsync.
 type SegmentedOptions struct {
 	// FS is the directory the log lives in (required; DirFS in
 	// production, MemFS/FaultFS in crash tests).
@@ -146,11 +147,6 @@ type SegmentedOptions struct {
 	// SegmentBytes is the rotation threshold: a record that would push
 	// the active segment past it seals the segment first (default 1 MiB).
 	SegmentBytes int
-	// GroupCommit is the max-latency flush deadline: after the first
-	// pending append the writer keeps coalescing arrivals for up to this
-	// long before the group's single fsync. Zero flushes whatever has
-	// queued by the time the writer gets to it (pure natural batching).
-	GroupCommit time.Duration
 	// SnapshotEvery is the least number of appended records between state
 	// snapshots: one is written (and the segment rotated) once that many
 	// records and at least as many bytes as the last snapshot weighed have
@@ -163,7 +159,8 @@ type SegmentedOptions struct {
 	Name string
 	// Registry, if non-nil, receives the log's metrics: appends, fsyncs,
 	// group-commit batch sizes, segments created/compacted, snapshots,
-	// and recovery replay duration/records.
+	// and recovery replay duration/records. They are the log's only
+	// counters; without a registry nothing counts them.
 	Registry *obs.Registry
 }
 
@@ -190,18 +187,6 @@ type ReplayStats struct {
 	SnapshotSeq uint64
 	// Duration is the wall time of the whole open-and-replay.
 	Duration time.Duration
-}
-
-// SegStats is a point-in-time snapshot of the log's own counters (the
-// same numbers the obs registry exposes, readable without one).
-type SegStats struct {
-	Appends           uint64
-	Fsyncs            uint64
-	Groups            uint64
-	SegmentsCreated   uint64
-	SegmentsCompacted uint64
-	Snapshots         uint64
-	Replay            ReplayStats
 }
 
 // ErrLogClosed rejects appends to a closed segmented log.
@@ -246,18 +231,13 @@ type SegmentedLog struct {
 	bytesSinceSnap int64
 	snapBytes      int64
 
-	appends   atomic.Uint64
-	fsyncs    atomic.Uint64
-	groups    atomic.Uint64
-	segsMade  atomic.Uint64
-	segsGone  atomic.Uint64
-	snapsDone atomic.Uint64
-	replay    ReplayStats
+	replay ReplayStats
 
 	met segMetrics
 }
 
-// segMetrics are the optional obs registry mirrors of the counters.
+// segMetrics are the log's counters, in the obs registry alone (no-ops
+// without one).
 type segMetrics struct {
 	appends   *obs.Counter
 	fsyncs    *obs.Counter
@@ -393,6 +373,7 @@ func OpenSegmented(codec SnapshotCodec, opts SegmentedOptions) (*SegmentedLog, e
 
 	// Open the active segment, truncating a torn tail first so new
 	// records append to a clean valid prefix.
+	created := false
 	if len(segs) > 0 && lastSeq >= s.snapSeq {
 		size, err := opts.FS.Size(segName(lastSeq))
 		if err != nil {
@@ -409,7 +390,7 @@ func OpenSegmented(codec SnapshotCodec, opts SegmentedOptions) (*SegmentedLog, e
 		} else {
 			s.activeSeq, s.activeSize = lastSeq+1, 0
 			s.active, err = opts.FS.Create(segName(lastSeq + 1))
-			s.segsMade.Add(1)
+			created = true
 		}
 	} else {
 		seq := s.snapSeq
@@ -418,7 +399,7 @@ func OpenSegmented(codec SnapshotCodec, opts SegmentedOptions) (*SegmentedLog, e
 		}
 		s.activeSeq, s.activeSize = seq, 0
 		s.active, err = opts.FS.Create(segName(seq))
-		s.segsMade.Add(1)
+		created = true
 	}
 	if err != nil {
 		return nil, fmt.Errorf("wal: open active segment: %w", err)
@@ -426,7 +407,9 @@ func OpenSegmented(codec SnapshotCodec, opts SegmentedOptions) (*SegmentedLog, e
 
 	s.replay = ReplayStats{Records: records, SnapshotSeq: s.snapSeq, Duration: time.Since(start)}
 	s.met = newSegMetrics(opts.Registry, opts.Name, s.replay)
-	s.met.segsMade.Add(s.segsMade.Load())
+	if created {
+		s.met.segsMade.Inc()
+	}
 
 	go s.writer()
 	return s, nil
@@ -465,19 +448,6 @@ func (s *SegmentedLog) ReplayStats() ReplayStats { return s.replay }
 // (seconds). Nil when the log was opened without a Registry. Watchdogs
 // subtract successive snapshots to get a windowed latency distribution.
 func (s *SegmentedLog) FsyncLatency() []obs.Bucket { return s.met.fsyncLat.Buckets() }
-
-// Stats snapshots the log's counters.
-func (s *SegmentedLog) Stats() SegStats {
-	return SegStats{
-		Appends:           s.appends.Load(),
-		Fsyncs:            s.fsyncs.Load(),
-		Groups:            s.groups.Load(),
-		SegmentsCreated:   s.segsMade.Load(),
-		SegmentsCompacted: s.segsGone.Load(),
-		Snapshots:         s.snapsDone.Load(),
-		Replay:            s.replay,
-	}
-}
 
 // Err returns the sticky poison error, if the log has failed.
 func (s *SegmentedLog) Err() error {
@@ -588,28 +558,11 @@ func (s *SegmentedLog) writer() {
 	}
 }
 
-// gather coalesces queued appends behind first into one group, waiting
-// up to the GroupCommit deadline for more arrivals.
+// gather coalesces the appends already queued behind first into one
+// group; it never waits for more, so a record is forced as soon as the
+// writer reaches it.
 func (s *SegmentedLog) gather(first segAppend) []segAppend {
 	batch := append(make([]segAppend, 0, 16), first)
-	if s.opts.GroupCommit > 0 {
-		t := time.NewTimer(s.opts.GroupCommit)
-		defer t.Stop()
-		for len(batch) < queueDepth {
-			select {
-			case a, ok := <-s.queue:
-				if !ok {
-					return batch
-				}
-				batch = append(batch, a)
-			case <-t.C:
-				return batch
-			case <-s.kill:
-				return batch
-			}
-		}
-		return batch
-	}
 	for len(batch) < queueDepth {
 		select {
 		case a, ok := <-s.queue:
@@ -637,7 +590,6 @@ func (s *SegmentedLog) commit(batch []segAppend) {
 		fsyncStart := time.Now()
 		if err = s.active.Sync(); err == nil {
 			s.met.fsyncLat.Observe(time.Since(fsyncStart).Seconds())
-			s.fsyncs.Add(1)
 			s.met.fsyncs.Inc()
 		} else {
 			err = fmt.Errorf("wal: group fsync: %w", err)
@@ -654,7 +606,6 @@ func (s *SegmentedLog) commit(batch []segAppend) {
 			}
 		}
 		s.sinceSnap += len(batch)
-		s.groups.Add(1)
 		s.met.batchSize.Observe(float64(len(batch)))
 	}
 	for i := range batch {
@@ -697,7 +648,6 @@ func (s *SegmentedLog) write(buf []byte, records int) error {
 	}
 	s.activeSize += int64(len(buf))
 	s.bytesSinceSnap += int64(len(buf))
-	s.appends.Add(uint64(records))
 	s.met.appends.Add(uint64(records))
 	return nil
 }
@@ -707,7 +657,6 @@ func (s *SegmentedLog) rotate() error {
 	if err := s.active.Sync(); err != nil {
 		return fmt.Errorf("wal: seal segment %d: %w", s.activeSeq, err)
 	}
-	s.fsyncs.Add(1)
 	s.met.fsyncs.Inc()
 	if err := s.active.Close(); err != nil {
 		return err
@@ -719,7 +668,6 @@ func (s *SegmentedLog) rotate() error {
 	s.activeSeq++
 	s.activeSize = 0
 	s.active = next
-	s.segsMade.Add(1)
 	s.met.segsMade.Inc()
 	return nil
 }
@@ -768,7 +716,6 @@ func (s *SegmentedLog) maybeSnapshot() {
 	}
 	s.snapSeq = seq
 	s.snapBytes = int64(len(framed))
-	s.snapsDone.Add(1)
 	s.met.snapshots.Inc()
 	s.compact()
 }
@@ -785,7 +732,6 @@ func (s *SegmentedLog) compact() {
 	for _, name := range names {
 		if seq, ok := parseSeq(name, "wal-", ".seg"); ok && seq < s.snapSeq {
 			if s.opts.FS.Remove(name) == nil {
-				s.segsGone.Add(1)
 				s.met.segsGone.Inc()
 			}
 		} else if seq, ok := parseSeq(name, "snap-", ".snap"); ok && seq < s.snapSeq {
@@ -803,7 +749,6 @@ func (s *SegmentedLog) seal() {
 	if err := s.active.Sync(); err != nil {
 		s.poison(fmt.Errorf("wal: seal on close: %w", err))
 	} else {
-		s.fsyncs.Add(1)
 		s.met.fsyncs.Inc()
 	}
 	if err := s.active.Close(); err != nil {

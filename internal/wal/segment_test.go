@@ -13,9 +13,30 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/types"
 	"repro/internal/wal"
 )
+
+// counts are a log's figures as its registry exposes them.
+type counts struct {
+	Appends, Fsyncs, Groups, SegmentsCreated, SegmentsCompacted, Snapshots uint64
+}
+
+// walCounts reads the wal_* families of a decision journal (the log named
+// "decisions") from reg.
+func walCounts(reg *obs.Registry) counts {
+	const name = "decisions"
+	c := func(family string) uint64 { return reg.CounterVec(family, "", "log").With(name).Value() }
+	return counts{
+		Appends:           c("wal_appends_total"),
+		Fsyncs:            c("wal_fsyncs_total"),
+		Groups:            reg.HistogramVec("wal_group_commit_batch_size", "", obs.SizeBuckets, "log").With(name).Count(),
+		SegmentsCreated:   c("wal_segments_created_total"),
+		SegmentsCompacted: c("wal_segments_compacted_total"),
+		Snapshots:         c("wal_snapshots_written_total"),
+	}
+}
 
 func decisionFor(i int) types.Decision {
 	if i%3 == 0 {
@@ -75,8 +96,8 @@ func TestDecisionLogRoundTrip(t *testing.T) {
 // TestSegmentedRotation: records spill across many small segments and all
 // replay on reopen.
 func TestSegmentedRotation(t *testing.T) {
-	fs := wal.NewMemFS()
-	opts := wal.SegmentedOptions{FS: fs, SegmentBytes: 64}
+	fs, reg := wal.NewMemFS(), obs.NewRegistry()
+	opts := wal.SegmentedOptions{FS: fs, SegmentBytes: 64, Registry: reg}
 	dl, err := wal.OpenDecisionLog(opts)
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -87,7 +108,7 @@ func TestSegmentedRotation(t *testing.T) {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
-	st := dl.Stats()
+	st := walCounts(reg)
 	if err := dl.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -130,10 +151,10 @@ func TestSnapshotBoundsReplay(t *testing.T) {
 	const every = 16
 	// run journals txns decisions into a window of that many members (0:
 	// DecisionWindow, wider than any run here) and reopens the log.
-	run := func(txns, window int) (replayed, recovered int, st wal.SegStats, files int) {
+	run := func(txns, window int) (replayed, recovered int, st counts, files int) {
 		t.Helper()
-		fs := wal.NewMemFS()
-		opts := wal.SegmentedOptions{FS: fs, SegmentBytes: 512, SnapshotEvery: every}
+		fs, reg := wal.NewMemFS(), obs.NewRegistry()
+		opts := wal.SegmentedOptions{FS: fs, SegmentBytes: 512, SnapshotEvery: every, Registry: reg}
 		open := func() (*wal.DecisionLog, error) {
 			if window == 0 {
 				return wal.OpenDecisionLog(opts)
@@ -149,7 +170,7 @@ func TestSnapshotBoundsReplay(t *testing.T) {
 				t.Fatalf("append %d: %v", i, err)
 			}
 		}
-		st = dl.Stats()
+		st = walCounts(reg)
 		if err := dl.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
@@ -204,14 +225,22 @@ func TestSnapshotBoundsReplay(t *testing.T) {
 	})
 }
 
-// countFS counts the writes and syncs its files see, and can hold one Sync
-// open so a test decides what queues up behind it.
+// countFS counts the writes and syncs its files see, can hold one Sync
+// open so a test decides what queues up behind it, and once armed fails
+// every Sync with fail — the disk-died-under-the-group case.
 type countFS struct {
 	wal.FS
 	writes, syncs atomic.Int32
 	hold          atomic.Bool   // the next Sync parks until release closes
 	parked        chan struct{} // receives once that Sync is inside
 	release       chan struct{}
+	armed         atomic.Bool // read as a Sync starts, before it parks
+	fail          error
+}
+
+// newCountFS is a countFS over a fresh MemFS.
+func newCountFS() *countFS {
+	return &countFS{FS: wal.NewMemFS(), parked: make(chan struct{}), release: make(chan struct{})}
 }
 
 func (f *countFS) OpenAppend(name string) (wal.File, error) {
@@ -242,11 +271,45 @@ func (f *countFile) Write(p []byte) (int, error) {
 
 func (f *countFile) Sync() error {
 	f.fs.syncs.Add(1)
+	failed := f.fs.armed.Load()
 	if f.fs.hold.CompareAndSwap(true, false) {
 		f.fs.parked <- struct{}{}
 		<-f.fs.release
 	}
+	if failed {
+		return f.fs.fail
+	}
 	return f.File.Sync()
+}
+
+// queueBehindHeldSync parks the writer inside the fsync of a first record,
+// has clients goroutines append one record each, and returns once every
+// one of them is queued behind it, with the channel their acks (and the
+// first record's) arrive on. The caller releases the held fsync.
+func queueBehindHeldSync(t *testing.T, dl *wal.DecisionLog, cfs *countFS, clients int) <-chan error {
+	t.Helper()
+	acks := make(chan error, clients+1)
+	cfs.hold.Store(true)
+	if err := dl.Append("first", types.DecisionCommit, func(err error) { acks <- err }); err != nil {
+		t.Fatal(err)
+	}
+	<-cfs.parked
+	var wg sync.WaitGroup
+	errs := make([]error, clients)
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = dl.Append(txnID(i), decisionFor(i), func(err error) { acks <- err })
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	return acks
 }
 
 // TestGroupIsOneWriteOneSync: the k records of a group reach the segment in
@@ -255,33 +318,23 @@ func (f *countFile) Sync() error {
 func TestGroupIsOneWriteOneSync(t *testing.T) {
 	const k = 64
 	for _, segBytes := range []int{0 /* default: no rotation */, 256} {
-		cfs := &countFS{FS: wal.NewMemFS(), parked: make(chan struct{}), release: make(chan struct{})}
-		opts := wal.SegmentedOptions{FS: cfs, SegmentBytes: segBytes}
+		cfs, reg := newCountFS(), obs.NewRegistry()
+		opts := wal.SegmentedOptions{FS: cfs, SegmentBytes: segBytes, Registry: reg}
 		dl, err := wal.OpenDecisionLog(opts)
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
 		// Park the writer inside a first group's fsync, queue k records
 		// behind it, and let go: they are the next group.
-		cfs.hold.Store(true)
-		acks := make(chan error, k+1)
-		if err := dl.Append("first", types.DecisionCommit, func(err error) { acks <- err }); err != nil {
-			t.Fatal(err)
-		}
-		<-cfs.parked
-		for i := 0; i < k; i++ {
-			if err := dl.Append(txnID(i), decisionFor(i), func(err error) { acks <- err }); err != nil {
-				t.Fatal(err)
-			}
-		}
-		writes, syncs, segs := cfs.writes.Load(), cfs.syncs.Load(), dl.Stats().SegmentsCreated
+		acks := queueBehindHeldSync(t, dl, cfs, k)
+		writes, syncs, segs := cfs.writes.Load(), cfs.syncs.Load(), walCounts(reg).SegmentsCreated
 		close(cfs.release)
 		for i := 0; i < k+1; i++ {
 			if err := <-acks; err != nil {
 				t.Fatalf("segment bytes %d: append failed: %v", segBytes, err)
 			}
 		}
-		st := dl.Stats()
+		st := walCounts(reg)
 		if st.Groups != 2 || st.Appends != k+1 {
 			t.Fatalf("segment bytes %d: %d appends in %d groups, want %d in 2", segBytes, st.Appends, st.Groups, k+1)
 		}
@@ -310,84 +363,34 @@ func TestGroupIsOneWriteOneSync(t *testing.T) {
 }
 
 // TestGroupCommitCoalescesFsyncs: concurrent durable appends share flush
-// barriers — with a group-commit window, N concurrent appends complete in
-// far fewer than N fsyncs.
+// barriers — appends that queue while the writer is inside an fsync are
+// the next group, so N concurrent appends complete in far fewer than N
+// fsyncs.
 func TestGroupCommitCoalescesFsyncs(t *testing.T) {
-	fs := wal.NewMemFS()
-	dl, err := wal.OpenDecisionLog(wal.SegmentedOptions{
-		FS: fs, GroupCommit: 20 * time.Millisecond,
-	})
+	cfs, reg := newCountFS(), obs.NewRegistry()
+	dl, err := wal.OpenDecisionLog(wal.SegmentedOptions{FS: cfs, Registry: reg})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	defer dl.Close() //nolint:errcheck
 
 	const clients = 64
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	errs := make([]error, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			errs[i] = dl.AppendSync(txnID(i), decisionFor(i))
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("append %d: %v", i, err)
+	acks := queueBehindHeldSync(t, dl, cfs, clients)
+	close(cfs.release)
+	for i := 0; i < clients+1; i++ {
+		if err := <-acks; err != nil {
+			t.Fatalf("append failed: %v", err)
 		}
 	}
-	st := dl.Stats()
-	if st.Appends != clients {
-		t.Fatalf("appends=%d, want %d", st.Appends, clients)
+	st := walCounts(reg)
+	if st.Appends != clients+1 {
+		t.Fatalf("appends=%d, want %d", st.Appends, clients+1)
 	}
-	// 64 concurrent appends against a 20ms window should land in a few
-	// groups; 16 fsyncs (4x amortization) is a very loose ceiling.
+	// 64 appends queued behind one held fsync are one group; 16 fsyncs
+	// (4x amortization) is a very loose ceiling.
 	if st.Fsyncs*4 > st.Appends {
 		t.Errorf("group commit did not coalesce: %d fsyncs for %d appends", st.Fsyncs, st.Appends)
 	}
-}
-
-// failSyncFS wraps an FS so every file Sync fails once armed — the
-// disk-died-under-the-group case.
-type failSyncFS struct {
-	wal.FS
-	armed atomic.Bool
-	fail  error
-	syncs atomic.Int32 // Sync calls made while armed
-}
-
-func (f *failSyncFS) OpenAppend(name string) (wal.File, error) {
-	inner, err := f.FS.OpenAppend(name)
-	if err != nil {
-		return nil, err
-	}
-	return &failSyncFile{File: inner, fs: f}, nil
-}
-
-func (f *failSyncFS) Create(name string) (wal.File, error) {
-	inner, err := f.FS.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &failSyncFile{File: inner, fs: f}, nil
-}
-
-type failSyncFile struct {
-	wal.File
-	fs *failSyncFS
-}
-
-func (f *failSyncFile) Sync() error {
-	if f.fs.armed.Load() {
-		f.fs.syncs.Add(1)
-		return f.fs.fail
-	}
-	return f.File.Sync()
 }
 
 // TestSegmentedFlushErrorReachesEveryWaiter: when the group's single
@@ -396,32 +399,26 @@ func (f *failSyncFile) Sync() error {
 // durable suffix is unknown after a failed flush, so nobody retries it.
 func TestSegmentedFlushErrorReachesEveryWaiter(t *testing.T) {
 	errDisk := errors.New("disk gone")
-	ffs := &failSyncFS{FS: wal.NewMemFS(), fail: errDisk}
-	dl, err := wal.OpenDecisionLog(wal.SegmentedOptions{
-		FS: ffs, GroupCommit: 50 * time.Millisecond,
-	})
+	cfs := newCountFS()
+	cfs.fail = errDisk
+	dl, err := wal.OpenDecisionLog(wal.SegmentedOptions{FS: cfs})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	ffs.armed.Store(true)
 
+	// The held fsync covers the first record and succeeds; the disk dies
+	// under the group queued behind it.
 	const clients = 16
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	errs := make([]error, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			errs[i] = dl.AppendSync(txnID(i), types.DecisionCommit)
-		}(i)
+	acks := queueBehindHeldSync(t, dl, cfs, clients)
+	cfs.armed.Store(true)
+	before := cfs.syncs.Load()
+	close(cfs.release)
+	if err := <-acks; err != nil {
+		t.Fatalf("the first record's fsync ran before the disk died, got %v", err)
 	}
-	close(start)
-	wg.Wait()
-	for i, err := range errs {
-		if !errors.Is(err, errDisk) {
-			t.Fatalf("append %d got %v, want the disk error", i, err)
+	for i := 0; i < clients; i++ {
+		if err := <-acks; !errors.Is(err, errDisk) {
+			t.Fatalf("append %d of the group got %v, want the disk error", i, err)
 		}
 	}
 	if !errors.Is(dl.Err(), errDisk) {
@@ -430,7 +427,7 @@ func TestSegmentedFlushErrorReachesEveryWaiter(t *testing.T) {
 	if err := dl.AppendSync("late", types.DecisionCommit); !errors.Is(err, errDisk) {
 		t.Errorf("post-poison append got %v, want the disk error", err)
 	}
-	if n := ffs.syncs.Load(); n != 1 {
+	if n := cfs.syncs.Load() - before; n != 1 {
 		t.Errorf("fsync ran %d times after a poisoning failure, want 1", n)
 	}
 	dl.Close() //nolint:errcheck // already poisoned
@@ -505,7 +502,7 @@ func TestDifferentialSegmentedVsReconstruct(t *testing.T) {
 // an append is never dropped — and every append completes once the fsync
 // is released.
 func TestAppendBlocksOnFullQueue(t *testing.T) {
-	cfs := &countFS{FS: wal.NewMemFS(), parked: make(chan struct{}), release: make(chan struct{})}
+	cfs := newCountFS()
 	dl, err := wal.OpenDecisionLog(wal.SegmentedOptions{FS: cfs})
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	tcommit "repro"
+	"repro/internal/obs"
 	"repro/internal/types"
 	"repro/internal/wal"
 )
@@ -112,27 +113,27 @@ func TestSoakWALMillionTxnRestarts(t *testing.T) {
 		perEpoch = 100_000
 	)
 	rng := rand.New(rand.NewSource(20260808))
+	reg := obs.NewRegistry() // every epoch's journal counts into it
 	opts := func(fs wal.FS) wal.SegmentedOptions {
 		return wal.SegmentedOptions{
-			FS:            fs,
+			FS:            slowSyncFS{fs},
 			SegmentBytes:  1 << 20,
-			GroupCommit:   500 * time.Microsecond,
 			SnapshotEvery: 50_000,
+			Registry:      reg,
 		}
 	}
 
 	disk := wal.NewMemFS()
-	// acked lists acked ids in the order their AppendSync returned. An id
-	// is inside the window while fewer than DecisionWindow members follow
-	// it in the journal; margin covers the members journaled after it but
-	// acked first (its own group: at most one per client) and the unacked
-	// ones a kill left on disk (at most one per client per kill) over the
-	// epoch or two an id stays inside.
+	// acked lists acked ids in journal order: each is recorded by its ack,
+	// which the writer fires group by group in record order. An id is
+	// inside the window while fewer than DecisionWindow members follow it
+	// in the journal; margin covers the unacked ones a kill left on disk
+	// (at most one per client per kill) over the epoch or two an id stays
+	// inside.
 	var acked []string
 	const margin = 4 * clients
 	var mu sync.Mutex // guards acked and ackedTotal during an epoch
 	var ackedTotal, kills int
-	var appendsTotal, fsyncsTotal uint64
 	var slowestReplay time.Duration
 
 	epoch := 0
@@ -192,13 +193,22 @@ func TestSoakWALMillionTxnRestarts(t *testing.T) {
 				defer wg.Done()
 				for k := 0; k < perEpoch/clients; k++ {
 					id := fmt.Sprintf("e%03d-c%02d-%05d", epoch, c, k)
-					if err := dl.AppendSync(id, soakDecision(id)); err != nil {
+					done := make(chan error, 1)
+					err := dl.Append(id, soakDecision(id), func(err error) {
+						if err == nil {
+							mu.Lock()
+							acked = append(acked, id)
+							ackedTotal++
+							mu.Unlock()
+						}
+						done <- err
+					})
+					if err == nil {
+						err = <-done
+					}
+					if err != nil {
 						return // killed mid-epoch: everything unacked stays unacked
 					}
-					mu.Lock()
-					acked = append(acked, id)
-					ackedTotal++
-					mu.Unlock()
 				}
 			}(c)
 		}
@@ -208,9 +218,6 @@ func TestSoakWALMillionTxnRestarts(t *testing.T) {
 		if killed {
 			kills++
 			dl.Kill() // join: idempotent, waits for the writer to stop
-			st := dl.Stats()
-			appendsTotal += st.Appends
-			fsyncsTotal += st.Fsyncs
 			// The machine reboots on whatever the disk held: the fsynced
 			// prefix plus none / all / half of the volatile suffix.
 			var keep func(string, int) int
@@ -226,10 +233,9 @@ func TestSoakWALMillionTxnRestarts(t *testing.T) {
 		if err := dl.Close(); err != nil {
 			t.Fatalf("epoch %d: close: %v", epoch, err)
 		}
-		st := dl.Stats()
-		appendsTotal += st.Appends
-		fsyncsTotal += st.Fsyncs
 	}
+	appendsTotal := reg.CounterVec("wal_appends_total", "", "log").With("decisions").Value()
+	fsyncsTotal := reg.CounterVec("wal_fsyncs_total", "", "log").With("decisions").Value()
 
 	amort := float64(appendsTotal) / float64(fsyncsTotal)
 	t.Logf("soak: %d decisions acked across %d epochs, %d kill -9 restarts", ackedTotal, epoch, kills)
@@ -237,4 +243,35 @@ func TestSoakWALMillionTxnRestarts(t *testing.T) {
 	if fsyncsTotal*5 > appendsTotal {
 		t.Errorf("group-commit amortization collapsed: %d fsyncs for %d appends (%.1fx)", fsyncsTotal, appendsTotal, amort)
 	}
+}
+
+// syncCost is what slowSyncFS charges per fsync: the order of a journal
+// fsync on a server SSD. The writer forces whatever queued while it was
+// busy, so an fsync that costs nothing coalesces nothing.
+const syncCost = 100 * time.Microsecond
+
+// slowSyncFS is an FS whose files take syncCost to Sync.
+type slowSyncFS struct{ wal.FS }
+
+func (f slowSyncFS) OpenAppend(name string) (wal.File, error) {
+	inner, err := f.FS.OpenAppend(name)
+	if err != nil {
+		return nil, err
+	}
+	return slowSyncFile{inner}, nil
+}
+
+func (f slowSyncFS) Create(name string) (wal.File, error) {
+	inner, err := f.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return slowSyncFile{inner}, nil
+}
+
+type slowSyncFile struct{ wal.File }
+
+func (f slowSyncFile) Sync() error {
+	time.Sleep(syncCost)
+	return f.File.Sync()
 }
