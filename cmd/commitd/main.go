@@ -126,7 +126,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		logFormat = fs.String("log-format", "text", "structured log format: text or json")
 		logLevel  = fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		watchInt  = fs.Duration("watch-interval", time.Second, "anomaly watchdog sampling period")
-		stallAge  = fs.Duration("stall-age", 0, "age past which an in-flight transaction is a stall anomaly (default 2x -timeout)")
+		stallAge  = fs.Duration("stall-age", 0, "age past which an in-flight transaction is a stall anomaly (default the abandonment age: 2x -timeout, at least 1000 ticks)")
 		sloP99    = fs.Duration("slo-p99", 0, "decision-latency p99 SLO target; a windowed p99 above it is an anomaly (0: disabled)")
 		fsyncP99  = fs.Duration("fsync-p99", 0, "WAL fsync p99 ceiling; a windowed p99 above it is an anomaly (0: disabled)")
 		flightDir = fs.String("flight-dir", "", "directory for anomaly-triggered flight-recorder dumps (empty: /debug/flight only)")
@@ -146,10 +146,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
-	if *stallAge <= 0 {
-		*stallAge = 2 * *timeout
-	}
-
 	reg := obs.NewRegistry()
 	obs.RegisterProcessMetrics(reg)
 	sampler := obs.RegisterRuntimeMetrics(reg)
@@ -225,6 +221,12 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 			return fmt.Errorf("recovering in-doubt cross-shard transactions: %w", err)
 		}
 		fmt.Fprintf(out, "commitd: cross log replayed (%d records, %d in-doubt settled)\n", len(logs.replayed), settled)
+	}
+
+	// A request lives at most the abandonment age, so only one older than
+	// that is stalled.
+	if *stallAge <= 0 {
+		*stallAge = coord.Group(0).MaxAge()
 	}
 
 	// Watchdog + flight recorder. The recorder pointer is closed over

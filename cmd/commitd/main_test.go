@@ -493,3 +493,53 @@ func TestJournalsPerGroupMetrics(t *testing.T) {
 		t.Fatalf("watch samples read %d fsyncs on the busy group and %d on the idle one", busy, idle)
 	}
 }
+
+// TestStallAgeDefaultsToAbandonmentAge: at -timeout 50ms a request is
+// capped at the abandonment age, the 1000-tick floor (1 s), and -stall-age
+// defaults to that age, so a request still inside its deadline is no
+// stall: beside two crashed processors of three, a 30 s request answers
+// TIMEOUT after about 1 s, and no txn-stall anomaly names a younger age.
+func TestStallAgeDefaultsToAbandonmentAge(t *testing.T) {
+	base, stop := startDaemon(t, "-timeout", "50ms", "-watch-interval", "50ms")
+	defer stop()
+	for _, node := range []string{"1", "2"} {
+		resp, err := http.Post(base+"/crash/0/"+node, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("POST /crash/0/%s: %d", node, resp.StatusCode)
+		}
+	}
+	start := time.Now()
+	code, out := postCommit(t, base, service.CommitRequestJSON{ID: "patient", TimeoutMs: 30_000})
+	if took := time.Since(start); code != http.StatusOK || out.State != service.StateTimeout ||
+		took < 900*time.Millisecond || took > 5*time.Second {
+		t.Fatalf("a 30 s request beside two crashed nodes answered %d %+v after %v, want TIMEOUT after about 1 s", code, out, took)
+	}
+	resp, err := http.Get(base + "/debug/health")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var health struct {
+		Recent []struct{ Rule, Txn, Detail string }
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range health.Recent {
+		var state string
+		var ageMs int64
+		if a.Rule != "txn-stall" {
+			continue
+		}
+		if _, err := fmt.Sscanf(a.Detail, "in state %s for %dms", &state, &ageMs); err != nil {
+			t.Fatalf("txn-stall detail %q: %v", a.Detail, err)
+		}
+		if ageMs < 1000 {
+			t.Errorf("txn-stall for %s at %d ms, inside the 1 s abandonment age", a.Txn, ageMs)
+		}
+	}
+}

@@ -103,15 +103,17 @@ func Shard(label string) slog.Attr { return slog.String("shard", label) }
 // Node tags a record with a processor index.
 func Node(n int) slog.Attr { return slog.Int("node", n) }
 
+// Enabled reports whether a record at level would be logged, so a caller
+// builds a costly record only when it would be. False on nil.
+func (l *Logger) Enabled(level slog.Level) bool {
+	return l != nil && l.s != nil && l.s.Enabled(context.Background(), level)
+}
+
 func (l *Logger) log(level slog.Level, msg string, args ...any) {
-	if l == nil || l.s == nil {
+	if !l.Enabled(level) {
 		return
 	}
-	ctx := context.Background()
-	if !l.s.Enabled(ctx, level) {
-		return
-	}
-	l.s.Log(ctx, level, msg, args...)
+	l.s.Log(context.Background(), level, msg, args...)
 }
 
 // Debug logs at debug level. Safe on nil.

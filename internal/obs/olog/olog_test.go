@@ -20,6 +20,9 @@ func TestNilLoggerIsSafe(t *testing.T) {
 	if l.Slog() != nil {
 		t.Fatalf("Slog on nil should be nil")
 	}
+	if l.Enabled(slog.LevelError) {
+		t.Fatalf("Enabled on nil should be false")
+	}
 }
 
 func TestJSONFormatAndCorrelationFields(t *testing.T) {
@@ -66,6 +69,9 @@ func TestLevelFiltering(t *testing.T) {
 	l, err := New(&buf, "text", "error")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if l.Enabled(slog.LevelWarn) || !l.Enabled(slog.LevelError) {
+		t.Fatalf("Enabled disagrees with the error level")
 	}
 	l.Debug("x")
 	l.Info("x")

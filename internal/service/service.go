@@ -31,6 +31,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"math"
 	"slices"
 	"sort"
@@ -404,6 +405,13 @@ func (s *Service) JournalErr() error {
 // N reports the cluster size.
 func (s *Service) N() int { return s.cfg.N }
 
+// MaxAge is the abandonment age, maxAgeTicks × TickEvery: every node
+// abandons an instance still undecided at that age, so no request waits
+// longer and a younger one is not stalled.
+func (s *Service) MaxAge() time.Duration {
+	return time.Duration(s.cfg.maxAgeTicks()) * s.cfg.TickEvery
+}
+
 // Draining reports whether the service has begun shutting down.
 func (s *Service) Draining() bool {
 	s.mu.Lock()
@@ -445,7 +453,7 @@ func (s *Service) Submit(ctx context.Context, req Request) (Result, error) {
 	}
 	// No decision can arrive once every node has abandoned the instance,
 	// so no request waits past the abandonment age.
-	timeout = min(timeout, time.Duration(s.cfg.maxAgeTicks())*s.cfg.TickEvery)
+	timeout = min(timeout, s.MaxAge())
 
 	p := &pending{
 		votes:     votes,
@@ -748,7 +756,9 @@ func (s *Service) claimLocked(p *pending) bool {
 // retains every member in journal order, then runs each of then: Status
 // never reports, and no client is acked, a decision the disk may not
 // hold, and the status table evicts in the journal's order. then runs on
-// the journal writer's goroutine and must not call back into the journal.
+// the journal's notifier goroutine, which runs flushed groups in journal
+// order while the writer forces the next; it must not call back into the
+// journal.
 func (s *Service) Record(ids []string, decs []types.Decision, then ...func(jerr error)) {
 	settle := func(jerr error) {
 		s.mu.Lock()
@@ -879,9 +889,11 @@ func (s *Service) finish(p *pending, state State, d types.Decision) (deliver fun
 		// whoever Submit returns to finds the transaction's graph whole.
 		s.recordStage(p, stageNotify, decidedU, s.cfg.Spans.Now(), "")
 		p.done <- res
-		s.cfg.Logger.Debug("transaction resolved",
-			olog.Txn(string(p.id)), olog.Shard(s.cfg.shardLabel()),
-			"state", string(res.State), "latency_ms", res.Latency.Milliseconds())
+		if s.cfg.Logger.Enabled(slog.LevelDebug) {
+			s.cfg.Logger.Debug("transaction resolved",
+				olog.Txn(string(p.id)), olog.Shard(s.cfg.shardLabel()),
+				"state", string(res.State), "latency_ms", res.Latency.Milliseconds())
+		}
 		s.outstanding.Done()
 	}
 }

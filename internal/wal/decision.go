@@ -227,9 +227,11 @@ func (d *DecisionLog) Recovered() map[string]types.Decision { return d.recovered
 func (d *DecisionLog) RecoveredOrder() []string { return d.order }
 
 // AppendBatch journals one decided batch, ids[i] having decided decs[i],
-// as one record; done fires once, on the journal's writer goroutine, when
-// the covering group-commit fsync resolves (nil error = every decision
-// durable). Callers ack clients from done — never before.
+// as one record; done fires once, on the journal's notifier goroutine and
+// in journal order, when the covering group-commit fsync resolves (nil
+// error = every decision durable). The writer forces the next group
+// meanwhile. Callers ack clients from done — never before — and done
+// must not call back into the journal.
 func (d *DecisionLog) AppendBatch(ids []string, decs []types.Decision, done func(error)) error {
 	payload, err := encodeBatch(ids, decs)
 	if err != nil {

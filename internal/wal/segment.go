@@ -15,9 +15,10 @@ import (
 
 // This file is the segmented durability substrate: an append-only log
 // split across fixed-size segment files, written by a single group-commit
-// goroutine that coalesces concurrent appends into one write and one fsync,
-// bounded in replay length by state snapshots amortised against the log's
-// growth, and compacted as snapshots retire old segments.
+// goroutine that coalesces concurrent appends into one write and one fsync
+// (a second goroutine runs the waiters, in flush order), bounded in replay
+// length by state snapshots amortised against the log's growth, and
+// compacted as snapshots retire old segments.
 //
 // On-disk layout (all little endian, one directory):
 //
@@ -66,6 +67,10 @@ const maxPayload = 1 << 20
 // queueDepth bounds the append queue and so one group: a full queue
 // blocks appenders (backpressure).
 const queueDepth = 4096
+
+// flushedDepth bounds the flushed groups waiting for the notifier: the
+// writer runs that many groups ahead of a slow waiter before it blocks.
+const flushedDepth = 256
 
 // Frame wraps payload in the [u32 len][u32 crc][payload] record framing —
 // the only framing in the repository. It is exported for codecs whose
@@ -201,16 +206,24 @@ type segAppend struct {
 	done    func(error)
 }
 
+// flushedGroup is a group the writer has finished with, on its way to the
+// notifier: its appends and the outcome of the flush that covered them.
+type flushedGroup struct {
+	batch []segAppend
+	err   error
+}
+
 // SegmentedLog is a segmented, group-committed, snapshotting log. Create
 // with OpenSegmented; append concurrently from any goroutine; one writer
-// goroutine owns the files.
+// goroutine owns the files and one notifier goroutine runs the waiters.
 type SegmentedLog struct {
 	opts  SegmentedOptions
 	codec SnapshotCodec
 
-	queue      chan segAppend
-	kill       chan struct{}
-	writerDone chan struct{}
+	queue   chan segAppend
+	flushed chan flushedGroup // writer → notifier, in flush order
+	kill    chan struct{}
+	done    chan struct{} // closed once the notifier has run every waiter
 
 	sendMu sync.RWMutex // guards closed against queue sends
 	closed bool
@@ -277,7 +290,7 @@ func newSegMetrics(reg *obs.Registry, name string, replay ReplayStats) segMetric
 // OpenSegmented opens (creating if needed) a segmented log: it restores
 // the newest decodable snapshot into codec, replays the remaining
 // segment suffix through codec.Apply, truncates any torn tail, and
-// starts the group-commit writer.
+// starts the group-commit writer and its notifier.
 func OpenSegmented(codec SnapshotCodec, opts SegmentedOptions) (*SegmentedLog, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -285,11 +298,12 @@ func OpenSegmented(codec SnapshotCodec, opts SegmentedOptions) (*SegmentedLog, e
 	}
 	start := time.Now()
 	s := &SegmentedLog{
-		opts:       opts,
-		codec:      codec,
-		queue:      make(chan segAppend, queueDepth),
-		kill:       make(chan struct{}),
-		writerDone: make(chan struct{}),
+		opts:    opts,
+		codec:   codec,
+		queue:   make(chan segAppend, queueDepth),
+		flushed: make(chan flushedGroup, flushedDepth),
+		kill:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 
 	names, err := opts.FS.List()
@@ -412,6 +426,7 @@ func OpenSegmented(codec SnapshotCodec, opts SegmentedOptions) (*SegmentedLog, e
 	}
 
 	go s.writer()
+	go s.notifier()
 	return s, nil
 }
 
@@ -465,9 +480,12 @@ func (s *SegmentedLog) poison(err error) {
 }
 
 // Append enqueues one record for the group-commit writer; done (if
-// non-nil) fires exactly once, after the fsync covering the record
-// succeeded (nil) or the group's flush failed (the error — every waiter
-// in the group observes it). A full queue blocks (backpressure).
+// non-nil) fires exactly once, on the log's notifier goroutine, after the
+// fsync covering the record succeeded (nil) or the group's flush failed
+// (the error — every waiter in the group observes it). Waiters fire in
+// flush order, one at a time, while the writer goes on to the next group;
+// done must not call back into the log. A full queue blocks
+// (backpressure).
 func (s *SegmentedLog) Append(payload []byte, done func(error)) error {
 	if err := s.Err(); err != nil {
 		return err
@@ -499,7 +517,8 @@ func (s *SegmentedLog) AppendSync(payload []byte) error {
 }
 
 // Close drains pending appends (each still group-committed), seals the
-// active segment, and stops the writer. Idempotent.
+// active segment, stops the writer and returns once every waiter has
+// fired. Idempotent.
 func (s *SegmentedLog) Close() error {
 	s.sendMu.Lock()
 	already := s.closed
@@ -508,14 +527,15 @@ func (s *SegmentedLog) Close() error {
 		close(s.queue)
 	}
 	s.sendMu.Unlock()
-	<-s.writerDone
+	<-s.done
 	return s.Err()
 }
 
 // Kill abandons the log without flushing — the in-process stand-in for
 // kill -9. Queued and in-flight appends observe ErrLogKilled; nothing
 // further reaches the files; unsynced bytes are simply lost (the
-// crash-recovery path's job to tolerate).
+// crash-recovery path's job to tolerate). It returns once every waiter
+// has fired.
 func (s *SegmentedLog) Kill() {
 	s.poison(ErrLogKilled)
 	s.sendMu.Lock()
@@ -524,15 +544,16 @@ func (s *SegmentedLog) Kill() {
 		close(s.kill)
 	}
 	s.sendMu.Unlock()
-	<-s.writerDone
+	<-s.done
 }
 
 // writer is the single goroutine owning the segment files: it gathers
-// groups off the queue, writes them, issues ONE fsync per group, fires
-// every waiter with that fsync's outcome, and takes snapshots as they
-// fall due.
+// groups off the queue, writes them, issues ONE fsync per group, folds
+// each durable group into the codec, hands it with that fsync's outcome
+// to the notifier, and takes snapshots as they fall due. It never runs a
+// waiter, so a slow one does not hold the next group's write and fsync.
 func (s *SegmentedLog) writer() {
-	defer close(s.writerDone)
+	defer close(s.flushed)
 	for {
 		var first segAppend
 		select {
@@ -547,7 +568,7 @@ func (s *SegmentedLog) writer() {
 			return
 		}
 		batch := s.gather(first)
-		s.commit(batch)
+		s.flushed <- flushedGroup{batch: batch, err: s.commit(batch)}
 		s.maybeSnapshot()
 		select {
 		case <-s.kill:
@@ -578,10 +599,10 @@ func (s *SegmentedLog) gather(first segAppend) []segAppend {
 }
 
 // commit writes one group — one Write, unless a rotation falls inside it —
-// and issues its single fsync. The fsync's error — or a write error —
-// reaches EVERY waiter in the group, and poisons the log (the durable
-// suffix is unknown after a failed flush).
-func (s *SegmentedLog) commit(batch []segAppend) {
+// issues its single fsync and returns the outcome every waiter in the
+// group observes. A failed write or fsync poisons the log (the durable
+// suffix is unknown after a failed flush) before any waiter can see it.
+func (s *SegmentedLog) commit(batch []segAppend) error {
 	err := s.Err()
 	if err == nil {
 		err = s.writeGroup(batch)
@@ -608,9 +629,19 @@ func (s *SegmentedLog) commit(batch []segAppend) {
 		s.sinceSnap += len(batch)
 		s.met.batchSize.Observe(float64(len(batch)))
 	}
-	for i := range batch {
-		if batch[i].done != nil {
-			batch[i].done(err)
+	return err
+}
+
+// notifier runs every flushed group's waiters with its flush's outcome,
+// strictly in flush order, until the writer stops; then it marks the log
+// done.
+func (s *SegmentedLog) notifier() {
+	defer close(s.done)
+	for g := range s.flushed {
+		for i := range g.batch {
+			if g.batch[i].done != nil {
+				g.batch[i].done(g.err)
+			}
 		}
 	}
 }
@@ -756,19 +787,15 @@ func (s *SegmentedLog) seal() {
 	}
 }
 
-// drainKilled fails every queued append after Kill.
+// drainKilled fails every append queued at Kill, through the notifier
+// like any flushed group. Kill admits no append after it, so one gather
+// takes them all.
 func (s *SegmentedLog) drainKilled() {
-	for {
-		select {
-		case a, ok := <-s.queue:
-			if !ok {
-				return
-			}
-			if a.done != nil {
-				a.done(ErrLogKilled)
-			}
-		default:
-			return
+	select {
+	case a, ok := <-s.queue:
+		if ok {
+			s.flushed <- flushedGroup{batch: s.gather(a), err: ErrLogKilled}
 		}
+	default:
 	}
 }

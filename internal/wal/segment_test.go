@@ -231,7 +231,7 @@ func TestSnapshotBoundsReplay(t *testing.T) {
 type countFS struct {
 	wal.FS
 	writes, syncs atomic.Int32
-	hold          atomic.Bool   // the next Sync parks until release closes
+	hold          atomic.Bool   // the next Sync parks until release sends or closes
 	parked        chan struct{} // receives once that Sync is inside
 	release       chan struct{}
 	armed         atomic.Bool // read as a Sync starts, before it parks
@@ -395,8 +395,9 @@ func TestGroupCommitCoalescesFsyncs(t *testing.T) {
 
 // TestSegmentedFlushErrorReachesEveryWaiter: when the group's single
 // fsync fails, EVERY append coalesced into that group observes the error
-// — none is acked — and the log stays poisoned with that error: the
-// durable suffix is unknown after a failed flush, so nobody retries it.
+// — none is acked — and the log is poisoned with that error before the
+// first waiter hears of it, and stays so: the durable suffix is unknown
+// after a failed flush, so nobody retries it.
 func TestSegmentedFlushErrorReachesEveryWaiter(t *testing.T) {
 	errDisk := errors.New("disk gone")
 	cfs := newCountFS()
@@ -419,6 +420,12 @@ func TestSegmentedFlushErrorReachesEveryWaiter(t *testing.T) {
 	for i := 0; i < clients; i++ {
 		if err := <-acks; !errors.Is(err, errDisk) {
 			t.Fatalf("append %d of the group got %v, want the disk error", i, err)
+		}
+		// The log is poisoned before any waiter hears of the failure.
+		if i == 0 {
+			if err := dl.Append("early", types.DecisionCommit, nil); !errors.Is(err, errDisk) {
+				t.Errorf("an append once the failure was heard got %v, want the disk error", err)
+			}
 		}
 	}
 	if !errors.Is(dl.Err(), errDisk) {
