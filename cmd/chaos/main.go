@@ -188,7 +188,7 @@ func run(args []string, stdout, stderr *os.File) int {
 func printSlowest(w io.Writer, c *span.Collector, data *chaos.ServiceRunData) {
 	slowest, lat := "", time.Duration(-1)
 	for _, r := range data.Results {
-		if !r.StatusKnown || !r.Status.State.Terminal() {
+		if !r.Status.State.Terminal() {
 			continue
 		}
 		if r.Status.Latency > lat {

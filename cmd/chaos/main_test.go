@@ -185,8 +185,8 @@ func TestReplayShardedSeed(t *testing.T) {
 	for _, want := range []string{
 		"shards n=3 cross_fraction=0.3",
 		"txnshards ",
-		"check cross-atomicity PASS",
-		"check recovery-agreement PASS",
+		"check commit-of-commits PASS",
+		"check recovery-termination PASS",
 		"audit PASS",
 		"cross layer: submitted=",
 	} {

@@ -252,9 +252,8 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		},
 	})
 	rec = flight.New(flight.Config{
-		Spans: coord.Spans(), Source: coord, Watchdog: wd,
-		StallAge: *stallAge, Dir: *flightDir, Cooldown: *flightCD,
-		Registry: reg,
+		Spans: coord.Spans(), Watchdog: wd,
+		Dir: *flightDir, Cooldown: *flightCD, Registry: reg,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

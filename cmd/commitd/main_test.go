@@ -19,6 +19,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/shard"
+	"repro/internal/trace"
 	"repro/internal/wal"
 )
 
@@ -394,7 +395,14 @@ func TestDaemonShardedJournalSurvivesRestart(t *testing.T) {
 		reqs = append(reqs, req)
 		singles = append(singles, req.ID)
 	}
-	acked := make(map[string]shard.TxnStatus)
+	h := trace.NewHistory()
+	status := func(id string) {
+		st, _ := getStatus(t, base, id)
+		h.Status(id, trace.Answer(st.State))
+		if st.Decision != "" {
+			h.Status(id, trace.Answer(st.Decision))
+		}
+	}
 	for _, req := range reqs {
 		code, res := postCommit(t, base, req)
 		if code != http.StatusOK || !res.State.Terminal() {
@@ -403,21 +411,23 @@ func TestDaemonShardedJournalSurvivesRestart(t *testing.T) {
 		if wantCross := len(req.Keys) > 0; (len(res.Shards) > 1) != wantCross {
 			t.Fatalf("%s ran on shards %v", req.ID, res.Shards)
 		}
-		st, ok := getStatus(t, base, req.ID)
-		if !ok || st.State != res.State || st.Decision != res.Decision {
-			t.Fatalf("%s: answered %+v, status %+v", req.ID, res, st)
+		h.Votes(req.ID, req.Votes...)
+		h.Ack(req.ID, trace.Answer(res.State))
+		if res.Decision != "" {
+			h.Ack(req.ID, trace.Answer(res.Decision))
 		}
-		acked[req.ID] = st
+		status(req.ID)
 	}
 	stop()
 
+	h.Restart()
 	base, stop = startDaemon(t, args...)
 	defer stop()
-	for id, before := range acked {
-		after, ok := getStatus(t, base, id)
-		if !ok || after.State != before.State || after.Decision != before.Decision {
-			t.Errorf("%s: acked %s/%s, after restart %+v (known %v)", id, before.State, before.Decision, after, ok)
-		}
+	for _, req := range reqs {
+		status(req.ID)
+	}
+	for _, v := range h.Check() {
+		t.Error(v)
 	}
 	for _, id := range singles {
 		if code, res := postCommit(t, base, service.CommitRequestJSON{ID: id}); code != http.StatusConflict {

@@ -2,13 +2,14 @@ package chaos
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/obs/span"
 	"repro/internal/obs/watch"
 	"repro/internal/service"
 	"repro/internal/shard"
+	"repro/internal/trace"
 	"repro/internal/types"
 )
 
@@ -33,17 +34,6 @@ func (r *Report) Pass() bool {
 		}
 	}
 	return true
-}
-
-// Failures returns the failed checks.
-func (r *Report) Failures() []Check {
-	var out []Check
-	for _, c := range r.Checks {
-		if !c.Pass {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // Log renders the canonical audit log: the plan, then one line per check.
@@ -78,22 +68,19 @@ func (r *Report) add(name string, pass bool, detail string) {
 // ClusterRunData is everything a single-instance cluster run hands the
 // auditor.
 type ClusterRunData struct {
-	// Decided/Values snapshot every original machine's final state
-	// (including machines that decided before their crash).
-	Decided []bool
-	Values  []types.Value
-	// Crashed[p] is true if the plan's crash for p actually fired.
-	Crashed []bool
+	// Outcomes snapshot every original machine's final state: its
+	// decision (kept by a machine that decided before its crash) and
+	// whether the plan's crash for it actually fired.
+	Outcomes []trace.Outcome
 	// Recovered maps restarted processors to the decision they recovered
 	// (via WAL short-circuit or outcome query).
 	Recovered map[int]types.Value
 	// RecoveredOK[p] is false if a restarted processor failed to learn
 	// any outcome within the budget.
 	RecoveredOK map[int]bool
-	// WALDecided/WALValue report, per processor, a decision found in its
-	// write-ahead log after the run.
-	WALDecided []bool
-	WALValue   []types.Value
+	// Journals holds, per processor, the decision its write-ahead log
+	// held after the run (DecisionNone when it held none).
+	Journals []types.Decision
 	// Spans is the run's span ring, oldest first (crash and recover
 	// milestones at minimum).
 	Spans []span.Span
@@ -122,67 +109,46 @@ func AuditCluster(p *Plan, d *ClusterRunData) *Report {
 	// The run is vacuous exactly when nothing anywhere decided; if even
 	// one processor decided, GO escaped, piggybacking spreads it, and
 	// everyone alive must finish.
-	decidedAny := false
-	for _, dec := range d.Decided {
-		decidedAny = decidedAny || dec
-	}
-	decidedAny = decidedAny || len(d.Recovered) > 0
-	vacuous := d.Vacuous || (len(d.Crashed) > 0 && d.Crashed[0] && !decidedAny)
+	decidedAny := len(d.Recovered) > 0
 	undecided := []int{}
-	for i, dec := range d.Decided {
-		if !dec && !d.Crashed[i] {
+	for i, o := range d.Outcomes {
+		decidedAny = decidedAny || o.Decided
+		if !o.Decided && !o.Crashed {
 			undecided = append(undecided, i)
 		}
 	}
+	vacuous := d.Vacuous || (len(d.Outcomes) > 0 && d.Outcomes[0].Crashed && !decidedAny)
 	r.add("termination", vacuous || (len(undecided) == 0 && !d.TimedOut),
 		fmt.Sprintf("undecided=%v timed_out=%v", undecided, d.TimedOut))
 
-	// Agreement: all decided values equal — across survivors, crashed
-	// processors that decided before dying, and recovered processors.
-	values := map[types.Value][]int{}
-	for i, dec := range d.Decided {
-		if dec {
-			values[d.Values[i]] = append(values[d.Values[i]], i)
+	// Consistency and validity: the run as one history. Every decided
+	// value counts, survivors', crashed processors' that decided before
+	// dying, recovered processors' and every journal's.
+	h := trace.NewHistory()
+	h.Votes(soleTxn, p.Votes...)
+	for i, o := range d.Outcomes {
+		if o.Decided {
+			h.Decide(soleTxn, i, types.DecisionOf(o.Value))
+		}
+		if v, ok := d.Recovered[i]; ok {
+			h.Decide(soleTxn, i, types.DecisionOf(v))
 		}
 	}
-	for pID, v := range d.Recovered {
-		values[v] = append(values[v], pID)
+	for _, j := range d.Journals {
+		h.Durable(soleTxn, j)
 	}
-	r.add("agreement", len(values) <= 1, fmt.Sprintf("decisions=%v", renderValues(values)))
-
-	// Abort validity: any no-vote forbids COMMIT, under every adversary.
-	anyNo := false
-	for _, v := range p.Votes {
-		if !v {
-			anyNo = true
-		}
-	}
-	abortOK := true
-	for i, dec := range d.Decided {
-		if dec && anyNo && d.Values[i] == types.V1 {
-			abortOK = false
-		}
-		_ = i
-	}
-	r.add("abort-validity", abortOK, "committed despite a no vote")
+	r.addRules(h.Check(), trace.RuleConsistency, trace.RuleValidity)
 
 	// Commit validity: on a fault-free plan with unanimous yes votes the
 	// decision must be COMMIT (the paper guarantees commit only for
 	// on-time, failure-free runs).
-	if p.FaultFree() && !anyNo {
-		commitOK := true
-		for i, dec := range d.Decided {
-			if dec && d.Values[i] != types.V1 {
-				commitOK = false
-			}
-			_ = i
-		}
-		r.add("commit-validity", commitOK, "aborted a clean unanimous-yes run")
+	if !slices.Contains(p.Votes, false) && p.FaultFree() {
+		err := trace.CheckCommitValidity(types.Values(p.Votes), d.Outcomes, true, true)
+		r.add("commit-validity", err == nil, fmt.Sprint(err))
 	}
 
-	// Recovery: every restarted processor learned an outcome, it matches
-	// the cluster's decision, and no decision present in a WAL was lost
-	// or contradicted (a decided transaction survives recovery).
+	// Recovery termination: every restarted processor learned an
+	// outcome (consistency above holds it to the cluster's decision).
 	if len(d.Recovered) > 0 || len(d.RecoveredOK) > 0 {
 		recOK, detail := true, ""
 		for pID, ok := range d.RecoveredOK {
@@ -195,50 +161,33 @@ func AuditCluster(p *Plan, d *ClusterRunData) *Report {
 		// found nobody who decided.
 		r.add("recovery-termination", vacuous || recOK, detail)
 	}
-	walOK, walDetail := true, ""
-	for i, dec := range d.WALDecided {
-		if !dec {
-			continue
-		}
-		if rv, ok := d.Recovered[i]; ok && rv != d.WALValue[i] {
-			walOK = false
-			walDetail = fmt.Sprintf("node %d recovered %v but journaled %v", i, rv, d.WALValue[i])
-		}
-		for v, holders := range values {
-			if v != d.WALValue[i] {
-				walOK = false
-				walDetail = fmt.Sprintf("node %d journaled %v, cluster decided %v (held by %v)",
-					i, d.WALValue[i], v, holders)
-			}
-		}
-	}
-	r.add("wal-consistency", walOK, walDetail)
-
 	// Trace sanity: span ids strictly increase; every fired crash left a
 	// crash milestone; every restart left a recover milestone after its
 	// crash's.
-	trace := auditTrace(d.Crashed, d.Recovered, d.Spans)
-	r.add("trace-sanity", trace == "", trace)
+	sanity := auditTrace(d.Outcomes, d.Recovered, d.Spans)
+	r.add("trace-sanity", sanity == "", sanity)
 	return r
 }
 
-func renderValues(values map[types.Value][]int) string {
-	keys := make([]int, 0, len(values))
-	for v := range values {
-		keys = append(keys, int(v))
+// soleTxn is the one transaction of a cluster run.
+const soleTxn = "txn"
+
+// addRules appends one check per named rule of the history checker,
+// carrying that rule's violation, if any.
+func (r *Report) addRules(violations []*trace.Violation, rules ...string) {
+	for _, rule := range rules {
+		detail := ""
+		for _, v := range violations {
+			if v.Condition == rule {
+				detail = v.Detail
+			}
+		}
+		r.add(rule, detail == "", detail)
 	}
-	sort.Ints(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		holders := values[types.Value(k)]
-		sort.Ints(holders)
-		parts = append(parts, fmt.Sprintf("%d by %v", k, holders))
-	}
-	return strings.Join(parts, "; ")
 }
 
 // auditTrace returns "" when the span ring is causally sane.
-func auditTrace(crashed []bool, recovered map[int]types.Value, spans []span.Span) string {
+func auditTrace(outcomes []trace.Outcome, recovered map[int]types.Value, spans []span.Span) string {
 	lastID := 0
 	crashID := map[string]int{} // by processor track
 	recoverID := map[string]int{}
@@ -259,8 +208,8 @@ func auditTrace(crashed []bool, recovered map[int]types.Value, spans []span.Span
 			recoverID[s.Track] = s.ID
 		}
 	}
-	for i, c := range crashed {
-		if _, ok := crashID[span.ProcTrack(i)]; c && !ok {
+	for i, o := range outcomes {
+		if _, ok := crashID[span.ProcTrack(i)]; o.Crashed && !ok {
 			return fmt.Sprintf("crash of node %d left no crash milestone", i)
 		}
 	}
@@ -285,12 +234,13 @@ type TxnResult struct {
 	// fast path; len 2: cross-shard commit-of-commits).
 	Shards []int
 	State  service.State
+	// Status is the deployment's answer after the workload (the zero
+	// status when it does not find the id).
 	Status shard.TxnStatus
-	// StatusKnown is false when the deployment no longer retains the id.
-	StatusKnown bool
 	// ChildStates snapshots each participating group's record of a cross
-	// transaction's child (nil for single-group txns).
-	ChildStates map[int]service.State
+	// transaction's child, in Shards order ("" for a child the group does
+	// not hold; nil for single-group txns).
+	ChildStates []service.State
 }
 
 // ServiceRunData is everything a service run hands the auditor.
@@ -320,60 +270,65 @@ type ServiceRunData struct {
 	Health    watch.Health
 }
 
-// AuditService checks a commit-service run end to end: client responses,
-// status queries, the metrics surface, and the protocol span ring must
-// tell one consistent story. A sharded plan adds the two-layer protocol's
-// own contract: cross-shard atomicity and recovery agreement.
+// AuditService checks a commit-service run end to end: client answers,
+// status queries, the metrics surface and the protocol span ring must
+// tell one consistent story. A sharded plan adds the two-layer
+// protocol's own contract: commit-of-commits, the cross log's records,
+// and the answers a coordinator gives after recovering from that log.
 func AuditService(p *Plan, d *ServiceRunData) *Report {
 	r := &Report{Plan: p}
+	sharded := p.Cfg.Shards > 1
 
-	// Response consistency: every submission reached a terminal state;
-	// COMMIT answers respect abort validity (a dissent anywhere forbids
-	// COMMIT — the cross combine only strengthens this); the queried
-	// status agrees with the returned result.
-	respOK, respDetail := true, ""
-	var committed, aborted, timedOut, failed uint64
+	// The run as one history: each transaction's votes, its ack, and its
+	// status after the workload; for a cross transaction also each
+	// child's status and the cross log's outcome record (which a
+	// coordinator writes before it answers) and, after the recovery
+	// echo, the status the recovered coordinator gives.
+	h := trace.NewHistory()
+	wal := shard.ReconstructCross(d.Records)
 	for _, res := range d.Results {
-		if !res.State.Terminal() {
-			respOK = false
-			respDetail = fmt.Sprintf("txn %s ended non-terminal (%s)", res.ID, res.State)
-			break
-		}
-		switch res.State {
-		case service.StateCommit:
-			committed++
-			for _, v := range res.Votes {
-				if !v {
-					respOK = false
-					respDetail = fmt.Sprintf("txn %s committed despite a no vote", res.ID)
-				}
+		h.Votes(res.ID, res.Votes...)
+		if len(res.Shards) > 1 {
+			children := make([]string, len(res.Shards))
+			for j, s := range res.Shards {
+				children[j] = shard.ChildID(res.ID, s)
+				h.Votes(children[j], res.Votes...)
+				h.Status(children[j], trace.Answer(res.ChildStates[j]))
 			}
-		case service.StateAbort:
-			aborted++
-		case service.StateTimeout:
-			timedOut++
-		case service.StateFailed:
-			failed++
+			h.Link(res.ID, children...)
+			h.Journaled(res.ID)
+			if st := wal[res.ID]; st != nil && st.Decided {
+				h.Durable(res.ID, st.Outcome)
+			}
 		}
-		if res.StatusKnown && res.Status.State != res.State &&
-			!(res.State == service.StateTimeout && res.Status.State.Terminal()) {
-			// TIMEOUT means unknown: the cluster may still decide later,
-			// so a later COMMIT/ABORT status is consistent. Anything else
-			// must match.
-			respOK = false
-			respDetail = fmt.Sprintf("txn %s result %s but status %s", res.ID, res.State, res.Status.State)
+		h.Ack(res.ID, trace.Answer(res.State))
+		// A status the deployment could not find is left out:
+		// Coordinator.Status looks a single-shard id up in the group its
+		// hash routes to, not the one its keys chose, so a keyed
+		// transaction placed elsewhere reads unknown (ROADMAP 2h).
+		if res.Status.State != "" {
+			h.Status(res.ID, trace.Answer(res.Status.State))
 		}
 	}
-	r.add("response-consistency", respOK, respDetail)
+	rules := []string{trace.RuleConsistency, trace.RuleValidity, trace.RuleStability}
+	if sharded {
+		h.Restart()
+		for _, res := range d.Results {
+			if len(res.Shards) > 1 {
+				h.Status(res.ID, trace.Answer(d.EchoOutcomes[res.ID]))
+			}
+		}
+		rules = append(rules, trace.RuleDurability, trace.RuleCommitOfCommits)
+	}
+	r.addRules(h.Check(), rules...)
+	if sharded {
+		r.add("recovery-termination", d.EchoErr == "", "recovery echo failed: "+d.EchoErr)
+	}
 
 	// Agreement within every group: the per-node decision checkers
 	// counted zero conflicts across all shards.
 	r.add("agreement", d.Metrics.Aggregate.SafetyViolations == 0,
 		fmt.Sprintf("%d safety violations", d.Metrics.Aggregate.SafetyViolations))
-
-	if p.Cfg.Shards > 1 {
-		auditCross(r, d)
-	}
 
 	// Metric consistency: the cross layer accounts for every cross
 	// submission exactly; the aggregate accounts for every single-group
@@ -381,11 +336,21 @@ func AuditService(p *Plan, d *ServiceRunData) *Report {
 	// client's tallies. (TIMEOUT results can later flip the status, but
 	// counters are terminal-once.)
 	m, agg := d.Metrics, d.Metrics.Aggregate
-	var cross, children uint64
+	var cross, children, committed, aborted, timedOut, failed uint64
 	for _, res := range d.Results {
 		if len(res.Shards) > 1 {
 			cross++
 			children += uint64(len(res.Shards))
+		}
+		switch res.State {
+		case service.StateCommit:
+			committed++
+		case service.StateAbort:
+			aborted++
+		case service.StateTimeout:
+			timedOut++
+		case service.StateFailed:
+			failed++
 		}
 	}
 	singles := uint64(len(d.Results)) - cross
@@ -407,92 +372,13 @@ func AuditService(p *Plan, d *ServiceRunData) *Report {
 	// serves every group, and txn ids are disjoint across groups
 	// (children carry their shard suffix). The ring may have evicted
 	// early records, so order is only checked among the records present.
-	trace := auditServiceTrace(d.Spans)
-	r.add("trace-sanity", trace == "", trace)
+	sanity := auditServiceTrace(d.Spans)
+	r.add("trace-sanity", sanity == "", sanity)
 
 	// Watchdog detection coverage (watched runs only): injected crashes
 	// must be reported, live nodes must not be, clean plans stay silent.
 	auditWatch(r, p, d.Crashed, d.Anomalies, d.Watched)
 	return r
-}
-
-// auditCross appends the two-layer checks of a sharded run. Cross-shard
-// atomicity: a COMMIT answer means every participating group committed
-// its child and the WAL logged a commit; an ABORT answer is grounded in
-// at least one aborted child (the combine rule's witness) and a logged
-// abort. A committed child under a top-level ABORT is legal — that group
-// prepared, the transaction aborted globally — but a TIMEOUT answer must
-// not hide a logged decision. Recovery agreement: the echo succeeded and
-// re-derived the very outcome each decided cross transaction reported —
-// a coordinator crash between decision and response never flips a
-// verdict.
-func auditCross(r *Report, d *ServiceRunData) {
-	wal := shard.ReconstructCross(d.Records)
-	atomOK, atomDetail := true, ""
-	for _, res := range d.Results {
-		if len(res.Shards) < 2 || !atomOK {
-			continue
-		}
-		st := wal[res.ID]
-		switch res.State {
-		case service.StateCommit:
-			for _, s := range res.Shards {
-				if cs, ok := res.ChildStates[s]; !ok || cs != service.StateCommit {
-					atomOK = false
-					atomDetail = fmt.Sprintf("txn %s committed but shard %d child is %v", res.ID, s, cs)
-				}
-			}
-			if st == nil || !st.Decided || st.Outcome != types.DecisionCommit {
-				atomOK = false
-				atomDetail = fmt.Sprintf("txn %s committed but WAL disagrees (%+v)", res.ID, st)
-			}
-		case service.StateAbort:
-			witness := false
-			for _, cs := range res.ChildStates {
-				if cs == service.StateAbort {
-					witness = true
-				}
-			}
-			if !witness {
-				atomOK = false
-				atomDetail = fmt.Sprintf("txn %s aborted with no aborted child (%v)", res.ID, res.ChildStates)
-			}
-			if st == nil || !st.Decided || st.Outcome != types.DecisionAbort {
-				atomOK = false
-				atomDetail = fmt.Sprintf("txn %s aborted but WAL disagrees (%+v)", res.ID, st)
-			}
-		case service.StateTimeout:
-			if st != nil && st.Decided {
-				atomOK = false
-				atomDetail = fmt.Sprintf("txn %s answered TIMEOUT but WAL holds decided outcome %v", res.ID, st.Outcome)
-			}
-		}
-	}
-	r.add("cross-atomicity", atomOK, atomDetail)
-
-	recOK, recDetail := true, ""
-	if d.EchoErr != "" {
-		recOK = false
-		recDetail = "recovery echo failed: " + d.EchoErr
-	}
-	for _, res := range d.Results {
-		if !recOK || len(res.Shards) < 2 {
-			continue
-		}
-		if res.State != service.StateCommit && res.State != service.StateAbort {
-			continue
-		}
-		got, ok := d.EchoOutcomes[res.ID]
-		switch {
-		case !ok:
-			recOK = false
-			recDetail = fmt.Sprintf("txn %s decided %s but recovery lost it", res.ID, res.State)
-		case got != res.State:
-			recOK = false
-			recDetail = fmt.Sprintf("txn %s decided %s but recovery re-derived %s", res.ID, res.State, got)
-		}
-	}
-	r.add("recovery-agreement", recOK, recDetail)
 }
 
 // auditServiceTrace checks the causal sanity of a service run's span ring:

@@ -1,12 +1,15 @@
 package chaos
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/obs/span"
 	"repro/internal/service"
 	"repro/internal/shard"
+	"repro/internal/trace"
 	"repro/internal/types"
 )
 
@@ -17,6 +20,17 @@ func mustPlan(t *testing.T, cfg PlanConfig) *Plan {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// failures returns r's failed checks.
+func failures(r *Report) []Check {
+	var out []Check
+	for _, c := range r.Checks {
+		if !c.Pass {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 func failed(r *Report, name string) bool {
@@ -39,17 +53,14 @@ func cleanClusterData(p *Plan) *ClusterRunData {
 		}
 	}
 	d := &ClusterRunData{
-		Decided:     make([]bool, n),
-		Values:      make([]types.Value, n),
-		Crashed:     make([]bool, n),
+		Outcomes:    make([]trace.Outcome, n),
 		Recovered:   map[int]types.Value{},
 		RecoveredOK: map[int]bool{},
-		WALDecided:  make([]bool, n),
-		WALValue:    make([]types.Value, n),
+		Journals:    make([]types.Decision, n),
 	}
 	for i := 0; i < n; i++ {
-		d.Decided[i], d.Values[i] = true, v
-		d.WALDecided[i], d.WALValue[i] = true, v
+		d.Outcomes[i] = trace.Outcome{Decided: true, Value: v}
+		d.Journals[i] = types.DecisionOf(v)
 	}
 	return d
 }
@@ -68,10 +79,9 @@ func TestAuditClusterPasses(t *testing.T) {
 func TestAuditClusterCatchesDisagreement(t *testing.T) {
 	p := mustPlan(t, PlanConfig{Seed: 1, N: 5, Shape: ShapeClean})
 	d := cleanClusterData(p)
-	d.Values[2] = 1 - d.Values[2]
-	d.WALDecided = make([]bool, p.Cfg.N) // isolate the agreement check
+	d.Outcomes[2].Value = 1 - d.Outcomes[2].Value
 	r := AuditCluster(p, d)
-	if !failed(r, "agreement") {
+	if !failed(r, "consistency") {
 		t.Fatalf("disagreement not caught:\n%s", r.Log())
 	}
 }
@@ -79,13 +89,13 @@ func TestAuditClusterCatchesDisagreement(t *testing.T) {
 func TestAuditClusterCatchesNonTermination(t *testing.T) {
 	p := mustPlan(t, PlanConfig{Seed: 1, N: 5, Shape: ShapeClean})
 	d := cleanClusterData(p)
-	d.Decided[3] = false
+	d.Outcomes[3].Decided = false
 	r := AuditCluster(p, d)
 	if !failed(r, "termination") {
 		t.Fatalf("undecided survivor not caught:\n%s", r.Log())
 	}
 	// A crashed processor is allowed to be undecided.
-	d.Crashed[3] = true
+	d.Outcomes[3].Crashed = true
 	if r := AuditCluster(p, d); failed(r, "termination") {
 		t.Fatalf("crashed processor flagged as non-termination:\n%s", r.Log())
 	}
@@ -95,12 +105,12 @@ func TestAuditClusterCatchesAbortViolation(t *testing.T) {
 	votes := []bool{true, false, true, true, true}
 	p := mustPlan(t, PlanConfig{Seed: 1, N: 5, Votes: votes})
 	d := cleanClusterData(p) // all-V0 since a vote is no
-	for i := range d.Values {
-		d.Values[i] = types.V1 // committing despite the no vote
-		d.WALValue[i] = types.V1
+	for i := range d.Outcomes {
+		d.Outcomes[i].Value = types.V1 // committing despite the no vote
+		d.Journals[i] = types.DecisionCommit
 	}
 	r := AuditCluster(p, d)
-	if !failed(r, "abort-validity") {
+	if !failed(r, "validity") {
 		t.Fatalf("commit-despite-no not caught:\n%s", r.Log())
 	}
 }
@@ -109,9 +119,9 @@ func TestAuditClusterCommitValidityOnCleanRuns(t *testing.T) {
 	votes := []bool{true, true, true}
 	p := mustPlan(t, PlanConfig{Seed: 1, N: 3, Votes: votes, Shape: ShapeClean})
 	d := cleanClusterData(p)
-	for i := range d.Values {
-		d.Values[i] = types.V0
-		d.WALValue[i] = types.V0
+	for i := range d.Outcomes {
+		d.Outcomes[i].Value = types.V0
+		d.Journals[i] = types.DecisionAbort
 	}
 	r := AuditCluster(p, d)
 	if !failed(r, "commit-validity") {
@@ -131,10 +141,10 @@ func TestAuditClusterCatchesLostDecision(t *testing.T) {
 	d := cleanClusterData(p)
 	// Node 1 journaled a decision but recovered the opposite one: a
 	// decided transaction was lost across recovery.
-	d.Recovered[1] = 1 - d.WALValue[1]
+	d.Recovered[1] = 1 - d.Journals[1].Value()
 	d.RecoveredOK[1] = true
 	r := AuditCluster(p, d)
-	if !failed(r, "wal-consistency") {
+	if !failed(r, "consistency") {
 		t.Fatalf("lost decision not caught:\n%s", r.Log())
 	}
 }
@@ -152,7 +162,7 @@ func TestAuditClusterCatchesFailedRecovery(t *testing.T) {
 func TestAuditTraceSanity(t *testing.T) {
 	p := mustPlan(t, PlanConfig{Seed: 3, N: 3, Shape: ShapeCrash})
 	d := cleanClusterData(p)
-	d.Crashed[p.Crashes[0].Node] = true
+	d.Outcomes[p.Crashes[0].Node].Crashed = true
 	// Crash fired but no trace event.
 	r := AuditCluster(p, d)
 	if !failed(r, "trace-sanity") {
@@ -169,29 +179,43 @@ func TestAuditTraceSanity(t *testing.T) {
 	}
 }
 
+// cleanServiceData builds a passing run for plan p: every transaction
+// decided by its votes, its status and, for a cross transaction, its
+// children, the cross log and the recovery echo agreeing.
 func cleanServiceData(p *Plan) *ServiceRunData {
-	d := &ServiceRunData{Crashed: make([]bool, p.Cfg.N)}
-	agg := &d.Metrics.Aggregate
-	for _, votes := range p.TxnVotes {
-		state := service.StateCommit
-		for _, v := range votes {
-			if !v {
-				state = service.StateAbort
+	d := &ServiceRunData{Crashed: make([]bool, p.Cfg.N), EchoOutcomes: map[string]service.State{}}
+	agg, cross := &d.Metrics.Aggregate, &d.Metrics.Cross
+	for i, votes := range p.TxnVotes {
+		state, outcome := service.StateCommit, types.DecisionCommit
+		if slices.Contains(votes, false) {
+			state, outcome = service.StateAbort, types.DecisionAbort
+		}
+		res := TxnResult{
+			ID: fmt.Sprintf("t%d", i), Votes: votes, Shards: []int{0}, State: state,
+			Status: shard.TxnStatus{TxnStatus: service.TxnStatus{State: state}},
+		}
+		members := &agg.Committed
+		if state == service.StateAbort {
+			members = &agg.Aborted
+		}
+		if p.TxnShards != nil && len(p.TxnShards[i]) > 1 {
+			res.Shards = p.TxnShards[i]
+			res.ChildStates = []service.State{state, state}
+			d.Records = append(d.Records,
+				shard.CrossRecord{Type: shard.RecBegin, Txn: res.ID, Shards: res.Shards},
+				shard.CrossRecord{Type: shard.RecOutcome, Txn: res.ID, Decision: outcome})
+			d.EchoOutcomes[res.ID] = state
+			cross.Submitted++
+			if state == service.StateCommit {
+				cross.Committed++
+			} else {
+				cross.Aborted++
 			}
 		}
-		d.Results = append(d.Results, TxnResult{
-			ID: "t", Votes: votes, Shards: []int{0}, State: state,
-			Status:      shard.TxnStatus{TxnStatus: service.TxnStatus{State: state}},
-			StatusKnown: true,
-		})
-		switch state {
-		case service.StateCommit:
-			agg.Committed++
-		default:
-			agg.Aborted++
-		}
+		*members += uint64(len(res.Shards))
+		agg.Submitted += uint64(len(res.Shards))
+		d.Results = append(d.Results, res)
 	}
-	agg.Submitted = uint64(len(p.TxnVotes))
 	return d
 }
 
@@ -208,8 +232,14 @@ func TestAuditServiceCatchesViolations(t *testing.T) {
 
 	d := cleanServiceData(p)
 	d.Results[0].State = service.StateRunning // non-terminal answer
-	if r := AuditService(p, d); !failed(r, "response-consistency") {
+	if r := AuditService(p, d); !failed(r, "stability") {
 		t.Fatalf("non-terminal result not caught:\n%s", r.Log())
+	}
+
+	d = cleanServiceData(p)
+	d.Results[0].Status.State = service.StateTimeout // the status forgot the answer
+	if r := AuditService(p, d); !failed(r, "stability") {
+		t.Fatalf("status contradicting the answer not caught:\n%s", r.Log())
 	}
 
 	d = cleanServiceData(p)
@@ -266,15 +296,81 @@ func TestAuditServiceCatchesViolations(t *testing.T) {
 	}
 }
 
+// TestAuditShardedCatchesViolations: the two-layer contract, broken one
+// way at a time on an otherwise clean sharded run.
+func TestAuditShardedCatchesViolations(t *testing.T) {
+	p := mustPlan(t, PlanConfig{Seed: 4, N: 3, Shape: ShapeLossy, Shards: 2, CrossFraction: 1})
+	if r := AuditService(p, cleanServiceData(p)); !r.Pass() {
+		t.Fatalf("clean sharded run failed audit:\n%s", r.Log())
+	}
+	first := func(d *ServiceRunData, want service.State) *TxnResult {
+		for i := range d.Results {
+			if d.Results[i].State == want {
+				return &d.Results[i]
+			}
+		}
+		t.Fatalf("plan has no %s transaction", want)
+		return nil
+	}
+	for _, tc := range []struct {
+		name, rule string
+		mutate     func(*ServiceRunData)
+	}{
+		{"aborted child under COMMIT", "commit-of-commits", func(d *ServiceRunData) {
+			res := first(d, service.StateCommit)
+			res.ChildStates[1] = service.StateAbort
+		}},
+		{"ABORT with no aborted child", "commit-of-commits", func(d *ServiceRunData) {
+			res := first(d, service.StateAbort)
+			res.ChildStates = []service.State{service.StateTimeout, service.StateTimeout}
+		}},
+		{"COMMIT the cross log never recorded", "durability", func(d *ServiceRunData) {
+			id := first(d, service.StateCommit).ID
+			for i, rec := range d.Records {
+				if rec.Txn == id && rec.Type == shard.RecOutcome {
+					d.Records = append(d.Records[:i:i], d.Records[i+1:]...)
+					break
+				}
+			}
+		}},
+		{"TIMEOUT hiding a logged decision", "durability", func(d *ServiceRunData) {
+			res := first(d, service.StateCommit)
+			res.State, res.Status.State = service.StateTimeout, service.StateTimeout
+			d.Metrics.Aggregate.Committed -= 2
+			d.Metrics.Aggregate.TimedOut += 2
+			d.Metrics.Cross.Committed--
+			d.Metrics.Cross.TimedOut++
+		}},
+		{"recovery lost a decision", "stability", func(d *ServiceRunData) {
+			delete(d.EchoOutcomes, first(d, service.StateAbort).ID)
+		}},
+		{"recovery flipped a decision", "consistency", func(d *ServiceRunData) {
+			d.EchoOutcomes[first(d, service.StateCommit).ID] = service.StateAbort
+		}},
+		{"recovery echo failed", "recovery-termination", func(d *ServiceRunData) {
+			d.EchoErr = "boom"
+		}},
+	} {
+		d := cleanServiceData(p)
+		tc.mutate(d)
+		r := AuditService(p, d)
+		if !failed(r, tc.rule) {
+			t.Errorf("%s: %s not failed:\n%s", tc.name, tc.rule, r.Log())
+		}
+		if n := len(failures(r)); tc.rule != "consistency" && n != 1 {
+			t.Errorf("%s: %d checks failed, want only %s:\n%s", tc.name, n, tc.rule, r.Log())
+		}
+	}
+}
+
 // TestReportLogShape: failing checks carry details, passing ones don't.
 func TestReportLogShape(t *testing.T) {
 	p := mustPlan(t, PlanConfig{Seed: 5, N: 3, Shape: ShapeClean})
 	d := cleanClusterData(p)
-	d.Values[1] = 1 - d.Values[1]
-	d.WALDecided = make([]bool, p.Cfg.N)
+	d.Outcomes[1].Value = 1 - d.Outcomes[1].Value
 	r := AuditCluster(p, d)
 	log := r.Log()
-	if !strings.Contains(log, "check agreement FAIL decisions=") {
+	if !strings.Contains(log, "check consistency FAIL txn txn: node 0 says") {
 		t.Fatalf("failure detail missing:\n%s", log)
 	}
 	if !strings.Contains(log, "audit FAIL") {
@@ -285,8 +381,8 @@ func TestReportLogShape(t *testing.T) {
 			t.Fatalf("passing check %s carries detail %q", c.Name, c.Detail)
 		}
 	}
-	if len(r.Failures()) == 0 {
-		t.Fatal("Failures() empty on a failing report")
+	if len(failures(r)) == 0 {
+		t.Fatal("no failed check on a failing report")
 	}
 }
 

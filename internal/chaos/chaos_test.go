@@ -132,13 +132,15 @@ func TestServiceSweep(t *testing.T) {
 }
 
 // TestServiceCheckLists pins each service-run shape's check list: a
-// one-shard log lists the four service checks, a two-shard log inserts
-// the two cross-layer checks after agreement, and a watched run appends
-// the three watchdog checks (watchdog-clean because the plan is clean).
+// one-shard log lists the history checker's consistency, validity and
+// stability rules, then agreement, metric consistency and trace sanity;
+// a two-shard log adds the durability and commit-of-commits rules and
+// recovery termination after stability; a watched run appends the three
+// watchdog checks (watchdog-clean because the plan is clean).
 func TestServiceCheckLists(t *testing.T) {
-	one := []string{"response-consistency", "agreement", "metric-consistency", "trace-sanity"}
-	two := []string{"response-consistency", "agreement", "cross-atomicity", "recovery-agreement",
-		"metric-consistency", "trace-sanity"}
+	one := []string{"consistency", "validity", "stability", "agreement", "metric-consistency", "trace-sanity"}
+	two := []string{"consistency", "validity", "stability", "durability", "commit-of-commits",
+		"recovery-termination", "agreement", "metric-consistency", "trace-sanity"}
 	watched := []string{"watchdog-crash-detection", "watchdog-no-false-node-down", "watchdog-clean"}
 	for _, tc := range []struct {
 		shards int
@@ -237,7 +239,9 @@ func TestAuditLogReproducible(t *testing.T) {
 
 // TestChaosNightly is the long sweep the nightly CI job runs with
 // CHAOS_NIGHTLY=1: hundreds of seeded plans across every shape and odd
-// cluster sizes up to 9, cluster and service modes.
+// cluster sizes up to 9, cluster and service modes, and sharded service
+// plans (2 and 4 groups of 3 and 5) whose cross transactions exercise
+// commit-of-commits and the coordinator's recovery.
 func TestChaosNightly(t *testing.T) {
 	if os.Getenv("CHAOS_NIGHTLY") == "" {
 		t.Skip("set CHAOS_NIGHTLY=1 for the long sweep")
@@ -263,6 +267,21 @@ func TestChaosNightly(t *testing.T) {
 			t.Run(fmt.Sprintf("service/%s/seed%d", shape, cfg.Seed), func(t *testing.T) {
 				runServiceOne(t, cfg)
 			})
+		}
+		for _, shards := range []int{2, 4} {
+			for _, n := range []int{3, 5} {
+				for s := 0; s < 4; s++ {
+					cfg := PlanConfig{
+						Seed:   uint64(s)*15_485_863 + uint64(shards*n)*61 + uint64(len(shape)),
+						N:      n,
+						Shape:  shape,
+						Shards: shards,
+					}
+					t.Run(fmt.Sprintf("sharded/%s/shards%d/n%d/seed%d", shape, shards, n, cfg.Seed), func(t *testing.T) {
+						runServiceOne(t, cfg)
+					})
+				}
+			}
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/obs/watch"
 	"repro/internal/recovery"
 	"repro/internal/runtime"
+	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/txn"
 	"repro/internal/types"
@@ -269,38 +270,32 @@ func RunCluster(p *Plan, o RunOptions) (*Report, *ClusterRunData, error) {
 	// (a crashed one keeps what it decided before dying), and every
 	// journal as a restart would replay it.
 	data := &ClusterRunData{
-		Decided:     make([]bool, n),
-		Values:      make([]types.Value, n),
-		Crashed:     h.crashFired,
+		Outcomes:    make([]trace.Outcome, n),
 		Recovered:   h.recovered,
 		RecoveredOK: h.recoveredOK,
-		WALDecided:  make([]bool, n),
-		WALValue:    make([]types.Value, n),
+		Journals:    make([]types.Decision, n),
 		Spans:       o.Spans.Graph().Spans,
 		TimedOut:    timedOut,
 		Vacuous:     vacuous,
 	}
 	for i, m := range managers {
 		d, ok := m.DecisionOf(recovery.SoleTxn)
-		data.Decided[i], data.Values[i] = ok, d.Value()
+		data.Outcomes[i] = trace.Outcome{Decided: ok, Value: d.Value(), Crashed: h.crashFired[i]}
 		logs[i].Kill()
-		if d, ok := journaled(fss[i]); ok {
-			data.WALDecided[i], data.WALValue[i] = true, d.Value()
-		}
+		data.Journals[i] = journaled(fss[i])
 	}
 	return AuditCluster(p, data), data, runErr
 }
 
-// journaled replays the decision log on fs and reports the one
-// transaction's journaled decision.
-func journaled(fs *wal.MemFS) (types.Decision, bool) {
+// journaled replays the decision log on fs and returns the one
+// transaction's journaled decision (DecisionNone when it holds none).
+func journaled(fs *wal.MemFS) types.Decision {
 	dl, err := wal.OpenDecisionLog(wal.SegmentedOptions{FS: fs})
 	if err != nil {
-		return types.DecisionNone, false
+		return types.DecisionNone
 	}
 	defer dl.Close() //nolint:errcheck // read-only replay
-	d, ok := dl.Recovered()[recovery.SoleTxn]
-	return d, ok
+	return dl.Recovered()[recovery.SoleTxn]
 }
 
 // restartNode brings crashed processor pid back after the given delay,

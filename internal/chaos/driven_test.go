@@ -67,7 +67,7 @@ func TestClusterRestartInADrivenGroupContentOblivious(t *testing.T) {
 				t.Errorf("%d frames received, %d of them taken from a node's channel: the group was not driven", received, handoffs)
 			}
 			for q := range data.Recovered {
-				if !data.Decided[q] && data.RecoveredOK[q] {
+				if !data.Outcomes[q].Decided && data.RecoveredOK[q] {
 					byClient++
 				}
 			}

@@ -123,17 +123,13 @@ func RunService(p *Plan, o RunOptions) (*Report, *ServiceRunData, error) {
 	// still retain the ids, then the metrics and the WAL — all before the
 	// recovery echo rewrites the coordinator's tables.
 	for i := range results {
-		if st, ok := coord.Status(results[i].ID); ok {
-			results[i].Status, results[i].StatusKnown = st, true
-		}
-		if len(results[i].Shards) > 1 {
-			cs := make(map[int]service.State, len(results[i].Shards))
-			for _, s := range results[i].Shards {
-				if st, ok := coord.Status(shard.ChildID(results[i].ID, s)); ok {
-					cs[s] = st.State
-				}
+		res := &results[i]
+		res.Status, _ = coord.Status(res.ID)
+		if len(res.Shards) > 1 {
+			for _, s := range res.Shards {
+				st, _ := coord.Status(shard.ChildID(res.ID, s))
+				res.ChildStates = append(res.ChildStates, st.State)
 			}
-			results[i].ChildStates = cs
 		}
 	}
 	data := &ServiceRunData{

@@ -107,7 +107,7 @@ func TestShardedServiceSweep(t *testing.T) {
 
 // TestShardedRecoveryEcho: the harness's WAL-without-outcomes replay is a
 // real re-derivation — it settles every decided cross transaction and the
-// auditor's recovery-agreement check sees the echo data.
+// auditor's history sees the echo data as a restart epoch.
 func TestShardedRecoveryEcho(t *testing.T) {
 	cfg := PlanConfig{Seed: 99, N: 3, Shape: ShapeClean, Shards: 3, Txns: 16, CrossFraction: 0.8}
 	_, data := runServiceOne(t, cfg)

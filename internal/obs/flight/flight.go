@@ -61,13 +61,9 @@ type Dump struct {
 type Config struct {
 	// Spans supplies the span ring.
 	Spans *span.Collector
-	// Source supplies per-shard samples (the same Source the watchdog
-	// reads).
-	Source watch.Source
-	// Watchdog supplies the health document embedded in each dump.
+	// Watchdog supplies the health document embedded in each dump and,
+	// through its Source and stall age, the per-shard samples.
 	Watchdog *watch.Watchdog
-	// StallAge is forwarded to Source.WatchStats.
-	StallAge time.Duration
 	// Dir is where anomaly-triggered dumps land. Empty disables
 	// persistence (Snapshot and the handler still work).
 	Dir string
@@ -80,9 +76,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.StallAge <= 0 {
-		c.StallAge = 10 * time.Second
-	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 30 * time.Second
 	}
@@ -129,9 +122,7 @@ func (r *Recorder) Snapshot(reason string) *Dump {
 
 	if w := r.cfg.Watchdog; w != nil {
 		d.Health = w.Health()
-	}
-	if s := r.cfg.Source; s != nil {
-		st := s.WatchStats(r.cfg.StallAge)
+		st := w.Stats()
 		d.Shards = st.Shards
 		d.Cross = st.Cross
 	}

@@ -30,7 +30,7 @@ func testRecorder(t *testing.T, dir string) (*Recorder, *watch.Watchdog) {
 
 	clock := time.Unix(1700000000, 0)
 	rec := New(Config{
-		Spans: sp, Source: src, Watchdog: wd,
+		Spans: sp, Watchdog: wd,
 		Dir: dir, Cooldown: time.Minute,
 		Clock: func() time.Time { return clock },
 	})

@@ -242,13 +242,19 @@ func (w *Watchdog) Stop() {
 	w.stop = nil
 }
 
+// Stats samples the source with the watchdog's stall age: what a Tick
+// evaluates, and what a flight dump records of the open transactions.
+func (w *Watchdog) Stats() Stats {
+	return w.source.WatchStats(w.cfg.StallAge)
+}
+
 // Tick samples the source and evaluates every rule once. It returns
 // the anomalies this tick produced (already counted and recorded).
 func (w *Watchdog) Tick() []Anomaly {
 	if w.cfg.OnTick != nil {
 		w.cfg.OnTick()
 	}
-	st := w.source.WatchStats(w.cfg.StallAge)
+	st := w.Stats()
 
 	w.mu.Lock()
 	w.ticks++

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/service"
+	"repro/internal/trace"
 	"repro/internal/txn"
 	"repro/internal/types"
 	"repro/internal/wal"
@@ -130,6 +131,11 @@ func TestStatusWaitsForJournal(t *testing.T) {
 				return decode[service.TxnStatus](t, resp)
 			}
 
+			// The history holds the POST's answer where it arrived: with
+			// respect to the fsync, that is what durability checks.
+			h := trace.NewHistory()
+			h.Journaled("j1")
+			h.Votes("j1", tc.votes...)
 			type answer struct {
 				res service.Result
 				err error
@@ -141,6 +147,14 @@ func TestStatusWaitsForJournal(t *testing.T) {
 				})
 				done <- answer{res, err}
 			}()
+			var a *answer
+			ack := func(got answer) {
+				if got.err != nil {
+					t.Fatal(got.err)
+				}
+				a = &got
+				h.Ack("j1", trace.Answer(got.res.State))
+			}
 
 			if tc.timeout != 0 {
 				for deadline := time.Now().Add(10 * time.Second); status().State != service.StateTimeout; time.Sleep(time.Millisecond) {
@@ -148,6 +162,7 @@ func TestStatusWaitsForJournal(t *testing.T) {
 						t.Fatal("the deadline never resolved the submission as TIMEOUT")
 					}
 				}
+				ack(<-done)
 				gate.Release()
 			}
 			// The decision is reached and appended; its fsync is held.
@@ -156,25 +171,33 @@ func TestStatusWaitsForJournal(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Fatal("the decision never reached the journal")
 			}
-			if tc.timeout == 0 {
+			if a == nil {
 				select {
-				case a := <-done:
-					t.Fatalf("POST acked %+v before the fsync resolved", a.res)
+				case got := <-done:
+					ack(got)
 				default:
 				}
 			}
 			for i := 0; i < 3; i++ {
-				if st := status(); st.State != tc.stalled || st.Decision != "" {
+				st := status()
+				h.Status("j1", trace.Answer(st.State))
+				if st.State != tc.stalled || st.Decision != "" {
 					t.Fatalf("status while the fsync is held = %s %q, want %s and no decision",
 						st.State, st.Decision, tc.stalled)
 				}
 				time.Sleep(time.Millisecond)
 			}
 
+			if !tc.failSync {
+				d := types.DecisionCommit
+				if tc.wantStatus == service.StateAbort {
+					d = types.DecisionAbort
+				}
+				h.Durable("j1", d)
+			}
 			close(fs.release)
-			a := <-done
-			if a.err != nil {
-				t.Fatal(a.err)
+			if a == nil {
+				ack(<-done)
 			}
 			if a.res.State != tc.wantResult {
 				t.Fatalf("POST answered %s, want %s", a.res.State, tc.wantResult)
@@ -193,6 +216,10 @@ func TestStatusWaitsForJournal(t *testing.T) {
 			}
 			if st.State != tc.wantStatus || st.Decision != wantDecision {
 				t.Fatalf("status after the fsync resolved = %s %q, want %s %q", st.State, st.Decision, tc.wantStatus, wantDecision)
+			}
+			h.Status("j1", trace.Answer(st.State))
+			for _, v := range h.Check() {
+				t.Error(v)
 			}
 
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

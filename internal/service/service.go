@@ -94,11 +94,10 @@ type svcMetrics struct {
 	submitted      *obs.Counter
 	batches        *obs.Counter
 	violations     *obs.Counter
-	latency        *obs.Histogram            // seconds, decided (COMMIT/ABORT) submissions
-	stage          [numStages]*obs.Histogram // seconds per pipeline stage
-	occupancy      *obs.Histogram            // members per dispatched agreement batch
-	batchesDecided *obs.Counter              // batches whose every member resolved
-	rescues        *obs.Counter              // orphaned batches re-dispatched after a coordinator crash
+	latency        *obs.Histogram // seconds, decided (COMMIT/ABORT) submissions
+	occupancy      *obs.Histogram // members per dispatched agreement batch
+	batchesDecided *obs.Counter   // batches whose every member resolved
+	rescues        *obs.Counter   // orphaned batches re-dispatched after a coordinator crash
 
 	// service_outcomes_total by outcome, service_rejected_total by reason.
 	committed, aborted, timedOut, failed *obs.Counter
@@ -115,13 +114,6 @@ func newSvcMetrics(reg *obs.Registry, shard string) svcMetrics {
 		"Terminal submission outcomes.", "shard", "outcome")
 	rejected := reg.CounterVec("service_rejected_total",
 		"Submissions rejected at admission.", "shard", "reason")
-	stages := reg.HistogramVec("service_stage_seconds",
-		"Per-stage latency of the submission pipeline (admit, batch, dispatch, decided, notify).",
-		obs.DefBuckets, "shard", "stage")
-	var stage [numStages]*obs.Histogram
-	for st, name := range stageNames {
-		stage[st] = stages.With(shard, name)
-	}
 	return svcMetrics{
 		submitted: reg.CounterVec("service_submitted_total",
 			"Transactions admitted into the queue.", "shard").With(shard),
@@ -138,7 +130,6 @@ func newSvcMetrics(reg *obs.Registry, shard string) svcMetrics {
 		latency: reg.HistogramVec("service_latency_seconds",
 			"Submission-to-decision latency of committed/aborted transactions.",
 			obs.DefBuckets, "shard").With(shard),
-		stage: stage,
 		occupancy: reg.HistogramVec("service_batch_occupancy",
 			"Members per dispatched agreement batch.",
 			OccupancyBuckets, "shard").With(shard),
@@ -184,8 +175,7 @@ const (
 	numStages
 )
 
-// stageNames names each stage in spans, in histogram labels and in
-// Metrics.Stages.
+// stageNames names each stage in spans and in Metrics.Stages.
 var stageNames = [numStages]string{
 	span.StageAdmit, span.StageBatch, span.StageDispatch, span.StageDecided, span.StageNotify,
 }
@@ -622,9 +612,8 @@ func (s *Service) dispatchBatch(batch []*pending) {
 	s.cluster.Node(coord).Wake() // flood the GO now, not at the next tick
 }
 
-// recordStage emits one service pipeline stage as a histogram
-// observation, a latency-recorder sample and, for a traced submission, a
-// span. Zero or backwards intervals (a stage the submission never
+// recordStage emits one service pipeline stage as a latency-recorder
+// sample and, for a traced submission, a span. Zero or backwards intervals (a stage the submission never
 // reached) are skipped.
 func (s *Service) recordStage(p *pending, st stage, start, end int64, detail string) {
 	if end < start || (start == 0 && end == 0) {
@@ -636,9 +625,7 @@ func (s *Service) recordStage(p *pending, st stage, start, end int64, detail str
 			Start: start, End: end, From: -1, To: -1, Detail: detail,
 		})
 	}
-	d := float64(end-start) / 1e6 // collector clock is microseconds
-	s.met.stage[st].Observe(d)
-	s.stageLat[st].Add(d * 1e3) // recorders hold milliseconds
+	s.stageLat[st].Add(float64(end-start) / 1e3) // microseconds to the recorders' milliseconds
 }
 
 // nextCoordinatorLocked picks the next round-robin coordinator, skipping

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/service"
 	"repro/internal/shard"
+	"repro/internal/trace"
 	"repro/internal/types"
 	"repro/internal/wal"
 )
@@ -317,36 +318,59 @@ func TestRestartOnJournalsKeepsEveryAckedStatus(t *testing.T) {
 		}
 		reqs = append(reqs, req)
 	}
-	acked := make(map[string]shard.TxnStatus)
+	h := trace.NewHistory()
+	status := func(id string) {
+		st, _ := c.Status(id)
+		h.Status(id, trace.Answer(st.State))
+		if st.Decision != "" {
+			h.Status(id, trace.Answer(st.Decision))
+		}
+	}
 	for _, req := range reqs {
 		res, err := c.Submit(ctx, req)
 		if err != nil || !res.State.Terminal() {
 			t.Fatalf("%s: %+v, %v", req.ID, res, err)
 		}
-		st, ok := c.Status(req.ID)
-		if !ok || st.State != res.State {
-			t.Fatalf("%s: answered %s, status %+v", req.ID, res.State, st)
-		}
-		acked[req.ID] = st
+		h.Votes(req.ID, req.Votes...)
+		h.Ack(req.ID, trace.Answer(res.State))
+		status(req.ID)
 	}
 	closeAll()
 
+	h.Restart()
 	c, closeAll = open()
 	defer closeAll()
-	for id, before := range acked {
-		after, ok := c.Status(id)
-		if !ok || after.State != before.State || after.Decision != before.Decision {
-			t.Errorf("%s: acked %s/%s, after restart %+v (known %v)", id, before.State, before.Decision, after, ok)
-		}
+	for _, req := range reqs {
+		status(req.ID)
+	}
+	for _, v := range h.Check() {
+		t.Error(v)
 	}
 }
 
-// Satellite: drain path. Stop called mid-batch must resolve every
-// in-flight submission — single-shard and cross-shard alike — as a
-// terminal state; nothing is lost, nothing hangs.
+// TestDrainMidBatchResolvesEverything: Close called mid-batch resolves
+// every in-flight submission, single-shard and cross-shard alike, as a
+// terminal state; nothing is lost, nothing hangs. Every answer and every
+// child's status then keeps the history rules, commit-of-commits among
+// them: a top-level COMMIT means every child committed, a top-level
+// ABORT that some child aborted. A child that committed under a
+// top-level ABORT is legal. Two cross transactions decided before the
+// drain, one with a NO vote, make sure the history holds a decided
+// parent whatever the drain leaves.
 func TestDrainMidBatchResolvesEverything(t *testing.T) {
 	c := newCoordinator(t, shard.Config{Shards: 2, Group: service.Config{Seed: 7}})
 	keys := crossKeys(t, c, 0, 1)
+	h := trace.NewHistory()
+	no := []bool{true, false, true}
+	crossIDs := []string{"before-yes", "before-no"}
+	for _, req := range []shard.Request{{ID: "before-yes", Keys: keys}, {ID: "before-no", Keys: keys, Votes: no}} {
+		res, err := c.Submit(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Votes(req.ID, req.Votes...)
+		h.Ack(req.ID, trace.Answer(res.State))
+	}
 
 	const singles, crosses = 8, 4
 	results := make(chan shard.Result, singles+crosses)
@@ -363,7 +387,8 @@ func TestDrainMidBatchResolvesEverything(t *testing.T) {
 		go submit(shard.Request{ID: fmt.Sprintf("drain-s-%d", i)})
 	}
 	for i := 0; i < crosses; i++ {
-		go submit(shard.Request{ID: fmt.Sprintf("drain-x-%d", i), Keys: keys})
+		crossIDs = append(crossIDs, fmt.Sprintf("drain-x-%d", i))
+		go submit(shard.Request{ID: crossIDs[len(crossIDs)-1], Keys: keys})
 	}
 
 	// Let the batch land in the queues, then stop mid-flight.
@@ -380,6 +405,7 @@ func TestDrainMidBatchResolvesEverything(t *testing.T) {
 			if !res.State.Terminal() {
 				t.Fatalf("non-terminal result %+v", res)
 			}
+			h.Ack(res.ID, trace.Answer(res.State))
 		case err := <-errs:
 			// Rejected at admission (draining) is a clean resolution too:
 			// the client knows the txn never started.
@@ -391,19 +417,15 @@ func TestDrainMidBatchResolvesEverything(t *testing.T) {
 		}
 	}
 
-	// Whatever decided must agree per shard pair: no cross child may be
-	// COMMIT while its sibling is ABORT.
-	for i := 0; i < crosses; i++ {
-		id := fmt.Sprintf("drain-x-%d", i)
-		states := map[int]service.State{}
-		for _, k := range []int{0, 1} {
-			if st, ok := c.Group(k).Status(shard.ChildID(id, k)); ok {
-				states[k] = st.State
-			}
+	for _, id := range crossIDs {
+		children := []string{shard.ChildID(id, 0), shard.ChildID(id, 1)}
+		h.Link(id, children...)
+		for k, child := range children {
+			st, _ := c.Group(k).Status(child)
+			h.Status(child, trace.Answer(st.State))
 		}
-		if states[0] == service.StateCommit && states[1] == service.StateAbort ||
-			states[0] == service.StateAbort && states[1] == service.StateCommit {
-			t.Fatalf("cross txn %s children split: %v", id, states)
-		}
+	}
+	for _, v := range h.Check() {
+		t.Error(v)
 	}
 }

@@ -210,7 +210,7 @@ func TestFailedJournalIsDetectedWithinOneWatchInterval(t *testing.T) {
 		}
 		detected <- detection{at, a, path}
 	}})
-	rec = flight.New(flight.Config{Source: c, Watchdog: wd, Dir: t.TempDir()})
+	rec = flight.New(flight.Config{Watchdog: wd, Dir: t.TempDir()})
 	wd.Start()
 	defer wd.Stop()
 

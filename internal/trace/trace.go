@@ -6,6 +6,11 @@
 // clock, messages delivered and sent) to reconstruct the message pattern,
 // detect late messages, assign asynchronous rounds, and audit the
 // Agreement / Abort Validity / Commit Validity conditions of §2.4.
+//
+// A History is the live counterpart: what a deployment decided, made
+// durable and answered, per transaction and across restarts, checked
+// against the Theorem-11 rules (check.go) by the chaos harness and the
+// serving tests alike.
 package trace
 
 import (

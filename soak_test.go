@@ -10,6 +10,7 @@ import (
 
 	tcommit "repro"
 	"repro/internal/obs"
+	"repro/internal/trace"
 	"repro/internal/types"
 	"repro/internal/wal"
 )
@@ -90,16 +91,25 @@ func soakDecision(id string) types.Decision {
 	return types.DecisionCommit
 }
 
+// soakAnswer is the answer a journal holding d gives.
+func soakAnswer(d types.Decision) trace.Answer {
+	if d == types.DecisionNone {
+		return trace.Unknown
+	}
+	return trace.Answer(d.String())
+}
+
 // TestSoakWALMillionTxnRestarts is the nightly endurance pass for the
 // segmented decision journal: over a million transactions are journaled
 // by concurrent clients under group commit, across repeated restarts —
 // half of them kill -9 style (the journal abandoned mid-load, then the
 // simulated disk truncated past its fsync frontier under rotating
-// torn-tail assumptions). Every restart runs the chaos-auditor checks:
+// torn-tail assumptions). Every restart is checked as a history
+// (internal/trace):
 //
 //	every acked decision inside the journal's window is recovered with
-//	its exact value
-//	every recovered decision matches what was appended (none invented)
+//	its exact value (stability)
+//	every recovered decision matches what was appended (consistency)
 //
 // and the run logs recovery time and fsync amortization per epoch.
 // Gated behind SOAK_NIGHTLY (several tens of seconds of wall time).
@@ -151,23 +161,26 @@ func TestSoakWALMillionTxnRestarts(t *testing.T) {
 			slowestReplay = rs.Duration
 		}
 
-		// The auditor: recovery must hold every acked decision inside the
-		// window with its exact value, and nothing it holds may contradict
-		// what was appended.
+		// The auditor, as a history: every acked decision inside the
+		// window was acked before this restart and must be answered the
+		// same after it (stability), and nothing recovery holds may
+		// contradict what was appended (consistency).
 		rec := dl.Recovered()
-		for _, id := range acked[max(0, len(acked)-(wal.DecisionWindow-margin)):] {
-			d, ok := rec[id]
-			if !ok {
-				t.Fatalf("epoch %d: acked decision %s lost in recovery", epoch, id)
-			}
-			if d != soakDecision(id) {
-				t.Fatalf("epoch %d: %s recovered as %v, want %v", epoch, id, d, soakDecision(id))
-			}
+		h := trace.NewHistory()
+		window := acked[max(0, len(acked)-(wal.DecisionWindow-margin)):]
+		for _, id := range window {
+			h.Ack(id, soakAnswer(soakDecision(id)))
 		}
+		h.Restart()
 		for id, d := range rec {
-			if d != soakDecision(id) {
-				t.Fatalf("epoch %d: recovery invented/flipped %s = %v", epoch, id, d)
-			}
+			h.Decide(id, 0, soakDecision(id))
+			h.Durable(id, d)
+		}
+		for _, id := range window {
+			h.Status(id, soakAnswer(rec[id]))
+		}
+		if vs := h.Check(); vs != nil {
+			t.Fatalf("epoch %d: %v", epoch, vs)
 		}
 		if len(rec) > wal.DecisionWindow {
 			t.Fatalf("epoch %d: recovered %d decisions, more than the window", epoch, len(rec))
